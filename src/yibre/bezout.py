@@ -156,7 +156,7 @@ def sr_decomposition(r: Operator2):
     n = r.dim
     s = r + r.reversed_legs()
     if n < 2:
-        return (ZERO, s.get(1, 1, 1, 1)) if True else None
+        return (ZERO, s.get(1, 1, 1, 1))
     alpha = s.get(1, 2, 2, 1)
     beta = s.get(1, 2, 1, 2)
     expect = permutation_P(n).scale(alpha) + Operator2.identity(n).scale(beta)

@@ -70,15 +70,13 @@ def main():
 @click.option("--b", default="1")
 @click.option("--c", default="1")
 @click.option("--rho", help="a,b,c of the pencil polynomial")
-@click.option("--kind-name", "block_kind", help="catalog member for 'block'/'classical'/'bezout'")
-@click.option("--kind", "block_kind2", hidden=True)
+@click.option("--kind", "block_kind", help="catalog member for 'block'/'classical'/'bezout'")
 @click.option("--out", type=click.Path(), help="write JSON here instead of stdout")
 def construct(kind, phi, mu, psi, beta, n, qsq_inv, p, q, gamma, omega, eps,
-              h1, h2, h3, a, b, c, rho, block_kind, block_kind2, out):
+              h1, h2, h3, a, b, c, rho, block_kind, out):
     """Build a named object and print it as JSON with rational entries."""
-    sub = block_kind or block_kind2
     try:
-        obj = _construct(kind, sub, phi=phi, mu=mu, psi=psi, beta=beta, n=n,
+        obj = _construct(kind, block_kind, phi=phi, mu=mu, psi=psi, beta=beta, n=n,
                          qsq_inv=qsq_inv, p=p, q=q, gamma=gamma, omega=omega,
                          eps=eps, h1=h1, h2=h2, h3=h3, a=a, b=b, c=c, rho=rho)
     except (ValueError, KeyError, TypeError) as exc:
@@ -149,10 +147,10 @@ def _construct(kind, sub, **kw):
 
 @main.command()
 @click.option("--suite", type=click.Choice(SUITE_NAMES), required=True)
-@click.option("--n", type=int, default=3, show_default=True)
+@click.option("--n", type=click.IntRange(min=2), default=3, show_default=True)
 @click.option("--seed", type=int, default=None,
               help="defaults to $YIBRE_SEED or 0")
-@click.option("--draws", type=int, default=5, show_default=True)
+@click.option("--draws", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @click.option("--mutate", type=click.Choice(["one-entry"]), default=None,
               help="fault injection: flip exactly one check")

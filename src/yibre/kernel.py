@@ -1,8 +1,10 @@
 """Exact rational scalars, elementary symmetric functions and Lagrange/Vandermonde inversion.
 
-Everything in this package computes over ``fractions.Fraction``; there is no
-floating point anywhere.  Identities are certified by evaluation at seeded
-random rational points, so all draws happen through :class:`RationalDraw`.
+Everything in this package computes over ``fractions.Fraction``, or over the
+exact quadratic extensions :class:`QuadExt` where a check needs sqrt(-1) or a
+first-order epsilon; there is no floating point anywhere.  Identities are
+certified by evaluation at seeded random rational points, so all draws happen
+through :class:`RationalDraw`.
 """
 
 from __future__ import annotations
@@ -30,13 +32,18 @@ class InvalidInputError(ValueError):
 
 
 def rat(value, den=None) -> Fraction:
-    """Coerce ints, 'p/q' strings or Fractions to an exact rational."""
+    """Coerce ints, 'p/q' strings or Fractions to an exact rational.
+
+    A :class:`QuadExt` passes through unchanged, so it can be an operator entry.
+    """
     if den is not None:
         return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, QuadExt):
+        return value
     if isinstance(value, str):
         return Fraction(value.strip())
     raise InvalidInputError(f"cannot interpret {value!r} as a rational")
@@ -48,6 +55,77 @@ def format_rat(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+class QuadExt:
+    """a + b*sqrt(d) over exact rationals, for a fixed integer d.
+
+    d = -1 gives the Gaussian rationals and d = 0 the dual numbers
+    (eps^2 = 0).  Rationals mix in as b = 0; mixing two values of d raises.
+    Division needs a nonzero norm a^2 - d*b^2, else ZeroDivisionError.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d: int):
+        self.a = rat(a)
+        self.b = rat(b)
+        self.d = d
+
+    def _lift(self, o) -> "QuadExt":
+        if isinstance(o, QuadExt):
+            if o.d != self.d:
+                raise InvalidInputError(f"cannot mix sqrt({self.d}) with sqrt({o.d})")
+            return o
+        return QuadExt(o, ZERO, self.d)
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        o = self._lift(o)
+        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+
+    def __rsub__(self, o):
+        return self._lift(o) - self
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        return QuadExt(self.a * o.a + self.d * self.b * o.b,
+                       self.a * o.b + self.b * o.a, self.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = self._lift(o)
+        norm = o.a * o.a - o.d * o.b * o.b
+        if not norm:
+            raise ZeroDivisionError(f"{o!r} has zero norm")
+        return self * QuadExt(o.a / norm, -o.b / norm, o.d)
+
+    def __rtruediv__(self, o):
+        return self._lift(o) / self
+
+    def __neg__(self):
+        return QuadExt(-self.a, -self.b, self.d)
+
+    def __eq__(self, o):
+        if not isinstance(o, (QuadExt, int, Fraction)):
+            return NotImplemented
+        o = self._lift(o)
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        return hash(self.a) if not self.b else hash((self.a, self.b, self.d))
+
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
+    def __repr__(self):
+        return f"QuadExt({self.a}, {self.b}, d={self.d})"
 
 
 def ratvec(values: Iterable) -> tuple[Fraction, ...]:
@@ -152,7 +230,6 @@ class RationalDraw:
         while True:
             v = tuple(self.rational(nonzero=nonzero) for _ in range(n))
             if not distinct or len(set(v)) == n:
-                self.history.extend([])
                 return v
 
     def int_in(self, lo: int, hi: int) -> int:

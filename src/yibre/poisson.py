@@ -2,8 +2,8 @@
 
 Brackets are stored as {x^i, x^j} for i < j, each a dictionary over sorted
 degree-2 monomials; this bakes in antisymmetry in (i,j) and symmetry in (k,l).
-First-order statements run over dual numbers (epsilon^2 = 0), so "infinitesimal"
-is exact.
+First-order statements run over dual numbers (``QuadExt`` with d = 0, so
+epsilon^2 = 0), so "infinitesimal" is exact.
 """
 
 from __future__ import annotations
@@ -11,59 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import (ONE, ZERO, InvalidInputError, rat, ratvec,
+from .kernel import (ONE, ZERO, InvalidInputError, QuadExt, rat, ratvec,
                      require_distinct)
 from .tensor import Operator1
-
-
-class Dual:
-    """a + b*eps with eps^2 = 0, over exact rationals."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=ZERO):
-        self.re = rat(re)
-        self.im = rat(im)
-
-    def __add__(self, o):
-        o = _dual(o)
-        return Dual(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        o = _dual(o)
-        return Dual(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, o):
-        return _dual(o) - self
-
-    def __mul__(self, o):
-        o = _dual(o)
-        return Dual(self.re * o.re, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = _dual(o)
-        if not o.re:
-            raise ZeroDivisionError("dual with nilpotent real part")
-        inv = Dual(ONE / o.re, -o.im / (o.re * o.re))
-        return self * inv
-
-    def __neg__(self):
-        return Dual(-self.re, -self.im)
-
-    def __eq__(self, o):
-        o = _dual(o)
-        return self.re == o.re and self.im == o.im
-
-    def __repr__(self):
-        return f"Dual({self.re}, {self.im})"
-
-
-def _dual(x) -> Dual:
-    return x if isinstance(x, Dual) else Dual(rat(x))
 
 
 @dataclass(frozen=True)
@@ -375,13 +325,13 @@ def psi_variation_dual(params: PencilParams, dpsi) -> QuadraticBracket:
     br = QuadraticBracket(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            pi = Dual(psi[i - 1], dpsi[i - 1])
-            pj = Dual(psi[j - 1], dpsi[j - 1])
+            pi = QuadExt(psi[i - 1], dpsi[i - 1], 0)
+            pj = QuadExt(psi[j - 1], dpsi[j - 1], 0)
             dij = pi - pj
             ri, rj = rho(pi), rho(pj)
-            poly = {(i, i): (rj / dij).im,
-                    (j, j): (ri / dij).im,
-                    (i, j): (params.a * dij - (ri + rj) / dij).im}
+            poly = {(i, i): (rj / dij).b,
+                    (j, j): (ri / dij).b,
+                    (i, j): (params.a * dij - (ri + rj) / dij).b}
             br.set_pair(i, j, poly)
     return br
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .kernel import ONE, ZERO, InvalidInputError, rat
+from .kernel import ONE, ZERO, InvalidInputError, QuadExt, rat
 from .poisson import QuadraticBracket
+from .tensor import Echelon
 
 
 @dataclass(frozen=True)
@@ -217,64 +218,29 @@ def classify_orderable(pres: OrderedPresentation) -> OrderableClass:
 
 # --- graded dimensions ---------------------------------------------------------
 
-class _Echelon:
-    """Incremental sparse echelon basis over exact rationals."""
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
-
-    def insert(self, row: dict[int, Fraction]) -> bool:
-        """Reduce and insert; returns True when the row extended the span."""
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                inv = ONE / row[lead]
-                self.pivots[lead] = {c: v * inv for c, v in row.items()}
-                return True
-            factor = row[lead]
-            for c, v in piv.items():
-                nv = row.get(c, ZERO) - factor * v
-                if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-        return False
-
-    def tensor_with_full_space(self, n: int) -> "_Echelon":
-        """Echelon basis of span (x) V given this span's basis (pivot structure survives)."""
-        out = _Echelon()
-        for lead, row in self.pivots.items():
-            for k in range(n):
-                out.pivots[lead * n + k] = {c * n + k: v for c, v in row.items()}
-        return out
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+def _tensor_with_full_space(ideal: Echelon, n: int) -> Echelon:
+    """Echelon basis of span (x) V given this span's basis (pivot structure survives)."""
+    out = Echelon()
+    for lead, row in ideal.pivots.items():
+        for k in range(n):
+            out.pivots[lead * n + k] = {c * n + k: v for c, v in row.items()}
+    return out
 
 
 def poincare_series(n: int, relation_rows, max_degree: int) -> tuple[int, ...]:
     """dim of degree-m components of T(V)/(relations), m = 0..max_degree."""
     if max_degree > 6:
         raise InvalidInputError("degree capped at 6")
-    rel = []
-    for row in relation_rows:
-        srow = {c: rat(v) for c, v in enumerate(row) if v}
-        if srow:
-            rel.append(srow)
+    rel = [{c: rat(v) for c, v in enumerate(row) if v} for row in relation_rows]
     dims = [1]
     if max_degree >= 1:
         dims.append(n)
-    ideal = _Echelon()   # degree-2 component
-    for row in rel:
-        ideal.insert(row)
+    ideal = Echelon(rel)   # degree-2 component
     if max_degree >= 2:
         dims.append(n * n - ideal.rank)
     for m in range(3, max_degree + 1):
         # I_m = I_{m-1} (x) V + V^(m-2) (x) R
-        nxt = ideal.tensor_with_full_space(n)
+        nxt = _tensor_with_full_space(ideal, n)
         block = n * n
         for prefix in range(n ** (m - 2)):
             base = prefix * block
@@ -335,13 +301,11 @@ def classical_limit_bracket(n: int) -> QuadraticBracket:
 
 def classical_limit_bracket_dual(n: int) -> QuadraticBracket:
     """The same bracket extracted with dual-number coefficients f = 1 + eps."""
-    from .poisson import Dual
-
-    f = Dual(ONE, ONE)
+    f = QuadExt(ONE, ONE, 0)
     g = 1 - f
     br = QuadraticBracket(n)
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             # defect x^j x^k - x^k x^j = (f-1) x^k x^j + g x^k x^k, eps part
-            br.set_pair(j, k, {(k, j): (f - 1).im, (k, k): g.im})
+            br.set_pair(j, k, {(k, j): (f - 1).b, (k, k): g.b})
     return br

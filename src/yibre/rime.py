@@ -450,10 +450,6 @@ class RelationBasis:
     def __eq__(self, other):
         return isinstance(other, RelationBasis) and self.dim == other.dim and self.rows == other.rows
 
-    def monomial_labels(self):
-        n = self.dim
-        return [f"x{i+1}x{j+1}" for i in range(n) for j in range(n)]
-
 
 def relation_basis_from_rows(n: int, rows) -> RelationBasis:
     reduced = rref_of_rows([list(map(rat, r)) for r in rows]) if rows else ()

@@ -24,7 +24,7 @@ from .kernel import ONE, ZERO, InvalidInputError, NotSkewInvertibleError, rat
 
 
 class Operator1:
-    """Dense exact-rational n x n matrix with action (Av)^i = A^i_j v^j."""
+    """Dense exact n x n matrix with action (Av)^i = A^i_j v^j."""
 
     __slots__ = ("dim", "rows")
 
@@ -108,52 +108,27 @@ class Operator1:
                      for i in range(self.dim))
 
     def det(self) -> Fraction:
-        rows = [list(r) for r in self.rows]
-        n = self.dim
+        """Product of the leads before scaling, signed by the lead-column permutation."""
+        ech = Echelon()
         det = ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col]), None)
-            if piv is None:
+        leads = []
+        for row in self.rows:
+            rem = ech.reduce(dict(enumerate(row)))
+            if not rem:
                 return ZERO
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = ONE / rows[col][col]
-            for r in range(col + 1, n):
-                f = rows[r][col] * inv
-                if f:
-                    for c in range(col, n):
-                        rows[r][c] -= f * rows[col][c]
-        return det
+            lead = ech.insert(rem)
+            det *= rem[lead]
+            leads.append(lead)
+        inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
+        return -det if inversions % 2 else det
 
     def inverse(self) -> "Operator1":
         n = self.dim
-        a = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise InvalidInputError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = ONE / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Operator1([row[n:] for row in a])
+        inv = _inverse_rows([dict(enumerate(r)) for r in self.rows], n)
+        return Operator1([[row.get(j, ZERO) for j in range(n)] for row in inv])
 
     def rank(self) -> int:
-        return rank_of_rows([list(r) for r in self.rows])
-
-    def power(self, k: int) -> "Operator1":
-        out = Operator1.identity(self.dim)
-        base = self
-        if k < 0:
-            base, k = self.inverse(), -k
-        for _ in range(k):
-            out = out @ base
-        return out
+        return rank_of_rows(self.rows)
 
     def entries(self) -> Iterable[tuple[int, int, Fraction]]:
         for i in range(self.dim):
@@ -165,47 +140,88 @@ class Operator1:
         return f"Operator1({self.rows!r})"
 
 
-def rank_of_rows(rows: list[list[Fraction]]) -> int:
-    """Exact rank by Gaussian elimination (rows are consumed)."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+class Echelon:
+    """Incremental sparse row-echelon basis over exact scalars.
+
+    The package's one Gaussian elimination: ``det``, ``inverse`` and ``rank`` of
+    the operators, ``rank_of_rows``, ``rref_of_rows`` and the graded ideals of
+    ``qalg`` all run through it.  A row is a dict column -> scalar, zero entries
+    ignored; ``pivots`` maps each lead column to its row scaled to a leading 1.
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self, rows: Iterable[dict] = ()):
+        self.pivots: dict[int, dict[int, Fraction]] = {}
+        for row in rows:
+            self.insert(row)
+
+    def reduce(self, row: dict) -> dict:
+        """A copy of ``row`` reduced until its lead column carries no pivot."""
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                break
+            _subtract_multiple(row, piv, lead)
+        return row
+
+    def insert(self, row: dict) -> int | None:
+        """Reduce ``row`` and keep it as a pivot; its lead column, or None if dependent."""
+        row = self.reduce(row)
+        if not row:
+            return None
+        lead = min(row)
+        inv = ONE / row[lead]
+        self.pivots[lead] = {c: v * inv for c, v in row.items()}
+        return lead
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def rref(self) -> list[dict]:
+        """Back-reduce the pivots in place; the reduced rows by increasing lead."""
+        for lead in sorted(self.pivots, reverse=True):
+            row = self.pivots[lead]
+            # pivots with larger leads are already reduced, so each subtraction
+            # clears one pivot column and touches no other
+            for c in [c for c in row if c != lead and c in self.pivots]:
+                _subtract_multiple(row, self.pivots[c], c)
+        return [self.pivots[lead] for lead in sorted(self.pivots)]
 
 
-def rref_of_rows(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+def _subtract_multiple(row: dict, piv: dict, col: int) -> None:
+    """row -= row[col] * piv in place, dropping zeros (piv[col] is 1)."""
+    factor = row[col]
+    for c, v in piv.items():
+        nv = row.get(c, ZERO) - factor * v
+        if nv:
+            row[c] = nv
+        elif c in row:
+            del row[c]
+
+
+def _inverse_rows(rows: list[dict], size: int) -> list[dict]:
+    """Sparse rows of A^-1 from the RREF of [A | I]; singular when a lead lands in I."""
+    ech = Echelon()
+    for i, row in enumerate(rows):
+        if ech.insert({**row, size + i: ONE}) >= size:
+            raise InvalidInputError("matrix is singular")
+    return [{c - size: v for c, v in row.items() if c >= size} for row in ech.rref()]
+
+
+def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank of dense rows."""
+    return Echelon(dict(enumerate(r)) for r in rows).rank
+
+
+def rref_of_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
     """Reduced row-echelon form with zero rows dropped; canonical for row spaces."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = ONE / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return tuple(tuple(r) for r in work[:rank] if any(r))
+    ncols = len(rows[0]) if rows else 0
+    reduced = Echelon(dict(enumerate(r)) for r in rows).rref()
+    return tuple(tuple(row.get(c, ZERO) for c in range(ncols)) for row in reduced)
 
 
 class _SparseSquare:
@@ -367,19 +383,12 @@ class Operator2(_SparseSquare):
                     out._set(r, c, v)
         return out
 
-    def to_dense(self) -> list[list[Fraction]]:
-        g = [[ZERO] * self.size for _ in range(self.size)]
-        for r, row in self.data.items():
-            for c, v in row.items():
-                g[r][c] = v
-        return g
-
     def rank(self) -> int:
-        return rank_of_rows(self.to_dense())
+        return Echelon(self.data.values()).rank
 
     def inverse(self) -> "Operator2":
-        dense = Operator1(self.to_dense())
-        return Operator2.from_dense(self.dim, dense.inverse().rows)
+        rows = [self.data.get(r, {}) for r in range(self.size)]
+        return Operator2(self.dim, dict(enumerate(_inverse_rows(rows, self.size))))
 
     def reversed_legs(self) -> "Operator2":
         """R_21 = P R P."""
@@ -429,20 +438,6 @@ def kron11(a: Operator1, b: Operator1) -> Operator2:
 def wedge(a: Operator1, b: Operator1) -> Operator2:
     """a ^ b = a (x) b - b (x) a."""
     return kron11(a, b) - kron11(b, a)
-
-
-def kron21(r: Operator2, a: Operator1) -> Operator3:
-    """r (x) a on V^3 (r on legs 1,2)."""
-    n = r.dim
-    out = Operator3(n)
-    for rr, row in r.data.items():
-        for cc, v in row.items():
-            for k in range(n):
-                for l in range(n):
-                    w = a.rows[k][l]
-                    if w:
-                        out._set(rr * n + k, cc * n + l, v * w)
-    return out
 
 
 def op1_on_leg2(a: Operator1, leg: int) -> Operator2:

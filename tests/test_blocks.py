@@ -10,6 +10,7 @@ from yibre.blocks import (BLOCK_KINDS, EIGHT_VERTEX, GL2_STD, GL11_STD,
                           nonrime_entries, perfect_square_root,
                           reshuffled_matrix, skinv_implications,
                           stated_equivalences, symmetry_relations)
+from yibre import blocks
 from yibre.kernel import InvalidInputError, RationalDraw
 from yibre.rime import RimeClass, classify
 from yibre.tensor import Operator1, Operator2, yb_residual
@@ -121,6 +122,19 @@ def test_equivalence_residual_guards_singular_t():
 def test_symmetry_relations(kind, params):
     rep = symmetry_relations(kind, *params)
     assert rep and all(v == "pass" for v in rep.values())
+
+
+@pytest.mark.parametrize("name,kind,params,real_stand_in", [
+    ("GAUSS_DIAG", EIGHT_VERTEX, (2,), Operator1.identity(2)),
+    ("GAUSS_FLIP", R_II, (2, 1), Operator1([[0, 1], [1, 0]])),
+])
+def test_gaussian_symmetry_checks_fail_without_sqrt_minus_one(monkeypatch, name, kind,
+                                                              params, real_stand_in):
+    # negative control: with a rational basis change in place of the sqrt(-1)
+    # one, the Gaussian relation must not hold
+    monkeypatch.setattr(blocks, name, real_stand_in)
+    rep = symmetry_relations(kind, *params)
+    assert [v for k, v in rep.items() if k.endswith("via-gaussians")] == ["fail"]
 
 
 def test_nonrime_entries():

@@ -108,6 +108,22 @@ def test_verify_env_seed(runner, monkeypatch, tmp_path):
     assert json.loads(r1.read_text())["reports"][0]["seed"] == 9
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--n", "-1"), ("--n", "1"), ("--n", "0"), ("--draws", "0"), ("--draws", "-3"),
+])
+def test_verify_refuses_out_of_domain_sizes(runner, option, value):
+    res = runner.invoke(main, ["verify", "--suite", "rime", option, value])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "checks passed" not in res.output
+
+
+def test_construct_has_one_kind_option(runner):
+    assert runner.invoke(main, ["construct", "classical", "--kind-name", "b-skew",
+                                "--n", "2"]).exit_code == 2
+    assert "--kind " in runner.invoke(main, ["construct", "--help"]).output
+
+
 def test_report_determinism():
     r1 = run_suite("rime", 3, 42, 2).to_dict()
     r2 = run_suite("rime", 3, 42, 2).to_dict()

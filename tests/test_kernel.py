@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yibre.kernel import (DegenerateParametersError, RationalDraw, elem_sym,
+from yibre.kernel import (DegenerateParametersError, InvalidInputError, QuadExt,
+                          RationalDraw, elem_sym,
                           elem_sym_omit, elem_sym_omit2, format_rat, rat,
                           ratvec, theta, vandermonde_inverse, vandermonde_matrix)
 from yibre.tensor import Operator1
@@ -99,3 +100,26 @@ def test_rational_draw_determinism():
     assert all(x != 0 for x in xs[:20])
     assert all(-12 <= x.numerator <= 12 and 1 <= x.denominator <= 8 for x in xs[:20])
     assert a.history == b.history
+
+
+def test_quadext_gaussian_rationals():
+    i = QuadExt(0, 1, d=-1)
+    assert i * i == -1
+    assert (1 + i) / (1 - i) == i
+    assert QuadExt(F(3, 2), 0, d=-1) == F(3, 2)
+    assert hash(QuadExt(F(3, 2), 0, d=-1)) == hash(F(3, 2))
+    assert rat(i) is i
+    with pytest.raises(InvalidInputError):
+        i + QuadExt(0, 1, d=0)
+    with pytest.raises(ZeroDivisionError):
+        i / QuadExt(0, 0, d=-1)
+    with pytest.raises(ZeroDivisionError):
+        1 / (i - i)
+
+
+def test_quadext_entries_flow_through_operators():
+    i = QuadExt(0, 1, d=-1)
+    d = Operator1.diag([1, i])
+    assert d.inverse() == Operator1.diag([1, -i])
+    assert d.det() == i
+    assert (d @ d) == Operator1.diag([1, -1])

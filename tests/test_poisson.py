@@ -2,9 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from yibre.kernel import RationalDraw, ratvec
+from yibre.kernel import QuadExt, RationalDraw, ratvec
 from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY, CompensationReport,
-                           Dual, PencilParams, bracket_from_quantum,
+                           PencilParams, bracket_from_quantum,
                            compensation_check, delta1_variation,
                            discriminant_action, invariance_generator,
                            jacobi_residual, jsla_residuals, lagrange_basis_matrix,
@@ -19,13 +19,13 @@ from yibre.tensor import Operator1
 
 
 def test_dual_numbers():
-    x = Dual(2, 3)
-    assert x + x == Dual(4, 6)
-    assert x * x == Dual(4, 12)
-    assert (x / Dual(2)) == Dual(1, F(3, 2))
-    assert (Dual(1) / Dual(1, 1)) == Dual(1, -1)
+    x = QuadExt(2, 3, d=0)
+    assert x + x == QuadExt(4, 6, d=0)
+    assert x * x == QuadExt(4, 12, d=0)
+    assert (x / QuadExt(2, 0, d=0)) == QuadExt(1, F(3, 2), d=0)
+    assert (QuadExt(1, 0, d=0) / QuadExt(1, 1, d=0)) == QuadExt(1, -1, d=0)
     with pytest.raises(ZeroDivisionError):
-        Dual(0, 1) / Dual(0, 2)
+        QuadExt(0, 1, d=0) / QuadExt(0, 2, d=0)
 
 
 def test_pencil_constant_rho_frozen():

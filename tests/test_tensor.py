@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
-from yibre.kernel import NotSkewInvertibleError, RationalDraw, ratvec
+from yibre.kernel import InvalidInputError, NotSkewInvertibleError, RationalDraw, ratvec
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
-from yibre.tensor import (Operator1, Operator2, Operator3, cybe_residual,
+from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual,
                           first_nonzero_witness, hecke_residual, kron11, lift,
                           op1_on_leg2, op1_on_leg3, partial_trace,
-                          permutation_P, skew_inverse, wedge, yb_residual)
+                          permutation_P, rank_of_rows, rref_of_rows, skew_inverse,
+                          wedge, yb_residual)
 
 
 def test_permutation():
@@ -137,6 +140,83 @@ def test_operator1_inverse_and_det():
     assert m.det() == -2
     assert (m @ m.inverse()) == Operator1.identity(2)
     assert Operator1([[1, 2], [2, 4]]).det() == 0
+
+
+def _seeded_matrix(rng: random.Random, n: int) -> list[list[F]]:
+    """Rational matrix with zero entries; about a third get a dependent row, a third a zero row."""
+    rows = [[F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.8 else F(0)
+             for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind == 1 and n > 1:
+        a, b = rng.sample(range(n), 2)
+        c = F(rng.randint(-3, 3), rng.randint(1, 3))
+        rows[a] = [x + c * y for x, y in zip(rows[b], rows[(b + 1) % n])]
+    elif kind == 2:
+        rows[rng.randrange(n)] = [F(0)] * n
+    return rows
+
+
+def _leibniz_det(rows) -> F:
+    n = len(rows)
+    total = F(0)
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = F(sign)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+SEEDED = [Operator1(_seeded_matrix(random.Random(seed), 1 + seed % 5)) for seed in range(40)]
+# leads out of row order, so elimination has to swap rows
+SEEDED.append(Operator1([[0, 0, 2], [0, 3, 1], [1, 1, 0]]))
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED)))
+def test_echelon_det_inverse_rank_rref(idx):
+    a = SEEDED[idx]
+    n = a.dim
+    det = a.det()
+    assert det == _leibniz_det(a.rows)
+    b = SEEDED[(idx + 5) % len(SEEDED)]
+    if b.dim == n:
+        assert (a @ b).det() == det * b.det()
+    rank = a.rank()
+    assert (rank == n) == (det != 0)
+    if det:
+        assert (a @ a.inverse()) == Operator1.identity(n)
+        assert (a.inverse() @ a) == Operator1.identity(n)
+    else:
+        with pytest.raises(InvalidInputError):
+            a.inverse()
+    rref = rref_of_rows(a.rows)
+    assert len(rref) == rank == rank_of_rows(a.rows)
+    assert rref_of_rows(rref) == rref
+    leads = [next(c for c, v in enumerate(row) if v) for row in rref]
+    assert leads == sorted(set(leads))
+    assert all(row[lead] == (i == k) for i, lead in enumerate(leads)
+               for k, row in enumerate(rref))
+
+
+def test_echelon_insert_reports_leads():
+    ech = Echelon()
+    assert ech.insert({0: F(0), 2: F(3)}) == 2
+    assert ech.insert({}) is None
+    assert ech.insert({2: F(-6)}) is None
+    assert ech.insert({1: F(1), 2: F(1)}) == 1
+    assert ech.rank == 2
+    assert ech.pivots[2] == {2: 1}
+    assert ech.rref() == [{1: 1}, {2: 1}]
+
+
+def test_operator2_rank_is_sparse_and_exact():
+    n = 3
+    antisym = permutation_P(n) - Operator2.identity(n)
+    assert antisym.rank() == n * (n - 1) // 2
+    assert Operator2(n).rank() == 0
+    with pytest.raises(InvalidInputError):
+        antisym.inverse()
 
 
 def test_yb_iff_reversed():
