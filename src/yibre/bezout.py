@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import ONE, ZERO, InvalidInputError, rat, theta
+from .kernel import ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct, theta
 from .tensor import (Operator1, Operator2, Operator3, cybe_residual, kron11,
-                     lift, op1_on_leg2, permutation_P, wedge,
+                     lift, op1_on_leg2, permutation_P, rank_of_rows, wedge,
                      ybe_numbered_residual, yb_residual)
 
 B0 = "b0"
@@ -414,67 +414,74 @@ def derivation_residual(u: Operator1, v: Operator1, r: Operator2, c,
 
 # --- Rota-Baxter operators -----------------------------------------------------
 
-class MatrixMap:
-    """Linear map on Mat(V), stored as an n^2 x n^2 grid over vectorized matrices.
+class RotaBaxterMap:
+    """Linear map on Mat(V), stored sparsely by input cell.
 
-    vec(A)[(i-1)n + (j-1)] = A^i_j.
+    ``cols[(d, k)]`` maps each output cell (i, j) to the nonzero coefficient of
+    A^d_k in the image's (i, j) entry; cells are 0-based ``Operator1.rows``
+    positions, and input cells with an all-zero image are left out.
     """
 
-    def __init__(self, n: int, grid: Operator1):
+    def __init__(self, n: int, cols: dict[tuple[int, int], dict[tuple[int, int], Fraction]]):
         self.n = n
-        self.grid = grid
+        self.cols = cols
 
     @classmethod
-    def from_function(cls, n: int, fn) -> "MatrixMap":
-        cols = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
+    def from_function(cls, n: int, fn) -> "RotaBaxterMap":
+        """Tabulate a linear ``fn`` on Mat(V) from its images of the n^2 unit matrices."""
+        cols = {}
+        for d in range(n):
+            for k in range(n):
                 basis = Operator1.zero(n)
-                basis.rows[i - 1][j - 1] = ONE
-                cols.append(fn(basis))
-        grid = Operator1.zero(n * n)
-        for cidx, img in enumerate(cols):
-            for a in range(n):
-                for b in range(n):
-                    grid.rows[a * n + b][cidx] = img.rows[a][b]
-        return cls(n, grid)
+                basis.rows[d][k] = ONE
+                col = {(i, j): v for i, row in enumerate(fn(basis).rows)
+                       for j, v in enumerate(row) if v}
+                if col:
+                    cols[(d, k)] = col
+        return cls(n, cols)
 
     def apply(self, a: Operator1) -> Operator1:
+        n, cols = self.n, self.cols
+        out = [[ZERO] * n for _ in range(n)]
+        for d, row in enumerate(a.rows):
+            for k, x in enumerate(row):
+                if x and (d, k) in cols:
+                    for (i, j), v in cols[(d, k)].items():
+                        out[i][j] += v * x
+        return Operator1(out)
+
+    def matrix(self) -> Operator1:
+        """The n^2 x n^2 matrix: row = output cell, column = input cell, both row-major."""
         n = self.n
-        vec = [a.rows[i][j] for i in range(n) for j in range(n)]
-        img = [sum((self.grid.rows[r][c] * vec[c] for c in range(n * n)), ZERO)
-               for r in range(n * n)]
-        return Operator1([[img[i * n + j] for j in range(n)] for i in range(n)])
+        grid = Operator1.zero(n * n)
+        for (d, k), col in self.cols.items():
+            for (i, j), v in col.items():
+                grid.rows[i * n + j][d * n + k] = v
+        return grid
 
     def __eq__(self, other):
-        return isinstance(other, MatrixMap) and self.n == other.n and self.grid == other.grid
+        return isinstance(other, RotaBaxterMap) and (self.n, self.cols) == (other.n, other.cols)
 
 
-def rota_baxter(r: Operator2, side: str = "left") -> MatrixMap:
+def rota_baxter(r: Operator2, side: str = "left") -> RotaBaxterMap:
     """r(A)_1 = Tr_2(r_12 A_2) for 'left', r'(A)_2 = Tr_1(r_12 A_1) for 'right'."""
-    n = r.dim
-
-    def left(a: Operator1) -> Operator1:
-        out = Operator1.zero(n)
-        for i, k, j, d, v in r.four_index_items():
-            out.rows[i - 1][j - 1] += v * a.rows[d - 1][k - 1]
-        return out
-
-    def right(a: Operator1) -> Operator1:
-        out = Operator1.zero(n)
-        for i, b, d, l, v in r.four_index_items():
-            # contributes r^{ab}_{dl} A^d_a to entry (b, l)
-            out.rows[b - 1][l - 1] += v * a.rows[d - 1][i - 1]
-        return out
-
+    items = r.four_index_items()
     if side == "left":
-        return MatrixMap.from_function(n, left)
-    if side == "right":
-        return MatrixMap.from_function(n, right)
-    raise InvalidInputError("side must be 'left' or 'right'")
+        # r^{ik}_{jd} sends input cell (d, k) to output cell (i, j)
+        pairs = (((d, k), (i, j), v) for i, k, j, d, v in items)
+    elif side == "right":
+        # r^{ib}_{dl} sends input cell (d, i) to output cell (b, l)
+        pairs = (((d, i), (b, l), v) for i, b, d, l, v in items)
+    else:
+        raise InvalidInputError("side must be 'left' or 'right'")
+    cols = {}
+    for (d, k), (i, j), v in pairs:
+        # each entry of r has its own (input, output) pair, so nothing accumulates
+        cols.setdefault((d - 1, k - 1), {})[(i - 1, j - 1)] = v
+    return RotaBaxterMap(r.dim, cols)
 
 
-def rb_closed_form(kind: str, n: int, phi=None) -> MatrixMap:
+def rb_closed_form(kind: str, n: int, phi=None) -> RotaBaxterMap:
     """Explicit summation formulas for the Rota-Baxter operators."""
     if kind == B0:
         def fn(a: Operator1) -> Operator1:
@@ -494,7 +501,7 @@ def rb_closed_form(kind: str, n: int, phi=None) -> MatrixMap:
                             s += 1
                     out.rows[i - 1][j - 1] = tot
             return out
-        return MatrixMap.from_function(n, fn)
+        return RotaBaxterMap.from_function(n, fn)
     if kind == B:
         def fn(a: Operator1) -> Operator1:
             out = Operator1.zero(n)
@@ -513,7 +520,7 @@ def rb_closed_form(kind: str, n: int, phi=None) -> MatrixMap:
                             s += 1
                     out.rows[i - 1][j - 1] = tot
             return out
-        return MatrixMap.from_function(n, fn)
+        return RotaBaxterMap.from_function(n, fn)
     if kind == RS:
         # off-diagonal support is the lower triangle: the upper-triangle variant
         # is the right-handed operator Tr_1(r_12 A_1), not this one
@@ -527,9 +534,8 @@ def rb_closed_form(kind: str, n: int, phi=None) -> MatrixMap:
                     elif i > j:
                         out.rows[i - 1][j - 1] = -a.rows[i - 1][j - 1]
             return out
-        return MatrixMap.from_function(n, fn)
+        return RotaBaxterMap.from_function(n, fn)
     if kind == "rime-phi":
-        from .kernel import ratvec, require_distinct
         phi = ratvec(phi)
         require_distinct(phi, "phi")
         if len(phi) != n:
@@ -550,24 +556,24 @@ def rb_closed_form(kind: str, n: int, phi=None) -> MatrixMap:
                                         * (a.rows[i - 1][s - 1] - a.rows[s - 1][s - 1]))
                         out.rows[i - 1][i - 1] = tot
             return out
-        return MatrixMap.from_function(n, fn)
+        return RotaBaxterMap.from_function(n, fn)
     raise InvalidInputError(f"no closed form for kind {kind!r}")
 
 
-def rb_weight_residual(rb: MatrixMap, alpha, a: Operator1, b: Operator1) -> Operator1:
+def rb_weight_residual(rb: RotaBaxterMap, alpha, a: Operator1, b: Operator1) -> Operator1:
     """r(A)r(B) + alpha r(AB) - r(r(A)B + A r(B))."""
     alpha = rat(alpha)
     ra, rbm = rb.apply(a), rb.apply(b)
     return ra @ rbm + rb.apply(a @ b).scale(alpha) - rb.apply(ra @ b + a @ rbm)
 
 
-def star_product(a: Operator1, b: Operator1, rb: MatrixMap, alpha) -> Operator1:
+def star_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, alpha) -> Operator1:
     """A*B = r(A)B + A r(B) - alpha AB (associative for a weight-alpha operator)."""
     alpha = rat(alpha)
     return rb.apply(a) @ b + a @ rb.apply(b) - (a @ b).scale(alpha)
 
 
-def star_tilde_product(a: Operator1, b: Operator1, rb: MatrixMap, rb_prime: MatrixMap,
+def star_tilde_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, rb_prime: RotaBaxterMap,
                        c) -> Operator1:
     """A *~ B = r(A)B - A r'(B) + c A Tr(B)."""
     c = rat(c)
@@ -625,6 +631,5 @@ def gl2_isomorphism_check(kind: str) -> dict[str, bool]:
     shape_ok = all(images[k].rows[i][j] == 0
                    for k in images for i in range(3) for j in range(3) if not shape[i][j])
     vecs = [[images[k].rows[i][j] for i in range(3) for j in range(3)] for k in sorted(images)]
-    from .tensor import rank_of_rows
     independent = rank_of_rows([list(v) for v in vecs]) == 4
     return {"homomorphism": hom, "shape": shape_ok, "independent": independent}

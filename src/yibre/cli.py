@@ -12,7 +12,7 @@ import sys
 import click
 
 from . import bezout, blocks, cg, classical, poisson, rime
-from .kernel import InvalidInputError, format_rat, rat
+from .kernel import DRAW_POOL_NONZERO, InvalidInputError, format_rat, rat
 from .suites import SUITE_NAMES, run_all, run_suite
 from .tensor import Operator1, Operator2
 
@@ -147,7 +147,9 @@ def _construct(kind, sub, **kw):
 
 @main.command()
 @click.option("--suite", type=click.Choice(SUITE_NAMES), required=True)
-@click.option("--n", type=click.IntRange(min=2), default=3, show_default=True)
+# every suite can draw n distinct values, nonzero or not, up to DRAW_POOL_NONZERO
+@click.option("--n", type=click.IntRange(min=2, max=DRAW_POOL_NONZERO), default=3,
+              show_default=True)
 @click.option("--seed", type=int, default=None,
               help="defaults to $YIBRE_SEED or 0")
 @click.option("--draws", type=click.IntRange(min=1), default=5, show_default=True)

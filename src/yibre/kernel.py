@@ -204,6 +204,11 @@ def vandermonde_inverse(values: Sequence[Fraction]):
     return Operator1(rows)
 
 
+# Distinct values RationalDraw.rational can return: p/q with |p| <= 12, 1 <= q <= 8.
+DRAW_POOL = 127
+DRAW_POOL_NONZERO = 126
+
+
 class RationalDraw:
     """Seeded source of small random rationals for identity testing.
 
@@ -227,6 +232,11 @@ class RationalDraw:
         return x
 
     def vector(self, n: int, distinct: bool = True, nonzero: bool = False) -> tuple[Fraction, ...]:
+        pool = DRAW_POOL_NONZERO if nonzero else DRAW_POOL
+        if n < 0:
+            raise InvalidInputError(f"vector length {n} is negative")
+        if distinct and n > pool:
+            raise InvalidInputError(f"cannot draw {n} distinct values from a pool of {pool}")
         while True:
             v = tuple(self.rational(nonzero=nonzero) for _ in range(n))
             if not distinct or len(set(v)) == n:

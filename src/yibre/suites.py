@@ -736,11 +736,11 @@ def rota_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     phi = draw.vector(n, distinct=True)
     for kind in (bezout.B0, bezout.B, bezout.RS):
         checks.append(Check(f"closed-form-rb:{kind}", "brr5/brr6/bez29",
-                            lambda kind=kind: bezout.rb_closed_form(kind, n).grid
-                            - bezout.rota_baxter(bezout.bezout_operator(kind, n)).grid))
+                            lambda kind=kind: bezout.rb_closed_form(kind, n).matrix()
+                            - bezout.rota_baxter(bezout.bezout_operator(kind, n)).matrix()))
     checks.append(Check("closed-form-rb:rime-phi", "bez30",
-                        lambda: bezout.rb_closed_form("rime-phi", n, phi).grid
-                        - bezout.rota_baxter(classical.rime_nonskew_r(phi)).grid))
+                        lambda: bezout.rb_closed_form("rime-phi", n, phi).matrix()
+                        - bezout.rota_baxter(classical.rime_nonskew_r(phi)).matrix()))
 
     def weights():
         out = {}

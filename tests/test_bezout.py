@@ -10,13 +10,13 @@ from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
                           hecke_overlap_residuals, linear_quantization_residuals,
                           m_recursion_check, nhacybe_shift_residual,
                           quadratic_data, rb_closed_form, rb_weight_residual,
-                          rota_baxter, rs_action, shift_generator_commutator,
+                          RotaBaxterMap, rota_baxter, rs_action, shift_generator_commutator,
                           shifted_solution_residual, sr_decomposition,
                           star_product, star_tilde_product)
 from yibre.classical import b_skew_r, rcg_r, rime_nonskew_r
 from yibre.kernel import RationalDraw
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift,
-                          nhacybe_residual, permutation_P)
+                          nhacybe_residual, op1_on_leg2, partial_trace, permutation_P)
 
 
 def rand_mat(rd, n):
@@ -195,6 +195,56 @@ def test_rb_rime_closed_form(phi):
 def test_rb_rs_diagonal_action():
     img = rb_closed_form(RS, 3).apply(Operator1.identity(3))
     assert img == Operator1.diag([0, 1, 2])
+
+
+def rand_op2(rd, n, entries=12):
+    """A seeded Operator2 with random entries at random positions, no Bezout structure."""
+    r = Operator2(n)
+    for _ in range(entries):
+        r.add_to(*(rd.int_in(1, n) for _ in range(4)), rd.rational())
+    return r
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rota_baxter_matches_partial_trace(n):
+    """Both sides against Tr_2(r_12 A_2) and Tr_1(r_12 A_1) on a generic r."""
+    rd = RationalDraw(40 + n)
+    for _ in range(3):
+        r = rand_op2(rd, n)
+        left, right = rota_baxter(r), rota_baxter(r, "right")
+        for _ in range(3):
+            a = rand_mat(rd, n)
+            assert left.apply(a) == partial_trace(r @ op1_on_leg2(a, 2), 2)
+            assert right.apply(a) == partial_trace(r @ op1_on_leg2(a, 1), 1)
+
+
+def test_rota_baxter_equality_is_exact():
+    bumped = bezout_operator(B, 3)
+    bumped.add_to(2, 1, 3, 3, 1)
+    closed = rb_closed_form(B, 3)
+    assert rota_baxter(bumped) != closed
+    assert not (rota_baxter(bumped).matrix() - closed.matrix()).is_zero()
+    assert rota_baxter(bezout_operator(B, 3)) == closed
+    # the dense partial trace returns explicit zeros; the table must drop them
+    rd = RationalDraw(12)
+    for n in (2, 3):
+        r = rand_op2(rd, n)
+        dense = RotaBaxterMap.from_function(n, lambda a: partial_trace(r @ op1_on_leg2(a, 2), 2))
+        assert dense == rota_baxter(r)
+        assert all(col and all(col.values()) for col in dense.cols.values())
+
+
+def test_rb_matrix_layout():
+    """Row = output cell, column = input cell, both row-major over Operator1.rows."""
+    rb = rb_closed_form(RS, 3)
+    grid = rb.matrix()
+    for d in range(3):
+        for k in range(3):
+            unit = Operator1.zero(3)
+            unit.rows[d][k] = F(1)
+            img = rb.apply(unit)
+            assert [grid.rows[i * 3 + j][d * 3 + k] for i in range(3) for j in range(3)] \
+                == [img.rows[i][j] for i in range(3) for j in range(3)]
 
 
 def test_rb_weights():

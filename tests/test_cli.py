@@ -109,7 +109,8 @@ def test_verify_env_seed(runner, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("option,value", [
-    ("--n", "-1"), ("--n", "1"), ("--n", "0"), ("--draws", "0"), ("--draws", "-3"),
+    ("--n", "-1"), ("--n", "1"), ("--n", "0"), ("--n", "127"), ("--n", "200"),
+    ("--draws", "0"), ("--draws", "-3"),
 ])
 def test_verify_refuses_out_of_domain_sizes(runner, option, value):
     res = runner.invoke(main, ["verify", "--suite", "rime", option, value])

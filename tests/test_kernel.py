@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yibre.kernel import (DegenerateParametersError, InvalidInputError, QuadExt,
-                          RationalDraw, elem_sym,
+from yibre.kernel import (DRAW_POOL, DRAW_POOL_NONZERO, DegenerateParametersError,
+                          InvalidInputError, QuadExt, RationalDraw, elem_sym,
                           elem_sym_omit, elem_sym_omit2, format_rat, rat,
                           ratvec, theta, vandermonde_inverse, vandermonde_matrix)
 from yibre.tensor import Operator1
@@ -100,6 +100,35 @@ def test_rational_draw_determinism():
     assert all(x != 0 for x in xs[:20])
     assert all(-12 <= x.numerator <= 12 and 1 <= x.denominator <= 8 for x in xs[:20])
     assert a.history == b.history
+
+
+def test_rational_draw_frozen_values():
+    assert RationalDraw(0).vector(5) == (F(3, 2), F(4, 3), F(-1), F(6), F(7, 5))
+    assert RationalDraw(3).vector(4, nonzero=True) == (F(-5, 3), F(-1, 8), F(4), F(7))
+
+
+def test_draw_pool_sizes():
+    pool = {F(p, q) for p in range(-12, 13) for q in range(1, 9)}
+    assert len(pool) == DRAW_POOL
+    assert len(pool - {0}) == DRAW_POOL_NONZERO
+
+
+@pytest.mark.parametrize("n,nonzero", [
+    (DRAW_POOL + 1, False), (DRAW_POOL_NONZERO + 1, True), (140, False), (10 ** 9, True),
+])
+def test_distinct_vector_beyond_pool_raises_at_once(n, nonzero):
+    rd = RationalDraw(0)
+    with pytest.raises(InvalidInputError):
+        rd.vector(n, distinct=True, nonzero=nonzero)
+    assert rd.history == []
+
+
+def test_vector_length_checks():
+    rd = RationalDraw(0)
+    with pytest.raises(InvalidInputError):
+        rd.vector(-1)
+    assert len(rd.vector(140, distinct=False)) == 140
+    assert rd.vector(0) == ()
 
 
 def test_quadext_gaussian_rationals():
