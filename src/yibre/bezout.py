@@ -448,7 +448,7 @@ class RotaBaxterMap:
                 if x and (d, k) in cols:
                     for (i, j), v in cols[(d, k)].items():
                         out[i][j] += v * x
-        return Operator1(out)
+        return Operator1._of(out)
 
     def matrix(self) -> Operator1:
         """The n^2 x n^2 matrix: row = output cell, column = input cell, both row-major."""

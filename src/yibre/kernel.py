@@ -207,13 +207,19 @@ def vandermonde_inverse(values: Sequence[Fraction]):
 # Distinct values RationalDraw.rational can return: p/q with |p| <= 12, 1 <= q <= 8.
 DRAW_POOL = 127
 DRAW_POOL_NONZERO = 126
+# Whole-vector re-draws before RationalDraw.vector re-draws only the repeated
+# entries.  Plain rejection stalls on long vectors (acceptance about 2e-2 at
+# n = 25, under 1e-4 at n = 35), while for n <= 15 100 rejections in a row
+# have probability below 1e-12, so short vectors keep their plain draws.
+WHOLE_VECTOR_DRAWS = 100
 
 
 class RationalDraw:
     """Seeded source of small random rationals for identity testing.
 
     Numerators are uniform in [-12, 12] without 0, denominators in [1, 8];
-    vectors are re-drawn until they satisfy distinctness/nonzero demands.
+    vectors are re-drawn until they satisfy distinctness/nonzero demands, and
+    after WHOLE_VECTOR_DRAWS rejections only their repeated entries are.
     """
 
     def __init__(self, seed: int):
@@ -237,10 +243,17 @@ class RationalDraw:
             raise InvalidInputError(f"vector length {n} is negative")
         if distinct and n > pool:
             raise InvalidInputError(f"cannot draw {n} distinct values from a pool of {pool}")
-        while True:
+        for _ in range(WHOLE_VECTOR_DRAWS):
             v = tuple(self.rational(nonzero=nonzero) for _ in range(n))
             if not distinct or len(set(v)) == n:
                 return v
+        # keep the first occurrence of each value and re-draw the repeats in order
+        out: dict[Fraction, None] = {}
+        for x in v:
+            while x in out:
+                x = self.rational(nonzero=nonzero)
+            out[x] = None
+        return tuple(out)
 
     def int_in(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)

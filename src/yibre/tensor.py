@@ -18,6 +18,7 @@ object in this package has O(n^2) nonzero entries out of n^4 or n^6 slots.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .kernel import ONE, ZERO, InvalidInputError, NotSkewInvertibleError, rat
@@ -35,12 +36,20 @@ class Operator1:
             raise InvalidInputError("matrix must be square")
 
     @classmethod
+    def _of(cls, rows: list[list]) -> "Operator1":
+        """Adopt square rows that already hold exact scalars, without copying or coercing."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.dim = len(rows)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Operator1":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, n: int) -> "Operator1":
-        return cls([[ZERO] * n for _ in range(n)])
+        return cls._of([[ZERO] * n for _ in range(n)])
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "Operator1":
@@ -61,17 +70,17 @@ class Operator1:
         return self.rows[i - 1][j - 1]
 
     def __add__(self, other: "Operator1") -> "Operator1":
-        return Operator1([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return Operator1._of([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Operator1") -> "Operator1":
-        return Operator1([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return Operator1._of([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Operator1":
-        return Operator1([[-a for a in row] for row in self.rows])
+        return Operator1._of([[-a for a in row] for row in self.rows])
 
     def scale(self, c) -> "Operator1":
         c = rat(c)
-        return Operator1([[c * a for a in row] for row in self.rows])
+        return Operator1._of([[c * a for a in row] for row in self.rows])
 
     def __matmul__(self, other: "Operator1") -> "Operator1":
         n = self.dim
@@ -86,7 +95,7 @@ class Operator1:
                     for j in range(n):
                         if rowk[j]:
                             oi[j] += c * rowk[j]
-        return Operator1(out)
+        return Operator1._of(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Operator1) and self.rows == other.rows
@@ -98,7 +107,7 @@ class Operator1:
         return all(not x for row in self.rows for x in row)
 
     def transpose(self) -> "Operator1":
-        return Operator1([[self.rows[j][i] for j in range(self.dim)] for i in range(self.dim)])
+        return Operator1._of([[self.rows[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     def trace(self) -> Fraction:
         return sum((self.rows[i][i] for i in range(self.dim)), ZERO)
@@ -125,7 +134,7 @@ class Operator1:
     def inverse(self) -> "Operator1":
         n = self.dim
         inv = _inverse_rows([dict(enumerate(r)) for r in self.rows], n)
-        return Operator1([[row.get(j, ZERO) for j in range(n)] for row in inv])
+        return Operator1._of([[row.get(j, ZERO) for j in range(n)] for row in inv])
 
     def rank(self) -> int:
         return rank_of_rows(self.rows)
@@ -224,6 +233,27 @@ def rref_of_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ..
     return tuple(tuple(row.get(c, ZERO) for c in range(ncols)) for row in reduced)
 
 
+def _cleared(data: dict[int, dict[int, Fraction]]) -> tuple[int, dict[int, dict]]:
+    """(L, rows): L the lcm of the entries' denominators, rows the entries times L as ints.
+
+    Sums and products of the rows then run on Python ints, with one gcd per
+    output entry (in ``_over``) instead of one per Fraction multiply-add.  A
+    QuadExt entry has no integer form, so such an operand comes back as
+    (1, data) and the same loops run on its scalars unchanged.
+    """
+    try:
+        den = lcm(*{v.denominator for row in data.values() for v in row.values()})
+    except AttributeError:
+        return 1, data
+    return den, {r: {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+                 for r, row in data.items()}
+
+
+def _over(acc: dict, den: int) -> dict:
+    """The nonzero entries of acc divided by den, integers stored as reduced Fractions."""
+    return {c: Fraction(x, den) if type(x) is int else x / den for c, x in acc.items() if x}
+
+
 class _SparseSquare:
     """Shared sparse machinery for two- and three-leg operators."""
 
@@ -265,16 +295,25 @@ class _SparseSquare:
         return type(self)(self.dim)
 
     def __add__(self, other):
-        out = self._zero_like()
-        for r, row in self.data.items():
-            out.data[r] = dict(row)
-        for r, row in other.data.items():
-            for c, v in row.items():
-                out._add(r, c, v)
-        return out
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other over the common denominator of both operands."""
+        la, arows = _cleared(self.data)
+        lb, brows = _cleared(other.data)
+        den = lcm(la, lb)
+        fa, fb = den // la, sign * (den // lb)
+        out = self._zero_like()
+        for r in arows.keys() | brows.keys():
+            arow, brow = arows.get(r, {}), brows.get(r, {})
+            row = _over({c: fa * arow.get(c, 0) + fb * brow.get(c, 0)
+                         for c in arow.keys() | brow.keys()}, den)
+            if row:
+                out.data[r] = row
+        return out
 
     def __neg__(self):
         out = self._zero_like()
@@ -293,18 +332,18 @@ class _SparseSquare:
     def __matmul__(self, other):
         if self.dim != other.dim:
             raise InvalidInputError("dimension mismatch")
+        la, arows = _cleared(self.data)
+        lb, brows = _cleared(other.data)
+        den = la * lb
         out = self._zero_like()
-        for r, row in self.data.items():
-            acc: dict[int, Fraction] = {}
+        for r, row in arows.items():
+            acc = {}
             for k, v in row.items():
-                brow = other.data.get(k)
+                brow = brows.get(k)
                 if brow:
                     for c, w in brow.items():
-                        nv = acc.get(c, ZERO) + v * w
-                        if nv:
-                            acc[c] = nv
-                        elif c in acc:
-                            del acc[c]
+                        acc[c] = acc.get(c, 0) + v * w
+            acc = _over(acc, den)
             if acc:
                 out.data[r] = acc
         return out

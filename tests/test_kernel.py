@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yibre.kernel import (DRAW_POOL, DRAW_POOL_NONZERO, DegenerateParametersError,
+from yibre.kernel import (DRAW_POOL, DRAW_POOL_NONZERO, WHOLE_VECTOR_DRAWS,
+                          DegenerateParametersError,
                           InvalidInputError, QuadExt, RationalDraw, elem_sym,
                           elem_sym_omit, elem_sym_omit2, format_rat, rat,
                           ratvec, theta, vandermonde_inverse, vandermonde_matrix)
@@ -129,6 +131,35 @@ def test_vector_length_checks():
         rd.vector(-1)
     assert len(rd.vector(140, distinct=False)) == 140
     assert rd.vector(0) == ()
+
+
+@pytest.mark.parametrize("nonzero", [False, True])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_short_distinct_vectors_are_plain_rejection_draws(n, nonzero):
+    for seed in range(20):
+        ref = RationalDraw(seed)
+        while True:
+            v = tuple(ref.rational(nonzero=nonzero) for _ in range(n))
+            if len(set(v)) == n:
+                break
+        rd = RationalDraw(seed)
+        assert rd.vector(n, nonzero=nonzero) == v
+        assert rd.history == ref.history
+
+
+@pytest.mark.parametrize("n,nonzero", [(35, False), (50, False), (126, True), (127, False)])
+def test_long_distinct_vectors_return_quickly(n, nonzero):
+    rd = RationalDraw(0)
+    start = time.perf_counter()
+    v = rd.vector(n, distinct=True, nonzero=nonzero)
+    assert time.perf_counter() - start < 1.0
+    assert len(v) == len(set(v)) == n
+    assert all(-12 <= x.numerator <= 12 and 1 <= x.denominator <= 8 for x in v)
+    assert not nonzero or 0 not in v
+    assert v == RationalDraw(0).vector(n, distinct=True, nonzero=nonzero)
+    # 100 whole vectors, then one re-draw per repeat until the pool is hit
+    assert WHOLE_VECTOR_DRAWS * n < len(rd.history) < (WHOLE_VECTOR_DRAWS + 20) * n
+    assert v[0] == rd.history[(WHOLE_VECTOR_DRAWS - 1) * n]
 
 
 def test_quadext_gaussian_rationals():

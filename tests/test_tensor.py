@@ -1,10 +1,11 @@
+import operator
 import random
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 
-from yibre.kernel import InvalidInputError, NotSkewInvertibleError, RationalDraw, ratvec
+from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, RationalDraw, ratvec
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual,
                           first_nonzero_witness, hecke_residual, kron11, lift,
@@ -303,3 +304,137 @@ def test_operator2_inverse():
     from yibre.rime import strict_rime_R
     r = strict_rime_R([1, 2, 4], F(1, 3))
     assert (r @ r.inverse()) == Operator2.identity(3)
+
+
+# --- sparse @, + and - against a plain dict-of-scalars reference ----------------
+
+SMALL_DENS = (1, 2, 3, 4, 5, 6, 7, 8)
+LARGE_DENS = (1, 12, 10 ** 9 + 7, 2 ** 61 - 1, 3 ** 40, 2 ** 20 * 5 ** 9)
+
+
+def _random_sparse(cls, n, seed, dens, quad=None):
+    """Seeded operator with about a third of its cells set; QuadExt(a, b, quad) in half."""
+    rng = random.Random(seed)
+    out = cls(n)
+    for r in range(out.size):
+        for c in range(out.size):
+            if rng.random() < 0.35:
+                v = F(rng.randint(-9, 9) or 1, rng.choice(dens))
+                if quad is not None and rng.random() < 0.5:
+                    v = QuadExt(v, F(rng.randint(-4, 4), rng.choice(dens)), quad)
+                out._set(r, c, v)
+    return out
+
+
+def _stored(op) -> dict:
+    """Every stored (row, col) -> entry, failing on a stored zero or an empty row."""
+    assert all(op.data.values()), "empty row stored"
+    cells = {(r, c): v for r, row in op.data.items() for c, v in row.items()}
+    assert all(cells.values()), "zero entry stored"
+    return cells
+
+
+def _reference(a, b, how: str) -> dict:
+    """(row, col) -> nonzero entry of a @ b, a + b or a - b by plain scalar arithmetic."""
+    ea, eb = _stored(a), _stored(b)
+    out = {}
+    if how == "@":
+        for (r, k), v in ea.items():
+            for (k2, c), w in eb.items():
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), F(0)) + v * w
+    else:
+        out = dict(ea)
+        for key, w in eb.items():
+            out[key] = out.get(key, F(0)) + (w if how == "+" else -w)
+    return {key: v for key, v in out.items() if v}
+
+
+def _apply(a, b, how: str):
+    return {"@": operator.matmul, "+": operator.add, "-": operator.sub}[how](a, b)
+
+
+KERNEL_CASES = [
+    (Operator2, 2, SMALL_DENS, None, None),
+    (Operator2, 3, SMALL_DENS, None, None),
+    (Operator2, 3, LARGE_DENS, None, None),
+    (Operator3, 2, SMALL_DENS, None, None),
+    (Operator3, 2, LARGE_DENS, None, None),
+    (Operator2, 2, SMALL_DENS, -1, None),
+    (Operator2, 2, LARGE_DENS, None, -1),
+    (Operator2, 2, SMALL_DENS, -1, -1),
+    (Operator3, 2, SMALL_DENS, 0, 0),
+    (Operator2, 3, LARGE_DENS, None, 0),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cls,n,dens,quad_a,quad_b", KERNEL_CASES)
+@pytest.mark.parametrize("how", ["@", "+", "-"])
+def test_sparse_kernels_match_reference(how, cls, n, dens, quad_a, quad_b, seed):
+    a = _random_sparse(cls, n, 100 * seed + 1, dens, quad_a)
+    b = _random_sparse(cls, n, 100 * seed + 2, dens, quad_b)
+    got = _apply(a, b, how)
+    assert type(got) is cls and got.dim == n
+    assert _stored(got) == _reference(a, b, how)
+    if quad_a is None and quad_b is None:
+        assert all(type(v) is F for v in _stored(got).values())
+    # the operands are left as they were
+    assert a == _random_sparse(cls, n, 100 * seed + 1, dens, quad_a)
+    assert b == _random_sparse(cls, n, 100 * seed + 2, dens, quad_b)
+
+
+@pytest.mark.parametrize("how", ["@", "+", "-"])
+def test_sparse_kernel_reference_catches_a_bumped_entry(how):
+    a = _random_sparse(Operator2, 3, 7, LARGE_DENS)
+    b = _random_sparse(Operator2, 3, 8, LARGE_DENS)
+    got = _stored(_apply(a, b, how))
+    ref = _reference(a, b, how)
+    assert got == ref
+    key = min(ref)
+    ref[key] += F(1, 10 ** 9 + 7)
+    assert got != ref
+    bumped = _random_sparse(Operator2, 3, 8, LARGE_DENS)
+    bumped._add(*key, F(1, 3))
+    assert _stored(_apply(a, bumped, how)) != _stored(_apply(a, b, how))
+
+
+@pytest.mark.parametrize("cls,n,dens,quad", [
+    (Operator2, 3, LARGE_DENS, None), (Operator3, 2, SMALL_DENS, None),
+    (Operator2, 2, SMALL_DENS, -1), (Operator3, 2, SMALL_DENS, 0),
+])
+def test_sparse_full_cancellation(cls, n, dens, quad):
+    a = _random_sparse(cls, n, 5, dens, quad)
+    for zero in (a - a, a + (-a), (-a) + a):
+        assert zero.data == {}
+        assert zero == cls(n) and hash(zero) == hash(cls(n))
+        assert zero.is_zero()
+    assert first_nonzero_witness(a - a) is None
+
+
+def test_sparse_kernels_store_fractions_for_integer_entries():
+    # entries handed in as bare ints still come out of @, + and - as Fractions
+    a = Operator2(2, {0: {0: 2, 3: -3}, 2: {1: 5}})
+    b = Operator2(2, {0: {0: 1}, 1: {1: 4}, 3: {2: 7}})
+    for how in ("@", "+", "-"):
+        got = _stored(_apply(a, b, how))
+        assert got and all(type(v) is F for v in got.values())
+        assert got == _reference(a, b, how)
+    with pytest.raises(InvalidInputError):
+        Operator2(2) @ Operator2(3)
+
+
+def test_operator1_arithmetic_results_own_their_rows():
+    a = Operator1([[1, "1/2"], [F(-3, 4), 2]])
+    assert all(type(x) is F for row in a.rows for x in row)
+    b = Operator1.identity(2)
+    for got in (a + b, a - b, -a, a.scale(3), a @ b, a.transpose(), a.inverse(),
+                Operator1.identity(2), Operator1.zero(2)):
+        assert got.dim == 2 and all(type(x) is F for row in got.rows for x in row)
+        assert all(row is not ra for row in got.rows for ra in a.rows + b.rows)
+        assert got.rows[0] is not got.rows[1]
+    assert a @ a.inverse() == b and (a + b) - b == a and -(-a) == a
+    with pytest.raises(InvalidInputError):
+        Operator1([[1, 2], [3]])
+    with pytest.raises(InvalidInputError):
+        Operator1([[1.5]])
