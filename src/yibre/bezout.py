@@ -268,7 +268,7 @@ def derivative_matrix(n: int) -> Operator1:
     """d/dx on span{x^0 .. x^(n-1)}."""
     m = Operator1.zero(n)
     for i in range(2, n + 1):
-        m.rows[i - 2][i - 1] = Fraction(i - 1)
+        m._set(i - 2, i - 1, Fraction(i - 1))
     return m
 
 
@@ -418,8 +418,9 @@ class RotaBaxterMap:
     """Linear map on Mat(V), stored sparsely by input cell.
 
     ``cols[(d, k)]`` maps each output cell (i, j) to the nonzero coefficient of
-    A^d_k in the image's (i, j) entry; cells are 0-based ``Operator1.rows``
-    positions, and input cells with an all-zero image are left out.
+    A^d_k in the image's (i, j) entry; cells are 0-based (row, column) indices
+    of the ``Operator1`` entries, and input cells with an all-zero image are
+    left out.
     """
 
     def __init__(self, n: int, cols: dict[tuple[int, int], dict[tuple[int, int], Fraction]]):
@@ -433,22 +434,19 @@ class RotaBaxterMap:
         for d in range(n):
             for k in range(n):
                 basis = Operator1.zero(n)
-                basis.rows[d][k] = ONE
-                col = {(i, j): v for i, row in enumerate(fn(basis).rows)
-                       for j, v in enumerate(row) if v}
+                basis._set(d, k, ONE)
+                col = {(i, j): v for i, j, v in fn(basis).nonzero_entries()}
                 if col:
                     cols[(d, k)] = col
         return cls(n, cols)
 
     def apply(self, a: Operator1) -> Operator1:
-        n, cols = self.n, self.cols
-        out = [[ZERO] * n for _ in range(n)]
-        for d, row in enumerate(a.rows):
-            for k, x in enumerate(row):
-                if x and (d, k) in cols:
-                    for (i, j), v in cols[(d, k)].items():
-                        out[i][j] += v * x
-        return Operator1._of(out)
+        out = Operator1.zero(self.n)
+        for d, row in a.data.items():
+            for k, x in row.items():
+                for (i, j), v in self.cols.get((d, k), {}).items():
+                    out._add(i, j, v * x)
+        return out
 
     def matrix(self) -> Operator1:
         """The n^2 x n^2 matrix: row = output cell, column = input cell, both row-major."""
@@ -456,7 +454,7 @@ class RotaBaxterMap:
         grid = Operator1.zero(n * n)
         for (d, k), col in self.cols.items():
             for (i, j), v in col.items():
-                grid.rows[i * n + j][d * n + k] = v
+                grid._set(i * n + j, d * n + k, v)
         return grid
 
     def __eq__(self, other):
@@ -492,14 +490,14 @@ def rb_closed_form(kind: str, n: int, phi=None) -> RotaBaxterMap:
                     if j > i:
                         s = 0
                         while i - s >= 1 and j - s - 1 >= 1:
-                            tot += a.rows[i - s - 1][j - s - 2]
+                            tot += a._get(i - s - 1, j - s - 2)
                             s += 1
                     if i >= j:
                         s = 0
                         while i + s + 1 <= n and j + s <= n:
-                            tot -= a.rows[i + s][j + s - 1]
+                            tot -= a._get(i + s, j + s - 1)
                             s += 1
-                    out.rows[i - 1][j - 1] = tot
+                    out._set(i - 1, j - 1, tot)
             return out
         return RotaBaxterMap.from_function(n, fn)
     if kind == B:
@@ -511,14 +509,14 @@ def rb_closed_form(kind: str, n: int, phi=None) -> RotaBaxterMap:
                     if j + 1 > i:
                         s = 0
                         while i - s - 1 >= 1 and j - s - 1 >= 1:
-                            tot += a.rows[i - s - 2][j - s - 2]
+                            tot += a._get(i - s - 2, j - s - 2)
                             s += 1
                     if i > j:
                         s = 0
                         while i + s <= n and j + s <= n:
-                            tot -= a.rows[i + s - 1][j + s - 1]
+                            tot -= a._get(i + s - 1, j + s - 1)
                             s += 1
-                    out.rows[i - 1][j - 1] = tot
+                    out._set(i - 1, j - 1, tot)
             return out
         return RotaBaxterMap.from_function(n, fn)
     if kind == RS:
@@ -529,10 +527,10 @@ def rb_closed_form(kind: str, n: int, phi=None) -> RotaBaxterMap:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i == j:
-                        out.rows[i - 1][i - 1] = sum((a.rows[s - 1][s - 1]
-                                                      for s in range(1, i)), ZERO)
+                        out._set(i - 1, i - 1, sum((a._get(s - 1, s - 1)
+                                                    for s in range(1, i)), ZERO))
                     elif i > j:
-                        out.rows[i - 1][j - 1] = -a.rows[i - 1][j - 1]
+                        out._set(i - 1, j - 1, -a._get(i - 1, j - 1))
             return out
         return RotaBaxterMap.from_function(n, fn)
     if kind == "rime-phi":
@@ -546,15 +544,15 @@ def rb_closed_form(kind: str, n: int, phi=None) -> RotaBaxterMap:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i != j:
-                        out.rows[i - 1][j - 1] = (phi[j - 1] / (phi[j - 1] - phi[i - 1])
-                                                  * (a.rows[i - 1][j - 1] - a.rows[j - 1][j - 1]))
+                        out._set(i - 1, j - 1, phi[j - 1] / (phi[j - 1] - phi[i - 1])
+                                 * (a._get(i - 1, j - 1) - a._get(j - 1, j - 1)))
                     else:
                         tot = ZERO
                         for s in range(1, n + 1):
                             if s != i:
                                 tot += (phi[i - 1] / (phi[i - 1] - phi[s - 1])
-                                        * (a.rows[i - 1][s - 1] - a.rows[s - 1][s - 1]))
-                        out.rows[i - 1][i - 1] = tot
+                                        * (a._get(i - 1, s - 1) - a._get(s - 1, s - 1)))
+                        out._set(i - 1, i - 1, tot)
             return out
         return RotaBaxterMap.from_function(n, fn)
     raise InvalidInputError(f"no closed form for kind {kind!r}")
@@ -623,13 +621,13 @@ def gl2_isomorphism_check(kind: str) -> dict[str, bool]:
             img = Operator1.zero(3)
             for a in (1, 2):
                 for b_ in (1, 2):
-                    c = star.rows[b_ - 1][a - 1]
+                    c = star._get(b_ - 1, a - 1)
                     if c:
                         img = img + images[(a, b_)].scale(c)
             if img != images[(iu, ju)] @ images[(iv, jv)]:
                 hom = False
-    shape_ok = all(images[k].rows[i][j] == 0
+    shape_ok = all(images[k]._get(i, j) == 0
                    for k in images for i in range(3) for j in range(3) if not shape[i][j])
-    vecs = [[images[k].rows[i][j] for i in range(3) for j in range(3)] for k in sorted(images)]
+    vecs = [[images[k]._get(i, j) for i in range(3) for j in range(3)] for k in sorted(images)]
     independent = rank_of_rows([list(v) for v in vecs]) == 4
     return {"homomorphism": hom, "shape": shape_ok, "independent": independent}

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .kernel import ONE, ZERO, InvalidInputError, QuadExt, rat
 from .rime import classify, extract_rime_data
-from .tensor import (Operator1, Operator2, hecke_residual, kron11,
+from .tensor import (Operator1, Operator2, hecke_residual, kron11, reshuffled_matrix,
                      yb_residual)
 
 RBL1 = "rbl1"
@@ -123,18 +123,6 @@ def block_matrix(kind: str, *params) -> Operator2:
 def _needq(q: Fraction) -> None:
     if not q:
         raise InvalidInputError("q must be nonzero")
-
-
-def reshuffled_matrix(r: Operator2) -> Operator1:
-    """M[(a,d),(g,b)] = R^{ab}_{dg}; invertibility <=> skew invertibility."""
-    n = r.dim
-    m = [[ZERO] * (n * n) for _ in range(n * n)]
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for d in range(1, n + 1):
-                for g in range(1, n + 1):
-                    m[(a - 1) * n + (d - 1)][(g - 1) * n + (b - 1)] = r.get(a, b, d, g)
-    return Operator1(m)
 
 
 def is_skew_invertible(r: Operator2) -> bool:
@@ -337,8 +325,8 @@ def nonrime_entries(t: Operator1, h1, h2) -> tuple[Fraction, Fraction, Fraction,
     det = t.det()
     if not det:
         raise InvalidInputError("T must be invertible")
-    t11 = t.rows[0][0]
-    t21 = t.rows[1][0]
+    t11 = t.get(1, 1)
+    t21 = t.get(2, 1)
     minus = det - h2 * t11 * t21
     plus = det + h2 * t11 * t21
     d2 = det * det

@@ -245,10 +245,10 @@ def carrier_algebra_check(mu) -> CarrierReport:
     m = len(pairs)
     rcoef = Operator1.zero(m)
     for (i, j) in pairs:
-        rcoef.rows[idx[(i, j)]][idx[(j, i)]] = ONE / (mu[i - 1] - mu[j - 1])
+        rcoef._set(idx[(i, j)], idx[(j, i)], ONE / (mu[i - 1] - mu[j - 1]))
     rinv = rcoef.inverse()
     omega = lambda i, j, k, l: -(mu[i - 1] - mu[j - 1]) if (l == i and k == j) else ZERO
-    omega_ok = all(rinv.rows[idx[(i, j)]][idx[(k, l)]] == omega(i, j, k, l)
+    omega_ok = all(rinv._get(idx[(i, j)], idx[(k, l)]) == omega(i, j, k, l)
                    for (i, j) in pairs for (k, l) in pairs)
 
     # (d) omega = d(lambda_n) with lambda_n(Z^k_l) = -mu_l
@@ -287,7 +287,7 @@ def _lambda_on_carrier(mat: Operator1, mu) -> Fraction:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                total += -mat.rows[j - 1][i - 1] * mu[j - 1]
+                total += -mat._get(j - 1, i - 1) * mu[j - 1]
     return total
 
 
@@ -409,13 +409,13 @@ def lambda_bcg_gram(n: int) -> Operator1:
 
     def lam(mat: Operator1) -> Fraction:
         # coefficient sum of the units e^i_{i+1}, i.e. the subdiagonal entries
-        return sum((mat.rows[i][i + 1] for i in range(n - 1)), ZERO)
+        return sum((mat._get(i, i + 1) for i in range(n - 1)), ZERO)
 
     m = len(pairs)
     g = Operator1.zero(m)
     for a in range(m):
         for b in range(m):
-            g.rows[a][b] = lam(zt[a] @ zt[b] - zt[b] @ zt[a])
+            g._set(a, b, lam(zt[a] @ zt[b] - zt[b] @ zt[a]))
     return g
 
 

@@ -14,7 +14,7 @@ import click
 from . import bezout, blocks, cg, classical, poisson, rime
 from .kernel import DRAW_POOL_NONZERO, InvalidInputError, format_rat, rat
 from .suites import SUITE_NAMES, run_all, run_suite
-from .tensor import Operator1, Operator2
+from .tensor import Operator2
 
 
 def _rational(value: str):
@@ -33,9 +33,6 @@ def operator_to_json(obj) -> dict:
         return {"kind": "operator2", "dim": obj.dim,
                 "entries": {f"{i},{j}|{k},{l}": format_rat(v)
                             for i, j, k, l, v in obj.four_index_items()}}
-    if isinstance(obj, Operator1):
-        return {"kind": "operator1", "dim": obj.dim,
-                "entries": {f"{i}|{j}": format_rat(v) for i, j, v in obj.entries()}}
     if isinstance(obj, poisson.QuadraticBracket):
         entries = {}
         for (i, j), poly in sorted(obj.pairs.items()):
@@ -177,6 +174,9 @@ def verify(suite, n, seed, draws, report_path, mutate):
             if chk.status == "fail":
                 failed += 1
                 click.echo(f"FAIL {rep.suite}:{chk.name} witness={chk.residual_witness}")
+            elif chk.status == "error":
+                failed += 1
+                click.echo(f"ERROR {rep.suite}:{chk.name} raised {chk.residual_witness['value']}")
     click.echo(f"{total - failed}/{total} checks passed"
                + (f", report written to {report_path}" if report_path else ""))
     sys.exit(0 if failed == 0 else 1)

@@ -208,17 +208,17 @@ def lie_derivative(br: QuadraticBracket, a_mat: Operator1) -> QuadraticBracket:
                     total[key] = total.get(key, ZERO) + scale * v
 
             for k in range(1, n + 1):
-                if a_mat.rows[i - 1][k - 1]:
-                    add(br.pair(k, j), a_mat.rows[i - 1][k - 1])
-                if a_mat.rows[j - 1][k - 1]:
-                    add(br.pair(i, k), a_mat.rows[j - 1][k - 1])
+                if a_mat._get(i - 1, k - 1):
+                    add(br.pair(k, j), a_mat._get(i - 1, k - 1))
+                if a_mat._get(j - 1, k - 1):
+                    add(br.pair(i, k), a_mat._get(j - 1, k - 1))
             # transport term: - x^l A^k_l d_k (c_{ab} x^a x^b)
             for (aa, bb), v in br.pair(i, j).items():
                 for l in range(1, n + 1):
-                    w = a_mat.rows[aa - 1][l - 1]
+                    w = a_mat._get(aa - 1, l - 1)
                     if w:
                         add({(l, bb): -v * w})
-                    w2 = a_mat.rows[bb - 1][l - 1]
+                    w2 = a_mat._get(bb - 1, l - 1)
                     if w2:
                         add({(aa, l): -v * w2})
             out.set_pair(i, j, total)
@@ -240,11 +240,11 @@ def invariance_generator(params: PencilParams) -> Operator1:
     m = Operator1.zero(n)
     for i in range(1, n + 1):
         ri = params.rho(psi[i - 1])
-        m.rows[i - 1][i - 1] = (Fraction(n - 1, 2) * params.rho_prime(psi[i - 1])
-                                + ri * xi[i - 1])
+        m._set(i - 1, i - 1, Fraction(n - 1, 2) * params.rho_prime(psi[i - 1])
+               + ri * xi[i - 1])
         for j in range(1, n + 1):
             if j != i:
-                m.rows[i - 1][j - 1] = ri / (psi[i - 1] - psi[j - 1])
+                m._set(i - 1, j - 1, ri / (psi[i - 1] - psi[j - 1]))
     return m
 
 
@@ -257,11 +257,11 @@ def rime_preserving_matrix(params: PencilParams, nu, diag=None) -> Operator1:
     for l in range(1, n + 1):
         for k in range(1, n + 1):
             if l != k:
-                m.rows[l - 1][k - 1] = nu[k - 1] * params.rho(psi[l - 1]) \
-                    / (psi[l - 1] - psi[k - 1])
+                m._set(l - 1, k - 1, nu[k - 1] * params.rho(psi[l - 1])
+                       / (psi[l - 1] - psi[k - 1]))
     if diag is not None:
         for i in range(n):
-            m.rows[i][i] = rat(diag[i])
+            m._set(i, i, rat(diag[i]))
     return m
 
 
@@ -379,23 +379,23 @@ def sl2_generators(psi) -> tuple[Operator1, Operator1, Operator1]:
     xi = xi_values(psi)
     bm, b0, bp = Operator1.zero(n), Operator1.zero(n), Operator1.zero(n)
     for i in range(n):
-        bm.rows[i][i] = -xi[i]
-        b0.rows[i][i] = -(Fraction(n - 1, 2) + psi[i] * xi[i])
-        bp.rows[i][i] = -((n - 1) * psi[i] + psi[i] * psi[i] * xi[i])
+        bm._set(i, i, -xi[i])
+        b0._set(i, i, -(Fraction(n - 1, 2) + psi[i] * xi[i]))
+        bp._set(i, i, -((n - 1) * psi[i] + psi[i] * psi[i] * xi[i]))
         for j in range(n):
             if j != i:
                 d = psi[i] - psi[j]
-                bm.rows[i][j] = ONE / d
-                b0.rows[i][j] = psi[i] / d
-                bp.rows[i][j] = psi[i] * psi[i] / d
+                bm._set(i, j, ONE / d)
+                b0._set(i, j, psi[i] / d)
+                bp._set(i, j, psi[i] * psi[i] / d)
     return bm, b0, bp
 
 
 def varpi(y: Operator1) -> Operator1:
     """Flip the diagonal sign; an involution splitting Mat into two projector images."""
-    out = Operator1([row[:] for row in y.rows])
-    for i in range(y.dim):
-        out.rows[i][i] = -out.rows[i][i]
+    out = Operator1.zero(y.dim)
+    for r, row in y.data.items():
+        out.data[r] = {c: -v if c == r else v for c, v in row.items()}
     return out
 
 
@@ -436,10 +436,10 @@ def projective_action_monomial(n: int, a, b, c) -> Operator1:
     for k in range(n):
         # top coefficient cancels at k = n - 1, so the space is preserved
         if k + 1 <= n - 1:
-            m.rows[k + 1][k] += a * k - 2 * half * a
-        m.rows[k][k] += b * k - half * b
+            m._add(k + 1, k, a * k - 2 * half * a)
+        m._add(k, k, b * k - half * b)
         if k - 1 >= 0:
-            m.rows[k - 1][k] += c * k
+            m._add(k - 1, k, c * k)
     return m
 
 

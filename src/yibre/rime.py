@@ -229,8 +229,8 @@ def quantum_trace_closed_forms(data: RimeData) -> tuple[Operator1, Operator1]:
                 for l in range(1, n + 1):
                     pq *= ONE - data.b(j, l)
                     pqt *= ONE - data.b(l, j)
-                q.rows[k - 1][j - 1] = pq
-                qt.rows[k - 1][j - 1] = pqt
+                q._set(k - 1, j - 1, pq)
+                qt._set(k - 1, j - 1, pqt)
             else:
                 pq = -data.b(j, k)
                 pqt = data.b(j, k)
@@ -238,8 +238,8 @@ def quantum_trace_closed_forms(data: RimeData) -> tuple[Operator1, Operator1]:
                     if l != k:
                         pq *= ONE - data.b(j, l)
                         pqt *= ONE - data.b(l, j)
-                q.rows[k - 1][j - 1] = pq
-                qt.rows[k - 1][j - 1] = pqt
+                q._set(k - 1, j - 1, pq)
+                qt._set(k - 1, j - 1, pqt)
     return q, qt
 
 
@@ -276,7 +276,7 @@ def invariance_Y(phi, u, v) -> Operator1:
         for l in range(1, n + 1):
             if l != j:
                 diag *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
-        y.rows[j - 1][j - 1] = diag
+        y._set(j - 1, j - 1, diag)
         for i in range(1, n + 1):
             if i == j:
                 continue
@@ -284,7 +284,7 @@ def invariance_Y(phi, u, v) -> Operator1:
             for l in range(1, n + 1):
                 if l != i and l != j:
                     val *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
-            y.rows[i - 1][j - 1] = val
+            y._set(i - 1, j - 1, val)
     return y
 
 
@@ -300,7 +300,7 @@ def invariance_Y0(mu, a) -> Operator1:
         for l in range(1, n + 1):
             if l != j:
                 diag *= ONE + a / (mu[j - 1] - mu[l - 1])
-        y.rows[j - 1][j - 1] = diag
+        y._set(j - 1, j - 1, diag)
         for i in range(1, n + 1):
             if i == j:
                 continue
@@ -308,7 +308,7 @@ def invariance_Y0(mu, a) -> Operator1:
             for l in range(1, n + 1):
                 if l != i and l != j:
                     val *= ONE + a / (mu[j - 1] - mu[l - 1])
-            y.rows[i - 1][j - 1] = val
+            y._set(i - 1, j - 1, val)
     return y
 
 
@@ -330,17 +330,17 @@ def invariance_generator(kind: str, params) -> Operator1:
             for l in range(1, n + 1):
                 if l != j:
                     diag += params[j - 1] / (params[j - 1] - params[l - 1])
-            eta.rows[j - 1][j - 1] = diag
+            eta._set(j - 1, j - 1, diag)
             for i in range(1, n + 1):
                 if i != j:
-                    eta.rows[i - 1][j - 1] = params[j - 1] / (params[j - 1] - params[i - 1])
+                    eta._set(i - 1, j - 1, params[j - 1] / (params[j - 1] - params[i - 1]))
     elif kind == "unitary":
         for j in range(1, n + 1):
-            eta.rows[j - 1][j - 1] = sum((ONE / (params[j - 1] - params[l - 1])
-                                          for l in range(1, n + 1) if l != j), ZERO)
+            eta._set(j - 1, j - 1, sum((ONE / (params[j - 1] - params[l - 1])
+                                        for l in range(1, n + 1) if l != j), ZERO))
             for i in range(1, n + 1):
                 if i != j:
-                    eta.rows[i - 1][j - 1] = ONE / (params[j - 1] - params[i - 1])
+                    eta._set(i - 1, j - 1, ONE / (params[j - 1] - params[i - 1]))
     else:
         raise InvalidInputError(f"unknown generator kind {kind!r}")
     return eta

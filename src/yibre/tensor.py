@@ -11,8 +11,9 @@ Conventions, fixed once for the whole package:
   (RS)^{ij}_{kl} = R^{ij}_{ab} S^{ab}_{kl};
 * pairs are flattened row-major, (i,j) -> (i-1)*n + (j-1).
 
-Two- and three-leg operators are stored sparsely (dict of rows) because every
-object in this package has O(n^2) nonzero entries out of n^4 or n^6 slots.
+All three operator types are stored sparsely, ``data[row][col]`` with nonzero
+entries only, and share one implementation of their arithmetic: most objects
+in this package have O(n^2) nonzero entries out of n^4 or n^6 slots.
 """
 
 from __future__ import annotations
@@ -22,131 +23,6 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .kernel import ONE, ZERO, InvalidInputError, NotSkewInvertibleError, rat
-
-
-class Operator1:
-    """Dense exact n x n matrix with action (Av)^i = A^i_j v^j."""
-
-    __slots__ = ("dim", "rows")
-
-    def __init__(self, rows: Sequence[Sequence]):
-        self.rows = [[rat(x) for x in row] for row in rows]
-        self.dim = len(self.rows)
-        if any(len(r) != self.dim for r in self.rows):
-            raise InvalidInputError("matrix must be square")
-
-    @classmethod
-    def _of(cls, rows: list[list]) -> "Operator1":
-        """Adopt square rows that already hold exact scalars, without copying or coercing."""
-        m = cls.__new__(cls)
-        m.rows = rows
-        m.dim = len(rows)
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "Operator1":
-        return cls._of([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, n: int) -> "Operator1":
-        return cls._of([[ZERO] * n for _ in range(n)])
-
-    @classmethod
-    def unit(cls, n: int, i: int, j: int) -> "Operator1":
-        """The matrix unit e^i_j (1-based): e_i |-> e_j."""
-        m = cls.zero(n)
-        m.rows[j - 1][i - 1] = ONE
-        return m
-
-    @classmethod
-    def diag(cls, values: Sequence) -> "Operator1":
-        n = len(values)
-        m = cls.zero(n)
-        for i, v in enumerate(values):
-            m.rows[i][i] = rat(v)
-        return m
-
-    def get(self, i: int, j: int) -> Fraction:
-        return self.rows[i - 1][j - 1]
-
-    def __add__(self, other: "Operator1") -> "Operator1":
-        return Operator1._of([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Operator1") -> "Operator1":
-        return Operator1._of([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Operator1":
-        return Operator1._of([[-a for a in row] for row in self.rows])
-
-    def scale(self, c) -> "Operator1":
-        c = rat(c)
-        return Operator1._of([[c * a for a in row] for row in self.rows])
-
-    def __matmul__(self, other: "Operator1") -> "Operator1":
-        n = self.dim
-        out = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            rowi = self.rows[i]
-            for k in range(n):
-                c = rowi[k]
-                if c:
-                    rowk = other.rows[k]
-                    oi = out[i]
-                    for j in range(n):
-                        if rowk[j]:
-                            oi[j] += c * rowk[j]
-        return Operator1._of(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Operator1) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
-
-    def transpose(self) -> "Operator1":
-        return Operator1._of([[self.rows[j][i] for j in range(self.dim)] for i in range(self.dim)])
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.dim)), ZERO)
-
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(sum((self.rows[i][j] * vec[j] for j in range(self.dim)), ZERO)
-                     for i in range(self.dim))
-
-    def det(self) -> Fraction:
-        """Product of the leads before scaling, signed by the lead-column permutation."""
-        ech = Echelon()
-        det = ONE
-        leads = []
-        for row in self.rows:
-            rem = ech.reduce(dict(enumerate(row)))
-            if not rem:
-                return ZERO
-            lead = ech.insert(rem)
-            det *= rem[lead]
-            leads.append(lead)
-        inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
-        return -det if inversions % 2 else det
-
-    def inverse(self) -> "Operator1":
-        n = self.dim
-        inv = _inverse_rows([dict(enumerate(r)) for r in self.rows], n)
-        return Operator1._of([[row.get(j, ZERO) for j in range(n)] for row in inv])
-
-    def rank(self) -> int:
-        return rank_of_rows(self.rows)
-
-    def entries(self) -> Iterable[tuple[int, int, Fraction]]:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.rows[i][j]:
-                    yield i + 1, j + 1, self.rows[i][j]
-
-    def __repr__(self):
-        return f"Operator1({self.rows!r})"
 
 
 class Echelon:
@@ -255,7 +131,7 @@ def _over(acc: dict, den: int) -> dict:
 
 
 class _SparseSquare:
-    """Shared sparse machinery for two- and three-leg operators."""
+    """Shared sparse machinery for one-, two- and three-leg operators."""
 
     legs = 0
 
@@ -263,6 +139,18 @@ class _SparseSquare:
         self.dim = dim
         self.size = dim ** self.legs
         self.data: dict[int, dict[int, Fraction]] = data if data is not None else {}
+
+    @classmethod
+    def zero(cls, dim: int):
+        out = cls.__new__(cls)
+        _SparseSquare.__init__(out, dim)
+        return out
+
+    @classmethod
+    def identity(cls, dim: int):
+        out = cls.zero(dim)
+        out.data = {r: {r: ONE} for r in range(out.size)}
+        return out
 
     # -- raw flat-index access ------------------------------------------------
     def _get(self, r: int, c: int) -> Fraction:
@@ -292,7 +180,7 @@ class _SparseSquare:
 
     # -- algebra ----------------------------------------------------------------
     def _zero_like(self):
-        return type(self)(self.dim)
+        return self.zero(self.dim)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -324,9 +212,11 @@ class _SparseSquare:
     def scale(self, k):
         k = rat(k)
         out = self._zero_like()
-        if k:
-            for r, row in self.data.items():
-                out.data[r] = {c: k * v for c, v in row.items()}
+        for r, row in self.data.items():
+            # a dual-number product can vanish, so zeros are filtered here too
+            row = {c: w for c, v in row.items() if (w := k * v)}
+            if row:
+                out.data[r] = row
         return out
 
     def __matmul__(self, other):
@@ -387,6 +277,72 @@ class _SparseSquare:
                 if v:
                     yield r, c, v
 
+    def rank(self) -> int:
+        return Echelon(self.data.values()).rank
+
+    def inverse(self):
+        out = self._zero_like()
+        rows = [self.data.get(r, {}) for r in range(self.size)]
+        out.data = dict(enumerate(_inverse_rows(rows, self.size)))
+        return out
+
+
+class Operator1(_SparseSquare):
+    """Exact n x n matrix with action (Av)^i = A^i_j v^j, stored as data[i][j] (0-based)."""
+
+    legs = 1
+
+    def __init__(self, rows: Sequence[Sequence]):
+        """Validate dense rows from outside: square, every entry coerced by ``rat``."""
+        rows = [[rat(x) for x in row] for row in rows]
+        if any(len(row) != len(rows) for row in rows):
+            raise InvalidInputError("matrix must be square")
+        super().__init__(len(rows), {i: nz for i, row in enumerate(rows)
+                                     if (nz := {j: v for j, v in enumerate(row) if v})})
+
+    @classmethod
+    def unit(cls, n: int, i: int, j: int) -> "Operator1":
+        """The matrix unit e^i_j (1-based): e_i |-> e_j."""
+        m = cls.zero(n)
+        m._set(j - 1, i - 1, ONE)
+        return m
+
+    @classmethod
+    def diag(cls, values: Sequence) -> "Operator1":
+        m = cls.zero(len(values))
+        for i, v in enumerate(values):
+            m._set(i, i, rat(v))
+        return m
+
+    def get(self, i: int, j: int) -> Fraction:
+        return self._get(i - 1, j - 1)
+
+    def trace(self) -> Fraction:
+        return sum((self._get(i, i) for i in range(self.dim)), ZERO)
+
+    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        return tuple(sum((v * vec[j] for j, v in self.data.get(i, {}).items()), ZERO)
+                     for i in range(self.dim))
+
+    def det(self) -> Fraction:
+        """Product of the leads before scaling, signed by the lead-column permutation."""
+        ech = Echelon()
+        det = ONE
+        leads = []
+        for r in range(self.dim):
+            rem = ech.reduce(self.data.get(r, {}))
+            if not rem:
+                return ZERO
+            lead = ech.insert(rem)
+            det *= rem[lead]
+            leads.append(lead)
+        inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
+        return -det if inversions % 2 else det
+
+    def __repr__(self):
+        ent = ", ".join(f"A[{r + 1}|{c + 1}]={v}" for r, c, v in self.nonzero_entries())
+        return f"Operator1(dim={self.dim}, {ent})"
+
 
 class Operator2(_SparseSquare):
     """Endomorphism of V(x)V with 4-index accessor R^{ij}_{kl}."""
@@ -406,13 +362,6 @@ class Operator2(_SparseSquare):
         self._add(self._flat(i, j), self._flat(k, l), rat(v))
 
     @classmethod
-    def identity(cls, n: int) -> "Operator2":
-        out = cls(n)
-        for r in range(n * n):
-            out.data[r] = {r: ONE}
-        return out
-
-    @classmethod
     def from_dense(cls, n: int, grid: Sequence[Sequence]) -> "Operator2":
         out = cls(n)
         for r in range(n * n):
@@ -421,13 +370,6 @@ class Operator2(_SparseSquare):
                 if v:
                     out._set(r, c, v)
         return out
-
-    def rank(self) -> int:
-        return Echelon(self.data.values()).rank
-
-    def inverse(self) -> "Operator2":
-        rows = [self.data.get(r, {}) for r in range(self.size)]
-        return Operator2(self.dim, dict(enumerate(_inverse_rows(rows, self.size))))
 
     def reversed_legs(self) -> "Operator2":
         """R_21 = P R P."""
@@ -449,28 +391,17 @@ class Operator3(_SparseSquare):
 
     legs = 3
 
-    @classmethod
-    def identity(cls, n: int) -> "Operator3":
-        out = cls(n)
-        for r in range(n ** 3):
-            out.data[r] = {r: ONE}
-        return out
-
 
 def kron11(a: Operator1, b: Operator1) -> Operator2:
     """a (x) b acting on V(x)V."""
     n = a.dim
     out = Operator2(n)
-    for i in range(n):
-        for j in range(n):
-            va = a.rows[i][j]
-            if not va:
-                continue
-            for k in range(n):
-                for l in range(n):
-                    vb = b.rows[k][l]
-                    if vb:
-                        out._set(i * n + k, j * n + l, va * vb)
+    for i, arow in a.data.items():
+        for j, va in arow.items():
+            for k, brow in b.data.items():
+                for l, vb in brow.items():
+                    # _set drops a vanishing dual-number product
+                    out._set(i * n + k, j * n + l, va * vb)
     return out
 
 
@@ -490,11 +421,8 @@ def op1_on_leg3(a: Operator1, leg: int) -> Operator3:
     """Lift a one-leg operator to V^3 on the named leg."""
     n = a.dim
     out = Operator3(n)
-    for i in range(n):
-        for j in range(n):
-            v = a.rows[i][j]
-            if not v:
-                continue
+    for i, row in a.data.items():
+        for j, v in row.items():
             for s in range(n):
                 for t in range(n):
                     if leg == 1:
@@ -582,50 +510,42 @@ def partial_trace(op: Operator2, leg: int) -> Operator1:
     out = Operator1.zero(n)
     for i, j, k, l, v in op.four_index_items():
         if leg == 2 and j == l:
-            out.rows[i - 1][k - 1] += v
+            out._add(i - 1, k - 1, v)
         elif leg == 1 and i == k:
-            out.rows[j - 1][l - 1] += v
+            out._add(j - 1, l - 1, v)
     return out
+
+
+def reshuffled_matrix(r: Operator2) -> Operator1:
+    """M[(a,d),(g,b)] = R^{ab}_{dg}; M is invertible iff R is skew invertible."""
+    n = r.dim
+    m = Operator1.zero(n * n)
+    for a, b, d, g, v in r.four_index_items():
+        m._set((a - 1) * n + d - 1, (g - 1) * n + b - 1, v)
+    return m
 
 
 def skew_inverse(r: Operator2) -> Operator2:
     """Solve Tr_2( R_12 Psi_23 ) = P_13 for Psi exactly.
 
     The defining relation flattens to M[(a,d),(g,b)] * Psi'[(g,b),(c,f)] = P'
-    with M[(a,d),(g,b)] = R^{ab}_{dg} and Psi'[(g,b),(c,f)] = Psi^{gc}_{bf};
+    with M the reshuffled matrix and Psi'[(g,b),(c,f)] = Psi^{gc}_{bf};
     a singular M means R is not skew invertible.
     """
     n = r.dim
-    nn = n * n
-    m = [[ZERO] * nn for _ in range(nn)]
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                for g in range(n):
-                    v = r.get(a + 1, b + 1, d + 1, g + 1)
-                    if v:
-                        m[a * n + d][g * n + b] = v
-    rhs = [[ZERO] * nn for _ in range(nn)]
+    # P_13 entry at row (a,d), col (c,f): delta(a,f) delta(c,d)
+    rhs = Operator1.zero(n * n)
     for a in range(n):
         for d in range(n):
-            # P_13 entry at row (a,c), col (d,f): delta(a,f) delta(c,d)
-            for c in range(n):
-                for f in range(n):
-                    if a == f and c == d:
-                        rhs[a * n + d][c * n + f] = ONE
+            rhs._set(a * n + d, d * n + a, ONE)
     try:
-        minv = Operator1(m).inverse()
+        minv = reshuffled_matrix(r).inverse()
     except InvalidInputError as exc:
         raise NotSkewInvertibleError("reshuffled matrix is singular") from exc
-    sol = minv @ Operator1(rhs)
     psi = Operator2(n)
-    for g in range(n):
-        for b in range(n):
-            for c in range(n):
-                for f in range(n):
-                    v = sol.rows[g * n + b][c * n + f]
-                    if v:
-                        psi.set(g + 1, c + 1, b + 1, f + 1, v)
+    for row, col, v in (minv @ rhs).nonzero_entries():
+        (g, b), (c, f) = divmod(row, n), divmod(col, n)
+        psi._set(g * n + c, b * n + f, v)
     return psi
 
 
@@ -650,13 +570,11 @@ def commutator_with_sum(r: Operator2, a: Operator1) -> Operator2:
 
 def first_nonzero_witness(op) -> tuple[str, Fraction] | None:
     """Locate the first nonzero entry of a residual, for failure reports."""
-    if isinstance(op, Operator1):
-        for i, j, v in op.entries():
-            return f"{i}|{j}", v
-        return None
     n = op.dim
     for r, c, v in op.nonzero_entries():
-        if op.legs == 2:
+        if op.legs == 1:
+            key = f"{r + 1}|{c + 1}"
+        elif op.legs == 2:
             key = f"{r // n + 1},{r % n + 1}|{c // n + 1},{c % n + 1}"
         else:
             key = (f"{r // (n * n) + 1},{(r // n) % n + 1},{r % n + 1}"

@@ -176,8 +176,8 @@ def test_derivation_laws():
 
 def test_rb_tables_frozen():
     a = Operator1([[F(5), F(7)], [F(11), F(13)]])
-    assert rota_baxter(bezout_operator(B0, 2)).apply(a).rows == [[-11, 5], [0, 0]]
-    assert rota_baxter(bezout_operator(B, 2)).apply(a).rows == [[0, 0], [-11, 5]]
+    assert rota_baxter(bezout_operator(B0, 2)).apply(a) == Operator1([[-11, 5], [0, 0]])
+    assert rota_baxter(bezout_operator(B, 2)).apply(a) == Operator1([[0, 0], [-11, 5]])
 
 
 @pytest.mark.parametrize("kind", [B0, B, RS])
@@ -235,16 +235,16 @@ def test_rota_baxter_equality_is_exact():
 
 
 def test_rb_matrix_layout():
-    """Row = output cell, column = input cell, both row-major over Operator1.rows."""
+    """Row = output cell, column = input cell, both row-major over the (row, column) cells."""
     rb = rb_closed_form(RS, 3)
     grid = rb.matrix()
     for d in range(3):
         for k in range(3):
             unit = Operator1.zero(3)
-            unit.rows[d][k] = F(1)
+            unit._set(d, k, F(1))
             img = rb.apply(unit)
-            assert [grid.rows[i * 3 + j][d * 3 + k] for i in range(3) for j in range(3)] \
-                == [img.rows[i][j] for i in range(3) for j in range(3)]
+            assert [grid._get(i * 3 + j, d * 3 + k) for i in range(3) for j in range(3)] \
+                == [img._get(i, j) for i in range(3) for j in range(3)]
 
 
 def test_rb_weights():
@@ -287,15 +287,15 @@ def test_rb_sum_rule():
 def test_star_tables_frozen():
     rb0 = rota_baxter(bezout_operator(B0, 2))
     rb = rota_baxter(bezout_operator(B, 2))
-    a = Operator1([[F(2), F(3)], [F(5), F(7)]])
-    t = Operator1([[F(1), F(-2)], [F(4), F(6)]])
-    ar, tr = a.rows, t.rows
-    assert star_product(a, t, rb0, 0).rows == [
+    ar = [[F(2), F(3)], [F(5), F(7)]]
+    tr = [[F(1), F(-2)], [F(4), F(6)]]
+    a, t = Operator1(ar), Operator1(tr)
+    assert star_product(a, t, rb0, 0) == Operator1([
         [-ar[1][0] * tr[0][0], -ar[1][0] * tr[0][1] + ar[0][0] * (tr[0][0] + tr[1][1])],
-        [-ar[1][0] * tr[1][0], ar[1][0] * tr[0][0]]]
-    assert star_product(a, t, rb, -1).rows == [
+        [-ar[1][0] * tr[1][0], ar[1][0] * tr[0][0]]])
+    assert star_product(a, t, rb, -1) == Operator1([
         [ar[0][0] * tr[0][0], ar[0][0] * tr[0][1] + ar[0][1] * (tr[0][0] + tr[1][1])],
-        [ar[0][0] * tr[1][0], ar[0][0] * tr[1][1] + ar[1][1] * (tr[0][0] + tr[1][1])]]
+        [ar[0][0] * tr[1][0], ar[0][0] * tr[1][1] + ar[1][1] * (tr[0][0] + tr[1][1])]])
 
 
 def test_star_associativity_exhaustive():

@@ -63,9 +63,9 @@ def test_d_twist():
 
 def test_x_change_of_basis_frozen():
     x, xinv = x_change_of_basis([1, 2])
-    assert x.rows == [[1, 2], [1, 1]]
-    assert xinv.rows == [[-1, 2], [1, -1]]
-    assert x_change_of_basis([5])[0].rows == [[1]]
+    assert x == Operator1([[1, 2], [1, 1]])
+    assert xinv == Operator1([[-1, 2], [1, -1]])
+    assert x_change_of_basis([5])[0] == Operator1([[1]])
 
 
 @pytest.mark.parametrize("phi", [[1, 2], [1, 2, 3], [0, 1, 5, -2]])
@@ -121,7 +121,7 @@ def test_sectype_seeded_tuples():
 def test_phi_transition():
     assert phi_transition([1, 2], [1, 2]) == Operator1.identity(2)
     pt = phi_transition([1, 2], [3, 5])
-    assert pt.rows == [[4, -3], [2, -1]]
+    assert pt == Operator1([[4, -3], [2, -1]])
     rd = RationalDraw(5)
     for n in (2, 3):
         a, b = rd.vector(n, distinct=True), rd.vector(n, distinct=True)
@@ -145,7 +145,7 @@ def test_standard_riming():
         assert hecke_residual(rc, 1 - Q).is_zero()
         conj = conjugate2(rc, xt)
         assert classify(conj) in (RimeClass.RIME_NON_STRICT, RimeClass.RIME_STRICT)
-    assert summation_matrix(3).rows == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
+    assert summation_matrix(3) == Operator1([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
     r2 = standard_rc_matrix(2, Q)
     assert rows_of(r2, 1, 2) == [0, 1 - Q, 1, 0]
 

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from yibre.cli import main
-from yibre.suites import SUITE_BUILDERS, run_all, run_suite
+from yibre.suites import SUITE_BUILDERS, Check, run_all, run_suite
 
 
 @pytest.fixture
@@ -144,6 +144,29 @@ def test_mutated_all_run_flips_exactly_one_check():
     failures = [(r.suite, c.name) for r in reports for c in r.checks
                 if c.status == "fail"]
     assert len(failures) == 1
+
+
+def test_raising_check_is_recorded_and_the_run_continues(runner, monkeypatch, tmp_path):
+    clean = {(r.suite, c.name): c.status for r in run_all(2, 3, 1) for c in r.checks}
+    builder = SUITE_BUILDERS["bezout"]
+
+    def with_raising_check(n, draw, draws):
+        return [Check("injected-raise", "-", lambda: 1 / 0)] + builder(n, draw, draws)
+
+    monkeypatch.setitem(SUITE_BUILDERS, "bezout", with_raising_check)
+    path = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--suite", "all", "--n", "2", "--seed", "3",
+                               "--draws", "1", "--report", str(path)])
+    assert res.exit_code == 1
+    assert "ERROR bezout:injected-raise raised ZeroDivisionError" in res.output
+    assert "Traceback (most recent call last)" in res.output   # stderr, mixed in
+    reports = json.loads(path.read_text())["reports"]
+    assert [r["suite"] for r in reports] == sorted(SUITE_BUILDERS)
+    got = {(r["suite"], c["name"]): c for r in reports for c in r["checks"]}
+    assert got.pop(("bezout", "injected-raise")) == {
+        "name": "injected-raise", "anchor": "-", "status": "error",
+        "residual_witness": {"index": "-", "value": "ZeroDivisionError"}}
+    assert {key: c["status"] for key, c in got.items()} == clean
 
 
 def test_catalog_stable(runner):

@@ -58,8 +58,8 @@ def test_double_omit():
 
 def test_vandermonde_frozen():
     vi = vandermonde_inverse(ratvec([1, 2]))
-    assert vi.rows == [[-1, 2], [1, -1]]
-    assert vandermonde_inverse(ratvec([5])).rows == [[1]]
+    assert vi == Operator1([[-1, 2], [1, -1]])
+    assert vandermonde_inverse(ratvec([5])) == Operator1([[1]])
 
 
 @pytest.mark.parametrize("values", [[1, 2], [1, 2, 3], [0, 1, -1, F(1, 2)],

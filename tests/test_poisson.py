@@ -78,7 +78,7 @@ def test_invariance_generator():
     assert lie_derivative(pencil_bracket(params), gen).is_zero()
     # frozen constant-rho value
     g2 = invariance_generator(PencilParams((0, 1), 0, 0, 1))
-    assert g2.rows == [[1, -1], [1, -1]]
+    assert g2 == Operator1([[1, -1], [1, -1]])
 
 
 def test_rime_preserving_family():
@@ -118,7 +118,7 @@ def test_delta1_zero_for_equal_nu_and_a_zero():
 
 def test_sl2_generators_frozen():
     bm, b0, bp = sl2_generators([0, 1])
-    assert bm.rows == [[-1, -1], [1, 1]]
+    assert bm == Operator1([[-1, -1], [1, 1]])
     assert (bm @ bm).is_zero()
     assert bm.trace() == 0 and bm.det() == 0
 

@@ -105,8 +105,8 @@ def test_eigen_multiplicities():
 
 def test_quantum_traces_unitary_frozen():
     q, qt = quantum_traces(unitary_rime_R([0, 1]))
-    assert q.rows == [[2, -1], [1, 0]]
-    assert qt.rows == [[0, 1], [-1, 2]]
+    assert q == Operator1([[2, -1], [1, 0]])
+    assert qt == Operator1([[0, 1], [-1, 2]])
     assert (q @ qt) == Operator1.identity(2)
 
 
@@ -207,7 +207,7 @@ def test_invariance_generators():
     assert commutator_with_sum(unitary_rime_R(mu), eta0).is_zero()
     # frozen n=2 value of the unitary generator
     e0 = invariance_generator("unitary", [0, 1])
-    assert e0.rows == [[-1, 1], [-1, 1]]
+    assert e0 == Operator1([[-1, 1], [-1, 1]])
 
 
 def test_reversed_leg_conjugations():

@@ -1,7 +1,7 @@
 import operator
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -10,8 +10,8 @@ from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual,
                           first_nonzero_witness, hecke_residual, kron11, lift,
                           op1_on_leg2, op1_on_leg3, partial_trace,
-                          permutation_P, rank_of_rows, rref_of_rows, skew_inverse,
-                          wedge, yb_residual)
+                          permutation_P, rank_of_rows, reshuffled_matrix, rref_of_rows,
+                          skew_inverse, wedge, yb_residual)
 
 
 def test_permutation():
@@ -121,6 +121,19 @@ def test_unitary_skew_inverse_closed_form():
     assert partial_trace(psi, 1) == qt
 
 
+@pytest.mark.parametrize("n,seed,quad", [(2, 0, None), (2, 1, None), (3, 2, None),
+                                         (3, 3, -1), (4, 4, None)])
+def test_reshuffled_matrix_matches_dense_formula(n, seed, quad):
+    """M[(a,d),(g,b)] = R^{ab}_{dg} on every cell of a seeded random R."""
+    r = _random_sparse(Operator2, n, seed, LARGE_DENS, quad)
+    m = reshuffled_matrix(r)
+    assert type(m) is Operator1 and m.dim == n * n
+    for a, b, d, g in product(range(1, n + 1), repeat=4):
+        assert m.get((a - 1) * n + d, (g - 1) * n + b) == r.get(a, b, d, g)
+    # a bijection of cells, so exactly the nonzeros of R are stored
+    assert sorted(map(str, _stored(m).values())) == sorted(map(str, _stored(r).values()))
+
+
 def test_op1_lifts_commute():
     a = Operator1([[1, 2], [3, 4]])
     b = Operator1([[0, 1], [1, 1]])
@@ -169,6 +182,10 @@ def _leibniz_det(rows) -> F:
     return total
 
 
+def _dense(a: Operator1) -> list[list[F]]:
+    return [[a.get(i, j) for j in range(1, a.dim + 1)] for i in range(1, a.dim + 1)]
+
+
 SEEDED = [Operator1(_seeded_matrix(random.Random(seed), 1 + seed % 5)) for seed in range(40)]
 # leads out of row order, so elimination has to swap rows
 SEEDED.append(Operator1([[0, 0, 2], [0, 3, 1], [1, 1, 0]]))
@@ -179,7 +196,7 @@ def test_echelon_det_inverse_rank_rref(idx):
     a = SEEDED[idx]
     n = a.dim
     det = a.det()
-    assert det == _leibniz_det(a.rows)
+    assert det == _leibniz_det(_dense(a))
     b = SEEDED[(idx + 5) % len(SEEDED)]
     if b.dim == n:
         assert (a @ b).det() == det * b.det()
@@ -191,8 +208,8 @@ def test_echelon_det_inverse_rank_rref(idx):
     else:
         with pytest.raises(InvalidInputError):
             a.inverse()
-    rref = rref_of_rows(a.rows)
-    assert len(rref) == rank == rank_of_rows(a.rows)
+    rref = rref_of_rows(_dense(a))
+    assert len(rref) == rank == rank_of_rows(_dense(a))
     assert rref_of_rows(rref) == rref
     leads = [next(c for c, v in enumerate(row) if v) for row in rref]
     assert leads == sorted(set(leads))
@@ -239,7 +256,7 @@ def test_witness_reporting():
     key, val = first_nonzero_witness(r)
     assert key == "1,2|2,1" and val == 7
     m = Operator1.zero(2)
-    m.rows[1][0] = F(-1, 3)
+    m._set(1, 0, F(-1, 3))
     assert first_nonzero_witness(m) == ("2|1", F(-1, 3))
     assert first_nonzero_witness(Operator2(2)) is None
 
@@ -315,7 +332,7 @@ LARGE_DENS = (1, 12, 10 ** 9 + 7, 2 ** 61 - 1, 3 ** 40, 2 ** 20 * 5 ** 9)
 def _random_sparse(cls, n, seed, dens, quad=None):
     """Seeded operator with about a third of its cells set; QuadExt(a, b, quad) in half."""
     rng = random.Random(seed)
-    out = cls(n)
+    out = cls.zero(n)
     for r in range(out.size):
         for c in range(out.size):
             if rng.random() < 0.35:
@@ -365,6 +382,12 @@ KERNEL_CASES = [
     (Operator2, 2, SMALL_DENS, -1, -1),
     (Operator3, 2, SMALL_DENS, 0, 0),
     (Operator2, 3, LARGE_DENS, None, 0),
+    (Operator1, 4, SMALL_DENS, None, None),
+    (Operator1, 6, LARGE_DENS, None, None),
+    (Operator1, 5, SMALL_DENS, -1, None),
+    (Operator1, 5, LARGE_DENS, -1, -1),
+    (Operator1, 6, SMALL_DENS, 0, 0),
+    (Operator1, 4, LARGE_DENS, None, 0),
 ]
 
 
@@ -426,14 +449,19 @@ def test_sparse_kernels_store_fractions_for_integer_entries():
 
 def test_operator1_arithmetic_results_own_their_rows():
     a = Operator1([[1, "1/2"], [F(-3, 4), 2]])
-    assert all(type(x) is F for row in a.rows for x in row)
+    assert all(type(x) is F for x in _stored(a).values())
+    assert Operator1([[0, 2], [0, 0]]).data == {0: {1: F(2)}}
     b = Operator1.identity(2)
+    operand_rows = list(a.data.values()) + list(b.data.values())
     for got in (a + b, a - b, -a, a.scale(3), a @ b, a.transpose(), a.inverse(),
-                Operator1.identity(2), Operator1.zero(2)):
-        assert got.dim == 2 and all(type(x) is F for row in got.rows for x in row)
-        assert all(row is not ra for row in got.rows for ra in a.rows + b.rows)
-        assert got.rows[0] is not got.rows[1]
+                Operator1.identity(2), Operator1.zero(2), a.scale(0), a - a):
+        # _stored also fails on a stored zero or an empty row
+        assert got.dim == 2 and all(type(x) is F for x in _stored(got).values())
+        assert all(row is not ra for row in got.data.values() for ra in operand_rows)
+        assert len({id(row) for row in got.data.values()}) == len(got.data)
     assert a @ a.inverse() == b and (a + b) - b == a and -(-a) == a
+    eps = QuadExt(0, 1, 0)   # eps^2 = 0, so scaling can cancel an entry
+    assert Operator1([[eps, 1], [0, eps]]).scale(eps).data == {0: {1: eps}}
     with pytest.raises(InvalidInputError):
         Operator1([[1, 2], [3]])
     with pytest.raises(InvalidInputError):
