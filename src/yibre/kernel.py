@@ -1,4 +1,4 @@
-"""Exact rational scalars, elementary symmetric functions and Lagrange/Vandermonde inversion.
+"""Exact rational scalars, elementary symmetric functions and seeded rational draws.
 
 Everything in this package computes over ``fractions.Fraction``, or over the
 exact quadratic extensions :class:`QuadExt` where a check needs sqrt(-1) or a
@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -164,44 +162,6 @@ def elem_sym_omit(values: Sequence[Fraction], k: int, omit: int) -> Fraction:
         raise InvalidInputError(f"omit index {omit} out of range 1..{n}")
     reduced = tuple(values[:omit - 1]) + tuple(values[omit:])
     return elem_sym(reduced, k)
-
-
-def elem_sym_omit2(values: Sequence[Fraction], k: int, omit_a: int, omit_b: int) -> Fraction:
-    """e_k with two distinct 1-based entries removed."""
-    if omit_a == omit_b:
-        raise InvalidInputError("omit indices must differ")
-    a, b = sorted((omit_a, omit_b))
-    reduced = tuple(values[:a - 1]) + tuple(values[a:b - 1]) + tuple(values[b:])
-    return elem_sym(reduced, k)
-
-
-def vandermonde_matrix(values: Sequence[Fraction]):
-    """V^j_k = phi_k^(n-j) as an Operator1."""
-    from .tensor import Operator1
-
-    n = len(values)
-    return Operator1([[values[k] ** (n - j - 1) for k in range(n)] for j in range(n)])
-
-
-def vandermonde_inverse(values: Sequence[Fraction]):
-    """Exact inverse of the Vandermonde matrix via the Lagrange formula.
-
-    (V^-1)^k_j = (-1)^(j-1) e_(j-1)^khat / prod_(l!=k) (phi_k - phi_l).
-    """
-    from .tensor import Operator1
-
-    values = ratvec(values)
-    require_distinct(values)
-    n = len(values)
-    rows = []
-    for k in range(1, n + 1):
-        denom = ONE
-        for l in range(1, n + 1):
-            if l != k:
-                denom *= values[k - 1] - values[l - 1]
-        rows.append([(-ONE) ** (j - 1) * elem_sym_omit(values, j - 1, k) / denom
-                     for j in range(1, n + 1)])
-    return Operator1(rows)
 
 
 # Distinct values RationalDraw.rational can return: p/q with |p| <= 12, 1 <= q <= 8.

@@ -183,17 +183,6 @@ def rime_fit(br: QuadraticBracket):
     return tuple(map(tuple, a)), tuple(map(tuple, nu))
 
 
-def rime_bracket(n: int, a, nu) -> QuadraticBracket:
-    """Assemble a bracket from rime data a_ij (zero diagonal) and antisymmetric nu_ij."""
-    br = QuadraticBracket(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            br.set_pair(i, j, {(i, i): rat(a[i - 1][j - 1]),
-                               (j, j): -rat(a[j - 1][i - 1]),
-                               (i, j): 2 * rat(nu[i - 1][j - 1])})
-    return br
-
-
 def lie_derivative(br: QuadraticBracket, a_mat: Operator1) -> QuadraticBracket:
     """delta f^{ij} = A^i_k {x^k,x^j} + A^j_k {x^i,x^k} - x^l A^k_l d_k {x^i,x^j}."""
     n = br.dim

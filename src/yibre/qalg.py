@@ -98,9 +98,6 @@ def normal_order(word, pres: OrderedPresentation) -> dict[tuple, Fraction]:
     return {w: c for w, c in done.items() if c}
 
 
-OVERLAP_NAMES = ("xllj", "xlkk", "xllk", "xlll", "xlkj")
-
-
 def ordered_form_left(pres, j, k, l) -> dict[str, Fraction]:
     """Coefficients of the ordered form of (x^j x^k) x^l."""
     f, g = pres.fc, pres.gc

@@ -417,23 +417,6 @@ def op1_on_leg2(a: Operator1, leg: int) -> Operator2:
     return kron11(a, ident) if leg == 1 else kron11(ident, a)
 
 
-def op1_on_leg3(a: Operator1, leg: int) -> Operator3:
-    """Lift a one-leg operator to V^3 on the named leg."""
-    n = a.dim
-    out = Operator3(n)
-    for i, row in a.data.items():
-        for j, v in row.items():
-            for s in range(n):
-                for t in range(n):
-                    if leg == 1:
-                        out._set((i * n + s) * n + t, (j * n + s) * n + t, v)
-                    elif leg == 2:
-                        out._set((s * n + i) * n + t, (s * n + j) * n + t, v)
-                    else:
-                        out._set((s * n + t) * n + i, (s * n + t) * n + j, v)
-    return out
-
-
 def permutation_P(n: int) -> Operator2:
     """P^{ij}_{kl} = delta^i_l delta^j_k; P^2 = identity."""
     out = Operator2(n)
@@ -554,12 +537,6 @@ def conjugate2(r: Operator2, t: Operator1) -> Operator2:
     tt = kron11(t, t)
     tinv = t.inverse()
     return tt @ r @ kron11(tinv, tinv)
-
-
-def commutes_with_pair(r: Operator2, y: Operator1) -> bool:
-    """Invariance-group test R Y1 Y2 = Y1 Y2 R."""
-    yy = kron11(y, y)
-    return (r @ yy - yy @ r).is_zero()
 
 
 def commutator_with_sum(r: Operator2, a: Operator1) -> Operator2:

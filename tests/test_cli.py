@@ -4,7 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from yibre.cli import main
-from yibre.suites import SUITE_BUILDERS, Check, run_all, run_suite
+from yibre import rime
+from yibre.suites import SUITE_BUILDERS, Block, Check, run_all, run_suite
 
 
 @pytest.fixture
@@ -151,7 +152,8 @@ def test_raising_check_is_recorded_and_the_run_continues(runner, monkeypatch, tm
     builder = SUITE_BUILDERS["bezout"]
 
     def with_raising_check(n, draw, draws):
-        return [Check("injected-raise", "-", lambda: 1 / 0)] + builder(n, draw, draws)
+        raising = Check("injected-raise", "-", residual=lambda params: 1 / 0)
+        return Block(draw).declare(raising) + builder(n, draw, draws)
 
     monkeypatch.setitem(SUITE_BUILDERS, "bezout", with_raising_check)
     path = tmp_path / "report.json"
@@ -167,6 +169,61 @@ def test_raising_check_is_recorded_and_the_run_continues(runner, monkeypatch, tm
         "name": "injected-raise", "anchor": "-", "status": "error",
         "residual_witness": {"index": "-", "value": "ZeroDivisionError"}}
     assert {key: c["status"] for key, c in got.items()} == clean
+
+
+# rime checks that read the strict data R(phi, beta) or build from strict_rime_data
+STRICT_DATA_CHECKS = {
+    "yb-strict", "hecke-strict", "eigen-multiplicities", "classify-strict",
+    "quantum-traces", "quantum-trace-eigenvectors", "invariance-Y",
+    "invariance-generators", "reversed-leg-conjugation", "appendix-system-strict",
+    "appendix-mutation-detected", "gamma-pairing", "quantum-spaces",
+}
+
+
+def test_failing_shared_build_errors_only_its_checks(runner, monkeypatch, tmp_path):
+    clean = {c.name: c.status for c in run_suite("rime", 3, 5, 2).checks}
+    calls = []
+
+    def broken(phi, beta):
+        calls.append(phi)
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(rime, "strict_rime_data", broken)
+    path = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--suite", "rime", "--n", "3", "--seed", "5",
+                               "--draws", "2", "--report", str(path)])
+    assert res.exit_code == 1
+    assert "Traceback (most recent call last)" in res.output
+    checks = json.loads(path.read_text())["reports"][0]["checks"]
+    expected_errors = {f"{name}[{d}]" for name in STRICT_DATA_CHECKS for d in (0, 1)}
+    # unitary-limit-first-order builds strict_rime_R(mu', beta'), which calls it too
+    expected_errors.add("unitary-limit-first-order")
+    assert {c["name"] for c in checks} == set(clean)
+    for c in checks:
+        if c["name"] in expected_errors:
+            assert c["status"] == "error", c
+            assert c["residual_witness"] == {"index": "-", "value": "ArithmeticError"}
+            assert f"ERROR rime:{c['name']} raised ArithmeticError" in res.output
+        else:
+            assert c["status"] == clean[c["name"]] == "pass", c
+    # the shared data is built once per draw block, and once per strict_rime_R call
+    # of reversed-leg-conjugation and unitary-limit-first-order; its error is kept
+    assert len(calls) == 2 + 2 + 1
+
+
+def test_shared_objects_are_built_once_per_block(monkeypatch):
+    calls = []
+    original = rime.strict_rime_data
+
+    def counted(phi, beta):
+        calls.append(phi)
+        return original(phi, beta)
+
+    monkeypatch.setattr(rime, "strict_rime_data", counted)
+    assert run_suite("rime", 3, 5, 2).all_pass
+    # once per draw block (every check reading data, r or q shares it), once in each
+    # block's reversed-leg-conjugation for R(1/phi, beta), twice in unitary-limit-first-order
+    assert len(calls) == 2 + 2 + 2
 
 
 def test_catalog_stable(runner):

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yibre.kernel import (DRAW_POOL, DRAW_POOL_NONZERO, WHOLE_VECTOR_DRAWS,
-                          DegenerateParametersError,
                           InvalidInputError, QuadExt, RationalDraw, elem_sym,
-                          elem_sym_omit, elem_sym_omit2, format_rat, rat,
-                          ratvec, theta, vandermonde_inverse, vandermonde_matrix)
+                          elem_sym_omit, format_rat, rat, ratvec, theta)
 from yibre.tensor import Operator1
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
@@ -47,35 +45,6 @@ def test_omit_recursion(values, r):
     v = ratvec(values)
     for i in range(1, len(v) + 1):
         assert elem_sym(v, r) == elem_sym_omit(v, r, i) + v[i - 1] * elem_sym_omit(v, r - 1, i)
-
-
-def test_double_omit():
-    v = ratvec([1, 2, 3, 4])
-    assert elem_sym_omit2(v, 1, 1, 3) == 6
-    with pytest.raises(Exception):
-        elem_sym_omit2(v, 1, 2, 2)
-
-
-def test_vandermonde_frozen():
-    vi = vandermonde_inverse(ratvec([1, 2]))
-    assert vi == Operator1([[-1, 2], [1, -1]])
-    assert vandermonde_inverse(ratvec([5])) == Operator1([[1]])
-
-
-@pytest.mark.parametrize("values", [[1, 2], [1, 2, 3], [0, 1, -1, F(1, 2)],
-                                    [F(2, 3), 5, -7, F(1, 4), 9]])
-def test_vandermonde_inverse_both_orders(values):
-    v = ratvec(values)
-    vm = vandermonde_matrix(v)
-    vi = vandermonde_inverse(v)
-    ident = Operator1.identity(len(v))
-    assert (vm @ vi) == ident
-    assert (vi @ vm) == ident
-
-
-def test_vandermonde_degenerate():
-    with pytest.raises(DegenerateParametersError):
-        vandermonde_inverse(ratvec([1, 1, 2]))
 
 
 def test_rational_serialization():

@@ -4,7 +4,7 @@ import pytest
 
 from yibre.kernel import QuadExt, RationalDraw, ratvec
 from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY, CompensationReport,
-                           PencilParams, bracket_from_quantum,
+                           PencilParams, QuadraticBracket, bracket_from_quantum,
                            compensation_check, delta1_variation,
                            discriminant_action, invariance_generator,
                            jacobi_residual, jsla_residuals, lagrange_basis_matrix,
@@ -12,7 +12,7 @@ from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY, CompensationReport,
                            linear_rime_suite, normal_form_classify,
                            pencil_bracket, pencil_bracket_uv_form,
                            projective_action_monomial, psi_variation,
-                           psi_variation_dual, rime_bracket, rime_fit,
+                           psi_variation_dual, rime_fit,
                            rime_preserving_matrix, sl2_generators, sl2_suite,
                            trid_residuals, varpi)
 from yibre.tensor import Operator1
@@ -50,15 +50,18 @@ def test_pencil_jacobi_and_forms(n):
 
 
 def test_jacobi_detects_violation():
-    bad = rime_bracket(3, [[0, 1, 2], [3, 0, 4], [5, 6, 0]],
-                       [[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
+    # {x^i, x^j} = a_ij x^i x^i - a_ji x^j x^j + 2 nu_ij x^i x^j
+    bad = QuadraticBracket(3)
+    bad.set_pair(1, 2, {(1, 1): F(1), (2, 2): F(-3), (1, 2): F(2)})
+    bad.set_pair(1, 3, {(1, 1): F(2), (3, 3): F(-5), (1, 3): F(-4)})
+    bad.set_pair(2, 3, {(2, 2): F(4), (3, 3): F(-6), (2, 3): F(6)})
     assert jacobi_residual(bad)
-    ok2 = rime_bracket(2, [[0, 5], [7, 0]], [[0, 2], [-2, 0]])
+    ok2 = QuadraticBracket(2)
+    ok2.set_pair(1, 2, {(1, 1): F(5), (2, 2): F(-7), (1, 2): F(4)})
     assert not jacobi_residual(ok2)   # vacuous at n = 2
 
 
 def test_rime_fit_rejects_foreign_monomials():
-    from yibre.poisson import QuadraticBracket
     br = QuadraticBracket(3)
     br.set_pair(1, 2, {(3, 3): F(1)})
     assert rime_fit(br) is None

@@ -1,0 +1,73 @@
+"""Golden report digests: refactors of the suites must leave every report byte-identical.
+
+The digests were recorded before the checks were declared as data (parameter
+spec, build, residual), from the closure-based suites, and cover every suite
+at n = 3, seeds 0 and 1, draws 2, with and without ``--mutate one-entry``.
+``wall_time_ms`` is the only field left out.  Re-record them only with a
+change that is meant to move the reports, and say so where it is recorded.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from yibre.kernel import RationalDraw
+from yibre.suites import SUITE_BUILDERS, run_suite
+
+DIGESTS = {
+    ("bezout", 0, None): "8da83cf361424e4f0e68040330f09367b09e7feff5d68e3a95dc51e2ba50cda0",
+    ("bezout", 0, 'one-entry'): "d8a87758d587cde2fdd19b85a6cdbe945263f5f08113896a1d83c05fb574e1dd",
+    ("bezout", 1, None): "f92efb445a7e3995a554bd92ee1cba16b1de0c7bbe8152b3dea062b15ea9a656",
+    ("bezout", 1, 'one-entry'): "c9698a14ed9669813922e3a57b07d51a44305ec8921e486d99d25ab30ce94b05",
+    ("blocks", 0, None): "43339b76c59e2cd840ea00f84c02c2134dd30043e61ff0e6ba9d3626e0d50519",
+    ("blocks", 0, 'one-entry'): "b30e267c6826e15ee74039144b466a24f12a497a044af2452f2105b730d21388",
+    ("blocks", 1, None): "d18cf117d304b09bb71aff9fbb2f7bba2eec189bdcabd5e8ef0f7b134f206ace",
+    ("blocks", 1, 'one-entry'): "9ebfa5097bbb4cbe536fc9c4a440f6872c1c5fef5a6dfe20e22a391452db791c",
+    ("cg", 0, None): "40e5f6e1172d32a520a3a5f113c26cefa36dc3d9df28133de8504e39df70eb96",
+    ("cg", 0, 'one-entry'): "a315ff7055b146a9959c70ab625f512700f71611a64ea703a597483d98e7591f",
+    ("cg", 1, None): "bac55208cb01e8c50e9b350a1f1c92704c3e2be7e98dc63d179f2090c57a238a",
+    ("cg", 1, 'one-entry'): "36f5e31752b1e495c9d089011dd5fa4e41f85bed652b9d4b05099c320e43ddf2",
+    ("classical", 0, None): "f32bb9aed5cd51610090522e849ef97f7521a8be9201248fbe2616976a233780",
+    ("classical", 0, 'one-entry'): "6d09b2a3ea4ad0c641edb3332cdc04dee926dd79be962ea64778b5123050b5b1",
+    ("classical", 1, None): "ad6fbcb17332a8787f7caddc4508e13b3cff7dfce146d2ab618c6f3f3787e7b3",
+    ("classical", 1, 'one-entry'): "bd125fc47646446214f1904f59bf451ef44ec9bc8622ec86c33f4225ada296cf",
+    ("poisson", 0, None): "9a92fede7deea66b8865ec06acd150cc202e8e8666a13c3e3571d89cba69dd91",
+    ("poisson", 0, 'one-entry'): "e626c38c68c176a41e3e31117f39a06d0a541c378d1f24c3e2bc6bd7de6dc5f3",
+    ("poisson", 1, None): "4e329a55209a1ad38041a1f48d93793ffd14a7b14e68f94a5bb90f49faa6be55",
+    ("poisson", 1, 'one-entry'): "90c9ea4adba0f1895396ec8124052340f3e4a19c23b74f0c97fe172fd07a1852",
+    ("qalg", 0, None): "eca4ab01d35fad593fa2012b5bc8955332eba271ffac2360b110f182764cc4be",
+    ("qalg", 0, 'one-entry'): "eca4ab01d35fad593fa2012b5bc8955332eba271ffac2360b110f182764cc4be",
+    ("qalg", 1, None): "edbbd6b8613bcfa1260738c7917b9f0b652982a7089486d2e2db953dbda3ca95",
+    ("qalg", 1, 'one-entry'): "edbbd6b8613bcfa1260738c7917b9f0b652982a7089486d2e2db953dbda3ca95",
+    ("rime", 0, None): "7bb3f5167ac617453c76ba1f1d1655385095b97aa0ae260efafee93a6b88ede5",
+    ("rime", 0, 'one-entry'): "22925bb91f73487af6cffaf85e7c4669bc85223b34722809967755d09df1b1f2",
+    ("rime", 1, None): "e11fe181e989fea72729c7ca33e7a0658e4190ab5ff3493e5980acd17798ddbf",
+    ("rime", 1, 'one-entry'): "9c531cac45e44e2802bbfe74a5bbfded1ed6a75d20a82827e7d83453cba888a0",
+    ("rota", 0, None): "ed4f954e6f738b5bca6c4ab2b4164498ec9d50223ad7280d268624f3c7054f40",
+    ("rota", 0, 'one-entry'): "27be6768ab8624d326dd24a8211a8a70e6b8c126ba59210263903e85792f9c8e",
+    ("rota", 1, None): "a4db545951037e52667bb3d34581fda256c4685350b6952a8dde76abc2362303",
+    ("rota", 1, 'one-entry'): "02ff8dfee339e2c4083286c3b284cc3e78afd9a21909ac7428c203a52877c62c",
+}
+
+
+def _digest(report) -> str:
+    d = report.to_dict()
+    d.pop("wall_time_ms")
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("suite,seed,mutate", sorted(DIGESTS, key=str))
+def test_report_digest(suite, seed, mutate):
+    assert _digest(run_suite(suite, 3, seed, 2, mutate)) == DIGESTS[suite, seed, mutate]
+
+
+def test_digests_cover_every_suite():
+    assert {s for s, _, _ in DIGESTS} == set(SUITE_BUILDERS)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_BUILDERS))
+def test_declared_names_are_unique_and_reported(suite):
+    declared = [c.name for c in SUITE_BUILDERS[suite](3, RationalDraw(0), 2)]
+    assert len(declared) == len(set(declared))
+    assert sorted(declared) == [c.name for c in run_suite(suite, 3, 0, 2).checks]

@@ -9,7 +9,7 @@ from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, Rat
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual,
                           first_nonzero_witness, hecke_residual, kron11, lift,
-                          op1_on_leg2, op1_on_leg3, partial_trace,
+                          op1_on_leg2, partial_trace,
                           permutation_P, rank_of_rows, reshuffled_matrix, rref_of_rows,
                           skew_inverse, wedge, yb_residual)
 
@@ -138,7 +138,9 @@ def test_op1_lifts_commute():
     a = Operator1([[1, 2], [3, 4]])
     b = Operator1([[0, 1], [1, 1]])
     assert (op1_on_leg2(a, 1) @ op1_on_leg2(b, 2)) == (op1_on_leg2(b, 2) @ op1_on_leg2(a, 1))
-    assert (op1_on_leg3(a, 1) @ op1_on_leg3(b, 3)) == (op1_on_leg3(b, 3) @ op1_on_leg3(a, 1))
+    ident = Operator1.identity(2)
+    a1, b3 = lift(kron11(a, ident), 12), lift(kron11(ident, b), 23)
+    assert (a1 @ b3) == (b3 @ a1)
     assert op1_on_leg2(a, 1) == kron11(a, Operator1.identity(2))
 
 
