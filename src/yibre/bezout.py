@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct, theta
+from .kernel import (ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct,
+                     sparse_minus, theta)
 from .tensor import (Operator1, Operator2, Operator3, cybe_residual, kron11,
                      lift, op1_on_leg2, permutation_P, rank_of_rows, wedge,
                      ybe_numbered_residual, yb_residual)
@@ -315,27 +316,30 @@ def _poly_mul_x(poly: dict, n: int, slot: int) -> dict:
     return out
 
 
-def m_recursion_check(n: int) -> dict[str, bool]:
-    """Verify M(xf) = f + yM(f), M(yf) = -f + xM(f) and the uniqueness rebuild."""
-    ok_x = True
-    ok_y = True
+def _recursion_image(f: tuple[int, int], mf: dict, n: int, var: str) -> dict:
+    """The recursion's value of M(x f) = f + y M(f) (var "x") or M(y f) = -f + x M(f) (var "y")."""
+    img = {f: ONE if var == "x" else -ONE}
+    for key, w in _poly_mul_x(mf, n, 1 if var == "x" else 0).items():
+        img[key] = img.get(key, ZERO) + w
+    return img
+
+
+def m_recursion_check(n: int) -> dict[str, dict]:
+    """M(xf) = f + yM(f), M(yf) = -f + xM(f) and the uniqueness rebuild, as residuals.
+
+    Each residual is keyed by the monomial x^a y^b as "a,b" and holds the
+    coefficient differences over the monomials (u, v).
+    """
+    x_rec, y_rec = {}, {}
     for a in range(n):
         for b in range(n):
             mf = b0_action(a, b)
             if a + 1 < n:
-                lhs = b0_action(a + 1, b)
-                rhs = {(a, b): ONE}
-                for (u, v), w in _poly_mul_x(mf, n, 1).items():
-                    rhs[(u, v)] = rhs.get((u, v), ZERO) + w
-                if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-                    ok_x = False
+                x_rec[f"{a},{b}"] = sparse_minus(b0_action(a + 1, b),
+                                                 _recursion_image((a, b), mf, n, "x"))
             if b + 1 < n:
-                lhs = b0_action(a, b + 1)
-                rhs = {(a, b): -ONE}
-                for (u, v), w in _poly_mul_x(mf, n, 0).items():
-                    rhs[(u, v)] = rhs.get((u, v), ZERO) + w
-                if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-                    ok_y = False
+                y_rec[f"{a},{b}"] = sparse_minus(b0_action(a, b + 1),
+                                                 _recursion_image((a, b), mf, n, "y"))
     # uniqueness: rebuild M from the recursion and the seed M(1) = 0
     rebuilt: dict[tuple[int, int], dict] = {(0, 0): {}}
     for deg in range(1, 2 * n - 1):
@@ -344,19 +348,12 @@ def m_recursion_check(n: int) -> dict[str, bool]:
             if not 0 <= b < n:
                 continue
             if a >= 1:
-                prev = rebuilt[(a - 1, b)]
-                img = {(a - 1, b): ONE}
-                for (u, v), w in _poly_mul_x(prev, n, 1).items():
-                    img[(u, v)] = img.get((u, v), ZERO) + w
+                rebuilt[(a, b)] = _recursion_image((a - 1, b), rebuilt[(a - 1, b)], n, "x")
             else:
-                prev = rebuilt[(a, b - 1)]
-                img = {(a, b - 1): -ONE}
-                for (u, v), w in _poly_mul_x(prev, n, 0).items():
-                    img[(u, v)] = img.get((u, v), ZERO) + w
-            rebuilt[(a, b)] = {k: v for k, v in img.items() if v}
-    rebuilt_ok = all(rebuilt[(a, b)] == {k: v for k, v in b0_action(a, b).items() if v}
-                     for a in range(n) for b in range(n))
-    return {"x-recursion": ok_x, "y-recursion": ok_y, "rebuild-matches": rebuilt_ok}
+                rebuilt[(a, b)] = _recursion_image((a, b - 1), rebuilt[(a, b - 1)], n, "y")
+    return {"x-recursion": x_rec, "y-recursion": y_rec,
+            "rebuild-matches": {f"{a},{b}": sparse_minus(rebuilt[(a, b)], b0_action(a, b))
+                                for a in range(n) for b in range(n)}}
 
 
 # --- coproducts ---------------------------------------------------------------
@@ -582,27 +579,23 @@ _GL3_SHAPE_B0 = ((1, 1, 1), (0, 0, 1), (0, 0, 0))
 _GL3_SHAPE_B = ((1, 1, 1), (0, 1, 0), (0, 0, 0))
 
 
-def _gl3(rows) -> Operator1:
-    return Operator1(rows)
-
-
 GL3_IMAGES_B0 = {
-    (1, 1): _gl3([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
-    (1, 2): _gl3([[-1, 0, 0], [0, 0, 0], [0, 0, 0]]),
-    (2, 1): _gl3([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
-    (2, 2): _gl3([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+    (1, 1): Operator1([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    (1, 2): Operator1([[-1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    (2, 1): Operator1([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+    (2, 2): Operator1([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
 }
 
 GL3_IMAGES_B = {
-    (1, 1): _gl3([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
-    (1, 2): _gl3([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
-    (2, 1): _gl3([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
-    (2, 2): _gl3([[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
+    (1, 1): Operator1([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+    (1, 2): Operator1([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+    (2, 1): Operator1([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    (2, 2): Operator1([[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
 }
 
 
-def gl2_isomorphism_check(kind: str) -> dict[str, bool]:
-    """The n=2 star algebras are 4-dim corners of 3x3 matrices; check the maps."""
+def gl2_isomorphism_check(kind: str) -> dict[str, object]:
+    """The n=2 star algebras are 4-dim corners of 3x3 matrices; the maps' residuals."""
     n = 2
     if kind == B0:
         images, alpha, shape = GL3_IMAGES_B0, ZERO, _GL3_SHAPE_B0
@@ -613,7 +606,7 @@ def gl2_isomorphism_check(kind: str) -> dict[str, bool]:
     rb = rota_baxter(bezout_operator(kind, n))
     units = {(i, j): Operator1.unit(n, i, j) for i in (1, 2) for j in (1, 2)}
 
-    hom = True
+    homomorphism = []
     for (iu, ju), u in units.items():
         for (iv, jv), v in units.items():
             star = star_product(u, v, rb, alpha)
@@ -624,10 +617,11 @@ def gl2_isomorphism_check(kind: str) -> dict[str, bool]:
                     c = star._get(b_ - 1, a - 1)
                     if c:
                         img = img + images[(a, b_)].scale(c)
-            if img != images[(iu, ju)] @ images[(iv, jv)]:
-                hom = False
-    shape_ok = all(images[k]._get(i, j) == 0
-                   for k in images for i in range(3) for j in range(3) if not shape[i][j])
+            homomorphism.append(img - images[(iu, ju)] @ images[(iv, jv)])
+    # each image restricted to the cells outside the corner shape must vanish
+    outside = {f"{a},{b}": Operator1([[ZERO if shape[i][j] else m._get(i, j) for j in range(3)]
+                                      for i in range(3)])
+               for (a, b), m in images.items()}
     vecs = [[images[k]._get(i, j) for i in range(3) for j in range(3)] for k in sorted(images)]
-    independent = rank_of_rows([list(v) for v in vecs]) == 4
-    return {"homomorphism": hom, "shape": shape_ok, "independent": independent}
+    return {"homomorphism": homomorphism, "shape": outside,
+            "independent": rank_of_rows(vecs) == 4}

@@ -1,9 +1,9 @@
 """Catalog of 4x4 solutions, their properties and the stated basis-change equivalences.
 
 Entries involving sqrt(-1) are handled exactly over the Gaussian rationals
-(``QuadExt`` with d = -1); a tau with irrational square is reported as
-"skipped-needs-extension" unless the caller picks a point where
-(q-1)/(q+1) is a perfect square.
+(``QuadExt`` with d = -1).  The equivalence through tau = sqrt((q-1)/(q+1))
+is left out of :func:`stated_equivalences` unless the caller picks a point
+where (q-1)/(q+1) is a perfect square.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import ONE, ZERO, InvalidInputError, QuadExt, rat
+from .kernel import ONE, ZERO, InvalidInputError, QuadExt, perfect_square_root, rat
 from .rime import classify, extract_rime_data
 from .tensor import (Operator1, Operator2, hecke_residual, kron11, reshuffled_matrix,
                      yb_residual)
@@ -185,68 +185,35 @@ def equivalence_residual(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operat
     return lhs @ tt - tt @ rhs
 
 
-def perfect_square_root(x: Fraction):
-    from math import isqrt
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
+def stated_equivalences(q, gamma) -> dict[str, Operator2]:
+    """The basis changes of the riming subsection at the given rational point, name -> residual.
 
-
-def stated_equivalences(q, gamma) -> list[dict]:
-    """The basis changes of the riming subsection, at the given rational point."""
+    The rbl4 (omega = 1) to eight-vertex change needs tau = sqrt((q-1)/(q+1)),
+    so it is present only where tau is rational.
+    """
     q, gamma = rat(q), rat(gamma)
-    out = []
-    out.append({
-        "name": "rbl1-to-rbl3",
-        "residual": equivalence_residual(
+    out = {
+        "rbl1-to-rbl3": equivalence_residual(
             block_matrix(RBL1, q, gamma), block_matrix(RBL3, q, gamma),
             Operator1([[q, -1 / gamma], [gamma, ZERO]])),
-        "status": "checked",
-    })
-    out.append({
-        "name": "rbl1-to-gl2std",
-        "residual": equivalence_residual(
+        "rbl1-to-gl2std": equivalence_residual(
             block_matrix(RBL1, q, gamma), block_matrix(GL2_STD, q, 1 / q),
             Operator1([[q - 1 / q, ZERO], [gamma, gamma]])),
-        "status": "checked",
-    })
-    out.append({
-        "name": "rbl2-to-rbl4",
-        "residual": equivalence_residual(
+        "rbl2-to-rbl4": equivalence_residual(
             block_matrix(RBL2, q, gamma), block_matrix(RBL4, -1 / q, q * q, 1),
             Operator1([[ONE, q], [ZERO, gamma * q]])),
-        "status": "checked",
-    })
+    }
     tau = perfect_square_root((q - 1) / (q + 1)) if q != -1 else None
     if tau is not None:
-        out.append({
-            "name": "rbl4-omega1-to-eight-vertex",
-            "residual": equivalence_residual(
-                block_matrix(RBL4, q, 1, gamma), block_matrix(EIGHT_VERTEX, q),
-                Operator1([[ONE, tau], [gamma, -gamma * tau]])),
-            "status": "checked",
-        })
-    else:
-        out.append({"name": "rbl4-omega1-to-eight-vertex", "residual": None,
-                    "status": "skipped-needs-extension"})
-    out.append({
-        "name": "rbl4-omega-qsq-to-rii",
-        "residual": equivalence_residual(
-            block_matrix(RBL4, q, q * q, gamma), block_matrix(R_II, q, 1),
-            Operator1([[ONE, ONE], [gamma / q, -gamma / q]])),
-        "status": "checked",
-    })
-    out.append({
-        "name": "rbl4-omega-qinvsq-to-rii21",
-        "residual": equivalence_residual(
-            block_matrix(RBL4, q, 1 / (q * q), gamma),
-            block_matrix(R_II, q, 1).reversed_legs(),
-            Operator1([[ONE, ONE], [gamma * q, -gamma * q]])),
-        "status": "checked",
-    })
+        out["rbl4-omega1-to-eight-vertex"] = equivalence_residual(
+            block_matrix(RBL4, q, 1, gamma), block_matrix(EIGHT_VERTEX, q),
+            Operator1([[ONE, tau], [gamma, -gamma * tau]]))
+    out["rbl4-omega-qsq-to-rii"] = equivalence_residual(
+        block_matrix(RBL4, q, q * q, gamma), block_matrix(R_II, q, 1),
+        Operator1([[ONE, ONE], [gamma / q, -gamma / q]]))
+    out["rbl4-omega-qinvsq-to-rii21"] = equivalence_residual(
+        block_matrix(RBL4, q, 1 / (q * q), gamma), block_matrix(R_II, q, 1).reversed_legs(),
+        Operator1([[ONE, ONE], [gamma * q, -gamma * q]]))
     return out
 
 
@@ -257,60 +224,56 @@ GAUSS_DIAG = Operator1.diag([1, SQRT_M1])
 GAUSS_FLIP = Operator1([[0, 1], [SQRT_M1, 0]])
 
 
-def symmetry_relations(kind: str, *params) -> dict[str, str]:
-    """Transpose / reversal / inverse relations of the Hecke members of the catalog."""
-    out: dict[str, str] = {}
+def symmetry_relations(kind: str, *params) -> dict[str, bool]:
+    """Transpose / reversal / inverse relations of the Hecke members of the catalog.
 
-    def verdict(res) -> str:
-        return "pass" if res else "fail"
-
+    Each relation is an equality of exact operators; some hold only over the
+    Gaussian rationals, whose entries have no rational witness, so the relations
+    are reported as booleans.
+    """
+    out: dict[str, bool] = {}
     if kind == GL2_STD:
         q, p = (rat(x) for x in params)
         r = block_matrix(GL2_STD, q, p)
-        out["transpose"] = verdict(r.transpose() == block_matrix(GL2_STD, q, 1 / p))
+        out["transpose"] = r.transpose() == block_matrix(GL2_STD, q, 1 / p)
         pi = Operator1([[ZERO, ONE], [ONE, ZERO]])
-        out["reversal"] = verdict(
-            r.reversed_legs() == kron11(pi, pi) @ r @ kron11(pi, pi))
-        out["inverse"] = verdict(
-            r.inverse() == block_matrix(GL2_STD, 1 / q, 1 / p).reversed_legs())
+        out["reversal"] = r.reversed_legs() == kron11(pi, pi) @ r @ kron11(pi, pi)
+        out["inverse"] = r.inverse() == block_matrix(GL2_STD, 1 / q, 1 / p).reversed_legs()
         return out
     if kind == GL11_STD:
         q, p = (rat(x) for x in params)
         r = block_matrix(GL11_STD, q, p)
-        out["transpose"] = verdict(r.transpose() == block_matrix(GL11_STD, q, 1 / p))
+        out["transpose"] = r.transpose() == block_matrix(GL11_STD, q, 1 / p)
         pi = Operator1([[ZERO, ONE], [ONE, ZERO]])
-        out["reversal"] = verdict(
-            r.reversed_legs() == kron11(pi, pi) @ block_matrix(GL11_STD, -1 / q, p)
-            @ kron11(pi, pi))
-        out["inverse"] = verdict(
-            r.inverse() == block_matrix(GL11_STD, 1 / q, 1 / p).reversed_legs())
+        out["reversal"] = (r.reversed_legs() == kron11(pi, pi)
+                           @ block_matrix(GL11_STD, -1 / q, p) @ kron11(pi, pi))
+        out["inverse"] = r.inverse() == block_matrix(GL11_STD, 1 / q, 1 / p).reversed_legs()
         return out
     if kind == EIGHT_VERTEX:
         q, = (rat(x) for x in params)
         r = block_matrix(EIGHT_VERTEX, q)
-        out["transpose"] = verdict(r.transpose() == r)
-        out["reversal"] = verdict(r.reversed_legs() == r)
+        out["transpose"] = r.transpose() == r
+        out["reversal"] = r.reversed_legs() == r
         dd = kron11(GAUSS_DIAG, GAUSS_DIAG)
-        out["inverse-via-gaussians"] = verdict(
+        out["inverse-via-gaussians"] = (
             r.inverse() == dd @ block_matrix(EIGHT_VERTEX, 1 / q) @ dd.inverse())
         return out
     if kind == R_II:
         q, eps = (rat(x) for x in params)
         r = block_matrix(R_II, q, eps)
-        out["inverse"] = verdict(
-            r.inverse() == block_matrix(R_II, 1 / q, eps).reversed_legs())
+        out["inverse"] = r.inverse() == block_matrix(R_II, 1 / q, eps).reversed_legs()
         ff = kron11(GAUSS_FLIP, GAUSS_FLIP)
-        out["transpose-via-gaussians"] = verdict(
+        out["transpose-via-gaussians"] = (
             r.transpose() == ff @ block_matrix(R_II, -1 / q, -eps).reversed_legs() @ ff.inverse())
         return out
     if kind == JORDANIAN:
         h1, h2 = (rat(x) for x in params)
         r = block_matrix(JORDANIAN, h1, h2)
         pi = Operator1([[ZERO, ONE], [ONE, ZERO]])
-        out["transpose"] = verdict(
+        out["transpose"] = (
             r.transpose() == kron11(pi, pi) @ block_matrix(JORDANIAN, h2, h1) @ kron11(pi, pi))
-        out["reversal"] = verdict(r.reversed_legs() == block_matrix(JORDANIAN, -h1, -h2))
-        out["self-inverse"] = verdict(r.inverse() == r)
+        out["reversal"] = r.reversed_legs() == block_matrix(JORDANIAN, -h1, -h2)
+        out["self-inverse"] = r.inverse() == r
         return out
     raise InvalidInputError(f"no symmetry relations recorded for {kind!r}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import (ONE, ZERO, InvalidInputError, elem_sym, elem_sym_omit,
+from .kernel import (ONE, ZERO, InvalidInputError, elem_sym, elem_sym_omit, elem_syms,
                      rat, ratvec, require_distinct, theta)
 from .rime import RimeClass, classify, strict_rime_R
 from .tensor import Operator1, Operator2, conjugate2, kron11, op1_on_leg2
@@ -78,8 +78,15 @@ def x_change_of_basis(phi) -> tuple[Operator1, Operator1]:
     phi = ratvec(phi)
     require_distinct(phi, "phi")
     n = len(phi)
-    x = Operator1([[elem_sym_omit(phi, j - 1, k) for j in range(1, n + 1)]
-                   for k in range(1, n + 1)])
+    # row k holds e_0..e_{n-1} of phi without phi_k, from e_j = e_j^khat + phi_k e_{j-1}^khat
+    e = elem_syms(phi)
+    rows = []
+    for v in phi:
+        row = [ONE]
+        for j in range(1, n):
+            row.append(e[j] - v * row[-1])
+        rows.append(row)
+    x = Operator1(rows)
     rows = []
     for j in range(1, n + 1):
         row = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -126,6 +127,21 @@ class QuadExt:
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
 
 
+def perfect_square_root(x: Fraction) -> Fraction | None:
+    """The rational square root of x, or None when x is not a rational square."""
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def sparse_minus(p: dict, q: dict) -> dict:
+    """Entrywise p - q of two sparse coefficient dicts (a missing key is zero)."""
+    return {k: p.get(k, ZERO) - q.get(k, ZERO) for k in p.keys() | q.keys()}
+
+
 def ratvec(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in values)
 
@@ -140,19 +156,18 @@ def theta(i: int, j: int) -> int:
     return 1 if i > j else 0
 
 
+def elem_syms(values: Sequence[Fraction]) -> list[Fraction]:
+    """All elementary symmetric polynomials [e_0, ..., e_n] of the values, in one pass."""
+    coeffs = [ONE] + [ZERO] * len(values)
+    for m, v in enumerate(values, 1):
+        for j in range(m, 0, -1):
+            coeffs[j] += v * coeffs[j - 1]
+    return coeffs
+
+
 def elem_sym(values: Sequence[Fraction], k: int) -> Fraction:
     """Elementary symmetric polynomial e_k of the given values (e_0 = 1)."""
-    if k < 0:
-        return ZERO
-    n = len(values)
-    if k > n:
-        return ZERO
-    # coeffs[j] = e_j of the prefix processed so far
-    coeffs = [ONE] + [ZERO] * k
-    for v in values:
-        for j in range(k, 0, -1):
-            coeffs[j] += v * coeffs[j - 1]
-    return coeffs[k]
+    return elem_syms(values)[k] if 0 <= k <= len(values) else ZERO
 
 
 def elem_sym_omit(values: Sequence[Fraction], k: int, omit: int) -> Fraction:

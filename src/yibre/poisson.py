@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import (ONE, ZERO, InvalidInputError, QuadExt, rat, ratvec,
-                     require_distinct)
+from .kernel import (ONE, ZERO, InvalidInputError, QuadExt, RationalDraw,
+                     perfect_square_root, rat, ratvec, require_distinct,
+                     sparse_minus)
 from .tensor import Operator1
 
 
@@ -84,6 +85,26 @@ class QuadraticBracket:
             return False
         keys = set(self.pairs) | set(other.pairs)
         return all(self.pair(*k) == other.pair(*k) for k in keys)
+
+    def __add__(self, other: "QuadraticBracket") -> "QuadraticBracket":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "QuadraticBracket") -> "QuadraticBracket":
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "QuadraticBracket":
+        return QuadraticBracket(self.dim) - self
+
+    def _plus(self, other: "QuadraticBracket", sign: int) -> "QuadraticBracket":
+        if self.dim != other.dim:
+            raise InvalidInputError("bracket dimension mismatch")
+        out = QuadraticBracket(self.dim)
+        for key in self.pairs.keys() | other.pairs.keys():
+            poly = dict(self.pairs.get(key, {}))
+            for m, v in other.pairs.get(key, {}).items():
+                poly[m] = poly.get(m, ZERO) + sign * v
+            out.set_pair(*key, poly)
+        return out
 
     def rescale(self, d) -> "QuadraticBracket":
         """Structure constants of the bracket in coordinates xtilde^i = d_i x^i."""
@@ -325,37 +346,16 @@ def psi_variation_dual(params: PencilParams, dpsi) -> QuadraticBracket:
     return br
 
 
-@dataclass
-class CompensationReport:
-    ris10_matches_dual: bool
-    lie_derivative_is_minus_delta1: bool
-    delta1_compensated_by_psi: bool
-
-    def all_ok(self) -> bool:
-        return (self.ris10_matches_dual and self.lie_derivative_is_minus_delta1
-                and self.delta1_compensated_by_psi)
-
-
-def compensation_check(params: PencilParams, nu) -> CompensationReport:
+def compensation_check(params: PencilParams, nu) -> dict[str, QuadraticBracket]:
     """The rime-preserving variation is a psi-reparameterization plus a rescaling."""
     br = pencil_bracket(params)
     dpsi = [params.rho(p) * rat(v) for p, v in zip(params.psi, ratvec(nu))]
     dvar_closed = psi_variation(params, dpsi)
-    dvar_dual = psi_variation_dual(params, dpsi)
     a_full = rime_preserving_matrix(params, nu, diag=compensating_diagonal(params, nu))
-    dx = lie_derivative(br, a_full)
     d1 = delta1_variation(params, nu)
-    minus_dx = QuadraticBracket(br.dim)
-    for (i, j), poly in dx.pairs.items():
-        minus_dx.set_pair(i, j, {m: -v for m, v in poly.items()})
-    comp = QuadraticBracket(br.dim)
-    for i in range(1, br.dim + 1):
-        for j in range(i + 1, br.dim + 1):
-            tot = dict(d1.pair(i, j))
-            for m, v in dvar_closed.pair(i, j).items():
-                tot[m] = tot.get(m, ZERO) + v
-            comp.set_pair(i, j, tot)
-    return CompensationReport(dvar_closed == dvar_dual, minus_dx == d1, comp.is_zero())
+    return {"ris10-closed-vs-dual": dvar_closed - psi_variation_dual(params, dpsi),
+            "lie-derivative-is-minus-delta1": -lie_derivative(br, a_full) - d1,
+            "delta1-compensated-by-psi": d1 + dvar_closed}
 
 
 # --- sl(2) structure ----------------------------------------------------------
@@ -432,46 +432,34 @@ def projective_action_monomial(n: int, a, b, c) -> Operator1:
     return m
 
 
-def sl2_suite(psi, seed_mats=None) -> dict[str, bool]:
-    """Commutators, the Lagrange-basis projective action and the varpi identities."""
+def sl2_suite(psi) -> dict[str, object]:
+    """Commutators, the Lagrange-basis projective action and the varpi identities, as residuals."""
     psi = ratvec(psi)
     n = len(psi)
     bm, b0, bp = sl2_generators(psi)
     comm = lambda x, y: x @ y - y @ x
-    out = {
-        "b0-bminus": comm(b0, bm) == -bm,
-        "b0-bplus": comm(b0, bp) == bp,
-        "bplus-bminus": comm(bp, bm) == b0.scale(-2),
-    }
     lag = lagrange_basis_matrix(psi)
     laginv = lag.inverse()
-    ok = True
-    for (a, b, c) in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, Fraction(1, 5))):
-        mono = projective_action_monomial(n, a, b, c)
-        in_lagrange = laginv @ mono @ lag
-        combo = bp.scale(a) + b0.scale(b) + bm.scale(c)
-        if in_lagrange != combo:
-            ok = False
-    out["lagrange-basis-match"] = ok
-    if seed_mats is None:
-        seed_mats = [(Operator1([[Fraction((i * 7 + j * 3 + s) % 5 - 2, 1 + (i + j + s) % 3)
-                                  for j in range(n)] for i in range(n)]),
-                      Operator1([[Fraction((i * 5 + j * 11 + s) % 7 - 3, 1 + (i * j + s) % 4)
-                                  for j in range(n)] for i in range(n)])) for s in range(3)]
-    trid_ok = True
-    for y1, y2 in seed_mats:
-        for r in trid_residuals(y1, y2):
-            if not r.is_zero():
-                trid_ok = False
-    out["varpi-identities"] = trid_ok
-    out["varpi-involution"] = all(varpi(varpi(m)) == m for m, _ in seed_mats)
-    out["generator-is-varpi-of-projective"] = True
-    for (a, b, c) in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)):
-        params = PencilParams(psi, a, b, c)
-        combo = bp.scale(a) + b0.scale(b) + bm.scale(c)
-        if invariance_generator(params) != varpi(combo):
-            out["generator-is-varpi-of-projective"] = False
-    return out
+    # three fixed pairs of dense test matrices for the varpi identities
+    samples = [(Operator1([[Fraction((i * 7 + j * 3 + s) % 5 - 2, 1 + (i + j + s) % 3)
+                            for j in range(n)] for i in range(n)]),
+                Operator1([[Fraction((i * 5 + j * 11 + s) % 7 - 3, 1 + (i * j + s) % 4)
+                            for j in range(n)] for i in range(n)])) for s in range(3)]
+    return {
+        "b0-bminus": comm(b0, bm) + bm,
+        "b0-bplus": comm(b0, bp) - bp,
+        "bplus-bminus": comm(bp, bm) + b0.scale(2),
+        "lagrange-basis-match": [
+            laginv @ projective_action_monomial(n, a, b, c) @ lag
+            - (bp.scale(a) + b0.scale(b) + bm.scale(c))
+            for (a, b, c) in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, Fraction(1, 5)))],
+        "varpi-identities": [r for y1, y2 in samples for r in trid_residuals(y1, y2)],
+        "varpi-involution": [varpi(varpi(m)) - m for m, _ in samples],
+        "generator-is-varpi-of-projective": [
+            invariance_generator(PencilParams(psi, a, b, c))
+            - varpi(bp.scale(a) + b0.scale(b) + bm.scale(c))
+            for (a, b, c) in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3))],
+    }
 
 
 # --- discriminant moves and normal form ----------------------------------------
@@ -529,16 +517,6 @@ def _apply_moves(params: PencilParams, moves) -> tuple[tuple, tuple, tuple]:
     return tuple(psi), rho, tuple(scale)
 
 
-def _is_rational_square(x: Fraction):
-    if x < 0:
-        return None
-    from math import isqrt
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def normal_form_classify(params: PencilParams) -> NormalFormResult:
     """Branch on D(rho); produce a rational move witness to bt or c when one exists."""
     a, b, c = params.a, params.b, params.c
@@ -555,7 +533,7 @@ def normal_form_classify(params: PencilParams) -> NormalFormResult:
             # rho = bt + c with b != 0: one shift reaches bt
             moves = [("shift", -c / b)]
         else:
-            d = _is_rational_square(disc)
+            d = perfect_square_root(disc)
             if d is None:
                 needs_ext = True
             else:
@@ -622,31 +600,30 @@ def bracket_from_quantum(params, beta=None) -> QuadraticBracket:
 
 # --- linear rime brackets -------------------------------------------------------
 
+def linear_bracket(a, f: dict, g: dict) -> dict[int, Fraction]:
+    """{f, g} of two linear forms ({var: coeff}, 0-based) under {x^i,x^j} = a_ij x^i - a_ji x^j."""
+    out: dict[int, Fraction] = {}
+    for i, v in f.items():
+        for j, w in g.items():
+            if i == j:
+                continue
+            out[i] = out.get(i, ZERO) + v * w * a[i][j]
+            out[j] = out.get(j, ZERO) - v * w * a[j][i]
+    return {k: x for k, x in out.items() if x}
+
+
 def linear_jacobi_residual(a) -> dict[tuple[int, int, int], dict[int, Fraction]]:
     """Cyclic Jacobi sums of {x^i,x^j} = a_ij x^i - a_ji x^j, per triple."""
     n = len(a)
     a = [[rat(x) for x in row] for row in a]
-
-    def br(i, j):
-        # linear form of {x^i, x^j} as {var: coeff}, 0-based vars
-        if i == j:
-            return {}
-        return {i: a[i][j], j: -a[j][i]}
-
-    def br_form(i, form):
-        out: dict[int, Fraction] = {}
-        for k, v in form.items():
-            for var, w in br(i, k).items():
-                out[var] = out.get(var, ZERO) + v * w
-        return {k: v for k, v in out.items() if v}
-
     res = {}
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 tot: dict[int, Fraction] = {}
                 for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for var, v in br_form(x, br(y, z)).items():
+                    inner = linear_bracket(a, {y: ONE}, {z: ONE})
+                    for var, v in linear_bracket(a, {x: ONE}, inner).items():
                         tot[var] = tot.get(var, ZERO) + v
                 tot = {m: v for m, v in tot.items() if v}
                 if tot:
@@ -669,77 +646,40 @@ def jsla_residuals(a) -> dict[tuple[int, int, int], Fraction]:
     return out
 
 
-def linear_rime_suite(n: int, draw=None) -> dict[str, bool]:
-    """Jacobi <-> jsla on samples, the n >= 4 algebra, and the n = 3 sl(2) case."""
+def linear_rime_suite(n: int, draw: RationalDraw) -> dict[str, object]:
+    """Jacobi <-> jsla on samples, the n >= 4 algebra and the n = 3 sl(2) case, as residuals."""
     out = {}
     # rescalings of the constant solution have a_ij = c_j; they satisfy jsla and Jacobi
-    from .kernel import RationalDraw
-    rd = draw or RationalDraw(123)
-    ok = True
+    family = []
     for _ in range(5):
-        u = rd.vector(n, distinct=False, nonzero=True)
+        u = draw.vector(n, distinct=False, nonzero=True)
         a = [[u[j] if i != j else ZERO for j in range(n)] for i in range(n)]
-        if jsla_residuals(a) or linear_jacobi_residual(a):
-            ok = False
-    out["jsla-family-jacobi"] = ok
+        family.append({"jsla": jsla_residuals(a), "jacobi": linear_jacobi_residual(a)})
+    out["jsla-family-jacobi"] = family
     if n >= 3:
+        # negative control: a broken a_12 shows up in both residual families
         bad = [[ZERO if i == j else ONE for j in range(n)] for i in range(n)]
         bad[0][1] = Fraction(5)
         out["violation-detected"] = bool(jsla_residuals(bad)) and bool(linear_jacobi_residual(bad))
     # the unique strict algebra {x^i,x^j} = x^i - x^j
     ones = [[ZERO if i == j else ONE for j in range(n)] for i in range(n)]
-    out["unique-algebra-jacobi"] = not linear_jacobi_residual(ones)
-
-    def br_ones(form1, form2):
-        # bracket of two linear forms under {x^i,x^j} = x^i - x^j
-        res: dict[int, Fraction] = {}
-        for i, v in form1.items():
-            for j, w in form2.items():
-                if i == j:
-                    continue
-                res[i] = res.get(i, ZERO) + v * w
-                res[j] = res.get(j, ZERO) - v * w
-        return {k: v for k, v in res.items() if v}
-
-    almost = True
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                if k == l:
-                    continue
-                got = br_ones({i: ONE}, {k: ONE, l: -ONE})
-                want = {k: -ONE, l: ONE}
-                if got != {m: v for m, v in want.items() if v}:
-                    almost = False
-    out["almost-trivial"] = almost
-    differences_central = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if i == j or k == l:
-                        continue
-                    if br_ones({i: ONE, j: -ONE}, {k: ONE, l: -ONE}):
-                        differences_central = False
-    out["differences-commute"] = differences_central
+    out["unique-algebra-jacobi"] = linear_jacobi_residual(ones)
+    out["almost-trivial"] = [
+        sparse_minus(linear_bracket(ones, {i: ONE}, {k: ONE, l: -ONE}), {k: -ONE, l: ONE})
+        for i in range(n) for k in range(n) for l in range(n) if k != l]
+    out["differences-commute"] = [
+        linear_bracket(ones, {i: ONE, j: -ONE}, {k: ONE, l: -ONE})
+        for i in range(n) for j in range(n) if i != j
+        for k in range(n) for l in range(n) if k != l]
     if n == 3:
         a3 = [[ZERO, ONE, ONE], [ONE, ZERO, -ONE], [-ONE, -ONE, ZERO]]
-        out["n3-jacobi"] = not linear_jacobi_residual(a3)
-
-        def br3(f1, f2):
-            res: dict[int, Fraction] = {}
-            for i, v in f1.items():
-                for j, w in f2.items():
-                    if i == j:
-                        continue
-                    res[i] = res.get(i, ZERO) + v * w * a3[i][j]
-                    res[j] = res.get(j, ZERO) - v * w * a3[j][i]
-            return {k: x for k, x in res.items() if x}
-
+        out["n3-jacobi"] = linear_jacobi_residual(a3)
         h = {0: ONE, 2: -ONE}
         e = {0: ONE, 2: ONE}
         f = {1: ONE, 0: Fraction(-1, 4), 2: Fraction(-1, 4)}
-        scale2 = lambda form, s: {k: s * v for k, v in form.items()}
-        out["n3-sl2"] = (br3(h, e) == scale2(e, 2) and br3(h, f) == scale2(f, -2)
-                         and br3(e, f) == h)
+        out["n3-sl2"] = {
+            "h-e": sparse_minus(linear_bracket(a3, h, e), {k: 2 * v for k, v in e.items()}),
+            "h-f": sparse_minus(linear_bracket(a3, h, f), {k: -2 * v for k, v in f.items()}),
+            "e-f": sparse_minus(linear_bracket(a3, e, f), h),
+        }
     return out

@@ -19,6 +19,7 @@ from math import comb
 
 from .kernel import (ONE, ZERO, InvalidInputError, elem_sym_omit, rat, ratvec,
                      require_distinct)
+from .qalg import commutative_relation_rows
 from .tensor import (Operator1, Operator2, hecke_residual, partial_trace,
                      rref_of_rows, skew_inverse)
 
@@ -512,14 +513,7 @@ def rime_plane_relations(data: RimeData) -> RelationBasis:
 
 
 def classical_commutator_relations(n: int) -> RelationBasis:
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [ZERO] * (n * n)
-            row[i * n + j] = ONE
-            row[j * n + i] = -ONE
-            rows.append(row)
-    return relation_basis_from_rows(n, rows)
+    return relation_basis_from_rows(n, commutative_relation_rows(n))
 
 
 def odd_classical_relations(n: int) -> RelationBasis:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from yibre import bezout
 from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
                           basis_flip, bez9_residual, bez23_residual,
                           bezout_identity_suite, bezout_operator,
@@ -15,6 +16,7 @@ from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
                           star_product, star_tilde_product)
 from yibre.classical import b_skew_r, rcg_r, rime_nonskew_r
 from yibre.kernel import RationalDraw
+from yibre.suites import _is_zero
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift,
                           nhacybe_residual, op1_on_leg2, partial_trace, permutation_P)
 
@@ -141,7 +143,24 @@ def test_shifted_solutions():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_m_recursion(n):
     rep = m_recursion_check(n)
-    assert all(rep.values())
+    assert set(rep) == {"x-recursion", "y-recursion", "rebuild-matches"}
+    assert len(rep["rebuild-matches"]) == n * n
+    assert _is_zero(rep) == (True, None)
+
+
+def test_m_recursion_fault_names_its_identity(monkeypatch):
+    # a wrong M(xy) breaks the rebuild from M(1) = 0, at the monomial xy
+    action = bezout.b0_action
+
+    def broken(k, l):
+        out = dict(action(k, l))
+        if (k, l) == (1, 1):
+            out[(0, 0)] = out.get((0, 0), 0) + 1
+        return out
+
+    monkeypatch.setattr(bezout, "b0_action", broken)
+    ok, witness = _is_zero(m_recursion_check(3))
+    assert not ok and witness["index"].startswith("rebuild-matches:1,1:")
 
 
 def test_coproducts_and_coassociativity():
@@ -317,4 +336,17 @@ def test_star_associativity_exhaustive():
 @pytest.mark.parametrize("kind", [B0, B])
 def test_gl3_isomorphisms(kind):
     rep = gl2_isomorphism_check(kind)
-    assert rep == {"homomorphism": True, "shape": True, "independent": True}
+    assert set(rep) == {"homomorphism", "shape", "independent"}
+    assert len(rep["homomorphism"]) == 16 and rep["independent"] is True
+    assert _is_zero(rep) == (True, None)
+
+
+def test_gl3_isomorphism_fault_names_its_identity(monkeypatch):
+    # an image of e^2_2 that leaves the corner breaks the homomorphism and the shape
+    images = dict(bezout.GL3_IMAGES_B0)
+    images[(2, 2)] = Operator1([[0, 0, 0], [0, 0, 1], [0, 0, 1]])
+    monkeypatch.setattr(bezout, "GL3_IMAGES_B0", images)
+    rep = gl2_isomorphism_check(B0)
+    ok, witness = _is_zero(rep)
+    assert not ok and witness["index"].startswith("homomorphism:")
+    assert _is_zero(rep["shape"]) == (False, {"index": "2,2:3|3", "value": "1"})

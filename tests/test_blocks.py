@@ -7,12 +7,13 @@ from yibre.blocks import (BLOCK_KINDS, EIGHT_VERTEX, GL2_STD, GL11_STD,
                           R_TRIPLE_PRIME, RBL1, RBL2, RBL3, RBL4, block_matrix,
                           block_properties, catalog_listing,
                           equivalence_residual, is_skew_invertible,
-                          nonrime_entries, perfect_square_root,
+                          nonrime_entries,
                           reshuffled_matrix, skinv_implications,
                           stated_equivalences, symmetry_relations)
 from yibre import blocks
-from yibre.kernel import InvalidInputError, RationalDraw
+from yibre.kernel import InvalidInputError, RationalDraw, perfect_square_root
 from yibre.rime import RimeClass, classify
+from yibre.suites import _is_zero
 from yibre.tensor import Operator1, Operator2, yb_residual
 
 MEMBERS = [
@@ -96,17 +97,26 @@ def test_skew_invertibility():
 def test_equivalences_at_tau_rational_point():
     q = F(5, 3)
     assert perfect_square_root((q - 1) / (q + 1)) == F(1, 2)
-    for e in stated_equivalences(q, F(2, 7)):
-        assert e["status"] == "checked"
-        assert e["residual"].is_zero(), e["name"]
+    eqs = stated_equivalences(q, F(2, 7))
+    assert len(eqs) == 6 and "rbl4-omega1-to-eight-vertex" in eqs
+    assert _is_zero(eqs) == (True, None)
 
 
 def test_equivalences_generic_q_skips_tau():
-    entries = {e["name"]: e for e in stated_equivalences(2, 1)}
-    assert entries["rbl4-omega1-to-eight-vertex"]["status"] == "skipped-needs-extension"
-    for name, e in entries.items():
-        if e["status"] == "checked":
-            assert e["residual"].is_zero(), name
+    eqs = stated_equivalences(2, 1)
+    assert len(eqs) == 5 and "rbl4-omega1-to-eight-vertex" not in eqs
+    assert _is_zero(eqs) == (True, None)
+
+
+def test_equivalence_fault_names_its_basis_change(monkeypatch):
+    # a GL2_STD target scaled by 2 breaks exactly the change that lands on it
+    build = blocks.block_matrix
+    monkeypatch.setattr(blocks, "block_matrix", lambda kind, *ps: build(kind, *ps).scale(2)
+                        if kind == GL2_STD else build(kind, *ps))
+    eqs = stated_equivalences(F(5, 3), F(2, 7))
+    ok, witness = _is_zero(eqs)
+    assert not ok and witness["index"].startswith("rbl1-to-gl2std:")
+    assert [name for name, res in eqs.items() if not _is_zero(res)[0]] == ["rbl1-to-gl2std"]
 
 
 def test_equivalence_residual_guards_singular_t():
@@ -121,7 +131,7 @@ def test_equivalence_residual_guards_singular_t():
 ])
 def test_symmetry_relations(kind, params):
     rep = symmetry_relations(kind, *params)
-    assert rep and all(v == "pass" for v in rep.values())
+    assert rep and _is_zero(rep) == (True, None)
 
 
 @pytest.mark.parametrize("name,kind,params,real_stand_in", [
@@ -134,7 +144,9 @@ def test_gaussian_symmetry_checks_fail_without_sqrt_minus_one(monkeypatch, name,
     # one, the Gaussian relation must not hold
     monkeypatch.setattr(blocks, name, real_stand_in)
     rep = symmetry_relations(kind, *params)
-    assert [v for k, v in rep.items() if k.endswith("via-gaussians")] == ["fail"]
+    gauss = next(k for k in rep if k.endswith("via-gaussians"))
+    assert _is_zero(rep) == (False, {"index": f"{gauss}:-", "value": "false"})
+    assert [k for k, v in rep.items() if not _is_zero(v)[0]] == [gauss]
 
 
 def test_nonrime_entries():

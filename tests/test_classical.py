@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from yibre import classical
 from yibre.classical import (B_CG, B_SKEW, R_CG, R_CG_PRIME, bd_fork_R,
                              bd_symmetry_check, b_cg_r, b_skew_r,
                              build_classical, carrier_algebra_check, carrier_Z,
@@ -13,6 +14,7 @@ from yibre.classical import (B_CG, B_SKEW, R_CG, R_CG_PRIME, bd_fork_R,
                              tilde_difference_residual)
 from yibre.cg import CGParams, cg_matrix
 from yibre.kernel import InvalidInputError, RationalDraw
+from yibre.suites import _is_zero
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
                           cybe_residual, hecke_residual, permutation_P, wedge,
                           yb_residual)
@@ -82,17 +84,43 @@ def test_p_symmetries():
 def test_carrier_algebra():
     rd = RationalDraw(37)
     for n in (2, 3, 4):
-        rep = carrier_algebra_check(rd.vector(n, distinct=True))
-        assert rep.all_ok()
+        assert _is_zero(carrier_algebra_check(rd.vector(n, distinct=True))) == (True, None)
     # frozen bracket value: [Z^1_2, Z^2_1] = Z^2_1 - Z^1_2 as 2x2 matrices
     z12, z21 = carrier_Z(2, 1, 2), carrier_Z(2, 2, 1)
     assert (z12 @ z21 - z21 @ z12) == (z21 - z12)
 
 
+def test_carrier_algebra_faults_name_their_identity(monkeypatch):
+    # lambda_n off by one: only the coboundary identity breaks, at its first pair of pairs
+    lam = classical._lambda_on_carrier
+    monkeypatch.setattr(classical, "_lambda_on_carrier", lambda m, mu: lam(m, mu) + 1)
+    assert _is_zero(carrier_algebra_check([0, 1, 3])) == (
+        False, {"index": "omega-is-coboundary:0:-", "value": "1"})
+    monkeypatch.undo()
+    # Z^i_j = e^i_j + e^j_j breaks the bracket families, the product rule and Ztilde
+    monkeypatch.setattr(classical, "carrier_Z", lambda n, i, j: Operator1.zero(n) if i == j
+                        else Operator1.unit(n, i, j) + Operator1.unit(n, j, j))
+    rep = carrier_algebra_check([0, 1, 3])
+    assert _is_zero(rep) == (False, {"index": "brackets:0:1|1", "value": "-2"})
+    assert not _is_zero(rep["product-rule"])[0]
+    assert _is_zero(rep["omega-is-inverse"]) == (True, None)
+
+
+def test_bd_symmetry_fault_names_its_identity(monkeypatch):
+    def bumped(n):
+        r = rcg_r(n)
+        r.add_to(1, 2, 1, 2, 1)
+        return r
+
+    monkeypatch.setattr(classical, "rcg_r", bumped)
+    ok, witness = _is_zero(bd_symmetry_check(R_CG, 3))
+    assert not ok and witness == {"index": "cartan:1|2", "value": "1"}
+
+
 def test_bd_symmetries():
     for n in (2, 3, 4):
-        assert all(bd_symmetry_check(R_CG, n).values())
-        assert all(bd_symmetry_check(R_CG_PRIME, n).values())
+        assert _is_zero(bd_symmetry_check(R_CG, n)) == (True, None)
+        assert _is_zero(bd_symmetry_check(R_CG_PRIME, n)) == (True, None)
     # sum rule spelled out for n = 2
     r = rcg_r(2)
     assert (r + r.reversed_legs()) == (permutation_P(2) - Operator2.identity(2))

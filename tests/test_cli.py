@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import yibre
 from yibre.cli import main
 from yibre import rime
-from yibre.suites import SUITE_BUILDERS, Block, Check, run_all, run_suite
+from yibre.kernel import DRAW_POOL_NONZERO
+from yibre.suites import SUITE_BUILDERS, SUITE_NAMES, Block, Check, run_all, run_suite
 
 
 @pytest.fixture
@@ -232,3 +240,18 @@ def test_catalog_stable(runner):
     assert out1 == out2
     assert "rbl4" in out1 and "b-cg" in out1 and "btilde" in out1
     assert "omega in {q^2, 1, q^-2}" in out1
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(suite=st.sampled_from(SUITE_NAMES), n=st.sampled_from([-1, 1, 2, 3, 4, 5, 127]),
+       draws=st.sampled_from([-1, 0, 1, 2]))
+def test_verify_exit_codes_over_the_input_domain(suite, n, draws):
+    # the console entry point in a fresh process: exit 0 in range, 2 outside, never a traceback
+    src = str(Path(yibre.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-m", "yibre.cli", "verify", "--suite", suite,
+                          "--n", str(n), "--draws", str(draws)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    in_range = 2 <= n <= DRAW_POOL_NONZERO and draws >= 1
+    assert res.returncode == (0 if in_range else 2), res.stdout + res.stderr
+    assert "Traceback" not in res.stderr

@@ -2,19 +2,21 @@ from fractions import Fraction as F
 
 import pytest
 
+from yibre import poisson
 from yibre.kernel import QuadExt, RationalDraw, ratvec
-from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY, CompensationReport,
+from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
                            PencilParams, QuadraticBracket, bracket_from_quantum,
                            compensation_check, delta1_variation,
                            discriminant_action, invariance_generator,
                            jacobi_residual, jsla_residuals, lagrange_basis_matrix,
-                           lie_derivative, linear_jacobi_residual,
+                           lie_derivative, linear_bracket, linear_jacobi_residual,
                            linear_rime_suite, normal_form_classify,
                            pencil_bracket, pencil_bracket_uv_form,
                            projective_action_monomial, psi_variation,
                            psi_variation_dual, rime_fit,
                            rime_preserving_matrix, sl2_generators, sl2_suite,
                            trid_residuals, varpi)
+from yibre.suites import _is_zero
 from yibre.tensor import Operator1
 
 
@@ -99,11 +101,36 @@ def test_compensation():
         params = PencilParams(rd.vector(3, distinct=True), rd.rational(),
                               rd.rational(), rd.rational())
         rep = compensation_check(params, rd.vector(3, distinct=False))
-        assert isinstance(rep, CompensationReport)
-        assert rep.all_ok()
+        assert set(rep) == {"ris10-closed-vs-dual", "lie-derivative-is-minus-delta1",
+                            "delta1-compensated-by-psi"}
+        assert all(isinstance(v, QuadraticBracket) for v in rep.values())
+        assert _is_zero(rep) == (True, None)
     # a = 0 member: the a-terms drop symmetrically
-    assert compensation_check(PencilParams((0, 1, 4), 0, 2, 5), (1, 2, 3)).all_ok()
-    assert compensation_check(PencilParams((0, 1, 4), 2, 2, 5), (0, 0, 0)).all_ok()
+    assert _is_zero(compensation_check(PencilParams((0, 1, 4), 0, 2, 5), (1, 2, 3)))[0]
+    assert _is_zero(compensation_check(PencilParams((0, 1, 4), 2, 2, 5), (0, 0, 0)))[0]
+
+
+def test_compensation_fault_names_its_identity(monkeypatch):
+    # without the compensating diagonal the Lie derivative is not -delta1
+    monkeypatch.setattr(poisson, "compensating_diagonal", lambda params, nu: [0] * 3)
+    ok, witness = _is_zero(compensation_check(PencilParams((0, 1, 4), 2, 2, 5), (1, 2, 3)))
+    assert not ok and witness["index"].startswith("lie-derivative-is-minus-delta1:")
+
+
+def test_bracket_arithmetic():
+    b1 = pencil_bracket(PencilParams((0, 1, 3), 1, 2, 3))
+    b2 = bracket_from_quantum((0, 1, 3), F(1, 2))
+    diff = b1 - b2
+    for i, j in ((1, 2), (1, 3), (2, 3), (2, 1)):
+        want = {m: b1.pair(i, j).get(m, 0) - b2.pair(i, j).get(m, 0)
+                for m in b1.pair(i, j).keys() | b2.pair(i, j).keys()}
+        assert diff.pair(i, j) == {m: v for m, v in want.items() if v}
+    assert diff + b2 == b1
+    assert _is_zero(-b1 + b1) == (True, None)
+    assert _is_zero(b1 - b1) == (True, None)
+    assert -(-b1) == b1
+    with pytest.raises(ValueError):
+        b1 - QuadraticBracket(2)
 
 
 def test_psi_variation_closed_form_vs_dual():
@@ -128,7 +155,15 @@ def test_sl2_generators_frozen():
 
 @pytest.mark.parametrize("psi", [[0, 1, 3], [1, 2, 4, 7]])
 def test_sl2_suite(psi):
-    assert all(sl2_suite(psi).values())
+    assert _is_zero(sl2_suite(psi)) == (True, None)
+
+
+def test_sl2_fault_names_its_identity(monkeypatch):
+    gens = poisson.sl2_generators
+    monkeypatch.setattr(poisson, "sl2_generators",
+                        lambda psi: (lambda g: (g[0], g[1].scale(2), g[2]))(gens(psi)))
+    ok, witness = _is_zero(sl2_suite([0, 1, 3]))
+    assert not ok and witness["index"].startswith("b0-bminus:")
 
 
 def test_projective_action_in_lagrange_basis():
@@ -199,10 +234,28 @@ def test_bracket_from_quantum():
 
 def test_linear_rime():
     for n in (3, 4, 5):
-        rep = linear_rime_suite(n)
-        assert all(rep.values()), (n, rep)
+        rep = linear_rime_suite(n, RationalDraw(123))
+        assert _is_zero(rep) == (True, None), (n, rep)
+    # the one bracket: {x^1, x^2 + x^3} = (a_12 + a_13) x^1 - a_21 x^2 - a_31 x^3
+    a = [[0, 2, 3], [5, 0, 7], [11, 13, 0]]
+    assert linear_bracket(a, {0: 1}, {1: 1, 2: 1}) == {0: 5, 1: -5, 2: -11}
     # jsla characterization: a violation shows up in both residual families
     bad = [[0, 1, 1], [1, 0, 1], [1, 5, 0]]
     assert jsla_residuals(bad) and linear_jacobi_residual(bad)
     good = [[0, 2, 3], [1, 0, 3], [1, 2, 0]]   # a_ij = c_j
     assert not jsla_residuals(good) and not linear_jacobi_residual(good)
+
+
+def test_linear_rime_fault_names_its_identity(monkeypatch):
+    # a bracket that drops the -a_ji x^j term breaks the algebra identities
+    def half_bracket(a, f, g):
+        out = {}
+        for i, v in f.items():
+            for j, w in g.items():
+                if i != j:
+                    out[i] = out.get(i, 0) + v * w * a[i][j]
+        return out
+
+    monkeypatch.setattr(poisson, "linear_bracket", half_bracket)
+    ok, witness = _is_zero(linear_rime_suite(3, RationalDraw(1)))
+    assert not ok and witness["index"].startswith("almost-trivial:")
