@@ -242,13 +242,8 @@ def _lambda_on_carrier(mat: Operator1, mu) -> Fraction:
     matrix slot of e^i_j (row j, col i with our unit convention), and
     lambda_n picks -sum_{i != j} c_{ij} mu_j.
     """
-    n = mat.dim
-    total = ZERO
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                total += -mat._get(j - 1, i - 1) * mu[j - 1]
-    return total
+    return -sum((v * mu[r] for r, row in mat.data.items() for c, v in row.items() if r != c),
+                ZERO)
 
 
 def invariance_shift_residual(r: Operator2, eta: Operator1, c) -> "Operator3":

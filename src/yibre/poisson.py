@@ -384,7 +384,8 @@ def varpi(y: Operator1) -> Operator1:
     """Flip the diagonal sign; an involution splitting Mat into two projector images."""
     out = Operator1.zero(y.dim)
     for r, row in y.data.items():
-        out.data[r] = {c: -v if c == r else v for c, v in row.items()}
+        for c, v in row.items():
+            out._set(r, c, -v if c == r else v)
     return out
 
 

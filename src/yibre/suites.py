@@ -207,7 +207,9 @@ def _is_zero(obj) -> tuple[bool, dict | None]:
             ok, wit = _is_zero(obj[key])
             if not ok:
                 if wit is not None:
-                    wit = {"index": f"{key}:{wit['index']}", "value": wit["value"]}
+                    # a tuple key reads comma-joined, like the i,j|k,l operator entries
+                    label = ",".join(map(str, key)) if isinstance(key, tuple) else key
+                    wit = {"index": f"{label}:{wit['index']}", "value": wit["value"]}
                 return False, wit
         return True, None
     if isinstance(obj, (list, tuple)):
@@ -682,15 +684,19 @@ def bezout_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
                   residual=lambda p: bezout.linear_quantization_residuals(
                       p.kind, p.lam, three_leg)))
 
+    def differences(got, want):
+        # no decomposition at all fails as a predicate; otherwise each coefficient is a residual
+        return False if got is None else [g - w for g, w in zip(got, want)]
+
     def quadratic_matching(_):
         out = {}
         for kind, (alpha, beta), (uu, vv) in ((bezout.B0, (0, 0), (0, 0)),
                                               (bezout.B, (-1, 1), (1, 0)),
                                               (bezout.RS, (-1, 1), (1, 0))):
             op = bezout.bezout_operator(kind, n)
-            out[f"{kind}-sr"] = bezout.sr_decomposition(op) == (alpha, beta)
-            out[f"{kind}-quadratic"] = bezout.quadratic_data(op) == (uu, vv)
-            out[f"{kind}-u-equals-beta"] = uu == beta
+            out[f"{kind}-sr"] = differences(bezout.sr_decomposition(op), (alpha, beta))
+            out[f"{kind}-quadratic"] = differences(bezout.quadratic_data(op), (uu, vv))
+            out[f"{kind}-u-equals-beta"] = uu - beta
         return out
 
     def coassoc(_):
@@ -853,16 +859,15 @@ def poisson_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
                 "annihilates": poisson.lie_derivative(p.bracket, gen)}
 
     def discriminant(p):
-        ok = True
+        diffs = []
         for k in range(draws):
             rho = (p[f"a{k}"], p[f"b{k}"], p[f"c{k}"])
             dval = rho[1] ** 2 - 4 * rho[0] * rho[2]
             for mv, val in (("shift", p[f"shift{k}"]), ("dilate", p[f"dilate{k}"]),
                             ("invert", None)):
                 new = poisson.discriminant_action(rho, mv, val)
-                if new[1] ** 2 - 4 * new[0] * new[2] != dval:
-                    ok = False
-        return ok
+                diffs.append(new[1] ** 2 - 4 * new[0] * new[2] - dval)
+        return diffs
 
     def normal_forms(p):
         ok = True

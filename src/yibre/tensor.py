@@ -11,15 +11,16 @@ Conventions, fixed once for the whole package:
   (RS)^{ij}_{kl} = R^{ij}_{ab} S^{ab}_{kl};
 * pairs are flattened row-major, (i,j) -> (i-1)*n + (j-1).
 
-All three operator types are stored sparsely, ``data[row][col]`` with nonzero
-entries only, and share one implementation of their arithmetic: most objects
-in this package have O(n^2) nonzero entries out of n^4 or n^6 slots.
+All three operator types are stored sparsely, with nonzero entries only, as
+integer rows over one common denominator, and share one implementation of
+their arithmetic: most objects in this package have O(n^2) nonzero entries out
+of n^4 or n^6 slots.  ``data[row][col]`` reads the entries as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .kernel import ONE, ZERO, InvalidInputError, NotSkewInvertibleError, rat
@@ -109,79 +110,124 @@ def rref_of_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ..
     return tuple(tuple(row.get(c, ZERO) for c in range(ncols)) for row in reduced)
 
 
-def _cleared(data: dict[int, dict[int, Fraction]]) -> tuple[int, dict[int, dict]]:
-    """(L, rows): L the lcm of the entries' denominators, rows the entries times L as ints.
-
-    Sums and products of the rows then run on Python ints, with one gcd per
-    output entry (in ``_over``) instead of one per Fraction multiply-add.  A
-    QuadExt entry has no integer form, so such an operand comes back as
-    (1, data) and the same loops run on its scalars unchanged.
-    """
-    try:
-        den = lcm(*{v.denominator for row in data.values() for v in row.values()})
-    except AttributeError:
-        return 1, data
-    return den, {r: {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-                 for r, row in data.items()}
-
-
-def _over(acc: dict, den: int) -> dict:
-    """The nonzero entries of acc divided by den, integers stored as reduced Fractions."""
-    return {c: Fraction(x, den) if type(x) is int else x / den for c, x in acc.items() if x}
-
-
 class _SparseSquare:
-    """Shared sparse machinery for one-, two- and three-leg operators."""
+    """Shared sparse machinery for one-, two- and three-leg operators.
 
+    All arithmetic runs on one common denominator per operator: ``_den`` a
+    positive int and ``_rows[row][col]`` each nonzero entry times ``_den`` as an
+    int, with gcd(_den, *numerators) == 1, so ``_den`` is the lcm of the
+    entries' reduced denominators.  ``data`` is the read-only view of the
+    entries as Fractions, built from the rows on first read.  The builders
+    ``_set``/``_add`` write that Fraction form and drop the integer form, which
+    the next arithmetic clears once.  An entry with no integer form (a QuadExt)
+    makes ``_den`` None; ``_rows`` then holds the entries themselves and the
+    same loops run on them.
+    """
+
+    __slots__ = ("dim", "size", "_data", "_den", "_rows")
     legs = 0
 
     def __init__(self, dim: int, data: dict[int, dict[int, Fraction]] | None = None):
         self.dim = dim
         self.size = dim ** self.legs
-        self.data: dict[int, dict[int, Fraction]] = data if data is not None else {}
+        self._data: dict[int, dict[int, Fraction]] | None = data if data is not None else {}
+        self._den: int | None = None
+        self._rows: dict[int, dict] | None = None
 
     @classmethod
     def zero(cls, dim: int):
-        out = cls.__new__(cls)
-        _SparseSquare.__init__(out, dim)
-        return out
+        return cls._of(dim, 1, {})
 
     @classmethod
     def identity(cls, dim: int):
-        out = cls.zero(dim)
-        out.data = {r: {r: ONE} for r in range(out.size)}
+        return cls._of(dim, 1, {r: {r: 1} for r in range(dim ** cls.legs)})
+
+    @classmethod
+    def _of(cls, dim: int, den: int | None, rows: dict[int, dict]):
+        """An operator from rows over den that store no zero and share a gcd of 1 with it."""
+        out = cls.__new__(cls)
+        out.dim, out.size = dim, dim ** cls.legs
+        out._den, out._rows = den, rows
+        out._data = rows if den is None else None
         return out
+
+    @classmethod
+    def _reduced(cls, dim: int, den: int | None, rows: dict[int, dict]):
+        """``_of`` after dividing den and every numerator by their gcd."""
+        if den is not None and den != 1:
+            g = gcd(den, *(x for row in rows.values() for x in row.values()))
+            if g != 1:
+                den //= g
+                rows = {r: {c: x // g for c, x in row.items()} for r, row in rows.items()}
+        return cls._of(dim, den, rows)
+
+    @property
+    def data(self) -> dict[int, dict[int, Fraction]]:
+        """The nonzero entries as ``data[row][col]``; read-only, built once from the rows."""
+        if self._data is None:
+            den = self._den
+            self._data = {r: {c: Fraction(x, den) for c, x in row.items()}
+                          for r, row in self._rows.items()}
+        return self._data
+
+    def _ints(self) -> tuple[int | None, dict[int, dict]]:
+        """(den, rows) of the integer form, clearing the Fraction form the first time."""
+        if self._rows is None:
+            data = self._data
+            try:
+                den = lcm(*{v.denominator for row in data.values() for v in row.values()})
+                rows = {r: nz for r, row in data.items()
+                        if (nz := {c: v.numerator * (den // v.denominator)
+                                   for c, v in row.items() if v})}
+            except AttributeError:
+                den = None
+                rows = {r: nz for r, row in data.items()
+                        if (nz := {c: v for c, v in row.items() if v})}
+            self._den, self._rows = den, rows
+        return self._den, self._rows
+
+    def _operands(self, other):
+        """(la, arows, lb, brows): integer forms, or both operands' entries when either has none."""
+        la, arows = self._ints()
+        lb, brows = other._ints()
+        if la is None or lb is None:
+            return None, self.data, None, other.data
+        return la, arows, lb, brows
 
     # -- raw flat-index access ------------------------------------------------
     def _get(self, r: int, c: int) -> Fraction:
         return self.data.get(r, {}).get(c, ZERO)
 
+    def _writable(self) -> dict[int, dict[int, Fraction]]:
+        data = self.data
+        self._den = self._rows = None
+        return data
+
     def _add(self, r: int, c: int, v: Fraction) -> None:
         if not v:
             return
-        row = self.data.setdefault(r, {})
+        data = self._writable()
+        row = data.setdefault(r, {})
         nv = row.get(c, ZERO) + v
         if nv:
             row[c] = nv
         else:
             del row[c]
             if not row:
-                del self.data[r]
+                del data[r]
 
     def _set(self, r: int, c: int, v: Fraction) -> None:
+        data = self._writable()
         if v:
-            self.data.setdefault(r, {})[c] = v
+            data.setdefault(r, {})[c] = v
         else:
-            row = self.data.get(r)
+            row = data.get(r)
             if row and c in row:
                 del row[c]
                 if not row:
-                    del self.data[r]
+                    del data[r]
 
     # -- algebra ----------------------------------------------------------------
-    def _zero_like(self):
-        return self.zero(self.dim)
-
     def __add__(self, other):
         return self._plus(other, 1)
 
@@ -189,43 +235,47 @@ class _SparseSquare:
         return self._plus(other, -1)
 
     def _plus(self, other, sign: int):
-        """self + sign * other over the common denominator of both operands."""
-        la, arows = _cleared(self.data)
-        lb, brows = _cleared(other.data)
-        den = lcm(la, lb)
-        fa, fb = den // la, sign * (den // lb)
-        out = self._zero_like()
+        """self + sign * other over the lcm of both denominators."""
+        la, arows, lb, brows = self._operands(other)
+        if la is None:
+            den, fa, fb = None, 1, sign
+        else:
+            den = lcm(la, lb)
+            fa, fb = den // la, sign * (den // lb)
+        out = {}
         for r in arows.keys() | brows.keys():
             arow, brow = arows.get(r, {}), brows.get(r, {})
-            row = _over({c: fa * arow.get(c, 0) + fb * brow.get(c, 0)
-                         for c in arow.keys() | brow.keys()}, den)
+            row = {c: x for c in arow.keys() | brow.keys()
+                   if (x := fa * arow.get(c, 0) + fb * brow.get(c, 0))}
             if row:
-                out.data[r] = row
-        return out
+                out[r] = row
+        return self._reduced(self.dim, den, out)
 
     def __neg__(self):
-        out = self._zero_like()
-        for r, row in self.data.items():
-            out.data[r] = {c: -v for c, v in row.items()}
-        return out
+        den, rows = self._ints()
+        return self._of(self.dim, den,
+                        {r: {c: -x for c, x in row.items()} for r, row in rows.items()})
 
     def scale(self, k):
         k = rat(k)
-        out = self._zero_like()
-        for r, row in self.data.items():
+        den, rows = self._ints()
+        if den is None or not isinstance(k, Fraction):
+            den, p, rows = None, k, self.data
+        else:
+            den, p = den * k.denominator, k.numerator
+        out = {}
+        for r, row in rows.items():
             # a dual-number product can vanish, so zeros are filtered here too
-            row = {c: w for c, v in row.items() if (w := k * v)}
+            row = {c: w for c, x in row.items() if (w := p * x)}
             if row:
-                out.data[r] = row
-        return out
+                out[r] = row
+        return self._reduced(self.dim, den, out)
 
     def __matmul__(self, other):
         if self.dim != other.dim:
             raise InvalidInputError("dimension mismatch")
-        la, arows = _cleared(self.data)
-        lb, brows = _cleared(other.data)
-        den = la * lb
-        out = self._zero_like()
+        la, arows, lb, brows = self._operands(other)
+        out = {}
         for r, row in arows.items():
             acc = {}
             for k, v in row.items():
@@ -233,10 +283,10 @@ class _SparseSquare:
                 if brow:
                     for c, w in brow.items():
                         acc[c] = acc.get(c, 0) + v * w
-            acc = _over(acc, den)
+            acc = {c: x for c, x in acc.items() if x}
             if acc:
-                out.data[r] = acc
-        return out
+                out[r] = acc
+        return self._reduced(self.dim, None if la is None else la * lb, out)
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.dim == other.dim
@@ -251,24 +301,21 @@ class _SparseSquare:
         return {r: row for r, row in self.data.items() if row}
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.data.values() for v in row.values())
+        if self._rows is not None:
+            return not self._rows
+        return all(not v for row in self._data.values() for v in row.values())
 
     def transpose(self):
-        out = self._zero_like()
-        for r, row in self.data.items():
-            for c, v in row.items():
-                out._set(c, r, v)
-        return out
+        den, rows = self._ints()
+        out = {}
+        for r, row in rows.items():
+            for c, x in row.items():
+                out.setdefault(c, {})[r] = x
+        return self._of(self.dim, den, out)
 
     def scalar_shift(self, k):
         """self + k * identity."""
-        out = self._zero_like()
-        for r, row in self.data.items():
-            out.data[r] = dict(row)
-        k = rat(k)
-        for r in range(self.size):
-            out._add(r, r, k)
-        return out
+        return self + self.identity(self.dim).scale(k)
 
     def nonzero_entries(self):
         for r in sorted(self.data):
@@ -281,15 +328,18 @@ class _SparseSquare:
         return Echelon(self.data.values()).rank
 
     def inverse(self):
-        out = self._zero_like()
+        out = self.zero(self.dim)
         rows = [self.data.get(r, {}) for r in range(self.size)]
-        out.data = dict(enumerate(_inverse_rows(rows, self.size)))
+        for r, row in enumerate(_inverse_rows(rows, self.size)):
+            for c, v in row.items():
+                out._set(r, c, v)
         return out
 
 
 class Operator1(_SparseSquare):
     """Exact n x n matrix with action (Av)^i = A^i_j v^j, stored as data[i][j] (0-based)."""
 
+    __slots__ = ()
     legs = 1
 
     def __init__(self, rows: Sequence[Sequence]):
@@ -347,6 +397,7 @@ class Operator1(_SparseSquare):
 class Operator2(_SparseSquare):
     """Endomorphism of V(x)V with 4-index accessor R^{ij}_{kl}."""
 
+    __slots__ = ()
     legs = 2
 
     def _flat(self, i: int, j: int) -> int:
@@ -389,20 +440,23 @@ class Operator2(_SparseSquare):
 class Operator3(_SparseSquare):
     """Endomorphism of V(x)V(x)V; produced by lifts and their products."""
 
+    __slots__ = ()
     legs = 3
 
 
 def kron11(a: Operator1, b: Operator1) -> Operator2:
     """a (x) b acting on V(x)V."""
     n = a.dim
-    out = Operator2(n)
-    for i, arow in a.data.items():
-        for j, va in arow.items():
-            for k, brow in b.data.items():
-                for l, vb in brow.items():
-                    # _set drops a vanishing dual-number product
-                    out._set(i * n + k, j * n + l, va * vb)
-    return out
+    da, arows, db, brows = a._operands(b)
+    out = {}
+    for i, arow in arows.items():
+        for k, brow in brows.items():
+            # a dual-number product can vanish, so zeros are filtered here too
+            row = {j * n + l: w for j, va in arow.items() for l, vb in brow.items()
+                   if (w := va * vb)}
+            if row:
+                out[i * n + k] = row
+    return Operator2._reduced(n, None if da is None else da * db, out)
 
 
 def wedge(a: Operator1, b: Operator1) -> Operator2:
@@ -432,19 +486,23 @@ def lift(op: Operator2, legs: int, n: int | None = None) -> Operator3:
         n = op.dim
     if op.dim != n:
         raise InvalidInputError("operator dimension does not match n")
-    out = Operator3(n)
-    for i, j, k, l, v in op.four_index_items():
-        a, b, c, d = i - 1, j - 1, k - 1, l - 1
+    if legs not in (12, 13, 23):
+        raise InvalidInputError(f"unknown leg pair {legs}")
+    den, rows = op._ints()
+    nn = n * n
+    out = {}
+    for r, row in rows.items():
+        a, b = divmod(r, n)
         for m in range(n):
             if legs == 12:
-                out._set((a * n + b) * n + m, (c * n + d) * n + m, v)
+                out[r * n + m] = {c * n + m: x for c, x in row.items()}
             elif legs == 23:
-                out._set((m * n + a) * n + b, (m * n + c) * n + d, v)
-            elif legs == 13:
-                out._set((a * n + m) * n + b, (c * n + m) * n + d, v)
+                out[m * nn + r] = {m * nn + c: x for c, x in row.items()}
             else:
-                raise InvalidInputError(f"unknown leg pair {legs}")
-    return out
+                # the pair (a, b) on legs 1 and 3 sits at a*n^2 + m*n + b
+                out[a * nn + m * n + b] = {(c // n) * nn + m * n + c % n: x
+                                           for c, x in row.items()}
+    return Operator3._of(n, den, out)
 
 
 def yb_residual(r: Operator2) -> Operator3:

@@ -16,7 +16,7 @@ from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
                           star_product, star_tilde_product)
 from yibre.classical import b_skew_r, rcg_r, rime_nonskew_r
 from yibre.kernel import RationalDraw
-from yibre.suites import _is_zero
+from yibre.suites import _is_zero, run_suite
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift,
                           nhacybe_residual, op1_on_leg2, partial_trace, permutation_P)
 
@@ -161,6 +161,17 @@ def test_m_recursion_fault_names_its_identity(monkeypatch):
     monkeypatch.setattr(bezout, "b0_action", broken)
     ok, witness = _is_zero(m_recursion_check(3))
     assert not ok and witness["index"].startswith("rebuild-matches:1,1:")
+    # the tuple key of the monomial reads comma-joined, not as a Python repr
+    assert witness == {"index": "rebuild-matches:1,1:0,0:-", "value": "-1"}
+
+
+def test_quadratic_data_fault_names_its_coefficient(monkeypatch):
+    # the check returns coefficient differences, so a bumped u fails at b-quadratic:0
+    quad = bezout.quadratic_data
+    monkeypatch.setattr(bezout, "quadratic_data", lambda op: (quad(op)[0] + 1, quad(op)[1]))
+    [got] = [c for c in run_suite("bezout", 2, 0, 1).checks if c.name == "quadratic-data"]
+    assert got.status == "fail"
+    assert got.residual_witness == {"index": "b-quadratic:0:-", "value": "1"}
 
 
 def test_coproducts_and_coassociativity():

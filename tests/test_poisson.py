@@ -16,7 +16,7 @@ from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
                            psi_variation_dual, rime_fit,
                            rime_preserving_matrix, sl2_generators, sl2_suite,
                            trid_residuals, varpi)
-from yibre.suites import _is_zero
+from yibre.suites import _is_zero, run_suite
 from yibre.tensor import Operator1
 
 
@@ -192,6 +192,22 @@ def test_discriminant_moves():
     rho = (F(2), F(-3), F(5, 7))
     for mv, val in (("shift", F(7, 2)), ("dilate", F(3, 4)), ("invert", None)):
         assert disc(discriminant_action(rho, mv, val)) == disc(rho)
+
+
+def test_discriminant_fault_names_its_move(monkeypatch):
+    # the check returns one discriminant difference per (draw, move), so a
+    # broken invert move of draw 0 fails at position 2 with its nonzero difference
+    action = poisson.discriminant_action
+
+    def broken(rho, move, value=None):
+        a, b, c = action(rho, move, value)
+        return (a, b + 1, c) if move == "invert" else (a, b, c)
+
+    monkeypatch.setattr(poisson, "discriminant_action", broken)
+    [got] = [c for c in run_suite("poisson", 2, 0, 2).checks
+             if c.name == "discriminant-invariance"]
+    assert got.status == "fail" and got.residual_witness["index"] == "2:-"
+    assert got.residual_witness["value"] != "0"
 
 
 def test_normal_forms():

@@ -2,6 +2,7 @@ import operator
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
+from math import gcd, lcm
 
 import pytest
 
@@ -468,3 +469,178 @@ def test_operator1_arithmetic_results_own_their_rows():
         Operator1([[1, 2], [3]])
     with pytest.raises(InvalidInputError):
         Operator1([[1.5]])
+
+
+# --- the one-common-denominator kernel against a dense Fraction reference ------------
+
+DENSE_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+kernel_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=30)
+
+
+@st.composite
+def sparse_operands(draw, cls, dims=(1, 2, 3), scalars=kernel_rationals):
+    """An operator built entry by entry with ``_set``; often empty, never dense."""
+    n = draw(st.sampled_from(dims))
+    size = n ** cls.legs
+    cell = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    out = cls.zero(n)
+    for (r, c), v in draw(st.dictionaries(cell, scalars, max_size=size * size // 2)).items():
+        out._set(r, c, v)
+    return out
+
+
+def _dense(op) -> list[list]:
+    grid = [[F(0)] * op.size for _ in range(op.size)]
+    for r, c, v in op.nonzero_entries():
+        grid[r][c] = v
+    return grid
+
+
+def _dense_matmul(x, y) -> list[list]:
+    size = len(x)
+    return [[sum((x[r][k] * y[k][c] for k in range(size)), F(0)) for c in range(size)]
+            for r in range(size)]
+
+
+def _dense_lift(x, n: int, legs: int) -> list[list]:
+    """R on the named leg pair of V^3, written out index by index."""
+    def flat(i, j, k):
+        return (i * n + j) * n + k
+
+    out = [[F(0)] * n ** 3 for _ in range(n ** 3)]
+    for a, b, c, d, m in product(range(n), repeat=5):
+        v = x[a * n + b][c * n + d]
+        if legs == 12:
+            out[flat(a, b, m)][flat(c, d, m)] = v
+        elif legs == 23:
+            out[flat(m, a, b)][flat(m, c, d)] = v
+        else:
+            out[flat(a, m, b)][flat(c, m, d)] = v
+    return out
+
+
+def _dense_kron(x, y) -> list[list]:
+    n = len(x)
+    return [[x[i][j] * y[k][l] for j in range(n) for l in range(n)]
+            for i in range(n) for k in range(n)]
+
+
+def _assert_canonical(op):
+    """Arithmetic left its integer rows: minimal den, gcd 1, no stored zero or empty row."""
+    assert op._rows is not None and all(op._rows.values())
+    nums = [x for row in op._rows.values() for x in row.values()]
+    assert all(type(x) is int and x for x in nums)
+    assert op._den >= 1 and gcd(op._den, *nums) == 1
+    assert op._den == lcm(*(v.denominator for _, _, v in op.nonzero_entries()))
+
+
+def _same_dim(a, b):
+    b = b if b.dim == a.dim else b.zero(a.dim)
+    return a, b
+
+
+@given(st.sampled_from([Operator1, Operator2]).flatmap(
+    lambda cls: st.tuples(sparse_operands(cls), sparse_operands(cls), kernel_rationals)))
+@DENSE_SETTINGS
+def test_kernel_arithmetic_matches_dense_reference(ops):
+    a, b, k = ops
+    a, b = _same_dim(a, b)
+    da, db = _dense(a), _dense(b)
+    size = a.size
+    cases = [
+        (a @ b, _dense_matmul(da, db)),
+        (a + b, [[da[r][c] + db[r][c] for c in range(size)] for r in range(size)]),
+        (a - b, [[da[r][c] - db[r][c] for c in range(size)] for r in range(size)]),
+        (-a, [[-v for v in row] for row in da]),
+        (a.scale(k), [[k * v for v in row] for row in da]),
+        (a - a, [[F(0)] * size for _ in range(size)]),
+        (a + (-a) + b, db),
+    ]
+    for got, ref in cases:
+        assert type(got) is type(a) and got.dim == a.dim
+        _assert_canonical(got)
+        assert _dense(got) == ref
+        assert all(type(v) is F for _, _, v in got.nonzero_entries())
+    assert (a - a).is_zero() and (a + (-a)).data == {}
+
+
+@given(sparse_operands(Operator2), st.sampled_from([12, 13, 23]))
+@DENSE_SETTINGS
+def test_lift_matches_dense_reference(r, legs):
+    got = lift(r, legs)
+    _assert_canonical(got)
+    assert got._den == r._ints()[0]
+    assert _dense(got) == _dense_lift(_dense(r), r.dim, legs)
+
+
+@given(sparse_operands(Operator1), sparse_operands(Operator1))
+@DENSE_SETTINGS
+def test_kron11_matches_dense_reference(a, b):
+    a, b = _same_dim(a, b)
+    got = kron11(a, b)
+    _assert_canonical(got)
+    assert _dense(got) == _dense_kron(_dense(a), _dense(b))
+
+
+@given(sparse_operands(Operator2), sparse_operands(Operator2), kernel_rationals)
+@DENSE_SETTINGS
+def test_set_after_a_product_reaches_the_next_product(a, b, v):
+    a, b = _same_dim(a, b)
+    prod = a @ b
+    prod._set(0, 0, prod._get(0, 0) + v)
+    assert prod._rows is None
+    ref = _dense_matmul(_dense(a), _dense(b))
+    ref[0][0] += v
+    assert _dense(prod) == ref
+    again = prod @ b
+    _assert_canonical(again)
+    assert _dense(again) == _dense_matmul(ref, _dense(b))
+    assert prod.is_zero() == (not any(any(row) for row in ref))
+
+
+@given(sparse_operands(Operator2), sparse_operands(Operator2))
+@DENSE_SETTINGS
+def test_eq_and_hash_agree_between_built_and_computed(a, b):
+    a, b = _same_dim(a, b)
+    got = a @ b - b
+    built = Operator2(a.dim)
+    for r, row in enumerate(_dense_matmul(_dense(a), _dense(b))):
+        for c, v in enumerate(row):
+            built._set(r, c, v - _dense(b)[r][c])
+    assert got == built and built == got and hash(got) == hash(built)
+    bumped = Operator2(a.dim, {r: dict(row) for r, row in built.data.items()})
+    bumped._add(0, 0, F(1, 29))
+    assert got != bumped
+
+
+def _quad_scalars(d: int):
+    return st.builds(lambda x, y: QuadExt(x, y, d), kernel_rationals, kernel_rationals)
+
+
+@pytest.mark.parametrize("d", [-1, 0])
+@given(data=st.data())
+@DENSE_SETTINGS
+def test_quadext_operands_take_the_generic_path(d, data):
+    a = data.draw(sparse_operands(Operator1, dims=(2, 3), scalars=_quad_scalars(d)))
+    b = data.draw(sparse_operands(Operator1, dims=(2, 3), scalars=kernel_rationals))
+    a, b = _same_dim(a, b)
+    eps = QuadExt(0, 1, d)
+    da, db = _dense(a), _dense(b)
+    size = a.size
+    cases = [
+        (a @ b, _dense_matmul(da, db)),
+        (b @ a, _dense_matmul(db, da)),
+        (a - b, [[da[r][c] - db[r][c] for c in range(size)] for r in range(size)]),
+        (a.scale(eps), [[eps * v for v in row] for row in da]),
+        (kron11(a, a), _dense_kron(da, da)),
+    ]
+    for got, ref in cases:
+        if a.data:
+            assert got._den is None
+        assert all(v for row in got.data.values() for v in row.values()), "zero stored"
+        assert _dense(got) == ref
+    if d == 0:
+        # products of pure dual parts cancel: (eps A)(eps B) = 0
+        dual = a.scale(eps)
+        assert (dual @ dual).is_zero() and (dual @ dual).data == {}
+        assert kron11(dual, dual).data == {}
