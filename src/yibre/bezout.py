@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .kernel import (ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct,
                      sparse_minus, theta)
-from .tensor import (Operator1, Operator2, Operator3, cybe_residual, kron11,
-                     lift, op1_on_leg2, permutation_P, rank_of_rows, wedge,
+from .tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual, kron11,
+                     lift, op1_on_leg2, permutation_P, wedge,
                      ybe_numbered_residual, yb_residual)
 
 B0 = "b0"
@@ -622,6 +622,7 @@ def gl2_isomorphism_check(kind: str) -> dict[str, object]:
     outside = {f"{a},{b}": Operator1([[ZERO if shape[i][j] else m._get(i, j) for j in range(3)]
                                       for i in range(3)])
                for (a, b), m in images.items()}
-    vecs = [[images[k]._get(i, j) for i in range(3) for j in range(3)] for k in sorted(images)]
+    flat = [{3 * i + j: v for i, row in m.data.items() for j, v in row.items()}
+            for m in images.values()]
     return {"homomorphism": homomorphism, "shape": outside,
-            "independent": rank_of_rows(vecs) == 4}
+            "independent": Echelon(flat).rank == 4}

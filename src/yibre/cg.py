@@ -13,7 +13,8 @@ from fractions import Fraction
 from .kernel import (ONE, ZERO, InvalidInputError, elem_sym, elem_sym_omit, elem_syms,
                      rat, ratvec, require_distinct, theta)
 from .rime import RimeClass, classify, strict_rime_R
-from .tensor import Operator1, Operator2, conjugate2, kron11, op1_on_leg2
+from .tensor import (Operator1, Operator2, conjugate2, kron11, op1_on_leg2, permutation_P,
+                     row_space)
 
 
 @dataclass(frozen=True)
@@ -231,35 +232,20 @@ def standard_riming(n: int, qsq_inv) -> tuple[Operator2, Operator1, Operator2]:
 def cg_symmetry_residual(n: int, qsq_inv) -> Operator2:
     """(R_CG)^{ab}_{kl} - d^a_k d^b_l - d^a_l d^b_k + (R_CG)^{ba}_{kl} at p = 1."""
     rcg = cg_matrix(CGParams(n, qsq_inv, ONE))
-    out = Operator2(n)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    v = rcg.get(a, b, k, l) + rcg.get(b, a, k, l)
-                    if a == k and b == l:
-                        v -= ONE
-                    if a == l and b == k:
-                        v -= ONE
-                    if v:
-                        out.set(a, b, k, l, v)
-    return out
+    p = permutation_P(n)
+    return rcg + p @ rcg - Operator2.identity(n) - p
 
 
-def cg_plane_relations(n: int, qsq_inv):
+def cg_plane_relations(n: int, qsq_inv) -> Operator2:
     """Right even plane of R_CG: y^i y^j = q^2 y^j y^i + (q^2-1)(y^{i+1}y^{j-1} + ...), i<j."""
-    from .rime import relation_basis_from_rows
-
     qi = rat(qsq_inv)
-    rows = []
     pos = lambda a, b: (a - 1) * n + (b - 1)
+    rows = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             # multiplied through by q^-2 to stay polynomial in qsq_inv
-            row = [ZERO] * (n * n)
-            row[pos(i, j)] += qi
-            row[pos(j, i)] -= ONE
+            row = {pos(i, j): qi, pos(j, i): -ONE}
             for s in range(i + 1, j):
-                row[pos(s, i + j - s)] -= ONE - qi
+                row[pos(s, i + j - s)] = qi - ONE
             rows.append(row)
-    return relation_basis_from_rows(n, rows)
+    return row_space(n, rows)

@@ -65,18 +65,12 @@ class OrderedPresentation:
             tuple(tuple(self.g[j][k] * d[k] / d[j] if j < k else ZERO
                         for k in range(n)) for j in range(n)))
 
-    def relation_rows(self) -> list[list[Fraction]]:
-        """Coefficient rows of x^j x^k - f x^k x^j - g x^k x^k over 2-letter monomials."""
+    def relation_rows(self) -> list[dict[int, Fraction]]:
+        """Sparse rows of x^j x^k - f x^k x^j - g x^k x^k over 2-letter monomials."""
         n = self.dim
-        rows = []
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                row = [ZERO] * (n * n)
-                row[(j - 1) * n + (k - 1)] += ONE
-                row[(k - 1) * n + (j - 1)] -= self.fc(j, k)
-                row[(k - 1) * n + (k - 1)] -= self.gc(j, k)
-                rows.append(row)
-        return rows
+        return [{(j - 1) * n + (k - 1): ONE, (k - 1) * n + (j - 1): -self.fc(j, k),
+                 (k - 1) * n + (k - 1): -self.gc(j, k)}
+                for j in range(1, n + 1) for k in range(j + 1, n + 1)]
 
 
 def normal_order(word, pres: OrderedPresentation) -> dict[tuple, Fraction]:
@@ -228,7 +222,7 @@ def poincare_series(n: int, relation_rows, max_degree: int) -> tuple[int, ...]:
     """dim of degree-m components of T(V)/(relations), m = 0..max_degree."""
     if max_degree > 6:
         raise InvalidInputError("degree capped at 6")
-    rel = [{c: rat(v) for c, v in enumerate(row) if v} for row in relation_rows]
+    rel = list(relation_rows)
     dims = [1]
     if max_degree >= 1:
         dims.append(n)
@@ -248,22 +242,15 @@ def poincare_series(n: int, relation_rows, max_degree: int) -> tuple[int, ...]:
     return tuple(dims[:max_degree + 1])
 
 
-def commutative_relation_rows(n: int) -> list[list[Fraction]]:
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [ZERO] * (n * n)
-            row[i * n + j] = ONE
-            row[j * n + i] = -ONE
-            rows.append(row)
-    return rows
+def commutative_relation_rows(n: int) -> list[dict[int, Fraction]]:
+    return [{i * n + j: ONE, j * n + i: -ONE} for i in range(n) for j in range(i + 1, n)]
 
 
 def binomial_series(n: int, max_degree: int) -> tuple[int, ...]:
     return tuple(comb(n + m - 1, m) for m in range(max_degree + 1))
 
 
-def gl11_relation_rows(q, omega) -> list[list[Fraction]]:
+def gl11_relation_rows(q, omega) -> list[dict[int, Fraction]]:
     """Degree-2 relations of the even quantum space of the two-parameter block."""
     q, omega = rat(q), rat(omega)
     if q in (0, 1, -1) or not omega:
@@ -271,8 +258,8 @@ def gl11_relation_rows(q, omega) -> list[list[Fraction]]:
     qq = q + 1 / q
     return [
         # xx - qq xy + yy = 0 and (1/om) xx - qq yx + om yy = 0
-        [ONE, -qq, ZERO, ONE],
-        [ONE / omega, ZERO, -qq, omega],
+        {0: ONE, 1: -qq, 3: ONE},
+        {0: ONE / omega, 2: -qq, 3: omega},
     ]
 
 

@@ -19,9 +19,8 @@ from math import comb
 
 from .kernel import (ONE, ZERO, InvalidInputError, elem_sym_omit, rat, ratvec,
                      require_distinct)
-from .qalg import commutative_relation_rows
 from .tensor import (Operator1, Operator2, hecke_residual, partial_trace,
-                     rref_of_rows, skew_inverse)
+                     permutation_P, row_space, skew_inverse)
 
 
 @dataclass(frozen=True)
@@ -440,95 +439,46 @@ def appendix_A_residuals(data: RimeData) -> dict[str, Fraction]:
 
 
 # --- quantum spaces ----------------------------------------------------------
+# A relation space over the 2-letter monomials x^i x^j is its tensor.row_space,
+# so two spaces are equal iff their difference is zero.
 
-@dataclass(frozen=True)
-class RelationBasis:
-    """RREF basis of a degree-2 relation space over ordered 2-letter monomials."""
-
-    dim: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __eq__(self, other):
-        return isinstance(other, RelationBasis) and self.dim == other.dim and self.rows == other.rows
-
-
-def relation_basis_from_rows(n: int, rows) -> RelationBasis:
-    reduced = rref_of_rows([list(map(rat, r)) for r in rows]) if rows else ()
-    return RelationBasis(n, reduced)
-
-
-def quantum_space_relations(r: Operator2, eigenvalue, side: str,
-                            parity: str = "even") -> RelationBasis:
+def quantum_space_relations(r: Operator2, eigenvalue, side: str) -> Operator2:
     """Degree-2 relation space of a quantum (super)plane.
 
-    Right spaces collect the rows of (R - lambda) as coefficient vectors over
-    monomials x^k x^l; left spaces pair the lower indices against reversed
+    Right spaces are spanned by the rows of (R - lambda) as coefficient vectors
+    over monomials x^k x^l; left spaces pair the lower indices against reversed
     monomials x^j x^i.  eigenvalue is 1 for even spaces, beta - 1 for odd ones.
     """
     if side not in ("left", "right"):
         raise InvalidInputError("side must be 'left' or 'right'")
-    if parity not in ("even", "odd"):
-        raise InvalidInputError("parity must be 'even' or 'odd'")
     n = r.dim
-    lam = rat(eigenvalue)
-    shifted = r.scalar_shift(-lam)
-    rows = []
-    if side == "right":
-        for rr in range(n * n):
-            row = [ZERO] * (n * n)
-            got = False
-            for cc, v in shifted.data.get(rr, {}).items():
-                row[cc] = v
-                got = True
-            if got:
-                rows.append(row)
-    else:
-        cols: dict[int, list[Fraction]] = {}
-        for i, j, k, l, v in Operator2(n, shifted.data).four_index_items():
-            key = (k - 1) * n + (l - 1)
-            row = cols.setdefault(key, [ZERO] * (n * n))
-            # coefficient sits at the reversed monomial x^j x^i
-            row[(j - 1) * n + (i - 1)] += v
-        rows = [cols[k] for k in sorted(cols)]
-    return relation_basis_from_rows(n, rows)
+    shifted = r.scalar_shift(-rat(eigenvalue))
+    if side == "left":
+        shifted = shifted.transpose() @ permutation_P(n)
+    return row_space(n, shifted.data.values())
 
 
-def rime_plane_relations(data: RimeData) -> RelationBasis:
+def rime_plane_relations(data: RimeData) -> Operator2:
     """The relations [x^i,x^j] + (beta_ij x^i + beta_ji x^j)(x^i - x^j) = 0."""
     n = data.dim
-    rows = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            row = [ZERO] * (n * n)
-            pos = lambda a, b: (a - 1) * n + (b - 1)
-            row[pos(i, j)] += ONE
-            row[pos(j, i)] -= ONE
-            # (beta_ij x^i + beta_ji x^j)(x^i - x^j)
-            row[pos(i, i)] += data.b(i, j)
-            row[pos(i, j)] -= data.b(i, j)
-            row[pos(j, i)] += data.b(j, i)
-            row[pos(j, j)] -= data.b(j, i)
-            rows.append(row)
-    return relation_basis_from_rows(n, rows)
+    pos = lambda a, b: (a - 1) * n + (b - 1)
+    # expanded: x^i x^j - x^j x^i + beta_ij (x^i x^i - x^i x^j) + beta_ji (x^j x^i - x^j x^j)
+    return row_space(n, ({pos(i, j): ONE - data.b(i, j), pos(j, i): data.b(j, i) - ONE,
+                          pos(i, i): data.b(i, j), pos(j, j): -data.b(j, i)}
+                         for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
-def classical_commutator_relations(n: int) -> RelationBasis:
-    return relation_basis_from_rows(n, commutative_relation_rows(n))
+def classical_commutator_relations(n: int) -> Operator2:
+    """Commutators [x^i, x^j] = 0: the row space of identity - P."""
+    return row_space(n, (Operator2.identity(n) - permutation_P(n)).data.values())
 
 
-def odd_classical_relations(n: int) -> RelationBasis:
-    """Anticommutators [xi^i, xi^j]_+ = 0 including the squares."""
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [ZERO] * (n * n)
-            row[i * n + j] += ONE
-            row[j * n + i] += ONE
-            rows.append(row)
-    return relation_basis_from_rows(n, rows)
+def odd_classical_relations(n: int) -> Operator2:
+    """Anticommutators [xi^i, xi^j]_+ = 0 including the squares: the row space of identity + P."""
+    return row_space(n, (Operator2.identity(n) + permutation_P(n)).data.values())
 
 
-def left_odd_rime_relations(data: RimeData, beta) -> RelationBasis:
+def left_odd_rime_relations(data: RimeData, beta) -> Operator2:
     """(2-beta) xi_i^2 + xi_i rho_i + (1-beta) rho_i xi_i = 0 and the mixed family.
 
     rho_i = sum_{j != i} xi_j; including the j = i term would double-count the
@@ -539,20 +489,12 @@ def left_odd_rime_relations(data: RimeData, beta) -> RelationBasis:
     pos = lambda a, b: (a - 1) * n + (b - 1)
     rows = []
     for i in range(1, n + 1):
-        row = [ZERO] * (n * n)
-        row[pos(i, i)] += 2 - beta
+        row = {pos(i, i): 2 - beta}
         for j in range(1, n + 1):
-            if j == i:
-                continue
-            row[pos(i, j)] += ONE          # xi_i rho_i
-            row[pos(j, i)] += ONE - beta   # rho_i xi_i
+            if j != i:
+                row[pos(i, j)] = ONE          # xi_i rho_i
+                row[pos(j, i)] = ONE - beta   # rho_i xi_i
         rows.append(row)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            row = [ZERO] * (n * n)
-            row[pos(i, j)] += ONE - data.b(i, j)
-            row[pos(j, i)] += ONE - data.b(j, i)
-            rows.append(row)
-    return relation_basis_from_rows(n, rows)
+    rows += [{pos(i, j): ONE - data.b(i, j), pos(j, i): ONE - data.b(j, i)}
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return row_space(n, rows)

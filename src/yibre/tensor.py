@@ -30,9 +30,9 @@ class Echelon:
     """Incremental sparse row-echelon basis over exact scalars.
 
     The package's one Gaussian elimination: ``det``, ``inverse`` and ``rank`` of
-    the operators, ``rank_of_rows``, ``rref_of_rows`` and the graded ideals of
-    ``qalg`` all run through it.  A row is a dict column -> scalar, zero entries
-    ignored; ``pivots`` maps each lead column to its row scaled to a leading 1.
+    the operators, ``row_space`` and the graded ideals of ``qalg`` all run
+    through it.  A row is a dict column -> scalar, zero entries ignored;
+    ``pivots`` maps each lead column to its row scaled to a leading 1.
     """
 
     __slots__ = ("pivots",)
@@ -96,18 +96,6 @@ def _inverse_rows(rows: list[dict], size: int) -> list[dict]:
         if ech.insert({**row, size + i: ONE}) >= size:
             raise InvalidInputError("matrix is singular")
     return [{c - size: v for c, v in row.items() if c >= size} for row in ech.rref()]
-
-
-def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of dense rows."""
-    return Echelon(dict(enumerate(r)) for r in rows).rank
-
-
-def rref_of_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced row-echelon form with zero rows dropped; canonical for row spaces."""
-    ncols = len(rows[0]) if rows else 0
-    reduced = Echelon(dict(enumerate(r)) for r in rows).rref()
-    return tuple(tuple(row.get(c, ZERO) for c in range(ncols)) for row in reduced)
 
 
 class _SparseSquare:
@@ -478,6 +466,18 @@ def permutation_P(n: int) -> Operator2:
         for j in range(1, n + 1):
             out.set(i, j, j, i, ONE)
     return out
+
+
+def row_space(n: int, rows: Iterable[dict]) -> Operator2:
+    """The span of sparse rows over the n*n monomials x^i x^j, in reduced echelon form.
+
+    Each reduced row is stored at its lead monomial, so the operator is canonical
+    (two row sets span one space iff their row spaces are equal), idempotent, and
+    has one stored row per dimension.
+    """
+    ech = Echelon(rows)
+    ech.rref()
+    return Operator2(n, ech.pivots)
 
 
 def lift(op: Operator2, legs: int, n: int | None = None) -> Operator3:

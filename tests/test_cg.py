@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from yibre import cg
 from yibre.cg import (CGParams, cg_equivalence_residual, cg_matrix,
                       cg_plane_relations, cg_symmetry_residual,
                       d_twist_conjugate, d_twist_matrix,
@@ -9,10 +10,10 @@ from yibre.cg import (CGParams, cg_equivalence_residual, cg_matrix,
                       sectype_identity_residual, standard_rc_matrix,
                       standard_riming, summation_matrix, x_change_of_basis)
 from yibre.kernel import InvalidInputError, RationalDraw
-from yibre.rime import (RimeClass, classify, quantum_space_relations,
-                        relation_basis_from_rows, strict_rime_R)
+from yibre.rime import RimeClass, classify, quantum_space_relations, strict_rime_R
+from yibre.suites import run_suite
 from yibre.tensor import (Operator1, Operator2, conjugate2, hecke_residual,
-                          kron11, yb_residual)
+                          kron11, row_space, yb_residual)
 
 Q = F(1, 4)
 
@@ -158,7 +159,7 @@ def test_cg_symmetry(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cg_quantum_plane(n):
     rcg = cg_matrix(CGParams(n, Q, 1))
-    assert quantum_space_relations(rcg, 1, "right", "even") == cg_plane_relations(n, Q)
+    assert quantum_space_relations(rcg, 1, "right") == cg_plane_relations(n, Q)
 
 
 @pytest.mark.parametrize("n,phi", [(2, [1, 2]), (3, [1, 2, 4])])
@@ -167,8 +168,22 @@ def test_xty_maps_plane_ideals(n, phi):
     rr = strict_rime_R(phi, beta)
     x, _ = x_change_of_basis(phi)
     m = rr.scalar_shift(-1) @ kron11(x, x)
-    rows = [[m._get(r_, c_) for c_ in range(n * n)] for r_ in range(n * n)]
     rcg = cg_matrix(CGParams(n, Q, 1))
-    rows2 = [[rcg.scalar_shift(-1)._get(r_, c_) for c_ in range(n * n)]
-             for r_ in range(n * n)]
-    assert relation_basis_from_rows(n, rows) == relation_basis_from_rows(n, rows2)
+    assert row_space(n, m.data.values()) == row_space(n, rcg.scalar_shift(-1).data.values())
+
+
+def test_plane_checks_fault_name_their_entry(monkeypatch):
+    # both checks return differences of row spaces, so a bumped (R_CG)^{12}_{12}
+    # fails at the relation led by y^1 y^2, in its coefficient of y^2 y^1
+    matrix = cg.cg_matrix
+
+    def bumped(params):
+        r = matrix(params)
+        r.add_to(1, 2, 1, 2, 1)
+        return r
+
+    monkeypatch.setattr(cg, "cg_matrix", bumped)
+    got = {c.name: c for c in run_suite("cg", 2, 0, 1).checks}
+    assert got["cg-quantum-plane"].status == got["xty-ideal-map"].status == "fail"
+    assert got["cg-quantum-plane"].residual_witness == {"index": "1,2|2,1", "value": "4"}
+    assert got["xty-ideal-map"].residual_witness == {"index": "1,2|2,1", "value": "-4"}

@@ -210,6 +210,25 @@ def test_discriminant_fault_names_its_move(monkeypatch):
     assert got.residual_witness["value"] != "0"
 
 
+def test_normal_form_fault_names_its_sample(monkeypatch):
+    # the check returns one verdict per sample, so a wrong orbit for sample 3 fails at 3
+    classify = poisson.normal_form_classify
+    calls = []
+
+    def broken(params):
+        res = classify(params)
+        calls.append(params)
+        if len(calls) == 4:
+            res.orbit = "wrong"
+        return res
+
+    monkeypatch.setattr(poisson, "normal_form_classify", broken)
+    [got] = [c for c in run_suite("poisson", 2, 0, 1).checks
+             if c.name == "normal-form-consistency"]
+    assert got.status == "fail"
+    assert got.residual_witness == {"index": "3:-", "value": "false"}
+
+
 def test_normal_forms():
     res = normal_form_classify(PencilParams((1, 2, 4), 1, 0, 0))
     assert res.orbit == LIGHTLIKE and res.transport_verified

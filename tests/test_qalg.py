@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yibre import tensor
 from yibre.kernel import RationalDraw
 from yibre.poisson import jacobi_residual
 from yibre.qalg import (CASE_I, CASE_II, NON_STRICT, NOT_CONFLUENT_STRICT,
@@ -13,6 +14,7 @@ from yibre.qalg import (CASE_I, CASE_II, NON_STRICT, NOT_CONFLUENT_STRICT,
                         gl11_relation_rows, gl11_window_test, normal_order,
                         ordered_form_left, overlap_residuals,
                         overlap_residuals_semantic, poincare_series)
+from yibre.suites import run_suite
 
 nonzero_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5).filter(bool)
 
@@ -144,13 +146,13 @@ def test_gl11_window():
 def test_gl11_relations_from_matrix():
     """The hand-coded relation rows agree with the rows of (R - q) for the block."""
     from yibre.blocks import RBL4, block_matrix
-    from yibre.rime import quantum_space_relations, relation_basis_from_rows
+    from yibre.rime import quantum_space_relations
+    from yibre.tensor import row_space
     q = F(2)
     for om in (F(1, 4), F(1), F(4)):
         r = block_matrix(RBL4, q, om, 1)
-        kernel_basis = quantum_space_relations(r, q, "right", "even")
-        manual = relation_basis_from_rows(2, gl11_relation_rows(q, om))
-        assert kernel_basis == manual
+        kernel_space = quantum_space_relations(r, q, "right")
+        assert kernel_space == row_space(2, gl11_relation_rows(q, om))
 
 
 def test_classical_limit_bracket():
@@ -163,22 +165,38 @@ def test_classical_limit_bracket():
 
 def test_case_ii_is_rstcl_quantum_space():
     from yibre.cg import standard_riming
-    from yibre.rime import quantum_space_relations, relation_basis_from_rows
-    from yibre.tensor import conjugate2
-    from yibre.kernel import ZERO
+    from yibre.rime import quantum_space_relations
+    from yibre.tensor import conjugate2, row_space
     qi = F(1, 4)
     for m in (2, 3):
         rc, xt, residual = standard_riming(m, qi)
         assert residual.is_zero()
         conj = conjugate2(rc, xt)
-        right = quantum_space_relations(conj, 1, "right", "even")
+        right = quantum_space_relations(conj, 1, "right")
         rows = OrderedPresentation.case_ii(m, qi).relation_rows()
         perm = [m - 1 - i for i in range(m)]
         relabeled = []
         for row in rows:
-            new = [ZERO] * (m * m)
-            for idx, v in enumerate(row):
+            new = {}
+            for idx, v in row.items():
                 i, j = divmod(idx, m)
                 new[perm[i] * m + perm[j]] = v
             relabeled.append(new)
-        assert right == relation_basis_from_rows(m, relabeled)
+        assert right == row_space(m, relabeled)
+
+
+def test_case_ii_plane_fault_names_its_entry(monkeypatch):
+    # the check returns the riming residual and a difference of row spaces, so a
+    # bumped conjugated R^{12}_{12} fails in the plane, at the relation led by x^1 x^1
+    conjugate = tensor.conjugate2
+
+    def bumped(r, t):
+        out = conjugate(r, t)
+        out.add_to(1, 2, 1, 2, 1)
+        return out
+
+    monkeypatch.setattr(tensor, "conjugate2", bumped)
+    [got] = [c for c in run_suite("qalg", 3, 0, 1).checks
+             if c.name == "case-ii-is-rstcl-plane"]
+    assert got.status == "fail"
+    assert got.residual_witness == {"index": "plane:1,1|1,3", "value": "-1/3"}

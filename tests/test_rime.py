@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from yibre import rime
 from yibre.kernel import DegenerateParametersError, RationalDraw, ratvec
 from yibre.rime import (RimeClass, appendix_A_residuals, assemble_rime,
                         classical_commutator_relations, classify,
@@ -12,6 +13,7 @@ from yibre.rime import (RimeClass, appendix_A_residuals, assemble_rime,
                         quantum_trace_closed_forms, quantum_traces,
                         rime_plane_relations, strict_rime_R, strict_rime_data,
                         unitary_rime_R, unitary_rime_data)
+from yibre.suites import run_suite
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
                           hecke_residual, kron11, yb_residual)
 
@@ -277,17 +279,32 @@ def test_quantum_spaces(phi, beta):
     data = strict_rime_data(phi, beta)
     r = assemble_rime(data)
     n = len(phi)
-    assert quantum_space_relations(r, 1, "right", "even") == rime_plane_relations(data)
-    assert quantum_space_relations(r, 1, "left", "even") == classical_commutator_relations(n)
-    assert quantum_space_relations(r, beta - 1, "right", "odd") == odd_classical_relations(n)
-    assert quantum_space_relations(r, beta - 1, "left", "odd") \
-        == left_odd_rime_relations(data, beta)
+    assert quantum_space_relations(r, 1, "right") == rime_plane_relations(data)
+    assert quantum_space_relations(r, 1, "left") == classical_commutator_relations(n)
+    assert quantum_space_relations(r, beta - 1, "right") == odd_classical_relations(n)
+    assert quantum_space_relations(r, beta - 1, "left") == left_odd_rime_relations(data, beta)
 
 
 def test_right_even_dimension():
     r = strict_rime_R([1, 2, 4], F(1, 3))
-    basis = quantum_space_relations(r, 1, "right", "even")
-    assert len(basis.rows) == 3   # n(n-1)/2 relations
+    space = quantum_space_relations(r, 1, "right")
+    assert len(space.data) == space.rank() == 3   # n(n-1)/2 relations
+
+
+def test_quantum_spaces_fault_names_its_entry(monkeypatch):
+    # the check returns differences of row spaces, so a bumped R^{12}_{12} fails at
+    # the left even relation led by x^1 x^2, in its coefficient of x^2 x^1
+    assemble = rime.assemble_rime
+
+    def bumped(data):
+        r = assemble(data)
+        r.add_to(1, 2, 1, 2, 1)
+        return r
+
+    monkeypatch.setattr(rime, "assemble_rime", bumped)
+    [got] = [c for c in run_suite("rime", 2, 0, 1).checks if c.name == "quantum-spaces[0]"]
+    assert got.status == "fail"
+    assert got.residual_witness == {"index": "left-even-classical:1,2|2,1", "value": "1"}
 
 
 def test_generic_data_assembles_to_block_layout():

@@ -11,7 +11,7 @@ from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual,
                           first_nonzero_witness, hecke_residual, kron11, lift,
                           op1_on_leg2, partial_trace,
-                          permutation_P, rank_of_rows, reshuffled_matrix, rref_of_rows,
+                          permutation_P, reshuffled_matrix, row_space,
                           skew_inverse, wedge, yb_residual)
 
 
@@ -211,13 +211,46 @@ def test_echelon_det_inverse_rank_rref(idx):
     else:
         with pytest.raises(InvalidInputError):
             a.inverse()
-    rref = rref_of_rows(_dense(a))
-    assert len(rref) == rank == rank_of_rows(_dense(a))
-    assert rref_of_rows(rref) == rref
-    leads = [next(c for c, v in enumerate(row) if v) for row in rref]
+    # dense rows, zero entries and zero rows included
+    rows = [dict(enumerate(row)) for row in _dense(a)]
+    rref = Echelon(rows).rref()
+    assert len(rref) == rank == Echelon(rows).rank
+    assert Echelon(rref).rref() == rref
+    leads = [min(row) for row in rref]
     assert leads == sorted(set(leads))
-    assert all(row[lead] == (i == k) for i, lead in enumerate(leads)
+    assert all(row.get(lead, 0) == (i == k) for i, lead in enumerate(leads)
                for k, row in enumerate(rref))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_row_space_is_canonical(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 3
+    # up to n*n + 2 rows of one to three entries each, so some sets are dependent
+    rows = [{c: F(rng.randint(-3, 3), rng.randint(1, 3))
+             for c in rng.sample(range(n * n), rng.randint(1, 3))}
+            for _ in range(rng.randint(0, n * n + 2))]
+    space = row_space(n, rows)
+    shuffled = rng.sample(rows, len(rows))
+    assert row_space(n, shuffled) == space
+    assert row_space(n, rows + rows[:2] + [{}, {0: F(0)}]) == space
+    # an invertible recombination: nonzero multiples plus earlier rows
+    mixed = []
+    for row in shuffled:
+        scale = rng.choice((-2, F(1, 3), 5))
+        new = {c: scale * v for c, v in row.items()}
+        for prev in mixed:
+            k = rng.randint(-2, 2)
+            for c, v in prev.items():
+                new[c] = new.get(c, 0) + k * v
+        mixed.append(new)
+    assert row_space(n, mixed) == space
+    assert space @ space == space
+    assert space.rank() == len(space.data) == Echelon(rows).rank
+    # each row sits at its lead monomial with a 1 there and a 0 at every other lead
+    for lead, row in space.data.items():
+        assert min(row) == lead and row[lead] == 1
+        assert not (row.keys() - {lead}) & space.data.keys()
 
 
 def test_echelon_insert_reports_leads():
