@@ -212,9 +212,9 @@ def classify_orderable(pres: OrderedPresentation) -> OrderableClass:
 def _tensor_with_full_space(ideal: Echelon, n: int) -> Echelon:
     """Echelon basis of span (x) V given this span's basis (pivot structure survives)."""
     out = Echelon()
-    for lead, row in ideal.pivots.items():
+    for lead, row in ideal._pivots.items():
         for k in range(n):
-            out.pivots[lead * n + k] = {c * n + k: v for c, v in row.items()}
+            out._pivots[lead * n + k] = {c * n + k: x for c, x in row.items()}
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .kernel import (ONE, ZERO, InvalidInputError, elem_sym_omit, rat, ratvec,
                      require_distinct)
@@ -414,27 +414,43 @@ def _triple_equations():
     }
 
 
+def _cleared(data: RimeData) -> tuple[int, RimeData]:
+    """(L, data scaled by L), with L the lcm of all the coefficients' denominators."""
+    grids = (data.alpha_ij, data.beta_ij, data.gamma_ij, data.gamma_prime_ij)
+    den = lcm(*{v.denominator for v in data.alpha},
+              *{v.denominator for grid in grids for row in grid for v in row})
+    scale = lambda row: tuple(v.numerator * (den // v.denominator) for v in row)
+    return den, RimeData(data.dim, scale(data.alpha),
+                         *(tuple(scale(row) for row in grid) for grid in grids))
+
+
 def appendix_A_residuals(data: RimeData) -> dict[str, Fraction]:
-    """Max |residual| of every equation family and its involution image."""
+    """Max |residual| of every equation family and its involution image.
+
+    Every equation is homogeneous of degree 3 in (alpha, beta, gamma, gamma'),
+    so it is evaluated in ints on the data scaled by L and divided by L^3 once.
+    """
     n = data.dim
+    den, data = _cleared(data)
+    cube = den ** 3
     out: dict[str, Fraction] = {}
     variants = {"": data, "~iota": data.iota()}
     for suffix, d in variants.items():
         for name, eq in _pair_equations().items():
-            worst = ZERO
+            worst = 0
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i != j:
                         worst = max(worst, abs(eq(d, i, j)))
-            out[name + suffix] = worst
+            out[name + suffix] = Fraction(worst, cube)
         for name, eq in _triple_equations().items():
-            worst = ZERO
+            worst = 0
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     for k in range(1, n + 1):
                         if len({i, j, k}) == 3:
                             worst = max(worst, abs(eq(d, i, j, k)))
-            out[name + suffix] = worst
+            out[name + suffix] = Fraction(worst, cube)
     return out
 
 

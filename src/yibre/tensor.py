@@ -31,71 +31,153 @@ class Echelon:
 
     The package's one Gaussian elimination: ``det``, ``inverse`` and ``rank`` of
     the operators, ``row_space`` and the graded ideals of ``qalg`` all run
-    through it.  A row is a dict column -> scalar, zero entries ignored;
-    ``pivots`` maps each lead column to its row scaled to a leading 1.
+    through it.  A row is a dict column -> scalar, zero entries ignored.  Each
+    incoming row is cleared once to integers over one common denominator, and
+    each pivot is kept as a primitive integer row with a positive lead, so
+    elimination runs on Python ints.  A row with an entry that has no integer
+    form (a QuadExt) runs the same steps on its scalars, and its pivot is kept
+    scaled to a leading 1.  ``pivots`` reads every pivot scaled to a leading 1.
     """
 
-    __slots__ = ("pivots",)
+    __slots__ = ("_pivots", "_view")
 
     def __init__(self, rows: Iterable[dict] = ()):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self._pivots: dict[int, dict] = {}
+        self._view: dict[int, dict] | None = None
         for row in rows:
             self.insert(row)
 
-    def reduce(self, row: dict) -> dict:
-        """A copy of ``row`` reduced until its lead column carries no pivot."""
-        row = {c: v for c, v in row.items() if v}
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                break
-            _subtract_multiple(row, piv, lead)
-        return row
-
-    def insert(self, row: dict) -> int | None:
-        """Reduce ``row`` and keep it as a pivot; its lead column, or None if dependent."""
-        row = self.reduce(row)
-        if not row:
-            return None
-        lead = min(row)
-        inv = ONE / row[lead]
-        self.pivots[lead] = {c: v * inv for c, v in row.items()}
-        return lead
+    @property
+    def pivots(self) -> dict[int, dict]:
+        """Lead column -> pivot row scaled to a leading 1; read-only, built on first read."""
+        if self._view is None:
+            self._view = {lead: ({c: Fraction(x, p) for c, x in row.items()}
+                                 if type(p := row[lead]) is int else dict(row))
+                          for lead, row in self._pivots.items()}
+        return self._view
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._pivots)
+
+    def _reduce(self, row: dict) -> tuple[int | None, dict, int | None]:
+        """(den, row, lead): ``row`` cleared and reduced until its lead column carries no pivot."""
+        den, row = _clear(row)
+        pivots = self._pivots
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                return den, row, lead
+            den, row = _eliminate(den, row, piv, lead)
+        return den, row, None
+
+    def reduce(self, row: dict) -> dict:
+        """A copy of ``row`` reduced until its lead column carries no pivot, as exact values."""
+        den, row, _ = self._reduce(row)
+        return row if den is None else {c: Fraction(x, den) for c, x in row.items()}
+
+    def insert(self, row: dict) -> int | None:
+        """Reduce ``row`` and keep it as a pivot; its lead column, or None if dependent."""
+        return self._insert(row)[0]
+
+    def _insert(self, row: dict) -> tuple[int | None, object]:
+        """``insert``'s lead and the reduced row's exact value there; (None, 0) if dependent."""
+        den, row, lead = self._reduce(row)
+        if lead is None:
+            return None, ZERO
+        value = row[lead]
+        self._pivots[lead] = _pivot_form(den, row, lead)
+        self._view = None
+        return lead, value if den is None else Fraction(value, den)
 
     def rref(self) -> list[dict]:
         """Back-reduce the pivots in place; the reduced rows by increasing lead."""
-        for lead in sorted(self.pivots, reverse=True):
-            row = self.pivots[lead]
-            # pivots with larger leads are already reduced, so each subtraction
-            # clears one pivot column and touches no other
-            for c in [c for c in row if c != lead and c in self.pivots]:
-                _subtract_multiple(row, self.pivots[c], c)
-        return [self.pivots[lead] for lead in sorted(self.pivots)]
+        pivots = self._pivots
+        for lead in sorted(pivots, reverse=True):
+            row = pivots[lead]
+            # pivots with larger leads are already reduced, so each step clears
+            # one pivot column and touches no other
+            cols = [c for c in row if c != lead and c in pivots]
+            if cols:
+                den = 1 if type(row[lead]) is int else None
+                for c in cols:
+                    den, row = _eliminate(den, row, pivots[c], c)
+                pivots[lead] = _pivot_form(den, row, lead)
+        self._view = None
+        return [self.pivots[lead] for lead in sorted(pivots)]
+
+    def _common(self) -> tuple[int | None, dict[int, dict]]:
+        """(den, rows): the pivots scaled to a leading 1, as integer rows over one
+        common denominator; (None, ``pivots``) when a pivot holds scalars."""
+        pivots = self._pivots
+        if not all(type(row[lead]) is int for lead, row in pivots.items()):
+            return None, self.pivots
+        den = lcm(*(row[lead] for lead, row in pivots.items()))
+        out = {}
+        for lead, row in pivots.items():
+            k = den // row[lead]
+            out[lead] = {c: x * k for c, x in row.items()}
+        return den, out
 
 
-def _subtract_multiple(row: dict, piv: dict, col: int) -> None:
-    """row -= row[col] * piv in place, dropping zeros (piv[col] is 1)."""
-    factor = row[col]
-    for c, v in piv.items():
-        nv = row.get(c, ZERO) - factor * v
-        if nv:
-            row[c] = nv
+def _clear(row: dict) -> tuple[int | None, dict]:
+    """(den, ints): a row's nonzero entries times den, the lcm of their denominators.
+
+    An entry with no integer form (a QuadExt) gives (None, the entries as scalars).
+    """
+    row = {c: v for c, v in row.items() if v}
+    try:
+        den = lcm(*{v.denominator for v in row.values()})
+    except AttributeError:
+        # an int entry becomes a Fraction, so no later division is int / int
+        return None, {c: Fraction(v) if type(v) is int else v for c, v in row.items()}
+    return den, {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+
+
+def _eliminate(den: int | None, row: dict, piv: dict, col: int) -> tuple[int | None, dict]:
+    """(den, row) with ``row[col]`` cleared by the pivot ``piv`` that leads at ``col``.
+
+    On integers the step is row*d - f*piv, with f = row[col] and d = piv[col]
+    divided by their gcd, and one gcd pass keeps gcd(den, *row) == 1.  A row or
+    pivot of scalars (den None) runs the same step over the field, where the
+    gcd of f and d is d.  ``row`` may be updated in place.
+    """
+    f, d = row[col], piv[col]
+    if den is not None and type(d) is not int:
+        row, den = {c: Fraction(x, den) for c, x in row.items()}, None
+    if den is None:
+        f, d = f / d, 1
+    else:
+        g = gcd(f, d)
+        if g != 1:
+            f, d = f // g, d // g
+        if d != 1:
+            den *= d
+            row = {c: x * d for c, x in row.items()}
+    for c, x in piv.items():
+        v = row.get(c, 0) - f * x
+        if v:
+            row[c] = v
         elif c in row:
             del row[c]
+    if den is not None and den != 1:
+        g = gcd(den, *row.values())
+        if g != 1:
+            den //= g
+            row = {c: x // g for c, x in row.items()}
+    return den, row
 
 
-def _inverse_rows(rows: list[dict], size: int) -> list[dict]:
-    """Sparse rows of A^-1 from the RREF of [A | I]; singular when a lead lands in I."""
-    ech = Echelon()
-    for i, row in enumerate(rows):
-        if ech.insert({**row, size + i: ONE}) >= size:
-            raise InvalidInputError("matrix is singular")
-    return [{c - size: v for c, v in row.items() if c >= size} for row in ech.rref()]
+def _pivot_form(den: int | None, row: dict, lead: int) -> dict:
+    """A reduced row as kept: primitive with a positive lead, or scalars scaled to a leading 1."""
+    p = row[lead]
+    if den is None:
+        return {c: v / p for c, v in row.items()}
+    g = gcd(*row.values())
+    if p < 0:
+        g = -g
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
 class _SparseSquare:
@@ -313,15 +395,23 @@ class _SparseSquare:
                     yield r, c, v
 
     def rank(self) -> int:
-        return Echelon(self.data.values()).rank
+        return Echelon(self._ints()[1].values()).rank
 
     def inverse(self):
-        out = self.zero(self.dim)
-        rows = [self.data.get(r, {}) for r in range(self.size)]
-        for r, row in enumerate(_inverse_rows(rows, self.size)):
-            for c, v in row.items():
-                out._set(r, c, v)
-        return out
+        """A^-1 from the RREF of [den*A | I]; singular when a lead lands in I."""
+        den, rows = self._ints()
+        size = self.size
+        ech = Echelon()
+        for r in range(size):
+            if ech.insert({**rows.get(r, {}), size + r: 1}) >= size:
+                raise InvalidInputError("matrix is singular")
+        ech.rref()
+        # the right block is (den*A)^-1, so A^-1 is den times it
+        pden, pivots = ech._common()
+        k = 1 if den is None else den
+        return self._reduced(self.dim, pden, {r: {c - size: x * k for c, x in row.items()
+                                                  if c >= size}
+                                              for r, row in pivots.items()})
 
 
 class Operator1(_SparseSquare):
@@ -363,17 +453,22 @@ class Operator1(_SparseSquare):
                      for i in range(self.dim))
 
     def det(self) -> Fraction:
-        """Product of the leads before scaling, signed by the lead-column permutation."""
+        """Product of the reduced rows' leads, signed by the lead-column permutation.
+
+        The rows are den*A, so the product is divided by den^dim.
+        """
+        den, rows = self._ints()
         ech = Echelon()
         det = ONE
         leads = []
         for r in range(self.dim):
-            rem = ech.reduce(self.data.get(r, {}))
-            if not rem:
+            lead, value = ech._insert(rows.get(r, {}))
+            if lead is None:
                 return ZERO
-            lead = ech.insert(rem)
-            det *= rem[lead]
+            det *= value
             leads.append(lead)
+        if den is not None:
+            det /= den ** self.dim
         inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
         return -det if inversions % 2 else det
 
@@ -477,7 +572,7 @@ def row_space(n: int, rows: Iterable[dict]) -> Operator2:
     """
     ech = Echelon(rows)
     ech.rref()
-    return Operator2(n, ech.pivots)
+    return Operator2._reduced(n, *ech._common())
 
 
 def lift(op: Operator2, legs: int, n: int | None = None) -> Operator3:

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
 from yibre import rime
 from yibre.kernel import DegenerateParametersError, RationalDraw, ratvec
-from yibre.rime import (RimeClass, appendix_A_residuals, assemble_rime,
+from yibre.rime import (RimeClass, RimeData, appendix_A_residuals, assemble_rime,
                         classical_commutator_relations, classify,
                         eigen_multiplicities, eigenvector_w, extract_rime_data,
                         invariance_generator, invariance_Y, invariance_Y0,
@@ -256,6 +258,64 @@ def test_appendix_mutations_detected(grid, i, j):
     assert any(v != 0 for v in res.values())
     bad_r = assemble_rime(bad)
     assert not yb_residual(bad_r).is_zero()
+
+
+def _random_rime_data(n: int, rng: random.Random) -> RimeData:
+    """Seeded coefficients with no relation between them, zero where RimeData requires."""
+    q = lambda: F(rng.randint(-9, 9), rng.randint(1, 12))
+    grid = lambda: tuple(tuple(q() if i != j else F(0) for j in range(n)) for i in range(n))
+    return RimeData(n, tuple(q() for _ in range(n)), grid(), grid(), grid(), grid())
+
+
+def _scaled(d: RimeData, t) -> RimeData:
+    grid = lambda g: tuple(tuple(t * v for v in row) for row in g)
+    return RimeData(d.dim, tuple(t * v for v in d.alpha), grid(d.alpha_ij), grid(d.beta_ij),
+                    grid(d.gamma_ij), grid(d.gamma_prime_ij))
+
+
+def _index_tuples(n: int, arity: int):
+    return list(permutations(range(1, n + 1), arity))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [3, 4])
+def test_appendix_equations_are_cubic(n, seed):
+    # appendix_A_residuals evaluates on data scaled to ints and divides by L^3,
+    # which is exact only while every equation is homogeneous of degree 3
+    rng = random.Random(seed)
+    d = _random_rime_data(n, rng)
+    t = F(rng.randint(2, 9), rng.randint(2, 9)) * rng.choice((1, -1))
+    td = _scaled(d, t)
+    for arity, eqs in ((2, rime._pair_equations()), (3, rime._triple_equations())):
+        for name, eq in eqs.items():
+            values = [eq(d, *idx) for idx in _index_tuples(n, arity)]
+            assert any(values), name
+            scaled = [eq(td, *idx) for idx in _index_tuples(n, arity)]
+            assert scaled == [t ** 3 * v for v in values], name
+
+
+def _fraction_residuals(data: RimeData) -> dict:
+    """The equation system's max |residual| per family, evaluated on the Fractions directly."""
+    out = {}
+    for suffix, d in {"": data, "~iota": data.iota()}.items():
+        for arity, eqs in ((2, rime._pair_equations()), (3, rime._triple_equations())):
+            for name, eq in eqs.items():
+                out[name + suffix] = max(abs(eq(d, *idx)) for idx in _index_tuples(d.dim, arity))
+    return out
+
+
+@pytest.mark.parametrize("grid,i,j", [("beta_ij", 1, 2), ("gamma_ij", 2, 3),
+                                      ("alpha_ij", 1, 3), ("gamma_prime_ij", 3, 1)])
+@pytest.mark.parametrize("phi", [[1, 2, F(5, 3)], [F(1, 2), 3, F(-2, 7), 5]])
+def test_appendix_residuals_match_fraction_evaluation(phi, grid, i, j):
+    data = strict_rime_data(phi, F(3, 4))
+    field = {"beta_ij": data.b, "gamma_ij": data.g, "alpha_ij": data.a,
+             "gamma_prime_ij": data.gp}[grid]
+    bad = data.replace_entry(grid, i, j, field(i, j) + F(7, 11))
+    res = appendix_A_residuals(bad)
+    assert any(res.values())
+    assert res == _fraction_residuals(bad)
+    assert all(type(v) is F for v in res.values())
 
 
 def test_beta_consistency_violation_hits_ee_family():

@@ -677,3 +677,149 @@ def test_quadext_operands_take_the_generic_path(d, data):
         dual = a.scale(eps)
         assert (dual @ dual).is_zero() and (dual @ dual).data == {}
         assert kron11(dual, dual).data == {}
+
+
+# --- the integer Echelon against leading-1 Fraction elimination ----------------
+
+class _FractionEchelon:
+    """Leading-1 elimination on exact scalars, as Echelon ran before integer rows."""
+
+    def __init__(self, rows=()):
+        self.pivots = {}
+        for row in rows:
+            self.insert(row)
+
+    def _subtract(self, row, col):
+        factor = row[col]
+        for c, v in self.pivots[col].items():
+            nv = row.get(c, F(0)) - factor * v
+            if nv:
+                row[c] = nv
+            elif c in row:
+                del row[c]
+
+    def reduce(self, row):
+        row = {c: v for c, v in row.items() if v}
+        while row and min(row) in self.pivots:
+            self._subtract(row, min(row))
+        return row
+
+    def insert(self, row):
+        row = self.reduce(row)
+        if not row:
+            return None
+        lead = min(row)
+        inv = F(1) / row[lead]
+        self.pivots[lead] = {c: v * inv for c, v in row.items()}
+        return lead
+
+    def rref(self):
+        for lead in sorted(self.pivots, reverse=True):
+            row = self.pivots[lead]
+            for c in [c for c in row if c != lead and c in self.pivots]:
+                self._subtract(row, c)
+        return [self.pivots[lead] for lead in sorted(self.pivots)]
+
+
+def _fraction_inverse(dense):
+    """Rows of A^-1 from the reference RREF of [A | I], or None when A is singular."""
+    n = len(dense)
+    rref = _FractionEchelon({**dict(enumerate(row)), n + r: F(1)}
+                            for r, row in enumerate(dense)).rref()
+    if any(min(row) >= n for row in rref):
+        return None
+    return [[row.get(n + c, F(0)) for c in range(n)] for row in rref]
+
+
+def _assert_pivots_stored_primitive(ech):
+    for lead, row in ech._pivots.items():
+        assert all(row.values()), "zero stored"
+        assert min(row) == lead
+        if type(row[lead]) is int:
+            assert all(type(x) is int for x in row.values())
+            assert row[lead] > 0 and gcd(*row.values()) == 1
+        else:
+            assert row[lead] == 1
+
+
+ECHELON_DENS = (1, 2, 3, 7, 3 ** 40, 2 ** 61 - 1)
+echelon_rationals = st.builds(
+    F, st.one_of(st.integers(-9, 9), st.sampled_from((3 ** 40, 1 - 2 ** 61))),
+    st.sampled_from(ECHELON_DENS))
+
+
+def _echelon_scalars(quad: bool):
+    if not quad:
+        return echelon_rationals
+    gaussian = st.builds(lambda a, b: QuadExt(a, b, -1), echelon_rationals, echelon_rationals)
+    return st.one_of(echelon_rationals, gaussian)
+
+
+@st.composite
+def echelon_rows(draw, m: int, quad: bool):
+    """Rows over m columns: sparse rows, zero rows and combinations of earlier rows."""
+    scalars = _echelon_scalars(quad)
+    rows = []
+    for _ in range(draw(st.integers(0, m + 2))):
+        kind = draw(st.sampled_from(("sparse", "sparse", "zero", "combination")))
+        if kind == "zero":
+            row = {c: F(0) for c in draw(st.sets(st.integers(0, m - 1), max_size=2))}
+        elif kind == "combination" and rows:
+            row = {}
+            for prev in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2)):
+                k = draw(echelon_rationals)
+                for c, v in prev.items():
+                    row[c] = row.get(c, F(0)) + k * v
+        else:
+            row = draw(st.dictionaries(st.integers(0, m - 1), scalars, min_size=1))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def square_matrices(draw, m: int, quad: bool):
+    """Dense m x m rows with zero entries; sometimes the last row is a combination of the others."""
+    entry = st.one_of(st.just(F(0)), _echelon_scalars(quad))
+    dense = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        k = draw(echelon_rationals)
+        dense[-1] = [x + k * y for x, y in zip(dense[0], dense[1 % (m - 1)])]
+    return dense
+
+
+@pytest.mark.parametrize("quad", [False, True])
+@given(data=st.data())
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+def test_echelon_matches_fraction_elimination(quad, data):
+    m = data.draw(st.integers(1, 6))
+    rows = data.draw(echelon_rows(m, quad))
+    ech, ref = Echelon(), _FractionEchelon()
+    for row in rows:
+        assert ech.insert(row) == ref.insert(row)
+        _assert_pivots_stored_primitive(ech)
+    assert ech.rank == len(ref.pivots)
+    assert ech.pivots == ref.pivots
+    for probe in rows + [{c: F(1) for c in range(m)}]:
+        assert ech.reduce(probe) == ref.reduce(probe)
+    assert ech.rref() == ref.rref()
+    assert ech.pivots == ref.pivots
+    _assert_pivots_stored_primitive(ech)
+    dense = data.draw(square_matrices(m, quad))
+    a = Operator1(dense)
+    det = _leibniz_det(dense)
+    assert a.det() == det
+    assert a.rank() == len(_FractionEchelon(a.data.values()).pivots)
+    inverse = _fraction_inverse(dense)
+    assert (inverse is None) == (det == 0)
+    if inverse is None:
+        with pytest.raises(InvalidInputError):
+            a.inverse()
+        return
+    assert _dense(a.inverse()) == inverse
+    # negative control: the inverse is injective, so any bumped entry changes it
+    r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    dense[r][c] += F(1, 3)
+    try:
+        assert _dense(Operator1(dense).inverse()) != inverse
+    except InvalidInputError:
+        assert _leibniz_det(dense) == 0
