@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -140,6 +140,16 @@ def perfect_square_root(x: Fraction) -> Fraction | None:
 def sparse_minus(p: dict, q: dict) -> dict:
     """Entrywise p - q of two sparse coefficient dicts (a missing key is zero)."""
     return {k: p.get(k, ZERO) - q.get(k, ZERO) for k in p.keys() | q.keys()}
+
+
+def cleared(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(L, ints): L the lcm of the values' denominators and each value times L.
+
+    A value with no denominator (a QuadExt) raises AttributeError.
+    """
+    values = list(values)
+    den = lcm(*{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def ratvec(values: Iterable) -> tuple[Fraction, ...]:

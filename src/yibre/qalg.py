@@ -209,15 +209,6 @@ def classify_orderable(pres: OrderedPresentation) -> OrderableClass:
 
 # --- graded dimensions ---------------------------------------------------------
 
-def _tensor_with_full_space(ideal: Echelon, n: int) -> Echelon:
-    """Echelon basis of span (x) V given this span's basis (pivot structure survives)."""
-    out = Echelon()
-    for lead, row in ideal._pivots.items():
-        for k in range(n):
-            out._pivots[lead * n + k] = {c * n + k: x for c, x in row.items()}
-    return out
-
-
 def poincare_series(n: int, relation_rows, max_degree: int) -> tuple[int, ...]:
     """dim of degree-m components of T(V)/(relations), m = 0..max_degree."""
     if max_degree > 6:
@@ -231,7 +222,7 @@ def poincare_series(n: int, relation_rows, max_degree: int) -> tuple[int, ...]:
         dims.append(n * n - ideal.rank)
     for m in range(3, max_degree + 1):
         # I_m = I_{m-1} (x) V + V^(m-2) (x) R
-        nxt = _tensor_with_full_space(ideal, n)
+        nxt = ideal.tensored(n)
         block = n * n
         for prefix in range(n ** (m - 2)):
             base = prefix * block

@@ -15,10 +15,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
-from .kernel import (ONE, ZERO, InvalidInputError, elem_sym_omit, rat, ratvec,
-                     require_distinct)
+from .kernel import (ONE, ZERO, InvalidInputError, cleared, elem_sym_omit, rat,
+                     ratvec, require_distinct)
 from .tensor import (Operator1, Operator2, hecke_residual, partial_trace,
                      permutation_P, row_space, skew_inverse)
 
@@ -416,12 +416,11 @@ def _triple_equations():
 
 def _cleared(data: RimeData) -> tuple[int, RimeData]:
     """(L, data scaled by L), with L the lcm of all the coefficients' denominators."""
+    n = data.dim
     grids = (data.alpha_ij, data.beta_ij, data.gamma_ij, data.gamma_prime_ij)
-    den = lcm(*{v.denominator for v in data.alpha},
-              *{v.denominator for grid in grids for row in grid for v in row})
-    scale = lambda row: tuple(v.numerator * (den // v.denominator) for v in row)
-    return den, RimeData(data.dim, scale(data.alpha),
-                         *(tuple(scale(row) for row in grid) for grid in grids))
+    den, ints = cleared([*data.alpha, *(v for grid in grids for row in grid for v in row)])
+    rows = [tuple(ints[s:s + n]) for s in range(0, len(ints), n)]
+    return den, RimeData(n, rows[0], *(tuple(rows[1 + g * n:1 + (g + 1) * n]) for g in range(4)))
 
 
 def appendix_A_residuals(data: RimeData) -> dict[str, Fraction]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .kernel import ONE, ZERO, InvalidInputError, NotSkewInvertibleError, rat
+from .kernel import ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared, rat
 
 
 class Echelon:
@@ -72,11 +72,6 @@ class Echelon:
             den, row = _eliminate(den, row, piv, lead)
         return den, row, None
 
-    def reduce(self, row: dict) -> dict:
-        """A copy of ``row`` reduced until its lead column carries no pivot, as exact values."""
-        den, row, _ = self._reduce(row)
-        return row if den is None else {c: Fraction(x, den) for c, x in row.items()}
-
     def insert(self, row: dict) -> int | None:
         """Reduce ``row`` and keep it as a pivot; its lead column, or None if dependent."""
         return self._insert(row)[0]
@@ -107,6 +102,18 @@ class Echelon:
         self._view = None
         return [self.pivots[lead] for lead in sorted(pivots)]
 
+    def tensored(self, n: int) -> "Echelon":
+        """The basis of this span (x) V, dim V = n: column c and index k go to c*n + k.
+
+        The relabelling keeps every lead first and every pivot's form, so no row
+        is reduced again.
+        """
+        out = Echelon()
+        for lead, row in self._pivots.items():
+            for k in range(n):
+                out._pivots[lead * n + k] = {c * n + k: x for c, x in row.items()}
+        return out
+
     def _common(self) -> tuple[int | None, dict[int, dict]]:
         """(den, rows): the pivots scaled to a leading 1, as integer rows over one
         common denominator; (None, ``pivots``) when a pivot holds scalars."""
@@ -128,11 +135,11 @@ def _clear(row: dict) -> tuple[int | None, dict]:
     """
     row = {c: v for c, v in row.items() if v}
     try:
-        den = lcm(*{v.denominator for v in row.values()})
+        den, ints = cleared(row.values())
     except AttributeError:
         # an int entry becomes a Fraction, so no later division is int / int
         return None, {c: Fraction(v) if type(v) is int else v for c, v in row.items()}
-    return den, {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    return den, dict(zip(row, ints))
 
 
 def _eliminate(den: int | None, row: dict, piv: dict, col: int) -> tuple[int | None, dict]:
@@ -143,9 +150,10 @@ def _eliminate(den: int | None, row: dict, piv: dict, col: int) -> tuple[int | N
     pivot of scalars (den None) runs the same step over the field, where the
     gcd of f and d is d.  ``row`` may be updated in place.
     """
-    f, d = row[col], piv[col]
+    d = piv[col]
     if den is not None and type(d) is not int:
         row, den = {c: Fraction(x, den) for c, x in row.items()}, None
+    f = row[col]
     if den is None:
         f, d = f / d, 1
     else:
@@ -243,16 +251,15 @@ class _SparseSquare:
     def _ints(self) -> tuple[int | None, dict[int, dict]]:
         """(den, rows) of the integer form, clearing the Fraction form the first time."""
         if self._rows is None:
-            data = self._data
+            rows = {r: nz for r, row in self._data.items()
+                    if (nz := {c: v for c, v in row.items() if v})}
             try:
-                den = lcm(*{v.denominator for row in data.values() for v in row.values()})
-                rows = {r: nz for r, row in data.items()
-                        if (nz := {c: v.numerator * (den // v.denominator)
-                                   for c, v in row.items() if v})}
+                den, ints = cleared(v for row in rows.values() for v in row.values())
             except AttributeError:
                 den = None
-                rows = {r: nz for r, row in data.items()
-                        if (nz := {c: v for c, v in row.items() if v})}
+            else:
+                ints = iter(ints)
+                rows = {r: {c: next(ints) for c in row} for r, row in rows.items()}
             self._den, self._rows = den, rows
         return self._den, self._rows
 
