@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import (ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct,
-                     sparse_minus, theta)
+from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec,
+                     require_distinct, sparse_minus, theta)
 from .tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual, kron11,
-                     lift, op1_on_leg2, permutation_P, wedge,
+                     lift, op1_on_leg2, permutation_P, signed_products, wedge,
                      ybe_numbered_residual, yb_residual)
 
 B0 = "b0"
@@ -363,13 +363,17 @@ def coproduct(u: Operator1, r: Operator2, c, variant: str = "plain") -> Operator
     c = rat(c)
     u1 = op1_on_leg2(u, 1)
     u2 = op1_on_leg2(u, 2)
-    out = u1 @ r - r @ u2
+    return signed_products([(1, u1, r), (-1, r, u2), *_variant_terms(variant, c, u1, u2)])
+
+
+def _variant_terms(variant: str, c, minus, plus) -> list:
+    """The signed terms a coproduct variant adds: none, -c * minus, or +c * plus."""
     if variant == "plain":
-        return out
+        return []
     if variant == "delta":
-        return out - u1.scale(c)
+        return [(-c, minus)]
     if variant == "delta-tilde":
-        return out + u2.scale(c)
+        return [(c, plus)]
     raise InvalidInputError(f"unknown coproduct variant {variant!r}")
 
 
@@ -379,34 +383,21 @@ def coassociativity_residual(r: Operator2, c, variant: str, u: Operator1) -> Ope
     big = coproduct(u, r, c, variant)
     u13, u23, u12 = lift(big, 13), lift(big, 23), lift(big, 12)
     r12, r23 = lift(r, 12), lift(r, 23)
-    if variant == "plain":
-        left = u13 @ r12 - r12 @ u23
-        right = u12 @ r23 - r23 @ u13
-    elif variant == "delta":
-        left = u13 @ r12 - r12 @ u23 - u13.scale(c)
-        right = u12 @ r23 - r23 @ u13 - u12.scale(c)
-    elif variant == "delta-tilde":
-        left = u13 @ r12 - r12 @ u23 + u23.scale(c)
-        right = u12 @ r23 - r23 @ u13 + u13.scale(c)
-    else:
-        raise InvalidInputError(f"unknown coproduct variant {variant!r}")
-    return left - right
+    # left = u13 r12 - r12 u23 + variant(u13, u23), right = u12 r23 - r23 u13 + variant(u12, u13)
+    return signed_products([(1, u13, r12), (-1, r12, u23), *_variant_terms(variant, c, u13, u23),
+                            (-1, u12, r23), (1, r23, u13),
+                            *((-k, f) for k, f in _variant_terms(variant, c, u12, u13))])
 
 
 def derivation_residual(u: Operator1, v: Operator1, r: Operator2, c,
                         variant: str = "plain") -> Operator2:
     """delta(uv) - (u (x) 1) delta(v) - delta(u)(1 (x) v) -/+ c (u (x) v)."""
     c = rat(c)
-    duv = coproduct(u @ v, r, c, variant)
-    comb = (op1_on_leg2(u, 1) @ coproduct(v, r, c, variant)
-            + coproduct(u, r, c, variant) @ op1_on_leg2(v, 2))
-    if variant == "plain":
-        return duv - comb
-    if variant == "delta":
-        return duv - comb - kron11(u, v).scale(c)
-    if variant == "delta-tilde":
-        return duv - comb + kron11(u, v).scale(c)
-    raise InvalidInputError(f"unknown coproduct variant {variant!r}")
+    uv = kron11(u, v)
+    return signed_products([(1, coproduct(u @ v, r, c, variant)),
+                            (-1, op1_on_leg2(u, 1), coproduct(v, r, c, variant)),
+                            (-1, coproduct(u, r, c, variant), op1_on_leg2(v, 2)),
+                            *_variant_terms(variant, c, uv, uv)])
 
 
 # --- Rota-Baxter operators -----------------------------------------------------
@@ -423,6 +414,14 @@ class RotaBaxterMap:
     def __init__(self, n: int, cols: dict[tuple[int, int], dict[tuple[int, int], Fraction]]):
         self.n = n
         self.cols = cols
+        # the coefficients as integers over one common denominator; None for a QuadExt
+        try:
+            self._den, ints = cleared(v for col in cols.values() for v in col.values())
+        except AttributeError:
+            self._den = self._icols = None
+        else:
+            ints = iter(ints)
+            self._icols = {cell: {out: next(ints) for out in col} for cell, col in cols.items()}
 
     @classmethod
     def from_function(cls, n: int, fn) -> "RotaBaxterMap":
@@ -438,12 +437,23 @@ class RotaBaxterMap:
         return cls(n, cols)
 
     def apply(self, a: Operator1) -> Operator1:
-        out = Operator1.zero(self.n)
-        for d, row in a.data.items():
+        """The image of ``a``, summed over its nonzero entries on integer rows."""
+        da, rows = a._ints()
+        cols = self._icols
+        if da is None or cols is None:
+            den, rows, cols = None, a.data, self.cols
+        else:
+            den = da * self._den
+        out = {}
+        for d, row in rows.items():
             for k, x in row.items():
-                for (i, j), v in self.cols.get((d, k), {}).items():
-                    out._add(i, j, v * x)
-        return out
+                col = cols.get((d, k))
+                if col:
+                    for (i, j), v in col.items():
+                        orow = out.setdefault(i, {})
+                        orow[j] = orow.get(j, 0) + v * x
+        out = {i: nz for i, row in out.items() if (nz := {j: x for j, x in row.items() if x})}
+        return Operator1._reduced(self.n, den, out)
 
     def matrix(self) -> Operator1:
         """The n^2 x n^2 matrix: row = output cell, column = input cell, both row-major."""
@@ -559,20 +569,22 @@ def rb_weight_residual(rb: RotaBaxterMap, alpha, a: Operator1, b: Operator1) -> 
     """r(A)r(B) + alpha r(AB) - r(r(A)B + A r(B))."""
     alpha = rat(alpha)
     ra, rbm = rb.apply(a), rb.apply(b)
-    return ra @ rbm + rb.apply(a @ b).scale(alpha) - rb.apply(ra @ b + a @ rbm)
+    return signed_products([(1, ra, rbm), (alpha, rb.apply(a @ b)),
+                            (-1, rb.apply(signed_products([(1, ra, b), (1, a, rbm)])))])
 
 
 def star_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, alpha) -> Operator1:
     """A*B = r(A)B + A r(B) - alpha AB (associative for a weight-alpha operator)."""
     alpha = rat(alpha)
-    return rb.apply(a) @ b + a @ rb.apply(b) - (a @ b).scale(alpha)
+    return signed_products([(1, rb.apply(a), b), (1, a, rb.apply(b)), (-alpha, a, b)])
 
 
 def star_tilde_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, rb_prime: RotaBaxterMap,
                        c) -> Operator1:
     """A *~ B = r(A)B - A r'(B) + c A Tr(B)."""
     c = rat(c)
-    return rb.apply(a) @ b - a @ rb_prime.apply(b) + a.scale(c * b.trace())
+    return signed_products([(1, rb.apply(a), b), (-1, a, rb_prime.apply(b)),
+                            (c * b.trace(), a)])
 
 
 _GL3_SHAPE_B0 = ((1, 1, 1), (0, 0, 1), (0, 0, 0))

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import (ONE, ZERO, InvalidInputError, elem_sym, elem_sym_omit, elem_syms,
-                     rat, ratvec, require_distinct, theta)
+from .kernel import (ONE, ZERO, InvalidInputError, elem_sym, elem_sym_omit,
+                     elem_syms_omitting, rat, ratvec, require_distinct, theta)
 from .rime import RimeClass, classify, strict_rime_R
 from .tensor import (Operator1, Operator2, conjugate2, kron11, op1_on_leg2, permutation_P,
                      row_space)
@@ -79,15 +79,8 @@ def x_change_of_basis(phi) -> tuple[Operator1, Operator1]:
     phi = ratvec(phi)
     require_distinct(phi, "phi")
     n = len(phi)
-    # row k holds e_0..e_{n-1} of phi without phi_k, from e_j = e_j^khat + phi_k e_{j-1}^khat
-    e = elem_syms(phi)
-    rows = []
-    for v in phi:
-        row = [ONE]
-        for j in range(1, n):
-            row.append(e[j] - v * row[-1])
-        rows.append(row)
-    x = Operator1(rows)
+    # row k holds e_0..e_{n-1} of phi without phi_k
+    x = Operator1(elem_syms_omitting(phi))
     rows = []
     for j in range(1, n + 1):
         row = []
@@ -117,14 +110,25 @@ def cg_equivalence_residual(phi, beta) -> Operator2:
     return r @ xx - xx @ rcg
 
 
-def sectype_identity_residual(phi, i: int, j: int, k: int, l: int) -> Fraction:
-    """Symmetric-function identity behind the change of basis, one index tuple."""
+def sectype_identity_residual(phi, i: int, j: int, k: int, l: int,
+                              omitting: list[list[Fraction]] | None = None) -> Fraction:
+    """Symmetric-function identity behind the change of basis, one index tuple.
+
+    ``omitting`` is phi's ``elem_syms_omitting`` table, built here when not
+    given; a caller that loops over index tuples builds it once per phi.
+    """
     phi = ratvec(phi)
     require_distinct(phi, "phi")
     if i == j:
         raise InvalidInputError("requires i != j")
     n = len(phi)
-    e = lambda m, omit: elem_sym_omit(phi, m, omit)
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise InvalidInputError(f"indices {i}, {j} out of range 1..{n}")
+    if omitting is None:
+        omitting = elem_syms_omitting(phi)
+
+    def e(m, omit):
+        return omitting[omit - 1][m] if 0 <= m < n else ZERO
     lhs = (phi[i - 1] * e(k - 1, i) - phi[j - 1] * e(k - 1, j)) \
         * (e(l - 1, i) - e(l - 1, j)) / (phi[i - 1] - phi[j - 1])
     rhs = ZERO

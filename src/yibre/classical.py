@@ -13,7 +13,8 @@ from .kernel import (ONE, ZERO, InvalidInputError, rat, ratvec,
                      require_distinct)
 from .rime import strict_rime_R
 from .tensor import (Operator1, Operator2, commutator_with_sum, conjugate2,
-                     cybe_residual, kron11, op1_on_leg2, permutation_P, wedge)
+                     cybe_residual, kron11, op1_on_leg2, permutation_P, signed_products,
+                     wedge)
 
 RIME_NONSKEW = "rime-nonskew"
 RIME_SKEW = "rime-skew"
@@ -184,28 +185,31 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     n = len(mu)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     z = {(i, j): carrier_Z(n, i, j) for (i, j) in pairs}
+    zero = Operator1.zero(n)  # Z^i_i
 
-    def bracket(p, t):
-        return z[p] @ z[t] - z[t] @ z[p]
+    def bracket(x, y, *more):
+        """[x, y] plus further signed terms, as one signed sum of products."""
+        return signed_products([(1, x, y), (-1, y, x), *more])
 
     # (a) associative product rule Z^j_i Z^k_l = (d^j_l - d^i_l)(Z^k_i - Z^l_i)
     product_rule = []
     for (j, i) in pairs:
         for (k, l) in pairs:
             coeff = (ONE if j == l else ZERO) - (ONE if i == l else ZERO)
-            product_rule.append(z[(j, i)] @ z[(k, l)]
-                                - (carrier_Z(n, k, i) - carrier_Z(n, l, i)).scale(coeff))
+            product_rule.append(signed_products([(1, z[(j, i)], z[(k, l)]),
+                                                 (-coeff, z.get((k, i), zero)),
+                                                 (coeff, z.get((l, i), zero))]))
 
     # (b) the three displayed bracket families, and the vanishing of the others
     brackets = []
     for (i, j) in pairs:
-        brackets.append(bracket((i, j), (j, i)) - (z[(j, i)] - z[(i, j)]))
+        brackets.append(bracket(z[(i, j)], z[(j, i)], (-1, z[(j, i)]), (1, z[(i, j)])))
         for k in range(1, n + 1):
             if k in (i, j):
                 continue
-            brackets.append(bracket((j, i), (k, i)) - (z[(j, i)] - z[(k, i)]))
-            brackets.append(bracket((i, j), (j, k)) - (z[(j, k)] - z[(i, k)]))
-    other_brackets = [bracket(p, t) for p in pairs for t in pairs if not set(p) & set(t)]
+            brackets.append(bracket(z[(j, i)], z[(k, i)], (-1, z[(j, i)]), (1, z[(k, i)])))
+            brackets.append(bracket(z[(i, j)], z[(j, k)], (-1, z[(j, k)]), (1, z[(i, k)])))
+    other_brackets = [bracket(z[p], z[t]) for p in pairs for t in pairs if not set(p) & set(t)]
 
     # (c) omega(Z^i_j, Z^k_l) = -(mu_i - mu_j) d^l_i d^j_k inverts the r-coefficients
     idx = {p: a for a, p in enumerate(pairs)}
@@ -217,7 +221,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
         omega._set(idx[(i, j)], idx[(j, i)], -(mu[i - 1] - mu[j - 1]))
 
     # (d) omega = d(lambda_n) with lambda_n(Z^k_l) = -mu_l
-    coboundary = [_lambda_on_carrier(bracket(p, t), mu) - omega._get(idx[p], idx[t])
+    coboundary = [_lambda_on_carrier(bracket(z[p], z[t]), mu) - omega._get(idx[p], idx[t])
                   for p in pairs for t in pairs]
 
     # (e) Ztilde obeys the same brackets and fixes the all-ones vector up to 1/n
@@ -227,8 +231,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     sl_ones, sl_brackets = [], []
     for (i, j) in pairs:
         sl_ones.append([x - ONE / n for x in zt[(i, j)].apply(ones)])
-        sl_brackets.append(zt[(i, j)] @ zt[(j, i)] - zt[(j, i)] @ zt[(i, j)]
-                           - (zt[(j, i)] - zt[(i, j)]))
+        sl_brackets.append(bracket(zt[(i, j)], zt[(j, i)], (-1, zt[(j, i)]), (1, zt[(i, j)])))
     return {"product-rule": product_rule, "brackets": brackets,
             "other-brackets": other_brackets, "omega-is-inverse": rcoef.inverse() - omega,
             "omega-is-coboundary": coboundary, "sl-fixes-ones": sl_ones,
@@ -363,9 +366,12 @@ def lambda_bcg_gram(n: int) -> Operator1:
 
     m = len(pairs)
     g = Operator1.zero(m)
+    # lambda([x, y]) = -lambda([y, x]), so each unordered pair is evaluated once
     for a in range(m):
-        for b in range(m):
-            g._set(a, b, lam(zt[a] @ zt[b] - zt[b] @ zt[a]))
+        for b in range(a + 1, m):
+            v = lam(signed_products([(1, zt[a], zt[b]), (-1, zt[b], zt[a])]))
+            g._set(a, b, v)
+            g._set(b, a, -v)
     return g
 
 

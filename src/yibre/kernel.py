@@ -180,6 +180,22 @@ def elem_sym(values: Sequence[Fraction], k: int) -> Fraction:
     return elem_syms(values)[k] if 0 <= k <= len(values) else ZERO
 
 
+def elem_syms_omitting(values: Sequence[Fraction]) -> list[list[Fraction]]:
+    """Row j (0-based) holds [e_0, ..., e_{n-1}] of the values with entry j left out.
+
+    Each row comes from e_k = e_k^jhat + v_j e_{k-1}^jhat, solved upward from
+    e_0^jhat = 1, so the whole table costs O(n^2) after one ``elem_syms``.
+    """
+    e = elem_syms(values)
+    table = []
+    for v in values:
+        row = [ONE]
+        for k in range(1, len(values)):
+            row.append(e[k] - v * row[-1])
+        table.append(row)
+    return table
+
+
 def elem_sym_omit(values: Sequence[Fraction], k: int, omit: int) -> Fraction:
     """e_k of the vector with 1-based entry ``omit`` removed."""
     n = len(values)

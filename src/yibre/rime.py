@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .kernel import (ONE, ZERO, InvalidInputError, cleared, elem_sym_omit, rat,
+from .kernel import (ONE, ZERO, InvalidInputError, cleared, elem_syms_omitting, rat,
                      ratvec, require_distinct)
 from .tensor import (Operator1, Operator2, hecke_residual, partial_trace,
                      permutation_P, row_space, skew_inverse)
@@ -252,8 +252,9 @@ def quantum_traces(r: Operator2) -> tuple[Operator1, Operator1]:
 def eigenvector_w(params, a: int) -> tuple[Fraction, ...]:
     """w_a with components (w_a)^j = e_a^jhat of the parameter vector."""
     params = ratvec(params)
-    n = len(params)
-    return tuple(elem_sym_omit(params, a, j) for j in range(1, n + 1))
+    if not 0 <= a < len(params):
+        return tuple(ZERO for _ in params)
+    return tuple(row[a] for row in elem_syms_omitting(params))
 
 
 def jordan_action_coefficients(n: int, i: int) -> tuple[Fraction, ...]:

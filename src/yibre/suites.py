@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Callable
 
 from . import bezout, blocks, cg, classical, poisson, qalg, rime, tensor
-from .kernel import ONE, ZERO, RationalDraw, format_rat, rat
+from .kernel import ONE, ZERO, RationalDraw, elem_syms_omitting, format_rat, rat
 from .poisson import PencilParams, QuadraticBracket
 from .tensor import Operator1, Operator2, Operator3, first_nonzero_witness
 
@@ -530,7 +530,8 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
 
     def sectype(phi):
         m = range(1, len(phi) + 1)
-        return max((abs(cg.sectype_identity_residual(phi, i, j, k, l))
+        omitting = elem_syms_omitting(phi)
+        return max((abs(cg.sectype_identity_residual(phi, i, j, k, l, omitting))
                     for i in m for j in m if i != j for k in m for l in m), default=ZERO)
 
     def riming(o):

@@ -20,10 +20,12 @@ of n^4 or n^6 slots.  ``data[row][col]`` reads the entries as Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .kernel import ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared, rat
+from .kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, QuadExt, cleared,
+                     rat)
 
 
 class Echelon:
@@ -607,44 +609,120 @@ def lift(op: Operator2, legs: int, n: int | None = None) -> Operator3:
     return Operator3._of(n, den, out)
 
 
+def signed_products(terms):
+    """The sum of k * F1 @ F2 @ ... over terms (k, F1[, F2[, F3]]), with no product stored.
+
+    Every F is an operator of one type and dim.  The sum runs on the factors'
+    integer rows over one common denominator, the lcm over the terms of
+    k.denominator * prod den(F), and is built one output row at a time: each
+    term carries its row of F1 through the middle factors, folds in its integer
+    multiplier just before the last factor, and adds straight into that output
+    row, so only the nonzero rows of the sum are ever held.  A coefficient or
+    factor with no integer form (a QuadExt) runs the same loop on scalars.
+    """
+    cls = dim = None
+    den = 1  # None once a coefficient or factor has no integer form
+    kept = []  # (k, factors, their integer rows, k.denominator * prod den(F))
+    for k, *fs in terms:
+        if not fs:
+            raise InvalidInputError("every term of a signed sum needs a factor")
+        if cls is None:
+            cls, dim = type(fs[0]), fs[0].dim
+        d, rows = 1, []
+        for f in fs:
+            if type(f) is not cls or f.dim != dim:
+                raise InvalidInputError("factors must be operators of one type and dim")
+            fd, frows = f._ints()
+            d = None if d is None or fd is None else d * fd
+            rows.append(frows)
+        if type(k) is not int:
+            k = rat(k)
+        # a zero coefficient or a zero factor adds nothing, so its products are never formed
+        if not k or not all(rows):
+            continue
+        d = None if d is None or type(k) is QuadExt else d * k.denominator
+        den = None if d is None or den is None else lcm(den, d)
+        kept.append((k, fs, rows, d))
+    if cls is None:
+        raise InvalidInputError("a signed sum of products needs at least one term")
+    if den is None:
+        plan = [(k, [f.data for f in fs]) for k, fs, _, _ in kept]
+    else:
+        plan = [(k.numerator * (den // d), rows) for k, _, rows, d in kept]
+    plan = [(m, rows[0], rows[1:-1], rows[-1] if len(rows) > 1 else None) for m, rows in plan]
+    out = {}
+    for r in dict.fromkeys(chain.from_iterable([first for _, first, _, _ in plan])):
+        acc = {}
+        for m, first, middle, last in plan:
+            row = first.get(r)
+            if row is None:
+                continue
+            if last is None:
+                for c, x in row.items():
+                    acc[c] = acc.get(c, 0) + m * x
+                continue
+            for f in middle:
+                row = _row_times(row, f)
+            if m != 1:
+                row = {c: m * x for c, x in row.items()}
+            for k, v in row.items():
+                lrow = last.get(k)
+                if lrow:
+                    for c, w in lrow.items():
+                        acc[c] = acc.get(c, 0) + v * w
+        # a dual-number product can vanish, so zeros are filtered here too
+        acc = {c: x for c, x in acc.items() if x}
+        if acc:
+            out[r] = acc
+    return cls._reduced(dim, den, out)
+
+
+def _row_times(row: dict, rows: dict) -> dict:
+    """One sparse row times the operator with the given rows."""
+    acc = {}
+    for k, v in row.items():
+        frow = rows.get(k)
+        if frow:
+            for c, w in frow.items():
+                acc[c] = acc.get(c, 0) + v * w
+    return acc
+
+
 def yb_residual(r: Operator2) -> Operator3:
     """Braid-form Yang-Baxter residual (R(x)1)(1(x)R)(R(x)1) - (1(x)R)(R(x)1)(1(x)R)."""
-    a = lift(r, 12)
-    b = lift(r, 23)
-    return a @ b @ a - b @ a @ b
+    a, b = lift(r, 12), lift(r, 23)
+    return signed_products([(1, a, b, a), (-1, b, a, b)])
 
 
 def ybe_numbered_residual(r: Operator2) -> Operator3:
     """Numbered-leg YBE residual R12 R13 R23 - R23 R13 R12."""
     r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
-    return r12 @ r13 @ r23 - r23 @ r13 @ r12
+    return signed_products([(1, r12, r13, r23), (-1, r23, r13, r12)])
 
 
 def cybe_residual(r: Operator2) -> Operator3:
     """[r12,r13] + [r12,r23] + [r13,r23]."""
     r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    return comm(r12, r13) + comm(r12, r23) + comm(r13, r23)
+    return signed_products([(1, r12, r13), (-1, r13, r12),
+                            (1, r12, r23), (-1, r23, r12),
+                            (1, r13, r23), (-1, r23, r13)])
 
 
 def nhacybe_residual(r: Operator2, c, primed: bool = False) -> Operator3:
     """r o r - c*r13 where r o r = r12 r13 + r13 r23 - r23 r12 (primed picks r o' r)."""
-    c = rat(c)
     r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
     if primed:
-        circ = r13 @ r12 + r23 @ r13 - r12 @ r23
+        circ = [(1, r13, r12), (1, r23, r13), (-1, r12, r23)]
     else:
-        circ = r12 @ r13 + r13 @ r23 - r23 @ r12
-    return circ - r13.scale(c)
+        circ = [(1, r12, r13), (1, r13, r23), (-1, r23, r12)]
+    return signed_products([*circ, (-rat(c), r13)])
 
 
 def hecke_residual(r: Operator2, beta) -> Operator2:
     """R^2 - beta*R - (1-beta)*identity."""
     beta = rat(beta)
-    return (r @ r) - r.scale(beta) - Operator2.identity(r.dim).scale(ONE - beta)
+    return signed_products([(1, r, r), (-beta, r),
+                            (beta - ONE, Operator2.identity(r.dim))])
 
 
 def partial_trace(op: Operator2, leg: int) -> Operator1:
@@ -694,15 +772,14 @@ def skew_inverse(r: Operator2) -> Operator2:
 
 def conjugate2(r: Operator2, t: Operator1) -> Operator2:
     """(T (x) T) r (T (x) T)^-1."""
-    tt = kron11(t, t)
     tinv = t.inverse()
-    return tt @ r @ kron11(tinv, tinv)
+    return signed_products([(1, kron11(t, t), r, kron11(tinv, tinv))])
 
 
 def commutator_with_sum(r: Operator2, a: Operator1) -> Operator2:
     """[r, a_1 + a_2]."""
-    s = op1_on_leg2(a, 1) + op1_on_leg2(a, 2)
-    return r @ s - s @ r
+    a1, a2 = op1_on_leg2(a, 1), op1_on_leg2(a, 2)
+    return signed_products([(1, r, a1), (1, r, a2), (-1, a1, r), (-1, a2, r)])
 
 
 def first_nonzero_witness(op) -> tuple[str, Fraction] | None:
