@@ -9,7 +9,7 @@ from yibre.cg import (CGParams, cg_equivalence_residual, cg_matrix,
                       generating_function_residual, phi_transition,
                       sectype_identity_residual, standard_rc_matrix,
                       standard_riming, summation_matrix, x_change_of_basis)
-from yibre.kernel import InvalidInputError, RationalDraw
+from yibre.kernel import InvalidInputError, RationalDraw, elem_syms_omitting, ratvec
 from yibre.rime import RimeClass, classify, quantum_space_relations, strict_rime_R
 from yibre.suites import run_suite
 from yibre.tensor import (Operator1, Operator2, conjugate2, hecke_residual,
@@ -103,6 +103,21 @@ def test_sectype_exhaustive():
                 for k in range(1, n + 1):
                     for l in range(1, n + 1):
                         assert sectype_identity_residual(phi, i, j, k, l) == 0
+
+
+def test_sectype_reads_the_table_it_is_given():
+    phi = ratvec([1, 2, 4])
+    tuples = [(i, j, k, l) for i in range(1, 4) for j in range(1, 4) if i != j
+              for k in range(1, 4) for l in range(1, 4)]
+    table = elem_syms_omitting(phi)
+    assert all(sectype_identity_residual(phi, *t, table) == 0 for t in tuples)
+    # a bumped table entry shows up in some residual, so the table is what is read
+    table[0][1] += 1
+    assert any(sectype_identity_residual(phi, *t, table) != 0 for t in tuples)
+    assert all(sectype_identity_residual(phi, *t) == 0 for t in tuples)
+    for bad in ((0, 1, 1, 1), (1, 4, 1, 1)):
+        with pytest.raises(InvalidInputError):
+            sectype_identity_residual(phi, *bad)
 
 
 def test_sectype_seeded_tuples():

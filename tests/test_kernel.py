@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from yibre.kernel import (DRAW_POOL, DRAW_POOL_NONZERO, WHOLE_VECTOR_DRAWS,
                           InvalidInputError, QuadExt, RationalDraw, elem_sym,
-                          elem_sym_omit, format_rat, rat, ratvec, theta)
+                          elem_sym_omit, elem_syms_omitting, format_rat, rat, ratvec,
+                          theta)
 from yibre.tensor import Operator1
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
@@ -45,6 +46,17 @@ def test_omit_recursion(values, r):
     v = ratvec(values)
     for i in range(1, len(v) + 1):
         assert elem_sym(v, r) == elem_sym_omit(v, r, i) + v[i - 1] * elem_sym_omit(v, r - 1, i)
+
+
+@given(st.lists(rationals, max_size=6))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_omitting_table_matches_elem_sym_omit(values):
+    # row j of the table is e_0..e_{n-1} of the values without entry j, repeats allowed
+    v = ratvec(values)
+    table = elem_syms_omitting(v)
+    assert len(table) == len(v)
+    for j, row in enumerate(table, 1):
+        assert row == [elem_sym_omit(v, k, j) for k in range(len(v))]
 
 
 def test_rational_serialization():

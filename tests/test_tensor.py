@@ -1,18 +1,20 @@
 import operator
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
 from math import gcd, lcm
 
 import pytest
 
+from yibre.classical import rime_skew_sl_r
 from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, RationalDraw, ratvec
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual,
                           first_nonzero_witness, hecke_residual, kron11, lift,
                           op1_on_leg2, partial_trace,
                           permutation_P, reshuffled_matrix, row_space,
-                          skew_inverse, wedge, yb_residual)
+                          signed_products, skew_inverse, wedge, yb_residual)
 
 
 def test_permutation():
@@ -677,6 +679,118 @@ def test_quadext_operands_take_the_generic_path(d, data):
         dual = a.scale(eps)
         assert (dual @ dual).is_zero() and (dual @ dual).data == {}
         assert kron11(dual, dual).data == {}
+
+
+# --- the fused signed-product kernel against the unfused @ / scale / + chain ----
+
+def _unfused(terms):
+    """The same signed sum built one whole product at a time with @, scale and +."""
+    total = None
+    for k, *fs in terms:
+        product = fs[0]
+        for f in fs[1:]:
+            product = product @ f
+        total = product.scale(k) if total is None else total + product.scale(k)
+    return total
+
+
+@st.composite
+def signed_terms(draw, scalars=kernel_rationals, coefficients=kernel_rationals):
+    """One to four terms (k, F1[, F2[, F3]]) over a pool of operators of one type and dim.
+
+    Factors are drawn from a pool of three, so products repeat and can cancel.
+    """
+    cls = draw(st.sampled_from([Operator1, Operator2, Operator3]))
+    dims = (1, 2) if cls is Operator3 else (1, 2, 3)
+    n = draw(st.sampled_from(dims))
+    pool = [draw(sparse_operands(cls, dims=(n,), scalars=scalars)) for _ in range(3)]
+    factor = st.sampled_from(pool)
+    return [(draw(coefficients), *draw(st.lists(factor, min_size=1, max_size=3)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def _negated(terms):
+    return [(-k, *fs) for k, *fs in terms]
+
+
+@given(signed_terms())
+@DENSE_SETTINGS
+def test_signed_products_match_the_unfused_chain(terms):
+    first = terms[0][1]
+    before = [_dense(f) for _, *fs in terms for f in fs]
+    got = signed_products(terms)
+    assert type(got) is type(first) and got.dim == first.dim
+    _assert_canonical(got)
+    assert got == _unfused(terms)
+    assert {len(fs) for _, *fs in terms} <= {1, 2, 3}
+    # every term against its negation cancels exactly to the stored zero operator
+    zero = signed_products(terms + _negated(terms))
+    _assert_canonical(zero)
+    assert zero.data == {} and zero == type(first).zero(first.dim)
+    # the operands are left as they were
+    assert [_dense(f) for _, *fs in terms for f in fs] == before
+
+
+def test_signed_products_cover_each_term_shape():
+    a = Operator2(2, {0: {0: F(1, 2), 3: F(-3)}, 2: {1: F(5, 7)}, 3: {3: F(2)}})
+    b = Operator2(2, {0: {1: F(4)}, 1: {0: F(-1, 3)}, 3: {2: F(7, 2)}})
+    cases = [[(F(2, 3), a)], [(F(-5, 4), a, b)], [(F(7, 9), a, b, a)],
+             [(1, a), (F(-1, 2), b, a), (F(3, 8), b, a, b)]]
+    for terms in cases:
+        assert signed_products(terms) == _unfused(terms)
+    # negative control: a bumped coefficient changes the sum
+    assert signed_products([(1, a), (F(-1, 2), b, a)]) != _unfused([(1, a), (F(-1, 3), b, a)])
+
+
+@pytest.mark.parametrize("d", [-1, 0])
+@given(data=st.data())
+@DENSE_SETTINGS
+def test_signed_products_of_quadext_operands(d, data):
+    quad = st.one_of(kernel_rationals, _quad_scalars(d))
+    terms = data.draw(signed_terms(scalars=quad, coefficients=quad))
+    got = signed_products(terms)
+    assert all(v for row in got.data.values() for v in row.values()), "zero stored"
+    assert got == _unfused(terms)
+    assert signed_products(terms + _negated(terms)).data == {}
+    if d == 0:
+        # a product of two pure dual parts vanishes: (eps A)(eps B) = 0
+        eps = QuadExt(0, 1, 0)
+        dual = [f.scale(eps) for _, *fs in terms for f in fs]
+        assert signed_products([(1, dual[0], dual[-1])]).data == {}
+        assert signed_products([(eps, dual[0])]).data == {}
+
+
+def test_signed_products_refuse_bad_terms():
+    with pytest.raises(InvalidInputError):
+        signed_products([])
+    with pytest.raises(InvalidInputError):
+        signed_products([(1,)])
+    with pytest.raises(InvalidInputError):
+        signed_products([(1, Operator2(2), Operator2(3))])
+    with pytest.raises(InvalidInputError):
+        signed_products([(1, Operator2(2)), (1, Operator2(3))])
+    with pytest.raises(InvalidInputError):
+        signed_products([(1, Operator1.identity(2)), (1, Operator2.identity(2))])
+    # a zero coefficient or a zero factor still has its factors checked
+    with pytest.raises(InvalidInputError):
+        signed_products([(0, Operator2(2), Operator2(3))])
+    with pytest.raises(InvalidInputError):
+        signed_products([(1, Operator2(2), Operator2(2), Operator2.identity(3))])
+
+
+def test_cybe_residual_holds_no_whole_product():
+    # the six lifted products of a passing cYBE are never stored whole; at n = 6 they
+    # took 5.3 MB of tracemalloc peak before the fused kernel and take about 0.4 MB now
+    r = rime_skew_sl_r(RationalDraw(0).vector(6))
+    r._ints()
+    tracemalloc.start()
+    try:
+        residual = cybe_residual(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual.is_zero()
+    assert peak < 1.5e6, f"cybe_residual peaked at {peak / 1e6:.2f} MB"
 
 
 # --- the integer Echelon against leading-1 Fraction elimination ----------------
