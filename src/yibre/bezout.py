@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec,
-                     require_distinct, sparse_minus, theta)
+                     require_distinct, sparse_minus)
 from .tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual, kron11,
                      lift, op1_on_leg2, permutation_P, signed_products, wedge,
                      ybe_numbered_residual, yb_residual)
@@ -383,10 +383,10 @@ def coassociativity_residual(r: Operator2, c, variant: str, u: Operator1) -> Ope
     big = coproduct(u, r, c, variant)
     u13, u23, u12 = lift(big, 13), lift(big, 23), lift(big, 12)
     r12, r23 = lift(r, 12), lift(r, 23)
-    # left = u13 r12 - r12 u23 + variant(u13, u23), right = u12 r23 - r23 u13 + variant(u12, u13)
+    # (delta (x) id) delta(u) = u13 r12 - r12 u23 + variant terms on (u13, u23), minus
+    # (id (x) delta) delta(u) = u12 r23 - r23 u13 + variant terms on (u12, u13)
     return signed_products([(1, u13, r12), (-1, r12, u23), *_variant_terms(variant, c, u13, u23),
-                            (-1, u12, r23), (1, r23, u13),
-                            *((-k, f) for k, f in _variant_terms(variant, c, u12, u13))])
+                            (-1, u12, r23), (1, r23, u13), *_variant_terms(variant, -c, u12, u13)])
 
 
 def derivation_residual(u: Operator1, v: Operator1, r: Operator2, c,

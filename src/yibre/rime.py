@@ -250,7 +250,7 @@ def quantum_traces(r: Operator2) -> tuple[Operator1, Operator1]:
 
 
 def eigenvector_w(params, a: int) -> tuple[Fraction, ...]:
-    """w_a with components (w_a)^j = e_a^jhat of the parameter vector."""
+    """w_a with components (w_a)^j = e_a^jhat of the parameter vector (zero unless 0 <= a < n)."""
     params = ratvec(params)
     if not 0 <= a < len(params):
         return tuple(ZERO for _ in params)

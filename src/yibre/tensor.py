@@ -24,8 +24,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, QuadExt, cleared,
-                     rat)
+from .kernel import ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared, rat
 
 
 class Echelon:
@@ -356,13 +355,7 @@ class _SparseSquare:
         la, arows, lb, brows = self._operands(other)
         out = {}
         for r, row in arows.items():
-            acc = {}
-            for k, v in row.items():
-                brow = brows.get(k)
-                if brow:
-                    for c, w in brow.items():
-                        acc[c] = acc.get(c, 0) + v * w
-            acc = {c: x for c, x in acc.items() if x}
+            acc = {c: x for c, x in _add_row_product({}, row, brows).items() if x}
             if acc:
                 out[r] = acc
         return self._reduced(self.dim, None if la is None else la * lb, out)
@@ -640,7 +633,7 @@ def signed_products(terms):
         # a zero coefficient or a zero factor adds nothing, so its products are never formed
         if not k or not all(rows):
             continue
-        d = None if d is None or type(k) is QuadExt else d * k.denominator
+        d = d * k.denominator if d is not None and isinstance(k, (int, Fraction)) else None
         den = None if d is None or den is None else lcm(den, d)
         kept.append((k, fs, rows, d))
     if cls is None:
@@ -662,24 +655,19 @@ def signed_products(terms):
                     acc[c] = acc.get(c, 0) + m * x
                 continue
             for f in middle:
-                row = _row_times(row, f)
+                row = _add_row_product({}, row, f)
             if m != 1:
                 row = {c: m * x for c, x in row.items()}
-            for k, v in row.items():
-                lrow = last.get(k)
-                if lrow:
-                    for c, w in lrow.items():
-                        acc[c] = acc.get(c, 0) + v * w
-        # a dual-number product can vanish, so zeros are filtered here too
+            _add_row_product(acc, row, last)
+        # entries that cancel, or dual-number products that vanish, are dropped
         acc = {c: x for c, x in acc.items() if x}
         if acc:
             out[r] = acc
     return cls._reduced(dim, den, out)
 
 
-def _row_times(row: dict, rows: dict) -> dict:
-    """One sparse row times the operator with the given rows."""
-    acc = {}
+def _add_row_product(acc: dict, row: dict, rows: dict) -> dict:
+    """Add one sparse row times the operator with the given rows into ``acc``; return it."""
     for k, v in row.items():
         frow = rows.get(k)
         if frow:
