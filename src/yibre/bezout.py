@@ -455,6 +455,18 @@ class RotaBaxterMap:
         out = {i: nz for i, row in out.items() if (nz := {j: x for j, x in row.items() if x})}
         return Operator1._reduced(self.n, den, out)
 
+    def unit_image(self, d: int, k: int) -> Operator1:
+        """The image of the unit at cell (d, k), read from its stored column with no apply."""
+        if self._icols is None:
+            den, col = None, self.cols.get((d, k), {})
+        else:
+            den, col = self._den, self._icols.get((d, k), {})
+        rows = {}
+        for (i, j), v in col.items():
+            if v:
+                rows.setdefault(i, {})[j] = v
+        return Operator1._reduced(self.n, den, rows)
+
     def matrix(self) -> Operator1:
         """The n^2 x n^2 matrix: row = output cell, column = input cell, both row-major."""
         n = self.n
@@ -573,6 +585,36 @@ def rb_weight_residual(rb: RotaBaxterMap, alpha, a: Operator1, b: Operator1) -> 
                             (-1, rb.apply(signed_products([(1, ra, b), (1, a, rbm)])))])
 
 
+def _sweep_units(n: int) -> list[tuple[tuple[int, int], Operator1]]:
+    """(cell, unit) for the units Operator1.unit(n, i, j), i outer and j inner.
+
+    Unit (i, j) sits at cell (j - 1, i - 1).  The product of the units at cells
+    (p, q) and (s, t) is the unit at cell (p, t) when q == s, and zero otherwise.
+    """
+    return [((j - 1, i - 1), Operator1.unit(n, i, j))
+            for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def rb_unit_weight_residuals(rb: RotaBaxterMap, alpha) -> list[Operator1]:
+    """rb_weight_residual over every ordered pair of units, in ``_sweep_units`` order.
+
+    r(A), r(B) and r(AB) are stored unit images, so each pair applies the map
+    once, to r(A)B + A r(B), and forms no product AB.
+    """
+    alpha = rat(alpha)
+    units = _sweep_units(rb.n)
+    images = {cell: rb.unit_image(*cell) for cell, _ in units}
+    out = []
+    for (p, q), a in units:
+        ra = images[(p, q)]
+        for (s, t), b in units:
+            rbm = images[(s, t)]
+            ab = [(alpha, images[(p, t)])] if q == s else []
+            out.append(signed_products([(1, ra, rbm), *ab, (-1, rb.apply(
+                signed_products([(1, ra, b), (1, a, rbm)])))]))
+    return out
+
+
 def star_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, alpha) -> Operator1:
     """A*B = r(A)B + A r(B) - alpha AB (associative for a weight-alpha operator)."""
     alpha = rat(alpha)
@@ -585,6 +627,32 @@ def star_tilde_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, rb_prime: 
     c = rat(c)
     return signed_products([(1, rb.apply(a), b), (-1, a, rb_prime.apply(b)),
                             (c * b.trace(), a)])
+
+
+def star_associators(rb: RotaBaxterMap, alpha) -> tuple[list[Operator1], list[Operator1]]:
+    """The star products of unit pairs and the associators of unit triples.
+
+    Over the units of ``_sweep_units``, x_0 .. x_{m-1} with m = n^2, the first
+    list holds x_a * x_b at position a m + b and the second holds
+    (x_a * x_b) * x_c - x_a * (x_b * x_c) at position (a m + b) m + c.  Each pair
+    product and its image are formed once; each associator is one signed sum.
+    """
+    alpha = rat(alpha)
+    units = [(x, rb.unit_image(*cell)) for cell, x in _sweep_units(rb.n)]
+    stars = [signed_products([(1, rx, y), (1, x, ry), (-alpha, x, y)])
+             for x, rx in units for y, ry in units]
+    star_images = [rb.apply(st) for st in stars]
+    m = len(units)
+    associators = []
+    for a, (x, rx) in enumerate(units):
+        for b in range(m):
+            sxy, rxy = stars[a * m + b], star_images[a * m + b]
+            for c, (z, rz) in enumerate(units):
+                syz, ryz = stars[b * m + c], star_images[b * m + c]
+                associators.append(signed_products([
+                    (1, rxy, z), (1, sxy, rz), (-alpha, sxy, z),
+                    (-1, rx, syz), (-1, x, ryz), (alpha, x, syz)]))
+    return stars, associators
 
 
 _GL3_SHAPE_B0 = ((1, 1, 1), (0, 0, 1), (0, 0, 0))

@@ -757,17 +757,14 @@ def rota_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
 
     def weights(p):
         out = {}
-        units = [Operator1.unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         rand_pairs = [(p[f"x{k}"], p[f"y{k}"]) for k in range(10)]
         for kind, w in ((bezout.B0, 0), (bezout.B, -1), (bezout.RS, -1)):
             rb = bezout.rota_baxter(bezout.bezout_operator(kind, n))
-            out[f"{kind}-units"] = [bezout.rb_weight_residual(rb, w, x, y)
-                                    for x in units for y in units]
+            out[f"{kind}-units"] = bezout.rb_unit_weight_residuals(rb, w)
             out[f"{kind}-random"] = [bezout.rb_weight_residual(rb, w, x, y)
                                      for x, y in rand_pairs]
         rbp = bezout.rota_baxter(classical.rime_nonskew_r(p.phi))
-        out["rime-units"] = [bezout.rb_weight_residual(rbp, 1, x, y)
-                             for x in units for y in units]
+        out["rime-units"] = bezout.rb_unit_weight_residuals(rbp, 1)
         out["rime-random"] = [bezout.rb_weight_residual(rbp, 1, x, y)
                               for x, y in rand_pairs]
         return out
@@ -808,15 +805,12 @@ def rota_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         for kind, w, c in ((bezout.B0, 0, 0), (bezout.B, -1, 1)):
             rb = bezout.rota_baxter(bezout.bezout_operator(kind, m))
             rbp = bezout.rota_baxter(bezout.bezout_operator(kind, m), "right")
-            for x in units:
-                for y in units:
-                    out.append(bezout.star_tilde_product(x, y, rb, rbp, c)
-                               - bezout.star_product(x, y, rb, w))
-                    for z in units:
-                        out.append(bezout.star_product(
-                            bezout.star_product(x, y, rb, w), z, rb, w)
-                            - bezout.star_product(
-                                x, bezout.star_product(y, z, rb, w), rb, w))
+            stars, associators = bezout.star_associators(rb, w)
+            for a, x in enumerate(units):
+                for b, y in enumerate(units):
+                    ab = a * len(units) + b
+                    out.append(bezout.star_tilde_product(x, y, rb, rbp, c) - stars[ab])
+                    out += associators[ab * len(units):(ab + 1) * len(units)]
         return out
 
     return checks + base.declare(

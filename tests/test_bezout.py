@@ -10,12 +10,13 @@ from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
                           coproduct, derivation_residual, gl2_isomorphism_check,
                           hecke_overlap_residuals, linear_quantization_residuals,
                           m_recursion_check, nhacybe_shift_residual,
-                          quadratic_data, rb_closed_form, rb_weight_residual,
-                          RotaBaxterMap, rota_baxter, rs_action, shift_generator_commutator,
-                          shifted_solution_residual, sr_decomposition,
-                          star_product, star_tilde_product)
+                          quadratic_data, rb_closed_form, rb_unit_weight_residuals,
+                          rb_weight_residual, RotaBaxterMap, rota_baxter, rs_action,
+                          shift_generator_commutator, shifted_solution_residual,
+                          sr_decomposition, star_associators, star_product,
+                          star_tilde_product)
 from yibre.classical import b_skew_r, rcg_r, rime_nonskew_r
-from yibre.kernel import RationalDraw
+from yibre.kernel import QuadExt, RationalDraw
 from yibre.suites import _is_zero, run_suite
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift,
                           nhacybe_residual, op1_on_leg2, partial_trace, permutation_P)
@@ -291,6 +292,62 @@ def test_rb_weights():
             assert rb_weight_residual(rbp, 1, rand_mat(rd, n), rand_mat(rd, n)).is_zero()
 
 
+RB_PHI = {2: [1, 2], 3: [1, 2, 4], 4: [2, 5, -1, 3]}
+
+
+def sweep_units(n):
+    """The matrix units in the order the unit sweeps use: i outer, j inner."""
+    return [Operator1.unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def rb_maps(n):
+    """(map, weight) for the B0, B and RS Bezout maps and the non-skew rime map."""
+    bezout_maps = [(rota_baxter(bezout_operator(kind, n)), w)
+                   for kind, w in ((B0, 0), (B, -1), (RS, -1))]
+    return bezout_maps + [(rota_baxter(rime_nonskew_r(RB_PHI[n])), 1)]
+
+
+def bump_one_column(rb):
+    """The same map with one stored coefficient raised by 1."""
+    cols = {cell: dict(col) for cell, col in rb.cols.items()}
+    cell = sorted(cols)[len(cols) // 2]
+    out = sorted(cols[cell])[0]
+    cols[cell][out] += 1
+    return RotaBaxterMap(rb.n, cols)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unit_weight_residuals_match_per_pair(n):
+    units = sweep_units(n)
+    for rb, w in rb_maps(n):
+        for m in (rb, bump_one_column(rb)):
+            swept = rb_unit_weight_residuals(m, w)
+            per_pair = [rb_weight_residual(m, w, x, y) for x in units for y in units]
+            assert len(swept) == n ** 4 and swept == per_pair
+        assert all(res.is_zero() for res in rb_unit_weight_residuals(rb, w))
+        # the bumped map is no longer of weight w, and both forms see it at the same pairs
+        assert not all(res.is_zero() for res in rb_unit_weight_residuals(bump_one_column(rb), w))
+
+
+def test_unit_image_is_the_applied_unit():
+    maps = [rb for n in (2, 3) for rb, _ in rb_maps(n)]
+    # a map over Q(i) has no integer columns, so its images are read from the scalars
+    i = QuadExt(0, 1, -1)
+    maps.append(RotaBaxterMap(2, {(0, 1): {(0, 0): i, (1, 0): F(1, 3)}, (1, 1): {(0, 1): i * 2}}))
+    assert maps[-1]._icols is None
+    for rb in maps:
+        n = rb.n
+        for d in range(n):
+            for k in range(n):
+                unit = Operator1.zero(n)
+                unit._set(d, k, F(1))
+                assert rb.unit_image(d, k) == rb.apply(unit)
+    # RS sends every strictly upper-triangular unit to zero, so its table leaves them out
+    rs = rota_baxter(bezout_operator(RS, 3))
+    assert (0, 1) not in rs.cols and rs.unit_image(0, 1).is_zero()
+    assert (1, 0) not in maps[-1].cols and maps[-1].unit_image(1, 0).is_zero()
+
+
 def test_skew_rb_weight_is_zero_not_minus_one():
     """The skew operator has r + r21 = 0, so its trace operator has weight 0."""
     rd = RationalDraw(6)
@@ -342,6 +399,21 @@ def test_star_associativity_exhaustive():
                     for z in units:
                         assert star_product(star_product(x, y, rb, w), z, rb, w) \
                             == star_product(x, star_product(y, z, rb, w), rb, w)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_star_associators_match_star_product_chain(n):
+    units = sweep_units(n)
+    for kind, w in ((B0, 0), (B, -1)):
+        rb = rota_baxter(bezout_operator(kind, n))
+        for m in (rb, bump_one_column(rb)):
+            stars, associators = star_associators(m, w)
+            assert stars == [star_product(x, y, m, w) for x in units for y in units]
+            assert associators == [star_product(star_product(x, y, m, w), z, m, w)
+                                   - star_product(x, star_product(y, z, m, w), m, w)
+                                   for x in units for y in units for z in units]
+        assert all(a.is_zero() for a in star_associators(rb, w)[1])
+        assert not all(a.is_zero() for a in star_associators(bump_one_column(rb), w)[1])
 
 
 @pytest.mark.parametrize("kind", [B0, B])
