@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec,
-                     require_distinct, sparse_minus)
-from .tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual, kron11,
-                     lift, op1_on_leg2, permutation_P, signed_products, wedge,
+from .kernel import ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct, sparse_minus
+from .tensor import (Echelon, Operator1, Operator2, Operator3, _add_row_product,
+                     commutator_with_sum, cybe_residual, kron11, lift, op1_on_leg2,
+                     permutation_P, reshuffled_matrix, signed_products, wedge,
                      ybe_numbered_residual, yb_residual)
 
 B0 = "b0"
@@ -301,8 +301,7 @@ def shift_generator_commutator(kind: str, n: int) -> Operator2:
         gen, base = euler_matrix(n), bezout_operator(B, n)
     else:
         raise InvalidInputError(f"unknown shift kind {kind!r}")
-    s = op1_on_leg2(gen, 1) + op1_on_leg2(gen, 2)
-    return base @ s - s @ base
+    return commutator_with_sum(base, gen)
 
 
 # --- divided-difference recursion -------------------------------------------
@@ -403,99 +402,70 @@ def derivation_residual(u: Operator1, v: Operator1, r: Operator2, c,
 # --- Rota-Baxter operators -----------------------------------------------------
 
 class RotaBaxterMap:
-    """Linear map on Mat(V), stored sparsely by input cell.
+    """Linear map on Mat(V), stored as one n^2 x n^2 operator ``images``.
 
-    ``cols[(d, k)]`` maps each output cell (i, j) to the nonzero coefficient of
-    A^d_k in the image's (i, j) entry; cells are 0-based (row, column) indices
-    of the ``Operator1`` entries, and input cells with an all-zero image are
-    left out.
+    Row d n + k of ``images`` is the image of the unit at cell (d, k), and
+    column i n + j is the output cell (i, j); cells are 0-based (row, column)
+    indices of the ``Operator1`` entries.  Storage, the integer form, QuadExt
+    entries and equality are those of the sparse kernel.
     """
 
-    def __init__(self, n: int, cols: dict[tuple[int, int], dict[tuple[int, int], Fraction]]):
+    def __init__(self, n: int, images: Operator1):
         self.n = n
-        self.cols = cols
-        # the coefficients as integers over one common denominator; None for a QuadExt
-        try:
-            self._den, ints = cleared(v for col in cols.values() for v in col.values())
-        except AttributeError:
-            self._den = self._icols = None
-        else:
-            ints = iter(ints)
-            self._icols = {cell: {out: next(ints) for out in col} for cell, col in cols.items()}
+        self.images = images
 
     @classmethod
     def from_function(cls, n: int, fn) -> "RotaBaxterMap":
         """Tabulate a linear ``fn`` on Mat(V) from its images of the n^2 unit matrices."""
-        cols = {}
+        images = Operator1.zero(n * n)
         for d in range(n):
             for k in range(n):
                 basis = Operator1.zero(n)
                 basis._set(d, k, ONE)
-                col = {(i, j): v for i, j, v in fn(basis).nonzero_entries()}
-                if col:
-                    cols[(d, k)] = col
-        return cls(n, cols)
+                for i, j, v in fn(basis).nonzero_entries():
+                    images._set(d * n + k, i * n + j, v)
+        return cls(n, images)
+
+    def _cells(self, den: int | None, row: dict) -> Operator1:
+        """The n x n operator whose cell (i, j) holds ``row[i n + j]`` over ``den``."""
+        n = self.n
+        out = {}
+        for c, x in row.items():
+            if x:
+                out.setdefault(c // n, {})[c % n] = x
+        return Operator1._reduced(n, den, out)
 
     def apply(self, a: Operator1) -> Operator1:
-        """The image of ``a``, summed over its nonzero entries on integer rows."""
-        da, rows = a._ints()
-        cols = self._icols
-        if da is None or cols is None:
-            den, rows, cols = None, a.data, self.cols
-        else:
-            den = da * self._den
-        out = {}
-        for d, row in rows.items():
-            for k, x in row.items():
-                col = cols.get((d, k))
-                if col:
-                    for (i, j), v in col.items():
-                        orow = out.setdefault(i, {})
-                        orow[j] = orow.get(j, 0) + v * x
-        out = {i: nz for i, row in out.items() if (nz := {j: x for j, x in row.items() if x})}
-        return Operator1._reduced(self.n, den, out)
+        """The image of ``a``: its entries as one row, times ``images``."""
+        n = self.n
+        da, arows, dm, mrows = a._operands(self.images)
+        flat = {d * n + k: x for d, row in arows.items() for k, x in row.items()}
+        return self._cells(None if da is None else da * dm, _add_row_product({}, flat, mrows))
 
     def unit_image(self, d: int, k: int) -> Operator1:
-        """The image of the unit at cell (d, k), read from its stored column with no apply."""
-        if self._icols is None:
-            den, col = None, self.cols.get((d, k), {})
-        else:
-            den, col = self._den, self._icols.get((d, k), {})
-        rows = {}
-        for (i, j), v in col.items():
-            if v:
-                rows.setdefault(i, {})[j] = v
-        return Operator1._reduced(self.n, den, rows)
+        """The image of the unit at cell (d, k): its stored row, with no apply."""
+        den, rows = self.images._ints()
+        return self._cells(den, rows.get(d * self.n + k, {}))
 
     def matrix(self) -> Operator1:
         """The n^2 x n^2 matrix: row = output cell, column = input cell, both row-major."""
-        n = self.n
-        grid = Operator1.zero(n * n)
-        for (d, k), col in self.cols.items():
-            for (i, j), v in col.items():
-                grid._set(i * n + j, d * n + k, v)
-        return grid
+        return self.images.transpose()
 
     def __eq__(self, other):
-        return isinstance(other, RotaBaxterMap) and (self.n, self.cols) == (other.n, other.cols)
+        return isinstance(other, RotaBaxterMap) and self.images == other.images
 
 
 def rota_baxter(r: Operator2, side: str = "left") -> RotaBaxterMap:
-    """r(A)_1 = Tr_2(r_12 A_2) for 'left', r'(A)_2 = Tr_1(r_12 A_1) for 'right'."""
-    items = r.four_index_items()
-    if side == "left":
-        # r^{ik}_{jd} sends input cell (d, k) to output cell (i, j)
-        pairs = (((d, k), (i, j), v) for i, k, j, d, v in items)
-    elif side == "right":
-        # r^{ib}_{dl} sends input cell (d, i) to output cell (b, l)
-        pairs = (((d, i), (b, l), v) for i, b, d, l, v in items)
-    else:
+    """r(A)_1 = Tr_2(r_12 A_2) for 'left', r'(A)_2 = Tr_1(r_12 A_1) for 'right'.
+
+    The left map's matrix is the reshuffled matrix of r, and the right map of
+    r is the left map of r_21.
+    """
+    if side == "right":
+        r = r.reversed_legs()
+    elif side != "left":
         raise InvalidInputError("side must be 'left' or 'right'")
-    cols = {}
-    for (d, k), (i, j), v in pairs:
-        # each entry of r has its own (input, output) pair, so nothing accumulates
-        cols.setdefault((d - 1, k - 1), {})[(i - 1, j - 1)] = v
-    return RotaBaxterMap(r.dim, cols)
+    return RotaBaxterMap(r.dim, reshuffled_matrix(r).transpose())
 
 
 def rb_closed_form(kind: str, n: int, phi=None) -> RotaBaxterMap:

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .kernel import ONE, ZERO, InvalidInputError, QuadExt, perfect_square_root, rat
 from .rime import classify, extract_rime_data
-from .tensor import (Operator1, Operator2, hecke_residual, kron11, reshuffled_matrix,
-                     yb_residual)
+from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, hecke_residual,
+                     reshuffled_matrix, yb_residual)
 
 RBL1 = "rbl1"
 RBL2 = "rbl2"
@@ -177,14 +177,6 @@ def block_properties(kind: str, *params) -> BlockReport:
     return report
 
 
-def equivalence_residual(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:
-    """lhs (T x T) - (T x T) rhs."""
-    if t.det() == 0:
-        raise InvalidInputError("T must be invertible")
-    tt = kron11(t, t)
-    return lhs @ tt - tt @ rhs
-
-
 def stated_equivalences(q, gamma) -> dict[str, Operator2]:
     """The basis changes of the riming subsection at the given rational point, name -> residual.
 
@@ -222,6 +214,8 @@ def stated_equivalences(q, gamma) -> dict[str, Operator2]:
 SQRT_M1 = QuadExt(0, 1, -1)
 GAUSS_DIAG = Operator1.diag([1, SQRT_M1])
 GAUSS_FLIP = Operator1([[0, 1], [SQRT_M1, 0]])
+# the basis swap e_1 <-> e_2, its own inverse
+FLIP = Operator1([[0, 1], [1, 0]])
 
 
 def symmetry_relations(kind: str, *params) -> dict[str, bool]:
@@ -236,17 +230,14 @@ def symmetry_relations(kind: str, *params) -> dict[str, bool]:
         q, p = (rat(x) for x in params)
         r = block_matrix(GL2_STD, q, p)
         out["transpose"] = r.transpose() == block_matrix(GL2_STD, q, 1 / p)
-        pi = Operator1([[ZERO, ONE], [ONE, ZERO]])
-        out["reversal"] = r.reversed_legs() == kron11(pi, pi) @ r @ kron11(pi, pi)
+        out["reversal"] = r.reversed_legs() == conjugate2(r, FLIP)
         out["inverse"] = r.inverse() == block_matrix(GL2_STD, 1 / q, 1 / p).reversed_legs()
         return out
     if kind == GL11_STD:
         q, p = (rat(x) for x in params)
         r = block_matrix(GL11_STD, q, p)
         out["transpose"] = r.transpose() == block_matrix(GL11_STD, q, 1 / p)
-        pi = Operator1([[ZERO, ONE], [ONE, ZERO]])
-        out["reversal"] = (r.reversed_legs() == kron11(pi, pi)
-                           @ block_matrix(GL11_STD, -1 / q, p) @ kron11(pi, pi))
+        out["reversal"] = r.reversed_legs() == conjugate2(block_matrix(GL11_STD, -1 / q, p), FLIP)
         out["inverse"] = r.inverse() == block_matrix(GL11_STD, 1 / q, 1 / p).reversed_legs()
         return out
     if kind == EIGHT_VERTEX:
@@ -254,24 +245,21 @@ def symmetry_relations(kind: str, *params) -> dict[str, bool]:
         r = block_matrix(EIGHT_VERTEX, q)
         out["transpose"] = r.transpose() == r
         out["reversal"] = r.reversed_legs() == r
-        dd = kron11(GAUSS_DIAG, GAUSS_DIAG)
         out["inverse-via-gaussians"] = (
-            r.inverse() == dd @ block_matrix(EIGHT_VERTEX, 1 / q) @ dd.inverse())
+            r.inverse() == conjugate2(block_matrix(EIGHT_VERTEX, 1 / q), GAUSS_DIAG))
         return out
     if kind == R_II:
         q, eps = (rat(x) for x in params)
         r = block_matrix(R_II, q, eps)
         out["inverse"] = r.inverse() == block_matrix(R_II, 1 / q, eps).reversed_legs()
-        ff = kron11(GAUSS_FLIP, GAUSS_FLIP)
         out["transpose-via-gaussians"] = (
-            r.transpose() == ff @ block_matrix(R_II, -1 / q, -eps).reversed_legs() @ ff.inverse())
+            r.transpose() == conjugate2(block_matrix(R_II, -1 / q, -eps).reversed_legs(),
+                                        GAUSS_FLIP))
         return out
     if kind == JORDANIAN:
         h1, h2 = (rat(x) for x in params)
         r = block_matrix(JORDANIAN, h1, h2)
-        pi = Operator1([[ZERO, ONE], [ONE, ZERO]])
-        out["transpose"] = (
-            r.transpose() == kron11(pi, pi) @ block_matrix(JORDANIAN, h2, h1) @ kron11(pi, pi))
+        out["transpose"] = r.transpose() == conjugate2(block_matrix(JORDANIAN, h2, h1), FLIP)
         out["reversal"] = r.reversed_legs() == block_matrix(JORDANIAN, -h1, -h2)
         out["self-inverse"] = r.inverse() == r
         return out
@@ -297,7 +285,7 @@ def nonrime_entries(t: Operator1, h1, h2) -> tuple[Fraction, Fraction, Fraction,
             -h1 * t11 * t11 * plus / d2,
             h1 * t21 * t21 * minus / d2,
             -h1 * t21 * t21 * plus / d2)
-    a = kron11(t, t) @ block_matrix(JORDANIAN, h1, h2) @ kron11(t.inverse(), t.inverse())
+    a = conjugate2(block_matrix(JORDANIAN, h1, h2), t)
     direct = (a.get(1, 1, 1, 2), a.get(1, 1, 2, 1), a.get(2, 2, 1, 2), a.get(2, 2, 2, 1))
     if vals != direct:
         raise InvalidInputError("closed-form non-rime entries disagree with conjugation")

@@ -13,8 +13,8 @@ from fractions import Fraction
 from .kernel import (ONE, ZERO, InvalidInputError, elem_sym, elem_sym_omit,
                      elem_syms_omitting, rat, ratvec, require_distinct, theta)
 from .rime import RimeClass, classify, strict_rime_R
-from .tensor import (Operator1, Operator2, conjugate2, kron11, op1_on_leg2, permutation_P,
-                     row_space)
+from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, kron11,
+                     op1_on_leg2, permutation_P, row_space)
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,7 @@ def cg_equivalence_residual(phi, beta) -> Operator2:
     phi = ratvec(phi)
     r = strict_rime_R(phi, beta)
     x, _ = x_change_of_basis(phi)
-    xx = kron11(x, x)
-    rcg = cg_matrix(CGParams(len(phi), ONE - beta, ONE))
-    return r @ xx - xx @ rcg
+    return equivalence_residual(r, cg_matrix(CGParams(len(phi), ONE - beta, ONE)), x)
 
 
 def sectype_identity_residual(phi, i: int, j: int, k: int, l: int,

@@ -185,20 +185,24 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     n = len(mu)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     z = {(i, j): carrier_Z(n, i, j) for (i, j) in pairs}
-    zero = Operator1.zero(n)  # Z^i_i
+    # Z^i_i, and every residual that vanishes: the n^4 lists share this one object
+    zero = Operator1.zero(n)
+
+    def kept(op: Operator1) -> Operator1:
+        return zero if op.is_zero() else op
 
     def bracket(x, y, *more):
         """[x, y] plus further signed terms, as one signed sum of products."""
-        return signed_products([(1, x, y), (-1, y, x), *more])
+        return kept(signed_products([(1, x, y), (-1, y, x), *more]))
 
     # (a) associative product rule Z^j_i Z^k_l = (d^j_l - d^i_l)(Z^k_i - Z^l_i)
     product_rule = []
     for (j, i) in pairs:
         for (k, l) in pairs:
             coeff = (ONE if j == l else ZERO) - (ONE if i == l else ZERO)
-            product_rule.append(signed_products([(1, z[(j, i)], z[(k, l)]),
-                                                 (-coeff, z.get((k, i), zero)),
-                                                 (coeff, z.get((l, i), zero))]))
+            product_rule.append(kept(signed_products([(1, z[(j, i)], z[(k, l)]),
+                                                      (-coeff, z.get((k, i), zero)),
+                                                      (coeff, z.get((l, i), zero))])))
 
     # (b) the three displayed bracket families, and the vanishing of the others
     brackets = []
@@ -222,7 +226,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
 
     # (d) omega = d(lambda_n) with lambda_n(Z^k_l) = -mu_l
     coboundary = [_lambda_on_carrier(bracket(z[p], z[t]), mu) - omega._get(idx[p], idx[t])
-                  for p in pairs for t in pairs]
+                  or ZERO for p in pairs for t in pairs]
 
     # (e) Ztilde obeys the same brackets and fixes the all-ones vector up to 1/n
     shift = Operator1.identity(n).scale(Fraction(1, n))

@@ -53,7 +53,7 @@ def main():
 @click.option("--mu", help="comma-separated rationals")
 @click.option("--psi", help="comma-separated rationals")
 @click.option("--beta", help="rational")
-@click.option("--n", type=int, default=None)
+@click.option("--n", type=click.IntRange(min=1), default=None)
 @click.option("--qsq-inv", help="the value q^-2")
 @click.option("--p", default="1")
 @click.option("--q")
@@ -87,13 +87,19 @@ def construct(kind, phi, mu, psi, beta, n, qsq_inv, p, q, gamma, omega, eps,
         click.echo(payload)
 
 
+def _dimension(kind, n):
+    if n is None:
+        raise InvalidInputError(f"{kind} needs --n")
+    return n
+
+
 def _construct(kind, sub, **kw):
     if kind == "strict-rime":
         return rime.strict_rime_R(_vector(kw["phi"]), _rational(kw["beta"]))
     if kind == "unitary-rime":
         return rime.unitary_rime_R(_vector(kw["mu"]))
     if kind == "cg":
-        return cg.cg_matrix(cg.CGParams(kw["n"], _rational(kw["qsq_inv"]),
+        return cg.cg_matrix(cg.CGParams(_dimension(kind, kw["n"]), _rational(kw["qsq_inv"]),
                                         _rational(kw["p"])))
     if kind == "block":
         bk = sub
@@ -126,14 +132,12 @@ def _construct(kind, sub, **kw):
             if vec is None:
                 raise InvalidInputError(f"{ck} needs --phi or --mu")
             return classical.build_classical(ck, params=_vector(vec))
-        return classical.build_classical(ck, n=kw["n"])
+        return classical.build_classical(ck, n=_dimension(ck, kw["n"]))
     if kind == "bezout":
         bk = sub
         if bk not in bezout.BEZOUT_KINDS:
             raise InvalidInputError(f"unknown bezout kind {bk!r}")
-        if kw["n"] is None:
-            raise InvalidInputError("bezout needs --n")
-        return bezout.bezout_operator(bk, kw["n"])
+        return bezout.bezout_operator(bk, _dimension("bezout", kw["n"]))
     if kind == "pencil":
         abc = _vector(kw["rho"])
         if len(abc) != 3:

@@ -359,10 +359,8 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     def r21_props(p):
         out = {}
         if all(p.phi):
-            f = Operator1.diag(p.phi)
-            finv = f.inverse()
-            rhs = tensor.kron11(finv, finv) @ rime.strict_rime_R(
-                [1 / x for x in p.phi], p.beta) @ tensor.kron11(f, f)
+            finv = Operator1.diag(p.phi).inverse()
+            rhs = tensor.conjugate2(rime.strict_rime_R([1 / x for x in p.phi], p.beta), finv)
             out["nonunitary"] = p.r.reversed_legs() - rhs
         out["unitary"] = p.u.reversed_legs() - rime.unitary_rime_R([-m for m in p.mu])
         return out

@@ -764,6 +764,14 @@ def conjugate2(r: Operator2, t: Operator1) -> Operator2:
     return signed_products([(1, kron11(t, t), r, kron11(tinv, tinv))])
 
 
+def equivalence_residual(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:
+    """lhs (T x T) - (T x T) rhs, refused for a singular T."""
+    if t.det() == 0:
+        raise InvalidInputError("T must be invertible")
+    tt = kron11(t, t)
+    return signed_products([(1, lhs, tt), (-1, tt, rhs)])
+
+
 def commutator_with_sum(r: Operator2, a: Operator1) -> Operator2:
     """[r, a_1 + a_2]."""
     a1, a2 = op1_on_leg2(a, 1), op1_on_leg2(a, 2)

@@ -16,10 +16,11 @@ from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
                           sr_decomposition, star_associators, star_product,
                           star_tilde_product)
 from yibre.classical import b_skew_r, rcg_r, rime_nonskew_r
-from yibre.kernel import QuadExt, RationalDraw
+from yibre.kernel import InvalidInputError, QuadExt, RationalDraw
 from yibre.suites import _is_zero, run_suite
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift,
-                          nhacybe_residual, op1_on_leg2, partial_trace, permutation_P)
+                          nhacybe_residual, op1_on_leg2, partial_trace, permutation_P,
+                          reshuffled_matrix)
 
 
 def rand_mat(rd, n):
@@ -249,6 +250,20 @@ def test_rota_baxter_matches_partial_trace(n):
             assert right.apply(a) == partial_trace(r @ op1_on_leg2(a, 1), 1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_left_map_is_the_reshuffled_matrix(n):
+    """The left map's matrix is reshuffled_matrix(r); the right map of r is the left map of r_21."""
+    rd = RationalDraw(70 + n)
+    for _ in range(3):
+        r = rand_op2(rd, n)
+        assert rota_baxter(r).matrix() == reshuffled_matrix(r)
+        assert rota_baxter(r, "right") == rota_baxter(r.reversed_legs())
+    # negative control: r + I has another reshuffled matrix
+    assert rota_baxter(r + Operator2.identity(n)).matrix() != reshuffled_matrix(r)
+    with pytest.raises(InvalidInputError):
+        rota_baxter(r, "middle")
+
+
 def test_rota_baxter_equality_is_exact():
     bumped = bezout_operator(B, 3)
     bumped.add_to(2, 1, 3, 3, 1)
@@ -262,7 +277,7 @@ def test_rota_baxter_equality_is_exact():
         r = rand_op2(rd, n)
         dense = RotaBaxterMap.from_function(n, lambda a: partial_trace(r @ op1_on_leg2(a, 2), 2))
         assert dense == rota_baxter(r)
-        assert all(col and all(col.values()) for col in dense.cols.values())
+        assert all(row and all(row.values()) for row in dense.images.data.values())
 
 
 def test_rb_matrix_layout():
@@ -308,12 +323,11 @@ def rb_maps(n):
 
 
 def bump_one_column(rb):
-    """The same map with one stored coefficient raised by 1."""
-    cols = {cell: dict(col) for cell, col in rb.cols.items()}
-    cell = sorted(cols)[len(cols) // 2]
-    out = sorted(cols[cell])[0]
-    cols[cell][out] += 1
-    return RotaBaxterMap(rb.n, cols)
+    """The same map with one stored coefficient of ``images`` raised by 1."""
+    images = rb.images.scale(1)
+    cell = sorted(images.data)[len(images.data) // 2]
+    images._add(cell, min(images.data[cell]), F(1))
+    return RotaBaxterMap(rb.n, images)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -331,10 +345,11 @@ def test_unit_weight_residuals_match_per_pair(n):
 
 def test_unit_image_is_the_applied_unit():
     maps = [rb for n in (2, 3) for rb, _ in rb_maps(n)]
-    # a map over Q(i) has no integer columns, so its images are read from the scalars
+    # a map over Q(i) has no integer form, so its images are read from the scalars
     i = QuadExt(0, 1, -1)
-    maps.append(RotaBaxterMap(2, {(0, 1): {(0, 0): i, (1, 0): F(1, 3)}, (1, 1): {(0, 1): i * 2}}))
-    assert maps[-1]._icols is None
+    maps.append(RotaBaxterMap(2, Operator1([[0, 0, 0, 0], [i, 0, F(1, 3), 0],
+                                            [0, 0, 0, 0], [0, i * 2, 0, 0]])))
+    assert maps[-1].images._ints()[0] is None
     for rb in maps:
         n = rb.n
         for d in range(n):
@@ -342,10 +357,10 @@ def test_unit_image_is_the_applied_unit():
                 unit = Operator1.zero(n)
                 unit._set(d, k, F(1))
                 assert rb.unit_image(d, k) == rb.apply(unit)
-    # RS sends every strictly upper-triangular unit to zero, so its table leaves them out
+    # RS sends every strictly upper-triangular unit to zero, so its table stores no such row
     rs = rota_baxter(bezout_operator(RS, 3))
-    assert (0, 1) not in rs.cols and rs.unit_image(0, 1).is_zero()
-    assert (1, 0) not in maps[-1].cols and maps[-1].unit_image(1, 0).is_zero()
+    assert 0 * 3 + 1 not in rs.images.data and rs.unit_image(0, 1).is_zero()
+    assert 1 * 2 + 0 not in maps[-1].images.data and maps[-1].unit_image(1, 0).is_zero()
 
 
 def test_skew_rb_weight_is_zero_not_minus_one():

@@ -5,8 +5,7 @@ import pytest
 from yibre.blocks import (BLOCK_KINDS, EIGHT_VERTEX, GL2_STD, GL11_STD,
                           JORDANIAN, PERM_LIKE, R_DOUBLE_PRIME, R_II, R_PRIME,
                           R_TRIPLE_PRIME, RBL1, RBL2, RBL3, RBL4, block_matrix,
-                          block_properties, catalog_listing,
-                          equivalence_residual, is_skew_invertible,
+                          block_properties, catalog_listing, is_skew_invertible,
                           nonrime_entries,
                           reshuffled_matrix, skinv_implications,
                           stated_equivalences, symmetry_relations)
@@ -14,7 +13,7 @@ from yibre import blocks
 from yibre.kernel import InvalidInputError, RationalDraw, perfect_square_root
 from yibre.rime import RimeClass, classify
 from yibre.suites import _is_zero
-from yibre.tensor import Operator1, Operator2, yb_residual
+from yibre.tensor import Operator1, Operator2, equivalence_residual, yb_residual
 
 MEMBERS = [
     (RBL1, (2, 1)), (RBL2, (2, 1)), (RBL3, (2, F(3, 2))),

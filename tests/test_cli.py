@@ -74,6 +74,16 @@ def test_construct_errors_are_usage_errors(runner):
                                 "--beta", "1"]).exit_code == 2
     assert runner.invoke(main, ["construct", "block", "--kind", "rbl4", "--q", "3",
                                 "--omega", "7", "--gamma", "1"]).exit_code == 2
+    # --n is a dimension: below 1 it is refused, and a constructor that needs it names it
+    for n in ("-3", "0"):
+        assert runner.invoke(main, ["construct", "cg", "--n", n,
+                                    "--qsq-inv", "1/4"]).exit_code == 2
+        assert runner.invoke(main, ["construct", "bezout", "--kind", "b0",
+                                    "--n", n]).exit_code == 2
+    for args in (["cg", "--qsq-inv", "1/4"], ["classical", "--kind", "b-cg"],
+                 ["bezout", "--kind", "b0"]):
+        res = runner.invoke(main, ["construct", *args])
+        assert res.exit_code == 2 and "--n" in res.output
 
 
 def test_construct_out_file(runner, tmp_path):
