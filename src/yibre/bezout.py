@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .kernel import ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct, sparse_minus
 from .tensor import (Echelon, Operator1, Operator2, Operator3, _add_row_product,
-                     commutator_with_sum, cybe_residual, kron11, lift, op1_on_leg2,
-                     permutation_P, reshuffled_matrix, signed_products, wedge,
-                     ybe_numbered_residual, yb_residual)
+                     commutator_with_sum, cybe_residual, kron11, kron_sum, lift, op1_on_leg2,
+                     permutation_P, reshuffled_matrix, signed_products, ybe_numbered_residual,
+                     yb_residual)
 
 B0 = "b0"
 B = "b"
@@ -81,33 +81,35 @@ def bezout_operator(kind: str, n: int) -> Operator2:
 
 
 def closed_form_operator(kind: str, n: int) -> Operator2:
-    """The same operators assembled from their wedge/unit closed forms."""
+    """The same operators assembled from their wedge/unit closed forms, as one Kronecker sum."""
     u = Operator1.unit
-    out = Operator2(n)
+    terms = []
     if kind == B0:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for a in range(1, j - i + 1):
-                    out = out + wedge(u(n, j, i + a - 1), u(n, i, j - a))
-        return out
-    if kind == B:
+                    x, y = u(n, j, i + a - 1), u(n, i, j - a)
+                    terms += [(1, x, y), (-1, y, x)]
+    elif kind in (B, BTILDE):
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for a in range(1, j - i):
-                    out = out + wedge(u(n, j, i + a), u(n, i, j - a))
-                out = out + kron11(u(n, j, j), u(n, i, i)) - kron11(u(n, i, j), u(n, j, i))
-        return out
-    if kind == RS:
+                    x, y = u(n, j, i + a), u(n, i, j - a)
+                    terms += [(1, x, y), (-1, y, x)]
+                terms += [(1, u(n, j, j), u(n, i, i)), (-1, u(n, i, j), u(n, j, i))]
+        if kind == BTILDE:
+            ident = Operator1.identity(n)
+            terms.append((Fraction(-1, 2), ident, ident))
+    elif kind == RS:
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 if a > b:
-                    out = out + kron11(u(n, a, a), u(n, b, b))
+                    terms.append((1, u(n, a, a), u(n, b, b)))
                 elif a < b:
-                    out = out - kron11(u(n, a, b), u(n, b, a))
-        return out
-    if kind == BTILDE:
-        return closed_form_operator(B, n) - Operator2.identity(n).scale(Fraction(1, 2))
-    raise InvalidInputError(f"unknown bezout kind {kind!r}")
+                    terms.append((-1, u(n, a, b), u(n, b, a)))
+    else:
+        raise InvalidInputError(f"unknown bezout kind {kind!r}")
+    return kron_sum(terms) if terms else Operator2.zero(n)
 
 
 def basis_flip(op: Operator2) -> Operator2:
@@ -661,13 +663,9 @@ def gl2_isomorphism_check(kind: str) -> dict[str, object]:
         for (iv, jv), v in units.items():
             star = star_product(u, v, rb, alpha)
             # express star in units: star = sum c_{ab} e^a_b with c_{ab} at slot (b-1, a-1)
-            img = Operator1.zero(3)
-            for a in (1, 2):
-                for b_ in (1, 2):
-                    c = star._get(b_ - 1, a - 1)
-                    if c:
-                        img = img + images[(a, b_)].scale(c)
-            homomorphism.append(img - images[(iu, ju)] @ images[(iv, jv)])
+            homomorphism.append(signed_products(
+                [*((star._get(b_ - 1, a - 1), images[(a, b_)]) for a in (1, 2) for b_ in (1, 2)),
+                 (-1, images[(iu, ju)], images[(iv, jv)])]))
     # each image restricted to the cells outside the corner shape must vanish
     outside = {f"{a},{b}": Operator1([[ZERO if shape[i][j] else m._get(i, j) for j in range(3)]
                                       for i in range(3)])

@@ -13,8 +13,7 @@ from .kernel import (ONE, ZERO, InvalidInputError, rat, ratvec,
                      require_distinct)
 from .rime import strict_rime_R
 from .tensor import (Operator1, Operator2, commutator_with_sum, conjugate2,
-                     cybe_residual, kron11, op1_on_leg2, permutation_P, signed_products,
-                     wedge)
+                     cybe_residual, kron_sum, op1_on_leg2, permutation_P, signed_products)
 
 RIME_NONSKEW = "rime-nonskew"
 RIME_SKEW = "rime-skew"
@@ -28,54 +27,66 @@ CLASSICAL_KINDS = (RIME_NONSKEW, RIME_SKEW, RIME_SKEW_SL, R_CG, R_CG_PRIME, B_SK
 PARAMETRIC_KINDS = (RIME_NONSKEW, RIME_SKEW, RIME_SKEW_SL)
 
 
+def _kron_sum(n: int, terms: list) -> Operator2:
+    """``kron_sum`` of the terms; the zero operator when n = 1 leaves no term."""
+    return kron_sum(terms) if terms else Operator2.zero(n)
+
+
 def rime_nonskew_r(phi) -> Operator2:
     """r = sum_{i!=j} phi_i/(phi_i-phi_j) (e^i_j (x) e^j_i - e^i_i (x) e^j_j + e^i_i ^ e^i_j)."""
     phi = ratvec(phi)
     require_distinct(phi, "phi")
     n = len(phi)
-    r = Operator2(n)
+    u = Operator1.unit
+    terms = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
             c = phi[i - 1] / (phi[i - 1] - phi[j - 1])
-            term = (kron11(Operator1.unit(n, i, j), Operator1.unit(n, j, i))
-                    - kron11(Operator1.unit(n, i, i), Operator1.unit(n, j, j))
-                    + wedge(Operator1.unit(n, i, i), Operator1.unit(n, i, j)))
-            r = r + term.scale(c)
-    return r
+            uii, uij = u(n, i, i), u(n, i, j)
+            terms += [(c, uij, u(n, j, i)), (-c, uii, u(n, j, j)), (c, uii, uij), (-c, uij, uii)]
+    return _kron_sum(n, terms)
+
+
+def _rcg_terms(n: int) -> list:
+    """The terms (k, a, b) of the parameter-free Cremmer-Gervais r as a sum of k a (x) b."""
+    u = Operator1.unit
+    return [term for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for s in range(1, j - i + 1)
+            for term in ((1, u(n, i + s - 1, j), u(n, j - s + 1, i)),
+                         (-1, u(n, i + s - 1, i), u(n, j - s + 1, j)))]
 
 
 def rcg_r(n: int) -> Operator2:
     """Parameter-free Cremmer-Gervais cYB solution."""
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for s in range(1, j - i + 1):
-                r = r + kron11(Operator1.unit(n, i + s - 1, j), Operator1.unit(n, j - s + 1, i))
-                r = r - kron11(Operator1.unit(n, i + s - 1, i), Operator1.unit(n, j - s + 1, j))
-    return r
+    return _kron_sum(n, _rcg_terms(n))
 
 
 def rcg_prime_r(n: int) -> Operator2:
     """The mirror solution with r P = -r."""
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for s in range(1, j - i + 1):
-                r = r + kron11(Operator1.unit(n, i, j - s + 1), Operator1.unit(n, j, i + s - 1))
-                r = r - kron11(Operator1.unit(n, j, j - s + 1), Operator1.unit(n, i, i + s - 1))
-    return r
+    u = Operator1.unit
+    return _kron_sum(n, [term for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                         for s in range(1, j - i + 1)
+                         for term in ((1, u(n, i, j - s + 1), u(n, j, i + s - 1)),
+                                      (-1, u(n, j, j - s + 1), u(n, i, i + s - 1)))])
+
+
+def _b_skew_wedges(n: int) -> list:
+    """The terms (1, a, b) of b = sum a ^ b."""
+    u = Operator1.unit
+    return [(1, u(n, i + k, i), u(n, j - k + 1, j)) for i in range(1, n + 1)
+            for j in range(i + 1, n + 1) for k in range(1, j - i + 1)]
+
+
+def _wedges(terms) -> list:
+    """The Kronecker terms (k, a, b) and (-k, b, a) of sum k a ^ b over terms (k, a, b)."""
+    return [term for k, a, b in terms for term in ((k, a, b), (-k, b, a))]
 
 
 def b_skew_r(n: int) -> Operator2:
     """b = sum_{i<j} sum_k e_i^{i+k} ^ e_j^{j-k+1}."""
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, j - i + 1):
-                r = r + wedge(Operator1.unit(n, i + k, i), Operator1.unit(n, j - k + 1, j))
-    return r
+    return _kron_sum(n, _wedges(_b_skew_wedges(n)))
 
 
 def invariance_eta_cg(n: int) -> Operator1:
@@ -90,19 +101,17 @@ def invariance_eta_cg(n: int) -> Operator1:
 
 def invariance_eta0_b(n: int) -> Operator1:
     """eta0 = sum_j (n-j) e^{j+1}_j, the translation generator for the skew solution."""
-    eta = Operator1.zero(n)
-    for j in range(1, n):
-        eta = eta + Operator1.unit(n, j + 1, j).scale(n - j)
-    return eta
+    if n < 2:
+        return Operator1.zero(n)
+    return signed_products([(n - j, Operator1.unit(n, j + 1, j)) for j in range(1, n)])
 
 
 def b_cg_r(n: int) -> Operator2:
     """Boundary solution: b plus the Cartan completion sum (1 - j/n) e^i_i ^ e^{j+1}_j."""
-    r = b_skew_r(n)
     ident = Operator1.identity(n)
-    for j in range(1, n):
-        r = r + wedge(ident, Operator1.unit(n, j + 1, j)).scale(ONE - Fraction(j, n))
-    return r
+    return _kron_sum(n, _wedges([*_b_skew_wedges(n),
+                                 *((ONE - Fraction(j, n), ident, Operator1.unit(n, j + 1, j))
+                                   for j in range(1, n))]))
 
 
 def carrier_Z(n: int, i: int, j: int) -> Operator1:
@@ -117,12 +126,9 @@ def rime_skew_r(mu) -> Operator2:
     mu = ratvec(mu)
     require_distinct(mu, "mu")
     n = len(mu)
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            r = r + wedge(carrier_Z(n, i, j), carrier_Z(n, j, i)).scale(
-                ONE / (mu[i - 1] - mu[j - 1]))
-    return r
+    return _kron_sum(n, _wedges((ONE / (mu[i - 1] - mu[j - 1]), carrier_Z(n, i, j),
+                                 carrier_Z(n, j, i))
+                                for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
 def rime_skew_sl_r(mu) -> Operator2:
@@ -131,13 +137,9 @@ def rime_skew_sl_r(mu) -> Operator2:
     require_distinct(mu, "mu")
     n = len(mu)
     shift = Operator1.identity(n).scale(Fraction(1, n))
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            zt_ij = carrier_Z(n, i, j) + shift
-            zt_ji = carrier_Z(n, j, i) + shift
-            r = r + wedge(zt_ij, zt_ji).scale(ONE / (mu[i - 1] - mu[j - 1]))
-    return r
+    return _kron_sum(n, _wedges((ONE / (mu[i - 1] - mu[j - 1]), carrier_Z(n, i, j) + shift,
+                                 carrier_Z(n, j, i) + shift)
+                                for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
 def build_classical(kind: str, n: int | None = None, params=None) -> Operator2:
@@ -204,7 +206,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
                                                       (-coeff, z.get((k, i), zero)),
                                                       (coeff, z.get((l, i), zero))])))
 
-    # (b) the three displayed bracket families, and the vanishing of the others
+    # (b) the three displayed bracket families; the vanishing of the others is in (d)
     brackets = []
     for (i, j) in pairs:
         brackets.append(bracket(z[(i, j)], z[(j, i)], (-1, z[(j, i)]), (1, z[(i, j)])))
@@ -213,7 +215,6 @@ def carrier_algebra_check(mu) -> dict[str, object]:
                 continue
             brackets.append(bracket(z[(j, i)], z[(k, i)], (-1, z[(j, i)]), (1, z[(k, i)])))
             brackets.append(bracket(z[(i, j)], z[(j, k)], (-1, z[(j, k)]), (1, z[(i, k)])))
-    other_brackets = [bracket(z[p], z[t]) for p in pairs for t in pairs if not set(p) & set(t)]
 
     # (c) omega(Z^i_j, Z^k_l) = -(mu_i - mu_j) d^l_i d^j_k inverts the r-coefficients
     idx = {p: a for a, p in enumerate(pairs)}
@@ -224,9 +225,15 @@ def carrier_algebra_check(mu) -> dict[str, object]:
         rcoef._set(idx[(i, j)], idx[(j, i)], ONE / (mu[i - 1] - mu[j - 1]))
         omega._set(idx[(i, j)], idx[(j, i)], -(mu[i - 1] - mu[j - 1]))
 
-    # (d) omega = d(lambda_n) with lambda_n(Z^k_l) = -mu_l
-    coboundary = [_lambda_on_carrier(bracket(z[p], z[t]), mu) - omega._get(idx[p], idx[t])
-                  or ZERO for p in pairs for t in pairs]
+    # (d) omega = d(lambda_n) with lambda_n(Z^k_l) = -mu_l, read off every ordered bracket,
+    # which also gives (b)'s vanishing brackets of disjoint pairs
+    other_brackets, coboundary = [], []
+    for p in pairs:
+        for t in pairs:
+            zpt = bracket(z[p], z[t])
+            if not set(p) & set(t):
+                other_brackets.append(zpt)
+            coboundary.append(_lambda_on_carrier(zpt, mu) - omega._get(idx[p], idx[t]) or ZERO)
 
     # (e) Ztilde obeys the same brackets and fixes the all-ones vector up to 1/n
     shift = Operator1.identity(n).scale(Fraction(1, n))
@@ -273,34 +280,18 @@ def representation_change_residual(n: int, c, kind: str = R_CG) -> Operator2:
     c = rat(c)
     ident = Operator1.identity(n)
     if kind == R_CG:
-        changed = Operator2(n)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for s in range(1, j - i + 1):
-                    u1 = Operator1.unit(n, i + s - 1, j)
-                    u2 = Operator1.unit(n, j - s + 1, i)
-                    u3 = Operator1.unit(n, i + s - 1, i)
-                    u4 = Operator1.unit(n, j - s + 1, j)
-                    changed = changed + kron11(_shifted(u1, c), _shifted(u2, c))
-                    changed = changed - kron11(_shifted(u3, c), _shifted(u4, c))
+        units = _rcg_terms(n)
         eta = invariance_eta_cg(n)
-        expected = (rcg_r(n)
-                    + (kron11(eta, ident) - kron11(ident, eta)
-                       - Operator2.identity(n).scale(n - 1)).scale(c)
-                    - Operator2.identity(n).scale(c * c * Fraction(n * (n - 1), 2)))
-        return changed - expected
-    if kind == B_SKEW:
-        changed = Operator2(n)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(1, j - i + 1):
-                    a = Operator1.unit(n, i + k, i)
-                    b = Operator1.unit(n, j - k + 1, j)
-                    changed = changed + kron11(_shifted(a, c), _shifted(b, c))
-                    changed = changed - kron11(_shifted(b, c), _shifted(a, c))
-        expected = b_skew_r(n) + wedge(invariance_eta0_b(n), ident).scale(c)
-        return changed - expected
-    raise InvalidInputError(f"no representation change for kind {kind!r}")
+        change = [(c, eta, ident), (-c, ident, eta),
+                  (-c * (n - 1) - c * c * Fraction(n * (n - 1), 2), ident, ident)]
+    elif kind == B_SKEW:
+        units = _wedges(_b_skew_wedges(n))
+        change = _wedges([(c, invariance_eta0_b(n), ident)])
+    else:
+        raise InvalidInputError(f"no representation change for kind {kind!r}")
+    # the expansion with every unit shifted, minus the unshifted expansion and its change
+    return kron_sum([*((k, _shifted(a, c), _shifted(b, c)) for k, a, b in units),
+                     *((-k, a, b) for k, a, b in units + change)])
 
 
 def _shifted(u: Operator1, c) -> Operator1:
@@ -385,14 +376,10 @@ def tilde_difference_residual(mu) -> Operator1:
     require_distinct(mu, "mu")
     n = len(mu)
     x, _ = x_change_of_basis(mu)
-    lhs_factor = Operator1.zero(n)
-    for j in range(1, n):
-        lhs_factor = lhs_factor + Operator1.unit(n, j + 1, j).scale(ONE - Fraction(j, n))
-    rhs_factor = Operator1.zero(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                rhs_factor = rhs_factor + carrier_Z(n, j, i).scale(
-                    ONE / (mu[i - 1] - mu[j - 1]))
-    rhs_factor = rhs_factor.scale(Fraction(1, n))
-    return x @ lhs_factor - rhs_factor @ x
+    if n < 2:
+        return Operator1.zero(n)
+    lhs_factor = signed_products([(ONE - Fraction(j, n), Operator1.unit(n, j + 1, j))
+                                  for j in range(1, n)])
+    rhs_factor = signed_products([(ONE / (n * (mu[i - 1] - mu[j - 1])), carrier_Z(n, j, i))
+                                  for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
+    return signed_products([(1, x, lhs_factor), (-1, rhs_factor, x)])

@@ -668,8 +668,10 @@ def linear_rime_suite(n: int, draw: RationalDraw) -> dict[str, object]:
     out["almost-trivial"] = [
         sparse_minus(linear_bracket(ones, {i: ONE}, {k: ONE, l: -ONE}), {k: -ONE, l: ONE})
         for i in range(n) for k in range(n) for l in range(n) if k != l]
+    # every residual that vanishes is this one shared empty dict at its list position
+    empty = {}
     out["differences-commute"] = [
-        linear_bracket(ones, {i: ONE, j: -ONE}, {k: ONE, l: -ONE})
+        linear_bracket(ones, {i: ONE, j: -ONE}, {k: ONE, l: -ONE}) or empty
         for i in range(n) for j in range(n) if i != j
         for k in range(n) for l in range(n) if k != l]
     if n == 3:

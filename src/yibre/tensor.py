@@ -433,9 +433,7 @@ class Operator1(_SparseSquare):
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "Operator1":
         """The matrix unit e^i_j (1-based): e_i |-> e_j."""
-        m = cls.zero(n)
-        m._set(j - 1, i - 1, ONE)
-        return m
+        return cls._of(n, 1, {j - 1: {i - 1: 1}})
 
     @classmethod
     def diag(cls, values: Sequence) -> "Operator1":
@@ -448,7 +446,10 @@ class Operator1(_SparseSquare):
         return self._get(i - 1, j - 1)
 
     def trace(self) -> Fraction:
-        return sum((self._get(i, i) for i in range(self.dim)), ZERO)
+        den, rows = self._ints()
+        if den is None:
+            return sum((row[r] for r, row in rows.items() if r in row), ZERO)
+        return Fraction(sum(row[r] for r, row in rows.items() if r in row), den)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return tuple(sum((v * vec[j] for j, v in self.data.get(i, {}).items()), ZERO)
@@ -529,24 +530,80 @@ class Operator3(_SparseSquare):
     legs = 3
 
 
+def kron_sum(terms) -> Operator2:
+    """The sum of k * (a (x) b) over terms (k, a, b) of one-leg operators of one dim.
+
+    Every term is written straight into one set of integer rows over one common
+    denominator, the lcm over the terms of k.denominator * den(a) * den(b), and
+    the sum is normalised once, as in ``signed_products``.  A zero coefficient
+    or a zero factor adds nothing.  A coefficient or factor with no integer form
+    (a QuadExt) runs the same loop on scalars, and products that vanish there
+    are dropped.
+    """
+    dim = None
+    den = 1  # None once a coefficient or factor has no integer form
+    kept = []  # (k, a, b, their integer rows, k.denominator * den(a) * den(b))
+    for k, a, b in terms:
+        if dim is None:
+            dim = a.dim
+        if type(a) is not Operator1 or type(b) is not Operator1 or a.dim != dim or b.dim != dim:
+            raise InvalidInputError("Kronecker factors must be one-leg operators of one dim")
+        da, arows = a._ints()
+        db, brows = b._ints()
+        if type(k) is not int:
+            k = rat(k)
+        if not k or not arows or not brows:
+            continue
+        d = (da * db * k.denominator
+             if da is not None and db is not None and isinstance(k, (int, Fraction)) else None)
+        den = None if d is None or den is None else lcm(den, d)
+        kept.append((k, a, b, arows, brows, d))
+    if dim is None:
+        raise InvalidInputError("a Kronecker sum needs at least one term")
+    n = dim
+    out = {}
+    summed = set()  # rows written by more than one term, where entries can cancel
+    for k, a, b, arows, brows, d in kept:
+        if den is None:
+            m, arows, brows = k, a.data, b.data
+        else:
+            m = k.numerator * (den // d)
+        if m != 1:
+            # a dual-number product can vanish, so zeros are filtered here too
+            arows = {i: row for i, arow in arows.items()
+                     if (row := {j: w for j, x in arow.items() if (w := m * x)})}
+        for i, arow in arows.items():
+            for kb, brow in brows.items():
+                r = i * n + kb
+                row = out.get(r)
+                if row is None:
+                    row = {j * n + l: w for j, va in arow.items() for l, vb in brow.items()
+                           if (w := va * vb)}
+                    if row:
+                        out[r] = row
+                    continue
+                summed.add(r)
+                for j, va in arow.items():
+                    for l, vb in brow.items():
+                        c = j * n + l
+                        row[c] = row.get(c, 0) + va * vb
+    for r in summed:
+        row = {c: x for c, x in out[r].items() if x}
+        if row:
+            out[r] = row
+        else:
+            del out[r]
+    return Operator2._reduced(n, den, out)
+
+
 def kron11(a: Operator1, b: Operator1) -> Operator2:
     """a (x) b acting on V(x)V."""
-    n = a.dim
-    da, arows, db, brows = a._operands(b)
-    out = {}
-    for i, arow in arows.items():
-        for k, brow in brows.items():
-            # a dual-number product can vanish, so zeros are filtered here too
-            row = {j * n + l: w for j, va in arow.items() for l, vb in brow.items()
-                   if (w := va * vb)}
-            if row:
-                out[i * n + k] = row
-    return Operator2._reduced(n, None if da is None else da * db, out)
+    return kron_sum([(1, a, b)])
 
 
 def wedge(a: Operator1, b: Operator1) -> Operator2:
     """a ^ b = a (x) b - b (x) a."""
-    return kron11(a, b) - kron11(b, a)
+    return kron_sum([(1, a, b), (-1, b, a)])
 
 
 def op1_on_leg2(a: Operator1, leg: int) -> Operator2:

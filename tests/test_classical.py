@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from yibre import classical
+from yibre import bezout, classical
 from yibre.classical import (B_CG, B_SKEW, R_CG, R_CG_PRIME, bd_fork_R,
                              bd_symmetry_check, b_cg_r, b_skew_r,
                              build_classical, carrier_algebra_check, carrier_Z,
@@ -13,11 +13,11 @@ from yibre.classical import (B_CG, B_SKEW, R_CG, R_CG_PRIME, bd_fork_R,
                              rcg_prime_r, rcg_r, representation_change_residual,
                              rime_nonskew_r, rime_skew_r, rime_skew_sl_r,
                              tilde_difference_residual)
-from yibre.cg import CGParams, cg_matrix
+from yibre.cg import CGParams, cg_matrix, x_change_of_basis
 from yibre.kernel import InvalidInputError, RationalDraw
 from yibre.suites import _is_zero
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
-                          cybe_residual, hecke_residual, permutation_P, wedge,
+                          cybe_residual, hecke_residual, kron11, permutation_P, wedge,
                           yb_residual)
 
 
@@ -205,3 +205,186 @@ def test_tilde_difference_identity():
     rd = RationalDraw(47)
     for n in (2, 3, 4):
         assert tilde_difference_residual(rd.vector(n, distinct=True)).is_zero()
+
+
+# --- the one-pass constructors against their old repeated-+ forms -------------
+
+def _old_rime_nonskew_r(phi):
+    n, u = len(phi), Operator1.unit
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                c = phi[i - 1] / (phi[i - 1] - phi[j - 1])
+                term = (kron11(u(n, i, j), u(n, j, i)) - kron11(u(n, i, i), u(n, j, j))
+                        + wedge(u(n, i, i), u(n, i, j)))
+                r = r + term.scale(c)
+    return r
+
+
+def _old_rcg_r(n, shifted=lambda u: u):
+    u = Operator1.unit
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for s in range(1, j - i + 1):
+                r = r + kron11(shifted(u(n, i + s - 1, j)), shifted(u(n, j - s + 1, i)))
+                r = r - kron11(shifted(u(n, i + s - 1, i)), shifted(u(n, j - s + 1, j)))
+    return r
+
+
+def _old_rcg_prime_r(n):
+    u = Operator1.unit
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for s in range(1, j - i + 1):
+                r = r + kron11(u(n, i, j - s + 1), u(n, j, i + s - 1))
+                r = r - kron11(u(n, j, j - s + 1), u(n, i, i + s - 1))
+    return r
+
+
+def _old_b_skew_r(n, shifted=lambda u: u):
+    u = Operator1.unit
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(1, j - i + 1):
+                r = r + wedge(shifted(u(n, i + k, i)), shifted(u(n, j - k + 1, j)))
+    return r
+
+
+def _old_b_cg_r(n):
+    r, ident = _old_b_skew_r(n), Operator1.identity(n)
+    for j in range(1, n):
+        r = r + wedge(ident, Operator1.unit(n, j + 1, j)).scale(1 - F(j, n))
+    return r
+
+
+def _old_rime_skew_r(mu, shift=None):
+    n = len(mu)
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            a, b = carrier_Z(n, i, j), carrier_Z(n, j, i)
+            if shift is not None:
+                a, b = a + shift, b + shift
+            r = r + wedge(a, b).scale(1 / (mu[i - 1] - mu[j - 1]))
+    return r
+
+
+def _old_invariance_eta0_b(n):
+    eta = Operator1.zero(n)
+    for j in range(1, n):
+        eta = eta + Operator1.unit(n, j + 1, j).scale(n - j)
+    return eta
+
+
+def _old_representation_change_residual(n, c, kind):
+    ident = Operator1.identity(n)
+    shifted = lambda u: classical._shifted(u, c)  # noqa: E731
+    if kind == R_CG:
+        eta = invariance_eta_cg(n)
+        expected = (_old_rcg_r(n) + (kron11(eta, ident) - kron11(ident, eta)
+                                     - Operator2.identity(n).scale(n - 1)).scale(c)
+                    - Operator2.identity(n).scale(c * c * F(n * (n - 1), 2)))
+        return _old_rcg_r(n, shifted) - expected
+    expected = _old_b_skew_r(n) + wedge(_old_invariance_eta0_b(n), ident).scale(c)
+    return _old_b_skew_r(n, shifted) - expected
+
+
+def _old_tilde_difference_residual(mu):
+    n = len(mu)
+    x, _ = classical.x_change_of_basis(mu)
+    lhs_factor = Operator1.zero(n)
+    for j in range(1, n):
+        lhs_factor = lhs_factor + Operator1.unit(n, j + 1, j).scale(1 - F(j, n))
+    rhs_factor = Operator1.zero(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                rhs_factor = rhs_factor + carrier_Z(n, j, i).scale(1 / (mu[i - 1] - mu[j - 1]))
+    return x @ lhs_factor - rhs_factor.scale(F(1, n)) @ x
+
+
+def _old_closed_form_operator(kind, n):
+    u = Operator1.unit
+    out = Operator2(n)
+    if kind == bezout.BTILDE:
+        return _old_closed_form_operator(bezout.B, n) - Operator2.identity(n).scale(F(1, 2))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if kind == bezout.B0 and j > i:
+                for a in range(1, j - i + 1):
+                    out = out + wedge(u(n, j, i + a - 1), u(n, i, j - a))
+            elif kind == bezout.B and j > i:
+                for a in range(1, j - i):
+                    out = out + wedge(u(n, j, i + a), u(n, i, j - a))
+                out = out + kron11(u(n, j, j), u(n, i, i)) - kron11(u(n, i, j), u(n, j, i))
+            elif kind == bezout.RS and i > j:
+                out = out + kron11(u(n, i, i), u(n, j, j))
+            elif kind == bezout.RS and i < j:
+                out = out - kron11(u(n, i, j), u(n, j, i))
+    return out
+
+
+def _skewed_x(mu):
+    """x_change_of_basis with X bumped at one entry, so the tilde residual is nonzero."""
+    x, xinv = x_change_of_basis(mu)
+    return x + Operator1.unit(len(mu), 1, 2), xinv
+
+
+_ONE_PASS_CASES = {
+    "rime-nonskew": (lambda n, v, c: rime_nonskew_r(v), lambda n, v, c: _old_rime_nonskew_r(v)),
+    "r-cg": (lambda n, v, c: rcg_r(n), lambda n, v, c: _old_rcg_r(n)),
+    "r-cg-prime": (lambda n, v, c: rcg_prime_r(n), lambda n, v, c: _old_rcg_prime_r(n)),
+    "b-skew": (lambda n, v, c: b_skew_r(n), lambda n, v, c: _old_b_skew_r(n)),
+    "b-cg": (lambda n, v, c: b_cg_r(n), lambda n, v, c: _old_b_cg_r(n)),
+    "rime-skew": (lambda n, v, c: rime_skew_r(v), lambda n, v, c: _old_rime_skew_r(v)),
+    "rime-skew-sl": (lambda n, v, c: rime_skew_sl_r(v), lambda n, v, c: _old_rime_skew_r(
+        v, Operator1.identity(n).scale(F(1, n)))),
+    "eta0": (lambda n, v, c: invariance_eta0_b(n), lambda n, v, c: _old_invariance_eta0_b(n)),
+    "rep-change-r-cg": (lambda n, v, c: representation_change_residual(n, c, R_CG),
+                        lambda n, v, c: _old_representation_change_residual(n, c, R_CG)),
+    "rep-change-b-skew": (lambda n, v, c: representation_change_residual(n, c, B_SKEW),
+                          lambda n, v, c: _old_representation_change_residual(n, c, B_SKEW)),
+    "tilde-difference": (lambda n, v, c: tilde_difference_residual(v),
+                         lambda n, v, c: _old_tilde_difference_residual(v)),
+    **{f"closed-form-{kind}": (lambda n, v, c, kind=kind: bezout.closed_form_operator(kind, n),
+                               lambda n, v, c, kind=kind: _old_closed_form_operator(kind, n))
+       for kind in bezout.BEZOUT_KINDS},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", list(_ONE_PASS_CASES))
+def test_one_pass_constructors_equal_their_old_sums(name, n, monkeypatch):
+    rd = RationalDraw(100 + n)
+    v, c = rd.vector(n), rd.rational()
+    new, old = _ONE_PASS_CASES[name]
+    assert new(n, v, c) == old(n, v, c)
+    if name.startswith(("rep-change", "tilde")):
+        # the residuals vanish on the true data; a shift that hits every unit and a
+        # bumped X make them nonzero, so the comparison covers nonzero entries too
+        monkeypatch.setattr(classical, "_shifted",
+                            lambda u, c: u + Operator1.identity(u.dim).scale(c))
+        monkeypatch.setattr(classical, "x_change_of_basis", _skewed_x)
+        got = new(n, v, c)
+        assert not got.is_zero() and got == old(n, v, c)
+
+
+def test_gl2_isomorphism_check_equals_its_old_sums():
+    for kind, images, alpha in ((bezout.B0, bezout.GL3_IMAGES_B0, 0),
+                                (bezout.B, bezout.GL3_IMAGES_B, -1)):
+        rb = bezout.rota_baxter(bezout.bezout_operator(kind, 2))
+        units = {(i, j): Operator1.unit(2, i, j) for i in (1, 2) for j in (1, 2)}
+        old = []
+        for (iu, ju), u in units.items():
+            for (iv, jv), w in units.items():
+                star = bezout.star_product(u, w, rb, alpha)
+                img = Operator1.zero(3)
+                for a in (1, 2):
+                    for b in (1, 2):
+                        img = img + images[(a, b)].scale(star._get(b - 1, a - 1))
+                old.append(img - images[(iu, ju)] @ images[(iv, jv)])
+        assert bezout.gl2_isomorphism_check(kind)["homomorphism"] == old

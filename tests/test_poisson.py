@@ -294,3 +294,26 @@ def test_linear_rime_fault_names_its_identity(monkeypatch):
     monkeypatch.setattr(poisson, "linear_bracket", half_bracket)
     ok, witness = _is_zero(linear_rime_suite(3, RationalDraw(1)))
     assert not ok and witness["index"].startswith("almost-trivial:")
+
+
+def test_linear_rime_shares_its_empty_differences(monkeypatch):
+    diffs = linear_rime_suite(4, RationalDraw(0))["differences-commute"]
+    assert len(diffs) == 12 * 12 and not any(diffs)
+    assert len({id(d) for d in diffs}) == 1
+    # a bracket that drops the -a_ji x^j term keeps every nonzero residual at its position
+    def half_bracket(a, f, g):
+        out = {}
+        for i, v in f.items():
+            for j, w in g.items():
+                if i != j:
+                    out[i] = out.get(i, 0) + v * w * a[i][j]
+        return {k: x for k, x in out.items() if x}
+
+    monkeypatch.setattr(poisson, "linear_bracket", half_bracket)
+    diffs = linear_rime_suite(4, RationalDraw(0))["differences-commute"]
+    ones = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
+    assert diffs == [half_bracket(ones, {i: 1, j: -1}, {k: 1, l: -1})
+                     for i in range(4) for j in range(4) if i != j
+                     for k in range(4) for l in range(4) if k != l]
+    assert any(diffs) and not all(diffs)
+    assert len({id(d) for d in diffs if not d}) == 1

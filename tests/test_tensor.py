@@ -11,7 +11,7 @@ from yibre.classical import rime_skew_sl_r
 from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, RationalDraw, ratvec
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual,
-                          first_nonzero_witness, hecke_residual, kron11, lift,
+                          first_nonzero_witness, hecke_residual, kron11, kron_sum, lift,
                           op1_on_leg2, partial_trace,
                           permutation_P, reshuffled_matrix, row_space,
                           signed_products, skew_inverse, wedge, yb_residual)
@@ -608,13 +608,118 @@ def test_lift_matches_dense_reference(r, legs):
     assert _dense(got) == _dense_lift(_dense(r), r.dim, legs)
 
 
-@given(sparse_operands(Operator1), sparse_operands(Operator1))
+@st.composite
+def kron_terms(draw, scalars=kernel_rationals, coefficients=kernel_rationals):
+    """One to four terms (k, a, b) over a pool of three one-leg operators of one dim."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    factor = st.sampled_from([draw(sparse_operands(Operator1, dims=(n,), scalars=scalars))
+                              for _ in range(3)])
+    return [(draw(coefficients), draw(factor), draw(factor))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def _dense_kron_sum(terms) -> list[list]:
+    size = terms[0][1].dim ** 2
+    total = [[F(0)] * size for _ in range(size)]
+    for k, a, b in terms:
+        for r, row in enumerate(_dense_kron(_dense(a), _dense(b))):
+            for c, v in enumerate(row):
+                total[r][c] += k * v
+    return total
+
+
+@given(kron_terms())
 @DENSE_SETTINGS
-def test_kron11_matches_dense_reference(a, b):
-    a, b = _same_dim(a, b)
+def test_kron11_matches_dense_reference(terms):
+    _, a, b = terms[0]
     got = kron11(a, b)
     _assert_canonical(got)
     assert _dense(got) == _dense_kron(_dense(a), _dense(b))
+    before = [(_dense(a), _dense(b)) for _, a, b in terms]
+    got = kron_sum(terms)
+    assert type(got) is Operator2 and got.dim == a.dim
+    _assert_canonical(got)
+    assert _dense(got) == _dense_kron_sum(terms)
+    assert wedge(a, b) == kron11(a, b) - kron11(b, a)
+    # every term against its negation cancels to no rows at all
+    zero = kron_sum(terms + _negated(terms))
+    _assert_canonical(zero)
+    assert zero.data == {} and zero == Operator2.zero(a.dim)
+    # a cancelled term leaves no stored zero or empty row among the others
+    rest = kron_sum([terms[0], _negated(terms)[0], *terms[1:]])
+    _assert_canonical(rest)
+    assert _dense(rest) == _dense_kron_sum(terms[1:]) if terms[1:] else rest.data == {}
+    assert [(_dense(a), _dense(b)) for _, a, b in terms] == before
+
+
+def test_kron_sum_skips_zero_coefficients_and_factors():
+    a = Operator1([[F(1, 2), 0, 3], [0, F(-2, 3), 0], [5, 0, 1]])
+    b = Operator1([[0, F(7, 4), 0], [1, 0, 0], [0, 2, F(-1, 5)]])
+    zero = Operator1.zero(3)
+    assert kron_sum([(0, a, b)]) == Operator2.zero(3)
+    assert kron_sum([(1, zero, a), (1, a, zero)]).data == {}
+    assert kron_sum([(0, a, b), (F(3, 2), b, a), (5, zero, b)]) == kron11(b, a).scale(F(3, 2))
+
+
+@pytest.mark.parametrize("d", [-1, 0])
+@given(data=st.data())
+@DENSE_SETTINGS
+def test_kron_sum_of_quadext_operands(d, data):
+    quad = st.one_of(kernel_rationals, _quad_scalars(d))
+    terms = data.draw(kron_terms(scalars=quad, coefficients=quad))
+    got = kron_sum(terms)
+    assert all(row and all(row.values()) for row in got.data.values()), "zero or empty row stored"
+    assert _dense(got) == _dense_kron_sum(terms)
+    assert kron_sum(terms + _negated(terms)).data == {}
+    if d == 0:
+        # products of pure dual parts vanish, whole rows with them
+        eps = QuadExt(0, 1, 0)
+        dual = [f.scale(eps) for _, a, b in terms for f in (a, b)]
+        assert kron_sum([(1, dual[0], dual[-1])]).data == {}
+        assert kron_sum([(eps, dual[0], terms[0][2])]).data == {}
+        assert kron_sum([(eps, dual[0], dual[-1]), (1, dual[0], dual[0])]).data == {}
+
+
+def test_kron_sum_refuses_bad_terms():
+    two, three = Operator1.identity(2), Operator1.identity(3)
+    with pytest.raises(InvalidInputError):
+        kron_sum([])
+    with pytest.raises(InvalidInputError):
+        kron_sum([(1, two, three)])
+    with pytest.raises(InvalidInputError):
+        kron_sum([(1, two, two), (1, three, three)])
+    with pytest.raises(InvalidInputError):
+        kron_sum([(1, two, Operator2.identity(2))])
+    # a zero coefficient or a zero factor still has its factors checked
+    with pytest.raises(InvalidInputError):
+        kron_sum([(0, two, three)])
+    with pytest.raises(InvalidInputError):
+        kron_sum([(1, Operator1.zero(2), three)])
+
+
+@pytest.mark.parametrize("d", [-1, 0])
+@given(data=st.data())
+@DENSE_SETTINGS
+def test_trace_matches_the_diagonal(d, data):
+    scalars = st.one_of(kernel_rationals, _quad_scalars(d))
+    a = data.draw(sparse_operands(Operator1, dims=(1, 2, 3), scalars=scalars))
+    want = sum((a.get(i, i) for i in range(1, a.dim + 1)), F(0))
+    assert a.trace() == want and type(a.trace()) is type(want)
+
+
+def test_unit_is_stored_as_integer_rows_and_stays_writable():
+    u = Operator1.unit(3, 1, 2)
+    _assert_canonical(u)
+    assert u._den == 1 and u.data == {1: {0: 1}} and u.trace() == 0
+    u._set(0, 0, F(5, 3))
+    u._set(1, 0, 0)
+    assert u.data == {0: {0: F(5, 3)}} and u._rows is None
+    assert u.trace() == F(5, 3)
+    again = u + Operator1.unit(3, 2, 1)
+    _assert_canonical(again)
+    assert _dense(again) == [[F(5, 3), 1, 0], [0, 0, 0], [0, 0, 0]]
+    # each unit is its own operator: the write reached no other unit
+    assert Operator1.unit(3, 1, 2).data == {1: {0: 1}}
 
 
 @given(sparse_operands(Operator2), sparse_operands(Operator2), kernel_rationals)
