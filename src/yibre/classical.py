@@ -350,21 +350,28 @@ def bd_fork_R(q, p, r, s) -> Operator2:
 
 
 def lambda_bcg_gram(n: int) -> Operator1:
-    """Gram matrix of lambda([. , .]) with lambda = sum (e^i_{i+1})* on the Ztilde basis."""
+    """Gram matrix of lambda([. , .]) with lambda = sum (e^i_{i+1})* on the Ztilde basis.
+
+    lambda(A) is the sum of A's entries (i, i+1), i.e. tr(L A) with L the
+    matrix of ones at (i+1, i), so lambda([x, y]) = tr([L, x] y): one bracket
+    per basis element, then a sparse trace of a product per pair.
+    """
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     shift = Operator1.identity(n).scale(Fraction(1, n))
     zt = [carrier_Z(n, i, j) + shift for (i, j) in pairs]
-
-    def lam(mat: Operator1) -> Fraction:
-        # coefficient sum of the units e^i_{i+1}, i.e. the subdiagonal entries
-        return sum((mat._get(i, i + 1) for i in range(n - 1)), ZERO)
-
+    ell = Operator1([[ONE if r == c + 1 else ZERO for c in range(n)] for r in range(n)])
+    brackets = [signed_products([(1, ell, z), (-1, z, ell)])._ints() for z in zt]
+    # y's columns as the rows of its transpose: tr(c y) pairs row r of c with row r of y^T
+    columns = [z.transpose()._ints() for z in zt]
     m = len(pairs)
     g = Operator1.zero(m)
     # lambda([x, y]) = -lambda([y, x]), so each unordered pair is evaluated once
     for a in range(m):
+        dc, crows = brackets[a]
         for b in range(a + 1, m):
-            v = lam(signed_products([(1, zt[a], zt[b]), (-1, zt[b], zt[a])]))
+            dy, yrows = columns[b]
+            v = Fraction(sum(w * yrow[c] for r, crow in crows.items() if (yrow := yrows.get(r))
+                             for c, w in crow.items() if c in yrow), dc * dy)
             g._set(a, b, v)
             g._set(b, a, -v)
     return g

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .kernel import (ONE, ZERO, InvalidInputError, cleared, elem_syms_omitting, rat,
-                     ratvec, require_distinct)
-from .tensor import (Operator1, Operator2, hecke_residual, partial_trace,
-                     permutation_P, row_space, skew_inverse)
+from .kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared,
+                     elem_syms_omitting, rat, ratvec, require_distinct)
+from .tensor import (Operator1, Operator2, hecke_residual, permutation_P, reshuffled_matrix,
+                     row_space)
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,23 @@ def quantum_trace_closed_forms(data: RimeData) -> tuple[Operator1, Operator1]:
 
 
 def quantum_traces(r: Operator2) -> tuple[Operator1, Operator1]:
-    """Q = Tr_2 Psi_R and Qtilde = Tr_1 Psi_R from the skew inverse."""
-    psi = skew_inverse(r)
-    return partial_trace(psi, 2), partial_trace(psi, 1)
+    """Q = Tr_2 Psi_R and Qtilde = Tr_1 Psi_R, with no Psi_R formed.
+
+    ``tensor.skew_inverse`` solves M Psi' = P' with M the reshuffled matrix.
+    Since P' u = u for u = sum_a e_(a,a), the trace Q^i_k = (Psi' u)[(i,k)] is
+    x[(i,k)] with M x = u, and Qtilde^j_l = (u^T Psi')[(j,l)] is w[(l,j)] with
+    M^T w = u.  A singular M means R is not skew invertible.
+    """
+    n = r.dim
+    m = reshuffled_matrix(r)
+    u = {a * n + a: ONE for a in range(n)}
+    try:
+        x = m.solve(u)
+    except InvalidInputError as exc:
+        raise NotSkewInvertibleError("reshuffled matrix is singular") from exc
+    w = m.transpose().solve(u)
+    return (Operator1([[x.get(i * n + k, ZERO) for k in range(n)] for i in range(n)]),
+            Operator1([[w.get(l * n + j, ZERO) for l in range(n)] for j in range(n)]))
 
 
 def eigenvector_w(params, a: int) -> tuple[Fraction, ...]:
@@ -263,6 +277,32 @@ def jordan_action_coefficients(n: int, i: int) -> tuple[Fraction, ...]:
                  for s in range(n))
 
 
+def _invariance_matrix(n: int, factor, coefficient) -> Operator1:
+    """Y^j_j = prod_{l != j} f_jl and Y^i_j = c_ji prod_{l != i,j} f_jl (0-based).
+
+    Each column's factors f_jl = factor(j, l) are formed once, and each
+    off-diagonal product is the diagonal one divided by f_ji, taken directly
+    only where f_ji = 0: O(n^2) scalar operations instead of O(n^3).
+    """
+    y = Operator1.zero(n)
+    for j in range(n):
+        f = {l: factor(j, l) for l in range(n) if l != j}
+        diag = ONE
+        for v in f.values():
+            diag *= v
+        y._set(j, j, diag)
+        for i, fi in f.items():
+            if fi:
+                rest = diag / fi
+            else:
+                rest = ONE
+                for l, v in f.items():
+                    if l != i:
+                        rest *= v
+            y._set(i, j, coefficient(j, i) * rest)
+    return y
+
+
 def invariance_Y(phi, u, v) -> Operator1:
     """Two-parameter invariance matrix Y(u,v) of the non-unitary family."""
     phi = ratvec(phi)
@@ -270,23 +310,9 @@ def invariance_Y(phi, u, v) -> Operator1:
     u, v = rat(u), rat(v)
     if not u or not v:
         raise InvalidInputError("u and v must be nonzero")
-    n = len(phi)
-    y = Operator1.zero(n)
-    for j in range(1, n + 1):
-        diag = ONE
-        for l in range(1, n + 1):
-            if l != j:
-                diag *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
-        y._set(j - 1, j - 1, diag)
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            val = (u - v) * phi[j - 1] / (phi[j - 1] - phi[i - 1])
-            for l in range(1, n + 1):
-                if l != i and l != j:
-                    val *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
-            y._set(i - 1, j - 1, val)
-    return y
+    return _invariance_matrix(
+        len(phi), lambda j, l: (u * phi[j] - v * phi[l]) / (phi[j] - phi[l]),
+        lambda j, i: (u - v) * phi[j] / (phi[j] - phi[i]))
 
 
 def invariance_Y0(mu, a) -> Operator1:
@@ -294,23 +320,8 @@ def invariance_Y0(mu, a) -> Operator1:
     mu = ratvec(mu)
     require_distinct(mu, "mu")
     a = rat(a)
-    n = len(mu)
-    y = Operator1.zero(n)
-    for j in range(1, n + 1):
-        diag = ONE
-        for l in range(1, n + 1):
-            if l != j:
-                diag *= ONE + a / (mu[j - 1] - mu[l - 1])
-        y._set(j - 1, j - 1, diag)
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            val = a / (mu[j - 1] - mu[i - 1])
-            for l in range(1, n + 1):
-                if l != i and l != j:
-                    val *= ONE + a / (mu[j - 1] - mu[l - 1])
-            y._set(i - 1, j - 1, val)
-    return y
+    return _invariance_matrix(len(mu), lambda j, l: ONE + a / (mu[j] - mu[l]),
+                              lambda j, i: a / (mu[j] - mu[i]))
 
 
 def invariance_generator(kind: str, params) -> Operator1:

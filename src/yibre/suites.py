@@ -326,23 +326,21 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     def invariance(p):
         y1 = rime.invariance_Y(p.phi, p.u1, p.v1)
         y2 = rime.invariance_Y(p.phi, p.u2, p.v2)
-        yy = tensor.kron11(y1, y1)
         return {
             "composition": (y1 @ y2) - rime.invariance_Y(p.phi, p.u1 * p.u2, p.v1 * p.v2),
             "identity": rime.invariance_Y(p.phi, 1, 1) - Operator1.identity(n),
-            "commutation": p.r @ yy - yy @ p.r,
+            "commutation": tensor.equivalence_residual(p.r, p.r, y1),
             "determinant": y1.det() - (p.u1 * p.v1) ** (n * (n - 1) // 2),
             "q-is-Y": rime.invariance_Y(p.phi, ONE - p.beta, ONE) - p.q[0],
         }
 
     def invariance0(p):
         y1 = rime.invariance_Y0(p.mu, p.a1)
-        yy = tensor.kron11(y1, y1)
         return {
             "additivity": (y1 @ rime.invariance_Y0(p.mu, p.a2))
                           - rime.invariance_Y0(p.mu, p.a1 + p.a2),
             "identity": rime.invariance_Y0(p.mu, 0) - Operator1.identity(n),
-            "commutation": p.u @ yy - yy @ p.u,
+            "commutation": tensor.equivalence_residual(p.u, p.u, y1),
             "q-is-Y0": rime.invariance_Y0(p.mu, -1) - p.uq[0],
         }
 
@@ -543,8 +541,9 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     def xty(p):
         rr = rime.strict_rime_R(p.phis, 1 - qi)
         x, _ = cg.x_change_of_basis(p.phis)
-        xx = tensor.kron11(x, x)
-        return (tensor.row_space(n, (rr.scalar_shift(-1) @ xx).data.values())
+        shifted = tensor.signed_products([(1, rr.scalar_shift(-1), tensor.op1_on_leg2(x, 1),
+                                           tensor.op1_on_leg2(x, 2))])
+        return (tensor.row_space(n, shifted.data.values())
                 - tensor.row_space(n, p.rcg.scalar_shift(-1).data.values()))
 
     return checks + Block(draw, rcg=lambda p: cg.cg_matrix(cg.CGParams(n, qi, 1)),

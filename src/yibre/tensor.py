@@ -415,6 +415,23 @@ class _SparseSquare:
                                                   if c >= size}
                                               for r, row in pivots.items()})
 
+    def solve(self, rhs: dict) -> dict:
+        """x with A x = rhs, both sparse as index -> scalar, from the RREF of [den*A | den*rhs].
+
+        Singular when a row reduces to nothing or its lead lands in the rhs column.
+        """
+        den, rows = self._ints()
+        size = self.size
+        k = 1 if den is None else den
+        ech = Echelon()
+        for r in range(size):
+            lead = ech.insert({**rows.get(r, {}), size: rhs.get(r, 0) * k})
+            if lead is None or lead >= size:
+                raise InvalidInputError("matrix is singular")
+        ech.rref()
+        # each reduced row is e_lead plus x[lead] in the rhs column
+        return {lead: x for lead, row in ech.pivots.items() if (x := row.get(size))}
+
 
 class Operator1(_SparseSquare):
     """Exact n x n matrix with action (Av)^i = A^i_j v^j, stored as data[i][j] (0-based)."""
@@ -509,9 +526,12 @@ class Operator2(_SparseSquare):
         return out
 
     def reversed_legs(self) -> "Operator2":
-        """R_21 = P R P."""
-        p = permutation_P(self.dim)
-        return p @ self @ p
+        """R_21 = P R P, read off the rows: R_21[(j,i),(l,k)] = R[(i,j),(k,l)]."""
+        n = self.dim
+        den, rows = self._ints()
+        swap = lambda x: (x % n) * n + x // n
+        return self._of(n, den, {swap(r): {swap(c): x for c, x in row.items()}
+                                 for r, row in rows.items()})
 
     def four_index_items(self):
         n = self.dim
@@ -660,7 +680,7 @@ def lift(op: Operator2, legs: int, n: int | None = None) -> Operator3:
 
 
 def signed_products(terms):
-    """The sum of k * F1 @ F2 @ ... over terms (k, F1[, F2[, F3]]), with no product stored.
+    """The sum of k * F1 @ F2 @ ... @ Fm over terms (k, F1, ..., Fm), with no product stored.
 
     Every F is an operator of one type and dim.  The sum runs on the factors'
     integer rows over one common denominator, the lcm over the terms of
@@ -816,17 +836,18 @@ def skew_inverse(r: Operator2) -> Operator2:
 
 
 def conjugate2(r: Operator2, t: Operator1) -> Operator2:
-    """(T (x) T) r (T (x) T)^-1."""
+    """(T (x) T) r (T (x) T)^-1, with T (x) T as T_1 T_2: n entries a row, not n^2."""
     tinv = t.inverse()
-    return signed_products([(1, kron11(t, t), r, kron11(tinv, tinv))])
+    return signed_products([(1, op1_on_leg2(t, 1), op1_on_leg2(t, 2), r,
+                             op1_on_leg2(tinv, 1), op1_on_leg2(tinv, 2))])
 
 
 def equivalence_residual(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:
-    """lhs (T x T) - (T x T) rhs, refused for a singular T."""
+    """lhs (T x T) - (T x T) rhs, with T x T as T_1 T_2; refused for a singular T."""
     if t.det() == 0:
         raise InvalidInputError("T must be invertible")
-    tt = kron11(t, t)
-    return signed_products([(1, lhs, tt), (-1, tt, rhs)])
+    t1, t2 = op1_on_leg2(t, 1), op1_on_leg2(t, 2)
+    return signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
 
 
 def commutator_with_sum(r: Operator2, a: Operator1) -> Operator2:

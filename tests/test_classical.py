@@ -17,8 +17,8 @@ from yibre.cg import CGParams, cg_matrix, x_change_of_basis
 from yibre.kernel import InvalidInputError, RationalDraw
 from yibre.suites import _is_zero
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
-                          cybe_residual, hecke_residual, kron11, permutation_P, wedge,
-                          yb_residual)
+                          cybe_residual, hecke_residual, kron11, permutation_P,
+                          signed_products, wedge, yb_residual)
 
 
 def test_rime_nonskew_frozen_block():
@@ -199,6 +199,34 @@ def test_bd_fork():
 def test_lambda_bcg_gram():
     for n in (2, 3, 4):
         assert lambda_bcg_gram(n).det() != 0
+
+
+def _lambda_bcg_gram_brackets(n):
+    """The former lambda_bcg_gram: each pair's bracket formed whole, then lambda read off it."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    shift = Operator1.identity(n).scale(F(1, n))
+    zt = [carrier_Z(n, i, j) + shift for (i, j) in pairs]
+    m = len(pairs)
+    g = Operator1.zero(m)
+    for a in range(m):
+        for b in range(a + 1, m):
+            bracket = signed_products([(1, zt[a], zt[b]), (-1, zt[b], zt[a])])
+            v = sum((bracket._get(i, i + 1) for i in range(n - 1)), F(0))
+            g._set(a, b, v)
+            g._set(b, a, -v)
+    return g
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_lambda_bcg_gram_matches_the_bracket_form(n):
+    """Entry by entry: the suite's check reads only det != 0, which cannot see a changed G."""
+    got, want = lambda_bcg_gram(n), _lambda_bcg_gram_brackets(n)
+    m = n * (n - 1)
+    assert got.dim == want.dim == m
+    for a in range(1, m + 1):
+        for b in range(1, m + 1):
+            assert got.get(a, b) == want.get(a, b), (a, b)
+    assert not got.is_zero()
 
 
 def test_tilde_difference_identity():

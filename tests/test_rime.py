@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from yibre import rime
-from yibre.kernel import DegenerateParametersError, RationalDraw, ratvec
+from yibre.kernel import ONE, DegenerateParametersError, QuadExt, RationalDraw, ratvec
 from yibre.rime import (RimeClass, RimeData, appendix_A_residuals, assemble_rime,
                         classical_commutator_relations, classify,
                         eigen_multiplicities, eigenvector_w, extract_rime_data,
@@ -403,3 +403,94 @@ def test_quantum_trace_closed_form_at_phi_12():
         skew_inverse(strict_rime_R([1, 2], 1))
     qd, qtd = quantum_trace_closed_forms(strict_rime_data([1, 2], 1))
     assert (qd @ qtd).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quantum_traces_match_the_partial_traces_of_the_skew_inverse(n):
+    """The two solves give exactly Tr_2 and Tr_1 of the whole skew inverse."""
+    from yibre.tensor import conjugate2, partial_trace, skew_inverse
+    rd = RationalDraw(600 + n)
+    strict = strict_rime_R(rd.vector(n), F(2, 7))
+    gauss = Operator1([[QuadExt(i + 1, 1 if i == j else 0, -1) if i <= j else ONE
+                        for j in range(n)] for i in range(n)])
+    # a non-rime R makes the index order of both traces visible (no symmetry hides it)
+    for r in (strict, unitary_rime_R(rd.vector(n)), conjugate2(strict, gauss),
+              strict + kron11(Operator1.unit(n, 1, n), Operator1.unit(n, n, 1))):
+        psi = skew_inverse(r)
+        q, qt = quantum_traces(r)
+        assert q == partial_trace(psi, 2)
+        assert qt == partial_trace(psi, 1)
+
+
+def test_quantum_traces_refuse_a_singular_reshuffled_matrix():
+    from yibre.kernel import NotSkewInvertibleError
+    with pytest.raises(NotSkewInvertibleError):
+        quantum_traces(Operator2.identity(2))
+    with pytest.raises(NotSkewInvertibleError):
+        quantum_traces(strict_rime_R([1, 2], 1))
+
+
+def _invariance_Y_loops(phi, u, v):
+    """The former invariance_Y: every entry as its own product over l."""
+    n = len(phi)
+    y = Operator1.zero(n)
+    for j in range(1, n + 1):
+        diag = ONE
+        for l in range(1, n + 1):
+            if l != j:
+                diag *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
+        y._set(j - 1, j - 1, diag)
+        for i in range(1, n + 1):
+            if i != j:
+                val = (u - v) * phi[j - 1] / (phi[j - 1] - phi[i - 1])
+                for l in range(1, n + 1):
+                    if l != i and l != j:
+                        val *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
+                y._set(i - 1, j - 1, val)
+    return y
+
+
+def _invariance_Y0_loops(mu, a):
+    """The former invariance_Y0: every entry as its own product over l."""
+    n = len(mu)
+    y = Operator1.zero(n)
+    for j in range(1, n + 1):
+        diag = ONE
+        for l in range(1, n + 1):
+            if l != j:
+                diag *= ONE + a / (mu[j - 1] - mu[l - 1])
+        y._set(j - 1, j - 1, diag)
+        for i in range(1, n + 1):
+            if i != j:
+                val = a / (mu[j - 1] - mu[i - 1])
+                for l in range(1, n + 1):
+                    if l != i and l != j:
+                        val *= ONE + a / (mu[j - 1] - mu[l - 1])
+                y._set(i - 1, j - 1, val)
+    return y
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_invariance_matrices_match_their_triple_product_loops(n):
+    rd = RationalDraw(700 + n)
+    for _ in range(3):
+        phi, u, v, a = rd.vector(n), rd.rational(), rd.rational(), rd.rational()
+        assert invariance_Y(phi, u, v) == _invariance_Y_loops(phi, u, v)
+        assert invariance_Y0(phi, a) == _invariance_Y0_loops(phi, a)
+    assert invariance_Y(phi, u, u) == _invariance_Y_loops(phi, u, u)
+
+
+def test_invariance_matrices_with_a_zero_factor():
+    """u phi_j = v phi_i, or a = mu_l - mu_j, zeroes one factor of column j."""
+    phi = ratvec([1, 2, 3, 5])
+    # column 1 has the factor (2*1 - 1*2)/(1 - 2) = 0 at l = 2, so Y^1_1 = 0
+    y = invariance_Y(phi, 2, 1)
+    assert y.get(1, 1) == 0 and y.get(2, 1) != 0
+    assert y == _invariance_Y_loops(phi, ONE * 2, ONE)
+    mu = ratvec([0, 1, 3, 7])
+    # a = mu_2 - mu_1 = 1: the factor 1 + a/(mu_1 - mu_2) of column 1 is zero
+    y0 = invariance_Y0(mu, 1)
+    assert y0.get(1, 1) == 0 and y0.get(2, 1) != 0
+    assert y0 == _invariance_Y0_loops(mu, ONE)
+    for a in (mu[l] - mu[j] for j in range(4) for l in range(4) if l != j):
+        assert invariance_Y0(mu, a) == _invariance_Y0_loops(mu, a)

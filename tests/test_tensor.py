@@ -10,9 +10,9 @@ import pytest
 from yibre.classical import rime_skew_sl_r
 from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, RationalDraw, ratvec
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
-from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, cybe_residual,
-                          first_nonzero_witness, hecke_residual, kron11, kron_sum, lift,
-                          op1_on_leg2, partial_trace,
+from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, conjugate2, cybe_residual,
+                          equivalence_residual, first_nonzero_witness, hecke_residual,
+                          kron11, kron_sum, lift, op1_on_leg2, partial_trace,
                           permutation_P, reshuffled_matrix, row_space,
                           signed_products, skew_inverse, wedge, yb_residual)
 
@@ -1068,3 +1068,80 @@ def test_echelon_back_reduces_rational_rows_against_gaussian_pivots():
     assert Echelon(augmented).rref() == _FractionEchelon(augmented).rref()
     assert _dense(Operator1(dense).inverse()) == _fraction_inverse(dense)
     assert Operator1(dense).inverse().get(1, 3) == i
+
+
+@pytest.mark.parametrize("quad", [None, -1])
+def test_reversed_legs_matches_p_r_p(quad):
+    """The row relabelling R_21[(j,i),(l,k)] = R[(i,j),(k,l)] is the product P R P."""
+    for n, seed in ((2, 0), (3, 1), (4, 2)):
+        r = _random_sparse(Operator2, n, seed, LARGE_DENS, quad)
+        p = permutation_P(n)
+        got = r.reversed_legs()
+        _stored(got)
+        assert got == p @ r @ p
+        assert got.get(1, 2, 2, 1) == r.get(2, 1, 1, 2)
+    assert Operator2.zero(3).reversed_legs().is_zero()
+
+
+def _invertible(n, seed, quad):
+    """The first seeded sparse T from ``seed`` on with a nonzero determinant."""
+    while True:
+        t = _random_sparse(Operator1, n, seed, SMALL_DENS, quad)
+        if t.det() != 0:
+            return t
+        seed += 100
+
+
+def _conjugate2_dense(r, t):
+    """The former conjugate2: T (x) T and its inverse formed as dense Kronecker products."""
+    tinv = t.inverse()
+    return signed_products([(1, kron11(t, t), r, kron11(tinv, tinv))])
+
+
+def _equivalence_dense(lhs, rhs, t):
+    """The former equivalence_residual through the dense T (x) T."""
+    tt = kron11(t, t)
+    return signed_products([(1, lhs, tt), (-1, tt, rhs)])
+
+
+@pytest.mark.parametrize("quad", [None, -1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_leg_wise_conjugation_matches_the_dense_kronecker_form(n, quad):
+    t = _invertible(n, 10 * n, quad)
+    r = _random_sparse(Operator2, n, 10 * n + 1, SMALL_DENS, quad)
+    rhs = _random_sparse(Operator2, n, 10 * n + 2, SMALL_DENS)
+    conj = conjugate2(r, t)
+    _stored(conj)
+    assert conj == _conjugate2_dense(r, t)
+    assert equivalence_residual(r, rhs, t) == _equivalence_dense(r, rhs, t)
+    # a true equivalence leaves no residual, a bumped one does
+    assert equivalence_residual(conj, r, t).is_zero()
+    bumped = conj + Operator2.identity(n).scale(F(1, 7))
+    assert not equivalence_residual(bumped, r, t).is_zero()
+
+
+def test_leg_wise_conjugation_refuses_a_singular_t():
+    t = Operator1([[1, 2], [2, 4]])
+    r = permutation_P(2)
+    with pytest.raises(InvalidInputError):
+        conjugate2(r, t)
+    with pytest.raises(InvalidInputError):
+        equivalence_residual(r, r, t)
+
+
+@pytest.mark.parametrize("quad", [None, -1])
+def test_solve_matches_the_inverse(quad):
+    for n, seed in ((2, 3), (3, 4), (5, 5)):
+        a = _invertible(n, seed, quad)
+        rhs = {0: F(2, 3), n - 1: F(-5)}
+        x = a.solve(rhs)
+        assert all(x.values()), "zero stored"
+        inv = a.inverse()
+        want = {i: v for i in range(n)
+                if (v := sum((inv.get(i + 1, k + 1) * w for k, w in rhs.items()), F(0)))}
+        assert x == want
+        assert a.solve({}) == {}
+    with pytest.raises(InvalidInputError):
+        Operator1([[1, 2], [2, 4]]).solve({0: F(1)})
+    with pytest.raises(InvalidInputError):
+        Operator1([[1, 2], [2, 4]]).solve({})
