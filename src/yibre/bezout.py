@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct, sparse_minus
+from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec, require_distinct,
+                     sparse_minus)
 from .tensor import (Echelon, Operator1, Operator2, Operator3, _add_row_product,
                      commutator_with_sum, cybe_residual, kron11, kron_sum, lift, op1_on_leg2,
                      permutation_P, reshuffled_matrix, signed_products, ybe_numbered_residual,
@@ -416,18 +417,6 @@ class RotaBaxterMap:
         self.n = n
         self.images = images
 
-    @classmethod
-    def from_function(cls, n: int, fn) -> "RotaBaxterMap":
-        """Tabulate a linear ``fn`` on Mat(V) from its images of the n^2 unit matrices."""
-        images = Operator1.zero(n * n)
-        for d in range(n):
-            for k in range(n):
-                basis = Operator1.zero(n)
-                basis._set(d, k, ONE)
-                for i, j, v in fn(basis).nonzero_entries():
-                    images._set(d * n + k, i * n + j, v)
-        return cls(n, images)
-
     def _cells(self, den: int | None, row: dict) -> Operator1:
         """The n x n operator whose cell (i, j) holds ``row[i n + j]`` over ``den``."""
         n = self.n
@@ -471,82 +460,56 @@ def rota_baxter(r: Operator2, side: str = "left") -> RotaBaxterMap:
 
 
 def rb_closed_form(kind: str, n: int, phi=None) -> RotaBaxterMap:
-    """Explicit summation formulas for the Rota-Baxter operators."""
-    if kind == B0:
-        def fn(a: Operator1) -> Operator1:
-            out = Operator1.zero(n)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    tot = ZERO
-                    if j > i:
-                        s = 0
-                        while i - s >= 1 and j - s - 1 >= 1:
-                            tot += a._get(i - s - 1, j - s - 2)
-                            s += 1
-                    if i >= j:
-                        s = 0
-                        while i + s + 1 <= n and j + s <= n:
-                            tot -= a._get(i + s, j + s - 1)
-                            s += 1
-                    out._set(i - 1, j - 1, tot)
-            return out
-        return RotaBaxterMap.from_function(n, fn)
-    if kind == B:
-        def fn(a: Operator1) -> Operator1:
-            out = Operator1.zero(n)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    tot = ZERO
-                    if j + 1 > i:
-                        s = 0
-                        while i - s - 1 >= 1 and j - s - 1 >= 1:
-                            tot += a._get(i - s - 2, j - s - 2)
-                            s += 1
-                    if i > j:
-                        s = 0
-                        while i + s <= n and j + s <= n:
-                            tot -= a._get(i + s - 1, j + s - 1)
-                            s += 1
-                    out._set(i - 1, j - 1, tot)
-            return out
-        return RotaBaxterMap.from_function(n, fn)
-    if kind == RS:
+    """Explicit summation formulas for the Rota-Baxter operators.
+
+    Each formula is written as its unit images, straight into the rows of
+    ``images``: row d n + k holds the image of the unit at cell (d, k), 0-based.
+    """
+    rows: dict[int, dict] = {}
+    if kind in (B0, B):
+        # the image of the unit at (d, k) lies on one diagonal: for k >= d it is +1 at
+        # (d + s, k + 1 + s) (b0) or (d + 1 + s, k + 1 + s) (b) for every s that stays
+        # inside the matrix; for d > k it is -1 at (d - 1 - s, k - s) (b0) or
+        # (d - s, k - s) (b) for s = 0 .. k
+        lead = 0 if kind == B0 else 1
+        for d in range(n):
+            for k in range(n):
+                if k >= d:
+                    rows[d * n + k] = {(d + lead + s) * n + k + 1 + s: 1 for s in range(n - 1 - k)}
+                else:
+                    rows[d * n + k] = {(d - 1 + lead - s) * n + k - s: -1 for s in range(k + 1)}
+    elif kind == RS:
         # off-diagonal support is the lower triangle: the upper-triangle variant
-        # is the right-handed operator Tr_1(r_12 A_1), not this one
-        def fn(a: Operator1) -> Operator1:
-            out = Operator1.zero(n)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i == j:
-                        out._set(i - 1, i - 1, sum((a._get(s - 1, s - 1)
-                                                    for s in range(1, i)), ZERO))
-                    elif i > j:
-                        out._set(i - 1, j - 1, -a._get(i - 1, j - 1))
-            return out
-        return RotaBaxterMap.from_function(n, fn)
-    if kind == "rime-phi":
+        # is the right-handed operator Tr_1(r_12 A_1), not this one.  A diagonal
+        # unit adds 1 to every later diagonal cell; a lower one is negated.
+        for d in range(n):
+            rows[d * n + d] = {i * n + i: 1 for i in range(d + 1, n)}
+            for k in range(d):
+                rows[d * n + k] = {d * n + k: -1}
+    elif kind == "rime-phi":
         phi = ratvec(phi)
         require_distinct(phi, "phi")
         if len(phi) != n:
             raise InvalidInputError("phi length must equal n")
-
-        def fn(a: Operator1) -> Operator1:
-            out = Operator1.zero(n)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i != j:
-                        out._set(i - 1, j - 1, phi[j - 1] / (phi[j - 1] - phi[i - 1])
-                                 * (a._get(i - 1, j - 1) - a._get(j - 1, j - 1)))
-                    else:
-                        tot = ZERO
-                        for s in range(1, n + 1):
-                            if s != i:
-                                tot += (phi[i - 1] / (phi[i - 1] - phi[s - 1])
-                                        * (a._get(i - 1, s - 1) - a._get(s - 1, s - 1)))
-                        out._set(i - 1, i - 1, tot)
-            return out
-        return RotaBaxterMap.from_function(n, fn)
-    raise InvalidInputError(f"no closed form for kind {kind!r}")
+        # out(i, j) = c(i, j) (a(i, j) - a(j, j)) off the diagonal, and
+        # out(i, i) = sum over s != i of c(s, i) (a(i, s) - a(s, s)), where
+        # c(i, j) = phi_j / (phi_j - phi_i); each c is formed once
+        c = {(i, j): phi[j] / (phi[j] - phi[i]) for i in range(n) for j in range(n) if i != j}
+        for d in range(n):
+            diag = rows[d * n + d] = {}
+            for i in range(n):
+                if i != d:
+                    rows[d * n + i] = {d * n + i: c[(d, i)], d * n + d: c[(i, d)]}
+                    diag[i * n + d] = -c[(i, d)]
+                    diag[i * n + i] = -c[(d, i)]
+    else:
+        raise InvalidInputError(f"no closed form for kind {kind!r}")
+    # an empty image, or a c(i, j) with phi_j = 0, stores nothing
+    rows = {x: nz for x, row in rows.items() if (nz := {col: v for col, v in row.items() if v})}
+    den, ints = cleared(v for row in rows.values() for v in row.values())
+    ints = iter(ints)
+    return RotaBaxterMap(n, Operator1._reduced(
+        n * n, den, {x: {col: next(ints) for col in row} for x, row in rows.items()}))
 
 
 def rb_weight_residual(rb: RotaBaxterMap, alpha, a: Operator1, b: Operator1) -> Operator1:
@@ -567,24 +530,19 @@ def _sweep_units(n: int) -> list[tuple[tuple[int, int], Operator1]]:
             for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-def rb_unit_weight_residuals(rb: RotaBaxterMap, alpha) -> list[Operator1]:
-    """rb_weight_residual over every ordered pair of units, in ``_sweep_units`` order.
+def rb_weight_operator(r: Operator2, alpha) -> Operator3:
+    """X(r) = r12 r13 - r13 r32 - r23 r12 + alpha r13 P23, one signed sum of products.
 
-    r(A), r(B) and r(AB) are stored unit images, so each pair applies the map
-    once, to r(A)B + A r(B), and forms no product AB.
+    For every A and B, the weight residual r(A)r(B) + alpha r(AB) - r(r(A)B + A r(B))
+    of ``rota_baxter(r)`` equals Tr_23(X(r) A_2 B_3).  At the units of cells (p, q)
+    and (s, t) its cell (a, d) is the entry of X(r) at row (a, q, t), column
+    (d, p, s), all 0-based, so the unit pairs read every entry once:
+    X(r) = 0 iff the map has weight alpha.
     """
-    alpha = rat(alpha)
-    units = _sweep_units(rb.n)
-    images = {cell: rb.unit_image(*cell) for cell, _ in units}
-    out = []
-    for (p, q), a in units:
-        ra = images[(p, q)]
-        for (s, t), b in units:
-            rbm = images[(s, t)]
-            ab = [(alpha, images[(p, t)])] if q == s else []
-            out.append(signed_products([(1, ra, rbm), *ab, (-1, rb.apply(
-                signed_products([(1, ra, b), (1, a, rbm)])))]))
-    return out
+    n = r.dim
+    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
+    return signed_products([(1, r12, r13), (-1, r13, lift(r.reversed_legs(), 23)),
+                            (-1, r23, r12), (rat(alpha), r13, lift(permutation_P(n), 23))])
 
 
 def star_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, alpha) -> Operator1:

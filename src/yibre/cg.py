@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import (ONE, ZERO, InvalidInputError, elem_sym, elem_sym_omit,
-                     elem_syms_omitting, rat, ratvec, require_distinct, theta)
+from .kernel import (ONE, ZERO, InvalidInputError, elem_syms, elem_syms_omitting, rat, ratvec,
+                     require_distinct, theta)
 from .rime import RimeClass, classify, strict_rime_R
 from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, kron11,
                      op1_on_leg2, permutation_P, row_space)
@@ -172,11 +172,19 @@ def generating_function_residual(phi) -> list[list[Fraction]]:
     e_j is affine in each phi_i with slope e_{j-1}^ihat, so vanishing of this
     grid is exactly the derivative rule de_j/dphi_i = e_{j-1}^ihat behind the
     generating-function form of the change of basis.
+
+    The e_k^ihat come from ``elem_syms`` of phi with entry i removed, built
+    from scratch for each i: ``elem_syms_omitting`` solves them from this very
+    rule, so reading its table here would certify nothing.
     """
     phi = ratvec(phi)
     n = len(phi)
-    return [[elem_sym(phi, j) - elem_sym_omit(phi, j, i) - phi[i - 1] * elem_sym_omit(phi, j - 1, i)
-             for j in range(1, n + 1)] for i in range(1, n + 1)]
+    e = elem_syms(phi)
+    grid = []
+    for i in range(n):
+        omit = elem_syms(phi[:i] + phi[i + 1:]) + [ZERO]
+        grid.append([e[j] - omit[j] - phi[i] * omit[j - 1] for j in range(1, n + 1)])
+    return grid
 
 
 def standard_rc_matrix(n: int, qsq_inv) -> Operator2:

@@ -226,14 +226,23 @@ def carrier_algebra_check(mu) -> dict[str, object]:
         omega._set(idx[(i, j)], idx[(j, i)], -(mu[i - 1] - mu[j - 1]))
 
     # (d) omega = d(lambda_n) with lambda_n(Z^k_l) = -mu_l, read off every ordered bracket,
-    # which also gives (b)'s vanishing brackets of disjoint pairs
-    other_brackets, coboundary = [], []
-    for p in pairs:
-        for t in pairs:
+    # which also gives (b)'s vanishing brackets of disjoint pairs.  Each unordered bracket
+    # is formed once: [t, p] is -[p, t], and lambda([t, p]) is -lambda([p, t]).
+    coboundary = [ZERO] * (m * m)
+    disjoint = {}
+    for a, p in enumerate(pairs):
+        for b in range(a, m):
+            t = pairs[b]
             zpt = bracket(z[p], z[t])
+            lam = _lambda_on_carrier(zpt, mu)
+            coboundary[a * m + b] = lam - omega._get(a, b) or ZERO
+            if b == a:
+                continue
+            coboundary[b * m + a] = -lam - omega._get(b, a) or ZERO
             if not set(p) & set(t):
-                other_brackets.append(zpt)
-            coboundary.append(_lambda_on_carrier(zpt, mu) - omega._get(idx[p], idx[t]) or ZERO)
+                disjoint[a * m + b] = zpt
+                disjoint[b * m + a] = kept(-zpt)
+    other_brackets = [disjoint[x] for x in sorted(disjoint)]
 
     # (e) Ztilde obeys the same brackets and fixes the all-ones vector up to 1/n
     shift = Operator1.identity(n).scale(Fraction(1, n))

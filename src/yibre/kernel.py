@@ -175,11 +175,6 @@ def elem_syms(values: Sequence[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def elem_sym(values: Sequence[Fraction], k: int) -> Fraction:
-    """Elementary symmetric polynomial e_k of the given values (e_0 = 1)."""
-    return elem_syms(values)[k] if 0 <= k <= len(values) else ZERO
-
-
 def elem_syms_omitting(values: Sequence[Fraction]) -> list[list[Fraction]]:
     """Row j (0-based) holds [e_0, ..., e_{n-1}] of the values with entry j left out.
 
@@ -194,15 +189,6 @@ def elem_syms_omitting(values: Sequence[Fraction]) -> list[list[Fraction]]:
             row.append(e[k] - v * row[-1])
         table.append(row)
     return table
-
-
-def elem_sym_omit(values: Sequence[Fraction], k: int, omit: int) -> Fraction:
-    """e_k of the vector with 1-based entry ``omit`` removed."""
-    n = len(values)
-    if not 1 <= omit <= n:
-        raise InvalidInputError(f"omit index {omit} out of range 1..{n}")
-    reduced = tuple(values[:omit - 1]) + tuple(values[omit:])
-    return elem_sym(reduced, k)
 
 
 # Distinct values RationalDraw.rational can return: p/q with |p| <= 12, 1 <= q <= 8.

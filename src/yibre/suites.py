@@ -756,12 +756,14 @@ def rota_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         out = {}
         rand_pairs = [(p[f"x{k}"], p[f"y{k}"]) for k in range(10)]
         for kind, w in ((bezout.B0, 0), (bezout.B, -1), (bezout.RS, -1)):
-            rb = bezout.rota_baxter(bezout.bezout_operator(kind, n))
-            out[f"{kind}-units"] = bezout.rb_unit_weight_residuals(rb, w)
+            op = bezout.bezout_operator(kind, n)
+            rb = bezout.rota_baxter(op)
+            out[f"{kind}-units"] = bezout.rb_weight_operator(op, w)
             out[f"{kind}-random"] = [bezout.rb_weight_residual(rb, w, x, y)
                                      for x, y in rand_pairs]
-        rbp = bezout.rota_baxter(classical.rime_nonskew_r(p.phi))
-        out["rime-units"] = bezout.rb_unit_weight_residuals(rbp, 1)
+        rime_r = classical.rime_nonskew_r(p.phi)
+        rbp = bezout.rota_baxter(rime_r)
+        out["rime-units"] = bezout.rb_weight_operator(rime_r, 1)
         out["rime-random"] = [bezout.rb_weight_residual(rbp, 1, x, y)
                               for x, y in rand_pairs]
         return out

@@ -766,11 +766,29 @@ def ybe_numbered_residual(r: Operator2) -> Operator3:
 
 
 def cybe_residual(r: Operator2) -> Operator3:
-    """[r12,r13] + [r12,r23] + [r13,r23]."""
+    """[r12,r13] + [r12,r23] + [r13,r23], on its rows (a, b, c) with a <= b <= c when r is skew.
+
+    For r_21 = -r exactly, the residual is totally antisymmetric under leg
+    permutations (CYB(r) lies in the third exterior power), so those sorted
+    rows decide it: it vanishes iff they do.  A sorted triple is the least of
+    its permutations, so the first nonzero entry is the same as the whole
+    residual's.  Any other r gets every row.
+    """
     r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
-    return signed_products([(1, r12, r13), (-1, r13, r12),
-                            (1, r12, r23), (-1, r23, r12),
-                            (1, r13, r23), (-1, r23, r13)])
+    f12, f13, f23 = r12, r13, r23
+    if (r.reversed_legs() + r).is_zero():
+        f12, f13, f23 = (_sorted_rows(f) for f in (r12, r13, r23))
+    return signed_products([(1, f12, r13), (-1, f13, r12),
+                            (1, f12, r23), (-1, f23, r12),
+                            (1, f13, r23), (-1, f23, r13)])
+
+
+def _sorted_rows(op: Operator3) -> Operator3:
+    """``op`` restricted to its rows (a, b, c) with a <= b <= c; the others read as zero."""
+    n = op.dim
+    den, rows = op._ints()
+    return Operator3._reduced(n, den, {x: row for x, row in rows.items()
+                                       if x // (n * n) <= x // n % n <= x % n})
 
 
 def nhacybe_residual(r: Operator2, c, primed: bool = False) -> Operator3:

@@ -10,7 +10,7 @@ from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
                           coproduct, derivation_residual, gl2_isomorphism_check,
                           hecke_overlap_residuals, linear_quantization_residuals,
                           m_recursion_check, nhacybe_shift_residual,
-                          quadratic_data, rb_closed_form, rb_unit_weight_residuals,
+                          quadratic_data, rb_closed_form, rb_weight_operator,
                           rb_weight_residual, RotaBaxterMap, rota_baxter, rs_action,
                           shift_generator_commutator, shifted_solution_residual,
                           sr_decomposition, star_associators, star_product,
@@ -21,6 +21,8 @@ from yibre.suites import _is_zero, run_suite
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift,
                           nhacybe_residual, op1_on_leg2, partial_trace, permutation_P,
                           reshuffled_matrix)
+
+from reference import map_from_function, rb_closed_form_per_cell, rb_unit_weight_residuals
 
 
 def rand_mat(rd, n):
@@ -275,7 +277,7 @@ def test_rota_baxter_equality_is_exact():
     rd = RationalDraw(12)
     for n in (2, 3):
         r = rand_op2(rd, n)
-        dense = RotaBaxterMap.from_function(n, lambda a: partial_trace(r @ op1_on_leg2(a, 2), 2))
+        dense = map_from_function(n, lambda a: partial_trace(r @ op1_on_leg2(a, 2), 2))
         assert dense == rota_baxter(r)
         assert all(row and all(row.values()) for row in dense.images.data.values())
 
@@ -315,11 +317,15 @@ def sweep_units(n):
     return [Operator1.unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
+def rb_operators(n):
+    """(r, weight) for the B0, B and RS Bezout operators and the non-skew rime r."""
+    bezout_ops = [(bezout_operator(kind, n), w) for kind, w in ((B0, 0), (B, -1), (RS, -1))]
+    return bezout_ops + [(rime_nonskew_r(RB_PHI[n]), 1)]
+
+
 def rb_maps(n):
     """(map, weight) for the B0, B and RS Bezout maps and the non-skew rime map."""
-    bezout_maps = [(rota_baxter(bezout_operator(kind, n)), w)
-                   for kind, w in ((B0, 0), (B, -1), (RS, -1))]
-    return bezout_maps + [(rota_baxter(rime_nonskew_r(RB_PHI[n])), 1)]
+    return [(rota_baxter(r), w) for r, w in rb_operators(n)]
 
 
 def bump_one_column(rb):
@@ -341,6 +347,50 @@ def test_unit_weight_residuals_match_per_pair(n):
         assert all(res.is_zero() for res in rb_unit_weight_residuals(rb, w))
         # the bumped map is no longer of weight w, and both forms see it at the same pairs
         assert not all(res.is_zero() for res in rb_unit_weight_residuals(bump_one_column(rb), w))
+
+
+def weight_entries_by_pair(x, n):
+    """X(r) read as the unit sweep's list: cell (a, d) of pair (p, q), (s, t) is
+    X(r) at row (a, q, t), column (d, p, s), over ``_sweep_units`` order."""
+    cells = [cell for cell, _ in bezout._sweep_units(n)]
+    flat = lambda a, b, c: (a * n + b) * n + c
+    return [Operator1([[x._get(flat(a, q, t), flat(d, p, s)) for d in range(n)]
+                       for a in range(n)])
+            for p, q in cells for s, t in cells]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_weight_operator_matches_the_unit_sweep(n):
+    rd = RationalDraw(40 + n)
+    random_r = rand_op2(rd, n)
+    for r, w in [*rb_operators(n), (random_r, -1)]:
+        x = rb_weight_operator(r, w)
+        swept = rb_unit_weight_residuals(rota_baxter(r), w)
+        assert weight_entries_by_pair(x, n) == swept
+        assert x.is_zero() == (r is not random_r)
+    # an r one entry off a weight-(-1) map: both forms see the same nonzero entries
+    r = bezout_operator(B, n)
+    r.add_to(2, 1, 1, 2, 1)
+    x = rb_weight_operator(r, -1)
+    swept = rb_unit_weight_residuals(rota_baxter(r), -1)
+    assert not x.is_zero()
+    assert weight_entries_by_pair(x, n) == swept
+    # the sweep reads every entry of X(r) once
+    assert sum(len(row) for row in x.data.values()) == sum(
+        len(row) for m in swept for row in m.data.values())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_forms_match_their_per_cell_tables(n):
+    phi = RationalDraw(60 + n).vector(n, distinct=True)
+    for kind in (B0, B, RS, "rime-phi"):
+        assert rb_closed_form(kind, n, phi) == rb_closed_form_per_cell(kind, n, phi), kind
+    # a zero phi_j zeroes a coefficient, which the table stores as no entry
+    if n >= 2:
+        phi = [0, *range(1, n)]
+        fast = rb_closed_form("rime-phi", n, phi)
+        assert fast == rb_closed_form_per_cell("rime-phi", n, phi)
+        assert all(row and all(row.values()) for row in fast.images.data.values())
 
 
 def test_unit_image_is_the_applied_unit():

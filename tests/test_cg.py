@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from yibre import cg
+from yibre import cg, kernel
 from yibre.cg import (CGParams, cg_equivalence_residual, cg_matrix,
                       cg_plane_relations, cg_symmetry_residual,
                       d_twist_conjugate, d_twist_matrix,
@@ -14,6 +14,8 @@ from yibre.rime import RimeClass, classify, quantum_space_relations, strict_rime
 from yibre.suites import run_suite
 from yibre.tensor import (Operator1, Operator2, conjugate2, hecke_residual,
                           kron11, row_space, yb_residual)
+
+from reference import generating_function_per_entry
 
 Q = F(1, 4)
 
@@ -151,6 +153,19 @@ def test_generating_function():
     rd = RationalDraw(9)
     grid = generating_function_residual(rd.vector(4, distinct=True))
     assert all(v == 0 for row in grid for v in row)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_generating_function_grid_matches_per_entry(n, monkeypatch):
+    rd = RationalDraw(100 + n)
+    phi = rd.vector(n, distinct=True)
+    assert generating_function_residual(phi) == generating_function_per_entry(phi)
+    # the grid certifies the recursion behind elem_syms_omitting, so it never reads it
+    def refuse(values):
+        raise AssertionError("elem_syms_omitting called")
+    monkeypatch.setattr(cg, "elem_syms_omitting", refuse)
+    monkeypatch.setattr(kernel, "elem_syms_omitting", refuse)
+    assert all(v == 0 for row in generating_function_residual(phi) for v in row)
 
 
 def test_standard_riming():

@@ -20,6 +20,8 @@ from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
                           cybe_residual, hecke_residual, kron11, permutation_P,
                           signed_products, wedge, yb_residual)
 
+from reference import carrier_coboundary_per_pair
+
 
 def test_rime_nonskew_frozen_block():
     r = rime_nonskew_r([1, 2])
@@ -111,6 +113,27 @@ def test_carrier_algebra_faults_name_their_identity(monkeypatch):
     assert rep["product-rule"] == [
         z(j, i) @ z(k, l) - (z(k, i) - z(l, i)).scale((j == l) - (i == l))
         for (j, i) in pairs for (k, l) in pairs]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_carrier_coboundary_forms_each_bracket_once(n, monkeypatch):
+    mu = RationalDraw(90 + n).vector(n, distinct=True)
+    keys = ("omega-is-coboundary", "other-brackets")
+    want = carrier_coboundary_per_pair(mu)
+    rep = carrier_algebra_check(mu)
+    assert {k: rep[k] for k in keys} == want
+    # with e^1_2 added to every Z^i_j the disjoint brackets and the coboundary entries are
+    # nonzero, and the antisymmetric reading still matches every ordered pair
+    monkeypatch.setattr(classical, "carrier_Z", lambda n, i, j: Operator1.zero(n) if i == j
+                        else Operator1.unit(n, i, j) - Operator1.unit(n, j, j)
+                        + Operator1.unit(n, 1, 2))
+    want = carrier_coboundary_per_pair(mu)
+    rep = carrier_algebra_check(mu)
+    assert {k: rep[k] for k in keys} == want
+    assert any(want["omega-is-coboundary"])
+    assert any(not b.is_zero() for b in want["other-brackets"]) == (n >= 4)
+    assert _is_zero(rep["omega-is-coboundary"]) == _is_zero(want["omega-is-coboundary"])
+    assert _is_zero(rep["other-brackets"]) == _is_zero(want["other-brackets"])
 
 
 def test_carrier_algebra_keeps_no_zero_residuals():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yibre.kernel import (DRAW_POOL, DRAW_POOL_NONZERO, WHOLE_VECTOR_DRAWS,
-                          InvalidInputError, QuadExt, RationalDraw, elem_sym,
-                          elem_sym_omit, elem_syms_omitting, format_rat, rat, ratvec,
-                          theta)
+                          InvalidInputError, QuadExt, RationalDraw, elem_syms_omitting,
+                          format_rat, rat, ratvec, theta)
 from yibre.tensor import Operator1
+
+from reference import elem_sym, elem_sym_omit
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 

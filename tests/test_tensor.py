@@ -16,6 +16,8 @@ from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, conjugate2, 
                           permutation_P, reshuffled_matrix, row_space,
                           signed_products, skew_inverse, wedge, yb_residual)
 
+from reference import full_cybe_residual
+
 
 def test_permutation():
     assert permutation_P(1) == Operator2.identity(1)
@@ -895,6 +897,49 @@ def test_cybe_residual_holds_no_whole_product():
         tracemalloc.stop()
     assert residual.is_zero()
     assert peak < 1.5e6, f"cybe_residual peaked at {peak / 1e6:.2f} MB"
+
+
+def _dense_random_op2(rd: RationalDraw, n: int) -> Operator2:
+    return Operator2.from_dense(n, [[rd.rational() for _ in range(n * n)] for _ in range(n * n)])
+
+
+def _sorted_triple(row: int, n: int) -> bool:
+    return row // (n * n) <= row // n % n <= row % n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_skew_cybe_reads_its_sorted_rows(n):
+    rd = RationalDraw(70 + n)
+    for _ in range(3):
+        a = _dense_random_op2(rd, n)
+        r = a - a.reversed_legs()
+        full, reduced = full_cybe_residual(r), cybe_residual(r)
+        assert not full.is_zero()
+        # the residual is antisymmetric under swaps of legs 1, 2 and of legs 2, 3
+        p12, p23 = lift(permutation_P(n), 12), lift(permutation_P(n), 23)
+        assert p12 @ full @ p12 == -full and p23 @ full @ p23 == -full
+        # only sorted rows are formed, each equal to the whole residual's row
+        assert all(_sorted_triple(x, n) for x in reduced.data)
+        assert reduced.data == {x: row for x, row in full.data.items() if _sorted_triple(x, n)}
+        assert any(not _sorted_triple(x, n) for x in full.data)
+        assert first_nonzero_witness(reduced) == first_nonzero_witness(full)
+    # a skew solution is zero both ways
+    r = rime_skew_sl_r(rd.vector(n, distinct=True))
+    assert cybe_residual(r).is_zero() and full_cybe_residual(r).is_zero()
+
+
+def test_nonskew_cybe_gets_every_row():
+    rd = RationalDraw(80)
+    for n in (2, 3):
+        r = _dense_random_op2(rd, n)
+        assert not (r + r.reversed_legs()).is_zero()
+        residual = cybe_residual(r)
+        assert residual == full_cybe_residual(r)
+        assert any(not _sorted_triple(x, n) for x in residual.data)
+    # one entry off skew is enough to take the whole path
+    r = rime_skew_sl_r([1, 2, 4])
+    r.add_to(1, 2, 2, 1, 1)
+    assert cybe_residual(r) == full_cybe_residual(r)
 
 
 # --- the integer Echelon against leading-1 Fraction elimination ----------------
