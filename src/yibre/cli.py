@@ -28,6 +28,13 @@ def _vector(value: str):
     return tuple(_rational(x) for x in value.split(","))
 
 
+def _output_path(ctx, param, value):
+    """Refuse a path whose directory does not exist before any work runs."""
+    if value is not None and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+        raise click.BadParameter(f"the directory of {value!r} does not exist")
+    return value
+
+
 def operator_to_json(obj) -> dict:
     if isinstance(obj, Operator2):
         return {"kind": "operator2", "dim": obj.dim,
@@ -68,7 +75,8 @@ def main():
 @click.option("--c", default="1")
 @click.option("--rho", help="a,b,c of the pencil polynomial")
 @click.option("--kind", "block_kind", help="catalog member for 'block'/'classical'/'bezout'")
-@click.option("--out", type=click.Path(), help="write JSON here instead of stdout")
+@click.option("--out", type=click.Path(dir_okay=False), callback=_output_path,
+              help="write JSON here instead of stdout")
 def construct(kind, phi, mu, psi, beta, n, qsq_inv, p, q, gamma, omega, eps,
               h1, h2, h3, a, b, c, rho, block_kind, out):
     """Build a named object and print it as JSON with rational entries."""
@@ -87,19 +95,23 @@ def construct(kind, phi, mu, psi, beta, n, qsq_inv, p, q, gamma, omega, eps,
         click.echo(payload)
 
 
-def _dimension(kind, n):
-    if n is None:
-        raise InvalidInputError(f"{kind} needs --n")
-    return n
+def _option(kind, kw, name):
+    """The value of option --name, refused when the constructor ``kind`` lacks it."""
+    value = kw[name]
+    if value is None:
+        raise InvalidInputError(f"{kind} needs --{name.replace('_', '-')}")
+    return value
 
 
 def _construct(kind, sub, **kw):
     if kind == "strict-rime":
-        return rime.strict_rime_R(_vector(kw["phi"]), _rational(kw["beta"]))
+        return rime.strict_rime_R(_vector(_option(kind, kw, "phi")),
+                                  _rational(_option(kind, kw, "beta")))
     if kind == "unitary-rime":
-        return rime.unitary_rime_R(_vector(kw["mu"]))
+        return rime.unitary_rime_R(_vector(_option(kind, kw, "mu")))
     if kind == "cg":
-        return cg.cg_matrix(cg.CGParams(_dimension(kind, kw["n"]), _rational(kw["qsq_inv"]),
+        return cg.cg_matrix(cg.CGParams(_option(kind, kw, "n"),
+                                        _rational(_option(kind, kw, "qsq_inv")),
                                         _rational(kw["p"])))
     if kind == "block":
         bk = sub
@@ -116,33 +128,31 @@ def _construct(kind, sub, **kw):
         }
         if bk not in params:
             raise InvalidInputError(f"unknown block kind {bk!r}")
-        args = []
-        for name in params[bk]:
-            val = kw.get(name)
-            if val is None:
-                raise InvalidInputError(f"block {bk} needs --{name}")
-            args.append(_rational(val))
+        args = [_rational(_option(f"block {bk}", kw, name)) for name in params[bk]]
         return blocks.block_matrix(bk, *args)
     if kind == "classical":
         ck = sub
         if ck is None:
             raise InvalidInputError("classical needs --kind")
+        if ck not in classical.CLASSICAL_KINDS:
+            raise InvalidInputError(f"unknown classical --kind {ck!r}")
         if ck in classical.PARAMETRIC_KINDS:
             vec = kw.get("phi") or kw.get("mu")
             if vec is None:
                 raise InvalidInputError(f"{ck} needs --phi or --mu")
             return classical.build_classical(ck, params=_vector(vec))
-        return classical.build_classical(ck, n=_dimension(ck, kw["n"]))
+        return classical.build_classical(ck, n=_option(ck, kw, "n"))
     if kind == "bezout":
         bk = sub
         if bk not in bezout.BEZOUT_KINDS:
             raise InvalidInputError(f"unknown bezout kind {bk!r}")
-        return bezout.bezout_operator(bk, _dimension("bezout", kw["n"]))
+        return bezout.bezout_operator(bk, _option(kind, kw, "n"))
     if kind == "pencil":
-        abc = _vector(kw["rho"])
+        abc = _vector(_option(kind, kw, "rho"))
         if len(abc) != 3:
             raise InvalidInputError("--rho takes exactly a,b,c")
-        return poisson.pencil_bracket(poisson.PencilParams(_vector(kw["psi"]), *abc))
+        return poisson.pencil_bracket(poisson.PencilParams(_vector(_option(kind, kw, "psi")),
+                                                           *abc))
     raise InvalidInputError(f"unknown constructor {kind!r}")
 
 
@@ -151,16 +161,15 @@ def _construct(kind, sub, **kw):
 # every suite can draw n distinct values, nonzero or not, up to DRAW_POOL_NONZERO
 @click.option("--n", type=click.IntRange(min=2, max=DRAW_POOL_NONZERO), default=3,
               show_default=True)
-@click.option("--seed", type=int, default=None,
-              help="defaults to $YIBRE_SEED or 0")
+@click.option("--seed", type=int, default=0, envvar="YIBRE_SEED", show_default=True,
+              show_envvar=True)
 @click.option("--draws", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--report", "report_path", type=click.Path(), default=None)
+@click.option("--report", "report_path", type=click.Path(dir_okay=False),
+              callback=_output_path, default=None)
 @click.option("--mutate", type=click.Choice(["one-entry"]), default=None,
               help="fault injection: flip exactly one check")
 def verify(suite, n, seed, draws, report_path, mutate):
     """Run a named verification suite; exit 0 iff every check passes."""
-    if seed is None:
-        seed = int(os.environ.get("YIBRE_SEED", "0"))
     if suite == "all":
         reports = run_all(n, seed, draws, mutate=mutate)
     else:

@@ -246,7 +246,8 @@ def quantum_trace_closed_forms(data: RimeData) -> tuple[Operator1, Operator1]:
 def quantum_traces(r: Operator2) -> tuple[Operator1, Operator1]:
     """Q = Tr_2 Psi_R and Qtilde = Tr_1 Psi_R, with no Psi_R formed.
 
-    ``tensor.skew_inverse`` solves M Psi' = P' with M the reshuffled matrix.
+    The skew inverse solves Tr_2(R_12 Psi_23) = P_13, which flattens to
+    M Psi' = P' with M the reshuffled matrix and Psi'[(g,b),(c,f)] = Psi^{gc}_{bf}.
     Since P' u = u for u = sum_a e_(a,a), the trace Q^i_k = (Psi' u)[(i,k)] is
     x[(i,k)] with M x = u, and Qtilde^j_l = (u^T Psi')[(j,l)] is w[(l,j)] with
     M^T w = u.  A singular M means R is not skew invertible.

@@ -24,7 +24,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .kernel import ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared, rat
+from .kernel import ONE, ZERO, InvalidInputError, cleared, rat
 
 
 class Echelon:
@@ -199,8 +199,9 @@ class _SparseSquare:
     entries as Fractions, built from the rows on first read.  The builders
     ``_set``/``_add`` write that Fraction form and drop the integer form, which
     the next arithmetic clears once.  An entry with no integer form (a QuadExt)
-    makes ``_den`` None; ``_rows`` then holds the entries themselves and the
-    same loops run on them.
+    makes ``_den`` None; ``_rows`` then holds the entries themselves.  ``+``,
+    ``-``, ``scale``, ``scalar_shift`` and ``@`` are each one ``signed_products``
+    sum, which refuses operands of another type or dim.
     """
 
     __slots__ = ("dim", "size", "_data", "_den", "_rows")
@@ -234,7 +235,10 @@ class _SparseSquare:
     def _reduced(cls, dim: int, den: int | None, rows: dict[int, dict]):
         """``_of`` after dividing den and every numerator by their gcd."""
         if den is not None and den != 1:
-            g = gcd(den, *(x for row in rows.values() for x in row.values()))
+            g = den
+            for row in rows.values():
+                if (g := gcd(g, *row.values())) == 1:
+                    break
             if g != 1:
                 den //= g
                 rows = {r: {c: x // g for c, x in row.items()} for r, row in rows.items()}
@@ -305,60 +309,21 @@ class _SparseSquare:
                 if not row:
                     del data[r]
 
-    # -- algebra ----------------------------------------------------------------
+    # -- algebra: each operation is one signed sum, so its operands are checked there
     def __add__(self, other):
-        return self._plus(other, 1)
+        return signed_products([(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def _plus(self, other, sign: int):
-        """self + sign * other over the lcm of both denominators."""
-        la, arows, lb, brows = self._operands(other)
-        if la is None:
-            den, fa, fb = None, 1, sign
-        else:
-            den = lcm(la, lb)
-            fa, fb = den // la, sign * (den // lb)
-        out = {}
-        for r in arows.keys() | brows.keys():
-            arow, brow = arows.get(r, {}), brows.get(r, {})
-            row = {c: x for c in arow.keys() | brow.keys()
-                   if (x := fa * arow.get(c, 0) + fb * brow.get(c, 0))}
-            if row:
-                out[r] = row
-        return self._reduced(self.dim, den, out)
+        return signed_products([(1, self), (-1, other)])
 
     def __neg__(self):
-        den, rows = self._ints()
-        return self._of(self.dim, den,
-                        {r: {c: -x for c, x in row.items()} for r, row in rows.items()})
+        return signed_products([(-1, self)])
 
     def scale(self, k):
-        k = rat(k)
-        den, rows = self._ints()
-        if den is None or not isinstance(k, Fraction):
-            den, p, rows = None, k, self.data
-        else:
-            den, p = den * k.denominator, k.numerator
-        out = {}
-        for r, row in rows.items():
-            # a dual-number product can vanish, so zeros are filtered here too
-            row = {c: w for c, x in row.items() if (w := p * x)}
-            if row:
-                out[r] = row
-        return self._reduced(self.dim, den, out)
+        return signed_products([(k, self)])
 
     def __matmul__(self, other):
-        if self.dim != other.dim:
-            raise InvalidInputError("dimension mismatch")
-        la, arows, lb, brows = self._operands(other)
-        out = {}
-        for r, row in arows.items():
-            acc = {c: x for c, x in _add_row_product({}, row, brows).items() if x}
-            if acc:
-                out[r] = acc
-        return self._reduced(self.dim, None if la is None else la * lb, out)
+        return signed_products([(1, self, other)])
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.dim == other.dim
@@ -387,7 +352,7 @@ class _SparseSquare:
 
     def scalar_shift(self, k):
         """self + k * identity."""
-        return self + self.identity(self.dim).scale(k)
+        return signed_products([(1, self), (k, self.identity(self.dim))])
 
     def nonzero_entries(self):
         for r in sorted(self.data):
@@ -707,12 +672,12 @@ def signed_products(terms):
             rows.append(frows)
         if type(k) is not int:
             k = rat(k)
-        # a zero coefficient or a zero factor adds nothing, so its products are never formed
-        if not k or not all(rows):
-            continue
         d = d * k.denominator if d is not None and isinstance(k, (int, Fraction)) else None
         den = None if d is None or den is None else lcm(den, d)
-        kept.append((k, fs, rows, d))
+        # a zero coefficient or a zero factor adds nothing, so its products are never
+        # formed; its denominator is still folded in, so scalars give a scalar sum
+        if k and all(rows):
+            kept.append((k, fs, rows, d))
     if cls is None:
         raise InvalidInputError("a signed sum of products needs at least one term")
     if den is None:
@@ -728,6 +693,9 @@ def signed_products(terms):
             if row is None:
                 continue
             if last is None:
+                if not acc:
+                    acc = dict(row) if m == 1 else {c: m * x for c, x in row.items()}
+                    continue
                 for c, x in row.items():
                     acc[c] = acc.get(c, 0) + m * x
                 continue
@@ -736,8 +704,9 @@ def signed_products(terms):
             if m != 1:
                 row = {c: m * x for c, x in row.items()}
             _add_row_product(acc, row, last)
-        # entries that cancel, or dual-number products that vanish, are dropped
-        acc = {c: x for c, x in acc.items() if x}
+        if not all(acc.values()):
+            # entries that cancel, or dual-number products that vanish, are dropped
+            acc = {c: x for c, x in acc.items() if x}
         if acc:
             out[r] = acc
     return cls._reduced(dim, den, out)
@@ -808,18 +777,6 @@ def hecke_residual(r: Operator2, beta) -> Operator2:
                             (beta - ONE, Operator2.identity(r.dim))])
 
 
-def partial_trace(op: Operator2, leg: int) -> Operator1:
-    """Trace out one leg: (Tr_2 op)^i_k = op^{ia}_{ka}, (Tr_1 op)^j_l = op^{aj}_{al}."""
-    n = op.dim
-    out = Operator1.zero(n)
-    for i, j, k, l, v in op.four_index_items():
-        if leg == 2 and j == l:
-            out._add(i - 1, k - 1, v)
-        elif leg == 1 and i == k:
-            out._add(j - 1, l - 1, v)
-    return out
-
-
 def reshuffled_matrix(r: Operator2) -> Operator1:
     """M[(a,d),(g,b)] = R^{ab}_{dg}; M is invertible iff R is skew invertible."""
     n = r.dim
@@ -827,30 +784,6 @@ def reshuffled_matrix(r: Operator2) -> Operator1:
     for a, b, d, g, v in r.four_index_items():
         m._set((a - 1) * n + d - 1, (g - 1) * n + b - 1, v)
     return m
-
-
-def skew_inverse(r: Operator2) -> Operator2:
-    """Solve Tr_2( R_12 Psi_23 ) = P_13 for Psi exactly.
-
-    The defining relation flattens to M[(a,d),(g,b)] * Psi'[(g,b),(c,f)] = P'
-    with M the reshuffled matrix and Psi'[(g,b),(c,f)] = Psi^{gc}_{bf};
-    a singular M means R is not skew invertible.
-    """
-    n = r.dim
-    # P_13 entry at row (a,d), col (c,f): delta(a,f) delta(c,d)
-    rhs = Operator1.zero(n * n)
-    for a in range(n):
-        for d in range(n):
-            rhs._set(a * n + d, d * n + a, ONE)
-    try:
-        minv = reshuffled_matrix(r).inverse()
-    except InvalidInputError as exc:
-        raise NotSkewInvertibleError("reshuffled matrix is singular") from exc
-    psi = Operator2(n)
-    for row, col, v in (minv @ rhs).nonzero_entries():
-        (g, b), (c, f) = divmod(row, n), divmod(col, n)
-        psi._set(g * n + c, b * n + f, v)
-    return psi
 
 
 def conjugate2(r: Operator2, t: Operator1) -> Operator2:

@@ -10,9 +10,76 @@ from typing import Sequence
 
 from yibre import classical
 from yibre.bezout import B, B0, RS, RotaBaxterMap, _sweep_units
-from yibre.kernel import (ONE, ZERO, InvalidInputError, elem_syms, rat, ratvec,
-                          require_distinct)
-from yibre.tensor import Operator1, Operator2, Operator3, lift, signed_products
+from yibre.kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, elem_syms,
+                          rat, ratvec, require_distinct)
+from yibre.tensor import (Operator1, Operator2, Operator3, lift, reshuffled_matrix,
+                          signed_products)
+
+
+def dense_grid(op) -> list[list]:
+    """Every entry of an operator as one full grid of scalars, zeros included."""
+    grid = [[ZERO] * op.size for _ in range(op.size)]
+    for r, c, v in op.nonzero_entries():
+        grid[r][c] = v
+    return grid
+
+
+def dense_matmul(x, y) -> list[list]:
+    """The product of two square grids, each entry summed over the whole middle index."""
+    size = len(x)
+    return [[sum((x[r][k] * y[k][c] for k in range(size)), ZERO) for c in range(size)]
+            for r in range(size)]
+
+
+def dense_signed_sum(terms) -> list[list]:
+    """The grid of the sum of k * F1 @ ... @ Fm over terms (k, F1, ..., Fm),
+    each product formed whole on dense grids and added entry by entry."""
+    size = terms[0][1].size
+    total = [[ZERO] * size for _ in range(size)]
+    for k, *fs in terms:
+        product = dense_grid(fs[0])
+        for f in fs[1:]:
+            product = dense_matmul(product, dense_grid(f))
+        for r, row in enumerate(product):
+            for c, v in enumerate(row):
+                total[r][c] += k * v
+    return total
+
+
+def partial_trace(op: Operator2, leg: int) -> Operator1:
+    """Trace out one leg: (Tr_2 op)^i_k = op^{ia}_{ka}, (Tr_1 op)^j_l = op^{aj}_{al}."""
+    n = op.dim
+    out = Operator1.zero(n)
+    for i, j, k, l, v in op.four_index_items():
+        if leg == 2 and j == l:
+            out._add(i - 1, k - 1, v)
+        elif leg == 1 and i == k:
+            out._add(j - 1, l - 1, v)
+    return out
+
+
+def skew_inverse(r: Operator2) -> Operator2:
+    """Solve Tr_2( R_12 Psi_23 ) = P_13 for Psi exactly.
+
+    The defining relation flattens to M[(a,d),(g,b)] * Psi'[(g,b),(c,f)] = P'
+    with M the reshuffled matrix and Psi'[(g,b),(c,f)] = Psi^{gc}_{bf};
+    a singular M means R is not skew invertible.
+    """
+    n = r.dim
+    # P_13 entry at row (a,d), col (c,f): delta(a,f) delta(c,d)
+    rhs = Operator1.zero(n * n)
+    for a in range(n):
+        for d in range(n):
+            rhs._set(a * n + d, d * n + a, ONE)
+    try:
+        minv = reshuffled_matrix(r).inverse()
+    except InvalidInputError as exc:
+        raise NotSkewInvertibleError("reshuffled matrix is singular") from exc
+    psi = Operator2(n)
+    for row, col, v in (minv @ rhs).nonzero_entries():
+        (g, b), (c, f) = divmod(row, n), divmod(col, n)
+        psi._set(g * n + c, b * n + f, v)
+    return psi
 
 
 def elem_sym(values: Sequence[Fraction], k: int) -> Fraction:

@@ -19,10 +19,10 @@ from yibre.classical import b_skew_r, rcg_r, rime_nonskew_r
 from yibre.kernel import InvalidInputError, QuadExt, RationalDraw
 from yibre.suites import _is_zero, run_suite
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift,
-                          nhacybe_residual, op1_on_leg2, partial_trace, permutation_P,
-                          reshuffled_matrix)
+                          nhacybe_residual, op1_on_leg2, permutation_P, reshuffled_matrix)
 
-from reference import map_from_function, rb_closed_form_per_cell, rb_unit_weight_residuals
+from reference import (map_from_function, partial_trace, rb_closed_form_per_cell,
+                       rb_unit_weight_residuals)
 
 
 def rand_mat(rd, n):

@@ -84,6 +84,43 @@ def test_construct_errors_are_usage_errors(runner):
                  ["bezout", "--kind", "b0"]):
         res = runner.invoke(main, ["construct", *args])
         assert res.exit_code == 2 and "--n" in res.output
+    # a missing option is named, never read as a rational or split as a vector
+    for args, option in ((["strict-rime", "--beta", "1"], "--phi"),
+                         (["strict-rime", "--phi", "1,2"], "--beta"),
+                         (["unitary-rime"], "--mu"),
+                         (["pencil", "--rho", "1,2,3"], "--psi"),
+                         (["pencil", "--psi", "1,2,3"], "--rho"),
+                         (["cg", "--n", "3"], "--qsq-inv"),
+                         (["classical", "--kind", "bogus"], "--kind"),
+                         (["classical", "--kind", "bogus", "--n", "3"], "--kind")):
+        res = runner.invoke(main, ["construct", *args])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), args
+        assert option in res.output and "None" not in res.output, args
+
+
+def test_output_paths_are_checked_before_any_work(runner, tmp_path):
+    missing = tmp_path / "no-such-dir" / "out.json"
+    for args, option in ((["construct", "unitary-rime", "--mu", "0,1", "--out", str(missing)],
+                          "--out"),
+                         (["verify", "--suite", "rime", "--n", "2", "--draws", "1",
+                           "--report", str(missing)], "--report"),
+                         (["verify", "--suite", "rime", "--n", "2", "--draws", "1",
+                           "--report", str(tmp_path)], "--report")):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), args
+        assert option in res.output and "checks passed" not in res.output, args
+    assert not missing.parent.exists()
+
+
+def test_malformed_seed_from_the_environment_is_a_usage_error(runner, monkeypatch):
+    monkeypatch.setenv("YIBRE_SEED", "abc")
+    res = runner.invoke(main, ["verify", "--suite", "blocks", "--n", "2", "--draws", "1"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "YIBRE_SEED" in res.output and "checks passed" not in res.output
+    # an explicit --seed is read before the environment
+    res = runner.invoke(main, ["verify", "--suite", "blocks", "--n", "2", "--draws", "1",
+                               "--seed", "3"])
+    assert res.exit_code == 0
 
 
 def test_construct_out_file(runner, tmp_path):

@@ -391,7 +391,7 @@ def test_generic_data_assembles_to_block_layout():
 def test_quantum_trace_closed_form_at_phi_12():
     """Traces at phi=(1,2) from the linear system; beta=1 is the degenerate point."""
     from yibre.kernel import NotSkewInvertibleError
-    from yibre.tensor import partial_trace, skew_inverse
+    from reference import partial_trace, skew_inverse
     data = strict_rime_data([1, 2], F(1, 2))
     psi = skew_inverse(assemble_rime(data))
     qc, qtc = quantum_trace_closed_forms(data)
@@ -408,7 +408,9 @@ def test_quantum_trace_closed_form_at_phi_12():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_quantum_traces_match_the_partial_traces_of_the_skew_inverse(n):
     """The two solves give exactly Tr_2 and Tr_1 of the whole skew inverse."""
-    from yibre.tensor import conjugate2, partial_trace, skew_inverse
+    from yibre.tensor import conjugate2
+
+    from reference import partial_trace, skew_inverse
     rd = RationalDraw(600 + n)
     strict = strict_rime_R(rd.vector(n), F(2, 7))
     gauss = Operator1([[QuadExt(i + 1, 1 if i == j else 0, -1) if i <= j else ONE

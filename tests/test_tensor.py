@@ -12,11 +12,11 @@ from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, Rat
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, conjugate2, cybe_residual,
                           equivalence_residual, first_nonzero_witness, hecke_residual,
-                          kron11, kron_sum, lift, op1_on_leg2, partial_trace,
-                          permutation_P, reshuffled_matrix, row_space,
-                          signed_products, skew_inverse, wedge, yb_residual)
+                          kron11, kron_sum, lift, op1_on_leg2, permutation_P,
+                          reshuffled_matrix, row_space, signed_products, wedge, yb_residual)
 
-from reference import full_cybe_residual
+from reference import (dense_grid, dense_matmul, dense_signed_sum, full_cybe_residual,
+                       partial_trace, skew_inverse)
 
 
 def test_permutation():
@@ -189,10 +189,6 @@ def _leibniz_det(rows) -> F:
     return total
 
 
-def _dense(a: Operator1) -> list[list[F]]:
-    return [[a.get(i, j) for j in range(1, a.dim + 1)] for i in range(1, a.dim + 1)]
-
-
 SEEDED = [Operator1(_seeded_matrix(random.Random(seed), 1 + seed % 5)) for seed in range(40)]
 # leads out of row order, so elimination has to swap rows
 SEEDED.append(Operator1([[0, 0, 2], [0, 3, 1], [1, 1, 0]]))
@@ -203,7 +199,7 @@ def test_echelon_det_inverse_rank_rref(idx):
     a = SEEDED[idx]
     n = a.dim
     det = a.det()
-    assert det == _leibniz_det(_dense(a))
+    assert det == _leibniz_det(dense_grid(a))
     b = SEEDED[(idx + 5) % len(SEEDED)]
     if b.dim == n:
         assert (a @ b).det() == det * b.det()
@@ -216,7 +212,7 @@ def test_echelon_det_inverse_rank_rref(idx):
         with pytest.raises(InvalidInputError):
             a.inverse()
     # dense rows, zero entries and zero rows included
-    rows = [dict(enumerate(row)) for row in _dense(a)]
+    rows = [dict(enumerate(row)) for row in dense_grid(a)]
     rref = Echelon(rows).rref()
     assert len(rref) == rank == Echelon(rows).rank
     assert Echelon(rref).rref() == rref
@@ -487,6 +483,21 @@ def test_sparse_kernels_store_fractions_for_integer_entries():
         Operator2(2) @ Operator2(3)
 
 
+def test_arithmetic_refuses_operands_of_another_type_or_dim():
+    # +, -, scale and @ are each one signed sum, so every operand is checked there
+    one, two, three = Operator1.identity(4), Operator2.identity(2), Operator3.identity(2)
+    for mixed in (lambda: two - one, lambda: one + two, lambda: two @ one,
+                  lambda: two @ three, lambda: three @ two, lambda: two + three,
+                  lambda: Operator1.identity(2) + Operator1.identity(3),
+                  lambda: Operator1.identity(3) - Operator1.identity(2),
+                  lambda: Operator2.identity(2) @ Operator2.identity(3),
+                  lambda: one + 1):
+        with pytest.raises(InvalidInputError):
+            mixed()
+    # the same operands of one type and dim still combine
+    assert (two - two).is_zero() and two @ two == two and (one + one) == one.scale(2)
+
+
 def test_operator1_arithmetic_results_own_their_rows():
     a = Operator1([[1, "1/2"], [F(-3, 4), 2]])
     assert all(type(x) is F for x in _stored(a).values())
@@ -524,19 +535,6 @@ def sparse_operands(draw, cls, dims=(1, 2, 3), scalars=kernel_rationals):
     for (r, c), v in draw(st.dictionaries(cell, scalars, max_size=size * size // 2)).items():
         out._set(r, c, v)
     return out
-
-
-def _dense(op) -> list[list]:
-    grid = [[F(0)] * op.size for _ in range(op.size)]
-    for r, c, v in op.nonzero_entries():
-        grid[r][c] = v
-    return grid
-
-
-def _dense_matmul(x, y) -> list[list]:
-    size = len(x)
-    return [[sum((x[r][k] * y[k][c] for k in range(size)), F(0)) for c in range(size)]
-            for r in range(size)]
 
 
 def _dense_lift(x, n: int, legs: int) -> list[list]:
@@ -582,10 +580,10 @@ def _same_dim(a, b):
 def test_kernel_arithmetic_matches_dense_reference(ops):
     a, b, k = ops
     a, b = _same_dim(a, b)
-    da, db = _dense(a), _dense(b)
+    da, db = dense_grid(a), dense_grid(b)
     size = a.size
     cases = [
-        (a @ b, _dense_matmul(da, db)),
+        (a @ b, dense_matmul(da, db)),
         (a + b, [[da[r][c] + db[r][c] for c in range(size)] for r in range(size)]),
         (a - b, [[da[r][c] - db[r][c] for c in range(size)] for r in range(size)]),
         (-a, [[-v for v in row] for row in da]),
@@ -596,7 +594,7 @@ def test_kernel_arithmetic_matches_dense_reference(ops):
     for got, ref in cases:
         assert type(got) is type(a) and got.dim == a.dim
         _assert_canonical(got)
-        assert _dense(got) == ref
+        assert dense_grid(got) == ref
         assert all(type(v) is F for _, _, v in got.nonzero_entries())
     assert (a - a).is_zero() and (a + (-a)).data == {}
 
@@ -607,7 +605,7 @@ def test_lift_matches_dense_reference(r, legs):
     got = lift(r, legs)
     _assert_canonical(got)
     assert got._den == r._ints()[0]
-    assert _dense(got) == _dense_lift(_dense(r), r.dim, legs)
+    assert dense_grid(got) == _dense_lift(dense_grid(r), r.dim, legs)
 
 
 @st.composite
@@ -624,7 +622,7 @@ def _dense_kron_sum(terms) -> list[list]:
     size = terms[0][1].dim ** 2
     total = [[F(0)] * size for _ in range(size)]
     for k, a, b in terms:
-        for r, row in enumerate(_dense_kron(_dense(a), _dense(b))):
+        for r, row in enumerate(_dense_kron(dense_grid(a), dense_grid(b))):
             for c, v in enumerate(row):
                 total[r][c] += k * v
     return total
@@ -636,12 +634,12 @@ def test_kron11_matches_dense_reference(terms):
     _, a, b = terms[0]
     got = kron11(a, b)
     _assert_canonical(got)
-    assert _dense(got) == _dense_kron(_dense(a), _dense(b))
-    before = [(_dense(a), _dense(b)) for _, a, b in terms]
+    assert dense_grid(got) == _dense_kron(dense_grid(a), dense_grid(b))
+    before = [(dense_grid(a), dense_grid(b)) for _, a, b in terms]
     got = kron_sum(terms)
     assert type(got) is Operator2 and got.dim == a.dim
     _assert_canonical(got)
-    assert _dense(got) == _dense_kron_sum(terms)
+    assert dense_grid(got) == _dense_kron_sum(terms)
     assert wedge(a, b) == kron11(a, b) - kron11(b, a)
     # every term against its negation cancels to no rows at all
     zero = kron_sum(terms + _negated(terms))
@@ -650,8 +648,8 @@ def test_kron11_matches_dense_reference(terms):
     # a cancelled term leaves no stored zero or empty row among the others
     rest = kron_sum([terms[0], _negated(terms)[0], *terms[1:]])
     _assert_canonical(rest)
-    assert _dense(rest) == _dense_kron_sum(terms[1:]) if terms[1:] else rest.data == {}
-    assert [(_dense(a), _dense(b)) for _, a, b in terms] == before
+    assert dense_grid(rest) == _dense_kron_sum(terms[1:]) if terms[1:] else rest.data == {}
+    assert [(dense_grid(a), dense_grid(b)) for _, a, b in terms] == before
 
 
 def test_kron_sum_skips_zero_coefficients_and_factors():
@@ -671,7 +669,7 @@ def test_kron_sum_of_quadext_operands(d, data):
     terms = data.draw(kron_terms(scalars=quad, coefficients=quad))
     got = kron_sum(terms)
     assert all(row and all(row.values()) for row in got.data.values()), "zero or empty row stored"
-    assert _dense(got) == _dense_kron_sum(terms)
+    assert dense_grid(got) == _dense_kron_sum(terms)
     assert kron_sum(terms + _negated(terms)).data == {}
     if d == 0:
         # products of pure dual parts vanish, whole rows with them
@@ -719,7 +717,7 @@ def test_unit_is_stored_as_integer_rows_and_stays_writable():
     assert u.trace() == F(5, 3)
     again = u + Operator1.unit(3, 2, 1)
     _assert_canonical(again)
-    assert _dense(again) == [[F(5, 3), 1, 0], [0, 0, 0], [0, 0, 0]]
+    assert dense_grid(again) == [[F(5, 3), 1, 0], [0, 0, 0], [0, 0, 0]]
     # each unit is its own operator: the write reached no other unit
     assert Operator1.unit(3, 1, 2).data == {1: {0: 1}}
 
@@ -731,12 +729,12 @@ def test_set_after_a_product_reaches_the_next_product(a, b, v):
     prod = a @ b
     prod._set(0, 0, prod._get(0, 0) + v)
     assert prod._rows is None
-    ref = _dense_matmul(_dense(a), _dense(b))
+    ref = dense_matmul(dense_grid(a), dense_grid(b))
     ref[0][0] += v
-    assert _dense(prod) == ref
+    assert dense_grid(prod) == ref
     again = prod @ b
     _assert_canonical(again)
-    assert _dense(again) == _dense_matmul(ref, _dense(b))
+    assert dense_grid(again) == dense_matmul(ref, dense_grid(b))
     assert prod.is_zero() == (not any(any(row) for row in ref))
 
 
@@ -746,9 +744,9 @@ def test_eq_and_hash_agree_between_built_and_computed(a, b):
     a, b = _same_dim(a, b)
     got = a @ b - b
     built = Operator2(a.dim)
-    for r, row in enumerate(_dense_matmul(_dense(a), _dense(b))):
+    for r, row in enumerate(dense_matmul(dense_grid(a), dense_grid(b))):
         for c, v in enumerate(row):
-            built._set(r, c, v - _dense(b)[r][c])
+            built._set(r, c, v - dense_grid(b)[r][c])
     assert got == built and built == got and hash(got) == hash(built)
     bumped = Operator2(a.dim, {r: dict(row) for r, row in built.data.items()})
     bumped._add(0, 0, F(1, 29))
@@ -767,11 +765,11 @@ def test_quadext_operands_take_the_generic_path(d, data):
     b = data.draw(sparse_operands(Operator1, dims=(2, 3), scalars=kernel_rationals))
     a, b = _same_dim(a, b)
     eps = QuadExt(0, 1, d)
-    da, db = _dense(a), _dense(b)
+    da, db = dense_grid(a), dense_grid(b)
     size = a.size
     cases = [
-        (a @ b, _dense_matmul(da, db)),
-        (b @ a, _dense_matmul(db, da)),
+        (a @ b, dense_matmul(da, db)),
+        (b @ a, dense_matmul(db, da)),
         (a - b, [[da[r][c] - db[r][c] for c in range(size)] for r in range(size)]),
         (a.scale(eps), [[eps * v for v in row] for row in da]),
         (kron11(a, a), _dense_kron(da, da)),
@@ -780,7 +778,7 @@ def test_quadext_operands_take_the_generic_path(d, data):
         if a.data:
             assert got._den is None
         assert all(v for row in got.data.values() for v in row.values()), "zero stored"
-        assert _dense(got) == ref
+        assert dense_grid(got) == ref
     if d == 0:
         # products of pure dual parts cancel: (eps A)(eps B) = 0
         dual = a.scale(eps)
@@ -788,18 +786,7 @@ def test_quadext_operands_take_the_generic_path(d, data):
         assert kron11(dual, dual).data == {}
 
 
-# --- the fused signed-product kernel against the unfused @ / scale / + chain ----
-
-def _unfused(terms):
-    """The same signed sum built one whole product at a time with @, scale and +."""
-    total = None
-    for k, *fs in terms:
-        product = fs[0]
-        for f in fs[1:]:
-            product = product @ f
-        total = product.scale(k) if total is None else total + product.scale(k)
-    return total
-
+# --- the fused signed-product kernel against products formed whole on dense grids ----
 
 @st.composite
 def signed_terms(draw, scalars=kernel_rationals, coefficients=kernel_rationals):
@@ -824,17 +811,17 @@ def _negated(terms):
 @DENSE_SETTINGS
 def test_signed_products_match_the_unfused_chain(terms):
     first = terms[0][1]
-    before = [_dense(f) for _, *fs in terms for f in fs]
+    before = [dense_grid(f) for _, *fs in terms for f in fs]
     got = signed_products(terms)
     assert type(got) is type(first) and got.dim == first.dim
     _assert_canonical(got)
-    assert got == _unfused(terms)
+    assert dense_grid(got) == dense_signed_sum(terms)
     # every term against its negation cancels exactly to the stored zero operator
     zero = signed_products(terms + _negated(terms))
     _assert_canonical(zero)
     assert zero.data == {} and zero == type(first).zero(first.dim)
     # the operands are left as they were
-    assert [_dense(f) for _, *fs in terms for f in fs] == before
+    assert [dense_grid(f) for _, *fs in terms for f in fs] == before
 
 
 def test_signed_products_cover_each_term_shape():
@@ -843,9 +830,10 @@ def test_signed_products_cover_each_term_shape():
     cases = [[(F(2, 3), a)], [(F(-5, 4), a, b)], [(F(7, 9), a, b, a)],
              [(1, a), (F(-1, 2), b, a), (F(3, 8), b, a, b)]]
     for terms in cases:
-        assert signed_products(terms) == _unfused(terms)
+        assert dense_grid(signed_products(terms)) == dense_signed_sum(terms)
     # negative control: a bumped coefficient changes the sum
-    assert signed_products([(1, a), (F(-1, 2), b, a)]) != _unfused([(1, a), (F(-1, 3), b, a)])
+    assert (dense_grid(signed_products([(1, a), (F(-1, 2), b, a)]))
+            != dense_signed_sum([(1, a), (F(-1, 3), b, a)]))
 
 
 @pytest.mark.parametrize("d", [-1, 0])
@@ -856,7 +844,7 @@ def test_signed_products_of_quadext_operands(d, data):
     terms = data.draw(signed_terms(scalars=quad, coefficients=quad))
     got = signed_products(terms)
     assert all(v for row in got.data.values() for v in row.values()), "zero stored"
-    assert got == _unfused(terms)
+    assert dense_grid(got) == dense_signed_sum(terms)
     assert signed_products(terms + _negated(terms)).data == {}
     if d == 0:
         # a product of two pure dual parts vanishes: (eps A)(eps B) = 0
@@ -1076,12 +1064,12 @@ def test_echelon_matches_fraction_elimination(quad, data):
         with pytest.raises(InvalidInputError):
             a.inverse()
         return
-    assert _dense(a.inverse()) == inverse
+    assert dense_grid(a.inverse()) == inverse
     # negative control: the inverse is injective, so any bumped entry changes it
     r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
     dense[r][c] += F(1, 3)
     try:
-        assert _dense(Operator1(dense).inverse()) != inverse
+        assert dense_grid(Operator1(dense).inverse()) != inverse
     except InvalidInputError:
         assert _leibniz_det(dense) == 0
 
@@ -1100,7 +1088,7 @@ def test_echelon_back_reduction_over_mixed_pivots(data):
     augmented = [{**{c: v for c, v in enumerate(row) if v}, m + r: F(1)}
                  for r, row in enumerate(dense)]
     assert Echelon(augmented).rref() == _FractionEchelon(augmented).rref()
-    assert _dense(Operator1(dense).inverse()) == _fraction_inverse(dense)
+    assert dense_grid(Operator1(dense).inverse()) == _fraction_inverse(dense)
 
 
 def test_echelon_back_reduces_rational_rows_against_gaussian_pivots():
@@ -1111,7 +1099,7 @@ def test_echelon_back_reduces_rational_rows_against_gaussian_pivots():
     augmented = [{**{c: v for c, v in enumerate(row) if v}, 3 + r: F(1)}
                  for r, row in enumerate(dense)]
     assert Echelon(augmented).rref() == _FractionEchelon(augmented).rref()
-    assert _dense(Operator1(dense).inverse()) == _fraction_inverse(dense)
+    assert dense_grid(Operator1(dense).inverse()) == _fraction_inverse(dense)
     assert Operator1(dense).inverse().get(1, 3) == i
 
 
