@@ -30,24 +30,25 @@ R_PRIME = "r-prime"
 R_DOUBLE_PRIME = "r-double-prime"
 R_TRIPLE_PRIME = "r-triple-prime"
 
-BLOCK_KINDS = (RBL1, RBL2, RBL3, RBL4, GL2_STD, GL11_STD, EIGHT_VERTEX, R_II,
-               JORDANIAN, PERM_LIKE, R_PRIME, R_DOUBLE_PRIME, R_TRIPLE_PRIME)
-
-BLOCK_SIGNATURES = {
-    RBL1: "(q, gamma)",
-    RBL2: "(q, gamma)",
-    RBL3: "(q, gamma)",
-    RBL4: "(q, omega, gamma), omega in {q^2, 1, q^-2}",
-    GL2_STD: "(q, p)",
-    GL11_STD: "(q, p)",
-    EIGHT_VERTEX: "(q,)",
-    R_II: "(q, eps), eps in {+1, -1}",
-    JORDANIAN: "(h1, h2)",
-    PERM_LIKE: "(a, b, c)",
-    R_PRIME: "(a,)",
-    R_DOUBLE_PRIME: "(h1, h2, h3)",
-    R_TRIPLE_PRIME: "()",
+# every kind's parameter names, in the order ``block_matrix`` takes them
+BLOCK_PARAMETERS = {
+    RBL1: ("q", "gamma"),
+    RBL2: ("q", "gamma"),
+    RBL3: ("q", "gamma"),
+    RBL4: ("q", "omega", "gamma"),
+    GL2_STD: ("q", "p"),
+    GL11_STD: ("q", "p"),
+    EIGHT_VERTEX: ("q",),
+    R_II: ("q", "eps"),
+    JORDANIAN: ("h1", "h2"),
+    PERM_LIKE: ("a", "b", "c"),
+    R_PRIME: ("a",),
+    R_DOUBLE_PRIME: ("h1", "h2", "h3"),
+    R_TRIPLE_PRIME: (),
 }
+BLOCK_KINDS = tuple(BLOCK_PARAMETERS)
+# the parameters that take only a few values, as the catalog states them
+_RANGE_NOTES = {RBL4: "omega in {q^2, 1, q^-2}", R_II: "eps in {+1, -1}"}
 
 
 def _mat(rows) -> Operator2:
@@ -310,5 +311,11 @@ def skinv_implications(r: Operator2) -> bool:
 
 def catalog_listing() -> list[dict]:
     """Stable description of every block kind, for the catalog command."""
-    return [{"kind": k, "dim": 2, "parameters": BLOCK_SIGNATURES[k]}
-            for k in sorted(BLOCK_KINDS)]
+    out = []
+    for kind in sorted(BLOCK_KINDS):
+        names = BLOCK_PARAMETERS[kind]
+        sig = "(" + ", ".join(names) + ("," if len(names) == 1 else "") + ")"
+        if kind in _RANGE_NOTES:
+            sig += ", " + _RANGE_NOTES[kind]
+        out.append({"kind": kind, "dim": 2, "parameters": sig})
+    return out

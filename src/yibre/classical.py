@@ -143,6 +143,8 @@ def rime_skew_sl_r(mu) -> Operator2:
 
 
 def build_classical(kind: str, n: int | None = None, params=None) -> Operator2:
+    if kind not in CLASSICAL_KINDS:
+        raise InvalidInputError(f"unknown classical kind {kind!r}")
     if kind in PARAMETRIC_KINDS:
         if params is None:
             raise InvalidInputError(f"{kind} needs a parameter vector")

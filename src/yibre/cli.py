@@ -13,7 +13,7 @@ import click
 
 from . import bezout, blocks, cg, classical, poisson, rime
 from .kernel import DRAW_POOL_NONZERO, InvalidInputError, format_rat, rat
-from .suites import SUITE_NAMES, run_all, run_suite
+from .suites import SUITE_NAMES, mutated_suite, run_all, run_suite
 from .tensor import Operator2
 
 
@@ -37,15 +37,10 @@ def _output_path(ctx, param, value):
 
 def operator_to_json(obj) -> dict:
     if isinstance(obj, Operator2):
-        return {"kind": "operator2", "dim": obj.dim,
+        kind = "quadratic-bracket" if isinstance(obj, poisson.QuadraticBracket) else "operator2"
+        return {"kind": kind, "dim": obj.dim,
                 "entries": {f"{i},{j}|{k},{l}": format_rat(v)
                             for i, j, k, l, v in obj.four_index_items()}}
-    if isinstance(obj, poisson.QuadraticBracket):
-        entries = {}
-        for (i, j), poly in sorted(obj.pairs.items()):
-            for (k, l), v in sorted(poly.items()):
-                entries[f"{i},{j}|{k},{l}"] = format_rat(v)
-        return {"kind": "quadratic-bracket", "dim": obj.dim, "entries": entries}
     raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -117,18 +112,10 @@ def _construct(kind, sub, **kw):
         bk = sub
         if bk is None:
             raise InvalidInputError("block needs --kind")
-        params = {
-            blocks.RBL1: ("q", "gamma"), blocks.RBL2: ("q", "gamma"),
-            blocks.RBL3: ("q", "gamma"), blocks.RBL4: ("q", "omega", "gamma"),
-            blocks.GL2_STD: ("q", "p"), blocks.GL11_STD: ("q", "p"),
-            blocks.EIGHT_VERTEX: ("q",), blocks.R_II: ("q", "eps"),
-            blocks.JORDANIAN: ("h1", "h2"), blocks.PERM_LIKE: ("a", "b", "c"),
-            blocks.R_PRIME: ("a",), blocks.R_DOUBLE_PRIME: ("h1", "h2", "h3"),
-            blocks.R_TRIPLE_PRIME: (),
-        }
-        if bk not in params:
+        if bk not in blocks.BLOCK_PARAMETERS:
             raise InvalidInputError(f"unknown block kind {bk!r}")
-        args = [_rational(_option(f"block {bk}", kw, name)) for name in params[bk]]
+        args = [_rational(_option(f"block {bk}", kw, name))
+                for name in blocks.BLOCK_PARAMETERS[bk]]
         return blocks.block_matrix(bk, *args)
     if kind == "classical":
         ck = sub
@@ -174,6 +161,10 @@ def verify(suite, n, seed, draws, report_path, mutate):
         reports = run_all(n, seed, draws, mutate=mutate)
     else:
         reports = [run_suite(suite, n, seed, draws, mutate=mutate)]
+    if mutate and not any(r.mutated for r in reports):
+        target = mutated_suite(seed) if suite == "all" else suite
+        raise click.UsageError(f"--mutate {mutate} flipped no check: suite {target} "
+                               "declares no check that fault injection may perturb")
     payload = {"reports": [r.to_dict() for r in reports]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if report_path:

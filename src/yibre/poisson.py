@@ -1,7 +1,10 @@
 """Quadratic rime Poisson pencil: construction, invariance and normal forms.
 
-Brackets are stored as {x^i, x^j} for i < j, each a dictionary over sorted
-degree-2 monomials; this bakes in antisymmetry in (i,j) and symmetry in (k,l).
+A quadratic bracket {x^i, x^j} = c^{ij}_{kl} x^k x^l is a two-leg tensor laid
+out like an R-matrix, so ``QuadraticBracket`` is an ``Operator2``: row (i, j)
+holds {x^i, x^j} for i < j only and column (k, l) with k <= l the coefficient
+of x^k x^l, which bakes in antisymmetry in (i,j) and symmetry in (k,l).  Sums,
+differences, equality and failure witnesses are the sparse kernel's.
 First-order statements run over dual numbers (``QuadExt`` with d = 0, so
 epsilon^2 = 0), so "infinitesimal" is exact.
 """
@@ -14,7 +17,7 @@ from fractions import Fraction
 from .kernel import (ONE, ZERO, InvalidInputError, QuadExt, RationalDraw,
                      perfect_square_root, rat, ratvec, require_distinct,
                      sparse_minus)
-from .tensor import Operator1
+from .tensor import Operator1, Operator2
 
 
 @dataclass(frozen=True)
@@ -41,12 +44,13 @@ class PencilParams:
         return self.b * self.b - 4 * self.a * self.c
 
 
-class QuadraticBracket:
-    """{x^i, x^j} = sum of degree-2 monomials, stored for i < j only (1-based)."""
+class QuadraticBracket(Operator2):
+    """{x^i, x^j} in row (i-1)n+(j-1) for i < j, the x^k x^l term in column (k-1)n+(l-1), k <= l."""
+
+    __slots__ = ()
 
     def __init__(self, dim: int, pairs: dict | None = None):
-        self.dim = dim
-        self.pairs: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
+        super().__init__(dim)
         if pairs:
             for (i, j), poly in pairs.items():
                 self.set_pair(i, j, poly)
@@ -54,57 +58,33 @@ class QuadraticBracket:
     def set_pair(self, i: int, j: int, poly: dict) -> None:
         if not 1 <= i < j <= self.dim:
             raise InvalidInputError("pairs are stored with i < j")
+        n = self.dim
         clean = {}
         for (k, l), v in poly.items():
-            key = (min(k, l), max(k, l))
+            c = (min(k, l) - 1) * n + max(k, l) - 1
             v = rat(v)
             if v:
-                clean[key] = clean.get(key, ZERO) + v
-        self.pairs[(i, j)] = {m: v for m, v in clean.items() if v}
+                clean[c] = clean.get(c, ZERO) + v
+        data = self._writable()
+        r = (i - 1) * n + j - 1
+        data.pop(r, None)
+        if clean := {c: v for c, v in clean.items() if v}:
+            data[r] = clean
 
     def pair(self, i: int, j: int) -> dict[tuple[int, int], Fraction]:
         """Monomial dictionary of {x^i, x^j} for any i != j."""
+        n = self.dim
         if i < j:
-            return dict(self.pairs.get((i, j), {}))
-        return {m: -v for m, v in self.pairs.get((j, i), {}).items()}
+            return {(c // n + 1, c % n + 1): v
+                    for c, v in self.data.get((i - 1) * n + j - 1, {}).items()}
+        return {(c // n + 1, c % n + 1): -v
+                for c, v in self.data.get((j - 1) * n + i - 1, {}).items()}
 
-    def coeff(self, i: int, j: int, k: int, l: int) -> Fraction:
-        """The symmetric structure constant c^{ij}_{kl}."""
-        if i == j:
-            return ZERO
-        poly = self.pair(i, j)
-        m = (min(k, l), max(k, l))
-        v = poly.get(m, ZERO)
-        return v if k == l else v / 2
-
-    def is_zero(self) -> bool:
-        return all(not poly for poly in self.pairs.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadraticBracket) or self.dim != other.dim:
-            return False
-        keys = set(self.pairs) | set(other.pairs)
-        return all(self.pair(*k) == other.pair(*k) for k in keys)
-
-    def __add__(self, other: "QuadraticBracket") -> "QuadraticBracket":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "QuadraticBracket") -> "QuadraticBracket":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "QuadraticBracket":
-        return QuadraticBracket(self.dim) - self
-
-    def _plus(self, other: "QuadraticBracket", sign: int) -> "QuadraticBracket":
-        if self.dim != other.dim:
-            raise InvalidInputError("bracket dimension mismatch")
-        out = QuadraticBracket(self.dim)
-        for key in self.pairs.keys() | other.pairs.keys():
-            poly = dict(self.pairs.get(key, {}))
-            for m, v in other.pairs.get(key, {}).items():
-                poly[m] = poly.get(m, ZERO) + sign * v
-            out.set_pair(*key, poly)
-        return out
+    @property
+    def pairs(self) -> dict[tuple[int, int], dict[tuple[int, int], Fraction]]:
+        """A copy of the stored pairs, {(i, j): pair(i, j)} over i < j with {x^i, x^j} != 0."""
+        n = self.dim
+        return {(r // n + 1, r % n + 1): self.pair(r // n + 1, r % n + 1) for r in self.data}
 
     def rescale(self, d) -> "QuadraticBracket":
         """Structure constants of the bracket in coordinates xtilde^i = d_i x^i."""

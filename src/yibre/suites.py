@@ -165,6 +165,8 @@ class SuiteReport:
     parameter_draws: list[str] = field(default_factory=list)
     checks: list[CheckResult] = field(default_factory=list)
     wall_time_ms: int = 0
+    # the check that --mutate one-entry perturbed, if any; not part of the report
+    mutated: str | None = None
 
     @property
     def all_pass(self) -> bool:
@@ -194,14 +196,6 @@ def _is_zero(obj) -> tuple[bool, dict | None]:
             return True, None
         key, val = first_nonzero_witness(obj)
         return False, {"index": key, "value": format_rat(val)}
-    if isinstance(obj, QuadraticBracket):
-        if obj.is_zero():
-            return True, None
-        for (i, j), poly in sorted(obj.pairs.items()):
-            for mono, v in sorted(poly.items()):
-                if v:
-                    return False, {"index": f"{i},{j}|{mono[0]},{mono[1]}",
-                                   "value": format_rat(v)}
     if isinstance(obj, dict):
         for key in sorted(obj, key=str):
             ok, wit = _is_zero(obj[key])
@@ -225,6 +219,9 @@ def _is_zero(obj) -> tuple[bool, dict | None]:
 
 def _mutate(obj):
     """Bump one entry of a residual-like object (fault injection)."""
+    if isinstance(obj, QuadraticBracket) and obj.dim >= 2:
+        # a bracket's first slot is {x^1, x^2}, not the operator's entry 1,1|1,1
+        return obj + QuadraticBracket(obj.dim, {(1, 2): {(1, 1): ONE}})
     if isinstance(obj, (Operator1, Operator2, Operator3)):
         out = obj + obj.zero(obj.dim)
         out._add(0, 0, ONE)
@@ -233,8 +230,6 @@ def _mutate(obj):
         return obj + 1
     if isinstance(obj, bool):
         return not obj
-    if isinstance(obj, QuadraticBracket) and obj.dim >= 2:
-        return obj + QuadraticBracket(obj.dim, {(1, 2): {(1, 1): ONE}})
     if isinstance(obj, dict) and obj:
         key = sorted(obj, key=str)[0]
         out = dict(obj)
@@ -277,7 +272,7 @@ def run_suite(suite: str, n: int, seed: int, draws: int,
                                    "pass" if ok else "fail", witness))
     results.sort(key=lambda c: c.name)
     return SuiteReport(suite, n, seed, draws, [format_rat(x) for x in draw.history], results,
-                       int((time.monotonic() - started) * 1000))
+                       int((time.monotonic() - started) * 1000), mutate_target)
 
 
 # --- individual suites ----------------------------------------------------------
@@ -1002,12 +997,15 @@ SUITE_BUILDERS = {
 SUITE_NAMES = tuple(sorted(SUITE_BUILDERS)) + ("all",)
 
 
+def mutated_suite(seed: int) -> str:
+    """The one suite that ``run_all`` perturbs under ``mutate="one-entry"`` at this seed."""
+    names = sorted(SUITE_BUILDERS)
+    return names[RationalDraw(seed ^ 0xA11).int_in(0, len(names) - 1)]
+
+
 def run_all(n: int, seed: int, draws: int, mutate: str | None = None) -> list[SuiteReport]:
     reports = []
-    mutate_suite = None
-    if mutate == "one-entry":
-        names = sorted(SUITE_BUILDERS)
-        mutate_suite = names[RationalDraw(seed ^ 0xA11).int_in(0, len(names) - 1)]
+    mutate_suite = mutated_suite(seed) if mutate == "one-entry" else None
     for name in sorted(SUITE_BUILDERS):
         reports.append(run_suite(name, n, seed, draws,
                                  mutate if name == mutate_suite else None))

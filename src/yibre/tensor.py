@@ -518,41 +518,15 @@ class Operator3(_SparseSquare):
 def kron_sum(terms) -> Operator2:
     """The sum of k * (a (x) b) over terms (k, a, b) of one-leg operators of one dim.
 
-    Every term is written straight into one set of integer rows over one common
-    denominator, the lcm over the terms of k.denominator * den(a) * den(b), and
-    the sum is normalised once, as in ``signed_products``.  A zero coefficient
-    or a zero factor adds nothing.  A coefficient or factor with no integer form
-    (a QuadExt) runs the same loop on scalars, and products that vanish there
-    are dropped.
+    The terms are planned as in ``signed_products``, on one common denominator,
+    and every term is written straight into one set of integer rows, which are
+    normalised once.  A coefficient or factor with no integer form (a QuadExt)
+    runs the same loop on scalars, and products that vanish there are dropped.
     """
-    dim = None
-    den = 1  # None once a coefficient or factor has no integer form
-    kept = []  # (k, a, b, their integer rows, k.denominator * den(a) * den(b))
-    for k, a, b in terms:
-        if dim is None:
-            dim = a.dim
-        if type(a) is not Operator1 or type(b) is not Operator1 or a.dim != dim or b.dim != dim:
-            raise InvalidInputError("Kronecker factors must be one-leg operators of one dim")
-        da, arows = a._ints()
-        db, brows = b._ints()
-        if type(k) is not int:
-            k = rat(k)
-        if not k or not arows or not brows:
-            continue
-        d = (da * db * k.denominator
-             if da is not None and db is not None and isinstance(k, (int, Fraction)) else None)
-        den = None if d is None or den is None else lcm(den, d)
-        kept.append((k, a, b, arows, brows, d))
-    if dim is None:
-        raise InvalidInputError("a Kronecker sum needs at least one term")
-    n = dim
+    _, n, den, plan = _plan(terms, Operator1)
     out = {}
     summed = set()  # rows written by more than one term, where entries can cancel
-    for k, a, b, arows, brows, d in kept:
-        if den is None:
-            m, arows, brows = k, a.data, b.data
-        else:
-            m = k.numerator * (den // d)
+    for m, (arows, brows) in plan:
         if m != 1:
             # a dual-number product can vanish, so zeros are filtered here too
             arows = {i: row for i, arow in arows.items()
@@ -644,46 +618,65 @@ def lift(op: Operator2, legs: int, n: int | None = None) -> Operator3:
     return Operator3._of(n, den, out)
 
 
+def _plan(terms, cls=None):
+    """(cls, dim, den, plan) of the terms (k, F1, ..., Fm) of a signed sum of products.
+
+    Every F is an operator of one type and dim, that of the first factor unless
+    ``cls`` names it.  ``den`` is the lcm over the terms of k.denominator *
+    prod den(F), and ``plan`` lists (m, [rows of F1, ..., rows of Fm]) with the
+    integer multiplier m = k * den / that term's denominator.  A coefficient or
+    factor with no integer form (a QuadExt) makes ``den`` None, and then m is k
+    and the rows are the factors' entries.  A zero coefficient or a zero factor
+    adds nothing, so it gets no plan entry; its denominator is still folded in,
+    so scalars give a scalar sum.
+    """
+    dim = None
+    den = 1  # None once a coefficient or factor has no integer form
+    kept = []  # (k, factors, their integer rows, k.denominator * prod den(F))
+    for term in terms:
+        k, fs = term[0], term[1:]
+        if not fs:
+            raise InvalidInputError("every term of a signed sum needs a factor")
+        if dim is None:
+            cls, dim = cls or type(fs[0]), fs[0].dim
+        d, rows = 1, []
+        for f in fs:
+            if type(f) is not cls or f.dim != dim:
+                raise InvalidInputError("factors must be operators of one type and dim")
+            # the integer form read in place: this loop runs once per factor of every sum
+            if f._rows is None:
+                f._ints()
+            rows.append(f._rows)
+            if (fd := f._den) != 1:
+                d = None if fd is None or d is None else d * fd
+        if type(k) is not int:
+            k = rat(k)
+            if d is not None:
+                d = d * k.denominator if isinstance(k, Fraction) else None
+        if d is None:
+            den = None
+        elif den is not None and d != den:
+            den = lcm(den, d)
+        if k and all(rows):
+            kept.append((k, fs, rows, d))
+    if dim is None:
+        raise InvalidInputError("a signed sum of products needs at least one term")
+    if den is None:
+        return cls, dim, None, [(k, [f.data for f in fs]) for k, fs, _, _ in kept]
+    return cls, dim, den, [(k.numerator * (den // d), rows) for k, _, rows, d in kept]
+
+
 def signed_products(terms):
     """The sum of k * F1 @ F2 @ ... @ Fm over terms (k, F1, ..., Fm), with no product stored.
 
-    Every F is an operator of one type and dim.  The sum runs on the factors'
-    integer rows over one common denominator, the lcm over the terms of
-    k.denominator * prod den(F), and is built one output row at a time: each
+    The terms are planned by ``_plan``, on the factors' integer rows over one
+    common denominator, and the sum is built one output row at a time: each
     term carries its row of F1 through the middle factors, folds in its integer
     multiplier just before the last factor, and adds straight into that output
     row, so only the nonzero rows of the sum are ever held.  A coefficient or
     factor with no integer form (a QuadExt) runs the same loop on scalars.
     """
-    cls = dim = None
-    den = 1  # None once a coefficient or factor has no integer form
-    kept = []  # (k, factors, their integer rows, k.denominator * prod den(F))
-    for k, *fs in terms:
-        if not fs:
-            raise InvalidInputError("every term of a signed sum needs a factor")
-        if cls is None:
-            cls, dim = type(fs[0]), fs[0].dim
-        d, rows = 1, []
-        for f in fs:
-            if type(f) is not cls or f.dim != dim:
-                raise InvalidInputError("factors must be operators of one type and dim")
-            fd, frows = f._ints()
-            d = None if d is None or fd is None else d * fd
-            rows.append(frows)
-        if type(k) is not int:
-            k = rat(k)
-        d = d * k.denominator if d is not None and isinstance(k, (int, Fraction)) else None
-        den = None if d is None or den is None else lcm(den, d)
-        # a zero coefficient or a zero factor adds nothing, so its products are never
-        # formed; its denominator is still folded in, so scalars give a scalar sum
-        if k and all(rows):
-            kept.append((k, fs, rows, d))
-    if cls is None:
-        raise InvalidInputError("a signed sum of products needs at least one term")
-    if den is None:
-        plan = [(k, [f.data for f in fs]) for k, fs, _, _ in kept]
-    else:
-        plan = [(k.numerator * (den // d), rows) for k, _, rows, d in kept]
+    cls, dim, den, plan = _plan(terms)
     plan = [(m, rows[0], rows[1:-1], rows[-1] if len(rows) > 1 else None) for m, rows in plan]
     out = {}
     for r in dict.fromkeys(chain.from_iterable([first for _, first, _, _ in plan])):

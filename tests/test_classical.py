@@ -439,3 +439,11 @@ def test_gl2_isomorphism_check_equals_its_old_sums():
                         img = img + images[(a, b)].scale(star._get(b - 1, a - 1))
                 old.append(img - images[(iu, ju)] @ images[(iv, jv)])
         assert bezout.gl2_isomorphism_check(kind)["homomorphism"] == old
+
+
+def test_build_classical_refuses_an_unknown_kind():
+    for n in (3, None):
+        with pytest.raises(InvalidInputError, match="bogus"):
+            build_classical("bogus", n=n)
+    with pytest.raises(InvalidInputError, match="bogus"):
+        build_classical("bogus", params=(1, 2))

@@ -64,6 +64,14 @@ def test_construct_pencil(runner):
     data = json.loads(res.output)
     assert data["kind"] == "quadratic-bracket"
     assert data["entries"]["1,2|1,1"] == "-3"
+    # {x^1, x^2} = -3 (x^1)^2 + 6 x^1 x^2 - 3 (x^2)^2 at psi = (0, 1), rho = 3
+    assert data == {"kind": "quadratic-bracket", "dim": 2,
+                    "entries": {"1,2|1,1": "-3", "1,2|1,2": "6", "1,2|2,2": "-3"}}
+    res = runner.invoke(main, ["construct", "pencil", "--psi", "0,1,3", "--rho", "1,2,3"])
+    assert json.loads(res.output)["entries"] == {
+        "1,2|1,1": "-6", "1,2|1,2": "8", "1,2|2,2": "-3",
+        "1,3|1,1": "-6", "1,3|1,3": "4", "1,3|3,3": "-1",
+        "2,3|2,2": "-9", "2,3|2,3": "10", "2,3|3,3": "-3"}
 
 
 def test_construct_errors_are_usage_errors(runner):
@@ -151,6 +159,19 @@ def test_verify_mutate_flips_exactly_one(runner):
     fail_lines = [l for l in res.output.splitlines() if l.startswith("FAIL")]
     assert len(fail_lines) == 1
     assert "witness=" in fail_lines[0]
+
+
+@pytest.mark.parametrize("suite,seed", [("qalg", 0), ("all", 0), ("all", 2)])
+def test_verify_mutate_that_flips_nothing_is_refused(runner, tmp_path, suite, seed):
+    # qalg declares no check that fault injection may perturb, and seeds 0 and 2 draw it
+    path = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--suite", suite, "--n", "2", "--seed", str(seed),
+                               "--draws", "1", "--mutate", "one-entry",
+                               "--report", str(path)])
+    assert res.exit_code == 2
+    assert "suite qalg" in res.output and "flipped no check" in res.output
+    assert "checks passed" not in res.output
+    assert not path.exists()
 
 
 def test_verify_env_seed(runner, monkeypatch, tmp_path):
@@ -281,12 +302,42 @@ def test_shared_objects_are_built_once_per_block(monkeypatch):
     assert len(calls) == 2 + 2 + 2
 
 
+CATALOG_OUTPUT = """\
+block eight-vertex     dim 2  parameters (q,)
+block gl11-std         dim 2  parameters (q, p)
+block gl2-std          dim 2  parameters (q, p)
+block jordanian        dim 2  parameters (h1, h2)
+block perm-like        dim 2  parameters (a, b, c)
+block r-double-prime   dim 2  parameters (h1, h2, h3)
+block r-ii             dim 2  parameters (q, eps), eps in {+1, -1}
+block r-prime          dim 2  parameters (a,)
+block r-triple-prime   dim 2  parameters ()
+block rbl1             dim 2  parameters (q, gamma)
+block rbl2             dim 2  parameters (q, gamma)
+block rbl3             dim 2  parameters (q, gamma)
+block rbl4             dim 2  parameters (q, omega, gamma), omega in {q^2, 1, q^-2}
+classical b-cg             parameters (n)
+classical b-skew           parameters (n)
+classical r-cg             parameters (n)
+classical r-cg-prime       parameters (n)
+classical rime-nonskew     parameters (phi)
+classical rime-skew        parameters (mu)
+classical rime-skew-sl     parameters (mu)
+bezout b0               parameters (n)
+bezout b                parameters (n)
+bezout rs               parameters (n)
+bezout btilde           parameters (n)
+"""
+
+
 def test_catalog_stable(runner):
     out1 = runner.invoke(main, ["catalog"]).output
     out2 = runner.invoke(main, ["catalog"]).output
     assert out1 == out2
     assert "rbl4" in out1 and "b-cg" in out1 and "btilde" in out1
     assert "omega in {q^2, 1, q^-2}" in out1
+    # recorded before the block parameter names moved into one table
+    assert out1 == CATALOG_OUTPUT
 
 
 @settings(max_examples=10, derandomize=True, deadline=None, database=None)

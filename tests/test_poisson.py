@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from yibre import poisson
-from yibre.kernel import QuadExt, RationalDraw, ratvec
+from yibre.kernel import InvalidInputError, QuadExt, RationalDraw, ratvec
 from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
                            PencilParams, QuadraticBracket, bracket_from_quantum,
                            compensation_check, delta1_variation,
@@ -17,7 +17,7 @@ from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
                            rime_preserving_matrix, sl2_generators, sl2_suite,
                            trid_residuals, varpi)
 from yibre.suites import _is_zero, run_suite
-from yibre.tensor import Operator1
+from yibre.tensor import Operator1, Operator2
 
 
 def test_dual_numbers():
@@ -131,6 +131,21 @@ def test_bracket_arithmetic():
     assert -(-b1) == b1
     with pytest.raises(ValueError):
         b1 - QuadraticBracket(2)
+    # the witness is the first nonzero coefficient over pairs i < j, then sorted monomials
+    assert _is_zero(diff) == (False, {"index": "1,2|1,1", "value": "-11/2"})
+    assert diff.pair(1, 2)[1, 1] == F(-11, 2)
+    assert _is_zero(b1 - b1 + QuadraticBracket(3, {(2, 3): {(3, 2): F(1, 3)}})) == (
+        False, {"index": "2,3|2,3", "value": "1/3"})
+
+
+def test_bracket_and_operator_do_not_mix():
+    br = pencil_bracket(PencilParams((0, 1, 3), 1, 2, 3))
+    for op in (Operator2.zero(3), Operator2.identity(3)):
+        with pytest.raises(InvalidInputError):
+            br - op
+        with pytest.raises(InvalidInputError):
+            op + br
+    assert br != Operator2(3, dict(br.data))
 
 
 def test_psi_variation_closed_form_vs_dual():

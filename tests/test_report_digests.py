@@ -9,6 +9,9 @@ those checks depend on n, and n = 3 alone does not pin them.
 The n = 6 digests of cg, classical and rime (seed 0, draws 1, same two modes)
 were recorded before the sparse operators kept one common denominator; they
 pin the longest operator product chains in the tier-1 run.
+The n = 8 digests of every suite (seed 0, draws 1, same two modes) were
+recorded before quadratic brackets became two-leg operators; they hold the
+reports byte-identical at the largest n in the tier-1 run, in about 3 s.
 ``wall_time_ms`` is the only field left out.  Re-record them only with a
 change that is meant to move the reports, and say so where it is recorded.
 """
@@ -102,6 +105,26 @@ DIGESTS_N6 = {
     ("rime", 'one-entry'): "5e7215e523dc8c79c743e547fac6a0256f2f62924498e17a6a894d9c950251e7",
 }
 
+# (suite, mutate) at n = 8, seed 0, draws 1
+DIGESTS_N8 = {
+    ('bezout', None): "a42110d0b095fb228f997b49e7149578cdfaedd6dfc32b3e8f3d6d4845f276e0",
+    ('bezout', 'one-entry'): "8d7bc8030fcdbc039d3a9c803efa28b59e855bbe0e13ec1785af7f71bda0ee86",
+    ('blocks', None): "9434d75d0a74dbb17c5078cb0d463789b5e6ab9c5b5f489afefcc37b222f664d",
+    ('blocks', 'one-entry'): "f37dc689aa718b577be509698e5c58a5d782814926657f8b8737aeb3cf7eaffe",
+    ('cg', None): "a1b3d1624261f1b465e1d781f01ebfa5ea5fce1bdc9ce8460b77b871c378c2f1",
+    ('cg', 'one-entry'): "b4e7403e87ee4e72b4d78bbebd288f390032d849a8be6c08f91cc60c8371264a",
+    ('classical', None): "76bac37d7cb5d454a0878b031d75f452235629f6019f25b87abc2e1a4c06806b",
+    ('classical', 'one-entry'): "075791d266351d42f257cce8f44b67f24ce57f6f7d56219f71386bd4457107ec",
+    ('poisson', None): "013d2118ca7daeefc1e3d3f3237a74385e8c7a7c1c7673732c61e8ac33f57ae8",
+    ('poisson', 'one-entry'): "864cb0880aac0bb819bdf14e6b9845fed93d89ec3b35ccd9b43d9b7cd525b188",
+    ('qalg', None): "4fcd164fd3dc97a87f4313b455d3f1b0d230a0d9045a9bbbdff34f63742b4d84",
+    ('qalg', 'one-entry'): "4fcd164fd3dc97a87f4313b455d3f1b0d230a0d9045a9bbbdff34f63742b4d84",
+    ('rime', None): "0e7035ab7f17f537bc6cf9ea046c836855a22cdf3033921e07afb960d2817396",
+    ('rime', 'one-entry'): "b582d74d1c41737b439181b13aa1716ce56ea465f63651ff656a1c74c916f7d7",
+    ('rota', None): "035d66f4f97097b4e1305ac3dc7598d052144ab6e46ebe2d2b4574647ba39db5",
+    ('rota', 'one-entry'): "395b8d261b01db4f50ac4e044cb14bbfe06afe6b711a7e4b231d6a8e2947c2d2",
+}
+
 
 def _digest(report) -> str:
     d = report.to_dict()
@@ -124,9 +147,15 @@ def test_report_digest_at_n6(suite, mutate):
     assert _digest(run_suite(suite, 6, 0, 1, mutate)) == DIGESTS_N6[suite, mutate]
 
 
+@pytest.mark.parametrize("suite,mutate", sorted(DIGESTS_N8, key=str))
+def test_report_digest_at_n8(suite, mutate):
+    assert _digest(run_suite(suite, 8, 0, 1, mutate)) == DIGESTS_N8[suite, mutate]
+
+
 def test_digests_cover_every_suite():
     assert {s for s, _, _ in DIGESTS} == set(SUITE_BUILDERS)
     assert {s for s, _, _ in DIGESTS_BY_N} == set(SUITE_BUILDERS)
+    assert {s for s, _ in DIGESTS_N8} == set(SUITE_BUILDERS)
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_BUILDERS))

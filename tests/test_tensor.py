@@ -680,6 +680,19 @@ def test_kron_sum_of_quadext_operands(d, data):
         assert kron_sum([(eps, dual[0], dual[-1]), (1, dual[0], dual[0])]).data == {}
 
 
+def test_kron_sum_and_signed_products_keep_one_form():
+    # a zero factor adds nothing, but its term's scalars still make the sum a scalar sum
+    a = Operator1([[QuadExt(1, 2, -1), 0], [F(1, 3), QuadExt(0, 1, -1)]])
+    zero = Operator1.zero(2)
+    got = kron_sum([(1, a, zero)])
+    want = signed_products([(1, a, zero)])
+    assert got._den is None and want._den is None
+    assert got.data == {} and want.data == {}
+    one = Operator1.identity(2)
+    assert kron_sum([(QuadExt(0, 1, -1), one, zero)])._den is None
+    assert kron_sum([(1, one, zero)])._den == 1
+
+
 def test_kron_sum_refuses_bad_terms():
     two, three = Operator1.identity(2), Operator1.identity(3)
     with pytest.raises(InvalidInputError):
