@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import (ONE, ZERO, InvalidInputError, elem_syms, elem_syms_omitting, rat, ratvec,
-                     require_distinct, theta)
+from .kernel import (ONE, ZERO, InvalidInputError, elem_syms, elem_syms_omitting,
+                     products_omitting, rat, ratvec, require_distinct, theta)
 from .rime import RimeClass, classify, strict_rime_R
 from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, kron11,
                      op1_on_leg2, permutation_P, row_space)
@@ -37,21 +37,30 @@ class CGParams:
 
 
 def cg_matrix(params: CGParams) -> Operator2:
-    """Entries q^{-2 theta_ij} p^{i-j} d^i_l d^j_k plus the two (1-q^-2) staircase sums."""
+    """Entries q^{-2 theta_ij} p^{i-j} d^i_l d^j_k plus the two (1-q^-2) staircase sums.
+
+    The powers p^d (|d| < n) and the staircase weights (1-q^-2) p^d are formed
+    once per call, so each entry costs one lookup and one multiplication at most.
+    """
     n, qi, p = params.dim, params.qsq_inv, params.p
     r = Operator2(n)
     one_minus = ONE - qi
+    pw = {0: ONE}
+    for d in range(1, n):
+        pw[d] = pw[d - 1] * p
+        pw[-d] = pw[1 - d] / p
+    stair = {d: one_minus * v for d, v in pw.items()}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            r.add_to(i, j, j, i, (qi ** theta(i, j)) * p ** (i - j))
+            r.add_to(i, j, j, i, qi * pw[i - j] if theta(i, j) else pw[i - j])
             for s in range(i, j):           # i <= s < j
                 l = i + j - s
                 if 1 <= l <= n:
-                    r.add_to(i, j, s, l, one_minus * p ** (i - s))
+                    r.add_to(i, j, s, l, stair[i - s])
             for s in range(j + 1, i):       # j < s < i
                 l = i + j - s
                 if 1 <= l <= n:
-                    r.add_to(i, j, s, l, -one_minus * p ** (i - s))
+                    r.add_to(i, j, s, l, -stair[i - s])
     return r
 
 
@@ -75,22 +84,28 @@ def d_twist_conjugate(r: Operator2, p) -> Operator2:
 
 
 def x_change_of_basis(phi) -> tuple[Operator1, Operator1]:
-    """X^k_j = e_{j-1}^khat(phi) and its Lagrange closed-form inverse."""
+    """X^k_j = e_{j-1}^khat(phi) and its Lagrange closed-form inverse.
+
+    (X^-1)^j_i = (-1)^{j-1} phi_i^{n-j} / prod_{k != i}(phi_i - phi_k).  Each
+    column i forms its denominator once and its powers of phi_i upward from
+    phi_i^0, so the inverse costs O(n^2) scalar operations; a zero phi_i only
+    zeroes the powers, and distinctness keeps every denominator nonzero.
+    """
     phi = ratvec(phi)
     require_distinct(phi, "phi")
     n = len(phi)
     # row k holds e_0..e_{n-1} of phi without phi_k
     x = Operator1(elem_syms_omitting(phi))
-    rows = []
-    for j in range(1, n + 1):
-        row = []
-        for i in range(1, n + 1):
-            denom = ONE
-            for k in range(1, n + 1):
-                if k != i:
-                    denom *= phi[i - 1] - phi[k - 1]
-            row.append((-ONE) ** (j - 1) * phi[i - 1] ** (n - j) / denom)
-        rows.append(row)
+    rows = [[ZERO] * n for _ in range(n)]
+    for i, pi in enumerate(phi):
+        denom = ONE
+        for k, pk in enumerate(phi):
+            if k != i:
+                denom *= pi - pk
+        power = ONE / denom
+        for j in range(n - 1, -1, -1):      # 0-based j, power = phi_i^{n-1-j} / denom
+            rows[j][i] = -power if j % 2 else power
+            power *= pi
     xinv = Operator1(rows)
     if (x @ xinv) != Operator1.identity(n):
         raise InvalidInputError("closed-form inverse failed")  # distinctness guarantees this
@@ -140,7 +155,10 @@ def phi_transition(phi, phi_prime) -> Operator1:
 
     Entry (i,j) is prod_{k != i}(phi_j - phi'_k) / prod_{l != j}(phi_j - phi_l);
     the apparent pole at phi_j = phi'_i cancels against the full product, so
-    the cancelled form is used and no extra precondition is needed.
+    the cancelled form is used and no extra precondition is needed.  Column j
+    forms its denominator once and its numerators with ``products_omitting``,
+    which divides by no factor, so phi_j = phi'_i is safe: O(n^2) scalar
+    operations.
     """
     phi = ratvec(phi)
     phi_prime = ratvec(phi_prime)
@@ -149,20 +167,14 @@ def phi_transition(phi, phi_prime) -> Operator1:
     if len(phi) != len(phi_prime):
         raise InvalidInputError("vectors must share a length")
     n = len(phi)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            num = ONE
-            for k in range(1, n + 1):
-                if k != i:
-                    num *= phi[j - 1] - phi_prime[k - 1]
-            den = ONE
-            for l in range(1, n + 1):
-                if l != j:
-                    den *= phi[j - 1] - phi[l - 1]
-            row.append(num / den)
-        rows.append(row)
+    rows = [[ZERO] * n for _ in range(n)]
+    for j, pj in enumerate(phi):
+        den = ONE
+        for l, pl in enumerate(phi):
+            if l != j:
+                den *= pj - pl
+        for i, num in enumerate(products_omitting([pj - pk for pk in phi_prime])):
+            rows[i][j] = num / den
     return Operator1(rows)
 
 

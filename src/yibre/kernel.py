@@ -191,6 +191,26 @@ def elem_syms_omitting(values: Sequence[Fraction]) -> list[list[Fraction]]:
     return table
 
 
+def products_omitting(factors: Sequence) -> list:
+    """Entry k is the product of every factor but ``factors[k]``.
+
+    Each is a prefix product over l < k times a suffix product over l > k:
+    O(n) multiplications and no division, so zero factors are allowed.
+    """
+    n = len(factors)
+    if n < 2:
+        return [ONE] * n
+    out = [factors[0]] * n              # out[k] = prod_{l < k} factors[l] for k >= 1
+    for k in range(2, n):
+        out[k] = out[k - 1] * factors[k - 1]
+    suffix = factors[n - 1]             # prod_{l > k} factors[l] for k < n - 1
+    for k in range(n - 2, 0, -1):
+        out[k] *= suffix
+        suffix *= factors[k]
+    out[0] = suffix
+    return out
+
+
 # Distinct values RationalDraw.rational can return: p/q with |p| <= 12, 1 <= q <= 8.
 DRAW_POOL = 127
 DRAW_POOL_NONZERO = 126

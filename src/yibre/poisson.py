@@ -138,29 +138,32 @@ def _poly_times_var(poly: dict, var: int) -> dict:
     return out
 
 
-def _bracket_with_monomial(br: QuadraticBracket, i: int, mono: tuple[int, int]):
-    """{x^i, x^k x^l} via the Leibniz rule, degree-3 dict."""
+def _bracket_with_monomial(pairs: dict, i: int, mono: tuple[int, int]):
+    """{x^i, x^k x^l} via the Leibniz rule, degree-3 dict; ``pairs[(i, k)]`` is ``pair(i, k)``."""
     k, l = mono
     out = {}
-    for key, v in _poly_times_var(br.pair(i, k), l).items():
+    for key, v in _poly_times_var(pairs[(i, k)], l).items():
         out[key] = out.get(key, ZERO) + v
-    for key, v in _poly_times_var(br.pair(i, l), k).items():
+    for key, v in _poly_times_var(pairs[(i, l)], k).items():
         out[key] = out.get(key, ZERO) + v
     return out
 
 
 def jacobi_residual(br: QuadraticBracket) -> dict[tuple[int, int, int], dict]:
-    """Cyclic sum {x^i,{x^j,x^k}} per triple i<j<k, as degree-3 coefficient dicts."""
+    """Cyclic sum {x^i,{x^j,x^k}} per triple i<j<k, as degree-3 coefficient dicts.
+
+    Every oriented ``pair(i, j)`` is read off the rows once per call.
+    """
     n = br.dim
+    pairs = {(i, j): br.pair(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
     out = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 total: dict = {}
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = br.pair(b, c)
-                    for mono, v in inner.items():
-                        for key, w in _bracket_with_monomial(br, a, mono).items():
+                    for mono, v in pairs[(b, c)].items():
+                        for key, w in _bracket_with_monomial(pairs, a, mono).items():
                             total[key] = total.get(key, ZERO) + v * w
                 total = {m: v for m, v in total.items() if v}
                 if total:

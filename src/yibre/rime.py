@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared,
-                     elem_syms_omitting, rat, ratvec, require_distinct)
+                     elem_syms_omitting, products_omitting, rat, ratvec, require_distinct)
 from .tensor import (Operator1, Operator2, hecke_residual, permutation_P, reshuffled_matrix,
                      row_space)
 
@@ -216,30 +216,20 @@ def quantum_trace_closed_forms(data: RimeData) -> tuple[Operator1, Operator1]:
     """Closed-form left/right quantum traces of a rime solution.
 
     Q^k_j = -beta_jk prod_{l != k} (1 - beta_jl) off the diagonal with
-    Q^j_j = prod_l (1 - beta_jl); the tilde version uses beta_lj.
+    Q^j_j = prod_l (1 - beta_jl); the tilde version uses beta_lj.  Each column
+    takes every prod_{l != k} from ``products_omitting``, which divides by no
+    factor, so beta_jl = 1 is allowed; both traces cost O(n^2) scalar operations.
     """
     n = data.dim
     q = Operator1.zero(n)
     qt = Operator1.zero(n)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            if k == j:
-                pq = ONE
-                pqt = ONE
-                for l in range(1, n + 1):
-                    pq *= ONE - data.b(j, l)
-                    pqt *= ONE - data.b(l, j)
-                q._set(k - 1, j - 1, pq)
-                qt._set(k - 1, j - 1, pqt)
-            else:
-                pq = -data.b(j, k)
-                pqt = data.b(j, k)
-                for l in range(1, n + 1):
-                    if l != k:
-                        pq *= ONE - data.b(j, l)
-                        pqt *= ONE - data.b(l, j)
-                q._set(k - 1, j - 1, pq)
-                qt._set(k - 1, j - 1, pqt)
+    for j in range(n):
+        bj = data.beta_ij[j]
+        for out, coefficient, factors in ((q, [-v for v in bj], [ONE - v for v in bj]),
+                                          (qt, bj, [ONE - row[j] for row in data.beta_ij])):
+            # factor j is 1 - beta_jj = 1, so the diagonal prod_l is rest[j]
+            for k, rest in enumerate(products_omitting(factors)):
+                out._set(k, j, rest if k == j else coefficient[k] * rest)
     return q, qt
 
 
@@ -281,26 +271,18 @@ def jordan_action_coefficients(n: int, i: int) -> tuple[Fraction, ...]:
 def _invariance_matrix(n: int, factor, coefficient) -> Operator1:
     """Y^j_j = prod_{l != j} f_jl and Y^i_j = c_ji prod_{l != i,j} f_jl (0-based).
 
-    Each column's factors f_jl = factor(j, l) are formed once, and each
-    off-diagonal product is the diagonal one divided by f_ji, taken directly
-    only where f_ji = 0: O(n^2) scalar operations instead of O(n^3).
+    Each column's factors f_jl = factor(j, l) are formed once and its products
+    omitting one factor come from ``products_omitting``, which divides by no
+    factor, so a zero f_jl is allowed: O(n^2) scalar operations instead of O(n^3).
     """
     y = Operator1.zero(n)
     for j in range(n):
-        f = {l: factor(j, l) for l in range(n) if l != j}
-        diag = ONE
-        for v in f.values():
-            diag *= v
-        y._set(j, j, diag)
-        for i, fi in f.items():
-            if fi:
-                rest = diag / fi
-            else:
-                rest = ONE
-                for l, v in f.items():
-                    if l != i:
-                        rest *= v
-            y._set(i, j, coefficient(j, i) * rest)
+        others = [l for l in range(n) if l != j]
+        f = [factor(j, l) for l in others]
+        rest = products_omitting(f)
+        y._set(j, j, rest[0] * f[0] if f else ONE)
+        for i, ri in zip(others, rest):
+            y._set(i, j, coefficient(j, i) * ri)
     return y
 
 
@@ -361,70 +343,79 @@ def invariance_generator(kind: str, params) -> Operator1:
 
 # --- full equation system for the rime Yang-Baxter Ansatz -------------------
 
-def _pair_equations():
-    """Name -> residual over an ordered pair (i,j), i != j."""
-    return {
-        "yb1": lambda d, i, j: d.a(i, j) * d.g(i, j) * (d.g(j, i) + d.gp(i, j)),
-        "yb2a": lambda d, i, j: d.a(i, j) * (d.b(i, j) * d.b(j, i) + d.g(i, j) * d.gp(i, j)),
-        "yb2b": lambda d, i, j: d.a(i, j) * (d.b(i, j) * d.b(j, i) - d.g(i, j) * d.g(j, i)),
-        "yb3a": lambda d, i, j: d.a(i, j) * d.g(i, j) * (d.a(i, j) + d.b(j, i) - d.a(j, j)),
-        "yb3b": lambda d, i, j: d.a(i, j) * d.g(i, j) * (d.a(j, i) + d.b(i, j) - d.a(j, j)),
-        "yb4": lambda d, i, j: (d.b(i, j) * (d.a(i, i) ** 2 - d.a(i, j) * d.a(j, i)
-                                             - d.a(i, i) * d.b(i, j))
-                                + (d.a(i, i) - d.b(i, j)) * d.g(i, j) * d.gp(i, j)),
-        "eI": lambda d, i, j: ((d.a(i, i) - d.a(j, j)) * d.g(i, j) ** 2
-                               + d.a(i, j) * d.g(i, j) * (d.g(i, j) + d.gp(j, i))),
-        "eI1": lambda d, i, j: (d.a(i, j) * d.b(i, j) * d.gp(j, i)
-                                + (d.a(i, i) * d.b(i, j) + d.gp(i, j) * d.g(i, j)) * d.g(i, j)),
-        "eI2a": lambda d, i, j: ((d.a(i, j) - d.a(j, i) - d.b(i, j) + d.b(j, i))
-                                 * d.g(i, j) * d.gp(j, i)),
-        "eI2b": lambda d, i, j: ((d.a(i, j) - d.a(j, i) - d.b(i, j) + d.b(j, i))
-                                 * d.b(i, j) * d.b(j, i)),
-        "eI3": lambda d, i, j: (d.a(i, j) * d.gp(j, i) * (d.a(j, j) - d.a(i, j))
-                                + d.b(j, i) * d.g(i, j) * (d.a(i, i) - d.b(j, i))
-                                + d.g(i, j) * (d.b(i, j) * d.b(j, i) + d.g(j, i) * d.gp(j, i))),
-        "eI4": lambda d, i, j: (
-            (d.a(i, i) ** 2 - d.a(i, i) * (d.a(j, i) + d.b(j, i))
-             + d.b(i, j) * d.b(j, i) - d.g(i, j) * d.g(j, i)) * d.g(i, j)
-            - (d.a(i, i) ** 2 - d.a(i, i) * (d.a(i, j) + d.b(i, j))
-               + d.b(i, j) * d.b(j, i) - d.gp(i, j) * d.gp(j, i)) * d.gp(j, i)),
-    }
+# Each equation reads padded 1-based coefficient grids: A[i][j] = alpha_ij with
+# A[i][i] = alpha_i, B[i][j] = beta_ij, G[i][j] = gamma_ij, GP[i][j] = gamma'_ij.
+
+_PAIR_EQUATIONS = {  # name -> residual over an ordered pair (i,j), i != j
+    "yb1": lambda A, B, G, GP, i, j: A[i][j] * G[i][j] * (G[j][i] + GP[i][j]),
+    "yb2a": lambda A, B, G, GP, i, j: A[i][j] * (B[i][j] * B[j][i] + G[i][j] * GP[i][j]),
+    "yb2b": lambda A, B, G, GP, i, j: A[i][j] * (B[i][j] * B[j][i] - G[i][j] * G[j][i]),
+    "yb3a": lambda A, B, G, GP, i, j: A[i][j] * G[i][j] * (A[i][j] + B[j][i] - A[j][j]),
+    "yb3b": lambda A, B, G, GP, i, j: A[i][j] * G[i][j] * (A[j][i] + B[i][j] - A[j][j]),
+    "yb4": lambda A, B, G, GP, i, j: (
+        B[i][j] * (A[i][i] ** 2 - A[i][j] * A[j][i] - A[i][i] * B[i][j])
+        + (A[i][i] - B[i][j]) * G[i][j] * GP[i][j]),
+    "eI": lambda A, B, G, GP, i, j: (
+        (A[i][i] - A[j][j]) * G[i][j] ** 2 + A[i][j] * G[i][j] * (G[i][j] + GP[j][i])),
+    "eI1": lambda A, B, G, GP, i, j: (
+        A[i][j] * B[i][j] * GP[j][i] + (A[i][i] * B[i][j] + GP[i][j] * G[i][j]) * G[i][j]),
+    "eI2a": lambda A, B, G, GP, i, j: (
+        (A[i][j] - A[j][i] - B[i][j] + B[j][i]) * G[i][j] * GP[j][i]),
+    "eI2b": lambda A, B, G, GP, i, j: (
+        (A[i][j] - A[j][i] - B[i][j] + B[j][i]) * B[i][j] * B[j][i]),
+    "eI3": lambda A, B, G, GP, i, j: (
+        A[i][j] * GP[j][i] * (A[j][j] - A[i][j])
+        + B[j][i] * G[i][j] * (A[i][i] - B[j][i])
+        + G[i][j] * (B[i][j] * B[j][i] + G[j][i] * GP[j][i])),
+    "eI4": lambda A, B, G, GP, i, j: (
+        (A[i][i] ** 2 - A[i][i] * (A[j][i] + B[j][i])
+         + B[i][j] * B[j][i] - G[i][j] * G[j][i]) * G[i][j]
+        - (A[i][i] ** 2 - A[i][i] * (A[i][j] + B[i][j])
+           + B[i][j] * B[j][i] - GP[i][j] * GP[j][i]) * GP[j][i]),
+}
+
+_TRIPLE_EQUATIONS = {  # name -> residual over an ordered triple (i,j,k) of distinct indices
+    "ee1": lambda A, B, G, GP, i, j, k: (
+        (A[i][j] - A[k][i] - B[i][j] + B[k][i]) * G[i][j] * GP[k][i]),
+    "ee2": lambda A, B, G, GP, i, j, k: (
+        A[i][j] * (B[i][j] * B[j][k] + B[i][k] * B[j][i] - B[i][k] * B[j][k])),
+    "ee3a": lambda A, B, G, GP, i, j, k: (
+        A[i][j] * (G[i][j] * G[j][k] + G[i][k] * (B[j][k] - B[j][i]))),
+    "ee3b": lambda A, B, G, GP, i, j, k: (
+        A[i][j] * (G[i][j] * GP[k][j] + G[i][k] * (B[k][j] - B[i][j]))),
+    "ee4": lambda A, B, G, GP, i, j, k: (
+        (A[i][j] * A[j][i] - A[j][k] * A[k][j]) * B[i][k]
+        + B[i][j] * B[j][k] * (B[i][j] - B[j][k])),
+    "ee5": lambda A, B, G, GP, i, j, k: (
+        (A[i][i] + B[i][k] - B[j][i]) * B[j][i] * G[i][k]
+        + G[i][k] * G[j][i] * GP[j][i]
+        + A[i][k] * (G[j][k] * GP[j][i] + B[j][k] * GP[k][i])),
+    "ee6": lambda A, B, G, GP, i, j, k: (
+        (A[i][i] + A[i][j] - A[k][j] - B[k][j]) * G[i][j] * G[i][k]
+        - G[i][k] ** 2 * G[k][j]
+        + G[i][j] * (A[i][k] * GP[k][i] - G[i][j] * GP[k][j])),
+    "ee7": lambda A, B, G, GP, i, j, k: (
+        (A[i][i] - B[k][j]) * B[i][j] * G[i][k]
+        + (B[i][k] * B[k][j] + G[i][j] * GP[i][j]) * G[i][k]
+        + A[i][k] * B[i][j] * GP[k][i]
+        - (B[i][j] - B[i][k]) * G[i][j] * GP[k][j]),
+    "ee8a": lambda A, B, G, GP, i, j, k: (
+        A[i][j] * (G[i][j] * G[j][k] + G[i][k] * (A[j][k] - A[j][i]))),
+    "ee8b": lambda A, B, G, GP, i, j, k: (
+        A[j][i] * (G[i][j] * G[j][k] + G[i][k] * (A[j][k] - A[j][i]))),
+    "ee8c": lambda A, B, G, GP, i, j, k: (
+        A[i][j] * (G[i][j] * GP[k][j] + G[i][k] * (A[k][j] - A[i][j]))),
+}
 
 
-def _triple_equations():
-    """Name -> residual over an ordered triple (i,j,k) of distinct indices."""
-    return {
-        "ee1": lambda d, i, j, k: ((d.a(i, j) - d.a(k, i) - d.b(i, j) + d.b(k, i))
-                                   * d.g(i, j) * d.gp(k, i)),
-        "ee2": lambda d, i, j, k: d.a(i, j) * (d.b(i, j) * d.b(j, k)
-                                               + d.b(i, k) * d.b(j, i)
-                                               - d.b(i, k) * d.b(j, k)),
-        "ee3a": lambda d, i, j, k: d.a(i, j) * (d.g(i, j) * d.g(j, k)
-                                                + d.g(i, k) * (d.b(j, k) - d.b(j, i))),
-        "ee3b": lambda d, i, j, k: d.a(i, j) * (d.g(i, j) * d.gp(k, j)
-                                                + d.g(i, k) * (d.b(k, j) - d.b(i, j))),
-        "ee4": lambda d, i, j, k: ((d.a(i, j) * d.a(j, i) - d.a(j, k) * d.a(k, j)) * d.b(i, k)
-                                   + d.b(i, j) * d.b(j, k) * (d.b(i, j) - d.b(j, k))),
-        "ee5": lambda d, i, j, k: ((d.a(i, i) + d.b(i, k) - d.b(j, i)) * d.b(j, i) * d.g(i, k)
-                                   + d.g(i, k) * d.g(j, i) * d.gp(j, i)
-                                   + d.a(i, k) * (d.g(j, k) * d.gp(j, i)
-                                                  + d.b(j, k) * d.gp(k, i))),
-        "ee6": lambda d, i, j, k: ((d.a(i, i) + d.a(i, j) - d.a(k, j) - d.b(k, j))
-                                   * d.g(i, j) * d.g(i, k)
-                                   - d.g(i, k) ** 2 * d.g(k, j)
-                                   + d.g(i, j) * (d.a(i, k) * d.gp(k, i)
-                                                  - d.g(i, j) * d.gp(k, j))),
-        "ee7": lambda d, i, j, k: ((d.a(i, i) - d.b(k, j)) * d.b(i, j) * d.g(i, k)
-                                   + (d.b(i, k) * d.b(k, j) + d.g(i, j) * d.gp(i, j)) * d.g(i, k)
-                                   + d.a(i, k) * d.b(i, j) * d.gp(k, i)
-                                   - (d.b(i, j) - d.b(i, k)) * d.g(i, j) * d.gp(k, j)),
-        "ee8a": lambda d, i, j, k: d.a(i, j) * (d.g(i, j) * d.g(j, k)
-                                                + d.g(i, k) * (d.a(j, k) - d.a(j, i))),
-        "ee8b": lambda d, i, j, k: d.a(j, i) * (d.g(i, j) * d.g(j, k)
-                                                + d.g(i, k) * (d.a(j, k) - d.a(j, i))),
-        "ee8c": lambda d, i, j, k: d.a(i, j) * (d.g(i, j) * d.gp(k, j)
-                                                + d.g(i, k) * (d.a(k, j) - d.a(i, j))),
-    }
+def _grids(data: RimeData) -> tuple[list[list], list[list], list[list], list[list]]:
+    """The padded 1-based grids (A, B, G, GP) the equations read; row and column 0 are 0."""
+    n = data.dim
+    pad = lambda grid: [[0] * (n + 1)] + [[0, *row] for row in grid]
+    a = pad(data.alpha_ij)
+    for i in range(1, n + 1):
+        a[i][i] = data.alpha[i - 1]
+    return a, pad(data.beta_ij), pad(data.gamma_ij), pad(data.gamma_prime_ij)
 
 
 def _cleared(data: RimeData) -> tuple[int, RimeData]:
@@ -436,34 +427,42 @@ def _cleared(data: RimeData) -> tuple[int, RimeData]:
     return den, RimeData(n, rows[0], *(tuple(rows[1 + g * n:1 + (g + 1) * n]) for g in range(4)))
 
 
-def appendix_A_residuals(data: RimeData) -> dict[str, Fraction]:
-    """Max |residual| of every equation family and its involution image.
+def _appendix_A_families(data: RimeData):
+    """Yield (name, max |residual|) family by family: pair then triple families, then
+    the same for the involution image, in the order of ``appendix_A_residuals``.
 
     Every equation is homogeneous of degree 3 in (alpha, beta, gamma, gamma'),
     so it is evaluated in ints on the data scaled by L and divided by L^3 once.
+    The involution image transposes the grids and swaps gamma with gamma'.
     """
     n = data.dim
     den, data = _cleared(data)
     cube = den ** 3
-    out: dict[str, Fraction] = {}
-    variants = {"": data, "~iota": data.iota()}
-    for suffix, d in variants.items():
-        for name, eq in _pair_equations().items():
-            worst = 0
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i != j:
-                        worst = max(worst, abs(eq(d, i, j)))
-            out[name + suffix] = Fraction(worst, cube)
-        for name, eq in _triple_equations().items():
-            worst = 0
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for k in range(1, n + 1):
-                        if len({i, j, k}) == 3:
-                            worst = max(worst, abs(eq(d, i, j, k)))
-            out[name + suffix] = Fraction(worst, cube)
-    return out
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    triples = [(i, j, k) for i, j in pairs for k in range(1, n + 1) if k != i and k != j]
+    a, b, g, gp = _grids(data)
+    tr = lambda grid: [list(col) for col in zip(*grid)]
+    for suffix, (A, B, G, GP) in (("", (a, b, g, gp)), ("~iota", (tr(a), tr(b), tr(gp), tr(g)))):
+        for name, eq in _PAIR_EQUATIONS.items():
+            worst = max((abs(eq(A, B, G, GP, i, j)) for i, j in pairs), default=0)
+            yield name + suffix, Fraction(worst, cube)
+        for name, eq in _TRIPLE_EQUATIONS.items():
+            worst = max((abs(eq(A, B, G, GP, i, j, k)) for i, j, k in triples), default=0)
+            yield name + suffix, Fraction(worst, cube)
+
+
+def appendix_A_residuals(data: RimeData) -> dict[str, Fraction]:
+    """Max |residual| of every equation family and its involution image.
+
+    Each family reads the coefficient grids directly: O(n^2) pair and O(n^3)
+    triple evaluations, in ints, with no accessor call per coefficient.
+    """
+    return dict(_appendix_A_families(data))
+
+
+def appendix_A_violated(data: RimeData) -> bool:
+    """Whether any family of ``appendix_A_residuals`` is nonzero; stops at the first that is."""
+    return any(worst for _, worst in _appendix_A_families(data))
 
 
 # --- quantum spaces ----------------------------------------------------------

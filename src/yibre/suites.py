@@ -302,16 +302,16 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
                 "product": (qc @ qtc) - Operator1.identity(n).scale((ONE - p.beta) ** (n - 1))}
 
     def eig_q(p):
+        # w_a is column a of one elem_syms_omitting table: (w_a)^j = e_a^jhat
         out = {}
-        for a in range(n):
-            w = rime.eigenvector_w(p.phi, a)
+        for a, w in enumerate(zip(*elem_syms_omitting(p.phi))):
             lam = (ONE - p.beta) ** (n - 1 - a)
             out[f"w{a}"] = [x - lam * y for x, y in zip(p.q[0].apply(w), w)]
         return out
 
     def jordan_q(p):
         out = {}
-        ws = [rime.eigenvector_w(p.mu, s) for s in range(n)]
+        ws = list(zip(*elem_syms_omitting(p.mu)))
         for i in range(n):
             coeffs = rime.jordan_action_coefficients(n, i)
             rhs = [sum((coeffs[s] * ws[s][j] for s in range(n)), ZERO) for j in range(n)]
@@ -406,7 +406,7 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
                   rime.appendix_A_residuals),
             Check(f"appendix-mutation-detected[{d}]", "yb1..ee3",
                   lambda p: p.data.replace_entry("beta_ij", 1, 2, p.data.b(1, 2) + 7),
-                  lambda bad: any(v != 0 for v in rime.appendix_A_residuals(bad).values()),
+                  rime.appendix_A_violated,
                   mutable=False),
             Check(f"gamma-pairing[{d}]", "subst", lambda p: p.data,
                   lambda data: {"pairing": [data.gp(i, j) + data.g(j, i) for i in range(1, n + 1)
@@ -534,11 +534,14 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
                 in (rime.RimeClass.RIME_NON_STRICT, rime.RimeClass.RIME_STRICT)}
 
     def xty(p):
+        # rowspace((R - 1) X1 X2) = rowspace(R - 1) X1 X2: reduce the n(n-1)/2
+        # independent relations first, map only those, then reduce again
         rr = rime.strict_rime_R(p.phis, 1 - qi)
         x, _ = cg.x_change_of_basis(p.phis)
-        shifted = tensor.signed_products([(1, rr.scalar_shift(-1), tensor.op1_on_leg2(x, 1),
-                                           tensor.op1_on_leg2(x, 2))])
-        return (tensor.row_space(n, shifted.data.values())
+        plane = tensor.row_space(n, rr.scalar_shift(-1).data.values())
+        mapped = tensor.signed_products([(1, plane, tensor.op1_on_leg2(x, 1),
+                                          tensor.op1_on_leg2(x, 2))])
+        return (tensor.row_space(n, mapped.data.values())
                 - tensor.row_space(n, p.rcg.scalar_shift(-1).data.values()))
 
     return checks + Block(draw, rcg=lambda p: cg.cg_matrix(cg.CGParams(n, qi, 1)),

@@ -6,14 +6,15 @@ yibre's fast forms with them, on passing inputs and on bumped ones.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Sequence
 
-from yibre import classical
+from yibre import bezout, classical, rime
 from yibre.bezout import B, B0, RS, RotaBaxterMap, _sweep_units
 from yibre.kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, elem_syms,
-                          rat, ratvec, require_distinct)
-from yibre.tensor import (Operator1, Operator2, Operator3, lift, reshuffled_matrix,
-                          signed_products)
+                          rat, ratvec, require_distinct, theta)
+from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift, op1_on_leg2,
+                          reshuffled_matrix, row_space, signed_products, wedge)
 
 
 def dense_grid(op) -> list[list]:
@@ -233,3 +234,432 @@ def generating_function_per_entry(phi) -> list[list[Fraction]]:
     n = len(phi)
     return [[elem_sym(phi, j) - elem_sym_omit(phi, j, i) - phi[i - 1] * elem_sym_omit(phi, j - 1, i)
              for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def conjugate2_dense(r, t):
+    """``conjugate2`` with T (x) T and its inverse formed as dense Kronecker products."""
+    tinv = t.inverse()
+    return signed_products([(1, kron11(t, t), r, kron11(tinv, tinv))])
+
+
+def equivalence_dense(lhs, rhs, t):
+    """``equivalence_residual`` through the dense T (x) T."""
+    tt = kron11(t, t)
+    return signed_products([(1, lhs, tt), (-1, tt, rhs)])
+
+
+def lambda_bcg_gram_brackets(n):
+    """``lambda_bcg_gram`` with each pair's bracket formed whole, then lambda read off it."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    shift = Operator1.identity(n).scale(Fraction(1, n))
+    zt = [classical.carrier_Z(n, i, j) + shift for (i, j) in pairs]
+    m = len(pairs)
+    g = Operator1.zero(m)
+    for a in range(m):
+        for b in range(a + 1, m):
+            bracket = signed_products([(1, zt[a], zt[b]), (-1, zt[b], zt[a])])
+            v = sum((bracket._get(i, i + 1) for i in range(n - 1)), ZERO)
+            g._set(a, b, v)
+            g._set(b, a, -v)
+    return g
+
+
+# --- the one-pass constructors as their repeated-+ sums -------------------------
+# Each builds its operator one Kronecker or wedge term at a time with ``+``.
+
+def summed_rime_nonskew_r(phi):
+    n, u = len(phi), Operator1.unit
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                c = phi[i - 1] / (phi[i - 1] - phi[j - 1])
+                term = (kron11(u(n, i, j), u(n, j, i)) - kron11(u(n, i, i), u(n, j, j))
+                        + wedge(u(n, i, i), u(n, i, j)))
+                r = r + term.scale(c)
+    return r
+
+
+def summed_rcg_r(n, shifted=lambda u: u):
+    u = Operator1.unit
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for s in range(1, j - i + 1):
+                r = r + kron11(shifted(u(n, i + s - 1, j)), shifted(u(n, j - s + 1, i)))
+                r = r - kron11(shifted(u(n, i + s - 1, i)), shifted(u(n, j - s + 1, j)))
+    return r
+
+
+def summed_rcg_prime_r(n):
+    u = Operator1.unit
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for s in range(1, j - i + 1):
+                r = r + kron11(u(n, i, j - s + 1), u(n, j, i + s - 1))
+                r = r - kron11(u(n, j, j - s + 1), u(n, i, i + s - 1))
+    return r
+
+
+def summed_b_skew_r(n, shifted=lambda u: u):
+    u = Operator1.unit
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(1, j - i + 1):
+                r = r + wedge(shifted(u(n, i + k, i)), shifted(u(n, j - k + 1, j)))
+    return r
+
+
+def summed_b_cg_r(n):
+    r, ident = summed_b_skew_r(n), Operator1.identity(n)
+    for j in range(1, n):
+        r = r + wedge(ident, Operator1.unit(n, j + 1, j)).scale(1 - Fraction(j, n))
+    return r
+
+
+def summed_rime_skew_r(mu, shift=None):
+    n = len(mu)
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            a, b = classical.carrier_Z(n, i, j), classical.carrier_Z(n, j, i)
+            if shift is not None:
+                a, b = a + shift, b + shift
+            r = r + wedge(a, b).scale(1 / (mu[i - 1] - mu[j - 1]))
+    return r
+
+
+def summed_invariance_eta0_b(n):
+    eta = Operator1.zero(n)
+    for j in range(1, n):
+        eta = eta + Operator1.unit(n, j + 1, j).scale(n - j)
+    return eta
+
+
+def summed_representation_change_residual(n, c, kind):
+    ident = Operator1.identity(n)
+    shifted = lambda u: classical._shifted(u, c)
+    if kind == classical.R_CG:
+        eta = classical.invariance_eta_cg(n)
+        expected = (summed_rcg_r(n) + (kron11(eta, ident) - kron11(ident, eta)
+                                       - Operator2.identity(n).scale(n - 1)).scale(c)
+                    - Operator2.identity(n).scale(c * c * Fraction(n * (n - 1), 2)))
+        return summed_rcg_r(n, shifted) - expected
+    expected = summed_b_skew_r(n) + wedge(summed_invariance_eta0_b(n), ident).scale(c)
+    return summed_b_skew_r(n, shifted) - expected
+
+
+def summed_tilde_difference_residual(mu):
+    n = len(mu)
+    x, _ = classical.x_change_of_basis(mu)
+    lhs_factor = Operator1.zero(n)
+    for j in range(1, n):
+        lhs_factor = lhs_factor + Operator1.unit(n, j + 1, j).scale(1 - Fraction(j, n))
+    rhs_factor = Operator1.zero(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                rhs_factor = rhs_factor + classical.carrier_Z(n, j, i).scale(
+                    1 / (mu[i - 1] - mu[j - 1]))
+    return x @ lhs_factor - rhs_factor.scale(Fraction(1, n)) @ x
+
+
+def summed_closed_form_operator(kind, n):
+    u = Operator1.unit
+    out = Operator2(n)
+    if kind == bezout.BTILDE:
+        return (summed_closed_form_operator(bezout.B, n)
+                - Operator2.identity(n).scale(Fraction(1, 2)))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if kind == bezout.B0 and j > i:
+                for a in range(1, j - i + 1):
+                    out = out + wedge(u(n, j, i + a - 1), u(n, i, j - a))
+            elif kind == bezout.B and j > i:
+                for a in range(1, j - i):
+                    out = out + wedge(u(n, j, i + a), u(n, i, j - a))
+                out = out + kron11(u(n, j, j), u(n, i, i)) - kron11(u(n, i, j), u(n, j, i))
+            elif kind == bezout.RS and i > j:
+                out = out + kron11(u(n, i, i), u(n, j, j))
+            elif kind == bezout.RS and i < j:
+                out = out - kron11(u(n, i, j), u(n, j, i))
+    return out
+
+def summed_gl2_homomorphism(kind: str) -> list[Operator1]:
+    """``gl2_isomorphism_check(kind)["homomorphism"]``: each image of a star product summed
+    entry by entry with ``+``, over every ordered pair of units of Mat(2)."""
+    images, alpha = {bezout.B0: (bezout.GL3_IMAGES_B0, 0),
+                     bezout.B: (bezout.GL3_IMAGES_B, -1)}[kind]
+    rb = bezout.rota_baxter(bezout.bezout_operator(kind, 2))
+    units = {(i, j): Operator1.unit(2, i, j) for i in (1, 2) for j in (1, 2)}
+    out = []
+    for (iu, ju), u in units.items():
+        for (iv, jv), w in units.items():
+            star = bezout.star_product(u, w, rb, alpha)
+            img = Operator1.zero(3)
+            for a in (1, 2):
+                for b in (1, 2):
+                    img = img + images[(a, b)].scale(star._get(b - 1, a - 1))
+            out.append(img - images[(iu, ju)] @ images[(iv, jv)])
+    return out
+
+
+# --- the phi-family scalar layer with one O(n) product per entry ---------------
+
+def invariance_Y_loops(phi, u, v):
+    """``invariance_Y`` with every entry as its own product over l."""
+    n = len(phi)
+    y = Operator1.zero(n)
+    for j in range(1, n + 1):
+        diag = ONE
+        for l in range(1, n + 1):
+            if l != j:
+                diag *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
+        y._set(j - 1, j - 1, diag)
+        for i in range(1, n + 1):
+            if i != j:
+                val = (u - v) * phi[j - 1] / (phi[j - 1] - phi[i - 1])
+                for l in range(1, n + 1):
+                    if l != i and l != j:
+                        val *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
+                y._set(i - 1, j - 1, val)
+    return y
+
+
+def invariance_Y0_loops(mu, a):
+    """``invariance_Y0`` with every entry as its own product over l."""
+    n = len(mu)
+    y = Operator1.zero(n)
+    for j in range(1, n + 1):
+        diag = ONE
+        for l in range(1, n + 1):
+            if l != j:
+                diag *= ONE + a / (mu[j - 1] - mu[l - 1])
+        y._set(j - 1, j - 1, diag)
+        for i in range(1, n + 1):
+            if i != j:
+                val = a / (mu[j - 1] - mu[i - 1])
+                for l in range(1, n + 1):
+                    if l != i and l != j:
+                        val *= ONE + a / (mu[j - 1] - mu[l - 1])
+                y._set(i - 1, j - 1, val)
+    return y
+
+
+def x_inverse_per_entry(phi) -> Operator1:
+    """Lagrange's X(phi)^-1, every entry with its own denominator and power of phi_i."""
+    phi = ratvec(phi)
+    n = len(phi)
+    rows = []
+    for j in range(1, n + 1):
+        row = []
+        for i in range(1, n + 1):
+            denom = ONE
+            for k in range(1, n + 1):
+                if k != i:
+                    denom *= phi[i - 1] - phi[k - 1]
+            row.append((-ONE) ** (j - 1) * phi[i - 1] ** (n - j) / denom)
+        rows.append(row)
+    return Operator1(rows)
+
+
+def phi_transition_per_entry(phi, phi_prime) -> Operator1:
+    """X(phi') X(phi)^-1, every entry's numerator and denominator as its own product."""
+    phi, phi_prime = ratvec(phi), ratvec(phi_prime)
+    n = len(phi)
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            num = ONE
+            for k in range(1, n + 1):
+                if k != i:
+                    num *= phi[j - 1] - phi_prime[k - 1]
+            den = ONE
+            for l in range(1, n + 1):
+                if l != j:
+                    den *= phi[j - 1] - phi[l - 1]
+            row.append(num / den)
+        rows.append(row)
+    return Operator1(rows)
+
+
+def quantum_trace_closed_forms_per_entry(data) -> tuple[Operator1, Operator1]:
+    """The closed-form quantum traces, every entry as its own product over l."""
+    n = data.dim
+    q = Operator1.zero(n)
+    qt = Operator1.zero(n)
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            if k == j:
+                pq = ONE
+                pqt = ONE
+                for l in range(1, n + 1):
+                    pq *= ONE - data.b(j, l)
+                    pqt *= ONE - data.b(l, j)
+            else:
+                pq = -data.b(j, k)
+                pqt = data.b(j, k)
+                for l in range(1, n + 1):
+                    if l != k:
+                        pq *= ONE - data.b(j, l)
+                        pqt *= ONE - data.b(l, j)
+            q._set(k - 1, j - 1, pq)
+            qt._set(k - 1, j - 1, pqt)
+    return q, qt
+
+
+def cg_matrix_per_entry(params) -> Operator2:
+    """R_CG with every power of q^-2 and p taken afresh for its entry."""
+    n, qi, p = params.dim, params.qsq_inv, params.p
+    r = Operator2(n)
+    one_minus = ONE - qi
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            r.add_to(i, j, j, i, (qi ** theta(i, j)) * p ** (i - j))
+            for s in range(i, j):
+                l = i + j - s
+                if 1 <= l <= n:
+                    r.add_to(i, j, s, l, one_minus * p ** (i - s))
+            for s in range(j + 1, i):
+                l = i + j - s
+                if 1 <= l <= n:
+                    r.add_to(i, j, s, l, -one_minus * p ** (i - s))
+    return r
+
+
+def eigenvector_residuals_per_call(phi, beta, q: Operator1) -> dict[str, list]:
+    """Q w_a - (1 - beta)^(n-1-a) w_a, each w_a from its own ``eigenvector_w`` call."""
+    n = len(phi)
+    out = {}
+    for a in range(n):
+        w = rime.eigenvector_w(phi, a)
+        lam = (ONE - beta) ** (n - 1 - a)
+        out[f"w{a}"] = [x - lam * y for x, y in zip(q.apply(w), w)]
+    return out
+
+
+def jordan_action_residuals_per_call(mu, q: Operator1) -> dict[str, list]:
+    """Q w_i - sum_s binom(n-1-s, i-s) w_s, each w_s from its own ``eigenvector_w`` call."""
+    n = len(mu)
+    out = {}
+    ws = [rime.eigenvector_w(mu, s) for s in range(n)]
+    for i in range(n):
+        coeffs = rime.jordan_action_coefficients(n, i)
+        rhs = [sum((coeffs[s] * ws[s][j] for s in range(n)), ZERO) for j in range(n)]
+        out[f"w{i}"] = [x - y for x, y in zip(q.apply(ws[i]), rhs)]
+    return out
+
+
+# The rime YBE equation system of appendix A through the RimeData accessors.
+
+PAIR_EQUATIONS_BY_ACCESSOR = {
+    "yb1": lambda d, i, j: d.a(i, j) * d.g(i, j) * (d.g(j, i) + d.gp(i, j)),
+    "yb2a": lambda d, i, j: d.a(i, j) * (d.b(i, j) * d.b(j, i) + d.g(i, j) * d.gp(i, j)),
+    "yb2b": lambda d, i, j: d.a(i, j) * (d.b(i, j) * d.b(j, i) - d.g(i, j) * d.g(j, i)),
+    "yb3a": lambda d, i, j: d.a(i, j) * d.g(i, j) * (d.a(i, j) + d.b(j, i) - d.a(j, j)),
+    "yb3b": lambda d, i, j: d.a(i, j) * d.g(i, j) * (d.a(j, i) + d.b(i, j) - d.a(j, j)),
+    "yb4": lambda d, i, j: (d.b(i, j) * (d.a(i, i) ** 2 - d.a(i, j) * d.a(j, i)
+                                         - d.a(i, i) * d.b(i, j))
+                            + (d.a(i, i) - d.b(i, j)) * d.g(i, j) * d.gp(i, j)),
+    "eI": lambda d, i, j: ((d.a(i, i) - d.a(j, j)) * d.g(i, j) ** 2
+                           + d.a(i, j) * d.g(i, j) * (d.g(i, j) + d.gp(j, i))),
+    "eI1": lambda d, i, j: (d.a(i, j) * d.b(i, j) * d.gp(j, i)
+                            + (d.a(i, i) * d.b(i, j) + d.gp(i, j) * d.g(i, j)) * d.g(i, j)),
+    "eI2a": lambda d, i, j: ((d.a(i, j) - d.a(j, i) - d.b(i, j) + d.b(j, i))
+                             * d.g(i, j) * d.gp(j, i)),
+    "eI2b": lambda d, i, j: ((d.a(i, j) - d.a(j, i) - d.b(i, j) + d.b(j, i))
+                             * d.b(i, j) * d.b(j, i)),
+    "eI3": lambda d, i, j: (d.a(i, j) * d.gp(j, i) * (d.a(j, j) - d.a(i, j))
+                            + d.b(j, i) * d.g(i, j) * (d.a(i, i) - d.b(j, i))
+                            + d.g(i, j) * (d.b(i, j) * d.b(j, i) + d.g(j, i) * d.gp(j, i))),
+    "eI4": lambda d, i, j: (
+        (d.a(i, i) ** 2 - d.a(i, i) * (d.a(j, i) + d.b(j, i))
+         + d.b(i, j) * d.b(j, i) - d.g(i, j) * d.g(j, i)) * d.g(i, j)
+        - (d.a(i, i) ** 2 - d.a(i, i) * (d.a(i, j) + d.b(i, j))
+           + d.b(i, j) * d.b(j, i) - d.gp(i, j) * d.gp(j, i)) * d.gp(j, i)),
+}
+
+TRIPLE_EQUATIONS_BY_ACCESSOR = {
+    "ee1": lambda d, i, j, k: ((d.a(i, j) - d.a(k, i) - d.b(i, j) + d.b(k, i))
+                               * d.g(i, j) * d.gp(k, i)),
+    "ee2": lambda d, i, j, k: d.a(i, j) * (d.b(i, j) * d.b(j, k)
+                                           + d.b(i, k) * d.b(j, i)
+                                           - d.b(i, k) * d.b(j, k)),
+    "ee3a": lambda d, i, j, k: d.a(i, j) * (d.g(i, j) * d.g(j, k)
+                                            + d.g(i, k) * (d.b(j, k) - d.b(j, i))),
+    "ee3b": lambda d, i, j, k: d.a(i, j) * (d.g(i, j) * d.gp(k, j)
+                                            + d.g(i, k) * (d.b(k, j) - d.b(i, j))),
+    "ee4": lambda d, i, j, k: ((d.a(i, j) * d.a(j, i) - d.a(j, k) * d.a(k, j)) * d.b(i, k)
+                               + d.b(i, j) * d.b(j, k) * (d.b(i, j) - d.b(j, k))),
+    "ee5": lambda d, i, j, k: ((d.a(i, i) + d.b(i, k) - d.b(j, i)) * d.b(j, i) * d.g(i, k)
+                               + d.g(i, k) * d.g(j, i) * d.gp(j, i)
+                               + d.a(i, k) * (d.g(j, k) * d.gp(j, i)
+                                              + d.b(j, k) * d.gp(k, i))),
+    "ee6": lambda d, i, j, k: ((d.a(i, i) + d.a(i, j) - d.a(k, j) - d.b(k, j))
+                               * d.g(i, j) * d.g(i, k)
+                               - d.g(i, k) ** 2 * d.g(k, j)
+                               + d.g(i, j) * (d.a(i, k) * d.gp(k, i)
+                                              - d.g(i, j) * d.gp(k, j))),
+    "ee7": lambda d, i, j, k: ((d.a(i, i) - d.b(k, j)) * d.b(i, j) * d.g(i, k)
+                               + (d.b(i, k) * d.b(k, j) + d.g(i, j) * d.gp(i, j)) * d.g(i, k)
+                               + d.a(i, k) * d.b(i, j) * d.gp(k, i)
+                               - (d.b(i, j) - d.b(i, k)) * d.g(i, j) * d.gp(k, j)),
+    "ee8a": lambda d, i, j, k: d.a(i, j) * (d.g(i, j) * d.g(j, k)
+                                            + d.g(i, k) * (d.a(j, k) - d.a(j, i))),
+    "ee8b": lambda d, i, j, k: d.a(j, i) * (d.g(i, j) * d.g(j, k)
+                                            + d.g(i, k) * (d.a(j, k) - d.a(j, i))),
+    "ee8c": lambda d, i, j, k: d.a(i, j) * (d.g(i, j) * d.gp(k, j)
+                                            + d.g(i, k) * (d.a(k, j) - d.a(i, j))),
+}
+
+
+def appendix_A_per_accessor(data) -> dict[str, Fraction]:
+    """Max |residual| of every family and its involution image, on the Fractions directly,
+    one accessor call per coefficient read."""
+    n = data.dim
+    out = {}
+    for suffix, d in {"": data, "~iota": data.iota()}.items():
+        for arity, eqs in ((2, PAIR_EQUATIONS_BY_ACCESSOR), (3, TRIPLE_EQUATIONS_BY_ACCESSOR)):
+            for name, eq in eqs.items():
+                out[name + suffix] = max((abs(eq(d, *idx))
+                                          for idx in permutations(range(1, n + 1), arity)),
+                                         default=ZERO)
+    return out
+
+
+def xty_mapped_all_rows(r: Operator2, x: Operator1) -> Operator2:
+    """The row space of (R - 1)(X (x) X), every one of its n^2 rows eliminated."""
+    n = r.dim
+    shifted = signed_products([(1, r.scalar_shift(-1), op1_on_leg2(x, 1), op1_on_leg2(x, 2))])
+    return row_space(n, shifted.data.values())
+
+
+def jacobi_residual_per_call(br) -> dict:
+    """``poisson.jacobi_residual`` with ``br.pair`` read afresh for every monomial."""
+    n = br.dim
+
+    def with_monomial(i, mono):
+        k, l = mono
+        out = {}
+        for poly, var in ((br.pair(i, k), l), (br.pair(i, l), k)):
+            for (a, b), v in poly.items():
+                key = tuple(sorted((a, b, var)))
+                out[key] = out.get(key, ZERO) + v
+        return out
+
+    res = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                total: dict = {}
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for mono, v in br.pair(b, c).items():
+                        for key, w in with_monomial(a, mono).items():
+                            total[key] = total.get(key, ZERO) + v * w
+                total = {m: v for m, v in total.items() if v}
+                if total:
+                    res[(i, j, k)] = total
+    return res

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from yibre import cg, kernel
+from yibre import cg, kernel, rime, suites
 from yibre.cg import (CGParams, cg_equivalence_residual, cg_matrix,
                       cg_plane_relations, cg_symmetry_residual,
                       d_twist_conjugate, d_twist_matrix,
@@ -15,7 +16,8 @@ from yibre.suites import run_suite
 from yibre.tensor import (Operator1, Operator2, conjugate2, hecke_residual,
                           kron11, row_space, yb_residual)
 
-from reference import generating_function_per_entry
+from reference import (cg_matrix_per_entry, generating_function_per_entry, phi_transition_per_entry,
+                       x_inverse_per_entry, xty_mapped_all_rows)
 
 Q = F(1, 4)
 
@@ -217,3 +219,68 @@ def test_plane_checks_fault_name_their_entry(monkeypatch):
     assert got["cg-quantum-plane"].status == got["xty-ideal-map"].status == "fail"
     assert got["cg-quantum-plane"].residual_witness == {"index": "1,2|2,1", "value": "4"}
     assert got["xty-ideal-map"].residual_witness == {"index": "1,2|2,1", "value": "-4"}
+
+
+# --- the O(n^2) closed forms against their per-entry references -------------------
+
+def _with_zero(v):
+    """The vector with its last entry set to 0, unless it already holds a 0."""
+    return v if 0 in v else v[:-1] + (F(0),)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_x_inverse_matches_the_per_entry_lagrange_form(n):
+    rd = RationalDraw(800 + n)
+    for phi in (rd.vector(n), _with_zero(rd.vector(n)), ratvec(range(n))):
+        x, xinv = x_change_of_basis(phi)
+        assert xinv == x_inverse_per_entry(phi)
+        assert x == Operator1(elem_syms_omitting(phi))
+
+
+def _transition_pairs(n: int, rd: RationalDraw):
+    """Unrelated vectors, a zero phi_j, and phi' sharing values with phi at other
+    indices (phi_j = phi'_i with i != j) or at every index (phi' = phi)."""
+    phi = rd.vector(n)
+    yield phi, rd.vector(n)
+    yield _with_zero(rd.vector(n)), rd.vector(n)
+    fresh = next(x for x in (F(k, 13) for k in range(1, 100)) if x not in phi)
+    yield phi, phi[1:] + (fresh,)
+    yield phi, phi[::-1]
+    yield phi, phi
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_phi_transition_matches_the_per_entry_products(n):
+    rd = RationalDraw(850 + n)
+    for phi, phi_prime in _transition_pairs(n, rd):
+        got = phi_transition(phi, phi_prime)
+        assert got == phi_transition_per_entry(phi, phi_prime)
+        assert got == x_change_of_basis(phi_prime)[0] @ x_change_of_basis(phi)[1]
+    assert phi_transition(phi, phi) == Operator1.identity(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cg_matrix_matches_the_per_entry_powers(n):
+    rd = RationalDraw(870 + n)
+    for qi, p in ((rd.rational(), rd.rational()), (Q, 1), (rd.rational(), -1), (2, F(-3, 5))):
+        params = CGParams(n, qi, p)
+        assert cg_matrix(params) == cg_matrix_per_entry(params)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_xty_check_reduces_the_plane_before_mapping(n, monkeypatch):
+    """rowspace((R - 1) X1 X2) = rowspace(R - 1) X1 X2, also for an R that is not rime."""
+    rd = RationalDraw(880 + n)
+    xty = next(c for c in suites.cg_suite(n, RationalDraw(n), 1) if c.name == "xty-ideal-map")
+    phi = rd.vector(n)
+    x, _ = x_change_of_basis(phi)
+    for r in (strict_rime_R(phi, 1 - Q),
+              Operator2.from_dense(n, [[rd.rational() if rd.int_in(0, 2) == 0 else 0
+                                        for _ in range(n * n)] for _ in range(n * n)])):
+        monkeypatch.setattr(rime, "strict_rime_R", lambda phis, beta, r=r: r)
+        # an identity rcg contributes no relations, so the residual is the mapped space itself
+        got = xty.residual(SimpleNamespace(phis=phi, rcg=Operator2.identity(n)))
+        assert got == xty_mapped_all_rows(r, x)
+        rcg = cg_matrix(CGParams(n, Q, 1))
+        got = xty.residual(SimpleNamespace(phis=phi, rcg=rcg))
+        assert got == xty_mapped_all_rows(r, x) - row_space(n, rcg.scalar_shift(-1).data.values())

@@ -17,10 +17,13 @@ from yibre.cg import CGParams, cg_matrix, x_change_of_basis
 from yibre.kernel import InvalidInputError, RationalDraw
 from yibre.suites import _is_zero
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
-                          cybe_residual, hecke_residual, kron11, permutation_P,
-                          signed_products, wedge, yb_residual)
+                          cybe_residual, hecke_residual, permutation_P, wedge, yb_residual)
 
-from reference import carrier_coboundary_per_pair
+from reference import (carrier_coboundary_per_pair, lambda_bcg_gram_brackets, summed_b_cg_r,
+                       summed_b_skew_r, summed_closed_form_operator, summed_gl2_homomorphism,
+                       summed_invariance_eta0_b, summed_rcg_prime_r, summed_rcg_r,
+                       summed_representation_change_residual, summed_rime_nonskew_r,
+                       summed_rime_skew_r, summed_tilde_difference_residual)
 
 
 def test_rime_nonskew_frozen_block():
@@ -224,26 +227,10 @@ def test_lambda_bcg_gram():
         assert lambda_bcg_gram(n).det() != 0
 
 
-def _lambda_bcg_gram_brackets(n):
-    """The former lambda_bcg_gram: each pair's bracket formed whole, then lambda read off it."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    shift = Operator1.identity(n).scale(F(1, n))
-    zt = [carrier_Z(n, i, j) + shift for (i, j) in pairs]
-    m = len(pairs)
-    g = Operator1.zero(m)
-    for a in range(m):
-        for b in range(a + 1, m):
-            bracket = signed_products([(1, zt[a], zt[b]), (-1, zt[b], zt[a])])
-            v = sum((bracket._get(i, i + 1) for i in range(n - 1)), F(0))
-            g._set(a, b, v)
-            g._set(b, a, -v)
-    return g
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_lambda_bcg_gram_matches_the_bracket_form(n):
     """Entry by entry: the suite's check reads only det != 0, which cannot see a changed G."""
-    got, want = lambda_bcg_gram(n), _lambda_bcg_gram_brackets(n)
+    got, want = lambda_bcg_gram(n), lambda_bcg_gram_brackets(n)
     m = n * (n - 1)
     assert got.dim == want.dim == m
     for a in range(1, m + 1):
@@ -258,126 +245,7 @@ def test_tilde_difference_identity():
         assert tilde_difference_residual(rd.vector(n, distinct=True)).is_zero()
 
 
-# --- the one-pass constructors against their old repeated-+ forms -------------
-
-def _old_rime_nonskew_r(phi):
-    n, u = len(phi), Operator1.unit
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                c = phi[i - 1] / (phi[i - 1] - phi[j - 1])
-                term = (kron11(u(n, i, j), u(n, j, i)) - kron11(u(n, i, i), u(n, j, j))
-                        + wedge(u(n, i, i), u(n, i, j)))
-                r = r + term.scale(c)
-    return r
-
-
-def _old_rcg_r(n, shifted=lambda u: u):
-    u = Operator1.unit
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for s in range(1, j - i + 1):
-                r = r + kron11(shifted(u(n, i + s - 1, j)), shifted(u(n, j - s + 1, i)))
-                r = r - kron11(shifted(u(n, i + s - 1, i)), shifted(u(n, j - s + 1, j)))
-    return r
-
-
-def _old_rcg_prime_r(n):
-    u = Operator1.unit
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for s in range(1, j - i + 1):
-                r = r + kron11(u(n, i, j - s + 1), u(n, j, i + s - 1))
-                r = r - kron11(u(n, j, j - s + 1), u(n, i, i + s - 1))
-    return r
-
-
-def _old_b_skew_r(n, shifted=lambda u: u):
-    u = Operator1.unit
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, j - i + 1):
-                r = r + wedge(shifted(u(n, i + k, i)), shifted(u(n, j - k + 1, j)))
-    return r
-
-
-def _old_b_cg_r(n):
-    r, ident = _old_b_skew_r(n), Operator1.identity(n)
-    for j in range(1, n):
-        r = r + wedge(ident, Operator1.unit(n, j + 1, j)).scale(1 - F(j, n))
-    return r
-
-
-def _old_rime_skew_r(mu, shift=None):
-    n = len(mu)
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a, b = carrier_Z(n, i, j), carrier_Z(n, j, i)
-            if shift is not None:
-                a, b = a + shift, b + shift
-            r = r + wedge(a, b).scale(1 / (mu[i - 1] - mu[j - 1]))
-    return r
-
-
-def _old_invariance_eta0_b(n):
-    eta = Operator1.zero(n)
-    for j in range(1, n):
-        eta = eta + Operator1.unit(n, j + 1, j).scale(n - j)
-    return eta
-
-
-def _old_representation_change_residual(n, c, kind):
-    ident = Operator1.identity(n)
-    shifted = lambda u: classical._shifted(u, c)  # noqa: E731
-    if kind == R_CG:
-        eta = invariance_eta_cg(n)
-        expected = (_old_rcg_r(n) + (kron11(eta, ident) - kron11(ident, eta)
-                                     - Operator2.identity(n).scale(n - 1)).scale(c)
-                    - Operator2.identity(n).scale(c * c * F(n * (n - 1), 2)))
-        return _old_rcg_r(n, shifted) - expected
-    expected = _old_b_skew_r(n) + wedge(_old_invariance_eta0_b(n), ident).scale(c)
-    return _old_b_skew_r(n, shifted) - expected
-
-
-def _old_tilde_difference_residual(mu):
-    n = len(mu)
-    x, _ = classical.x_change_of_basis(mu)
-    lhs_factor = Operator1.zero(n)
-    for j in range(1, n):
-        lhs_factor = lhs_factor + Operator1.unit(n, j + 1, j).scale(1 - F(j, n))
-    rhs_factor = Operator1.zero(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                rhs_factor = rhs_factor + carrier_Z(n, j, i).scale(1 / (mu[i - 1] - mu[j - 1]))
-    return x @ lhs_factor - rhs_factor.scale(F(1, n)) @ x
-
-
-def _old_closed_form_operator(kind, n):
-    u = Operator1.unit
-    out = Operator2(n)
-    if kind == bezout.BTILDE:
-        return _old_closed_form_operator(bezout.B, n) - Operator2.identity(n).scale(F(1, 2))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if kind == bezout.B0 and j > i:
-                for a in range(1, j - i + 1):
-                    out = out + wedge(u(n, j, i + a - 1), u(n, i, j - a))
-            elif kind == bezout.B and j > i:
-                for a in range(1, j - i):
-                    out = out + wedge(u(n, j, i + a), u(n, i, j - a))
-                out = out + kron11(u(n, j, j), u(n, i, i)) - kron11(u(n, i, j), u(n, j, i))
-            elif kind == bezout.RS and i > j:
-                out = out + kron11(u(n, i, i), u(n, j, j))
-            elif kind == bezout.RS and i < j:
-                out = out - kron11(u(n, i, j), u(n, j, i))
-    return out
-
+# --- the one-pass constructors against their repeated-+ sums ----------------
 
 def _skewed_x(mu):
     """x_change_of_basis with X bumped at one entry, so the tilde residual is nonzero."""
@@ -386,23 +254,23 @@ def _skewed_x(mu):
 
 
 _ONE_PASS_CASES = {
-    "rime-nonskew": (lambda n, v, c: rime_nonskew_r(v), lambda n, v, c: _old_rime_nonskew_r(v)),
-    "r-cg": (lambda n, v, c: rcg_r(n), lambda n, v, c: _old_rcg_r(n)),
-    "r-cg-prime": (lambda n, v, c: rcg_prime_r(n), lambda n, v, c: _old_rcg_prime_r(n)),
-    "b-skew": (lambda n, v, c: b_skew_r(n), lambda n, v, c: _old_b_skew_r(n)),
-    "b-cg": (lambda n, v, c: b_cg_r(n), lambda n, v, c: _old_b_cg_r(n)),
-    "rime-skew": (lambda n, v, c: rime_skew_r(v), lambda n, v, c: _old_rime_skew_r(v)),
-    "rime-skew-sl": (lambda n, v, c: rime_skew_sl_r(v), lambda n, v, c: _old_rime_skew_r(
+    "rime-nonskew": (lambda n, v, c: rime_nonskew_r(v), lambda n, v, c: summed_rime_nonskew_r(v)),
+    "r-cg": (lambda n, v, c: rcg_r(n), lambda n, v, c: summed_rcg_r(n)),
+    "r-cg-prime": (lambda n, v, c: rcg_prime_r(n), lambda n, v, c: summed_rcg_prime_r(n)),
+    "b-skew": (lambda n, v, c: b_skew_r(n), lambda n, v, c: summed_b_skew_r(n)),
+    "b-cg": (lambda n, v, c: b_cg_r(n), lambda n, v, c: summed_b_cg_r(n)),
+    "rime-skew": (lambda n, v, c: rime_skew_r(v), lambda n, v, c: summed_rime_skew_r(v)),
+    "rime-skew-sl": (lambda n, v, c: rime_skew_sl_r(v), lambda n, v, c: summed_rime_skew_r(
         v, Operator1.identity(n).scale(F(1, n)))),
-    "eta0": (lambda n, v, c: invariance_eta0_b(n), lambda n, v, c: _old_invariance_eta0_b(n)),
+    "eta0": (lambda n, v, c: invariance_eta0_b(n), lambda n, v, c: summed_invariance_eta0_b(n)),
     "rep-change-r-cg": (lambda n, v, c: representation_change_residual(n, c, R_CG),
-                        lambda n, v, c: _old_representation_change_residual(n, c, R_CG)),
+                        lambda n, v, c: summed_representation_change_residual(n, c, R_CG)),
     "rep-change-b-skew": (lambda n, v, c: representation_change_residual(n, c, B_SKEW),
-                          lambda n, v, c: _old_representation_change_residual(n, c, B_SKEW)),
+                          lambda n, v, c: summed_representation_change_residual(n, c, B_SKEW)),
     "tilde-difference": (lambda n, v, c: tilde_difference_residual(v),
-                         lambda n, v, c: _old_tilde_difference_residual(v)),
+                         lambda n, v, c: summed_tilde_difference_residual(v)),
     **{f"closed-form-{kind}": (lambda n, v, c, kind=kind: bezout.closed_form_operator(kind, n),
-                               lambda n, v, c, kind=kind: _old_closed_form_operator(kind, n))
+                               lambda n, v, c, kind=kind: summed_closed_form_operator(kind, n))
        for kind in bezout.BEZOUT_KINDS},
 }
 
@@ -425,20 +293,9 @@ def test_one_pass_constructors_equal_their_old_sums(name, n, monkeypatch):
 
 
 def test_gl2_isomorphism_check_equals_its_old_sums():
-    for kind, images, alpha in ((bezout.B0, bezout.GL3_IMAGES_B0, 0),
-                                (bezout.B, bezout.GL3_IMAGES_B, -1)):
-        rb = bezout.rota_baxter(bezout.bezout_operator(kind, 2))
-        units = {(i, j): Operator1.unit(2, i, j) for i in (1, 2) for j in (1, 2)}
-        old = []
-        for (iu, ju), u in units.items():
-            for (iv, jv), w in units.items():
-                star = bezout.star_product(u, w, rb, alpha)
-                img = Operator1.zero(3)
-                for a in (1, 2):
-                    for b in (1, 2):
-                        img = img + images[(a, b)].scale(star._get(b - 1, a - 1))
-                old.append(img - images[(iu, ju)] @ images[(iv, jv)])
-        assert bezout.gl2_isomorphism_check(kind)["homomorphism"] == old
+    for kind in (bezout.B0, bezout.B):
+        assert (bezout.gl2_isomorphism_check(kind)["homomorphism"]
+                == summed_gl2_homomorphism(kind))
 
 
 def test_build_classical_refuses_an_unknown_kind():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from yibre.kernel import (DRAW_POOL, DRAW_POOL_NONZERO, WHOLE_VECTOR_DRAWS,
                           InvalidInputError, QuadExt, RationalDraw, elem_syms_omitting,
-                          format_rat, rat, ratvec, theta)
+                          format_rat, products_omitting, rat, ratvec, theta)
 from yibre.tensor import Operator1
 
 from reference import elem_sym, elem_sym_omit
@@ -165,3 +165,11 @@ def test_quadext_entries_flow_through_operators():
     assert d.inverse() == Operator1.diag([1, -i])
     assert d.det() == i
     assert (d @ d) == Operator1.diag([1, -1])
+
+
+def test_products_omitting_allows_zero_factors():
+    assert products_omitting([]) == []
+    assert products_omitting([F(5)]) == [1]
+    assert products_omitting([F(2), F(3), F(5)]) == [15, 10, 6]
+    assert products_omitting([F(2), F(0), F(5)]) == [0, 10, 0]
+    assert products_omitting([F(0), F(1, 2), F(0)]) == [0, 0, 0]

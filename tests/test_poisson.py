@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from yibre import poisson
+from yibre import poisson, qalg
 from yibre.kernel import InvalidInputError, QuadExt, RationalDraw, ratvec
 from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
                            PencilParams, QuadraticBracket, bracket_from_quantum,
@@ -18,6 +18,8 @@ from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
                            trid_residuals, varpi)
 from yibre.suites import _is_zero, run_suite
 from yibre.tensor import Operator1, Operator2
+
+from reference import jacobi_residual_per_call
 
 
 def test_dual_numbers():
@@ -332,3 +334,23 @@ def test_linear_rime_shares_its_empty_differences(monkeypatch):
                      for k in range(4) for l in range(4) if k != l]
     assert any(diffs) and not all(diffs)
     assert len({id(d) for d in diffs if not d}) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_jacobi_residual_matches_the_per_call_pair_form(n):
+    """One oriented pair table per call gives the per-monomial ``pair`` form's output."""
+    rd = RationalDraw(300 + n)
+    psi = rd.vector(n)
+    brackets = [pencil_bracket(PencilParams(psi, rd.rational(), rd.rational(), rd.rational())),
+                bracket_from_quantum(psi, rd.rational()), bracket_from_quantum(psi),
+                qalg.classical_limit_bracket(n)]
+    # the rime form with free coefficients fails Jacobi, so nonzero sums are compared too
+    free = QuadraticBracket(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            free.set_pair(i, j, {(i, i): rd.rational(), (j, j): rd.rational(),
+                                 (i, j): rd.rational(), (1, n): rd.rational()})
+    for br in [*brackets, free]:
+        assert jacobi_residual(br) == jacobi_residual_per_call(br)
+    assert all(not jacobi_residual(br) for br in brackets)
+    assert bool(jacobi_residual(free)) == (n >= 3)

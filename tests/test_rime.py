@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
-from yibre import rime
+from yibre import rime, suites
 from yibre.kernel import ONE, DegenerateParametersError, QuadExt, RationalDraw, ratvec
 from yibre.rime import (RimeClass, RimeData, appendix_A_residuals, assemble_rime,
                         classical_commutator_relations, classify,
@@ -18,6 +19,11 @@ from yibre.rime import (RimeClass, RimeData, appendix_A_residuals, assemble_rime
 from yibre.suites import run_suite
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
                           hecke_residual, kron11, yb_residual)
+
+from reference import (PAIR_EQUATIONS_BY_ACCESSOR, TRIPLE_EQUATIONS_BY_ACCESSOR,
+                       appendix_A_per_accessor, eigenvector_residuals_per_call,
+                       invariance_Y0_loops, invariance_Y_loops,
+                       jordan_action_residuals_per_call, quantum_trace_closed_forms_per_entry)
 
 
 def rows_of(r, i, j):
@@ -285,23 +291,13 @@ def test_appendix_equations_are_cubic(n, seed):
     rng = random.Random(seed)
     d = _random_rime_data(n, rng)
     t = F(rng.randint(2, 9), rng.randint(2, 9)) * rng.choice((1, -1))
-    td = _scaled(d, t)
-    for arity, eqs in ((2, rime._pair_equations()), (3, rime._triple_equations())):
+    grids, tgrids = rime._grids(d), rime._grids(_scaled(d, t))
+    for arity, eqs in ((2, rime._PAIR_EQUATIONS), (3, rime._TRIPLE_EQUATIONS)):
         for name, eq in eqs.items():
-            values = [eq(d, *idx) for idx in _index_tuples(n, arity)]
+            values = [eq(*grids, *idx) for idx in _index_tuples(n, arity)]
             assert any(values), name
-            scaled = [eq(td, *idx) for idx in _index_tuples(n, arity)]
+            scaled = [eq(*tgrids, *idx) for idx in _index_tuples(n, arity)]
             assert scaled == [t ** 3 * v for v in values], name
-
-
-def _fraction_residuals(data: RimeData) -> dict:
-    """The equation system's max |residual| per family, evaluated on the Fractions directly."""
-    out = {}
-    for suffix, d in {"": data, "~iota": data.iota()}.items():
-        for arity, eqs in ((2, rime._pair_equations()), (3, rime._triple_equations())):
-            for name, eq in eqs.items():
-                out[name + suffix] = max(abs(eq(d, *idx)) for idx in _index_tuples(d.dim, arity))
-    return out
 
 
 @pytest.mark.parametrize("grid,i,j", [("beta_ij", 1, 2), ("gamma_ij", 2, 3),
@@ -314,7 +310,7 @@ def test_appendix_residuals_match_fraction_evaluation(phi, grid, i, j):
     bad = data.replace_entry(grid, i, j, field(i, j) + F(7, 11))
     res = appendix_A_residuals(bad)
     assert any(res.values())
-    assert res == _fraction_residuals(bad)
+    assert res == appendix_A_per_accessor(bad)
     assert all(type(v) is F for v in res.values())
 
 
@@ -432,54 +428,14 @@ def test_quantum_traces_refuse_a_singular_reshuffled_matrix():
         quantum_traces(strict_rime_R([1, 2], 1))
 
 
-def _invariance_Y_loops(phi, u, v):
-    """The former invariance_Y: every entry as its own product over l."""
-    n = len(phi)
-    y = Operator1.zero(n)
-    for j in range(1, n + 1):
-        diag = ONE
-        for l in range(1, n + 1):
-            if l != j:
-                diag *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
-        y._set(j - 1, j - 1, diag)
-        for i in range(1, n + 1):
-            if i != j:
-                val = (u - v) * phi[j - 1] / (phi[j - 1] - phi[i - 1])
-                for l in range(1, n + 1):
-                    if l != i and l != j:
-                        val *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
-                y._set(i - 1, j - 1, val)
-    return y
-
-
-def _invariance_Y0_loops(mu, a):
-    """The former invariance_Y0: every entry as its own product over l."""
-    n = len(mu)
-    y = Operator1.zero(n)
-    for j in range(1, n + 1):
-        diag = ONE
-        for l in range(1, n + 1):
-            if l != j:
-                diag *= ONE + a / (mu[j - 1] - mu[l - 1])
-        y._set(j - 1, j - 1, diag)
-        for i in range(1, n + 1):
-            if i != j:
-                val = a / (mu[j - 1] - mu[i - 1])
-                for l in range(1, n + 1):
-                    if l != i and l != j:
-                        val *= ONE + a / (mu[j - 1] - mu[l - 1])
-                y._set(i - 1, j - 1, val)
-    return y
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_invariance_matrices_match_their_triple_product_loops(n):
     rd = RationalDraw(700 + n)
     for _ in range(3):
         phi, u, v, a = rd.vector(n), rd.rational(), rd.rational(), rd.rational()
-        assert invariance_Y(phi, u, v) == _invariance_Y_loops(phi, u, v)
-        assert invariance_Y0(phi, a) == _invariance_Y0_loops(phi, a)
-    assert invariance_Y(phi, u, u) == _invariance_Y_loops(phi, u, u)
+        assert invariance_Y(phi, u, v) == invariance_Y_loops(phi, u, v)
+        assert invariance_Y0(phi, a) == invariance_Y0_loops(phi, a)
+    assert invariance_Y(phi, u, u) == invariance_Y_loops(phi, u, u)
 
 
 def test_invariance_matrices_with_a_zero_factor():
@@ -488,11 +444,110 @@ def test_invariance_matrices_with_a_zero_factor():
     # column 1 has the factor (2*1 - 1*2)/(1 - 2) = 0 at l = 2, so Y^1_1 = 0
     y = invariance_Y(phi, 2, 1)
     assert y.get(1, 1) == 0 and y.get(2, 1) != 0
-    assert y == _invariance_Y_loops(phi, ONE * 2, ONE)
+    assert y == invariance_Y_loops(phi, ONE * 2, ONE)
     mu = ratvec([0, 1, 3, 7])
     # a = mu_2 - mu_1 = 1: the factor 1 + a/(mu_1 - mu_2) of column 1 is zero
     y0 = invariance_Y0(mu, 1)
     assert y0.get(1, 1) == 0 and y0.get(2, 1) != 0
-    assert y0 == _invariance_Y0_loops(mu, ONE)
+    assert y0 == invariance_Y0_loops(mu, ONE)
     for a in (mu[l] - mu[j] for j in range(4) for l in range(4) if l != j):
-        assert invariance_Y0(mu, a) == _invariance_Y0_loops(mu, a)
+        assert invariance_Y0(mu, a) == invariance_Y0_loops(mu, a)
+
+
+# --- the O(n^2) closed forms against their per-entry references -------------------
+
+def _with_zero(v):
+    """The vector with its last entry set to 0, unless it already holds a 0."""
+    return v if 0 in v else v[:-1] + (F(0),)
+
+
+def _trace_inputs(n: int, rd: RationalDraw):
+    """Strict data (a zero phi_i among them), unitary data with beta_jl = 1 for
+    mu_j - mu_l = 1, and seeded coefficients that solve nothing."""
+    yield strict_rime_data(rd.vector(n), F(2, 7))
+    yield strict_rime_data(_with_zero(rd.vector(n)), rd.rational())
+    yield unitary_rime_data(range(n))
+    yield unitary_rime_data([F(x) for x in (0, 1, 3, 4, 5, 7, 8)[:n]])
+    yield _random_rime_data(n, random.Random(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_quantum_trace_closed_forms_match_the_per_entry_products(n):
+    rd = RationalDraw(900 + n)
+    unit_betas = 0
+    for data in _trace_inputs(n, rd):
+        got, want = quantum_trace_closed_forms(data), quantum_trace_closed_forms_per_entry(data)
+        assert got[0] == want[0] and got[1] == want[1]
+        unit_betas += sum(data.b(j, l) == 1 for j in range(1, n + 1) for l in range(1, n + 1))
+    assert unit_betas >= n - 1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_appendix_grids_match_the_accessor_evaluation(n):
+    rd = RationalDraw(950 + n)
+    for data in (_random_rime_data(n, random.Random(50 + n)), strict_rime_data(rd.vector(n), 3),
+                 unitary_rime_data(range(n))):
+        got = appendix_A_residuals(data)
+        assert len(got) == 46
+        assert got == appendix_A_per_accessor(data)
+        assert list(got) == list(appendix_A_per_accessor(data))
+    # and each equation at each index tuple, so no maximum can hide a transcription
+    d = _random_rime_data(n, random.Random(60 + n))
+    grids = rime._grids(d)
+    for arity, eqs, by_accessor in ((2, rime._PAIR_EQUATIONS, PAIR_EQUATIONS_BY_ACCESSOR),
+                                    (3, rime._TRIPLE_EQUATIONS, TRIPLE_EQUATIONS_BY_ACCESSOR)):
+        assert list(eqs) == list(by_accessor)
+        for name, eq in eqs.items():
+            for idx in _index_tuples(n, arity):
+                assert eq(*grids, *idx) == by_accessor[name](d, *idx), (name, idx)
+
+
+def _single_entry_mutations(data: RimeData):
+    n = data.dim
+    for i in range(n):
+        alpha = list(data.alpha)
+        alpha[i] += 7
+        yield RimeData(n, tuple(alpha), data.alpha_ij, data.beta_ij, data.gamma_ij,
+                       data.gamma_prime_ij)
+    for grid in ("alpha_ij", "beta_ij", "gamma_ij", "gamma_prime_ij"):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    value = getattr(data, grid)[i - 1][j - 1]
+                    yield data.replace_entry(grid, i, j, value + F(7, 3))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_appendix_early_exit_agrees_with_the_full_system(n):
+    rd = RationalDraw(970 + n)
+    for data in (strict_rime_data(rd.vector(n), F(3, 4)), unitary_rime_data(rd.vector(n))):
+        assert not rime.appendix_A_violated(data)
+        detected = 0
+        for bad in _single_entry_mutations(data):
+            full = appendix_A_residuals(bad)
+            assert rime.appendix_A_violated(bad) == any(full.values())
+            detected += any(full.values())
+        assert detected > 0
+
+
+def _rime_check(n: int, name: str):
+    return next(c for c in suites.rime_suite(n, RationalDraw(n), 1) if c.name == name)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_eigenvector_checks_match_their_per_call_vectors(n):
+    """The suite reads every w_a from one table; residuals at Q's that are not the traces."""
+    rd = RationalDraw(990 + n)
+    eig = _rime_check(n, "quantum-trace-eigenvectors[0]").residual
+    jordan = _rime_check(n, "quantum-trace-jordan-action[0]").residual
+    for phi in (rd.vector(n), _with_zero(rd.vector(n))):
+        beta = rd.rational()
+        traces = quantum_trace_closed_forms(strict_rime_data(phi, beta))
+        random_q = Operator1([[rd.rational() for _ in range(n)] for _ in range(n)])
+        for q in (traces[0], random_q):
+            got = eig(SimpleNamespace(phi=phi, beta=beta, q=(q, None)))
+            assert got == eigenvector_residuals_per_call(phi, beta, q)
+            got = jordan(SimpleNamespace(mu=phi, uq=(q, None)))
+            assert got == jordan_action_residuals_per_call(phi, q)
+        assert any(any(v) for v in eig(SimpleNamespace(phi=phi, beta=beta,
+                                                       q=(random_q, None))).values())

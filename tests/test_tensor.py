@@ -15,8 +15,8 @@ from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, conjugate2, 
                           kron11, kron_sum, lift, op1_on_leg2, permutation_P,
                           reshuffled_matrix, row_space, signed_products, wedge, yb_residual)
 
-from reference import (dense_grid, dense_matmul, dense_signed_sum, full_cybe_residual,
-                       partial_trace, skew_inverse)
+from reference import (conjugate2_dense, dense_grid, dense_matmul, dense_signed_sum,
+                       equivalence_dense, full_cybe_residual, partial_trace, skew_inverse)
 
 
 def test_permutation():
@@ -1138,18 +1138,6 @@ def _invertible(n, seed, quad):
         seed += 100
 
 
-def _conjugate2_dense(r, t):
-    """The former conjugate2: T (x) T and its inverse formed as dense Kronecker products."""
-    tinv = t.inverse()
-    return signed_products([(1, kron11(t, t), r, kron11(tinv, tinv))])
-
-
-def _equivalence_dense(lhs, rhs, t):
-    """The former equivalence_residual through the dense T (x) T."""
-    tt = kron11(t, t)
-    return signed_products([(1, lhs, tt), (-1, tt, rhs)])
-
-
 @pytest.mark.parametrize("quad", [None, -1])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_leg_wise_conjugation_matches_the_dense_kronecker_form(n, quad):
@@ -1158,8 +1146,8 @@ def test_leg_wise_conjugation_matches_the_dense_kronecker_form(n, quad):
     rhs = _random_sparse(Operator2, n, 10 * n + 2, SMALL_DENS)
     conj = conjugate2(r, t)
     _stored(conj)
-    assert conj == _conjugate2_dense(r, t)
-    assert equivalence_residual(r, rhs, t) == _equivalence_dense(r, rhs, t)
+    assert conj == conjugate2_dense(r, t)
+    assert equivalence_residual(r, rhs, t) == equivalence_dense(r, rhs, t)
     # a true equivalence leaves no residual, a bumped one does
     assert equivalence_residual(conj, r, t).is_zero()
     bumped = conj + Operator2.identity(n).scale(F(1, 7))
