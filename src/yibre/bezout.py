@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec, require_distinct,
                      sparse_minus)
+from .rational import Q
 from .tensor import (Echelon, Operator1, Operator2, Operator3, _add_row_product,
                      commutator_with_sum, cybe_residual, kron11, kron_sum, lift, op1_on_leg2,
                      permutation_P, reshuffled_matrix, signed_products, ybe_numbered_residual,
@@ -77,7 +78,7 @@ def bezout_operator(kind: str, n: int) -> Operator2:
     if kind == RS:
         return _matrix_from_action(rs_action, n)
     if kind == BTILDE:
-        return bezout_operator(B, n) - Operator2.identity(n).scale(Fraction(1, 2))
+        return bezout_operator(B, n) - Operator2.identity(n).scale(Q(1, 2))
     raise InvalidInputError(f"unknown bezout kind {kind!r}")
 
 
@@ -100,7 +101,7 @@ def closed_form_operator(kind: str, n: int) -> Operator2:
                 terms += [(1, u(n, j, j), u(n, i, i)), (-1, u(n, i, j), u(n, j, i))]
         if kind == BTILDE:
             ident = Operator1.identity(n)
-            terms.append((Fraction(-1, 2), ident, ident))
+            terms.append((Q(-1, 2), ident, ident))
     elif kind == RS:
         for a in range(1, n + 1):
             for b in range(1, n + 1):
@@ -272,13 +273,13 @@ def derivative_matrix(n: int) -> Operator1:
     """d/dx on span{x^0 .. x^(n-1)}."""
     m = Operator1.zero(n)
     for i in range(2, n + 1):
-        m._set(i - 2, i - 1, Fraction(i - 1))
+        m._set(i - 2, i - 1, Q(i - 1))
     return m
 
 
 def euler_matrix(n: int) -> Operator1:
     """x d/dx, diagonal with the power."""
-    return Operator1.diag([Fraction(k) for k in range(n)])
+    return Operator1.diag([Q(k) for k in range(n)])
 
 
 def shifted_solution_residual(kind: str, c, n: int) -> Operator3:

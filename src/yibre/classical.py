@@ -11,6 +11,7 @@ from fractions import Fraction
 from .cg import x_change_of_basis
 from .kernel import (ONE, ZERO, InvalidInputError, rat, ratvec,
                      require_distinct)
+from .rational import Q
 from .rime import strict_rime_R
 from .tensor import (Operator1, Operator2, commutator_with_sum, conjugate2,
                      cybe_residual, kron_sum, op1_on_leg2, permutation_P, signed_products)
@@ -95,7 +96,7 @@ def invariance_eta_cg(n: int) -> Operator1:
     sum_j j e^j_j - (n+1)/2; the shift makes it traceless (the displayed
     multiple of the identity does not).
     """
-    eta = Operator1.diag([Fraction(j) - Fraction(n + 1, 2) for j in range(1, n + 1)])
+    eta = Operator1.diag([Q(j) - Q(n + 1, 2) for j in range(1, n + 1)])
     return eta
 
 
@@ -110,7 +111,7 @@ def b_cg_r(n: int) -> Operator2:
     """Boundary solution: b plus the Cartan completion sum (1 - j/n) e^i_i ^ e^{j+1}_j."""
     ident = Operator1.identity(n)
     return _kron_sum(n, _wedges([*_b_skew_wedges(n),
-                                 *((ONE - Fraction(j, n), ident, Operator1.unit(n, j + 1, j))
+                                 *((ONE - Q(j, n), ident, Operator1.unit(n, j + 1, j))
                                    for j in range(1, n))]))
 
 
@@ -136,7 +137,7 @@ def rime_skew_sl_r(mu) -> Operator2:
     mu = ratvec(mu)
     require_distinct(mu, "mu")
     n = len(mu)
-    shift = Operator1.identity(n).scale(Fraction(1, n))
+    shift = Operator1.identity(n).scale(Q(1, n))
     return _kron_sum(n, _wedges((ONE / (mu[i - 1] - mu[j - 1]), carrier_Z(n, i, j) + shift,
                                  carrier_Z(n, j, i) + shift)
                                 for i in range(1, n + 1) for j in range(i + 1, n + 1)))
@@ -247,7 +248,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     other_brackets = [disjoint[x] for x in sorted(disjoint)]
 
     # (e) Ztilde obeys the same brackets and fixes the all-ones vector up to 1/n
-    shift = Operator1.identity(n).scale(Fraction(1, n))
+    shift = Operator1.identity(n).scale(Q(1, n))
     zt = {p: z[p] + shift for p in pairs}
     ones = tuple([ONE] * n)
     sl_ones, sl_brackets = [], []
@@ -294,7 +295,7 @@ def representation_change_residual(n: int, c, kind: str = R_CG) -> Operator2:
         units = _rcg_terms(n)
         eta = invariance_eta_cg(n)
         change = [(c, eta, ident), (-c, ident, eta),
-                  (-c * (n - 1) - c * c * Fraction(n * (n - 1), 2), ident, ident)]
+                  (-c * (n - 1) - c * c * Q(n * (n - 1), 2), ident, ident)]
     elif kind == B_SKEW:
         units = _wedges(_b_skew_wedges(n))
         change = _wedges([(c, invariance_eta0_b(n), ident)])
@@ -368,7 +369,7 @@ def lambda_bcg_gram(n: int) -> Operator1:
     per basis element, then a sparse trace of a product per pair.
     """
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    shift = Operator1.identity(n).scale(Fraction(1, n))
+    shift = Operator1.identity(n).scale(Q(1, n))
     zt = [carrier_Z(n, i, j) + shift for (i, j) in pairs]
     ell = Operator1([[ONE if r == c + 1 else ZERO for c in range(n)] for r in range(n)])
     brackets = [signed_products([(1, ell, z), (-1, z, ell)])._ints() for z in zt]
@@ -381,8 +382,8 @@ def lambda_bcg_gram(n: int) -> Operator1:
         dc, crows = brackets[a]
         for b in range(a + 1, m):
             dy, yrows = columns[b]
-            v = Fraction(sum(w * yrow[c] for r, crow in crows.items() if (yrow := yrows.get(r))
-                             for c, w in crow.items() if c in yrow), dc * dy)
+            v = Q(sum(w * yrow[c] for r, crow in crows.items() if (yrow := yrows.get(r))
+                      for c, w in crow.items() if c in yrow), dc * dy)
             g._set(a, b, v)
             g._set(b, a, -v)
     return g
@@ -396,7 +397,7 @@ def tilde_difference_residual(mu) -> Operator1:
     x, _ = x_change_of_basis(mu)
     if n < 2:
         return Operator1.zero(n)
-    lhs_factor = signed_products([(ONE - Fraction(j, n), Operator1.unit(n, j + 1, j))
+    lhs_factor = signed_products([(ONE - Q(j, n), Operator1.unit(n, j + 1, j))
                                   for j in range(1, n)])
     rhs_factor = signed_products([(ONE / (n * (mu[i - 1] - mu[j - 1])), carrier_Z(n, j, i))
                                   for i in range(1, n + 1) for j in range(1, n + 1) if i != j])

@@ -1,10 +1,11 @@
 """Exact rational scalars, elementary symmetric functions and seeded rational draws.
 
-Everything in this package computes over ``fractions.Fraction``, or over the
-exact quadratic extensions :class:`QuadExt` where a check needs sqrt(-1) or a
-first-order epsilon; there is no floating point anywhere.  Identities are
-certified by evaluation at seeded random rational points, so all draws happen
-through :class:`RationalDraw`.
+Everything in this package computes over exact rationals, the
+``fractions.Fraction`` subclass :class:`~yibre.rational.Q` that ``rat`` makes,
+or over the exact quadratic extensions :class:`QuadExt` where a check needs
+sqrt(-1) or a first-order epsilon; there is no floating point anywhere.
+Identities are certified by evaluation at seeded random rational points, so
+all draws happen through :class:`RationalDraw`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .rational import Q
+
+ZERO = Q(0)
+ONE = Q(1)
 
 
 class DegenerateParametersError(ValueError):
@@ -31,29 +34,26 @@ class InvalidInputError(ValueError):
 
 
 def rat(value, den=None) -> Fraction:
-    """Coerce ints, 'p/q' strings or Fractions to an exact rational.
+    """Coerce ints, 'p/q' strings or Fractions to a :class:`Q`.
 
     A :class:`QuadExt` passes through unchanged, so it can be an operator entry.
     """
     if den is not None:
-        return Fraction(value, den)
-    if isinstance(value, Fraction):
+        return Q(value, den)
+    if type(value) is Q:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return Q(value)
     if isinstance(value, QuadExt):
         return value
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return Q(value.strip())
     raise InvalidInputError(f"cannot interpret {value!r} as a rational")
 
 
 def format_rat(x: Fraction) -> str:
     """Serialize as 'p/q', or 'p' when the denominator is one."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Q(x))
 
 
 class QuadExt:
@@ -133,7 +133,7 @@ def perfect_square_root(x: Fraction) -> Fraction | None:
         return None
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
+        return Q(rn, rd)
     return None
 
 
@@ -158,7 +158,8 @@ def ratvec(values: Iterable) -> tuple[Fraction, ...]:
 
 def require_distinct(values: Sequence[Fraction], what: str = "parameters") -> None:
     if len(set(values)) != len(values):
-        raise DegenerateParametersError(f"{what} must be pairwise distinct: {values}")
+        raise DegenerateParametersError(
+            f"{what} must be pairwise distinct: {', '.join(map(format_rat, values))}")
 
 
 def theta(i: int, j: int) -> int:
@@ -240,7 +241,7 @@ class RationalDraw:
             num = self._rng.randint(-12, 12)
             if not nonzero:
                 break
-        x = Fraction(num, self._rng.randint(1, 8))
+        x = Q(num, self._rng.randint(1, 8))
         self.history.append(x)
         return x
 

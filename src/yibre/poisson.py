@@ -17,6 +17,7 @@ from fractions import Fraction
 from .kernel import (ONE, ZERO, InvalidInputError, QuadExt, RationalDraw,
                      perfect_square_root, rat, ratvec, require_distinct,
                      sparse_minus)
+from .rational import Q
 from .tensor import Operator1, Operator2
 
 
@@ -233,7 +234,7 @@ def invariance_generator(params: PencilParams) -> Operator1:
     m = Operator1.zero(n)
     for i in range(1, n + 1):
         ri = params.rho(psi[i - 1])
-        m._set(i - 1, i - 1, Fraction(n - 1, 2) * params.rho_prime(psi[i - 1])
+        m._set(i - 1, i - 1, Q(n - 1, 2) * params.rho_prime(psi[i - 1])
                + ri * xi[i - 1])
         for j in range(1, n + 1):
             if j != i:
@@ -352,7 +353,7 @@ def sl2_generators(psi) -> tuple[Operator1, Operator1, Operator1]:
     bm, b0, bp = Operator1.zero(n), Operator1.zero(n), Operator1.zero(n)
     for i in range(n):
         bm._set(i, i, -xi[i])
-        b0._set(i, i, -(Fraction(n - 1, 2) + psi[i] * xi[i]))
+        b0._set(i, i, -(Q(n - 1, 2) + psi[i] * xi[i]))
         bp._set(i, i, -((n - 1) * psi[i] + psi[i] * psi[i] * xi[i]))
         for j in range(n):
             if j != i:
@@ -405,7 +406,7 @@ def projective_action_monomial(n: int, a, b, c) -> Operator1:
     """f -> rho f' - (n-1)/2 rho' f on span{1, t, .., t^(n-1)} in the monomial basis."""
     a, b, c = rat(a), rat(b), rat(c)
     m = Operator1.zero(n)
-    half = Fraction(n - 1, 2)
+    half = Q(n - 1, 2)
     for k in range(n):
         # top coefficient cancels at k = n - 1, so the space is preserved
         if k + 1 <= n - 1:
@@ -425,9 +426,9 @@ def sl2_suite(psi) -> dict[str, object]:
     lag = lagrange_basis_matrix(psi)
     laginv = lag.inverse()
     # three fixed pairs of dense test matrices for the varpi identities
-    samples = [(Operator1([[Fraction((i * 7 + j * 3 + s) % 5 - 2, 1 + (i + j + s) % 3)
+    samples = [(Operator1([[Q((i * 7 + j * 3 + s) % 5 - 2, 1 + (i + j + s) % 3)
                             for j in range(n)] for i in range(n)]),
-                Operator1([[Fraction((i * 5 + j * 11 + s) % 7 - 3, 1 + (i * j + s) % 4)
+                Operator1([[Q((i * 5 + j * 11 + s) % 7 - 3, 1 + (i * j + s) % 4)
                             for j in range(n)] for i in range(n)])) for s in range(3)]
     return {
         "b0-bminus": comm(b0, bm) + bm,
@@ -436,7 +437,7 @@ def sl2_suite(psi) -> dict[str, object]:
         "lagrange-basis-match": [
             laginv @ projective_action_monomial(n, a, b, c) @ lag
             - (bp.scale(a) + b0.scale(b) + bm.scale(c))
-            for (a, b, c) in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, Fraction(1, 5)))],
+            for (a, b, c) in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, Q(1, 5)))],
         "varpi-identities": [r for y1, y2 in samples for r in trid_residuals(y1, y2)],
         "varpi-involution": [varpi(varpi(m)) - m for m, _ in samples],
         "generator-is-varpi-of-projective": [
@@ -643,7 +644,7 @@ def linear_rime_suite(n: int, draw: RationalDraw) -> dict[str, object]:
     if n >= 3:
         # negative control: a broken a_12 shows up in both residual families
         bad = [[ZERO if i == j else ONE for j in range(n)] for i in range(n)]
-        bad[0][1] = Fraction(5)
+        bad[0][1] = Q(5)
         out["violation-detected"] = bool(jsla_residuals(bad)) and bool(linear_jacobi_residual(bad))
     # the unique strict algebra {x^i,x^j} = x^i - x^j
     ones = [[ZERO if i == j else ONE for j in range(n)] for i in range(n)]
@@ -662,7 +663,7 @@ def linear_rime_suite(n: int, draw: RationalDraw) -> dict[str, object]:
         out["n3-jacobi"] = linear_jacobi_residual(a3)
         h = {0: ONE, 2: -ONE}
         e = {0: ONE, 2: ONE}
-        f = {1: ONE, 0: Fraction(-1, 4), 2: Fraction(-1, 4)}
+        f = {1: ONE, 0: Q(-1, 4), 2: Q(-1, 4)}
         out["n3-sl2"] = {
             "h-e": sparse_minus(linear_bracket(a3, h, e), {k: 2 * v for k, v in e.items()}),
             "h-f": sparse_minus(linear_bracket(a3, h, f), {k: -2 * v for k, v in f.items()}),

@@ -19,6 +19,7 @@ from math import comb
 
 from .kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared,
                      elem_syms_omitting, products_omitting, rat, ratvec, require_distinct)
+from .rational import Q
 from .tensor import (Operator1, Operator2, hecke_residual, permutation_P, reshuffled_matrix,
                      row_space)
 
@@ -264,7 +265,7 @@ def eigenvector_w(params, a: int) -> tuple[Fraction, ...]:
 
 def jordan_action_coefficients(n: int, i: int) -> tuple[Fraction, ...]:
     """Coefficients binom(n-1-s, i-s) of Q w_i = sum_s c_s w_s in the unitary case."""
-    return tuple(Fraction(comb(n - 1 - s, i - s)) if i - s >= 0 and n - 1 - s >= i - s else ZERO
+    return tuple(Q(comb(n - 1 - s, i - s)) if i - s >= 0 and n - 1 - s >= i - s else ZERO
                  for s in range(n))
 
 
@@ -321,7 +322,7 @@ def invariance_generator(kind: str, params) -> Operator1:
     if kind == "nonunitary":
         for j in range(1, n + 1):
             # d/dt Y(1 + t/2, 1 - t/2) at t=0
-            diag = -Fraction(n - 1, 2)
+            diag = -Q(n - 1, 2)
             for l in range(1, n + 1):
                 if l != j:
                     diag += params[j - 1] / (params[j - 1] - params[l - 1])
@@ -445,10 +446,10 @@ def _appendix_A_families(data: RimeData):
     for suffix, (A, B, G, GP) in (("", (a, b, g, gp)), ("~iota", (tr(a), tr(b), tr(gp), tr(g)))):
         for name, eq in _PAIR_EQUATIONS.items():
             worst = max((abs(eq(A, B, G, GP, i, j)) for i, j in pairs), default=0)
-            yield name + suffix, Fraction(worst, cube)
+            yield name + suffix, Q(worst, cube)
         for name, eq in _TRIPLE_EQUATIONS.items():
             worst = max((abs(eq(A, B, G, GP, i, j, k)) for i, j, k in triples), default=0)
-            yield name + suffix, Fraction(worst, cube)
+            yield name + suffix, Q(worst, cube)
 
 
 def appendix_A_residuals(data: RimeData) -> dict[str, Fraction]:

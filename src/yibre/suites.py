@@ -22,6 +22,7 @@ from typing import Callable
 from . import bezout, blocks, cg, classical, poisson, qalg, rime, tensor
 from .kernel import ONE, ZERO, RationalDraw, elem_syms_omitting, format_rat, rat
 from .poisson import PencilParams, QuadraticBracket
+from .rational import Q
 from .tensor import Operator1, Operator2, Operator3, first_nonzero_witness
 
 
@@ -188,7 +189,7 @@ def _is_zero(obj) -> tuple[bool, dict | None]:
     """Zero test plus a localized witness for the first offending entry."""
     if isinstance(obj, bool):
         return obj, None if obj else {"index": "-", "value": "false"}
-    if isinstance(obj, Fraction) or isinstance(obj, int):
+    if type(obj) is Q or isinstance(obj, (int, Fraction)):
         v = rat(obj)
         return v == 0, None if v == 0 else {"index": "-", "value": format_rat(v)}
     if isinstance(obj, (Operator1, Operator2, Operator3)):
@@ -371,7 +372,7 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     def unitary_limit(mu):
         u = rime.unitary_rime_R(mu)
         d1, d2 = ((rime.strict_rime_R([1 + e * m for m in mu], e) - u).scale(1 / e)
-                  for e in (Fraction(1, 10), Fraction(1, 100)))
+                  for e in (Q(1, 10), Q(1, 100)))
         return d1 - d2
 
     checks: list[Check] = []
@@ -421,11 +422,11 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
 
 
 def blocks_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
-    q = Fraction(5, 3)   # (q-1)/(q+1) = 1/4, so tau = 1/2 is rational
+    q = Q(5, 3)  # (q-1)/(q+1) = 1/4, so tau = 1/2 is rational
     members = [
-        (blocks.RBL1, (2, 1)), (blocks.RBL2, (2, 1)), (blocks.RBL3, (2, Fraction(3, 2))),
+        (blocks.RBL1, (2, 1)), (blocks.RBL2, (2, 1)), (blocks.RBL3, (2, Q(3, 2))),
         (blocks.RBL4, (3, 1, 1)), (blocks.RBL4, (3, 9, 1)),
-        (blocks.RBL4, (3, Fraction(1, 9), 2)),
+        (blocks.RBL4, (3, Q(1, 9), 2)),
         (blocks.GL2_STD, (2, 3)), (blocks.GL11_STD, (2, 3)),
         (blocks.EIGHT_VERTEX, (2,)), (blocks.R_II, (2, 1)), (blocks.R_II, (2, -1)),
         (blocks.JORDANIAN, (1, 2)), (blocks.JORDANIAN, (0, 3)),
@@ -481,7 +482,7 @@ def blocks_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     return checks + Block(draw).declare(
         Check("spectrum-types", "B.1", residual=spectrum_types, mutable=False),
         Check("equivalences-tau-rational", "uu1/uu2/uu3",
-              lambda p: blocks.stated_equivalences(q, Fraction(2, 7))),
+              lambda p: blocks.stated_equivalences(q, Q(2, 7))),
         Check("equivalences-generic-q", "uu1", lambda p: blocks.stated_equivalences(2, 1),
               equivalences_generic, mutable=False),
         Check("symmetry-relations", "B.2", residual=symmetry, mutable=False),
@@ -517,7 +518,7 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
             Check(f"generating-function[{d}]", "gxty1/gxty2", lambda p: p.phi,
                   cg.generating_function_residual))
 
-    qi = Fraction(1, 4)
+    qi = Q(1, 4)
 
     def sectype(phi):
         m = range(1, len(phi) + 1)
@@ -611,7 +612,7 @@ def classical_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         Check("bcg-from-shift", "c=-1/n",
               residual=lambda p: (p["b-skew"] + tensor.wedge(classical.invariance_eta0_b(n),
                                                              Operator1.identity(n))
-                                  .scale(Fraction(-1, n))) - p["b-cg"]))
+                                  .scale(Q(-1, n))) - p["b-cg"]))
     for d in range(min(draws, 5)):
         checks += Block(draw, {"q": Rational(banned=(0, 1, -1)), "p": Rational(),
                                "r": Rational(), "s": Rational()},
@@ -641,9 +642,9 @@ def bezout_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         r23 = tensor.lift(bt, 23)
         return {
             "circ": (r12 @ r13 + r13 @ r23 - r23 @ r12)
-                    - Operator3.identity(three_leg).scale(Fraction(1, 4)),
+                    - Operator3.identity(three_leg).scale(Q(1, 4)),
             "sum": (bt + bt.reversed_legs()) + tensor.permutation_P(three_leg),
-            "square": (bt @ bt) - Operator2.identity(three_leg).scale(Fraction(1, 4)),
+            "square": (bt @ bt) - Operator2.identity(three_leg).scale(Q(1, 4)),
         }
 
     base = Block(draw, b3=lambda p: bezout.bezout_operator(bezout.B, min(n, 3)),
@@ -951,13 +952,13 @@ def qalg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         return out
 
     def gl11(_):
-        q = Fraction(2)
+        q = Q(2)
         out = {}
-        for om in (1 / (q * q), Fraction(1), q * q):
+        for om in (1 / (q * q), Q(1), q * q):
             out[f"pass-{format_rat(om)}"] = qalg.gl11_window_test(q, om, 4)["gl11_type"]
         out["generic-fail"] = not any(
             qalg.gl11_window_test(q, om, 4)["gl11_type"]
-            for om in (Fraction(3), Fraction(2), Fraction(5, 7), Fraction(-1), Fraction(9, 2)))
+            for om in (Q(3), Q(2), Q(5, 7), Q(-1), Q(9, 2)))
         return out
 
     def limit_bracket(_):

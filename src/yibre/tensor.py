@@ -25,6 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .kernel import ONE, ZERO, InvalidInputError, cleared, rat
+from .rational import Q
 
 
 class Echelon:
@@ -52,7 +53,7 @@ class Echelon:
     def pivots(self) -> dict[int, dict]:
         """Lead column -> pivot row scaled to a leading 1; read-only, built on first read."""
         if self._view is None:
-            self._view = {lead: ({c: Fraction(x, p) for c, x in row.items()}
+            self._view = {lead: ({c: Q(x, p) for c, x in row.items()}
                                  if type(p := row[lead]) is int else dict(row))
                           for lead, row in self._pivots.items()}
         return self._view
@@ -85,7 +86,7 @@ class Echelon:
         value = row[lead]
         self._pivots[lead] = _pivot_form(den, row, lead)
         self._view = None
-        return lead, value if den is None else Fraction(value, den)
+        return lead, value if den is None else Q(value, den)
 
     def rref(self) -> list[dict]:
         """Back-reduce the pivots in place; the reduced rows by increasing lead."""
@@ -138,8 +139,8 @@ def _clear(row: dict) -> tuple[int | None, dict]:
     try:
         den, ints = cleared(row.values())
     except AttributeError:
-        # an int entry becomes a Fraction, so no later division is int / int
-        return None, {c: Fraction(v) if type(v) is int else v for c, v in row.items()}
+        # an int entry becomes a Q, so no later division is int / int
+        return None, {c: Q(v) if type(v) is int else v for c, v in row.items()}
     return den, dict(zip(row, ints))
 
 
@@ -153,7 +154,7 @@ def _eliminate(den: int | None, row: dict, piv: dict, col: int) -> tuple[int | N
     """
     d = piv[col]
     if den is not None and type(d) is not int:
-        row, den = {c: Fraction(x, den) for c, x in row.items()}, None
+        row, den = {c: Q(x, den) for c, x in row.items()}, None
     f = row[col]
     if den is None:
         f, d = f / d, 1
@@ -249,7 +250,7 @@ class _SparseSquare:
         """The nonzero entries as ``data[row][col]``; read-only, built once from the rows."""
         if self._data is None:
             den = self._den
-            self._data = {r: {c: Fraction(x, den) for c, x in row.items()}
+            self._data = {r: {c: Q(x, den) for c, x in row.items()}
                           for r, row in self._rows.items()}
         return self._data
 
@@ -431,7 +432,7 @@ class Operator1(_SparseSquare):
         den, rows = self._ints()
         if den is None:
             return sum((row[r] for r, row in rows.items() if r in row), ZERO)
-        return Fraction(sum(row[r] for r, row in rows.items() if r in row), den)
+        return Q(sum(row[r] for r, row in rows.items() if r in row), den)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return tuple(sum((v * vec[j] for j, v in self.data.get(i, {}).items()), ZERO)
@@ -652,7 +653,7 @@ def _plan(terms, cls=None):
         if type(k) is not int:
             k = rat(k)
             if d is not None:
-                d = d * k.denominator if isinstance(k, Fraction) else None
+                d = d * k.denominator if type(k) is Q else None
         if d is None:
             den = None
         elif den is not None and d != den:

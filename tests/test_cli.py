@@ -106,6 +106,17 @@ def test_construct_errors_are_usage_errors(runner):
         assert option in res.output and "None" not in res.output, args
 
 
+def test_repeated_parameters_are_refused_by_their_values(runner):
+    # the message lists the values as rationals, with no Python repr in it
+    for args, message in ((["strict-rime", "--phi", "1,1,3", "--beta", "1/2"],
+                           "phi must be pairwise distinct: 1, 1, 3"),
+                          (["unitary-rime", "--mu", "1/2,2/4"],
+                           "mu must be pairwise distinct: 1/2, 1/2")):
+        res = runner.invoke(main, ["construct", *args])
+        assert res.exit_code == 2 and message in res.output, res.output
+        assert "Fraction(" not in res.output and "Q(" not in res.output
+
+
 def test_output_paths_are_checked_before_any_work(runner, tmp_path):
     missing = tmp_path / "no-such-dir" / "out.json"
     for args, option in ((["construct", "unitary-rime", "--mu", "0,1", "--out", str(missing)],

@@ -7,6 +7,7 @@ import pytest
 
 from yibre import rime, suites
 from yibre.kernel import ONE, DegenerateParametersError, QuadExt, RationalDraw, ratvec
+from yibre.rational import Q
 from yibre.rime import (RimeClass, RimeData, appendix_A_residuals, assemble_rime,
                         classical_commutator_relations, classify,
                         eigen_multiplicities, eigenvector_w, extract_rime_data,
@@ -311,7 +312,7 @@ def test_appendix_residuals_match_fraction_evaluation(phi, grid, i, j):
     res = appendix_A_residuals(bad)
     assert any(res.values())
     assert res == appendix_A_per_accessor(bad)
-    assert all(type(v) is F for v in res.values())
+    assert all(type(v) is Q for v in res.values())
 
 
 def test_beta_consistency_violation_hits_ee_family():

@@ -9,6 +9,7 @@ import pytest
 
 from yibre.classical import rime_skew_sl_r
 from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, RationalDraw, ratvec
+from yibre.rational import Q
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, conjugate2, cybe_residual,
                           equivalence_residual, first_nonzero_witness, hecke_residual,
@@ -437,7 +438,7 @@ def test_sparse_kernels_match_reference(how, cls, n, dens, quad_a, quad_b, seed)
     assert type(got) is cls and got.dim == n
     assert _stored(got) == _reference(a, b, how)
     if quad_a is None and quad_b is None:
-        assert all(type(v) is F for v in _stored(got).values())
+        assert all(type(v) is Q for v in _stored(got).values())
     # the operands are left as they were
     assert a == _random_sparse(cls, n, 100 * seed + 1, dens, quad_a)
     assert b == _random_sparse(cls, n, 100 * seed + 2, dens, quad_b)
@@ -477,7 +478,7 @@ def test_sparse_kernels_store_fractions_for_integer_entries():
     b = Operator2(2, {0: {0: 1}, 1: {1: 4}, 3: {2: 7}})
     for how in ("@", "+", "-"):
         got = _stored(_apply(a, b, how))
-        assert got and all(type(v) is F for v in got.values())
+        assert got and all(type(v) is Q for v in got.values())
         assert got == _reference(a, b, how)
     with pytest.raises(InvalidInputError):
         Operator2(2) @ Operator2(3)
@@ -500,14 +501,14 @@ def test_arithmetic_refuses_operands_of_another_type_or_dim():
 
 def test_operator1_arithmetic_results_own_their_rows():
     a = Operator1([[1, "1/2"], [F(-3, 4), 2]])
-    assert all(type(x) is F for x in _stored(a).values())
+    assert all(type(x) is Q for x in _stored(a).values())
     assert Operator1([[0, 2], [0, 0]]).data == {0: {1: F(2)}}
     b = Operator1.identity(2)
     operand_rows = list(a.data.values()) + list(b.data.values())
     for got in (a + b, a - b, -a, a.scale(3), a @ b, a.transpose(), a.inverse(),
                 Operator1.identity(2), Operator1.zero(2), a.scale(0), a - a):
         # _stored also fails on a stored zero or an empty row
-        assert got.dim == 2 and all(type(x) is F for x in _stored(got).values())
+        assert got.dim == 2 and all(type(x) is Q for x in _stored(got).values())
         assert all(row is not ra for row in got.data.values() for ra in operand_rows)
         assert len({id(row) for row in got.data.values()}) == len(got.data)
     assert a @ a.inverse() == b and (a + b) - b == a and -(-a) == a
@@ -595,7 +596,7 @@ def test_kernel_arithmetic_matches_dense_reference(ops):
         assert type(got) is type(a) and got.dim == a.dim
         _assert_canonical(got)
         assert dense_grid(got) == ref
-        assert all(type(v) is F for _, _, v in got.nonzero_entries())
+        assert all(type(v) is Q for _, _, v in got.nonzero_entries())
     assert (a - a).is_zero() and (a + (-a)).data == {}
 
 
