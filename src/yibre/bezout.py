@@ -58,13 +58,14 @@ def rs_action(k: int, l: int) -> dict[tuple[int, int], Fraction]:
 
 
 def _matrix_from_action(action, n: int) -> Operator2:
-    out = Operator2(n)
+    """Column (a, b) holds the image of x^a y^b, truncated to the powers below n."""
+    rows = {}
     for a in range(n):
         for b in range(n):
             for (k, l), v in action(a, b).items():
                 if k < n and l < n:
-                    out.set(k + 1, l + 1, a + 1, b + 1, v)
-    return out
+                    rows.setdefault(k * n + l, {})[a * n + b] = v
+    return Operator2._entries(n, rows)
 
 
 def bezout_operator(kind: str, n: int) -> Operator2:
@@ -117,10 +118,14 @@ def closed_form_operator(kind: str, n: int) -> Operator2:
 def basis_flip(op: Operator2) -> Operator2:
     """Transpose + basis reversal: the bridge to the decreasing-power picture."""
     n = op.dim
-    out = Operator2(n)
-    for i, j, k, l, v in op.four_index_items():
-        out.set(n + 1 - k, n + 1 - l, n + 1 - i, n + 1 - j, v)
-    return out
+    nn = n * n
+    den, rows = op._ints()
+    out = {}
+    for r, row in rows.items():
+        for c, x in row.items():
+            # flat (i, j) -> (n+1-i, n+1-j) is x -> n^2 - 1 - x
+            out.setdefault(nn - 1 - c, {})[nn - 1 - r] = x
+    return Operator2._of(n, den, out)
 
 
 def _assert_basis_convention() -> None:
@@ -271,10 +276,7 @@ def linear_quantization_residuals(kind: str, lam, n: int) -> dict[str, Operator3
 
 def derivative_matrix(n: int) -> Operator1:
     """d/dx on span{x^0 .. x^(n-1)}."""
-    m = Operator1.zero(n)
-    for i in range(2, n + 1):
-        m._set(i - 2, i - 1, Q(i - 1))
-    return m
+    return Operator1._of(n, 1, {i - 1: {i: i} for i in range(1, n)})
 
 
 def euler_matrix(n: int) -> Operator1:

@@ -52,7 +52,7 @@ _RANGE_NOTES = {RBL4: "omega in {q^2, 1, q^-2}", R_II: "eps in {+1, -1}"}
 
 
 def _mat(rows) -> Operator2:
-    return Operator2.from_dense(2, [[rat(x) for x in row] for row in rows])
+    return Operator2.from_dense(2, rows)
 
 
 def block_matrix(kind: str, *params) -> Operator2:

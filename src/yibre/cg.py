@@ -41,27 +41,26 @@ def cg_matrix(params: CGParams) -> Operator2:
 
     The powers p^d (|d| < n) and the staircase weights (1-q^-2) p^d are formed
     once per call, so each entry costs one lookup and one multiplication at most.
+    Row (i, j) holds its entry at (j, i) and the staircase at (s, i + j - s), with
+    s running from i up to j - 1 or from j + 1 up to i - 1: distinct columns, all
+    in range, so no entry is summed.
     """
     n, qi, p = params.dim, params.qsq_inv, params.p
-    r = Operator2(n)
+    rows = {}
     one_minus = ONE - qi
     pw = {0: ONE}
     for d in range(1, n):
         pw[d] = pw[d - 1] * p
         pw[-d] = pw[1 - d] / p
     stair = {d: one_minus * v for d, v in pw.items()}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            r.add_to(i, j, j, i, qi * pw[i - j] if theta(i, j) else pw[i - j])
+    for i in range(n):
+        for j in range(n):
+            row = rows[i * n + j] = {j * n + i: qi * pw[i - j] if theta(i, j) else pw[i - j]}
             for s in range(i, j):           # i <= s < j
-                l = i + j - s
-                if 1 <= l <= n:
-                    r.add_to(i, j, s, l, stair[i - s])
+                row[s * n + i + j - s] = stair[i - s]
             for s in range(j + 1, i):       # j < s < i
-                l = i + j - s
-                if 1 <= l <= n:
-                    r.add_to(i, j, s, l, -stair[i - s])
-    return r
+                row[s * n + i + j - s] = -stair[i - s]
+    return Operator2._entries(n, rows)
 
 
 def d_twist_matrix(n: int, p) -> Operator1:
@@ -202,33 +201,29 @@ def generating_function_residual(phi) -> list[list[Fraction]]:
 def standard_rc_matrix(n: int, qsq_inv) -> Operator2:
     """Exchange matrix of the multiparameter standard solution that admits riming."""
     qi = rat(qsq_inv)
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        r.set(i, i, i, i, ONE)
-        for j in range(1, n + 1):
+    rows = {}
+    for i in range(n):
+        rows[i * n + i] = {i * n + i: ONE}
+        for j in range(n):
             if i < j:
-                r.set(i, j, j, i, ONE)
-                r.set(i, j, i, j, ONE - qi)
+                rows[i * n + j] = {j * n + i: ONE, i * n + j: ONE - qi}
             elif i > j:
-                r.set(i, j, j, i, qi)
-    return r
+                rows[i * n + j] = {j * n + i: qi}
+    return Operator2._entries(n, rows)
 
 
 def riming_target_matrix(n: int, qsq_inv) -> Operator2:
     """Rime form read off the transformed exchange relations."""
     qi = rat(qsq_inv)
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        r.set(i, i, i, i, ONE)
-        for j in range(1, n + 1):
+    rows = {}
+    for i in range(n):
+        rows[i * n + i] = {i * n + i: ONE}
+        for j in range(n):
             if i < j:
-                r.set(i, j, j, i, ONE)
-                r.set(i, j, i, j, ONE - qi)
-                r.set(i, j, i, i, -(ONE - qi))
+                rows[i * n + j] = {j * n + i: ONE, i * n + j: ONE - qi, i * n + i: -(ONE - qi)}
             elif i > j:
-                r.set(i, j, j, i, qi)
-                r.set(i, j, j, j, ONE - qi)
-    return r
+                rows[i * n + j] = {j * n + i: qi, j * n + j: ONE - qi}
+    return Operator2._entries(n, rows)
 
 
 def summation_matrix(n: int) -> Operator1:

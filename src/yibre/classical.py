@@ -222,11 +222,10 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     # (c) omega(Z^i_j, Z^k_l) = -(mu_i - mu_j) d^l_i d^j_k inverts the r-coefficients
     idx = {p: a for a, p in enumerate(pairs)}
     m = len(pairs)
-    rcoef = Operator1.zero(m)
-    omega = Operator1.zero(m)
-    for (i, j) in pairs:
-        rcoef._set(idx[(i, j)], idx[(j, i)], ONE / (mu[i - 1] - mu[j - 1]))
-        omega._set(idx[(i, j)], idx[(j, i)], -(mu[i - 1] - mu[j - 1]))
+    rcoef = Operator1._entries(m, {idx[(i, j)]: {idx[(j, i)]: ONE / (mu[i - 1] - mu[j - 1])}
+                                   for (i, j) in pairs})
+    omega = Operator1._entries(m, {idx[(i, j)]: {idx[(j, i)]: -(mu[i - 1] - mu[j - 1])}
+                                   for (i, j) in pairs})
 
     # (d) omega = d(lambda_n) with lambda_n(Z^k_l) = -mu_l, read off every ordered bracket,
     # which also gives (b)'s vanishing brackets of disjoint pairs.  Each unordered bracket
@@ -337,10 +336,7 @@ def bd_fork_R(q, p, r, s) -> Operator2:
     q, p, r, s = rat(q), rat(p), rat(r), rat(s)
     if q in (0, 1, -1) or not p or not r or not s:
         raise InvalidInputError("needs q not in {0,1,-1} and p, r, s nonzero")
-    m = Operator2(4)
     lam = ONE - 1 / q ** 2
-    for i in range(1, 5):
-        m.set(i, i, i, i, ONE)
     entries = {
         (1, 2): [((2, 1), p / q)],
         (1, 3): [((3, 1), r / q ** 2)],
@@ -355,10 +351,10 @@ def bd_fork_R(q, p, r, s) -> Operator2:
         (4, 2): [((2, 4), 1 / s), ((4, 2), lam)],
         (4, 3): [((3, 4), s / (p * q * r)), ((4, 3), lam)],
     }
+    rows = {5 * i: {5 * i: ONE} for i in range(4)}
     for (i, j), terms in entries.items():
-        for (k, l), v in terms.items() if isinstance(terms, dict) else terms:
-            m.set(i, j, k, l, v)
-    return m
+        rows[(i - 1) * 4 + j - 1] = {(k - 1) * 4 + l - 1: v for (k, l), v in terms}
+    return Operator2._entries(4, rows)
 
 
 def lambda_bcg_gram(n: int) -> Operator1:
@@ -376,7 +372,7 @@ def lambda_bcg_gram(n: int) -> Operator1:
     # y's columns as the rows of its transpose: tr(c y) pairs row r of c with row r of y^T
     columns = [z.transpose()._ints() for z in zt]
     m = len(pairs)
-    g = Operator1.zero(m)
+    g = {}
     # lambda([x, y]) = -lambda([y, x]), so each unordered pair is evaluated once
     for a in range(m):
         dc, crows = brackets[a]
@@ -384,9 +380,9 @@ def lambda_bcg_gram(n: int) -> Operator1:
             dy, yrows = columns[b]
             v = Q(sum(w * yrow[c] for r, crow in crows.items() if (yrow := yrows.get(r))
                       for c, w in crow.items() if c in yrow), dc * dy)
-            g._set(a, b, v)
-            g._set(b, a, -v)
-    return g
+            g.setdefault(a, {})[b] = v
+            g.setdefault(b, {})[a] = -v
+    return Operator1._entries(m, g)
 
 
 def tilde_difference_residual(mu) -> Operator1:

@@ -79,10 +79,13 @@ def construct(kind, phi, mu, psi, beta, n, qsq_inv, p, q, gamma, omega, eps,
         obj = _construct(kind, block_kind, phi=phi, mu=mu, psi=psi, beta=beta, n=n,
                          qsq_inv=qsq_inv, p=p, q=q, gamma=gamma, omega=omega,
                          eps=eps, h1=h1, h2=h2, h3=h3, a=a, b=b, c=c, rho=rho)
+        payload = json.dumps(operator_to_json(obj), indent=2, sort_keys=True)
     except (ValueError, KeyError, TypeError) as exc:
         # precondition violations surface with the originating module's message
         raise click.UsageError(str(exc))
-    payload = json.dumps(operator_to_json(obj), indent=2, sort_keys=True)
+    except MemoryError:
+        raise click.UsageError(f"not enough memory to construct {kind}"
+                               + (f" at --n {n}" if n is not None else ""))
     if out:
         with open(out, "w") as fh:
             fh.write(payload + "\n")
@@ -98,12 +101,27 @@ def _option(kind, kw, name):
     return value
 
 
+def _sized(kw, dim: int) -> None:
+    """Refuse an --n that conflicts with the dimension ``dim`` the parameters give,
+    before anything is built."""
+    if kw["n"] is not None and kw["n"] != dim:
+        raise InvalidInputError(f"--n {kw['n']} conflicts with the parameters, "
+                                f"which give dimension {dim}")
+
+
+def _sized_vector(kind, kw, name):
+    """The vector option --name, whose length is the dimension; see ``_sized``."""
+    vec = _vector(_option(kind, kw, name))
+    _sized(kw, len(vec))
+    return vec
+
+
 def _construct(kind, sub, **kw):
     if kind == "strict-rime":
-        return rime.strict_rime_R(_vector(_option(kind, kw, "phi")),
+        return rime.strict_rime_R(_sized_vector(kind, kw, "phi"),
                                   _rational(_option(kind, kw, "beta")))
     if kind == "unitary-rime":
-        return rime.unitary_rime_R(_vector(_option(kind, kw, "mu")))
+        return rime.unitary_rime_R(_sized_vector(kind, kw, "mu"))
     if kind == "cg":
         return cg.cg_matrix(cg.CGParams(_option(kind, kw, "n"),
                                         _rational(_option(kind, kw, "qsq_inv")),
@@ -114,6 +132,7 @@ def _construct(kind, sub, **kw):
             raise InvalidInputError("block needs --kind")
         if bk not in blocks.BLOCK_PARAMETERS:
             raise InvalidInputError(f"unknown block kind {bk!r}")
+        _sized(kw, 2)
         args = [_rational(_option(f"block {bk}", kw, name))
                 for name in blocks.BLOCK_PARAMETERS[bk]]
         return blocks.block_matrix(bk, *args)
@@ -124,10 +143,10 @@ def _construct(kind, sub, **kw):
         if ck not in classical.CLASSICAL_KINDS:
             raise InvalidInputError(f"unknown classical --kind {ck!r}")
         if ck in classical.PARAMETRIC_KINDS:
-            vec = kw.get("phi") or kw.get("mu")
-            if vec is None:
+            if not (kw["phi"] or kw["mu"]):
                 raise InvalidInputError(f"{ck} needs --phi or --mu")
-            return classical.build_classical(ck, params=_vector(vec))
+            return classical.build_classical(
+                ck, params=_sized_vector(ck, kw, "phi" if kw["phi"] else "mu"))
         return classical.build_classical(ck, n=_option(ck, kw, "n"))
     if kind == "bezout":
         bk = sub
@@ -138,7 +157,7 @@ def _construct(kind, sub, **kw):
         abc = _vector(_option(kind, kw, "rho"))
         if len(abc) != 3:
             raise InvalidInputError("--rho takes exactly a,b,c")
-        return poisson.pencil_bracket(poisson.PencilParams(_vector(_option(kind, kw, "psi")),
+        return poisson.pencil_bracket(poisson.PencilParams(_sized_vector(kind, kw, "psi"),
                                                            *abc))
     raise InvalidInputError(f"unknown constructor {kind!r}")
 

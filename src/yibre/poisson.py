@@ -231,15 +231,12 @@ def invariance_generator(params: PencilParams) -> Operator1:
     psi = params.psi
     n = len(psi)
     xi = xi_values(psi)
-    m = Operator1.zero(n)
-    for i in range(1, n + 1):
-        ri = params.rho(psi[i - 1])
-        m._set(i - 1, i - 1, Q(n - 1, 2) * params.rho_prime(psi[i - 1])
-               + ri * xi[i - 1])
-        for j in range(1, n + 1):
-            if j != i:
-                m._set(i - 1, j - 1, ri / (psi[i - 1] - psi[j - 1]))
-    return m
+    m = {}
+    for i in range(n):
+        ri = params.rho(psi[i])
+        m[i] = {i: Q(n - 1, 2) * params.rho_prime(psi[i]) + ri * xi[i]}
+        m[i].update((j, ri / (psi[i] - psi[j])) for j in range(n) if j != i)
+    return Operator1._entries(n, m)
 
 
 def rime_preserving_matrix(params: PencilParams, nu, diag=None) -> Operator1:
@@ -247,16 +244,14 @@ def rime_preserving_matrix(params: PencilParams, nu, diag=None) -> Operator1:
     psi = params.psi
     n = len(psi)
     nu = ratvec(nu)
-    m = Operator1.zero(n)
-    for l in range(1, n + 1):
-        for k in range(1, n + 1):
-            if l != k:
-                m._set(l - 1, k - 1, nu[k - 1] * params.rho(psi[l - 1])
-                       / (psi[l - 1] - psi[k - 1]))
+    m = {}
+    for l in range(n):
+        rl = params.rho(psi[l])
+        m[l] = {k: nu[k] * rl / (psi[l] - psi[k]) for k in range(n) if k != l}
     if diag is not None:
         for i in range(n):
-            m._set(i, i, rat(diag[i]))
-    return m
+            m[i][i] = rat(diag[i])
+    return Operator1._entries(n, m)
 
 
 def compensating_diagonal(params: PencilParams, nu) -> list[Fraction]:
@@ -350,27 +345,28 @@ def sl2_generators(psi) -> tuple[Operator1, Operator1, Operator1]:
     require_distinct(psi, "psi")
     n = len(psi)
     xi = xi_values(psi)
-    bm, b0, bp = Operator1.zero(n), Operator1.zero(n), Operator1.zero(n)
+    bm, b0, bp = {}, {}, {}
     for i in range(n):
-        bm._set(i, i, -xi[i])
-        b0._set(i, i, -(Q(n - 1, 2) + psi[i] * xi[i]))
-        bp._set(i, i, -((n - 1) * psi[i] + psi[i] * psi[i] * xi[i]))
+        bm[i] = {i: -xi[i]}
+        b0[i] = {i: -(Q(n - 1, 2) + psi[i] * xi[i])}
+        bp[i] = {i: -((n - 1) * psi[i] + psi[i] * psi[i] * xi[i])}
         for j in range(n):
             if j != i:
                 d = psi[i] - psi[j]
-                bm._set(i, j, ONE / d)
-                b0._set(i, j, psi[i] / d)
-                bp._set(i, j, psi[i] * psi[i] / d)
-    return bm, b0, bp
+                bm[i][j] = ONE / d
+                b0[i][j] = psi[i] / d
+                bp[i][j] = psi[i] * psi[i] / d
+    return Operator1._entries(n, bm), Operator1._entries(n, b0), Operator1._entries(n, bp)
 
 
 def varpi(y: Operator1) -> Operator1:
-    """Flip the diagonal sign; an involution splitting Mat into two projector images."""
-    out = Operator1.zero(y.dim)
-    for r, row in y.data.items():
-        for c, v in row.items():
-            out._set(r, c, -v if c == r else v)
-    return out
+    """Flip the diagonal sign; an involution splitting Mat into two projector images.
+
+    y's integer rows are relabelled as they are, over y's own denominator.
+    """
+    den, rows = y._ints()
+    return Operator1._of(y.dim, den, {r: {c: -x if c == r else x for c, x in row.items()}
+                                      for r, row in rows.items()})
 
 
 def trid_residuals(y1: Operator1, y2: Operator1) -> tuple[Operator1, Operator1, Operator1]:
@@ -405,16 +401,14 @@ def lagrange_basis_matrix(psi) -> Operator1:
 def projective_action_monomial(n: int, a, b, c) -> Operator1:
     """f -> rho f' - (n-1)/2 rho' f on span{1, t, .., t^(n-1)} in the monomial basis."""
     a, b, c = rat(a), rat(b), rat(c)
-    m = Operator1.zero(n)
+    m = {}
     half = Q(n - 1, 2)
     for k in range(n):
         # top coefficient cancels at k = n - 1, so the space is preserved
-        if k + 1 <= n - 1:
-            m._add(k + 1, k, a * k - 2 * half * a)
-        m._add(k, k, b * k - half * b)
-        if k - 1 >= 0:
-            m._add(k - 1, k, c * k)
-    return m
+        for r, v in ((k + 1, a * k - 2 * half * a), (k, b * k - half * b), (k - 1, c * k)):
+            if 0 <= r < n:
+                m.setdefault(r, {})[k] = v
+    return Operator1._entries(n, m)
 
 
 def sl2_suite(psi) -> dict[str, object]:

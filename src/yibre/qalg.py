@@ -16,7 +16,7 @@ from math import comb
 
 from .kernel import ONE, ZERO, InvalidInputError, QuadExt, rat
 from .poisson import QuadraticBracket
-from .tensor import Echelon
+from .tensor import Echelon, _clear
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,9 @@ def poincare_series(n: int, relation_rows, max_degree: int) -> tuple[int, ...]:
     """dim of degree-m components of T(V)/(relations), m = 0..max_degree."""
     if max_degree > 6:
         raise InvalidInputError("degree capped at 6")
-    rel = list(relation_rows)
+    # each relation row is cleared to integers once; its prefixed copies below
+    # are rows of ints, which Echelon takes as they are
+    rel = [_clear(row)[1] for row in relation_rows]
     dims = [1]
     if max_degree >= 1:
         dims.append(n)

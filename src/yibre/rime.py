@@ -86,19 +86,22 @@ class RimeClass(enum.Enum):
 
 
 def assemble_rime(data: RimeData) -> Operator2:
-    """Assemble the 4-coefficient family into the two-leg operator."""
+    """Assemble the 4-coefficient family into the two-leg operator.
+
+    Row (i, j), i != j, holds alpha_ij at (j, i), beta_ij at (i, j), gamma_ij at
+    (i, i) and gamma'_ij at (j, j): four distinct columns, so no entry is summed.
+    """
     n = data.dim
-    r = Operator2(n)
-    for i in range(1, n + 1):
-        r.set(i, i, i, i, data.alpha[i - 1])
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            r.add_to(i, j, j, i, data.a(i, j))
-            r.add_to(i, j, i, j, data.b(i, j))
-            r.add_to(i, j, i, i, data.g(i, j))
-            r.add_to(i, j, j, j, data.gp(i, j))
-    return r
+    rows = {}
+    for i in range(n):
+        rows[i * n + i] = {i * n + i: rat(data.alpha[i])}
+        for j in range(n):
+            if i != j:
+                rows[i * n + j] = {j * n + i: rat(data.alpha_ij[i][j]),
+                                   i * n + j: rat(data.beta_ij[i][j]),
+                                   i * n + i: rat(data.gamma_ij[i][j]),
+                                   j * n + j: rat(data.gamma_prime_ij[i][j])}
+    return Operator2._entries(n, rows)
 
 
 def extract_rime_data(r: Operator2) -> RimeData | None:
@@ -222,16 +225,15 @@ def quantum_trace_closed_forms(data: RimeData) -> tuple[Operator1, Operator1]:
     factor, so beta_jl = 1 is allowed; both traces cost O(n^2) scalar operations.
     """
     n = data.dim
-    q = Operator1.zero(n)
-    qt = Operator1.zero(n)
+    q, qt = {}, {}
     for j in range(n):
         bj = data.beta_ij[j]
         for out, coefficient, factors in ((q, [-v for v in bj], [ONE - v for v in bj]),
                                           (qt, bj, [ONE - row[j] for row in data.beta_ij])):
             # factor j is 1 - beta_jj = 1, so the diagonal prod_l is rest[j]
             for k, rest in enumerate(products_omitting(factors)):
-                out._set(k, j, rest if k == j else coefficient[k] * rest)
-    return q, qt
+                out.setdefault(k, {})[j] = rest if k == j else coefficient[k] * rest
+    return Operator1._entries(n, q), Operator1._entries(n, qt)
 
 
 def quantum_traces(r: Operator2) -> tuple[Operator1, Operator1]:
@@ -245,7 +247,7 @@ def quantum_traces(r: Operator2) -> tuple[Operator1, Operator1]:
     """
     n = r.dim
     m = reshuffled_matrix(r)
-    u = {a * n + a: ONE for a in range(n)}
+    u = {a * n + a: 1 for a in range(n)}
     try:
         x = m.solve(u)
     except InvalidInputError as exc:
@@ -276,15 +278,15 @@ def _invariance_matrix(n: int, factor, coefficient) -> Operator1:
     omitting one factor come from ``products_omitting``, which divides by no
     factor, so a zero f_jl is allowed: O(n^2) scalar operations instead of O(n^3).
     """
-    y = Operator1.zero(n)
+    y = {}
     for j in range(n):
         others = [l for l in range(n) if l != j]
         f = [factor(j, l) for l in others]
         rest = products_omitting(f)
-        y._set(j, j, rest[0] * f[0] if f else ONE)
+        y.setdefault(j, {})[j] = rest[0] * f[0] if f else ONE
         for i, ri in zip(others, rest):
-            y._set(i, j, coefficient(j, i) * ri)
-    return y
+            y.setdefault(i, {})[j] = coefficient(j, i) * ri
+    return Operator1._entries(n, y)
 
 
 def invariance_Y(phi, u, v) -> Operator1:
@@ -318,28 +320,22 @@ def invariance_generator(kind: str, params) -> Operator1:
     params = ratvec(params)
     require_distinct(params)
     n = len(params)
-    eta = Operator1.zero(n)
     if kind == "nonunitary":
-        for j in range(1, n + 1):
-            # d/dt Y(1 + t/2, 1 - t/2) at t=0
-            diag = -Q(n - 1, 2)
-            for l in range(1, n + 1):
-                if l != j:
-                    diag += params[j - 1] / (params[j - 1] - params[l - 1])
-            eta._set(j - 1, j - 1, diag)
-            for i in range(1, n + 1):
-                if i != j:
-                    eta._set(i - 1, j - 1, params[j - 1] / (params[j - 1] - params[i - 1]))
+        # d/dt Y(1 + t/2, 1 - t/2) at t=0: eta^i_j = phi_j/(phi_j - phi_i) off the
+        # diagonal, eta^j_j = sum_{l != j} phi_j/(phi_j - phi_l) - (n-1)/2
+        offdiag, shift = lambda j, i: params[j] / (params[j] - params[i]), -Q(n - 1, 2)
     elif kind == "unitary":
-        for j in range(1, n + 1):
-            eta._set(j - 1, j - 1, sum((ONE / (params[j - 1] - params[l - 1])
-                                        for l in range(1, n + 1) if l != j), ZERO))
-            for i in range(1, n + 1):
-                if i != j:
-                    eta._set(i - 1, j - 1, ONE / (params[j - 1] - params[i - 1]))
+        # eta^i_j = 1/(mu_j - mu_i) off the diagonal, eta^j_j = sum_{l != j} 1/(mu_j - mu_l)
+        offdiag, shift = lambda j, i: ONE / (params[j] - params[i]), ZERO
     else:
         raise InvalidInputError(f"unknown generator kind {kind!r}")
-    return eta
+    eta = {i: {} for i in range(n)}
+    for j in range(n):
+        col = {i: offdiag(j, i) for i in range(n) if i != j}
+        col[j] = sum(col.values(), shift)
+        for i, v in col.items():
+            eta[i][j] = v
+    return Operator1._entries(n, eta)
 
 
 # --- full equation system for the rime Yang-Baxter Ansatz -------------------
@@ -483,7 +479,7 @@ def quantum_space_relations(r: Operator2, eigenvalue, side: str) -> Operator2:
     shifted = r.scalar_shift(-rat(eigenvalue))
     if side == "left":
         shifted = shifted.transpose() @ permutation_P(n)
-    return row_space(n, shifted.data.values())
+    return row_space(n, shifted._ints()[1].values())
 
 
 def rime_plane_relations(data: RimeData) -> Operator2:
@@ -498,12 +494,12 @@ def rime_plane_relations(data: RimeData) -> Operator2:
 
 def classical_commutator_relations(n: int) -> Operator2:
     """Commutators [x^i, x^j] = 0: the row space of identity - P."""
-    return row_space(n, (Operator2.identity(n) - permutation_P(n)).data.values())
+    return row_space(n, (Operator2.identity(n) - permutation_P(n))._ints()[1].values())
 
 
 def odd_classical_relations(n: int) -> Operator2:
     """Anticommutators [xi^i, xi^j]_+ = 0 including the squares: the row space of identity + P."""
-    return row_space(n, (Operator2.identity(n) + permutation_P(n)).data.values())
+    return row_space(n, (Operator2.identity(n) + permutation_P(n))._ints()[1].values())
 
 
 def left_odd_rime_relations(data: RimeData, beta) -> Operator2:

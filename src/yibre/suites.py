@@ -539,11 +539,11 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         # independent relations first, map only those, then reduce again
         rr = rime.strict_rime_R(p.phis, 1 - qi)
         x, _ = cg.x_change_of_basis(p.phis)
-        plane = tensor.row_space(n, rr.scalar_shift(-1).data.values())
+        plane = tensor.row_space(n, rr.scalar_shift(-1)._ints()[1].values())
         mapped = tensor.signed_products([(1, plane, tensor.op1_on_leg2(x, 1),
                                           tensor.op1_on_leg2(x, 2))])
-        return (tensor.row_space(n, mapped.data.values())
-                - tensor.row_space(n, p.rcg.scalar_shift(-1).data.values()))
+        return (tensor.row_space(n, mapped._ints()[1].values())
+                - tensor.row_space(n, p.rcg.scalar_shift(-1)._ints()[1].values()))
 
     return checks + Block(draw, rcg=lambda p: cg.cg_matrix(cg.CGParams(n, qi, 1)),
                           dd=lambda p: tensor.kron11(cg.d_twist_matrix(n, 2),

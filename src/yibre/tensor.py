@@ -34,11 +34,12 @@ class Echelon:
     The package's one Gaussian elimination: ``det``, ``inverse`` and ``rank`` of
     the operators, ``row_space`` and the graded ideals of ``qalg`` all run
     through it.  A row is a dict column -> scalar, zero entries ignored.  Each
-    incoming row is cleared once to integers over one common denominator, and
-    each pivot is kept as a primitive integer row with a positive lead, so
-    elimination runs on Python ints.  A row with an entry that has no integer
-    form (a QuadExt) runs the same steps on its scalars, and its pivot is kept
-    scaled to a leading 1.  ``pivots`` reads every pivot scaled to a leading 1.
+    incoming row is cleared once to integers over one common denominator (a
+    row of ints is taken as it is, over 1), and each pivot is kept as a
+    primitive integer row with a positive lead, so elimination runs on Python
+    ints.  A row with an entry that has no integer form (a QuadExt) runs the
+    same steps on its scalars, and its pivot is kept scaled to a leading 1.
+    ``pivots`` reads every pivot scaled to a leading 1.
     """
 
     __slots__ = ("_pivots", "_view")
@@ -133,15 +134,18 @@ class Echelon:
 def _clear(row: dict) -> tuple[int | None, dict]:
     """(den, ints): a row's nonzero entries times den, the lcm of their denominators.
 
-    An entry with no integer form (a QuadExt) gives (None, the entries as scalars).
+    A row of ints is its own integer form over 1.  Zeros are dropped by their
+    integer numerators.  An entry with no integer form (a QuadExt) gives
+    (None, the nonzero entries as scalars).
     """
-    row = {c: v for c, v in row.items() if v}
+    if all(type(v) is int for v in row.values()):
+        return 1, {c: v for c, v in row.items() if v}
     try:
         den, ints = cleared(row.values())
     except AttributeError:
         # an int entry becomes a Q, so no later division is int / int
-        return None, {c: Q(v) if type(v) is int else v for c, v in row.items()}
-    return den, dict(zip(row, ints))
+        return None, {c: Q(v) if type(v) is int else v for c, v in row.items() if v}
+    return den, {c: x for c, x in zip(row, ints) if x}
 
 
 def _eliminate(den: int | None, row: dict, piv: dict, col: int) -> tuple[int | None, dict]:
@@ -190,6 +194,23 @@ def _pivot_form(den: int | None, row: dict, lead: int) -> dict:
     return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
+def _cleared_rows(data: dict[int, dict]) -> tuple[int | None, dict[int, dict]]:
+    """(den, rows): the entries times den, the lcm of their denominators, as integer rows.
+
+    Zeros, and rows left empty, are dropped by their integer numerators after
+    clearing.  An entry with no integer form (a QuadExt) gives (None, the
+    nonzero entries as they are).
+    """
+    try:
+        den, ints = cleared(v for row in data.values() for v in row.values())
+    except AttributeError:
+        return None, {r: nz for r, row in data.items()
+                      if (nz := {c: v for c, v in row.items() if v})}
+    ints = iter(ints)
+    return den, {r: nz for r, row in data.items()
+                 if (nz := {c: x for c in row if (x := next(ints))})}
+
+
 class _SparseSquare:
     """Shared sparse machinery for one-, two- and three-leg operators.
 
@@ -197,9 +218,11 @@ class _SparseSquare:
     positive int and ``_rows[row][col]`` each nonzero entry times ``_den`` as an
     int, with gcd(_den, *numerators) == 1, so ``_den`` is the lcm of the
     entries' reduced denominators.  ``data`` is the read-only view of the
-    entries as Fractions, built from the rows on first read.  The builders
-    ``_set``/``_add`` write that Fraction form and drop the integer form, which
-    the next arithmetic clears once.  An entry with no integer form (a QuadExt)
+    entries as Fractions, built from the rows on first read.  A builder hands
+    over its entries whole (``_entries``), which are cleared once, or relabels
+    another operator's integer rows (``_of``).  ``_set``/``_add`` mutate the
+    Fraction form one entry at a time and drop the integer form, which the
+    next arithmetic clears again.  An entry with no integer form (a QuadExt)
     makes ``_den`` None; ``_rows`` then holds the entries themselves.  ``+``,
     ``-``, ``scale``, ``scalar_shift`` and ``@`` are each one ``signed_products``
     sum, which refuses operands of another type or dim.
@@ -209,11 +232,11 @@ class _SparseSquare:
     legs = 0
 
     def __init__(self, dim: int, data: dict[int, dict[int, Fraction]] | None = None):
+        """An operator from entries ``{row: {col: scalar}}``, cleared to integer rows at once."""
         self.dim = dim
         self.size = dim ** self.legs
-        self._data: dict[int, dict[int, Fraction]] | None = data if data is not None else {}
-        self._den: int | None = None
-        self._rows: dict[int, dict] | None = None
+        self._den, self._rows = _cleared_rows(data or {})
+        self._data = self._rows if self._den is None else None
 
     @classmethod
     def zero(cls, dim: int):
@@ -231,6 +254,12 @@ class _SparseSquare:
         out._den, out._rows = den, rows
         out._data = rows if den is None else None
         return out
+
+    @classmethod
+    def _entries(cls, dim: int, data: dict[int, dict]):
+        """The base constructor's operator from entries ``{row: {col: scalar}}``, for every
+        type, ``Operator1`` included, whose own constructor takes dense rows."""
+        return cls._of(dim, *_cleared_rows(data))
 
     @classmethod
     def _reduced(cls, dim: int, den: int | None, rows: dict[int, dict]):
@@ -257,16 +286,7 @@ class _SparseSquare:
     def _ints(self) -> tuple[int | None, dict[int, dict]]:
         """(den, rows) of the integer form, clearing the Fraction form the first time."""
         if self._rows is None:
-            rows = {r: nz for r, row in self._data.items()
-                    if (nz := {c: v for c, v in row.items() if v})}
-            try:
-                den, ints = cleared(v for row in rows.values() for v in row.values())
-            except AttributeError:
-                den = None
-            else:
-                ints = iter(ints)
-                rows = {r: {c: next(ints) for c in row} for r, row in rows.items()}
-            self._den, self._rows = den, rows
+            self._den, self._rows = _cleared_rows(self._data)
         return self._den, self._rows
 
     def _operands(self, other):
@@ -410,8 +430,7 @@ class Operator1(_SparseSquare):
         rows = [[rat(x) for x in row] for row in rows]
         if any(len(row) != len(rows) for row in rows):
             raise InvalidInputError("matrix must be square")
-        super().__init__(len(rows), {i: nz for i, row in enumerate(rows)
-                                     if (nz := {j: v for j, v in enumerate(row) if v})})
+        super().__init__(len(rows), {i: dict(enumerate(row)) for i, row in enumerate(rows)})
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "Operator1":
@@ -420,10 +439,7 @@ class Operator1(_SparseSquare):
 
     @classmethod
     def diag(cls, values: Sequence) -> "Operator1":
-        m = cls.zero(len(values))
-        for i, v in enumerate(values):
-            m._set(i, i, rat(v))
-        return m
+        return cls._entries(len(values), {i: {i: rat(x)} for i, x in enumerate(values)})
 
     def get(self, i: int, j: int) -> Fraction:
         return self._get(i - 1, j - 1)
@@ -483,13 +499,8 @@ class Operator2(_SparseSquare):
 
     @classmethod
     def from_dense(cls, n: int, grid: Sequence[Sequence]) -> "Operator2":
-        out = cls(n)
-        for r in range(n * n):
-            for c in range(n * n):
-                v = rat(grid[r][c])
-                if v:
-                    out._set(r, c, v)
-        return out
+        size = range(n * n)
+        return cls._entries(n, {r: {c: rat(grid[r][c]) for c in size} for r in size})
 
     def reversed_legs(self) -> "Operator2":
         """R_21 = P R P, read off the rows: R_21[(j,i),(l,k)] = R[(i,j),(k,l)]."""
@@ -567,19 +578,25 @@ def wedge(a: Operator1, b: Operator1) -> Operator2:
 
 
 def op1_on_leg2(a: Operator1, leg: int) -> Operator2:
-    """Lift a one-leg operator to V(x)V on the named leg (1 or 2)."""
+    """Lift a one-leg operator to V(x)V on the named leg (1 or 2), relabelling its rows.
+
+    a_1 = a (x) 1 has row (i, k) = row i of a on the pairs (j, k), and
+    a_2 = 1 (x) a has row (k, i) = row i of a on the pairs (k, j).
+    """
     n = a.dim
-    ident = Operator1.identity(n)
-    return kron11(a, ident) if leg == 1 else kron11(ident, a)
+    den, rows = a._ints()
+    if leg == 1:
+        out = {i * n + k: {j * n + k: x for j, x in row.items()}
+               for i, row in rows.items() for k in range(n)}
+    else:
+        out = {k * n + i: {k * n + j: x for j, x in row.items()}
+               for k in range(n) for i, row in rows.items()}
+    return Operator2._of(n, den, out)
 
 
 def permutation_P(n: int) -> Operator2:
     """P^{ij}_{kl} = delta^i_l delta^j_k; P^2 = identity."""
-    out = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out.set(i, j, j, i, ONE)
-    return out
+    return Operator2._of(n, 1, {i * n + j: {j * n + i: 1} for i in range(n) for j in range(n)})
 
 
 def row_space(n: int, rows: Iterable[dict]) -> Operator2:
@@ -772,12 +789,17 @@ def hecke_residual(r: Operator2, beta) -> Operator2:
 
 
 def reshuffled_matrix(r: Operator2) -> Operator1:
-    """M[(a,d),(g,b)] = R^{ab}_{dg}; M is invertible iff R is skew invertible."""
+    """M[(a,d),(g,b)] = R^{ab}_{dg}, relabelled from R's integer rows; M is invertible
+    iff R is skew invertible."""
     n = r.dim
-    m = Operator1.zero(n * n)
-    for a, b, d, g, v in r.four_index_items():
-        m._set((a - 1) * n + d - 1, (g - 1) * n + b - 1, v)
-    return m
+    den, rows = r._ints()
+    out = {}
+    for x, row in rows.items():
+        a, b = divmod(x, n)
+        for y, v in row.items():
+            d, g = divmod(y, n)
+            out.setdefault(a * n + d, {})[g * n + b] = v
+    return Operator1._of(n * n, den, out)
 
 
 def conjugate2(r: Operator2, t: Operator1) -> Operator2:

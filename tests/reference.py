@@ -13,6 +13,7 @@ from yibre import bezout, classical, rime
 from yibre.bezout import B, B0, RS, RotaBaxterMap, _sweep_units
 from yibre.kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, elem_syms,
                           rat, ratvec, require_distinct, theta)
+from yibre.rational import Q
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift, op1_on_leg2,
                           reshuffled_matrix, row_space, signed_products, wedge)
 
@@ -663,3 +664,115 @@ def jacobi_residual_per_call(br) -> dict:
                 if total:
                     res[(i, j, k)] = total
     return res
+
+
+# --- builders written entry by entry ---------------------------------------------
+# yibre's builders hand their entries to the operator whole, or relabel another
+# operator's integer rows; these write the same operators one ``_set``/``add_to``
+# at a time.
+
+def from_dense_per_entry(n: int, grid) -> Operator2:
+    """``Operator2.from_dense``: every nonzero grid entry set on its own."""
+    out = Operator2(n)
+    for r in range(n * n):
+        for c in range(n * n):
+            v = rat(grid[r][c])
+            if v:
+                out._set(r, c, v)
+    return out
+
+
+def permutation_P_per_entry(n: int) -> Operator2:
+    out = Operator2(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            out.set(i, j, j, i, ONE)
+    return out
+
+
+def reshuffled_matrix_per_entry(r: Operator2) -> Operator1:
+    """M[(a,d),(g,b)] = R^{ab}_{dg}, read off R's four-index entries."""
+    n = r.dim
+    m = Operator1.zero(n * n)
+    for a, b, d, g, v in r.four_index_items():
+        m._set((a - 1) * n + d - 1, (g - 1) * n + b - 1, v)
+    return m
+
+
+def assemble_rime_per_entry(data) -> Operator2:
+    n = data.dim
+    r = Operator2(n)
+    for i in range(1, n + 1):
+        r.set(i, i, i, i, data.alpha[i - 1])
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            r.add_to(i, j, j, i, data.a(i, j))
+            r.add_to(i, j, i, j, data.b(i, j))
+            r.add_to(i, j, i, i, data.g(i, j))
+            r.add_to(i, j, j, j, data.gp(i, j))
+    return r
+
+
+def invariance_generator_per_entry(kind: str, params) -> Operator1:
+    """``rime.invariance_generator`` with each diagonal entry summed in its own loop."""
+    params = ratvec(params)
+    n = len(params)
+    eta = Operator1.zero(n)
+    if kind == "nonunitary":
+        for j in range(1, n + 1):
+            diag = -Q(n - 1, 2)
+            for l in range(1, n + 1):
+                if l != j:
+                    diag += params[j - 1] / (params[j - 1] - params[l - 1])
+            eta._set(j - 1, j - 1, diag)
+            for i in range(1, n + 1):
+                if i != j:
+                    eta._set(i - 1, j - 1, params[j - 1] / (params[j - 1] - params[i - 1]))
+    else:
+        for j in range(1, n + 1):
+            eta._set(j - 1, j - 1, sum((ONE / (params[j - 1] - params[l - 1])
+                                        for l in range(1, n + 1) if l != j), ZERO))
+            for i in range(1, n + 1):
+                if i != j:
+                    eta._set(i - 1, j - 1, ONE / (params[j - 1] - params[i - 1]))
+    return eta
+
+
+def varpi_per_entry(y: Operator1) -> Operator1:
+    out = Operator1.zero(y.dim)
+    for r, row in y.data.items():
+        for c, v in row.items():
+            out._set(r, c, -v if c == r else v)
+    return out
+
+
+def bezout_matrix_per_entry(action, n: int) -> Operator2:
+    """The matrix of a polynomial action, column (a, b) the image of x^a y^b."""
+    out = Operator2(n)
+    for a in range(n):
+        for b in range(n):
+            for (k, l), v in action(a, b).items():
+                if k < n and l < n:
+                    out.set(k + 1, l + 1, a + 1, b + 1, v)
+    return out
+
+
+def bd_fork_R_per_entry(q, p, r, s) -> Operator2:
+    """The 16x16 fork solution, one ``set`` per exchange-relation coefficient."""
+    q, p, r, s = rat(q), rat(p), rat(r), rat(s)
+    m = Operator2(4)
+    lam = ONE - 1 / q ** 2
+    for i in range(1, 5):
+        m.set(i, i, i, i, ONE)
+    for (i, j, k, l), v in {
+            (1, 2, 2, 1): p / q, (1, 3, 3, 1): r / q ** 2,
+            (1, 4, 4, 1): p * r / q, (1, 4, 3, 2): -r * s / q,
+            (2, 1, 1, 2): 1 / (p * q), (2, 1, 2, 1): lam, (2, 3, 3, 2): s / (p * q),
+            (2, 4, 4, 2): s / q ** 2, (3, 1, 1, 3): 1 / r, (3, 1, 3, 1): lam,
+            (3, 2, 2, 3): p / (q * s), (3, 2, 3, 2): lam, (3, 4, 4, 3): p * r / (q * s),
+            (4, 1, 1, 4): 1 / (p * q * r), (4, 1, 4, 1): lam, (4, 1, 2, 3): 1 / q,
+            (4, 2, 2, 4): 1 / s, (4, 2, 4, 2): lam,
+            (4, 3, 3, 4): s / (p * q * r), (4, 3, 4, 3): lam}.items():
+        m.set(i, j, k, l, v)
+    return m

@@ -498,3 +498,14 @@ def test_gl3_isomorphism_fault_names_its_identity(monkeypatch):
     ok, witness = _is_zero(rep)
     assert not ok and witness["index"].startswith("homomorphism:")
     assert _is_zero(rep["shape"]) == (False, {"index": "2,2:3|3", "value": "1"})
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_bezout_matrices_match_their_per_entry_forms(n):
+    from reference import bezout_matrix_per_entry
+    for kind, action in ((B0, b0_action), (B, b_action), (RS, bezout.rs_action)):
+        got, want = bezout.bezout_operator(kind, n), bezout_matrix_per_entry(action, n)
+        assert got == want and got._ints() == want._ints()
+        # x^0 y^0 has no image under any of the three; give it one
+        bumped = lambda k, l: {(0, 0): 1} if (k, l) == (0, 0) else action(k, l)
+        assert got != bezout_matrix_per_entry(bumped, n)

@@ -284,3 +284,13 @@ def test_xty_check_reduces_the_plane_before_mapping(n, monkeypatch):
         rcg = cg_matrix(CGParams(n, Q, 1))
         got = xty.residual(SimpleNamespace(phis=phi, rcg=rcg))
         assert got == xty_mapped_all_rows(r, x) - row_space(n, rcg.scalar_shift(-1).data.values())
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cg_matrix_hands_over_the_per_entry_rows(n):
+    rd = RationalDraw(890 + n)
+    for qi, p in ((rd.rational(), rd.rational()), (1, 2), (F(-3, 5), 1)):
+        got, want = cg_matrix(CGParams(n, qi, p)), cg_matrix_per_entry(CGParams(n, qi, p))
+        assert got._ints() == want._ints()
+        assert cg_matrix(CGParams(n, qi + 29, p)) != want
+        assert cg_matrix(CGParams(n, qi, p * 3)) != want

@@ -304,3 +304,14 @@ def test_build_classical_refuses_an_unknown_kind():
             build_classical("bogus", n=n)
     with pytest.raises(InvalidInputError, match="bogus"):
         build_classical("bogus", params=(1, 2))
+
+
+def test_bd_fork_R_matches_its_per_entry_form():
+    from reference import bd_fork_R_per_entry
+    rd = RationalDraw(17)
+    for q, p, r, s in ((2, 1, 1, 1), (F(-3, 2), F(5, 7), -4, F(1, 9)),
+                       *((rd.rational() + 29, rd.rational(), rd.rational(), rd.rational())
+                         for _ in range(6))):
+        got, want = bd_fork_R(q, p, r, s), bd_fork_R_per_entry(q, p, r, s)
+        assert got == want and got._ints() == want._ints()
+        assert bd_fork_R(q, p, r, s + 29) != want

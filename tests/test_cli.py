@@ -106,6 +106,46 @@ def test_construct_errors_are_usage_errors(runner):
         assert option in res.output and "None" not in res.output, args
 
 
+def test_n_that_conflicts_with_the_parameters_is_refused(runner):
+    for args in (["strict-rime", "--phi", "1,2", "--beta", "1/2"],
+                 ["unitary-rime", "--mu", "0,1,3"],
+                 ["classical", "--kind", "rime-nonskew", "--phi", "1,2"],
+                 ["pencil", "--psi", "0,1", "--rho", "1,2,3"],
+                 ["block", "--kind", "rbl4", "--q", "3", "--omega", "9", "--gamma", "1"]):
+        res = runner.invoke(main, ["construct", *args])
+        assert res.exit_code == 0, (args, res.output)
+        dim = json.loads(res.output)["dim"]
+        assert runner.invoke(main, ["construct", *args, "--n", str(dim)]).exit_code == 0, args
+        res = runner.invoke(main, ["construct", *args, "--n", "200"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), args
+        assert "--n 200" in res.output and f"dimension {dim}" in res.output, args
+        assert '"entries"' not in res.output, args
+
+
+def test_conflicting_n_is_refused_before_anything_is_built(runner, monkeypatch):
+    def not_built(*args, **kwargs):
+        raise AssertionError("built before --n was checked")
+    for target in ("yibre.rime.assemble_rime", "yibre.classical.build_classical",
+                   "yibre.poisson.pencil_bracket"):
+        monkeypatch.setattr(target, not_built)
+    mu = ",".join(map(str, range(60)))
+    for args in (["strict-rime", "--phi", mu, "--beta", "1/2"], ["unitary-rime", "--mu", mu],
+                 ["classical", "--kind", "rime-skew-sl", "--mu", mu],
+                 ["pencil", "--psi", mu, "--rho", "1,2,3"]):
+        res = runner.invoke(main, ["construct", *args, "--n", "2"])
+        assert res.exit_code == 2 and "dimension 60" in res.output, (args, res.output)
+
+
+def test_construct_out_of_memory_is_a_usage_error(runner, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("yibre.classical.build_classical", exhausted)
+    res = runner.invoke(main, ["construct", "classical", "--kind", "r-cg", "--n", "200"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "not enough memory" in res.output and "--n 200" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_repeated_parameters_are_refused_by_their_values(runner):
     # the message lists the values as rationals, with no Python repr in it
     for args, message in ((["strict-rime", "--phi", "1,1,3", "--beta", "1/2"],

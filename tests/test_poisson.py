@@ -354,3 +354,18 @@ def test_jacobi_residual_matches_the_per_call_pair_form(n):
         assert jacobi_residual(br) == jacobi_residual_per_call(br)
     assert all(not jacobi_residual(br) for br in brackets)
     assert bool(jacobi_residual(free)) == (n >= 3)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_varpi_relabels_the_integer_rows(n):
+    from reference import varpi_per_entry
+    rd = RationalDraw(330 + n)
+    y = Operator1([[rd.rational() if rd.int_in(0, 2) else 0 for _ in range(n)]
+                   for _ in range(n)])
+    dual = Operator1([[QuadExt(rd.rational(), rd.rational(), 0) for _ in range(n)]
+                      for _ in range(n)])
+    for op in (y, Operator1.identity(n), Operator1.zero(n), dual):
+        got, want = varpi(op), varpi_per_entry(op)
+        assert got == want and got._ints() == want._ints()
+    bumped = y + Operator1.unit(n, 2, 1)
+    assert varpi(bumped) != varpi_per_entry(y)

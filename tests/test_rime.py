@@ -552,3 +552,29 @@ def test_eigenvector_checks_match_their_per_call_vectors(n):
             assert got == jordan_action_residuals_per_call(phi, q)
         assert any(any(v) for v in eig(SimpleNamespace(phi=phi, beta=beta,
                                                        q=(random_q, None))).values())
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_rime_builders_match_their_per_entry_forms(n):
+    """Each builder hands its entries over whole; the entry-by-entry forms agree,
+    and a bumped input gives another operator."""
+    from reference import assemble_rime_per_entry, invariance_generator_per_entry
+    rd = RationalDraw(960 + n)
+    for data in (*_trace_inputs(n, rd), unitary_rime_data(rd.vector(n))):
+        got, want = assemble_rime(data), assemble_rime_per_entry(data)
+        assert got == want and got._ints() == want._ints()
+        bumped = data.replace_entry("gamma_ij", 1, 2, data.g(1, 2) + 1)
+        assert assemble_rime(bumped) != want
+        got, want = quantum_trace_closed_forms(data), quantum_trace_closed_forms_per_entry(data)
+        assert got[0]._ints() == want[0]._ints() and got[1]._ints() == want[1]._ints()
+        bumped = data.replace_entry("beta_ij", 1, 2, data.b(1, 2) + 1)
+        assert quantum_trace_closed_forms(bumped) != want
+    phi, u, v = rd.vector(n), rd.rational(), rd.rational()
+    y = invariance_Y(phi, u, v)
+    assert y._ints() == invariance_Y_loops(phi, u, v)._ints()
+    assert invariance_Y(phi, u, v + 29) != invariance_Y_loops(phi, u, v)
+    for kind in ("nonunitary", "unitary"):
+        got, want = invariance_generator(kind, phi), invariance_generator_per_entry(kind, phi)
+        assert got == want and got._ints() == want._ints()
+        bumped = (phi[0] + 29, *phi[1:])
+        assert invariance_generator(kind, bumped) != want

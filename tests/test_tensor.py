@@ -1180,3 +1180,101 @@ def test_solve_matches_the_inverse(quad):
         Operator1([[1, 2], [2, 4]]).solve({0: F(1)})
     with pytest.raises(InvalidInputError):
         Operator1([[1, 2], [2, 4]]).solve({})
+
+
+# --- builders on integer rows --------------------------------------------------
+
+def _leg_operands(n: int):
+    """Seeded rational operators, small and large denominators, the zero operator and
+    QuadExt operators with d = -1 and d = 0."""
+    yield Operator1.zero(n)
+    for seed in range(3):
+        yield _random_sparse(Operator1, n, 500 + 10 * n + seed, SMALL_DENS)
+        yield _random_sparse(Operator1, n, 600 + 10 * n + seed, LARGE_DENS)
+        for d in (-1, 0):
+            yield _random_sparse(Operator1, n, 700 + 10 * n + seed, SMALL_DENS, quad=d)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_leg_lifts_are_the_kronecker_products(n):
+    ident = Operator1.identity(n)
+    for a in _leg_operands(n):
+        lifted = op1_on_leg2(a, 1), op1_on_leg2(a, 2)
+        assert lifted == (kron11(a, ident), kron11(ident, a))
+        if a._den is not None:
+            for op in lifted:
+                _assert_canonical(op)
+        # a bumped operand lifts to another operator
+        bumped = a + Operator1.unit(n, 1, n)
+        assert op1_on_leg2(bumped, 1) != lifted[0] and op1_on_leg2(bumped, 2) != lifted[1]
+
+
+def _same_operator(got, want):
+    """Equal entries and, on rationals, the same canonical integer rows."""
+    assert type(got) is type(want) and got == want
+    if want._ints()[0] is not None:
+        _assert_canonical(got)
+        assert got._ints() == want._ints()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tensor_builders_match_their_per_entry_forms(n):
+    from reference import (from_dense_per_entry, permutation_P_per_entry,
+                           reshuffled_matrix_per_entry)
+    rng = random.Random(n)
+    grid = [[F(rng.randint(-9, 9), rng.choice((1, 2, 7))) if rng.random() < 0.3 else 0
+             for _ in range(n * n)] for _ in range(n * n)]
+    grid[0][0] = 3  # an int entry, coerced
+    dense = from_dense_per_entry(n, grid)
+    _same_operator(Operator2.from_dense(n, grid), dense)
+    _same_operator(permutation_P(n), permutation_P_per_entry(n))
+    for r in (dense, _random_sparse(Operator2, n, 900 + n, LARGE_DENS),
+              _random_sparse(Operator2, n, 950 + n, SMALL_DENS, quad=-1)):
+        _same_operator(reshuffled_matrix(r), reshuffled_matrix_per_entry(r))
+    # negative controls: one bumped input entry changes each builder's output
+    grid[1][2] += F(1, 3)
+    assert Operator2.from_dense(n, grid) != dense
+    assert permutation_P(n) + Operator2.identity(n) != permutation_P_per_entry(n)
+    bumped = dense + Operator2.from_dense(n, [[int(r == 1 and c == n) for c in range(n * n)]
+                                               for r in range(n * n)])
+    assert reshuffled_matrix(bumped) != reshuffled_matrix_per_entry(dense)
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED)))
+def test_echelon_takes_integer_rows_as_their_rationals(idx):
+    """Rows of ints, zeros included, reduce as the same rows of Qs do."""
+    a = SEEDED[idx]
+    n = a.dim
+    den = lcm(*(v.denominator for row in dense_grid(a) for v in row))
+    ints = [[int(v * den) for v in row] for row in dense_grid(a)]
+    as_ints = [dict(enumerate(row)) for row in ints]
+    as_q = [{c: Q(x) for c, x in row.items()} for row in as_ints]
+    assert all(type(x) is int for row in as_ints for x in row.values())
+    # each insert's lead and value (det multiplies them), rank, pivots and rref agree
+    e_int, e_q = Echelon(), Echelon()
+    for ri, rq in zip(as_ints, as_q):
+        assert e_int._insert(ri) == e_q._insert(rq)
+    assert e_int.rank == e_q.rank == a.rank()
+    assert e_int.pivots == e_q.pivots
+    assert e_int.rref() == e_q.rref()
+    # inverse reads the rref of [A | I]
+    assert (Echelon({**row, n + r: 1} for r, row in enumerate(as_ints)).rref()
+            == Echelon({**row, n + r: Q(1)} for r, row in enumerate(as_q)).rref())
+    # det and inverse of the operator stored as these integer rows
+    b = Operator1._of(n, 1, {r: {c: x for c, x in enumerate(row) if x}
+                             for r, row in enumerate(ints) if any(row)})
+    assert b.det() == a.det() * den ** n
+    if b.det():
+        _same_operator(b.inverse(), a.inverse().scale(Q(1, den)))
+
+
+def test_constructors_drop_handed_over_zeros():
+    """A zero entry or an empty row handed to a constructor is not stored, so the
+    operator equals and hashes as the one built without it."""
+    for got, want in ((Operator2(2, {0: {0: Q(0), 3: F(1, 2)}, 1: {}}),
+                       Operator2(2, {0: {3: F(1, 2)}})),
+                      (Operator2(2, {2: {1: 0}}), Operator2.zero(2)),
+                      (Operator1([[0, 0], [0, F(0)]]), Operator1.zero(2)),
+                      (Operator3(2, {0: {0: QuadExt(0, 0, -1)}}), Operator3.zero(2))):
+        assert got == want and hash(got) == hash(want)
+        assert got.data == want.data and all(got.data.values())
