@@ -253,7 +253,7 @@ def cg_symmetry_residual(n: int, qsq_inv) -> Operator2:
     return rcg + p @ rcg - Operator2.identity(n) - p
 
 
-def cg_plane_relations(n: int, qsq_inv) -> Operator2:
+def cg_plane_rows(n: int, qsq_inv) -> list[dict]:
     """Right even plane of R_CG: y^i y^j = q^2 y^j y^i + (q^2-1)(y^{i+1}y^{j-1} + ...), i<j."""
     qi = rat(qsq_inv)
     pos = lambda a, b: (a - 1) * n + (b - 1)
@@ -265,4 +265,9 @@ def cg_plane_relations(n: int, qsq_inv) -> Operator2:
             for s in range(i + 1, j):
                 row[pos(s, i + j - s)] = qi - ONE
             rows.append(row)
-    return row_space(n, rows)
+    return rows
+
+
+def cg_plane_relations(n: int, qsq_inv) -> Operator2:
+    """The row space of ``cg_plane_rows``."""
+    return row_space(n, cg_plane_rows(n, qsq_inv))

@@ -13,7 +13,7 @@ from .kernel import (ONE, ZERO, InvalidInputError, rat, ratvec,
                      require_distinct)
 from .rational import Q
 from .rime import strict_rime_R
-from .tensor import (Operator1, Operator2, commutator_with_sum, conjugate2,
+from .tensor import (Operator1, Operator2, commutator_with_sum, conjugate2_residual,
                      cybe_residual, kron_sum, op1_on_leg2, permutation_P, signed_products)
 
 RIME_NONSKEW = "rime-nonskew"
@@ -168,10 +168,14 @@ def classical_limit_residual(phi, beta) -> Operator2:
 
 
 def conjugation_residual(pair: str, params) -> Operator2:
-    """lhs - (X x X) rhs (X^-1 x X^-1) for the three stated equivalences."""
+    """lhs - (X x X) rhs (X^-1 x X^-1) for the three stated equivalences.
+
+    X^-1 is the closed form that ``x_change_of_basis`` checks against X, so the
+    residual is decided by its inverse-free defect (``conjugate2_residual``).
+    """
     params = ratvec(params)
     n = len(params)
-    x, _ = x_change_of_basis(params)
+    x, xinv = x_change_of_basis(params)
     if pair == "nonskew-to-rcg":
         lhs, rhs = rime_nonskew_r(params), rcg_r(n)
     elif pair == "skew-to-b":
@@ -180,7 +184,7 @@ def conjugation_residual(pair: str, params) -> Operator2:
         lhs, rhs = rime_skew_sl_r(params), b_cg_r(n)
     else:
         raise InvalidInputError(f"unknown conjugation pair {pair!r}")
-    return lhs - conjugate2(rhs, x)
+    return conjugate2_residual(lhs, rhs, x, xinv)
 
 
 def carrier_algebra_check(mu) -> dict[str, object]:
@@ -204,7 +208,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     product_rule = []
     for (j, i) in pairs:
         for (k, l) in pairs:
-            coeff = (ONE if j == l else ZERO) - (ONE if i == l else ZERO)
+            coeff = (j == l) - (i == l)
             product_rule.append(kept(signed_products([(1, z[(j, i)], z[(k, l)]),
                                                       (-coeff, z.get((k, i), zero)),
                                                       (coeff, z.get((l, i), zero))])))
@@ -243,7 +247,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
             coboundary[b * m + a] = -lam - omega._get(b, a) or ZERO
             if not set(p) & set(t):
                 disjoint[a * m + b] = zpt
-                disjoint[b * m + a] = kept(-zpt)
+                disjoint[b * m + a] = zpt if zpt is zero else -zpt
     other_brackets = [disjoint[x] for x in sorted(disjoint)]
 
     # (e) Ztilde obeys the same brackets and fixes the all-ones vector up to 1/n

@@ -20,8 +20,8 @@ from math import comb
 from .kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared,
                      elem_syms_omitting, products_omitting, rat, ratvec, require_distinct)
 from .rational import Q
-from .tensor import (Operator1, Operator2, hecke_residual, permutation_P, reshuffled_matrix,
-                     row_space)
+from .tensor import (Operator1, Operator2, _add_row_product, hecke_residual, permutation_P,
+                     reshuffled_matrix, row_space)
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,40 @@ def quantum_traces(r: Operator2) -> tuple[Operator1, Operator1]:
             Operator1([[w.get(l * n + j, ZERO) for l in range(n)] for j in range(n)]))
 
 
+def quantum_trace_residuals(r: Operator2, q: Operator1,
+                            qt: Operator1) -> tuple[Operator1, Operator1]:
+    """(q - Q, qt - Qtilde) for (Q, Qtilde) = ``quantum_traces(r)``, solved for only when nonzero.
+
+    One forward elimination shows the reshuffled matrix M nonsingular (a
+    singular M raises NotSkewInvertibleError, as there).  Then M x = u has one
+    solution, so q = Q iff M vec(q) = u with vec(q)[(i,k)] = q^i_k, and
+    qt = Qtilde iff M^T w = u with w[(l,j)] = qt^j_l: each trace is decided by
+    one product, its defect, on integers.
+    """
+    n = r.dim
+    m = reshuffled_matrix(r)
+    if m.rank() < m.size:
+        raise NotSkewInvertibleError("reshuffled matrix is singular")
+    # integer rows over den, or entries over None, which reads as 1
+    mden, mrows = m._ints()
+    qden, qrows = q._ints()
+    tden, trows = qt._ints()
+    vq = {i * n + k: v for i, row in qrows.items() for k, v in row.items()}
+    wt = {l * n + j: v for j, row in trows.items() for l, v in row.items()}
+    # (M x)[a] is x times M's transpose, (M^T w)[a] is w times M
+    mk = mden or 1
+    if (_is_unit_sum(_add_row_product({}, vq, m.transpose()._ints()[1]), n, mk * (qden or 1))
+            and _is_unit_sum(_add_row_product({}, wt, mrows), n, mk * (tden or 1))):
+        return q.zero(n), qt.zero(n)
+    qs, qts = quantum_traces(r)
+    return q - qs, qt - qts
+
+
+def _is_unit_sum(vec: dict, n: int, k) -> bool:
+    """Whether vec, its zeros dropped, is k u with u = sum_a e_(a,a)."""
+    return {c: v for c, v in vec.items() if v} == {a * n + a: k for a in range(n)}
+
+
 def eigenvector_w(params, a: int) -> tuple[Fraction, ...]:
     """w_a with components (w_a)^j = e_a^jhat of the parameter vector (zero unless 0 <= a < n)."""
     params = ratvec(params)
@@ -271,43 +305,65 @@ def jordan_action_coefficients(n: int, i: int) -> tuple[Fraction, ...]:
                  for s in range(n))
 
 
-def _invariance_matrix(n: int, factor, coefficient) -> Operator1:
-    """Y^j_j = prod_{l != j} f_jl and Y^i_j = c_ji prod_{l != i,j} f_jl (0-based).
+def _invariance_matrix(n: int, numerator, denominator, coefficient) -> Operator1:
+    """Y^j_j = prod_{l != j} f_jl and Y^i_j = c_ji prod_{l != i,j} f_jl (0-based), on ints.
 
-    Each column's factors f_jl = factor(j, l) are formed once and its products
-    omitting one factor come from ``products_omitting``, which divides by no
-    factor, so a zero f_jl is allowed: O(n^2) scalar operations instead of O(n^3).
+    Each factor is f_jl = numerator(j, l) / denominator(j, l) and each
+    coefficient c_ji = coefficient(j) / denominator(j, i), all ints.  Column j
+    has the one denominator prod_{l != j} denominator(j, l), and its numerators
+    are products omitting one factor from ``products_omitting``, which divides
+    by none, so a zero f_jl is allowed: O(n^2) int operations and one Q per
+    entry instead of O(n^3) rational products.
     """
     y = {}
     for j in range(n):
         others = [l for l in range(n) if l != j]
-        f = [factor(j, l) for l in others]
+        f = [numerator(j, l) for l in others]
+        den = 1
+        for l in others:
+            den *= denominator(j, l)
         rest = products_omitting(f)
-        y.setdefault(j, {})[j] = rest[0] * f[0] if f else ONE
+        y.setdefault(j, {})[j] = Q(rest[0] * f[0] if f else 1, den)
+        c = coefficient(j)
         for i, ri in zip(others, rest):
-            y.setdefault(i, {})[j] = coefficient(j, i) * ri
+            y.setdefault(i, {})[j] = Q(c * ri, den)
     return Operator1._entries(n, y)
 
 
 def invariance_Y(phi, u, v) -> Operator1:
-    """Two-parameter invariance matrix Y(u,v) of the non-unitary family."""
+    """Two-parameter invariance matrix Y(u,v) of the non-unitary family.
+
+    With phi = Phi/D on ints, f_jl = (u phi_j - v phi_l)/(phi_j - phi_l) is
+    (u' v_d Phi_j - v' u_d Phi_l) / (u_d v_d (Phi_j - Phi_l)) for u = u'/u_d and
+    v = v'/v_d, and c_ji = (u - v) phi_j/(phi_j - phi_i) has the numerator
+    (u' v_d - v' u_d) Phi_j over the same denominator.
+    """
     phi = ratvec(phi)
     require_distinct(phi, "phi")
     u, v = rat(u), rat(v)
     if not u or not v:
         raise InvalidInputError("u and v must be nonzero")
-    return _invariance_matrix(
-        len(phi), lambda j, l: (u * phi[j] - v * phi[l]) / (phi[j] - phi[l]),
-        lambda j, i: (u - v) * phi[j] / (phi[j] - phi[i]))
+    _, p = cleared(phi)
+    un, vn = u.numerator * v.denominator, v.numerator * u.denominator
+    d = u.denominator * v.denominator
+    return _invariance_matrix(len(phi), lambda j, l: un * p[j] - vn * p[l],
+                              lambda j, l: d * (p[j] - p[l]), lambda j: (un - vn) * p[j])
 
 
 def invariance_Y0(mu, a) -> Operator1:
-    """One-parameter invariance matrix Y0(a) of the unitary family; additive in a."""
+    """One-parameter invariance matrix Y0(a) of the unitary family; additive in a.
+
+    With mu = M/D on ints and a = a'/a_d, f_jl = 1 + a/(mu_j - mu_l) is
+    (a_d (M_j - M_l) + a' D) / (a_d (M_j - M_l)), and c_ji = a/(mu_j - mu_i) has
+    the numerator a' D over the same denominator.
+    """
     mu = ratvec(mu)
     require_distinct(mu, "mu")
     a = rat(a)
-    return _invariance_matrix(len(mu), lambda j, l: ONE + a / (mu[j] - mu[l]),
-                              lambda j, i: a / (mu[j] - mu[i]))
+    big_d, m = cleared(mu)
+    ad, shift = a.denominator, a.numerator * big_d
+    return _invariance_matrix(len(mu), lambda j, l: ad * (m[j] - m[l]) + shift,
+                              lambda j, l: ad * (m[j] - m[l]), lambda j: shift)
 
 
 def invariance_generator(kind: str, params) -> Operator1:
@@ -464,10 +520,12 @@ def appendix_A_violated(data: RimeData) -> bool:
 
 # --- quantum spaces ----------------------------------------------------------
 # A relation space over the 2-letter monomials x^i x^j is its tensor.row_space,
-# so two spaces are equal iff their difference is zero.
+# so two spaces are equal iff their difference is zero.  Each ``*_rows``
+# function gives the spanning rows, which ``tensor.span_difference`` compares
+# without reducing them to that form.
 
-def quantum_space_relations(r: Operator2, eigenvalue, side: str) -> Operator2:
-    """Degree-2 relation space of a quantum (super)plane.
+def quantum_space_rows(r: Operator2, eigenvalue, side: str) -> list[dict]:
+    """Spanning rows of the degree-2 relation space of a quantum (super)plane.
 
     Right spaces are spanned by the rows of (R - lambda) as coefficient vectors
     over monomials x^k x^l; left spaces pair the lower indices against reversed
@@ -475,34 +533,53 @@ def quantum_space_relations(r: Operator2, eigenvalue, side: str) -> Operator2:
     """
     if side not in ("left", "right"):
         raise InvalidInputError("side must be 'left' or 'right'")
-    n = r.dim
     shifted = r.scalar_shift(-rat(eigenvalue))
     if side == "left":
-        shifted = shifted.transpose() @ permutation_P(n)
-    return row_space(n, shifted._ints()[1].values())
+        shifted = shifted.transpose() @ permutation_P(r.dim)
+    return list(shifted._ints()[1].values())
 
 
-def rime_plane_relations(data: RimeData) -> Operator2:
+def quantum_space_relations(r: Operator2, eigenvalue, side: str) -> Operator2:
+    """Degree-2 relation space of a quantum (super)plane: the span of ``quantum_space_rows``."""
+    return row_space(r.dim, quantum_space_rows(r, eigenvalue, side))
+
+
+def rime_plane_rows(data: RimeData) -> list[dict]:
     """The relations [x^i,x^j] + (beta_ij x^i + beta_ji x^j)(x^i - x^j) = 0."""
     n = data.dim
     pos = lambda a, b: (a - 1) * n + (b - 1)
     # expanded: x^i x^j - x^j x^i + beta_ij (x^i x^i - x^i x^j) + beta_ji (x^j x^i - x^j x^j)
-    return row_space(n, ({pos(i, j): ONE - data.b(i, j), pos(j, i): data.b(j, i) - ONE,
-                          pos(i, i): data.b(i, j), pos(j, j): -data.b(j, i)}
-                         for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+    return [{pos(i, j): ONE - data.b(i, j), pos(j, i): data.b(j, i) - ONE,
+             pos(i, i): data.b(i, j), pos(j, j): -data.b(j, i)}
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def rime_plane_relations(data: RimeData) -> Operator2:
+    """The row space of ``rime_plane_rows``."""
+    return row_space(data.dim, rime_plane_rows(data))
+
+
+def classical_commutator_rows(n: int) -> list[dict]:
+    """Commutators [x^i, x^j] = 0: the rows of identity - P."""
+    return list((Operator2.identity(n) - permutation_P(n))._ints()[1].values())
 
 
 def classical_commutator_relations(n: int) -> Operator2:
-    """Commutators [x^i, x^j] = 0: the row space of identity - P."""
-    return row_space(n, (Operator2.identity(n) - permutation_P(n))._ints()[1].values())
+    """The row space of ``classical_commutator_rows``."""
+    return row_space(n, classical_commutator_rows(n))
+
+
+def odd_classical_rows(n: int) -> list[dict]:
+    """Anticommutators [xi^i, xi^j]_+ = 0 including the squares: the rows of identity + P."""
+    return list((Operator2.identity(n) + permutation_P(n))._ints()[1].values())
 
 
 def odd_classical_relations(n: int) -> Operator2:
-    """Anticommutators [xi^i, xi^j]_+ = 0 including the squares: the row space of identity + P."""
-    return row_space(n, (Operator2.identity(n) + permutation_P(n))._ints()[1].values())
+    """The row space of ``odd_classical_rows``."""
+    return row_space(n, odd_classical_rows(n))
 
 
-def left_odd_rime_relations(data: RimeData, beta) -> Operator2:
+def left_odd_rime_rows(data: RimeData, beta) -> list[dict]:
     """(2-beta) xi_i^2 + xi_i rho_i + (1-beta) rho_i xi_i = 0 and the mixed family.
 
     rho_i = sum_{j != i} xi_j; including the j = i term would double-count the
@@ -521,4 +598,9 @@ def left_odd_rime_relations(data: RimeData, beta) -> Operator2:
         rows.append(row)
     rows += [{pos(i, j): ONE - data.b(i, j), pos(j, i): ONE - data.b(j, i)}
              for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return row_space(n, rows)
+    return rows
+
+
+def left_odd_rime_relations(data: RimeData, beta) -> Operator2:
+    """The row space of ``left_odd_rime_rows``."""
+    return row_space(data.dim, left_odd_rime_rows(data, beta))

@@ -298,8 +298,8 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
 
     def qt_check(p):
         qc, qtc = p.q
-        qs, qts = rime.quantum_traces(p.r)
-        return {"q": qc - qs, "qt": qtc - qts,
+        q, qt = rime.quantum_trace_residuals(p.r, qc, qtc)
+        return {"q": q, "qt": qt,
                 "product": (qc @ qtc) - Operator1.identity(n).scale((ONE - p.beta) ** (n - 1))}
 
     def eig_q(p):
@@ -353,20 +353,23 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     def r21_props(p):
         out = {}
         if all(p.phi):
-            finv = Operator1.diag(p.phi).inverse()
-            rhs = tensor.conjugate2(rime.strict_rime_R([1 / x for x in p.phi], p.beta), finv)
-            out["nonunitary"] = p.r.reversed_legs() - rhs
+            # R_21 = (F^-1 x F^-1) R(1/phi) (F x F) with F = diag(phi)
+            inverted = [1 / x for x in p.phi]
+            rhs = rime.strict_rime_R(inverted, p.beta)
+            out["nonunitary"] = tensor.conjugate2_residual(
+                p.r.reversed_legs(), rhs, Operator1.diag(inverted), Operator1.diag(p.phi))
         out["unitary"] = p.u.reversed_legs() - rime.unitary_rime_R([-m for m in p.mu])
         return out
 
     def planes(p):
-        space = lambda eigenvalue, side: rime.quantum_space_relations(p.r, eigenvalue, side)
+        rows = lambda eigenvalue, side: rime.quantum_space_rows(p.r, eigenvalue, side)
+        differ = lambda computed, displayed: tensor.span_difference(n, computed, displayed)
         return {
-            "right-even-rime-plane": space(1, "right") - rime.rime_plane_relations(p.data),
-            "left-even-classical": space(1, "left") - rime.classical_commutator_relations(n),
-            "right-odd-classical": space(p.beta - 1, "right") - rime.odd_classical_relations(n),
-            "left-odd-display": (space(p.beta - 1, "left")
-                                 - rime.left_odd_rime_relations(p.data, p.beta)),
+            "right-even-rime-plane": differ(rows(1, "right"), rime.rime_plane_rows(p.data)),
+            "left-even-classical": differ(rows(1, "left"), rime.classical_commutator_rows(n)),
+            "right-odd-classical": differ(rows(p.beta - 1, "right"), rime.odd_classical_rows(n)),
+            "left-odd-display": differ(rows(p.beta - 1, "left"),
+                                       rime.left_odd_rime_rows(p.data, p.beta)),
         }
 
     def unitary_limit(mu):
@@ -536,14 +539,16 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
 
     def xty(p):
         # rowspace((R - 1) X1 X2) = rowspace(R - 1) X1 X2: reduce the n(n-1)/2
-        # independent relations first, map only those, then reduce again
+        # independent relations first and map only those.  X1 X2 is invertible, so
+        # the mapped rows stay independent, and each is only tested against R_CG's plane
         rr = rime.strict_rime_R(p.phis, 1 - qi)
         x, _ = cg.x_change_of_basis(p.phis)
         plane = tensor.row_space(n, rr.scalar_shift(-1)._ints()[1].values())
         mapped = tensor.signed_products([(1, plane, tensor.op1_on_leg2(x, 1),
                                           tensor.op1_on_leg2(x, 2))])
-        return (tensor.row_space(n, mapped._ints()[1].values())
-                - tensor.row_space(n, p.rcg.scalar_shift(-1)._ints()[1].values()))
+        return tensor.span_difference(n, mapped._ints()[1].values(),
+                                      p.rcg.scalar_shift(-1)._ints()[1].values(),
+                                      rank=len(plane._ints()[1]))
 
     return checks + Block(draw, rcg=lambda p: cg.cg_matrix(cg.CGParams(n, qi, 1)),
                           dd=lambda p: tensor.kron11(cg.d_twist_matrix(n, 2),
@@ -557,8 +562,8 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         Check("cg-symmetry", "transem proof", residual=lambda p: cg.cg_symmetry_residual(n, qi)),
         Check("standard-riming", "stcl/rstcl", lambda p: cg.standard_riming(n, qi), riming),
         Check("cg-quantum-plane", "qpcg", lambda p: p.rcg,
-              lambda r: rime.quantum_space_relations(r, 1, "right")
-              - cg.cg_plane_relations(n, qi), mutable=False),
+              lambda r: tensor.span_difference(n, rime.quantum_space_rows(r, 1, "right"),
+                                               cg.cg_plane_rows(n, qi)), mutable=False),
         Check("xty-ideal-map", "xty", residual=xty, spec={"phis": Vector(n)}, mutable=False))
 
 
@@ -968,12 +973,12 @@ def qalg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
 
     def rstcl_quantum_space(qi):
         rc, xt, residual = cg.standard_riming(m, qi)
-        right = rime.quantum_space_relations(tensor.conjugate2(rc, xt), 1, "right")
+        right = rime.quantum_space_rows(tensor.conjugate2(rc, xt), 1, "right")
         rows = qalg.OrderedPresentation.case_ii(m, qi).relation_rows()
         # relabel generators by the order reversal i -> m-1-i to match the exchange
         # convention; it sends monomial i*m + j to m*m-1 - (i*m + j)
-        case_ii = tensor.row_space(m, ({m * m - 1 - c: v for c, v in row.items()} for row in rows))
-        return {"riming": residual, "plane": right - case_ii}
+        case_ii = ({m * m - 1 - c: v for c, v in row.items()} for row in rows)
+        return {"riming": residual, "plane": tensor.span_difference(m, right, case_ii)}
 
     return Block(draw).declare(
         Check("confluent-families", "qra15/qra16", residual=overlaps_vanish, mutable=False,

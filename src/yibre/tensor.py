@@ -75,6 +75,10 @@ class Echelon:
             den, row = _eliminate(den, row, piv, lead)
         return den, row, None
 
+    def contains(self, row: dict) -> bool:
+        """Whether ``row`` lies in the span, i.e. reduces to nothing; the basis is unchanged."""
+        return self._reduce(row)[2] is None
+
     def insert(self, row: dict) -> int | None:
         """Reduce ``row`` and keep it as a pivot; its lead column, or None if dependent."""
         return self._insert(row)[0]
@@ -611,6 +615,32 @@ def row_space(n: int, rows: Iterable[dict]) -> Operator2:
     return Operator2._reduced(n, *ech._common())
 
 
+def span_difference(n: int, rows: Iterable[dict], canonical: Iterable[dict],
+                    rank: int | None = None) -> Operator2:
+    """row_space(n, rows) - row_space(n, canonical), formed only when the spans differ.
+
+    The spans are equal iff every row lies in the canonical span and the rows
+    reach its dimension.  Each row is reduced in the forward echelon of
+    ``canonical``; the rows' dimension is ``rank`` when the caller knows it, and
+    otherwise they are inserted into an echelon of their own only until it
+    reaches the canonical dimension.  Neither side is back-reduced.
+    """
+    rows, canonical = list(rows), list(canonical)
+    ech = Echelon(canonical)
+    if all(ech.contains(row) for row in rows):
+        if rank is None:
+            own = Echelon()
+            # a rank already reached stops the loop at once
+            for row in rows:
+                if own.rank >= ech.rank:
+                    break
+                own.insert(row)
+            rank = own.rank
+        if rank == ech.rank:
+            return Operator2.zero(n)
+    return row_space(n, rows) - row_space(n, canonical)
+
+
 def lift(op: Operator2, legs: int, n: int | None = None) -> Operator3:
     """Embed a two-leg operator into V^3 on leg pair 12, 13 or 23."""
     if n is None:
@@ -746,21 +776,46 @@ def ybe_numbered_residual(r: Operator2) -> Operator3:
 
 
 def cybe_residual(r: Operator2) -> Operator3:
-    """[r12,r13] + [r12,r23] + [r13,r23], on its rows (a, b, c) with a <= b <= c when r is skew.
+    """[r12,r13] + [r12,r23] + [r13,r23], on its rows (a, b, c) with a <= b <= c when
+    r + r_21 = c P + d 1 exactly.
 
-    For r_21 = -r exactly, the residual is totally antisymmetric under leg
-    permutations (CYB(r) lies in the third exterior power), so those sorted
-    rows decide it: it vanishes iff they do.  A sorted triple is the least of
-    its permutations, so the first nonzero entry is the same as the whole
-    residual's.  Any other r gets every row.
+    Write r = a + (c/2) P + (d/2) 1 with a skew.  The identity term drops out of
+    every commutator.  Conjugating by P_12 swaps legs 1 and 2, so
+    [P_12, a_13 + a_23] = 0, and likewise [P_13, a_12 + a_32] = 0 and
+    [P_23, a_21 + a_31] = 0; with a_ji = -a_ij the six mixed terms of a with P
+    group into these three, so they cancel.  So CYB(r) = CYB(a) + (c^2/4) CYB(P),
+    and CYB(P) = [P_13, P_23] since [P_12, P_13 + P_23] = 0.  Both parts are
+    totally antisymmetric under leg permutations: CYB(a) lies in the third
+    exterior power, and a transposition of legs swaps the two 3-cycles
+    P_13 P_23 and P_23 P_13.  So the sorted rows decide the residual: it
+    vanishes iff they do.  A sorted triple is the least of its permutations,
+    so the first nonzero entry is the same as the whole residual's.  Any other
+    r gets every row.
     """
     r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
     f12, f13, f23 = r12, r13, r23
-    if (r.reversed_legs() + r).is_zero():
+    if _in_span_of_P_and_1(r.reversed_legs() + r):
         f12, f13, f23 = (_sorted_rows(f) for f in (r12, r13, r23))
     return signed_products([(1, f12, r13), (-1, f13, r12),
                             (1, f12, r23), (-1, f23, r12),
                             (1, f13, r23), (-1, f23, r13)])
+
+
+def _in_span_of_P_and_1(s: Operator2) -> bool:
+    """Whether s = c P + d 1 for scalars c and d, read off at (1,2|2,1) and (1,2|1,2)."""
+    n = s.dim
+    if n == 1:
+        return True
+    rows = s._ints()[1]
+    c, d = rows.get(1, {}).get(n, 0), rows.get(1, {}).get(1, 0)
+    want = {}
+    for i in range(n):
+        for j in range(n):
+            x, y = i * n + j, j * n + i
+            row = {y: c, x: d} if x != y else {x: c + d}
+            if row := {k: v for k, v in row.items() if v}:
+                want[x] = row
+    return rows == want
 
 
 def _sorted_rows(op: Operator3) -> Operator3:
@@ -807,6 +862,22 @@ def conjugate2(r: Operator2, t: Operator1) -> Operator2:
     tinv = t.inverse()
     return signed_products([(1, op1_on_leg2(t, 1), op1_on_leg2(t, 2), r,
                              op1_on_leg2(tinv, 1), op1_on_leg2(tinv, 2))])
+
+
+def conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
+                        tinv: Operator1) -> Operator2:
+    """lhs - (T (x) T) rhs (T (x) T)^-1, given T's inverse, as the defect times (T (x) T)^-1.
+
+    The defect lhs T_1 T_2 - T_1 T_2 rhs is one signed sum with no inverse in
+    it, and the residual is zero iff it is, since T is invertible.  Only a
+    nonzero defect is multiplied by tinv_1 tinv_2, which gives the residual
+    exactly when tinv is T^-1; the caller vouches for that.
+    """
+    t1, t2 = op1_on_leg2(t, 1), op1_on_leg2(t, 2)
+    defect = signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
+    if defect.is_zero():
+        return defect
+    return signed_products([(1, defect, op1_on_leg2(tinv, 1), op1_on_leg2(tinv, 2))])
 
 
 def equivalence_residual(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:

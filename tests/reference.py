@@ -137,6 +137,27 @@ def full_cybe_residual(r: Operator2) -> Operator3:
                             (1, r13, r23), (-1, r23, r13)])
 
 
+# --- residuals formed whole, with no cheaper decision first ----------------------
+
+def conjugated_difference(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:
+    """lhs - (T (x) T) rhs (T (x) T)^-1, with T inverted by elimination."""
+    tinv = t.inverse()
+    return lhs - signed_products([(1, op1_on_leg2(t, 1), op1_on_leg2(t, 2), rhs,
+                                   op1_on_leg2(tinv, 1), op1_on_leg2(tinv, 2))])
+
+
+def quantum_trace_differences(r: Operator2, q: Operator1,
+                              qt: Operator1) -> tuple[Operator1, Operator1]:
+    """(q - Q, qt - Qtilde) from both solves of ``rime.quantum_traces``."""
+    qs, qts = rime.quantum_traces(r)
+    return q - qs, qt - qts
+
+
+def row_space_difference(n: int, rows, canonical) -> Operator2:
+    """row_space(n, rows) - row_space(n, canonical), both spans reduced in full."""
+    return row_space(n, list(rows)) - row_space(n, list(canonical))
+
+
 def rb_closed_form_per_cell(kind: str, n: int, phi=None) -> RotaBaxterMap:
     """The closed Rota-Baxter formulas as functions on Mat(V), tabulated unit by unit."""
     if kind == B0:

@@ -19,7 +19,8 @@ from yibre.suites import _is_zero
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
                           cybe_residual, hecke_residual, permutation_P, wedge, yb_residual)
 
-from reference import (carrier_coboundary_per_pair, lambda_bcg_gram_brackets, summed_b_cg_r,
+from reference import (carrier_coboundary_per_pair, conjugated_difference,
+                       lambda_bcg_gram_brackets, summed_b_cg_r,
                        summed_b_skew_r, summed_closed_form_operator, summed_gl2_homomorphism,
                        summed_invariance_eta0_b, summed_rcg_prime_r, summed_rcg_r,
                        summed_representation_change_residual, summed_rime_nonskew_r,
@@ -77,6 +78,22 @@ def test_conjugations_seeded():
     for n in (2, 3, 4):
         for pair in ("nonskew-to-rcg", "skew-to-b", "skew-sl-to-bcg"):
             assert conjugation_residual(pair, rd.vector(n, distinct=True)).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conjugation_faults_give_the_whole_difference(n, monkeypatch):
+    # the defect decides; a nonzero one is multiplied out to lhs - (X x X) rhs (X x X)^-1
+    mu = RationalDraw(40 + n).vector(n, distinct=True)
+    x, _ = x_change_of_basis(mu)
+    for pair, name, lhs in (("nonskew-to-rcg", "rcg_r", rime_nonskew_r(mu)),
+                            ("skew-to-b", "b_skew_r", rime_skew_r(mu)),
+                            ("skew-sl-to-bcg", "b_cg_r", rime_skew_sl_r(mu))):
+        rhs = getattr(classical, name)(n)
+        rhs.add_to(1, 2, 2, 1, 1)
+        monkeypatch.setattr(classical, name, lambda n, rhs=rhs: rhs)
+        got, want = conjugation_residual(pair, mu), conjugated_difference(lhs, rhs, x)
+        assert not got.is_zero()
+        assert got == want and _is_zero(got) == _is_zero(want)
 
 
 def test_p_symmetries():

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from yibre import rime, suites
-from yibre.kernel import ONE, DegenerateParametersError, QuadExt, RationalDraw, ratvec
+from yibre.kernel import (ONE, DegenerateParametersError, NotSkewInvertibleError, QuadExt,
+                          RationalDraw, ratvec)
 from yibre.rational import Q
 from yibre.rime import (RimeClass, RimeData, appendix_A_residuals, assemble_rime,
                         classical_commutator_relations, classify,
@@ -14,17 +15,18 @@ from yibre.rime import (RimeClass, RimeData, appendix_A_residuals, assemble_rime
                         invariance_generator, invariance_Y, invariance_Y0,
                         jordan_action_coefficients, left_odd_rime_relations,
                         odd_classical_relations, quantum_space_relations,
-                        quantum_trace_closed_forms, quantum_traces,
+                        quantum_trace_closed_forms, quantum_trace_residuals, quantum_traces,
                         rime_plane_relations, strict_rime_R, strict_rime_data,
                         unitary_rime_R, unitary_rime_data)
 from yibre.suites import run_suite
-from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
+from yibre.tensor import (Operator1, Operator2, commutator_with_sum, first_nonzero_witness,
                           hecke_residual, kron11, yb_residual)
 
 from reference import (PAIR_EQUATIONS_BY_ACCESSOR, TRIPLE_EQUATIONS_BY_ACCESSOR,
                        appendix_A_per_accessor, eigenvector_residuals_per_call,
                        invariance_Y0_loops, invariance_Y_loops,
-                       jordan_action_residuals_per_call, quantum_trace_closed_forms_per_entry)
+                       jordan_action_residuals_per_call, quantum_trace_closed_forms_per_entry,
+                       quantum_trace_differences)
 
 
 def rows_of(r, i, j):
@@ -419,6 +421,51 @@ def test_quantum_traces_match_the_partial_traces_of_the_skew_inverse(n):
         q, qt = quantum_traces(r)
         assert q == partial_trace(psi, 2)
         assert qt == partial_trace(psi, 1)
+
+
+def _snapshot(op):
+    den, rows = op._ints()
+    return den, {r: dict(row) for r, row in rows.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quantum_trace_residuals_solve_only_for_a_nonzero_defect(n):
+    rd = RationalDraw(620 + n)
+    strict = strict_rime_R(rd.vector(n), F(2, 7))
+    non_rime = strict + kron11(Operator1.unit(n, 1, n), Operator1.unit(n, n, 1))
+    for r in (strict, unitary_rime_R(rd.vector(n)), non_rime):
+        q, qt = quantum_traces(r)
+        bump = Operator1.unit(n, n, 1)
+        for pair in ((q, qt), (q + bump, qt), (q, qt + bump.scale(F(1, 3))), (qt, q)):
+            before = [_snapshot(x) for x in (r, *pair)]
+            got, want = quantum_trace_residuals(r, *pair), quantum_trace_differences(r, *pair)
+            assert got == want
+            assert [_snapshot(x) for x in (r, *pair)] == before
+            for g, w in zip(got, want):
+                assert first_nonzero_witness(g) == first_nonzero_witness(w)
+        assert all(x.is_zero() for x in quantum_trace_residuals(r, q, qt))
+        assert not quantum_trace_residuals(r, q + bump, qt)[0].is_zero()
+        assert not quantum_trace_residuals(r, q, qt + bump)[1].is_zero()
+    with pytest.raises(NotSkewInvertibleError):
+        quantum_trace_residuals(strict_rime_R([1, 2], 1), Operator1.identity(2),
+                                Operator1.identity(2))
+
+
+def test_reversed_leg_conjugation_fault_names_its_entry(monkeypatch):
+    # a bumped R(1/phi, beta)^{21}_{12} is only in the conjugated side, so the
+    # nonzero defect is multiplied out to the whole residual's entry there
+    strict = rime.strict_rime_R
+
+    def bumped(phi, beta):
+        r = strict(phi, beta)
+        r.add_to(2, 1, 1, 2, 1)
+        return r
+
+    monkeypatch.setattr(rime, "strict_rime_R", bumped)
+    [got] = [c for c in run_suite("rime", 3, 1, 1).checks
+             if c.name == "reversed-leg-conjugation[0]"]
+    assert got.status == "fail"
+    assert got.residual_witness == {"index": "nonunitary:2,1|1,2", "value": "-1"}
 
 
 def test_quantum_traces_refuse_a_singular_reshuffled_matrix():

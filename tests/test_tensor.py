@@ -7,17 +7,19 @@ from math import gcd, lcm
 
 import pytest
 
-from yibre.classical import rime_skew_sl_r
+from yibre.classical import rcg_r, rime_skew_sl_r
 from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, RationalDraw, ratvec
 from yibre.rational import Q
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
-from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, conjugate2, cybe_residual,
-                          equivalence_residual, first_nonzero_witness, hecke_residual,
-                          kron11, kron_sum, lift, op1_on_leg2, permutation_P,
-                          reshuffled_matrix, row_space, signed_products, wedge, yb_residual)
+from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, conjugate2,
+                          conjugate2_residual, cybe_residual, equivalence_residual,
+                          first_nonzero_witness, hecke_residual, kron11, kron_sum, lift,
+                          op1_on_leg2, permutation_P, reshuffled_matrix, row_space,
+                          signed_products, span_difference, wedge, yb_residual)
 
-from reference import (conjugate2_dense, dense_grid, dense_matmul, dense_signed_sum,
-                       equivalence_dense, full_cybe_residual, partial_trace, skew_inverse)
+from reference import (conjugate2_dense, conjugated_difference, dense_grid, dense_matmul,
+                       dense_signed_sum, equivalence_dense, full_cybe_residual, partial_trace,
+                       row_space_difference, skew_inverse)
 
 
 def test_permutation():
@@ -942,6 +944,96 @@ def test_nonskew_cybe_gets_every_row():
     r = rime_skew_sl_r([1, 2, 4])
     r.add_to(1, 2, 2, 1, 1)
     assert cybe_residual(r) == full_cybe_residual(r)
+
+
+def _snapshot(op):
+    """An operator's den and a copy of its integer rows, to show it was left as it was."""
+    den, rows = op._ints()
+    return den, {r: dict(row) for r, row in rows.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cybe_with_symmetric_part_in_span_of_P_and_1_reads_its_sorted_rows(n):
+    # r = a + c P + d 1 with a skew: r + r_21 = 2c P + 2d 1, so CYB(r) is still
+    # totally antisymmetric and its sorted rows decide it
+    rd = RationalDraw(90 + n)
+    p, one = permutation_P(n), Operator2.identity(n)
+    for c, d in ((1, -1), (rd.rational(), rd.rational()), (0, rd.rational()),
+                 (rd.rational(), 0)):
+        a = _dense_random_op2(rd, n)
+        r = a - a.reversed_legs() + p.scale(c) + one.scale(d)
+        assert not (r + r.reversed_legs()).is_zero()
+        before = _snapshot(r)
+        full, reduced = full_cybe_residual(r), cybe_residual(r)
+        assert _snapshot(r) == before
+        assert not full.is_zero()
+        p12, p23 = lift(p, 12), lift(p, 23)
+        assert p12 @ full @ p12 == -full and p23 @ full @ p23 == -full
+        assert all(_sorted_triple(x, n) for x in reduced.data)
+        assert reduced.data == {x: row for x, row in full.data.items() if _sorted_triple(x, n)}
+        assert any(not _sorted_triple(x, n) for x in full.data)
+        assert first_nonzero_witness(reduced) == first_nonzero_witness(full)
+    # the parameter-free CG solution has symmetric part P - 1 and solves the cYBE
+    r = rcg_r(n)
+    assert (r + r.reversed_legs()) == p - one
+    assert cybe_residual(r).is_zero() and full_cybe_residual(r).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conjugate2_residual_is_the_whole_difference(n):
+    rd = RationalDraw(100 + n)
+    t = _invertible(n, 100 + n, None)
+    tinv = t.inverse()
+    rhs = _dense_random_op2(rd, n)
+    lhs = conjugate2(rhs, t)
+    ops = (lhs, rhs, t, tinv)
+    before = [_snapshot(op) for op in ops]
+    assert conjugate2_residual(*ops).is_zero()
+    # a bumped side is not conjugate: the residual is the whole difference, witness and all
+    unit = Operator1.unit(n, 1, 1)
+    for bumped, other in ((lhs + kron11(unit, unit), rhs), (lhs, rhs.scale(2)),
+                          (lhs, conjugate2(lhs, t))):
+        got = conjugate2_residual(bumped, other, t, tinv)
+        want = conjugated_difference(bumped, other, t)
+        assert not got.is_zero()
+        assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
+    assert [_snapshot(op) for op in ops] == before
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_span_difference_decides_before_it_forms(n):
+    rd = RationalDraw(110 + n)
+    size = n * n
+    basis = []
+    while len(basis) < size:
+        row = {c: rd.rational() for c in range(size) if rd.int_in(0, 1)}
+        if Echelon([*basis, row]).rank > len(basis):
+            basis.append(row)
+    k = size // 2 + 1
+    span = basis[:k]
+    # the same span: row i plus multiples of the later rows, a zero row and a repeat
+    same = []
+    for i in range(k):
+        row = dict(span[i])
+        for later in span[i + 1:]:
+            f = rd.rational()
+            for c, v in later.items():
+                row[c] = row.get(c, 0) + f * v
+        same.append({c: v for c, v in row.items() if v})
+    same += [{}, same[0]]
+    cases = [(span, same, False), ([], [{}], False),
+             (span, basis[1:k + 1], True),   # equal rank, another span
+             (span, span[:-1], True),        # the canonical span inside the other
+             (span[:-1], span, True),        # the other inside the canonical span
+             (span, [], True)]
+    for rows, canonical, differ in cases:
+        before = [dict(row) for row in rows], [dict(row) for row in canonical]
+        for rank in (None, Echelon(rows).rank):
+            got = span_difference(n, rows, canonical, rank)
+            want = row_space_difference(n, rows, canonical)
+            assert got == want and got.is_zero() != differ
+            assert first_nonzero_witness(got) == first_nonzero_witness(want)
+        assert ([dict(row) for row in rows], [dict(row) for row in canonical]) == before
 
 
 # --- the integer Echelon against leading-1 Fraction elimination ----------------
