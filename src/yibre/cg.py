@@ -231,8 +231,12 @@ def summation_matrix(n: int) -> Operator1:
     return Operator1([[ONE if j <= i else ZERO for j in range(n)] for i in range(n)])
 
 
-def standard_riming(n: int, qsq_inv) -> tuple[Operator2, Operator1, Operator2]:
-    """Conjugate the standard solution by the summation matrix; lands on a rime form."""
+def standard_riming(n: int, qsq_inv) -> tuple[Operator2, Operator1, Operator2, Operator2]:
+    """Conjugate the standard solution by the summation matrix; lands on a rime form.
+
+    Returns (rc, xt, conj, residual): the standard solution, the summation
+    matrix, the conjugated matrix and its difference from the rime target.
+    """
     if n < 2:
         raise InvalidInputError("needs n >= 2")
     rc = standard_rc_matrix(n, qsq_inv)
@@ -243,7 +247,7 @@ def standard_riming(n: int, qsq_inv) -> tuple[Operator2, Operator1, Operator2]:
                                                      RimeClass.RIME_NON_STRICT,
                                                      RimeClass.ICE):
         raise InvalidInputError("conjugated matrix failed the rime test")
-    return rc, xt, residual
+    return rc, xt, conj, residual
 
 
 def cg_symmetry_residual(n: int, qsq_inv) -> Operator2:

@@ -6,15 +6,14 @@ e^i_j : e_i -> e_j (Operator1.unit), which pins every sign in this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cg import x_change_of_basis
-from .kernel import (ONE, ZERO, InvalidInputError, rat, ratvec,
+from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec,
                      require_distinct)
 from .rational import Q
 from .rime import strict_rime_R
-from .tensor import (Operator1, Operator2, commutator_with_sum, conjugate2_residual,
-                     cybe_residual, kron_sum, op1_on_leg2, permutation_P, signed_products)
+from .tensor import (Operator1, Operator2, Operator3, commutator_with_sum, conjugate2_residual,
+                     cybe_residual, kron_sum, lift, op1_on_leg2, permutation_P,
+                     shifted_conjugate2_residual, signed_products)
 
 RIME_NONSKEW = "rime-nonskew"
 RIME_SKEW = "rime-skew"
@@ -143,6 +142,25 @@ def rime_skew_sl_r(mu) -> Operator2:
                                 for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
+def rime_skew_sl_xi(mu) -> Operator1:
+    """xi = (1/n) sum_{i!=j} Z^i_j/(mu_i - mu_j), the identity shift r_sl = r_skew + xi ^ 1.
+
+    Expanding (Z^i_j + I/n) ^ (Z^j_i + I/n) leaves Z^i_j ^ Z^j_i + (Z^i_j - Z^j_i) ^ I/n.
+    """
+    mu = ratvec(mu)
+    require_distinct(mu, "mu")
+    n = len(mu)
+    if n < 2:
+        return Operator1.zero(n)
+    return signed_products([(ONE / (n * (mu[i - 1] - mu[j - 1])), carrier_Z(n, i, j))
+                            for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
+
+
+def b_cg_eta(n: int) -> Operator1:
+    """eta = sum_j (1 - j/n) e^{j+1}_j = eta0/n, the Cartan completion b_cg = b_skew + 1 ^ eta."""
+    return invariance_eta0_b(n).scale(Q(1, n))
+
+
 def build_classical(kind: str, n: int | None = None, params=None) -> Operator2:
     if kind not in CLASSICAL_KINDS:
         raise InvalidInputError(f"unknown classical kind {kind!r}")
@@ -172,83 +190,137 @@ def conjugation_residual(pair: str, params) -> Operator2:
 
     X^-1 is the closed form that ``x_change_of_basis`` checks against X, so the
     residual is decided by its inverse-free defect (``conjugate2_residual``).
+    The traceless pair is r_skew + xi ^ 1 against b_skew - eta ^ 1, so its
+    defect is decided through those parts (``shifted_conjugate2_residual``):
+    the skew pair's defect and the n x n D = xi X + X eta.
     """
     params = ratvec(params)
     n = len(params)
     x, xinv = x_change_of_basis(params)
     if pair == "nonskew-to-rcg":
-        lhs, rhs = rime_nonskew_r(params), rcg_r(n)
-    elif pair == "skew-to-b":
-        lhs, rhs = rime_skew_r(params), b_skew_r(n)
-    elif pair == "skew-sl-to-bcg":
-        lhs, rhs = rime_skew_sl_r(params), b_cg_r(n)
-    else:
-        raise InvalidInputError(f"unknown conjugation pair {pair!r}")
-    return conjugate2_residual(lhs, rhs, x, xinv)
+        return conjugate2_residual(rime_nonskew_r(params), rcg_r(n), x, xinv)
+    if pair == "skew-to-b":
+        return conjugate2_residual(rime_skew_r(params), b_skew_r(n), x, xinv)
+    if pair == "skew-sl-to-bcg":
+        return shifted_conjugate2_residual(
+            rime_skew_sl_r(params), b_cg_r(n), x, xinv,
+            (rime_skew_r(params), rime_skew_sl_xi(params)), (b_skew_r(n), -b_cg_eta(n)))
+    raise InvalidInputError(f"unknown conjugation pair {pair!r}")
 
 
 def carrier_algebra_check(mu) -> dict[str, object]:
-    """Structure of the Frobenius carrier spanned by Z^i_j, as residuals by identity."""
+    """Structure of the Frobenius carrier spanned by Z^i_j, as residuals by identity.
+
+    The generating element Zc = sum_{i!=j} Z^i_j (x) e^j_i (one ``kron_sum``)
+    carries the pair p = (i, j) on its second leg, at row i and column j of a
+    matrix unit.  So the product table Zc_12 Zc_13 = sum_{p,t} Z_p Z_t (x) e_p (x) e_t
+    and the bracket table [Zc_12, Zc_13] are one ``signed_products`` call each,
+    and each block of legs 2 and 3 holds the product or bracket of the pair of
+    pairs it names.  Each family is read off a table against an expected table
+    written straight into integer rows, and its per-pair list (the ordered
+    pairs of pairs, a zero residual as the one shared ``zero``) is cut out of
+    its residual table only when that table is nonzero.
+    """
     mu = ratvec(mu)
     require_distinct(mu, "mu")
     n = len(mu)
+    nn = n * n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     z = {(i, j): carrier_Z(n, i, j) for (i, j) in pairs}
     # Z^i_i, and every residual that vanishes: the n^4 lists share this one object
     zero = Operator1.zero(n)
+    gen = _kron_sum(n, [(1, z[(i, j)], Operator1.unit(n, j, i)) for (i, j) in pairs])
+    den, rows = gen._ints()
+    # the entries (a, c, v) of each Z_p as ints over the generating element's denominator,
+    # read back off it, with a and c already placed on leg 1 of a table
+    zents = {p: [] for p in pairs}
+    for x, row in rows.items():
+        a, i = divmod(x, n)
+        for y, v in row.items():
+            c, j = divmod(y, n)
+            zents[(i + 1, j + 1)].append((a * nn, c * nn, v))
+    block = lambda p, t: ((p[0] - 1) * n + t[0] - 1, (p[1] - 1) * n + t[1] - 1)
 
-    def kept(op: Operator1) -> Operator1:
-        return zero if op.is_zero() else op
+    def expected(blocks) -> Operator3:
+        """sum of M (x) e_p (x) e_t over blocks (p, t, [(k, q), ...]), M = sum k Z_q."""
+        out = {}
+        for p, t, terms in blocks:
+            rk, ck = block(p, t)
+            for k, q in terms:
+                for a, c, v in zents.get(q, ()):
+                    row = out.setdefault(a + rk, {})
+                    row[c + ck] = row.get(c + ck, 0) + k * v
+        return Operator3._reduced(n, den, {x: nz for x, row in out.items()
+                                           if (nz := {y: v for y, v in row.items() if v})})
 
-    def bracket(x, y, *more):
-        """[x, y] plus further signed terms, as one signed sum of products."""
-        return kept(signed_products([(1, x, y), (-1, y, x), *more]))
+    def cut(table: Operator3, positions) -> list[Operator1]:
+        """The blocks of a nonzero residual table at the positions, in order."""
+        tden, trows = table._ints()
+        blocks = {}
+        for x, row in trows.items():
+            a, rk = divmod(x, nn)
+            for y, v in row.items():
+                c, ck = divmod(y, nn)
+                blocks.setdefault((rk, ck), {}).setdefault(a, {})[c] = v
+        return [Operator1._reduced(n, tden, b) if (b := blocks.get(block(p, t))) else zero
+                for p, t in positions]
 
-    # (a) associative product rule Z^j_i Z^k_l = (d^j_l - d^i_l)(Z^k_i - Z^l_i)
-    product_rule = []
-    for (j, i) in pairs:
-        for (k, l) in pairs:
-            coeff = (j == l) - (i == l)
-            product_rule.append(kept(signed_products([(1, z[(j, i)], z[(k, l)]),
-                                                      (-coeff, z.get((k, i), zero)),
-                                                      (coeff, z.get((l, i), zero))])))
+    def family(residual: Operator3, count: int, positions) -> list[Operator1]:
+        """The residual table as its per-pair list; the positions are read only if it is nonzero."""
+        return [zero] * count if residual.is_zero() else cut(residual, positions)
+
+    # (a) associative product rule Z^j_i Z^k_l = (d^j_l - d^i_l)(Z^k_i - Z^l_i): the
+    # coefficient is nonzero only for l = j or l = i
+    m = len(pairs)
+    z12, z13 = lift(gen, 12), lift(gen, 13)
+    product = signed_products([(1, z12, z13)])
+    want = expected(((j, i), (k, l), [(1 if l == j else -1, (k, i)), (-1 if l == j else 1, (l, i))])
+                    for (j, i) in pairs for l in (i, j) for k in range(1, n + 1) if k != l)
+    product_rule = family(product - want, m * m, ((p, t) for p in pairs for t in pairs))
+
+    # the bracket table, split into (b)'s displayed brackets, the brackets of disjoint
+    # pairs, which vanish, and lambda on every bracket, one contraction of leg 1
+    bracket = signed_products([(1, z12, z13), (-1, z13, z12)])
+    bden, brows = bracket._ints()
+    shown, disjoint = {}, {}
+    for x, row in brows.items():
+        u2, u3 = divmod(x % nn, n)
+        for y, v in row.items():
+            v2, v3 = divmod(y % nn, n)
+            if v2 == u3 or (v2 == v3 and u2 != u3):
+                shown.setdefault(x, {})[y] = v
+            elif u2 != u3 and u2 != v3 and v2 != v3:
+                disjoint.setdefault(x, {})[y] = v
 
     # (b) the three displayed bracket families; the vanishing of the others is in (d)
-    brackets = []
+    shown_blocks = []
     for (i, j) in pairs:
-        brackets.append(bracket(z[(i, j)], z[(j, i)], (-1, z[(j, i)]), (1, z[(i, j)])))
+        shown_blocks.append(((i, j), (j, i), [(1, (j, i)), (-1, (i, j))]))
         for k in range(1, n + 1):
-            if k in (i, j):
-                continue
-            brackets.append(bracket(z[(j, i)], z[(k, i)], (-1, z[(j, i)]), (1, z[(k, i)])))
-            brackets.append(bracket(z[(i, j)], z[(j, k)], (-1, z[(j, k)]), (1, z[(i, k)])))
+            if k not in (i, j):
+                shown_blocks += [((j, i), (k, i), [(1, (j, i)), (-1, (k, i))]),
+                                 ((i, j), (j, k), [(1, (j, k)), (-1, (i, k))])]
+    brackets = family(Operator3._of(n, bden, shown) - expected(shown_blocks), len(shown_blocks),
+                      ((p, t) for p, t, _ in shown_blocks))
+    other_brackets = family(Operator3._of(n, bden, disjoint), m * (n - 2) * (n - 3),
+                            ((p, t) for p in pairs for t in pairs if not set(p) & set(t)))
 
     # (c) omega(Z^i_j, Z^k_l) = -(mu_i - mu_j) d^l_i d^j_k inverts the r-coefficients
     idx = {p: a for a, p in enumerate(pairs)}
-    m = len(pairs)
     rcoef = Operator1._entries(m, {idx[(i, j)]: {idx[(j, i)]: ONE / (mu[i - 1] - mu[j - 1])}
                                    for (i, j) in pairs})
     omega = Operator1._entries(m, {idx[(i, j)]: {idx[(j, i)]: -(mu[i - 1] - mu[j - 1])}
                                    for (i, j) in pairs})
 
-    # (d) omega = d(lambda_n) with lambda_n(Z^k_l) = -mu_l, read off every ordered bracket,
-    # which also gives (b)'s vanishing brackets of disjoint pairs.  Each unordered bracket
-    # is formed once: [t, p] is -[p, t], and lambda([t, p]) is -lambda([p, t]).
-    coboundary = [ZERO] * (m * m)
-    disjoint = {}
-    for a, p in enumerate(pairs):
-        for b in range(a, m):
-            t = pairs[b]
-            zpt = bracket(z[p], z[t])
-            lam = _lambda_on_carrier(zpt, mu)
-            coboundary[a * m + b] = lam - omega._get(a, b) or ZERO
-            if b == a:
-                continue
-            coboundary[b * m + a] = -lam - omega._get(b, a) or ZERO
-            if not set(p) & set(t):
-                disjoint[a * m + b] = zpt
-                disjoint[b * m + a] = zpt if zpt is zero else -zpt
-    other_brackets = [disjoint[x] for x in sorted(disjoint)]
+    # (d) omega = d(lambda_n) with lambda_n(Z^k_l) = -mu_l, read off every ordered bracket;
+    # omega's value at ((i, j), (j, i)) sits at block row (i, j) and block column (j, i)
+    defect = _lambda_on_carrier(bracket, mu) - Operator2._entries(
+        n, {(i - 1) * n + j - 1: {(j - 1) * n + i - 1: -(mu[i - 1] - mu[j - 1])}
+            for (i, j) in pairs})
+    if defect.is_zero():
+        coboundary = [ZERO] * (m * m)
+    else:
+        coboundary = [defect._get(*block(p, t)) for p in pairs for t in pairs]
 
     # (e) Ztilde obeys the same brackets and fixes the all-ones vector up to 1/n
     shift = Operator1.identity(n).scale(Q(1, n))
@@ -257,25 +329,41 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     sl_ones, sl_brackets = [], []
     for (i, j) in pairs:
         sl_ones.append([x - ONE / n for x in zt[(i, j)].apply(ones)])
-        sl_brackets.append(bracket(zt[(i, j)], zt[(j, i)], (-1, zt[(j, i)]), (1, zt[(i, j)])))
+        sl = signed_products([(1, zt[(i, j)], zt[(j, i)]), (-1, zt[(j, i)], zt[(i, j)]),
+                              (-1, zt[(j, i)]), (1, zt[(i, j)])])
+        sl_brackets.append(zero if sl.is_zero() else sl)
     return {"product-rule": product_rule, "brackets": brackets,
             "other-brackets": other_brackets, "omega-is-inverse": rcoef.inverse() - omega,
             "omega-is-coboundary": coboundary, "sl-fixes-ones": sl_ones,
             "sl-brackets": sl_brackets}
 
 
-def _lambda_on_carrier(mat: Operator1, mu) -> Fraction:
-    """Evaluate lambda_n = -sum mu_i z^i_j on a matrix known to lie in the carrier.
+def _lambda_on_carrier(table: Operator3, mu) -> Operator2:
+    """Evaluate lambda_n = -sum mu_i z^i_j on leg 1 of a table of carrier elements.
 
     A carrier element sum c_{ij} Z^i_j has off-diagonal entries c_{ij} at the
     matrix slot of e^i_j (row j, col i with our unit convention), and
-    lambda_n picks -sum_{i != j} c_{ij} mu_j.
+    lambda_n picks -sum_{i != j} c_{ij} mu_j: each off-diagonal entry at row r
+    counts -mu_r.  The result holds lambda of the block at (p, t) where the
+    table holds that block, on legs 2 and 3.
     """
-    return -sum((v * mu[r] for r, row in mat.data.items() for c, v in row.items() if r != c),
-                ZERO)
+    n = table.dim
+    nn = n * n
+    den, rows = table._ints()
+    mden, mus = cleared(mu)
+    out = {}
+    for x, row in rows.items():
+        a, rk = divmod(x, nn)
+        acc = out.setdefault(rk, {})
+        for y, v in row.items():
+            c, ck = divmod(y, nn)
+            if a != c:
+                acc[ck] = acc.get(ck, 0) - v * mus[a]
+    return Operator2._reduced(n, den * mden, {rk: nz for rk, acc in out.items()
+                                              if (nz := {c: v for c, v in acc.items() if v})})
 
 
-def invariance_shift_residual(r: Operator2, eta: Operator1, c) -> "Operator3":
+def invariance_shift_residual(r: Operator2, eta: Operator1, c) -> Operator3:
     """cYB residual of r + c(eta_1 - eta_2); the invariance bracket is a precondition."""
     if not commutator_with_sum(r, eta).is_zero():
         raise InvalidInputError("[r, eta_1 + eta_2] != 0")
@@ -390,15 +478,12 @@ def lambda_bcg_gram(n: int) -> Operator1:
 
 
 def tilde_difference_residual(mu) -> Operator1:
-    """X_mu sum_j (1 - j/n) e^{j+1}_j - (1/n) sum_{i!=j} Z^j_i/(mu_i-mu_j) X_mu."""
+    """X_mu sum_j (1 - j/n) e^{j+1}_j - (1/n) sum_{i!=j} Z^j_i/(mu_i-mu_j) X_mu,
+    that is X eta + xi X with ``b_cg_eta`` and ``rime_skew_sl_xi``."""
     mu = ratvec(mu)
     require_distinct(mu, "mu")
     n = len(mu)
     x, _ = x_change_of_basis(mu)
     if n < 2:
         return Operator1.zero(n)
-    lhs_factor = signed_products([(ONE - Q(j, n), Operator1.unit(n, j + 1, j))
-                                  for j in range(1, n)])
-    rhs_factor = signed_products([(ONE / (n * (mu[i - 1] - mu[j - 1])), carrier_Z(n, j, i))
-                                  for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
-    return signed_products([(1, x, lhs_factor), (-1, rhs_factor, x)])
+    return signed_products([(1, x, b_cg_eta(n)), (1, rime_skew_sl_xi(mu), x)])

@@ -362,15 +362,20 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         return out
 
     def planes(p):
-        rows = lambda eigenvalue, side: rime.quantum_space_rows(p.r, eigenvalue, side)
-        differ = lambda computed, displayed: tensor.span_difference(n, computed, displayed)
-        return {
-            "right-even-rime-plane": differ(rows(1, "right"), rime.rime_plane_rows(p.data)),
-            "left-even-classical": differ(rows(1, "left"), rime.classical_commutator_rows(n)),
-            "right-odd-classical": differ(rows(p.beta - 1, "right"), rime.odd_classical_rows(n)),
-            "left-odd-display": differ(rows(p.beta - 1, "left"),
-                                       rime.left_odd_rime_rows(p.data, p.beta)),
-        }
+        def sides(eigenvalue, right_shown, left_shown):
+            # the left rows are those of (R - lambda)^T P, whose rank is rank(R - lambda):
+            # a right span equal to its display hands its dimension to the left decision
+            right = rime.quantum_space_rows(p.r, eigenvalue, "right")
+            dim = tensor.span_rank(right, right_shown)
+            left = rime.quantum_space_rows(p.r, eigenvalue, "left")
+            return (tensor.span_difference(n, right, right_shown) if dim is None
+                    else Operator2.zero(n), tensor.span_difference(n, left, left_shown, dim))
+
+        even = sides(1, rime.rime_plane_rows(p.data), rime.classical_commutator_rows(n))
+        odd = sides(p.beta - 1, rime.odd_classical_rows(n),
+                    rime.left_odd_rime_rows(p.data, p.beta))
+        return {"right-even-rime-plane": even[0], "left-even-classical": even[1],
+                "right-odd-classical": odd[0], "left-odd-display": odd[1]}
 
     def unitary_limit(mu):
         u = rime.unitary_rime_R(mu)
@@ -530,11 +535,11 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
                     for i in m for j in m if i != j for k in m for l in m), default=ZERO)
 
     def riming(o):
-        rc, xt, residual = o
+        rc, _, conj, residual = o
         return {"residual": residual,
                 "ybe": tensor.yb_residual(rc),
                 "hecke": tensor.hecke_residual(rc, 1 - qi),
-                "is-rime": rime.classify(tensor.conjugate2(rc, xt))
+                "is-rime": rime.classify(conj)
                 in (rime.RimeClass.RIME_NON_STRICT, rime.RimeClass.RIME_STRICT)}
 
     def xty(p):
@@ -577,9 +582,19 @@ def classical_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         "b-skew": lambda p: classical.b_skew_r(n),
         "b-cg": lambda p: classical.b_cg_r(n),
     }
+    # the traceless and boundary r are identity shifts a + xi ^ 1 of a skew r, and their
+    # cYBE is decided through (a, xi)
+    shifts = {
+        "rime-skew-sl": lambda p: (p["rime-skew"], classical.rime_skew_sl_xi(p.mu)),
+        "b-cg": lambda p: (p["b-skew"], -classical.b_cg_eta(n)),
+    }
     base = Block(draw, {"phi": Vector(n), "mu": Vector(n)}, **named)
-    checks = base.declare(*(Check(f"cybe:{name}", "rcb/clcr/bee/bcg", attrgetter(name),
-                                  tensor.cybe_residual) for name in named))
+    checks = base.declare(*(
+        Check(f"cybe:{name}", "rcb/clcr/bee/bcg",
+              lambda p, name=name: (p[name], *shifts[name](p)),
+              lambda rs: tensor.shifted_cybe_residual(*rs)) if name in shifts else
+        Check(f"cybe:{name}", "rcb/clcr/bee/bcg", attrgetter(name), tensor.cybe_residual)
+        for name in named))
     for d in range(draws):
         checks += Block(draw, {"phi": Vector(n), "beta": Rational()}).declare(
             Check(f"classical-limit[{d}]", "R=1+beta r",
@@ -972,8 +987,8 @@ def qalg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
                 "jacobi": poisson.jacobi_residual(br)}
 
     def rstcl_quantum_space(qi):
-        rc, xt, residual = cg.standard_riming(m, qi)
-        right = rime.quantum_space_rows(tensor.conjugate2(rc, xt), 1, "right")
+        _, _, conj, residual = cg.standard_riming(m, qi)
+        right = rime.quantum_space_rows(conj, 1, "right")
         rows = qalg.OrderedPresentation.case_ii(m, qi).relation_rows()
         # relabel generators by the order reversal i -> m-1-i to match the exchange
         # convention; it sends monomial i*m + j to m*m-1 - (i*m + j)

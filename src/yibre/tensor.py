@@ -615,9 +615,9 @@ def row_space(n: int, rows: Iterable[dict]) -> Operator2:
     return Operator2._reduced(n, *ech._common())
 
 
-def span_difference(n: int, rows: Iterable[dict], canonical: Iterable[dict],
-                    rank: int | None = None) -> Operator2:
-    """row_space(n, rows) - row_space(n, canonical), formed only when the spans differ.
+def span_rank(rows: Sequence[dict], canonical: Iterable[dict],
+              rank: int | None = None) -> int | None:
+    """The dimension of the span of ``rows`` when it equals that of ``canonical``, else None.
 
     The spans are equal iff every row lies in the canonical span and the rows
     reach its dimension.  Each row is reduced in the forward echelon of
@@ -625,19 +625,27 @@ def span_difference(n: int, rows: Iterable[dict], canonical: Iterable[dict],
     otherwise they are inserted into an echelon of their own only until it
     reaches the canonical dimension.  Neither side is back-reduced.
     """
-    rows, canonical = list(rows), list(canonical)
     ech = Echelon(canonical)
-    if all(ech.contains(row) for row in rows):
-        if rank is None:
-            own = Echelon()
-            # a rank already reached stops the loop at once
-            for row in rows:
-                if own.rank >= ech.rank:
-                    break
-                own.insert(row)
-            rank = own.rank
-        if rank == ech.rank:
-            return Operator2.zero(n)
+    if not all(ech.contains(row) for row in rows):
+        return None
+    if rank is None:
+        own = Echelon()
+        # a rank already reached stops the loop at once
+        for row in rows:
+            if own.rank >= ech.rank:
+                break
+            own.insert(row)
+        rank = own.rank
+    return rank if rank == ech.rank else None
+
+
+def span_difference(n: int, rows: Iterable[dict], canonical: Iterable[dict],
+                    rank: int | None = None) -> Operator2:
+    """row_space(n, rows) - row_space(n, canonical), formed only when ``span_rank`` finds
+    that the spans differ."""
+    rows, canonical = list(rows), list(canonical)
+    if span_rank(rows, canonical, rank) is not None:
+        return Operator2.zero(n)
     return row_space(n, rows) - row_space(n, canonical)
 
 
@@ -801,6 +809,37 @@ def cybe_residual(r: Operator2) -> Operator3:
                             (1, f13, r23), (-1, f23, r13)])
 
 
+def shifted_cybe_residual(r: Operator2, a: Operator2, xi: Operator1) -> Operator3:
+    """``cybe_residual(r)`` for an r that should equal a + xi ^ 1, decided through a and xi.
+
+    Write s = xi ^ 1 = xi_1 - xi_2 on V (x) V, so s_12 = xi_1 - xi_2,
+    s_13 = xi_1 - xi_3 and s_23 = xi_2 - xi_3 on V^3.  Copies of xi on
+    different legs commute, so the three brackets of s with s vanish, and
+    CYB(a + s) = CYB(a) plus the six brackets of a with s.  Grouped by the legs
+    of a, and dropping the copy of xi on the leg a does not touch:
+    [a_12, s_13 + s_23] = [a_12, xi_1 + xi_2] = C_12,
+    [s_12, a_13] + [a_13, s_23] = [a_13, -xi_1 - xi_3] = -C_13 and
+    [s_12, a_23] + [s_13, a_23] = [a_23, xi_2 + xi_3] = C_23,
+    with C = [a, xi_1 + xi_2] (``commutator_with_sum``).  So, for any a and xi,
+
+        CYB(a + xi ^ 1) = CYB(a) + C_12 - C_13 + C_23.
+
+    When r = a + xi ^ 1 exactly and CYB(a) and C both vanish, the residual is
+    zero; in every other case it is formed whole, so a nonzero residual and its
+    first entry are ``cybe_residual(r)``'s.
+    """
+    if (_is_shift(r, a, xi) and cybe_residual(a).is_zero()
+            and commutator_with_sum(a, xi).is_zero()):
+        return Operator3.zero(r.dim)
+    return cybe_residual(r)
+
+
+def _is_shift(r: Operator2, a: Operator2, xi: Operator1) -> bool:
+    """Whether r = a + xi ^ 1 exactly."""
+    shift = wedge(xi, Operator1.identity(r.dim))
+    return signed_products([(1, r), (-1, a), (-1, shift)]).is_zero()
+
+
 def _in_span_of_P_and_1(s: Operator2) -> bool:
     """Whether s = c P + d 1 for scalars c and d, read off at (1,2|2,1) and (1,2|1,2)."""
     n = s.dim
@@ -878,6 +917,27 @@ def conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
     if defect.is_zero():
         return defect
     return signed_products([(1, defect, op1_on_leg2(tinv, 1), op1_on_leg2(tinv, 2))])
+
+
+def shifted_conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
+                                tinv: Operator1, lhs_parts: tuple, rhs_parts: tuple) -> Operator2:
+    """``conjugate2_residual`` for lhs = a + xi ^ 1 and rhs = b + zeta ^ 1, decided through
+    the parts (a, xi) and (b, zeta).
+
+    With xi ^ 1 = xi (x) 1 - 1 (x) xi and (A (x) B)(C (x) D) = AC (x) BD,
+    (xi ^ 1)(T (x) T) - (T (x) T)(zeta ^ 1) = (xi T - T zeta) (x) T - T (x) (xi T - T zeta),
+    so the defect lhs T_1 T_2 - T_1 T_2 rhs is the parts' defect
+    a T_1 T_2 - T_1 T_2 b plus D (x) T - T (x) D, with the n x n D = xi T - T zeta.
+    When both sides equal their parts exactly and both the parts' defect and D
+    vanish, the residual is zero; in every other case it is formed whole.
+    """
+    (a, xi), (b, zeta) = lhs_parts, rhs_parts
+    if (_is_shift(lhs, a, xi) and _is_shift(rhs, b, zeta)
+            and signed_products([(1, xi, t), (-1, t, zeta)]).is_zero()):
+        t1, t2 = op1_on_leg2(t, 1), op1_on_leg2(t, 2)
+        if signed_products([(1, a, t1, t2), (-1, t1, t2, b)]).is_zero():
+            return Operator2.zero(lhs.dim)
+    return conjugate2_residual(lhs, rhs, t, tinv)
 
 
 def equivalence_residual(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:

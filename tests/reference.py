@@ -231,23 +231,59 @@ def rb_closed_form_per_cell(kind: str, n: int, phi=None) -> RotaBaxterMap:
     return map_from_function(n, fn)
 
 
-def carrier_coboundary_per_pair(mu) -> dict[str, list]:
-    """``carrier_algebra_check``'s coboundary and disjoint-bracket lists, one bracket per
-    ordered pair, with the carrier read through ``classical.carrier_Z`` at call time."""
+def carrier_lambda(mat: Operator1, mu) -> Fraction:
+    """lambda_n = -sum mu_i z^i_j on one carrier element: an off-diagonal entry at row r
+    (the slot of e^i_j is row j, col i) counts -mu_r."""
+    return -sum((v * mu[r] for r, row in mat.data.items() for c, v in row.items() if r != c),
+                ZERO)
+
+
+def carrier_algebra_per_pair(mu) -> dict[str, object]:
+    """``classical.carrier_algebra_check`` pair by pair: one signed sum for each product and
+    each bracket of each ordered pair of pairs, and lambda on each bracket, with the
+    carrier read through ``classical.carrier_Z`` at call time."""
     mu = ratvec(mu)
     n = len(mu)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     z = {p: classical.carrier_Z(n, *p) for p in pairs}
+    zero = Operator1.zero(n)
+    kept = lambda op: zero if op.is_zero() else op
+    bracket = lambda x, y, *more: kept(signed_products([(1, x, y), (-1, y, x), *more]))
+    # Z^j_i Z^k_l = (d^j_l - d^i_l)(Z^k_i - Z^l_i), with Z^i_i = 0
+    product_rule = [kept(signed_products([(1, z[(j, i)], z[(k, l)]),
+                                          (-c, z.get((k, i), zero)), (c, z.get((l, i), zero))]))
+                    for (j, i) in pairs for (k, l) in pairs for c in [(j == l) - (i == l)]]
+    brackets = []
+    for (i, j) in pairs:
+        brackets.append(bracket(z[(i, j)], z[(j, i)], (-1, z[(j, i)]), (1, z[(i, j)])))
+        for k in range(1, n + 1):
+            if k not in (i, j):
+                brackets.append(bracket(z[(j, i)], z[(k, i)], (-1, z[(j, i)]), (1, z[(k, i)])))
+                brackets.append(bracket(z[(i, j)], z[(j, k)], (-1, z[(j, k)]), (1, z[(i, k)])))
     other_brackets, coboundary = [], []
     for p in pairs:
         for t in pairs:
-            zpt = signed_products([(1, z[p], z[t]), (-1, z[t], z[p])])
+            zpt = bracket(z[p], z[t])
             if not set(p) & set(t):
                 other_brackets.append(zpt)
             # omega(Z^i_j, Z^k_l) = -(mu_i - mu_j) d^l_i d^j_k
             omega = -(mu[p[0] - 1] - mu[p[1] - 1]) if t == (p[1], p[0]) else ZERO
-            coboundary.append(classical._lambda_on_carrier(zpt, mu) - omega or ZERO)
-    return {"omega-is-coboundary": coboundary, "other-brackets": other_brackets}
+            coboundary.append(carrier_lambda(zpt, mu) - omega or ZERO)
+    idx = {p: a for a, p in enumerate(pairs)}
+    m = len(pairs)
+    rcoef, omega = Operator1.zero(m), Operator1.zero(m)
+    for (i, j) in pairs:
+        rcoef._set(idx[(i, j)], idx[(j, i)], 1 / (mu[i - 1] - mu[j - 1]))
+        omega._set(idx[(i, j)], idx[(j, i)], -(mu[i - 1] - mu[j - 1]))
+    shift = Operator1.identity(n).scale(Fraction(1, n))
+    zt = {p: z[p] + shift for p in pairs}
+    ones = tuple([ONE] * n)
+    return {"product-rule": product_rule, "brackets": brackets,
+            "other-brackets": other_brackets, "omega-is-inverse": rcoef.inverse() - omega,
+            "omega-is-coboundary": coboundary,
+            "sl-fixes-ones": [[x - ONE / n for x in zt[p].apply(ones)] for p in pairs],
+            "sl-brackets": [bracket(zt[(i, j)], zt[(j, i)], (-1, zt[(j, i)]), (1, zt[(i, j)]))
+                            for (i, j) in pairs]}
 
 
 def generating_function_per_entry(phi) -> list[list[Fraction]]:

@@ -172,11 +172,11 @@ def test_generating_function_grid_matches_per_entry(n, monkeypatch):
 
 def test_standard_riming():
     for n in (2, 3, 4):
-        rc, xt, residual = standard_riming(n, Q)
+        rc, xt, conj, residual = standard_riming(n, Q)
         assert residual.is_zero()
         assert yb_residual(rc).is_zero()
         assert hecke_residual(rc, 1 - Q).is_zero()
-        conj = conjugate2(rc, xt)
+        assert conj == conjugate2(rc, xt)
         assert classify(conj) in (RimeClass.RIME_NON_STRICT, RimeClass.RIME_STRICT)
     assert summation_matrix(3) == Operator1([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
     r2 = standard_rc_matrix(2, Q)

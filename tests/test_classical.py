@@ -19,7 +19,7 @@ from yibre.suites import _is_zero
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
                           cybe_residual, hecke_residual, permutation_P, wedge, yb_residual)
 
-from reference import (carrier_coboundary_per_pair, conjugated_difference,
+from reference import (carrier_algebra_per_pair, conjugated_difference,
                        lambda_bcg_gram_brackets, summed_b_cg_r,
                        summed_b_skew_r, summed_closed_form_operator, summed_gl2_homomorphism,
                        summed_invariance_eta0_b, summed_rcg_prime_r, summed_rcg_r,
@@ -114,9 +114,17 @@ def test_carrier_algebra():
 
 
 def test_carrier_algebra_faults_name_their_identity(monkeypatch):
-    # lambda_n off by one: only the coboundary identity breaks, at its first pair of pairs
+    # lambda_n off by one: only the coboundary identity breaks, at its first pair of pairs.
+    # lambda is read off the whole bracket table, so the fault adds 1 to its value on
+    # every block (p, t), at row (p_1, t_1) and column (p_2, t_2) of legs 2 and 3
     lam = classical._lambda_on_carrier
-    monkeypatch.setattr(classical, "_lambda_on_carrier", lambda m, mu: lam(m, mu) + 1)
+    third = (1, 2, 3)
+    off_by_one = Operator2._entries(3, {
+        (i - 1) * 3 + k - 1: {(j - 1) * 3 + l - 1: 1 for j in third if j != i
+                              for l in third if l != k}
+        for i in third for k in third})
+    monkeypatch.setattr(classical, "_lambda_on_carrier",
+                        lambda table, mu: lam(table, mu) + off_by_one)
     assert _is_zero(carrier_algebra_check([0, 1, 3])) == (
         False, {"index": "omega-is-coboundary:0:-", "value": "1"})
     monkeypatch.undo()
@@ -139,7 +147,7 @@ def test_carrier_algebra_faults_name_their_identity(monkeypatch):
 def test_carrier_coboundary_forms_each_bracket_once(n, monkeypatch):
     mu = RationalDraw(90 + n).vector(n, distinct=True)
     keys = ("omega-is-coboundary", "other-brackets")
-    want = carrier_coboundary_per_pair(mu)
+    want = {k: v for k, v in carrier_algebra_per_pair(mu).items() if k in keys}
     rep = carrier_algebra_check(mu)
     assert {k: rep[k] for k in keys} == want
     # with e^1_2 added to every Z^i_j the disjoint brackets and the coboundary entries are
@@ -147,13 +155,39 @@ def test_carrier_coboundary_forms_each_bracket_once(n, monkeypatch):
     monkeypatch.setattr(classical, "carrier_Z", lambda n, i, j: Operator1.zero(n) if i == j
                         else Operator1.unit(n, i, j) - Operator1.unit(n, j, j)
                         + Operator1.unit(n, 1, 2))
-    want = carrier_coboundary_per_pair(mu)
+    want = {k: v for k, v in carrier_algebra_per_pair(mu).items() if k in keys}
     rep = carrier_algebra_check(mu)
     assert {k: rep[k] for k in keys} == want
     assert any(want["omega-is-coboundary"])
     assert any(not b.is_zero() for b in want["other-brackets"]) == (n >= 4)
     assert _is_zero(rep["omega-is-coboundary"]) == _is_zero(want["omega-is-coboundary"])
     assert _is_zero(rep["other-brackets"]) == _is_zero(want["other-brackets"])
+
+
+CARRIERS = {
+    "true": None,
+    # Z^i_j = e^i_j + e^j_j breaks the product rule, the brackets and Ztilde
+    "plus-diagonal": lambda n, i, j: Operator1.unit(n, i, j) + Operator1.unit(n, j, j),
+    # e^1_2 added to every Z^i_j makes the disjoint brackets and lambda's values nonzero
+    "plus-e12": lambda n, i, j: (Operator1.unit(n, i, j) - Operator1.unit(n, j, j)
+                                 + Operator1.unit(n, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_carrier_tables_match_the_per_pair_form(n, carrier, monkeypatch):
+    # every family read off the product and bracket tables equals its pair-by-pair list:
+    # same order, same length, the same operators or scalars, and so the same witness
+    if CARRIERS[carrier] is not None:
+        z = CARRIERS[carrier]
+        monkeypatch.setattr(classical, "carrier_Z",
+                            lambda n, i, j: Operator1.zero(n) if i == j else z(n, i, j))
+    mu = RationalDraw(70 + n).vector(n, distinct=True)
+    got, want = carrier_algebra_check(mu), carrier_algebra_per_pair(mu)
+    assert got == want
+    assert _is_zero(got) == _is_zero(want)
+    assert _is_zero(got)[0] == (carrier == "true")
 
 
 def test_carrier_algebra_keeps_no_zero_residuals():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yibre import tensor
+from yibre import cg, tensor
 from yibre.kernel import RationalDraw
 from yibre.poisson import jacobi_residual
 from yibre.qalg import (CASE_I, CASE_II, NON_STRICT, NOT_CONFLUENT_STRICT,
@@ -169,9 +169,9 @@ def test_case_ii_is_rstcl_quantum_space():
     from yibre.tensor import conjugate2, row_space
     qi = F(1, 4)
     for m in (2, 3):
-        rc, xt, residual = standard_riming(m, qi)
+        rc, xt, conj, residual = standard_riming(m, qi)
         assert residual.is_zero()
-        conj = conjugate2(rc, xt)
+        assert conj == conjugate2(rc, xt)
         right = quantum_space_relations(conj, 1, "right")
         rows = OrderedPresentation.case_ii(m, qi).relation_rows()
         perm = [m - 1 - i for i in range(m)]
@@ -188,6 +188,8 @@ def test_case_ii_is_rstcl_quantum_space():
 def test_case_ii_plane_fault_names_its_entry(monkeypatch):
     # the check returns the riming residual and a difference of row spaces, so a
     # bumped conjugated R^{12}_{12} fails in the plane, at the relation led by x^1 x^1
+    # (the riming residual fails too, and "plane" sorts first).  The conjugated matrix
+    # is the one ``cg.standard_riming`` forms, so the bump goes there
     conjugate = tensor.conjugate2
 
     def bumped(r, t):
@@ -195,7 +197,7 @@ def test_case_ii_plane_fault_names_its_entry(monkeypatch):
         out.add_to(1, 2, 1, 2, 1)
         return out
 
-    monkeypatch.setattr(tensor, "conjugate2", bumped)
+    monkeypatch.setattr(cg, "conjugate2", bumped)
     [got] = [c for c in run_suite("qalg", 3, 0, 1).checks
              if c.name == "case-ii-is-rstcl-plane"]
     assert got.status == "fail"

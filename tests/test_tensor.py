@@ -7,15 +7,18 @@ from math import gcd, lcm
 
 import pytest
 
-from yibre.classical import rcg_r, rime_skew_sl_r
+from yibre.classical import (b_cg_eta, b_cg_r, b_skew_r, rcg_r, rime_skew_r, rime_skew_sl_r,
+                             rime_skew_sl_xi)
+from yibre.cg import x_change_of_basis
 from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, RationalDraw, ratvec
 from yibre.rational import Q
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
-from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, conjugate2,
-                          conjugate2_residual, cybe_residual, equivalence_residual,
+from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, commutator_with_sum,
+                          conjugate2, conjugate2_residual, cybe_residual, equivalence_residual,
                           first_nonzero_witness, hecke_residual, kron11, kron_sum, lift,
                           op1_on_leg2, permutation_P, reshuffled_matrix, row_space,
-                          signed_products, span_difference, wedge, yb_residual)
+                          shifted_conjugate2_residual, shifted_cybe_residual, signed_products,
+                          span_difference, span_rank, wedge, yb_residual)
 
 from reference import (conjugate2_dense, conjugated_difference, dense_grid, dense_matmul,
                        dense_signed_sum, equivalence_dense, full_cybe_residual, partial_trace,
@@ -1000,6 +1003,91 @@ def test_conjugate2_residual_is_the_whole_difference(n):
     assert [_snapshot(op) for op in ops] == before
 
 
+def _random_op1(rd: RationalDraw, n: int) -> Operator1:
+    return Operator1([[rd.rational() for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cybe_of_an_identity_shift(n):
+    # CYB(a + xi ^ 1) = CYB(a) + C_12 - C_13 + C_23 with C = [a, xi_1 + xi_2], for any a, xi
+    rd = RationalDraw(120 + n)
+    for _ in range(2):
+        a, xi = _dense_random_op2(rd, n), _random_op1(rd, n)
+        c = commutator_with_sum(a, xi)
+        got = full_cybe_residual(a + wedge(xi, Operator1.identity(n)))
+        assert not c.is_zero() and not got.is_zero()
+        assert got == full_cybe_residual(a) + lift(c, 12) - lift(c, 13) + lift(c, 23)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shifted_cybe_residual_is_the_whole_form(n):
+    rd = RationalDraw(130 + n)
+    mu = rd.vector(n, distinct=True)
+    ident, unit = Operator1.identity(n), Operator1.unit(n, 1, 2)
+    a, xi = rime_skew_r(mu), rime_skew_sl_xi(mu)
+    solutions = [(rime_skew_sl_r(mu), a, xi), (b_cg_r(n), b_skew_r(n), -b_cg_eta(n))]
+    for r, *parts in solutions:
+        assert shifted_cybe_residual(r, *parts).is_zero()
+        assert full_cybe_residual(r).is_zero()
+    # a bumped r, which is no longer a + xi ^ 1; a xi with [a, xi_1 + xi_2] != 0; and
+    # a random non-skew a with a random xi
+    other = _random_op1(rd, n)
+    cases = [(rime_skew_sl_r(mu) + kron11(unit, unit), a, xi),
+             (b_cg_r(n) + wedge(unit, Operator1.unit(n, 2, 1)), b_skew_r(n), -b_cg_eta(n)),
+             (a + wedge(other, ident), a, other)]
+    if n <= 4:
+        dense = _dense_random_op2(rd, n)
+        cases.append((dense + wedge(other, ident), dense, other))
+    for r, *parts in cases:
+        got, want = shifted_cybe_residual(r, *parts), cybe_residual(r)
+        assert not got.is_zero()
+        assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
+    assert not commutator_with_sum(a, other).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conjugation_defect_of_identity_shifts(n):
+    # (a + xi ^ 1) T1 T2 - T1 T2 (b + zeta ^ 1) = a T1 T2 - T1 T2 b + D (x) T - T (x) D,
+    # D = xi T - T zeta, for any a, b, xi, zeta and T
+    rd = RationalDraw(140 + n)
+    ident = Operator1.identity(n)
+    a, b = _dense_random_op2(rd, n), _dense_random_op2(rd, n)
+    xi, zeta, t = _random_op1(rd, n), _random_op1(rd, n), _random_op1(rd, n)
+    t1, t2 = op1_on_leg2(t, 1), op1_on_leg2(t, 2)
+    lhs, rhs = a + wedge(xi, ident), b + wedge(zeta, ident)
+    d = xi @ t - t @ zeta
+    assert not d.is_zero()
+    assert (signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
+            == signed_products([(1, a, t1, t2), (-1, t1, t2, b)]) + kron11(d, t) - kron11(t, d))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shifted_conjugate2_residual_is_the_whole_form(n):
+    rd = RationalDraw(150 + n)
+    mu = rd.vector(n, distinct=True)
+    ident, unit = Operator1.identity(n), Operator1.unit(n, 1, 2)
+    x, xinv = x_change_of_basis(mu)
+    a, xi, b, zeta = rime_skew_r(mu), rime_skew_sl_xi(mu), b_skew_r(n), -b_cg_eta(n)
+    lhs, rhs = rime_skew_sl_r(mu), b_cg_r(n)
+    assert shifted_conjugate2_residual(lhs, rhs, x, xinv, (a, xi), (b, zeta)).is_zero()
+    assert conjugated_difference(lhs, rhs, x).is_zero()
+    # a bumped lhs or rhs, no longer its parts; xi + e^1_2 on both lhs and its parts, with
+    # D = xi X + X eta != 0; and random dense sides with random shifts
+    moved = xi + unit
+    cases = [(lhs + kron11(unit, unit), rhs, (a, xi), (b, zeta)),
+             (lhs, rhs + kron11(unit, unit), (a, xi), (b, zeta)),
+             (a + wedge(moved, ident), rhs, (a, moved), (b, zeta))]
+    if n <= 4:
+        da, db, dxi = _dense_random_op2(rd, n), _dense_random_op2(rd, n), _random_op1(rd, n)
+        cases.append((da + wedge(dxi, ident), db + wedge(zeta, ident), (da, dxi), (db, zeta)))
+    for left, right, lparts, rparts in cases:
+        got = shifted_conjugate2_residual(left, right, x, xinv, lparts, rparts)
+        want = conjugated_difference(left, right, x)
+        assert not got.is_zero()
+        assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
+    assert not (moved @ x - x @ zeta).is_zero()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_span_difference_decides_before_it_forms(n):
     rd = RationalDraw(110 + n)
@@ -1032,6 +1120,8 @@ def test_span_difference_decides_before_it_forms(n):
             got = span_difference(n, rows, canonical, rank)
             want = row_space_difference(n, rows, canonical)
             assert got == want and got.is_zero() != differ
+            # the common dimension, handed on by a decision that found the spans equal
+            assert span_rank(rows, canonical, rank) == (None if differ else Echelon(rows).rank)
             assert first_nonzero_witness(got) == first_nonzero_witness(want)
         assert ([dict(row) for row in rows], [dict(row) for row in canonical]) == before
 
