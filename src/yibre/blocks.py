@@ -14,7 +14,7 @@ from fractions import Fraction
 from .kernel import ONE, ZERO, InvalidInputError, QuadExt, perfect_square_root, rat
 from .rime import classify, extract_rime_data
 from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, hecke_residual,
-                     reshuffled_matrix, yb_residual)
+                     op1_on_leg2, reshuffled_matrix, signed_products, yb_residual)
 
 RBL1 = "rbl1"
 RBL2 = "rbl2"
@@ -271,26 +271,32 @@ def nonrime_entries(t: Operator1, h1, h2) -> tuple[Fraction, Fraction, Fraction,
     """Closed form of the four non-rime entries of (T x T) R^J (T x T)^{-1}.
 
     det(T)^2 A^{11}_{12} = h1 (T^1_1)^2 (det T - h2 T^1_1 T^2_1) and its three
-    companions; cross-validated against the direct conjugation.
+    companions; cross-validated against the direct conjugation.  With
+    T^-1 = adj T / det T, det(T)^2 (T x T) R^J (T x T)^-1 = (T x T) R^J (adj T x adj T),
+    so the numerators are compared against rows 11 and 22 of that inverse-free
+    product, and divided by det(T)^2 once.
     """
     h1, h2 = rat(h1), rat(h2)
-    det = t.det()
+    if t.dim != 2:
+        raise InvalidInputError("T must be 2 x 2")
+    t11, t12, t21, t22 = t.get(1, 1), t.get(1, 2), t.get(2, 1), t.get(2, 2)
+    det = t11 * t22 - t12 * t21
     if not det:
         raise InvalidInputError("T must be invertible")
-    t11 = t.get(1, 1)
-    t21 = t.get(2, 1)
     minus = det - h2 * t11 * t21
     plus = det + h2 * t11 * t21
-    d2 = det * det
-    vals = (h1 * t11 * t11 * minus / d2,
-            -h1 * t11 * t11 * plus / d2,
-            h1 * t21 * t21 * minus / d2,
-            -h1 * t21 * t21 * plus / d2)
-    a = conjugate2(block_matrix(JORDANIAN, h1, h2), t)
+    nums = (h1 * t11 * t11 * minus, -h1 * t11 * t11 * plus,
+            h1 * t21 * t21 * minus, -h1 * t21 * t21 * plus)
+    adj = Operator1._entries(2, {0: {0: t22, 1: -t12}, 1: {0: -t21, 1: t11}})
+    rows_11_22 = Operator2._of(2, 1, {0: {0: 1}, 3: {3: 1}})
+    a = signed_products([(1, rows_11_22, op1_on_leg2(t, 1), op1_on_leg2(t, 2),
+                          block_matrix(JORDANIAN, h1, h2), op1_on_leg2(adj, 1),
+                          op1_on_leg2(adj, 2))])
     direct = (a.get(1, 1, 1, 2), a.get(1, 1, 2, 1), a.get(2, 2, 1, 2), a.get(2, 2, 2, 1))
-    if vals != direct:
+    if nums != direct:
         raise InvalidInputError("closed-form non-rime entries disagree with conjugation")
-    return vals
+    d2 = det * det
+    return tuple(x / d2 for x in nums)
 
 
 def skinv_implications(r: Operator2) -> bool:

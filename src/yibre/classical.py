@@ -185,6 +185,15 @@ def classical_limit_residual(phi, beta) -> Operator2:
     return (p @ r_quantum) - Operator2.identity(n) - rime_nonskew_r(phi).scale(beta)
 
 
+# the stated equivalences lhs = (X (x) X) rhs (X (x) X)^-1: pair -> (lhs kind, rhs kind)
+CONJUGATION_PAIRS = {"nonskew-to-rcg": (RIME_NONSKEW, R_CG),
+                     "skew-to-b": (RIME_SKEW, B_SKEW),
+                     "skew-sl-to-bcg": (RIME_SKEW_SL, B_CG)}
+# the identity shifts r = a + xi ^ 1 of a skew a: kind of r -> kind of a; xi is named
+# kind + ":xi"
+SHIFT_BASES = {RIME_SKEW_SL: RIME_SKEW, B_CG: B_SKEW}
+
+
 def conjugation_residual(pair: str, params) -> Operator2:
     """lhs - (X x X) rhs (X^-1 x X^-1) for the three stated equivalences.
 
@@ -196,16 +205,28 @@ def conjugation_residual(pair: str, params) -> Operator2:
     """
     params = ratvec(params)
     n = len(params)
-    x, xinv = x_change_of_basis(params)
-    if pair == "nonskew-to-rcg":
-        return conjugate2_residual(rime_nonskew_r(params), rcg_r(n), x, xinv)
-    if pair == "skew-to-b":
-        return conjugate2_residual(rime_skew_r(params), b_skew_r(n), x, xinv)
-    if pair == "skew-sl-to-bcg":
+    if pair not in CONJUGATION_PAIRS:
+        raise InvalidInputError(f"unknown conjugation pair {pair!r}")
+    builders = {RIME_NONSKEW: lambda: rime_nonskew_r(params),
+                RIME_SKEW: lambda: rime_skew_r(params),
+                RIME_SKEW_SL: lambda: rime_skew_sl_r(params),
+                R_CG: lambda: rcg_r(n), B_SKEW: lambda: b_skew_r(n), B_CG: lambda: b_cg_r(n),
+                RIME_SKEW_SL + ":xi": lambda: rime_skew_sl_xi(params),
+                B_CG + ":xi": lambda: -b_cg_eta(n)}
+    return conjugation_residual_of(pair, lambda name: builders[name](),
+                                   x_change_of_basis(params))
+
+
+def conjugation_residual_of(pair: str, get, x: tuple) -> Operator2:
+    """``conjugation_residual`` from objects already built: ``get(name)`` reads the r of a
+    classical kind, or the xi of an identity shift by kind + ":xi", and x is (X, X^-1)."""
+    lhs, rhs = CONJUGATION_PAIRS[pair]
+    x, xinv = x
+    if lhs in SHIFT_BASES:
         return shifted_conjugate2_residual(
-            rime_skew_sl_r(params), b_cg_r(n), x, xinv,
-            (rime_skew_r(params), rime_skew_sl_xi(params)), (b_skew_r(n), -b_cg_eta(n)))
-    raise InvalidInputError(f"unknown conjugation pair {pair!r}")
+            get(lhs), get(rhs), x, xinv, (get(SHIFT_BASES[lhs]), get(lhs + ":xi")),
+            (get(SHIFT_BASES[rhs]), get(rhs + ":xi")))
+    return conjugate2_residual(get(lhs), get(rhs), x, xinv)
 
 
 def carrier_algebra_check(mu) -> dict[str, object]:

@@ -4,8 +4,8 @@ A presentation x^j x^k -> f_jk x^k x^j + g_jk x^k x^k (j < k) rewrites every
 word to a combination of weakly decreasing words; the only overlaps are
 (x^j x^k) x^l = x^j (x^k x^l) with j < k < l, and the five coefficient
 residuals of that overlap decide confluence.  Graded dimensions of a general
-quadratic algebra are computed by exact rank of the degree-m ideal component,
-never by trusting normal-form counting.
+quadratic algebra are computed by exact rank of the relations' image in each
+degree's quotient, never by trusting normal-form counting.
 """
 
 from __future__ import annotations
@@ -210,28 +210,54 @@ def classify_orderable(pres: OrderedPresentation) -> OrderableClass:
 # --- graded dimensions ---------------------------------------------------------
 
 def poincare_series(n: int, relation_rows, max_degree: int) -> tuple[int, ...]:
-    """dim of degree-m components of T(V)/(relations), m = 0..max_degree."""
+    """dim of degree-m components of T(V)/(relations), m = 0..max_degree.
+
+    The degree-m ideal is I_m = I_{m-1} (x) V + V^(m-2) (x) R, so with
+    A_m = T^m / I_m,
+
+        A_m = (A_{m-1} (x) V) / image(V^(m-2) (x) R),
+
+    and dim A_m is dim A_{m-1} * n less the rank of that image.  A word of
+    I_{m-2} times R lies in I_{m-1} (x) V, so the image is already spanned by
+    the normal words u of degree m-2 (a basis of A_{m-2}) times R.  Each
+    relation sum c x^i x^j gives the row sum c NF(u x^i) (x) x^j, written in
+    the previous degree's normal words v (x) x^j, at column v*n + j.  NF(w) is
+    w for a normal word and minus the rest of its pivot row for a pivot column
+    of the reduced echelon of the previous degree; the forms are carried from
+    degree to degree as integer rows over one common denominator.
+    """
     if max_degree > 6:
         raise InvalidInputError("degree capped at 6")
-    # each relation row is cleared to integers once; its prefixed copies below
-    # are rows of ints, which Echelon takes as they are
-    rel = [_clear(row)[1] for row in relation_rows]
+    # each relation as its terms (i, j, c) of c x^i x^j, on integers when it has them
+    rel = [[(*divmod(col, n), c) for col, c in _clear(row)[1].items()]
+           for row in relation_rows]
     dims = [1]
     if max_degree >= 1:
         dims.append(n)
-    ideal = Echelon(rel)   # degree-2 component
-    if max_degree >= 2:
-        dims.append(n * n - ideal.rank)
-    for m in range(3, max_degree + 1):
-        # I_m = I_{m-1} (x) V + V^(m-2) (x) R
-        nxt = ideal.tensored(n)
-        block = n * n
-        for prefix in range(n ** (m - 2)):
-            base = prefix * block
-            for row in rel:
-                nxt.insert({base + c: v for c, v in row.items()})
-        ideal = nxt
-        dims.append(n ** m - ideal.rank)
+    # the normal words of degree m-2 and m-1, and the normal forms of the words u x^i
+    # with u of degree m-2, here for m = 2: the empty word, and every letter normal
+    prefixes, words = [0], list(range(n))
+    forms = {i: {i: 1} for i in words}
+    for m in range(2, max_degree + 1):
+        ech = Echelon()
+        for u in prefixes:
+            base = u * n
+            for terms in rel:
+                row = {}
+                for i, j, c in terms:
+                    for v, x in forms[base + i].items():
+                        col = v * n + j
+                        row[col] = row.get(col, 0) + c * x
+                ech.insert(row)
+        dims.append(len(words) * n - ech.rank)
+        if m < max_degree:
+            ech.rref()
+            den, pivots = ech._common()
+            one = 1 if den is None else den
+            forms = {w: ({c: -x for c, x in pivots[w].items() if c != w} if w in pivots
+                         else {w: one})
+                     for v in words for w in range(v * n, v * n + n)}
+            prefixes, words = words, [w for w in forms if w not in pivots]
     return tuple(dims[:max_degree + 1])
 
 

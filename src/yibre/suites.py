@@ -583,16 +583,19 @@ def classical_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         "b-cg": lambda p: classical.b_cg_r(n),
     }
     # the traceless and boundary r are identity shifts a + xi ^ 1 of a skew r, and their
-    # cYBE is decided through (a, xi)
-    shifts = {
-        "rime-skew-sl": lambda p: (p["rime-skew"], classical.rime_skew_sl_xi(p.mu)),
-        "b-cg": lambda p: (p["b-skew"], -classical.b_cg_eta(n)),
+    # cYBE and conjugation are decided through (a, xi); the conjugations also read the
+    # changes of basis X(phi) and X(mu) from the block
+    shared = {
+        "rime-skew-sl:xi": lambda p: classical.rime_skew_sl_xi(p.mu),
+        "b-cg:xi": lambda p: -classical.b_cg_eta(n),
+        "x:phi": lambda p: cg.x_change_of_basis(p.phi),
+        "x:mu": lambda p: cg.x_change_of_basis(p.mu),
     }
-    base = Block(draw, {"phi": Vector(n), "mu": Vector(n)}, **named)
+    base = Block(draw, {"phi": Vector(n), "mu": Vector(n)}, **named, **shared)
     checks = base.declare(*(
         Check(f"cybe:{name}", "rcb/clcr/bee/bcg",
-              lambda p, name=name: (p[name], *shifts[name](p)),
-              lambda rs: tensor.shifted_cybe_residual(*rs)) if name in shifts else
+              lambda p, name=name: (p[name], p[classical.SHIFT_BASES[name]], p[name + ":xi"]),
+              lambda rs: tensor.shifted_cybe_residual(*rs)) if name in classical.SHIFT_BASES else
         Check(f"cybe:{name}", "rcb/clcr/bee/bcg", attrgetter(name), tensor.cybe_residual)
         for name in named))
     for d in range(draws):
@@ -602,11 +605,14 @@ def classical_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     base.draw_spec({"c1": Rational(), "c2": Rational()})
     checks += base.declare(
         Check("conjugation:nonskew-to-rcg", "clcr",
-              residual=lambda p: classical.conjugation_residual("nonskew-to-rcg", p.phi)),
+              residual=lambda p: classical.conjugation_residual_of(
+                  "nonskew-to-rcg", p.__getitem__, p["x:phi"])),
         Check("conjugation:skew-to-b", "bee'",
-              residual=lambda p: classical.conjugation_residual("skew-to-b", p.mu)),
+              residual=lambda p: classical.conjugation_residual_of(
+                  "skew-to-b", p.__getitem__, p["x:mu"])),
         Check("conjugation:skew-sl-to-bcg", "bcg",
-              residual=lambda p: classical.conjugation_residual("skew-sl-to-bcg", p.mu)),
+              residual=lambda p: classical.conjugation_residual_of(
+                  "skew-sl-to-bcg", p.__getitem__, p["x:mu"])),
         Check("p-symmetry-nonskew", "crm", lambda p: p["rime-nonskew"],
               lambda r: tensor.permutation_P(n) @ r + r),
         Check("skew-antisymmetry", "rcc", lambda p: p["rime-skew"],

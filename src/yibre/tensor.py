@@ -109,18 +109,6 @@ class Echelon:
         self._view = None
         return [self.pivots[lead] for lead in sorted(pivots)]
 
-    def tensored(self, n: int) -> "Echelon":
-        """The basis of this span (x) V, dim V = n: column c and index k go to c*n + k.
-
-        The relabelling keeps every lead first and every pivot's form, so no row
-        is reduced again.
-        """
-        out = Echelon()
-        for lead, row in self._pivots.items():
-            for k in range(n):
-                out._pivots[lead * n + k] = {c * n + k: x for c, x in row.items()}
-        return out
-
     def _common(self) -> tuple[int | None, dict[int, dict]]:
         """(den, rows): the pivots scaled to a leading 1, as integer rows over one
         common denominator; (None, ``pivots``) when a pivot holds scalars."""
@@ -727,9 +715,9 @@ def signed_products(terms):
 
     The terms are planned by ``_plan``, on the factors' integer rows over one
     common denominator, and the sum is built one output row at a time: each
-    term carries its row of F1 through the middle factors, folds in its integer
-    multiplier just before the last factor, and adds straight into that output
-    row, so only the nonzero rows of the sum are ever held.  A coefficient or
+    term carries its row of F1 through the middle factors, folds its integer
+    multiplier into the loop over the last factor, and adds straight into that
+    output row, so only the nonzero rows of the sum are ever held.  A coefficient or
     factor with no integer form (a QuadExt) runs the same loop on scalars.
     """
     cls, dim, den, plan = _plan(terms)
@@ -750,9 +738,7 @@ def signed_products(terms):
                 continue
             for f in middle:
                 row = _add_row_product({}, row, f)
-            if m != 1:
-                row = {c: m * x for c, x in row.items()}
-            _add_row_product(acc, row, last)
+            _add_row_product(acc, row, last, m)
         if not all(acc.values()):
             # entries that cancel, or dual-number products that vanish, are dropped
             acc = {c: x for c, x in acc.items() if x}
@@ -761,20 +747,72 @@ def signed_products(terms):
     return cls._reduced(dim, den, out)
 
 
-def _add_row_product(acc: dict, row: dict, rows: dict) -> dict:
-    """Add one sparse row times the operator with the given rows into ``acc``; return it."""
+def _add_row_product(acc: dict, row: dict, rows: dict, m=1) -> dict:
+    """Add m times one sparse row times the operator with the given rows into ``acc``;
+    return it.  m scales each entry of the row as it is read."""
     for k, v in row.items():
         frow = rows.get(k)
         if frow:
+            if m != 1:
+                v = m * v
             for c, w in frow.items():
                 acc[c] = acc.get(c, 0) + v * w
     return acc
 
 
 def yb_residual(r: Operator2) -> Operator3:
-    """Braid-form Yang-Baxter residual (R(x)1)(1(x)R)(R(x)1) - (1(x)R)(R(x)1)(1(x)R)."""
-    a, b = lift(r, 12), lift(r, 23)
-    return signed_products([(1, a, b, a), (-1, b, a, b)])
+    """Braid-form Yang-Baxter residual (R(x)1)(1(x)R)(R(x)1) - (1(x)R)(R(x)1)(1(x)R).
+
+    With a = R (x) 1, b = 1 (x) R and the middle product N = b a, the residual
+    is aba - bab = a N - N b, so N is formed once.  a leaves leg 3 alone, so
+    the rows (., ., k) of a N and of N b read only the rows (., ., k) of N:
+    the residual is built one k at a time, holding n^2 rows of N, not n^3.
+    Neither lift is stored; each is read off R's rows.  Row (i, j, k) of N is
+    the sum of R^{jk}_{j'k'} times a's row (i, j', k'), which is R's row (i, j')
+    with leg 3 = k'.  a's row (i, j, k) is R's row (i, j) against the slice,
+    whose rows are keyed by their pair (i, j).  b's row (q, j, k) is R's row
+    (j, k) with leg 1 = q.  The rows are R's integer rows over den(R)^3, or its
+    scalars when an entry has no integer form (a QuadExt).
+    """
+    n = r.dim
+    nn = n * n
+    den, rows = r._ints()
+    out = {}
+    for k in range(n):
+        # the slice (., ., k) of N, keyed by the pair (i, j) of its row (i, j, k)
+        nk = {}
+        for j in range(n):
+            brow = rows.get(j * n + k)
+            if brow is None:
+                continue
+            for i in range(n):
+                acc = {}
+                for jk, v in brow.items():
+                    arow = rows.get(i * n + jk // n)
+                    if arow:
+                        k2 = jk % n
+                        for c, w in arow.items():
+                            col = c * n + k2
+                            acc[col] = acc.get(col, 0) + v * w
+                if acc:
+                    nk[i * n + j] = acc
+        for p in dict.fromkeys(chain(rows, nk)):
+            acc = {}
+            if (row := rows.get(p)) is not None:
+                _add_row_product(acc, row, nk)
+            if (row := nk.get(p)) is not None:
+                for y, v in row.items():
+                    q, s = divmod(y, nn)
+                    brow = rows.get(s)
+                    if brow:
+                        base = q * nn
+                        for c, w in brow.items():
+                            col = base + c
+                            acc[col] = acc.get(col, 0) - v * w
+            # entries that cancel, or dual-number products that vanish, are dropped
+            if acc := {c: v for c, v in acc.items() if v}:
+                out[p * n + k] = acc
+    return Operator3._reduced(n, None if den is None else den ** 3, out)
 
 
 def ybe_numbered_residual(r: Operator2) -> Operator3:

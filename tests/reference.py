@@ -9,13 +9,14 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from yibre import bezout, classical, rime
+from yibre import bezout, blocks, classical, rime
 from yibre.bezout import B, B0, RS, RotaBaxterMap, _sweep_units
 from yibre.kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, elem_syms,
                           rat, ratvec, require_distinct, theta)
 from yibre.rational import Q
-from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift, op1_on_leg2,
-                          reshuffled_matrix, row_space, signed_products, wedge)
+from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, _clear, conjugate2, kron11,
+                          lift, op1_on_leg2, reshuffled_matrix, row_space, signed_products,
+                          wedge)
 
 
 def dense_grid(op) -> list[list]:
@@ -135,6 +136,59 @@ def full_cybe_residual(r: Operator2) -> Operator3:
     return signed_products([(1, r12, r13), (-1, r13, r12),
                             (1, r12, r23), (-1, r23, r12),
                             (1, r13, r23), (-1, r23, r13)])
+
+
+def braid_yb_residual(r: Operator2) -> Operator3:
+    """(R(x)1)(1(x)R)(R(x)1) - (1(x)R)(R(x)1)(1(x)R) as the two-term signed sum aba - bab
+    of the stored lifts, so each term forms its own middle product."""
+    a, b = lift(r, 12), lift(r, 23)
+    return signed_products([(1, a, b, a), (-1, b, a, b)])
+
+
+def poincare_series_full_space(n: int, relation_rows, max_degree: int) -> tuple[int, ...]:
+    """dim of each degree-m component as n^m less the rank of the whole ideal
+    I_m = I_{m-1} (x) V + V^(m-2) (x) R, eliminated in all n^m words."""
+    if max_degree > 6:
+        raise InvalidInputError("degree capped at 6")
+    rel = [_clear(row)[1] for row in relation_rows]
+    dims = [1]
+    if max_degree >= 1:
+        dims.append(n)
+    ideal = Echelon(rel)
+    if max_degree >= 2:
+        dims.append(n * n - ideal.rank)
+    for m in range(3, max_degree + 1):
+        # I_{m-1} (x) V: column c and index k go to c*n + k, which keeps every lead first
+        nxt = Echelon()
+        for lead, row in ideal._pivots.items():
+            for k in range(n):
+                nxt._pivots[lead * n + k] = {c * n + k: x for c, x in row.items()}
+        for prefix in range(n ** (m - 2)):
+            base = prefix * n * n
+            for row in rel:
+                nxt.insert({base + c: v for c, v in row.items()})
+        ideal = nxt
+        dims.append(n ** m - ideal.rank)
+    return tuple(dims[:max_degree + 1])
+
+
+def nonrime_entries_by_conjugation(t: Operator1, h1, h2) -> tuple:
+    """The four non-rime entries of (T x T) R^J (T x T)^-1, closed form divided through,
+    checked against ``conjugate2`` with T inverted by elimination."""
+    h1, h2 = rat(h1), rat(h2)
+    det = t.det()
+    if not det:
+        raise InvalidInputError("T must be invertible")
+    t11, t21 = t.get(1, 1), t.get(2, 1)
+    minus, plus = det - h2 * t11 * t21, det + h2 * t11 * t21
+    d2 = det * det
+    vals = (h1 * t11 * t11 * minus / d2, -h1 * t11 * t11 * plus / d2,
+            h1 * t21 * t21 * minus / d2, -h1 * t21 * t21 * plus / d2)
+    a = conjugate2(blocks.block_matrix(blocks.JORDANIAN, h1, h2), t)
+    direct = (a.get(1, 1, 1, 2), a.get(1, 1, 2, 1), a.get(2, 2, 1, 2), a.get(2, 2, 2, 1))
+    if vals != direct:
+        raise InvalidInputError("closed-form non-rime entries disagree with conjugation")
+    return vals
 
 
 # --- residuals formed whole, with no cheaper decision first ----------------------

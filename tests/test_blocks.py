@@ -15,6 +15,8 @@ from yibre.rime import RimeClass, classify
 from yibre.suites import _is_zero
 from yibre.tensor import Operator1, Operator2, equivalence_residual, yb_residual
 
+from reference import nonrime_entries_by_conjugation
+
 MEMBERS = [
     (RBL1, (2, 1)), (RBL2, (2, 1)), (RBL3, (2, F(3, 2))),
     (RBL4, (3, 1, 1)), (RBL4, (3, 9, 1)), (RBL4, (3, F(1, 9), 2)),
@@ -161,6 +163,37 @@ def test_nonrime_entries():
         vals = nonrime_entries(t, rd.rational(), rd.rational(nonzero=False))
         assert any(vals)
         checked += 1
+
+
+def test_nonrime_entries_match_the_conjugation():
+    # rows 11 and 22 of (T x T) R^J (adj T x adj T) against conjugate2 with T^-1
+    rd = RationalDraw(78)
+    checked = 0
+    while checked < 30:
+        t = Operator1([[rd.rational(), rd.rational()], [rd.rational(), rd.rational()]])
+        if t.det() == 0:
+            continue
+        args = (t, rd.rational(), rd.rational(nonzero=False))
+        assert nonrime_entries(*args) == nonrime_entries_by_conjugation(*args)
+        checked += 1
+    with pytest.raises(InvalidInputError):
+        nonrime_entries(Operator1([[1, 2], [2, 4]]), 1, 1)
+
+
+@pytest.mark.parametrize("row,col", [(0, 1), (0, 2), (3, 1), (3, 2), (1, 3), (2, 0)])
+def test_nonrime_entries_refuse_a_perturbed_jordanian(monkeypatch, row, col):
+    # the closed form is checked against the conjugation of the R^J that block_matrix gives
+    t = Operator1([[F(2), F(1, 3)], [F(-1, 2), F(5)]])
+    build = blocks.block_matrix
+
+    def perturbed(kind, *params):
+        r = build(kind, *params)
+        return r + Operator2._entries(2, {row: {col: F(1, 7)}}) if kind == JORDANIAN else r
+
+    monkeypatch.setattr(blocks, "block_matrix", perturbed)
+    for fn in (nonrime_entries, nonrime_entries_by_conjugation):
+        with pytest.raises(InvalidInputError):
+            fn(t, F(3, 2), F(-2))
 
 
 def test_jordanian_riming():

@@ -8,6 +8,7 @@ from yibre.classical import (B_CG, B_SKEW, R_CG, R_CG_PRIME, bd_fork_R,
                              bd_symmetry_check, b_cg_r, b_skew_r,
                              build_classical, carrier_algebra_check, carrier_Z,
                              classical_limit_residual, conjugation_residual,
+                             conjugation_residual_of,
                              invariance_eta0_b, invariance_eta_cg,
                              invariance_shift_residual, lambda_bcg_gram,
                              rcg_prime_r, rcg_r, representation_change_residual,
@@ -94,6 +95,30 @@ def test_conjugation_faults_give_the_whole_difference(n, monkeypatch):
         got, want = conjugation_residual(pair, mu), conjugated_difference(lhs, rhs, x)
         assert not got.is_zero()
         assert got == want and _is_zero(got) == _is_zero(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conjugations_from_built_objects(n):
+    # the classical suite hands its block's r-matrices, shift generators and X to
+    # conjugation_residual_of; a bumped lhs gives the same nonzero residual both ways
+    rd = RationalDraw(50 + n)
+    phi, mu = rd.vector(n), rd.vector(n)
+    built = {"rime-nonskew": rime_nonskew_r(phi), "rime-skew": rime_skew_r(mu),
+             "rime-skew-sl": rime_skew_sl_r(mu), "r-cg": rcg_r(n), "b-skew": b_skew_r(n),
+             "b-cg": b_cg_r(n), "rime-skew-sl:xi": classical.rime_skew_sl_xi(mu),
+             "b-cg:xi": -classical.b_cg_eta(n)}
+    bump = Operator2._entries(n, {n: {1: F(1)}})  # one entry off every diagonal
+    for pair, (lhs, _) in classical.CONJUGATION_PAIRS.items():
+        params = phi if lhs == "rime-nonskew" else mu
+        x = x_change_of_basis(params)
+        got = conjugation_residual_of(pair, built.__getitem__, x)
+        assert got.is_zero() and got == conjugation_residual(pair, params)
+        bumped = {**built, lhs: built[lhs] + bump}
+        got = conjugation_residual_of(pair, bumped.__getitem__, x)
+        rhs = built[classical.CONJUGATION_PAIRS[pair][1]]
+        assert not got.is_zero() and got == conjugated_difference(bumped[lhs], rhs, x[0])
+    with pytest.raises(InvalidInputError):
+        conjugation_residual("skew-to-rcg", mu)
 
 
 def test_p_symmetries():

@@ -16,6 +16,8 @@ from yibre.qalg import (CASE_I, CASE_II, NON_STRICT, NOT_CONFLUENT_STRICT,
                         overlap_residuals_semantic, poincare_series)
 from yibre.suites import run_suite
 
+from reference import poincare_series_full_space
+
 nonzero_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5).filter(bool)
 
 
@@ -127,6 +129,43 @@ def test_poincare_confluent_binomials(n):
     assert poincare_series(n, p1.relation_rows(), 5) == binomial_series(n, 5)
     p2 = OrderedPresentation.case_ii(n, 2)
     assert poincare_series(n, p2.relation_rows(), 5) == binomial_series(n, 5)
+
+
+def _poincare_inputs(n: int, rd: RationalDraw) -> list:
+    """Relation rows of case-i and case-ii presentations and of random non-confluent ones."""
+    gs = {(j, k): rd.rational() for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+    return [OrderedPresentation.case_i(n, lambda j, k: gs[(j, k)]).relation_rows(),
+            OrderedPresentation.case_ii(n, rd.rational()).relation_rows(),
+            *(OrderedPresentation.build(n, lambda j, k: rd.rational(),
+                                        lambda j, k: rd.rational()).relation_rows()
+              for _ in range(2)),
+            commutative_relation_rows(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_poincare_matches_the_full_space_ideal(n):
+    # the quotient by the previous degree's normal words against the whole ideal in n^m words
+    rd = RationalDraw(90 + n)
+    for rows in _poincare_inputs(n, rd):
+        for deg in range(6):
+            assert poincare_series(n, rows, deg) == poincare_series_full_space(n, rows, deg)
+
+
+def test_poincare_matches_the_full_space_ideal_at_the_degree_cap():
+    rows = _poincare_inputs(4, RationalDraw(7))[0]
+    got = poincare_series(4, rows, 6)
+    assert got == poincare_series_full_space(4, rows, 6) == binomial_series(4, 6)
+
+
+def test_poincare_gl11_matches_the_full_space_ideal():
+    # passing (1, 2, 2, ...) and failing omega values of the two-parameter block
+    series = set()
+    for q, om in ((F(2), F(1, 4)), (F(2), F(1)), (F(2), F(4)), (F(3), F(2, 5)), (F(-5, 2), F(-1))):
+        rows = gl11_relation_rows(q, om)
+        got = poincare_series(2, rows, 6)
+        assert got == poincare_series_full_space(2, rows, 6)
+        series.add(got == (1, 2, 2, 2, 2, 2, 2))
+    assert series == {True, False}
 
 
 def test_poincare_degree_cap():

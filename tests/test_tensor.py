@@ -20,9 +20,9 @@ from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, commutator_w
                           shifted_conjugate2_residual, shifted_cybe_residual, signed_products,
                           span_difference, span_rank, wedge, yb_residual)
 
-from reference import (conjugate2_dense, conjugated_difference, dense_grid, dense_matmul,
-                       dense_signed_sum, equivalence_dense, full_cybe_residual, partial_trace,
-                       row_space_difference, skew_inverse)
+from reference import (braid_yb_residual, conjugate2_dense, conjugated_difference, dense_grid,
+                       dense_matmul, dense_signed_sum, equivalence_dense, full_cybe_residual,
+                       partial_trace, row_space_difference, skew_inverse)
 
 
 def test_permutation():
@@ -904,6 +904,43 @@ def test_cybe_residual_holds_no_whole_product():
         tracemalloc.stop()
     assert residual.is_zero()
     assert peak < 1.5e6, f"cybe_residual peaked at {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_yb_residual_matches_the_braid_products(n):
+    # a N - N b with N = b a, built one leg-3 slice at a time, against aba - bab: the same
+    # integer rows over the same denominator, and the same first witness
+    from yibre.rime import strict_rime_R
+    rd = RationalDraw(60 + n)
+    r = strict_rime_R(rd.vector(n), rd.rational())
+    bumped = r + Operator2._entries(n, {1: {n: F(3, 5)}})
+    wild = Operator2._entries(n, {x: {y: rd.rational() for y in range(n * n) if (x + y) % 3 == 0}
+                                  for x in range(n * n)})
+    gauss = r + Operator2._entries(n, {0: {n + 1: QuadExt(0, 1, -1)}})
+    for op in (r, bumped, wild, gauss, Operator2.zero(n), Operator2.identity(n)):
+        got, want = yb_residual(op), braid_yb_residual(op)
+        assert got._den == want._den and got._rows == want._rows and got == want
+        assert first_nonzero_witness(got) == first_nonzero_witness(want)
+    assert yb_residual(r).is_zero() and yb_residual(gauss)._den is None
+    assert not yb_residual(bumped).is_zero() and not yb_residual(wild).is_zero()
+
+
+def test_yb_residual_holds_one_slice_of_the_middle_product():
+    # the braid residual holds one leg-3 slice of n^2 rows of the middle product N = b a
+    # and neither lift: at n = 8 it peaks at about 0.08 MB of tracemalloc, the two-term
+    # form at 0.36 MB, and forming N whole at 0.79 MB
+    from yibre.rime import strict_rime_R
+    r = strict_rime_R(RationalDraw(1).vector(8), F(2, 7))
+    r._ints()
+    peaks = []
+    for fn in (yb_residual, lambda r: signed_products([(1, lift(r, 23), lift(r, 12))])):
+        tracemalloc.start()
+        try:
+            fn(r)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 4, f"yb_residual peaked at {peaks[0] / 1e6:.2f} MB"
 
 
 def _dense_random_op2(rd: RationalDraw, n: int) -> Operator2:
