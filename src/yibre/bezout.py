@@ -140,13 +140,11 @@ _assert_basis_convention()
 
 # --- identity suite ----------------------------------------------------------
 
-def bezout_identity_suite(n: int) -> dict[str, Operator2]:
-    """Named residuals of the quadratic/P identities of the three operators."""
+def bezout_identity_suite(b0: Operator2, b: Operator2, rs: Operator2) -> dict[str, Operator2]:
+    """Named residuals of the quadratic/P identities of the b0, b and rs operators of one n."""
+    n = b0.dim
     p = permutation_P(n)
     ident = Operator2.identity(n)
-    b0 = bezout_operator(B0, n)
-    b = bezout_operator(B, n)
-    rs = bezout_operator(RS, n)
     return {
         "b0-square": b0 @ b0,
         "b0-right-p": b0 @ p + b0,
@@ -263,10 +261,10 @@ def hecke_overlap_residuals(r: Operator2, beta, v) -> dict[str, Operator3]:
     }
 
 
-def linear_quantization_residuals(kind: str, lam, n: int) -> dict[str, Operator3]:
+def linear_quantization_residuals(r: Operator2, lam) -> dict[str, Operator3]:
     """Both YBE forms for R = I + lambda r."""
     lam = rat(lam)
-    r = bezout_operator(kind, n)
+    n = r.dim
     big = Operator2.identity(n) + r.scale(lam)
     return {
         "numbered": ybe_numbered_residual(big),
@@ -284,30 +282,27 @@ def euler_matrix(n: int) -> Operator1:
     return Operator1.diag([Q(k) for k in range(n)])
 
 
-def shifted_solution_residual(kind: str, c, n: int) -> Operator3:
-    """cYB residual of b0 + c(d_x - d_y) or b + c(xd_x - yd_y)."""
-    c = rat(c)
+def _shift_generator(kind: str, n: int) -> Operator1:
+    """d/dx for "b0shift", x d/dx for "bshift"."""
     if kind == "b0shift":
-        gen = derivative_matrix(n)
-        base = bezout_operator(B0, n)
-    elif kind == "bshift":
-        gen = euler_matrix(n)
-        base = bezout_operator(B, n)
-    else:
-        raise InvalidInputError(f"unknown shift kind {kind!r}")
+        return derivative_matrix(n)
+    if kind == "bshift":
+        return euler_matrix(n)
+    raise InvalidInputError(f"unknown shift kind {kind!r}")
+
+
+def shifted_solution_residual(kind: str, base: Operator2, c) -> Operator3:
+    """cYB residual of b0 + c(d_x - d_y) ("b0shift", base b0) or b + c(xd_x - yd_y)
+    ("bshift", base b)."""
+    c = rat(c)
+    gen = _shift_generator(kind, base.dim)
     shifted = base + (op1_on_leg2(gen, 1) - op1_on_leg2(gen, 2)).scale(c)
     return cybe_residual(shifted)
 
 
-def shift_generator_commutator(kind: str, n: int) -> Operator2:
-    """[b0, d_1 + d_2] or [b, (xd)_1 + (xd)_2]."""
-    if kind == "b0shift":
-        gen, base = derivative_matrix(n), bezout_operator(B0, n)
-    elif kind == "bshift":
-        gen, base = euler_matrix(n), bezout_operator(B, n)
-    else:
-        raise InvalidInputError(f"unknown shift kind {kind!r}")
-    return commutator_with_sum(base, gen)
+def shift_generator_commutator(kind: str, base: Operator2) -> Operator2:
+    """[b0, d_1 + d_2] ("b0shift", base b0) or [b, (xd)_1 + (xd)_2] ("bshift", base b)."""
+    return commutator_with_sum(base, _shift_generator(kind, base.dim))
 
 
 # --- divided-difference recursion -------------------------------------------
@@ -382,16 +377,21 @@ def _variant_terms(variant: str, c, minus, plus) -> list:
     raise InvalidInputError(f"unknown coproduct variant {variant!r}")
 
 
-def coassociativity_residual(r: Operator2, c, variant: str, u: Operator1) -> Operator3:
-    """(delta (x) id) delta(u) - (id (x) delta) delta(u) on V^3."""
+def coassociativity_residuals(r: Operator2, c, variant: str, us) -> list[Operator3]:
+    """(delta (x) id) delta(u) - (id (x) delta) delta(u) on V^3 for each u of ``us``,
+    with r_12 and r_23 lifted once."""
     c = rat(c)
-    big = coproduct(u, r, c, variant)
-    u13, u23, u12 = lift(big, 13), lift(big, 23), lift(big, 12)
     r12, r23 = lift(r, 12), lift(r, 23)
-    # (delta (x) id) delta(u) = u13 r12 - r12 u23 + variant terms on (u13, u23), minus
-    # (id (x) delta) delta(u) = u12 r23 - r23 u13 + variant terms on (u12, u13)
-    return signed_products([(1, u13, r12), (-1, r12, u23), *_variant_terms(variant, c, u13, u23),
-                            (-1, u12, r23), (1, r23, u13), *_variant_terms(variant, -c, u12, u13)])
+    out = []
+    for u in us:
+        big = coproduct(u, r, c, variant)
+        u13, u23, u12 = lift(big, 13), lift(big, 23), lift(big, 12)
+        # (delta (x) id) delta(u) = u13 r12 - r12 u23 + variant terms on (u13, u23), minus
+        # (id (x) delta) delta(u) = u12 r23 - r23 u13 + variant terms on (u12, u13)
+        out.append(signed_products([(1, u13, r12), (-1, r12, u23),
+                                    *_variant_terms(variant, c, u13, u23), (-1, u12, r23),
+                                    (1, r23, u13), *_variant_terms(variant, -c, u12, u13)]))
+    return out
 
 
 def derivation_residual(u: Operator1, v: Operator1, r: Operator2, c,
@@ -562,30 +562,91 @@ def star_tilde_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, rb_prime: 
                             (c * b.trace(), a)])
 
 
-def star_associators(rb: RotaBaxterMap, alpha) -> tuple[list[Operator1], list[Operator1]]:
-    """The star products of unit pairs and the associators of unit triples.
+def _left_multiplication(x: Operator1) -> Operator2:
+    """L_X with vec(Y) L_X = vec(XY), where vec reads cell (i, j) of Mat(V) at pair i n + j.
 
-    Over the units of ``_sweep_units``, x_0 .. x_{m-1} with m = n^2, the first
-    list holds x_a * x_b at position a m + b and the second holds
-    (x_a * x_b) * x_c - x_a * (x_b * x_c) at position (a m + b) m + c.  Each pair
-    product and its image are formed once; each associator is one signed sum.
+    Row (k, j) of L_X holds column k of X on the pairs (i, j), so L_X = X^T (x) 1,
+    relabelled from X's integer rows.
     """
-    alpha = rat(alpha)
-    units = [(x, rb.unit_image(*cell)) for cell, x in _sweep_units(rb.n)]
-    stars = [signed_products([(1, rx, y), (1, x, ry), (-alpha, x, y)])
-             for x, rx in units for y, ry in units]
-    star_images = [rb.apply(st) for st in stars]
+    return op1_on_leg2(x.transpose(), 1)
+
+
+def star_tables(rb: RotaBaxterMap, rb_prime: RotaBaxterMap, alpha,
+                c) -> tuple[list[Operator1], list[Operator2], list[Operator2]]:
+    """Star products of unit pairs, and the associativity and star-tilde residuals as tables.
+
+    Write vec for the row-major cells and read ``images`` (the matrix of R)
+    as an operator on V (x) V.  Then vec(Y) U_X = vec(X * Y) for the left-star
+    table U_X = L_R(X) + images L_X - alpha L_X, so over the units x_0 .. x_{m-1}
+    of ``_sweep_units`` (m = n^2), for every Z,
+
+        vec(Z) (U_{x_a * x_b} - U_{x_b} U_{x_a}) = vec((x_a * x_b) * Z - x_a * (x_b * Z)),
+
+    and likewise vec(Y) (L_R(x_a) - images' L_{x_a} + c T_a - U_{x_a}) =
+    vec(x_a *~ Y - x_a * Y), where images' is the matrix of ``rb_prime`` and
+    T_a holds vec(x_a) in every row (d, d), since Tr Y = sum_d Y_dd.  Neither
+    identity asks R for any property, so the first table is zero iff every
+    associator at (a, b) is, and row (cell of x_c) is the one at (a, b, c).
+
+    Returns the stars x_a * x_b at a m + b, each read off a row of U_{x_a}, the
+    associator tables at a m + b, and the star-tilde tables at a.  Every
+    table is one ``signed_products`` sum of relabelled integer rows.
+    """
+    alpha, c = rat(alpha), rat(c)
+    n = rb.n
+    images = Operator2._of(n, *rb.images._ints())
+    primed = Operator2._of(n, *rb_prime.images._ints())
+    # (cell, L_x, L_R(x)) of each unit x
+    units = [(cell, _left_multiplication(x), _left_multiplication(rb.unit_image(*cell)))
+             for cell, x in _sweep_units(n)]
+    left = [signed_products([(1, lrx), (1, images, lx), (-alpha, lx)]) for _, lx, lrx in units]
+    stars = []
+    for table in left:
+        den, rows = table._ints()
+        stars += [rb._cells(den, rows.get(d * n + k, {})) for (d, k), _, _ in units]
     m = len(units)
     associators = []
-    for a, (x, rx) in enumerate(units):
+    for a, ua in enumerate(left):
+        for b, ub in enumerate(left):
+            s = stars[a * m + b]
+            ls = _left_multiplication(s)
+            associators.append(signed_products([(1, _left_multiplication(rb.apply(s))),
+                                                (1, images, ls), (-alpha, ls), (-1, ub, ua)]))
+    tilde = []
+    for ((p, q), lx, lrx), ua in zip(units, left):
+        trace = Operator2._of(n, 1, {d * n + d: {p * n + q: 1} for d in range(n)})
+        tilde.append(signed_products([(1, lrx), (-1, primed, lx), (c, trace), (-1, ua)]))
+    return stars, associators, tilde
+
+
+def star_associativity_residuals(rb: RotaBaxterMap, rb_prime: RotaBaxterMap, alpha,
+                                 c) -> list[Operator1]:
+    """For each unit pair (a, b) in turn, x_a *~ x_b - x_a * x_b and then the associators
+    (x_a * x_b) * x_c - x_a * (x_b * x_c) over c, with the units of ``_sweep_units``.
+
+    Each family is decided on its table (``star_tables``).  A zero table puts one
+    shared zero at each of its positions; a nonzero table's entries are read off
+    its rows, row (cell of y) for the entry at y.
+    """
+    n = rb.n
+    _, associators, tilde = star_tables(rb, rb_prime, alpha, c)
+    cells = [d * n + k for (d, k), _ in _sweep_units(n)]
+    m = len(cells)
+    zero = Operator1.zero(n)
+
+    def entries(table: Operator2) -> list[Operator1]:
+        if table.is_zero():
+            return [zero] * m
+        den, rows = table._ints()
+        return [rb._cells(den, rows.get(x, {})) for x in cells]
+
+    out = []
+    for a, table in enumerate(tilde):
+        differences = entries(table)
         for b in range(m):
-            sxy, rxy = stars[a * m + b], star_images[a * m + b]
-            for c, (z, rz) in enumerate(units):
-                syz, ryz = stars[b * m + c], star_images[b * m + c]
-                associators.append(signed_products([
-                    (1, rxy, z), (1, sxy, rz), (-alpha, sxy, z),
-                    (-1, rx, syz), (-1, x, ryz), (alpha, x, syz)]))
-    return stars, associators
+            out.append(differences[b])
+            out += entries(associators[a * m + b])
+    return out
 
 
 _GL3_SHAPE_B0 = ((1, 1, 1), (0, 0, 1), (0, 0, 0))
@@ -607,8 +668,13 @@ GL3_IMAGES_B = {
 }
 
 
-def gl2_isomorphism_check(kind: str) -> dict[str, object]:
-    """The n=2 star algebras are 4-dim corners of 3x3 matrices; the maps' residuals."""
+def gl2_isomorphism_check(kind: str, rb: RotaBaxterMap) -> dict[str, object]:
+    """The n=2 star algebras are 4-dim corners of 3x3 matrices; the maps' residuals.
+
+    ``rb`` must be ``rota_baxter(bezout_operator(kind, 2))``, which the caller
+    already holds; it is not checked against ``kind``, and another map gives
+    nonzero residuals that say nothing about the kind's star algebra.
+    """
     n = 2
     if kind == B0:
         images, alpha, shape = GL3_IMAGES_B0, ZERO, _GL3_SHAPE_B0
@@ -616,7 +682,6 @@ def gl2_isomorphism_check(kind: str) -> dict[str, object]:
         images, alpha, shape = GL3_IMAGES_B, -ONE, _GL3_SHAPE_B
     else:
         raise InvalidInputError("isomorphisms exist for kinds 'b0' and 'b'")
-    rb = rota_baxter(bezout_operator(kind, n))
     units = {(i, j): Operator1.unit(n, i, j) for i in (1, 2) for j in (1, 2)}
 
     homomorphism = []

@@ -111,14 +111,18 @@ def x_change_of_basis(phi) -> tuple[Operator1, Operator1]:
     return x, xinv
 
 
-def cg_equivalence_residual(phi, beta) -> Operator2:
-    """R(phi,beta) (X x X) - (X x X) R_CG with q^-2 = 1 - beta; zero by construction."""
+def cg_equivalence_residual(phi, beta, x: Operator1) -> Operator2:
+    """R(phi,beta) (X x X) - (X x X) R_CG with q^-2 = 1 - beta; zero by construction.
+
+    ``x`` must be X(phi), the first half of ``x_change_of_basis(phi)``, which the
+    caller already holds; it is not checked against phi, and any other matrix
+    gives a nonzero residual that says nothing about R(phi, beta).
+    """
     beta = rat(beta)
     if beta == 1:
         raise InvalidInputError("beta = 1 puts q^-2 at zero")
     phi = ratvec(phi)
     r = strict_rime_R(phi, beta)
-    x, _ = x_change_of_basis(phi)
     return equivalence_residual(r, cg_matrix(CGParams(len(phi), ONE - beta, ONE)), x)
 
 

@@ -498,13 +498,12 @@ def lambda_bcg_gram(n: int) -> Operator1:
     return Operator1._entries(m, g)
 
 
-def tilde_difference_residual(mu) -> Operator1:
-    """X_mu sum_j (1 - j/n) e^{j+1}_j - (1/n) sum_{i!=j} Z^j_i/(mu_i-mu_j) X_mu,
-    that is X eta + xi X with ``b_cg_eta`` and ``rime_skew_sl_xi``."""
-    mu = ratvec(mu)
-    require_distinct(mu, "mu")
-    n = len(mu)
-    x, _ = x_change_of_basis(mu)
-    if n < 2:
-        return Operator1.zero(n)
-    return signed_products([(1, x, b_cg_eta(n)), (1, rime_skew_sl_xi(mu), x)])
+def tilde_difference_residual(x: Operator1, xi: Operator1, zeta: Operator1) -> Operator1:
+    """X_mu sum_j (1 - j/n) e^{j+1}_j - (1/n) sum_{i!=j} Z^j_i/(mu_i-mu_j) X_mu, that is
+    X eta + xi X, as xi X - X zeta.
+
+    ``x`` is X(mu), ``xi`` the identity-shift generator of r_sl
+    (``rime_skew_sl_xi(mu)``) and ``zeta`` = -eta that of b_cg (``-b_cg_eta(n)``),
+    as the classical suite's block holds them.
+    """
+    return signed_products([(1, xi, x), (-1, x, zeta)])

@@ -186,7 +186,36 @@ class SuiteReport:
 
 
 def _is_zero(obj) -> tuple[bool, dict | None]:
-    """Zero test plus a localized witness for the first offending entry."""
+    """Zero test plus a localized witness for the first offending entry.
+
+    A result that ``_all_zero`` finds exactly zero passes at once; any other is
+    searched, dict keys in sorted order, for its first offending entry.
+    """
+    if _all_zero(obj):
+        return True, None
+    return _first_failure(obj)
+
+
+def _all_zero(obj) -> bool:
+    """Whether every leaf of nested dicts, lists and tuples is an exact zero: 0 as an int
+    or ``Q``, True, or an operator whose ``is_zero()`` holds.  Any other leaf answers
+    no, so that ``_first_failure`` decides it."""
+    t = type(obj)
+    if t is bool:
+        return obj
+    if t is int or t is Q:
+        return not obj
+    if isinstance(obj, (Operator1, Operator2, Operator3)):
+        return obj.is_zero()
+    if t is dict:
+        return all(map(_all_zero, obj.values()))
+    if t is list or t is tuple:
+        return all(map(_all_zero, obj))
+    return False
+
+
+def _first_failure(obj) -> tuple[bool, dict | None]:
+    """``_is_zero`` by a search in order: the first offending entry's witness, if any."""
     if isinstance(obj, bool):
         return obj, None if obj else {"index": "-", "value": "false"}
     if type(obj) is Q or isinstance(obj, (int, Fraction)):
@@ -199,7 +228,7 @@ def _is_zero(obj) -> tuple[bool, dict | None]:
         return False, {"index": key, "value": format_rat(val)}
     if isinstance(obj, dict):
         for key in sorted(obj, key=str):
-            ok, wit = _is_zero(obj[key])
+            ok, wit = _first_failure(obj[key])
             if not ok:
                 if wit is not None:
                     # a tuple key reads comma-joined, like the i,j|k,l operator entries
@@ -209,7 +238,7 @@ def _is_zero(obj) -> tuple[bool, dict | None]:
         return True, None
     if isinstance(obj, (list, tuple)):
         for pos, item in enumerate(obj):
-            ok, wit = _is_zero(item)
+            ok, wit = _first_failure(item)
             if not ok:
                 if wit is not None:
                     wit = {"index": f"{pos}:{wit['index']}", "value": wit["value"]}
@@ -518,7 +547,7 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
             Check(f"cg-hecke[{d}]", "CG/Hecke", lambda p: (p.rcg, p.params.beta),
                   lambda rb: tensor.hecke_residual(*rb)),
             Check(f"cg-equivalence[{d}]", "change/cha0",
-                  residual=lambda p: cg.cg_equivalence_residual(p.phi, p.beta)),
+                  residual=lambda p: cg.cg_equivalence_residual(p.phi, p.beta, p.x[0])),
             Check(f"phi-transition[{d}]", "transition",
                   residual=lambda p: cg.phi_transition(p.phi, p.phi2) - (p.x2[0] @ p.x[1])),
             Check(f"x-inverse[{d}]", "matX/transe", lambda p: p.x,
@@ -583,21 +612,30 @@ def classical_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         "b-cg": lambda p: classical.b_cg_r(n),
     }
     # the traceless and boundary r are identity shifts a + xi ^ 1 of a skew r, and their
-    # cYBE and conjugation are decided through (a, xi); the conjugations also read the
-    # changes of basis X(phi) and X(mu) from the block
+    # cYBE and conjugation are decided through (a, xi) and CYB(a), which the base's own
+    # cYBE check reads from the block too; the conjugations also read the changes of
+    # basis X(phi) and X(mu) from the block
     shared = {
         "rime-skew-sl:xi": lambda p: classical.rime_skew_sl_xi(p.mu),
         "b-cg:xi": lambda p: -classical.b_cg_eta(n),
         "x:phi": lambda p: cg.x_change_of_basis(p.phi),
         "x:mu": lambda p: cg.x_change_of_basis(p.mu),
+        **{f"cybe:{a}": lambda p, a=a: tensor.cybe_residual(p[a])
+           for a in classical.SHIFT_BASES.values()},
     }
     base = Block(draw, {"phi": Vector(n), "mu": Vector(n)}, **named, **shared)
-    checks = base.declare(*(
-        Check(f"cybe:{name}", "rcb/clcr/bee/bcg",
-              lambda p, name=name: (p[name], p[classical.SHIFT_BASES[name]], p[name + ":xi"]),
-              lambda rs: tensor.shifted_cybe_residual(*rs)) if name in classical.SHIFT_BASES else
-        Check(f"cybe:{name}", "rcb/clcr/bee/bcg", attrgetter(name), tensor.cybe_residual)
-        for name in named))
+
+    def cybe_check(name: str) -> Check:
+        if name in classical.SHIFT_BASES:
+            a = classical.SHIFT_BASES[name]
+            return Check(f"cybe:{name}", "rcb/clcr/bee/bcg",
+                         lambda p: (p[name], p[a], p[name + ":xi"], p[f"cybe:{a}"]),
+                         lambda rs: tensor.shifted_cybe_residual(*rs))
+        if f"cybe:{name}" in shared:
+            return Check(f"cybe:{name}", "rcb/clcr/bee/bcg", attrgetter(f"cybe:{name}"))
+        return Check(f"cybe:{name}", "rcb/clcr/bee/bcg", attrgetter(name), tensor.cybe_residual)
+
+    checks = base.declare(*map(cybe_check, named))
     for d in range(draws):
         checks += Block(draw, {"phi": Vector(n), "beta": Rational()}).declare(
             Check(f"classical-limit[{d}]", "R=1+beta r",
@@ -650,17 +688,32 @@ def classical_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         Check("lambda-bcg-gram-invertible", "Omega=dlambda",
               residual=lambda p: classical.lambda_bcg_gram(n).det() != 0, mutable=False),
         Check("tilde-difference", "bcg proof",
-              residual=lambda p: classical.tilde_difference_residual(p.mu)))
+              residual=lambda p: classical.tilde_difference_residual(
+                  p["x:mu"][0], p["rime-skew-sl:xi"], p["b-cg:xi"])))
+
+
+def _bezout_objects(sizes) -> dict[str, Callable[[Params], object]]:
+    """Block objects for the Bezout operators at each size: "kind:size" is the operator,
+    and "rb:kind:size" and "rb-right:kind:size" are its left and right Rota-Baxter maps."""
+    objects = {}
+    for kind in bezout.BEZOUT_KINDS:
+        for size in sizes:
+            name = f"{kind}:{size}"
+            objects[name] = lambda p, kind=kind, size=size: bezout.bezout_operator(kind, size)
+            objects[f"rb:{name}"] = lambda p, name=name: bezout.rota_baxter(p[name])
+            objects[f"rb-right:{name}"] = lambda p, name=name: bezout.rota_baxter(p[name], "right")
+    return objects
 
 
 def bezout_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     three_leg = min(n, 4)
-    checks: list[Check] = []
-    for kind in (bezout.B0, bezout.B, bezout.RS):
-        checks += Block(draw, fixed={"kind": kind}).declare(
-            Check(f"closed-form:{kind}", "brr1..brr4/bez3",
-                  residual=lambda p: bezout.bezout_operator(p.kind, n)
-                  - bezout.closed_form_operator(p.kind, n)))
+    small = min(n, 3)
+    # every check reads its Bezout operators from this one block, so each is built once
+    base = Block(draw, **_bezout_objects({n, three_leg, small, 2, 3}))
+    checks = base.declare(*(
+        Check(f"closed-form:{kind}", "brr1..brr4/bez3",
+              residual=lambda p, kind=kind: p[f"{kind}:{n}"] - bezout.closed_form_operator(kind, n))
+        for kind in (bezout.B0, bezout.B, bezout.RS)))
 
     def btilde(bt):
         r12 = tensor.lift(bt, 12)
@@ -673,65 +726,61 @@ def bezout_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
             "square": (bt @ bt) - Operator2.identity(three_leg).scale(Q(1, 4)),
         }
 
-    base = Block(draw, b3=lambda p: bezout.bezout_operator(bezout.B, min(n, 3)),
-                 b03=lambda p: bezout.bezout_operator(bezout.B0, min(n, 3)))
     checks += base.declare(
-        Check("bridge:b0-is-bskew", "bee", lambda p: bezout.bezout_operator(bezout.B0, n),
+        Check("bridge:b0-is-bskew", "bee", lambda p: p[f"{bezout.B0}:{n}"],
               lambda b0: bezout.basis_flip(b0) - classical.b_skew_r(n)),
-        Check("bridge:b-is-p-rcg", "clcr", lambda p: bezout.bezout_operator(bezout.B, n),
+        Check("bridge:b-is-p-rcg", "clcr", lambda p: p[f"{bezout.B}:{n}"],
               lambda b: bezout.basis_flip(b) - tensor.permutation_P(n) @ classical.rcg_r(n)),
         Check("identity-suite", "bez4/bez5/bez6",
-              residual=lambda p: bezout.bezout_identity_suite(n)),
-        Check("nhacybe-b0", "bez8:c=0", lambda p: bezout.bezout_operator(bezout.B0, three_leg),
+              residual=lambda p: bezout.bezout_identity_suite(
+                  *(p[f"{kind}:{n}"] for kind in (bezout.B0, bezout.B, bezout.RS)))),
+        Check("nhacybe-b0", "bez8:c=0", lambda p: p[f"{bezout.B0}:{three_leg}"],
               lambda r: tensor.nhacybe_residual(r, 0)),
-        Check("nhacybe-b", "bez8:c=1", lambda p: bezout.bezout_operator(bezout.B, three_leg),
+        Check("nhacybe-b", "bez8:c=1", lambda p: p[f"{bezout.B}:{three_leg}"],
               lambda r: tensor.nhacybe_residual(r, 1)),
-        Check("nhacybe-rs", "bez8:c=1", lambda p: bezout.bezout_operator(bezout.RS, three_leg),
+        Check("nhacybe-rs", "bez8:c=1", lambda p: p[f"{bezout.RS}:{three_leg}"],
               lambda r: tensor.nhacybe_residual(r, 1)),
         Check("nhacybe-primed", "bez7'",
-              residual=lambda p: {k: tensor.nhacybe_residual(
-                  bezout.bezout_operator(k, three_leg), c, primed=True)
-                  for k, c in ((bezout.B, 1), (bezout.RS, 1))}),
-        Check("btilde-relations", "bez15/bez16",
-              lambda p: bezout.bezout_operator(bezout.BTILDE, three_leg), btilde))
+              residual=lambda p: {k: tensor.nhacybe_residual(p[f"{k}:{three_leg}"], c, primed=True)
+                                  for k, c in ((bezout.B, 1), (bezout.RS, 1))}),
+        Check("btilde-relations", "bez15/bez16", lambda p: p[f"{bezout.BTILDE}:{three_leg}"],
+              btilde))
 
     for d in range(min(draws, 5)):
-        checks += Block(draw, {"lam": Rational()},
-                        fixed={"kind": (bezout.B0, bezout.B, bezout.RS)[d % 3]}).declare(
+        base.draw_spec({f"lam{d}": Rational()})
+        checks += base.declare(
             Check(f"linear-quantization[{d}]", "bez22",
-                  residual=lambda p: bezout.linear_quantization_residuals(
-                      p.kind, p.lam, three_leg)))
+                  residual=lambda p, d=d: bezout.linear_quantization_residuals(
+                      p[f"{(bezout.B0, bezout.B, bezout.RS)[d % 3]}:{three_leg}"], p[f"lam{d}"])))
 
     def differences(got, want):
         # no decomposition at all fails as a predicate; otherwise each coefficient is a residual
         return False if got is None else [g - w for g, w in zip(got, want)]
 
-    def quadratic_matching(_):
+    def quadratic_matching(p):
         out = {}
         for kind, (alpha, beta), (uu, vv) in ((bezout.B0, (0, 0), (0, 0)),
                                               (bezout.B, (-1, 1), (1, 0)),
                                               (bezout.RS, (-1, 1), (1, 0))):
-            op = bezout.bezout_operator(kind, n)
+            op = p[f"{kind}:{n}"]
             out[f"{kind}-sr"] = differences(bezout.sr_decomposition(op), (alpha, beta))
             out[f"{kind}-quadratic"] = differences(bezout.quadratic_data(op), (uu, vv))
             out[f"{kind}-u-equals-beta"] = uu - beta
         return out
 
-    def coassoc(_):
+    def coassoc(p):
         out = {}
         for m in (2, 3):
             units = [Operator1.unit(m, i, j) for i in range(1, m + 1)
                      for j in range(1, m + 1)]
-            r0 = bezout.bezout_operator(bezout.B0, m)
-            rb_ = bezout.bezout_operator(bezout.B, m)
+            r0, rb_ = p[f"{bezout.B0}:{m}"], p[f"{bezout.B}:{m}"]
             for key, op, c, kind in (("plain", r0, 0, "plain"), ("delta", rb_, 1, "delta"),
                                      ("tilde", rb_, 1, "delta-tilde")):
-                out[f"{key}-{m}"] = [bezout.coassociativity_residual(op, c, kind, u)
-                                     for u in units]
+                out[f"{key}-{m}"] = bezout.coassociativity_residuals(op, c, kind, units)
         return out
 
     def derivations(p):
-        b0, b = bezout.bezout_operator(bezout.B0, 2), bezout.bezout_operator(bezout.B, 2)
+        b0, b = p[f"{bezout.B0}:2"], p[f"{bezout.B}:2"]
         out = []
         for k in range(3):
             u, v = p[f"u{k}"], p[f"v{k}"]
@@ -743,24 +792,26 @@ def bezout_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
     base.draw_spec({"a": Rational(), "b": Rational()})
     checks += base.declare(
         Check("shift-law", "bez13",
-              residual=lambda p: {"b": bezout.nhacybe_shift_residual(p.b3, 1, p.a, p.b),
-                                  "b0": bezout.nhacybe_shift_residual(p.b03, 0, p.a, p.b)}),
+              residual=lambda p: {
+                  "b": bezout.nhacybe_shift_residual(p[f"{bezout.B}:{small}"], 1, p.a, p.b),
+                  "b0": bezout.nhacybe_shift_residual(p[f"{bezout.B0}:{small}"], 0, p.a, p.b)}),
         Check("bez9", "bez9",
-              residual=lambda p: {k: bezout.bez9_residual(bezout.bezout_operator(k, min(n, 3)), 1)
+              residual=lambda p: {k: bezout.bez9_residual(p[f"{k}:{small}"], 1)
                                   for k in (bezout.B, bezout.RS)}),
-        Check("bez23", "bez23", lambda p: p.b3, lambda b: bezout.bez23_residual(b, 1)),
+        Check("bez23", "bez23", lambda p: p[f"{bezout.B}:{small}"],
+              lambda b: bezout.bez23_residual(b, 1)),
         Check("quadratic-data", "bez17/bez18", residual=quadratic_matching, mutable=False),
         Check("hecke-overlap", "bez19/bez20",
-              residual=lambda p: {k: bezout.hecke_overlap_residuals(
-                  bezout.bezout_operator(k, min(n, 3)), 1, 0) for k in (bezout.B, bezout.RS)}))
+              residual=lambda p: {k: bezout.hecke_overlap_residuals(p[f"{k}:{small}"], 1, 0)
+                                  for k in (bezout.B, bezout.RS)}))
     base.draw_spec({"c": Rational()})
     return checks + base.declare(
         Check("shifted-solutions", "bez31",
               residual=lambda p: {
-                  "b0": bezout.shifted_solution_residual("b0shift", p.c, min(n, 3)),
-                  "b": bezout.shifted_solution_residual("bshift", p.c, min(n, 3)),
-                  "gen-b0": bezout.shift_generator_commutator("b0shift", n),
-                  "gen-b": bezout.shift_generator_commutator("bshift", n)}),
+                  "b0": bezout.shifted_solution_residual("b0shift", p[f"{bezout.B0}:{small}"], p.c),
+                  "b": bezout.shifted_solution_residual("bshift", p[f"{bezout.B}:{small}"], p.c),
+                  "gen-b0": bezout.shift_generator_commutator("b0shift", p[f"{bezout.B0}:{n}"]),
+                  "gen-b": bezout.shift_generator_commutator("bshift", p[f"{bezout.B}:{n}"])}),
         Check("m-recursion", "b0b/b0b2",
               residual=lambda p: bezout.m_recursion_check(n), mutable=False),
         Check("coassociativity", "um2/um5", residual=coassoc),
@@ -769,45 +820,46 @@ def bezout_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
 
 
 def rota_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
-    base = Block(draw, {"phi": Vector(n)})
-    checks: list[Check] = []
-    for kind in (bezout.B0, bezout.B, bezout.RS):
-        checks += Block(draw, fixed={"kind": kind}).declare(
-            Check(f"closed-form-rb:{kind}", "brr5/brr6/bez29",
-                  residual=lambda p: bezout.rb_closed_form(p.kind, n).matrix()
-                  - bezout.rota_baxter(bezout.bezout_operator(p.kind, n)).matrix()))
+    m = min(n, 3)
+    # every check reads its Bezout operators and maps from this one block: at n for the
+    # closed forms, weights and sum rule, at 2 for the tables and GL(3) maps, at m for
+    # star-associativity; the non-skew rime r of phi and its map likewise
+    base = Block(draw, {"phi": Vector(n)}, **_bezout_objects({n, 2, m}),
+                 rime=lambda p: classical.rime_nonskew_r(p.phi),
+                 **{"rb:rime": lambda p: bezout.rota_baxter(p.rime)})
+    checks = base.declare(*(
+        Check(f"closed-form-rb:{kind}", "brr5/brr6/bez29",
+              residual=lambda p, kind=kind: bezout.rb_closed_form(kind, n).matrix()
+              - p[f"rb:{kind}:{n}"].matrix())
+        for kind in (bezout.B0, bezout.B, bezout.RS)))
 
     def weights(p):
         out = {}
         rand_pairs = [(p[f"x{k}"], p[f"y{k}"]) for k in range(10)]
         for kind, w in ((bezout.B0, 0), (bezout.B, -1), (bezout.RS, -1)):
-            op = bezout.bezout_operator(kind, n)
-            rb = bezout.rota_baxter(op)
-            out[f"{kind}-units"] = bezout.rb_weight_operator(op, w)
+            rb = p[f"rb:{kind}:{n}"]
+            out[f"{kind}-units"] = bezout.rb_weight_operator(p[f"{kind}:{n}"], w)
             out[f"{kind}-random"] = [bezout.rb_weight_residual(rb, w, x, y)
                                      for x, y in rand_pairs]
-        rime_r = classical.rime_nonskew_r(p.phi)
-        rbp = bezout.rota_baxter(rime_r)
-        out["rime-units"] = bezout.rb_weight_operator(rime_r, 1)
-        out["rime-random"] = [bezout.rb_weight_residual(rbp, 1, x, y)
+        out["rime-units"] = bezout.rb_weight_operator(p.rime, 1)
+        out["rime-random"] = [bezout.rb_weight_residual(p["rb:rime"], 1, x, y)
                               for x, y in rand_pairs]
         return out
 
-    def sum_rule(a):
+    def sum_rule(p):
         out = {}
+        a = p.a
         for kind, (alpha, beta) in ((bezout.B0, (0, 0)), (bezout.B, (-1, 1)),
                                     (bezout.RS, (-1, 1))):
-            op = bezout.bezout_operator(kind, n)
-            left = bezout.rota_baxter(op).apply(a) + bezout.rota_baxter(op, "right").apply(a)
+            left = p[f"rb:{kind}:{n}"].apply(a) + p[f"rb-right:{kind}:{n}"].apply(a)
             right = a.scale(alpha) + Operator1.identity(n).scale(rat(beta) * a.trace())
             out[kind] = left - right
         return out
 
     def tables(p):
-        rb0 = bezout.rota_baxter(bezout.bezout_operator(bezout.B0, 2))
-        rb = bezout.rota_baxter(bezout.bezout_operator(bezout.B, 2))
+        rb0, rb = p[f"rb:{bezout.B0}:2"], p[f"rb:{bezout.B}:2"]
         a, t = p.a, p.t
-        ar, tr = ([[m.get(i, j) for j in (1, 2)] for i in (1, 2)] for m in (a, t))
+        ar, tr = ([[mat.get(i, j) for j in (1, 2)] for i in (1, 2)] for mat in (a, t))
         return {
             "stmn1": rb0.apply(a) - Operator1([[-ar[1][0], ar[0][0]], [ZERO, ZERO]]),
             "stmn4": rb.apply(a) - Operator1([[ZERO, ZERO], [-ar[1][0], ar[0][0]]]),
@@ -822,35 +874,29 @@ def rota_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
                   ar[0][0] * tr[1][1] + ar[1][1] * (tr[0][0] + tr[1][1])]]),
         }
 
-    def associativity(_):
-        m = min(n, 3)
-        units = [Operator1.unit(m, i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    def associativity(p):
         out = []
         for kind, w, c in ((bezout.B0, 0, 0), (bezout.B, -1, 1)):
-            rb = bezout.rota_baxter(bezout.bezout_operator(kind, m))
-            rbp = bezout.rota_baxter(bezout.bezout_operator(kind, m), "right")
-            stars, associators = bezout.star_associators(rb, w)
-            for a, x in enumerate(units):
-                for b, y in enumerate(units):
-                    ab = a * len(units) + b
-                    out.append(bezout.star_tilde_product(x, y, rb, rbp, c) - stars[ab])
-                    out += associators[ab * len(units):(ab + 1) * len(units)]
+            out += bezout.star_associativity_residuals(p[f"rb:{kind}:{m}"],
+                                                       p[f"rb-right:{kind}:{m}"], w, c)
         return out
 
     return checks + base.declare(
         Check("closed-form-rb:rime-phi", "bez30",
               residual=lambda p: bezout.rb_closed_form("rime-phi", n, p.phi).matrix()
-              - bezout.rota_baxter(classical.rime_nonskew_r(p.phi)).matrix()),
+              - p["rb:rime"].matrix()),
         Check("rb-weights", "bez25", residual=weights,
               spec={f"{x}{k}": Matrix(n) for k in range(10) for x in "xy"}),
-        Check("rb-sum-rule", "bez28", lambda p: p.a, sum_rule, {"a": Matrix(n)}),
+        Check("rb-sum-rule", "bez28", residual=sum_rule, spec={"a": Matrix(n)}),
         Check("star-tables", "stmn1/stmn2/stmn4/stmn5", residual=tables,
               spec={"a": Matrix(2, nonzero=True), "t": Matrix(2, nonzero=True)}),
         Check("star-associativity", "stm1", residual=associativity),
         Check("gl3-isomorphism-b0", "stmn3",
-              residual=lambda p: bezout.gl2_isomorphism_check(bezout.B0), mutable=False),
+              residual=lambda p: bezout.gl2_isomorphism_check(bezout.B0, p[f"rb:{bezout.B0}:2"]),
+              mutable=False),
         Check("gl3-isomorphism-b", "stmn6",
-              residual=lambda p: bezout.gl2_isomorphism_check(bezout.B), mutable=False))
+              residual=lambda p: bezout.gl2_isomorphism_check(bezout.B, p[f"rb:{bezout.B}:2"]),
+              mutable=False))
 
 
 def poisson_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:

@@ -847,8 +847,10 @@ def cybe_residual(r: Operator2) -> Operator3:
                             (1, f13, r23), (-1, f23, r13)])
 
 
-def shifted_cybe_residual(r: Operator2, a: Operator2, xi: Operator1) -> Operator3:
-    """``cybe_residual(r)`` for an r that should equal a + xi ^ 1, decided through a and xi.
+def shifted_cybe_residual(r: Operator2, a: Operator2, xi: Operator1,
+                          cyb_a: Operator3) -> Operator3:
+    """``cybe_residual(r)`` for an r that should equal a + xi ^ 1, decided through a, xi
+    and ``cyb_a``, which is ``cybe_residual(a)`` as the caller already holds it.
 
     Write s = xi ^ 1 = xi_1 - xi_2 on V (x) V, so s_12 = xi_1 - xi_2,
     s_13 = xi_1 - xi_3 and s_23 = xi_2 - xi_3 on V^3.  Copies of xi on
@@ -866,7 +868,7 @@ def shifted_cybe_residual(r: Operator2, a: Operator2, xi: Operator1) -> Operator
     zero; in every other case it is formed whole, so a nonzero residual and its
     first entry are ``cybe_residual(r)``'s.
     """
-    if (_is_shift(r, a, xi) and cybe_residual(a).is_zero()
+    if (_is_shift(r, a, xi) and cyb_a.is_zero()
             and commutator_with_sum(a, xi).is_zero()):
         return Operator3.zero(r.dim)
     return cybe_residual(r)

@@ -130,6 +130,60 @@ def rb_unit_weight_residuals(rb: RotaBaxterMap, alpha) -> list[Operator1]:
     return out
 
 
+def star_associators(rb: RotaBaxterMap, alpha) -> tuple[list[Operator1], list[Operator1]]:
+    """The star products of unit pairs and the associators of unit triples, one sum each.
+
+    Over the units of ``_sweep_units``, x_0 .. x_{m-1} with m = n^2, the first
+    list holds x_a * x_b at position a m + b and the second holds
+    (x_a * x_b) * x_c - x_a * (x_b * x_c) at position (a m + b) m + c.  Each pair
+    product and its image are formed once; each associator is one signed sum.
+    """
+    alpha = rat(alpha)
+    units = [(x, rb.unit_image(*cell)) for cell, x in _sweep_units(rb.n)]
+    stars = [signed_products([(1, rx, y), (1, x, ry), (-alpha, x, y)])
+             for x, rx in units for y, ry in units]
+    star_images = [rb.apply(st) for st in stars]
+    m = len(units)
+    associators = []
+    for a, (x, rx) in enumerate(units):
+        for b in range(m):
+            sxy, rxy = stars[a * m + b], star_images[a * m + b]
+            for c, (z, rz) in enumerate(units):
+                syz, ryz = stars[b * m + c], star_images[b * m + c]
+                associators.append(signed_products([
+                    (1, rxy, z), (1, sxy, rz), (-alpha, sxy, z),
+                    (-1, rx, syz), (-1, x, ryz), (alpha, x, syz)]))
+    return stars, associators
+
+
+def star_associativity_per_triple(rb: RotaBaxterMap, rb_prime: RotaBaxterMap, alpha,
+                                  c) -> list[Operator1]:
+    """``bezout.star_associativity_residuals`` with every entry formed: for each unit pair,
+    its star-tilde difference, then its associators over the third unit."""
+    units = [x for _, x in _sweep_units(rb.n)]
+    stars, associators = star_associators(rb, alpha)
+    m = len(units)
+    out = []
+    for a, x in enumerate(units):
+        for b, y in enumerate(units):
+            ab = a * m + b
+            out.append(bezout.star_tilde_product(x, y, rb, rb_prime, c) - stars[ab])
+            out += associators[ab * m:(ab + 1) * m]
+    return out
+
+
+def coassociativity_residual_per_unit(r: Operator2, c, variant: str, u: Operator1) -> Operator3:
+    """(delta (x) id) delta(u) - (id (x) delta) delta(u) for one u, lifting r for it alone."""
+    c = rat(c)
+    big = bezout.coproduct(u, r, c, variant)
+    u13, u23, u12 = lift(big, 13), lift(big, 23), lift(big, 12)
+    r12, r23 = lift(r, 12), lift(r, 23)
+    return signed_products([(1, u13, r12), (-1, r12, u23),
+                            *bezout._variant_terms(variant, c, u13, u23),
+                            (-1, u12, r23), (1, r23, u13),
+                            *bezout._variant_terms(variant, -c, u12, u13)])
+
+
 def full_cybe_residual(r: Operator2) -> Operator3:
     """[r12,r13] + [r12,r23] + [r13,r23] on every row, whatever the symmetry of r."""
     r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)

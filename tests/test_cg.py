@@ -82,19 +82,19 @@ def test_x_inverse_exact(phi):
 
 @pytest.mark.parametrize("phi,beta", [([1, 2], F(1, 2)), ([1, 2, 4], F(1, 3))])
 def test_cg_equivalence(phi, beta):
-    assert cg_equivalence_residual(phi, beta).is_zero()
+    assert cg_equivalence_residual(phi, beta, x_change_of_basis(phi)[0]).is_zero()
 
 
 def test_cg_equivalence_seeded_n4_n5():
     rd = RationalDraw(7)
     for n in (4, 5):
         phi = rd.vector(n, distinct=True)
-        assert cg_equivalence_residual(phi, F(2, 5)).is_zero()
+        assert cg_equivalence_residual(phi, F(2, 5), x_change_of_basis(phi)[0]).is_zero()
 
 
 def test_cg_equivalence_beta_one_rejected():
     with pytest.raises(InvalidInputError):
-        cg_equivalence_residual([1, 2], 1)
+        cg_equivalence_residual([1, 2], 1, x_change_of_basis([1, 2])[0])
 
 
 def test_sectype_exhaustive():

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,13 @@ from hypothesis import strategies as st
 
 import yibre
 from yibre.cli import main
-from yibre import rime
-from yibre.kernel import DRAW_POOL_NONZERO
-from yibre.suites import SUITE_BUILDERS, SUITE_NAMES, Block, Check, run_all, run_suite
+from yibre import bezout, rime
+from yibre.kernel import DRAW_POOL_NONZERO, QuadExt
+from yibre.rational import Q
+from yibre.suites import (SUITE_BUILDERS, SUITE_NAMES, Block, Check, _first_failure, _is_zero,
+                          run_all, run_suite)
+from yibre.tensor import Operator1, Operator2, Operator3
+
 
 
 @pytest.fixture
@@ -351,6 +357,62 @@ def test_shared_objects_are_built_once_per_block(monkeypatch):
     # once per draw block (every check reading data, r or q shares it), once in each
     # block's reversed-leg-conjugation for R(1/phi, beta), twice in unitary-limit-first-order
     assert len(calls) == 2 + 2 + 2
+
+
+def test_bezout_operators_are_built_once_per_verify_call(monkeypatch):
+    calls = []
+    original = bezout.bezout_operator
+
+    def counted(kind, n):
+        calls.append((kind, n))
+        return original(kind, n)
+
+    monkeypatch.setattr(bezout, "bezout_operator", counted)
+    assert run_suite("bezout", 3, 5, 5).all_pass
+    # six operators, and the b that btilde = b - I/2 builds inside its own call
+    assert Counter(calls) == {**{(kind, m): 1 for kind in (bezout.B0, bezout.B)
+                                 for m in (2, 3)}, (bezout.RS, 3): 1, (bezout.BTILDE, 3): 1,
+                              (bezout.B, 3): 2}
+    calls.clear()
+    assert run_suite("rota", 4, 5, 1).all_pass
+    assert Counter(calls) == {(kind, m): 1 for kind in (bezout.B0, bezout.B, bezout.RS)
+                              for m in (2, 3, 4) if kind != bezout.RS or m == 4}
+
+
+def _outcome(fn, obj):
+    try:
+        return fn(obj)
+    except TypeError as exc:
+        return "TypeError", str(exc)
+
+
+def test_is_zero_matches_the_search_in_order():
+    i = QuadExt(0, 1, d=-1)
+    bumped = Operator1.zero(2)
+    bumped._add(1, 0, Q(-2, 3))
+    cases = [
+        {"b": [Q(0), 0, True], "a": {"x": Operator1.zero(2), "y": (Operator3.zero(2),)}},
+        {"b": False, "a": [0, Q(1, 3)]},
+        {"b": False, "a": [i]},
+        {"a": [Q(0), False, i], "b": {"c": i}},
+        [Q(0), {"k": [True, Q(5, 2)]}, i],
+        [i * 0],
+        [F(0), F(1, 2)],
+        {(1, 2): Q(2), (1, 1): 0},
+        {"z": [Operator2.zero(2), Operator1.diag([1, i])], "y": [bumped]},
+        [Operator1.zero(2)] * 5 + [bumped],
+        {"p": [], "q": {}, "r": ()},
+        [None],
+        False,
+        Q(0),
+    ]
+    for obj in cases:
+        assert _outcome(_is_zero, obj) == _outcome(_first_failure, obj), obj
+    assert _is_zero(cases[0]) == (True, None)
+    assert _is_zero(cases[1]) == (False, {"index": "a:1:-", "value": "1/3"})
+    assert _outcome(_is_zero, cases[2])[0] == "TypeError"
+    assert _is_zero(cases[3]) == (False, {"index": "a:1:-", "value": "false"})
+    assert _is_zero(cases[9]) == (False, {"index": "5:2|1", "value": "-2/3"})
 
 
 CATALOG_OUTPUT = """\

@@ -1064,7 +1064,7 @@ def test_shifted_cybe_residual_is_the_whole_form(n):
     a, xi = rime_skew_r(mu), rime_skew_sl_xi(mu)
     solutions = [(rime_skew_sl_r(mu), a, xi), (b_cg_r(n), b_skew_r(n), -b_cg_eta(n))]
     for r, *parts in solutions:
-        assert shifted_cybe_residual(r, *parts).is_zero()
+        assert shifted_cybe_residual(r, *parts, cybe_residual(parts[0])).is_zero()
         assert full_cybe_residual(r).is_zero()
     # a bumped r, which is no longer a + xi ^ 1; a xi with [a, xi_1 + xi_2] != 0; and
     # a random non-skew a with a random xi
@@ -1076,10 +1076,31 @@ def test_shifted_cybe_residual_is_the_whole_form(n):
         dense = _dense_random_op2(rd, n)
         cases.append((dense + wedge(other, ident), dense, other))
     for r, *parts in cases:
-        got, want = shifted_cybe_residual(r, *parts), cybe_residual(r)
+        got, want = shifted_cybe_residual(r, *parts, cybe_residual(parts[0])), cybe_residual(r)
         assert not got.is_zero()
         assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
     assert not commutator_with_sum(a, other).is_zero()
+    # a bumped base a' with its own CYB, under the solution r (no longer a' + xi ^ 1) and
+    # under r' = a' + xi ^ 1 (a shift whose base fails): the whole form either way
+    unit2 = Operator1.unit(n, 2, 1)
+    for r, a_, xi_ in solutions:
+        bumped = a_ + wedge(unit, unit2)
+        for rr in (r, bumped + wedge(xi_, ident)):
+            got = shifted_cybe_residual(rr, bumped, xi_, cybe_residual(bumped))
+            want = cybe_residual(rr)
+            assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
+        assert not cybe_residual(bumped + wedge(xi_, ident)).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shifted_cybe_residual_reads_the_given_base_residual(n):
+    """CYB(a) is the caller's and is not decided again: a nonzero one sends r to the
+    whole form, which is zero here, and a zero one lets r pass at once."""
+    mu = RationalDraw(150 + n).vector(n, distinct=True)
+    r, a, xi = rime_skew_sl_r(mu), rime_skew_r(mu), rime_skew_sl_xi(mu)
+    bump = lift(kron11(Operator1.unit(n, 1, 2), Operator1.unit(n, 1, 2)), 12)
+    assert shifted_cybe_residual(r, a, xi, bump) == cybe_residual(r)
+    assert shifted_cybe_residual(r, a, xi, Operator3.zero(n)).is_zero()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
