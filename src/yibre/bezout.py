@@ -16,10 +16,10 @@ from fractions import Fraction
 from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec, require_distinct,
                      sparse_minus)
 from .rational import Q
-from .tensor import (Echelon, Operator1, Operator2, Operator3, _add_row_product,
+from .tensor import (Echelon, Operator1, Operator2, Operator3, _row_product_into,
                      commutator_with_sum, cybe_residual, kron11, kron_sum, lift, op1_on_leg2,
-                     permutation_P, reshuffled_matrix, signed_products, ybe_numbered_residual,
-                     yb_residual)
+                     p_and_1_coefficients, permutation_P, reshuffled_matrix, signed_products,
+                     ybe_numbered_residual, yb_residual)
 
 B0 = "b0"
 B = "b"
@@ -161,14 +161,7 @@ def bezout_identity_suite(b0: Operator2, b: Operator2, rs: Operator2) -> dict[st
 
 def sr_decomposition(r: Operator2):
     """(alpha, beta) with r + r_21 = alpha P + beta I, or None when not of that form."""
-    n = r.dim
-    s = r + r.reversed_legs()
-    if n < 2:
-        return (ZERO, s.get(1, 1, 1, 1))
-    alpha = s.get(1, 2, 2, 1)
-    beta = s.get(1, 2, 1, 2)
-    expect = permutation_P(n).scale(alpha) + Operator2.identity(n).scale(beta)
-    return (alpha, beta) if s == expect else None
+    return p_and_1_coefficients(r + r.reversed_legs())
 
 
 def quadratic_data(r: Operator2):
@@ -434,7 +427,7 @@ class RotaBaxterMap:
         n = self.n
         da, arows, dm, mrows = a._operands(self.images)
         flat = {d * n + k: x for d, row in arows.items() for k, x in row.items()}
-        return self._cells(None if da is None else da * dm, _add_row_product({}, flat, mrows))
+        return self._cells(None if da is None else da * dm, _row_product_into({}, flat, mrows))
 
     def unit_image(self, d: int, k: int) -> Operator1:
         """The image of the unit at cell (d, k): its stored row, with no apply."""
@@ -552,14 +545,6 @@ def star_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, alpha) -> Operat
     """A*B = r(A)B + A r(B) - alpha AB (associative for a weight-alpha operator)."""
     alpha = rat(alpha)
     return signed_products([(1, rb.apply(a), b), (1, a, rb.apply(b)), (-alpha, a, b)])
-
-
-def star_tilde_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, rb_prime: RotaBaxterMap,
-                       c) -> Operator1:
-    """A *~ B = r(A)B - A r'(B) + c A Tr(B)."""
-    c = rat(c)
-    return signed_products([(1, rb.apply(a), b), (-1, a, rb_prime.apply(b)),
-                            (c * b.trace(), a)])
 
 
 def _left_multiplication(x: Operator1) -> Operator2:

@@ -14,7 +14,7 @@ from .kernel import (ONE, ZERO, InvalidInputError, elem_syms, elem_syms_omitting
                      products_omitting, rat, ratvec, require_distinct, theta)
 from .rime import RimeClass, classify, strict_rime_R
 from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, kron11,
-                     op1_on_leg2, permutation_P, row_space)
+                     op1_on_leg2, permutation_P)
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,3 @@ def cg_plane_rows(n: int, qsq_inv) -> list[dict]:
                 row[pos(s, i + j - s)] = qi - ONE
             rows.append(row)
     return rows
-
-
-def cg_plane_relations(n: int, qsq_inv) -> Operator2:
-    """The row space of ``cg_plane_rows``."""
-    return row_space(n, cg_plane_rows(n, qsq_inv))

@@ -6,7 +6,6 @@ e^i_j : e_i -> e_j (Operator1.unit), which pins every sign in this module.
 
 from __future__ import annotations
 
-from .cg import x_change_of_basis
 from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec,
                      require_distinct)
 from .rational import Q
@@ -194,8 +193,10 @@ CONJUGATION_PAIRS = {"nonskew-to-rcg": (RIME_NONSKEW, R_CG),
 SHIFT_BASES = {RIME_SKEW_SL: RIME_SKEW, B_CG: B_SKEW}
 
 
-def conjugation_residual(pair: str, params) -> Operator2:
-    """lhs - (X x X) rhs (X^-1 x X^-1) for the three stated equivalences.
+def conjugation_residual_of(pair: str, get, x: tuple) -> Operator2:
+    """lhs - (X x X) rhs (X^-1 x X^-1) for one of the three stated equivalences, from objects
+    already built: ``get(name)`` reads the r of a classical kind, or the xi of an identity
+    shift by kind + ":xi", and x is (X, X^-1).
 
     X^-1 is the closed form that ``x_change_of_basis`` checks against X, so the
     residual is decided by its inverse-free defect (``conjugate2_residual``).
@@ -203,23 +204,6 @@ def conjugation_residual(pair: str, params) -> Operator2:
     defect is decided through those parts (``shifted_conjugate2_residual``):
     the skew pair's defect and the n x n D = xi X + X eta.
     """
-    params = ratvec(params)
-    n = len(params)
-    if pair not in CONJUGATION_PAIRS:
-        raise InvalidInputError(f"unknown conjugation pair {pair!r}")
-    builders = {RIME_NONSKEW: lambda: rime_nonskew_r(params),
-                RIME_SKEW: lambda: rime_skew_r(params),
-                RIME_SKEW_SL: lambda: rime_skew_sl_r(params),
-                R_CG: lambda: rcg_r(n), B_SKEW: lambda: b_skew_r(n), B_CG: lambda: b_cg_r(n),
-                RIME_SKEW_SL + ":xi": lambda: rime_skew_sl_xi(params),
-                B_CG + ":xi": lambda: -b_cg_eta(n)}
-    return conjugation_residual_of(pair, lambda name: builders[name](),
-                                   x_change_of_basis(params))
-
-
-def conjugation_residual_of(pair: str, get, x: tuple) -> Operator2:
-    """``conjugation_residual`` from objects already built: ``get(name)`` reads the r of a
-    classical kind, or the xi of an identity shift by kind + ":xi", and x is (X, X^-1)."""
     lhs, rhs = CONJUGATION_PAIRS[pair]
     x, xinv = x
     if lhs in SHIFT_BASES:

@@ -51,26 +51,17 @@ class QuadraticBracket(Operator2):
     __slots__ = ()
 
     def __init__(self, dim: int, pairs: dict | None = None):
-        super().__init__(dim)
-        if pairs:
-            for (i, j), poly in pairs.items():
-                self.set_pair(i, j, poly)
-
-    def set_pair(self, i: int, j: int, poly: dict) -> None:
-        if not 1 <= i < j <= self.dim:
-            raise InvalidInputError("pairs are stored with i < j")
-        n = self.dim
-        clean = {}
-        for (k, l), v in poly.items():
-            c = (min(k, l) - 1) * n + max(k, l) - 1
-            v = rat(v)
-            if v:
-                clean[c] = clean.get(c, ZERO) + v
-        data = self._writable()
-        r = (i - 1) * n + j - 1
-        data.pop(r, None)
-        if clean := {c: v for c, v in clean.items() if v}:
-            data[r] = clean
+        """The bracket with {x^i, x^j} = ``pairs[(i, j)]``, a dict (k, l) -> coefficient, for
+        i < j; the terms (k, l) and (l, k) are merged at column (min, max)."""
+        rows = {}
+        for (i, j), poly in (pairs or {}).items():
+            if not 1 <= i < j <= dim:
+                raise InvalidInputError("pairs are stored with i < j")
+            row = rows[(i - 1) * dim + j - 1] = {}
+            for (k, l), v in poly.items():
+                c = (min(k, l) - 1) * dim + max(k, l) - 1
+                row[c] = row.get(c, 0) + rat(v)
+        super().__init__(dim, rows)
 
     def pair(self, i: int, j: int) -> dict[tuple[int, int], Fraction]:
         """Monomial dictionary of {x^i, x^j} for any i != j."""
@@ -90,44 +81,42 @@ class QuadraticBracket(Operator2):
     def rescale(self, d) -> "QuadraticBracket":
         """Structure constants of the bracket in coordinates xtilde^i = d_i x^i."""
         d = ratvec(d)
-        out = QuadraticBracket(self.dim)
-        for (i, j), poly in self.pairs.items():
-            out.set_pair(i, j, {(k, l): v * d[i - 1] * d[j - 1] / (d[k - 1] * d[l - 1])
-                                for (k, l), v in poly.items()})
-        return out
+        return QuadraticBracket(self.dim, {
+            (i, j): {(k, l): v * d[i - 1] * d[j - 1] / (d[k - 1] * d[l - 1])
+                     for (k, l), v in poly.items()}
+            for (i, j), poly in self.pairs.items()})
 
 
 def pencil_bracket(params: PencilParams) -> QuadraticBracket:
     """{x^i,x^j} = (rho_j (x^i)^2 + rho_i (x^j)^2)/psi_ij + (a psi_ij - (rho_i+rho_j)/psi_ij) x^i x^j."""
     psi = params.psi
     n = len(psi)
-    br = QuadraticBracket(n)
+    pairs = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             dij = psi[i - 1] - psi[j - 1]
             ri, rj = params.rho(psi[i - 1]), params.rho(psi[j - 1])
-            br.set_pair(i, j, {(i, i): rj / dij,
-                               (j, j): ri / dij,
-                               (i, j): params.a * dij - (ri + rj) / dij})
-    return br
+            pairs[(i, j)] = {(i, i): rj / dij,
+                             (j, j): ri / dij,
+                             (i, j): params.a * dij - (ri + rj) / dij}
+    return QuadraticBracket(n, pairs)
 
 
 def pencil_bracket_uv_form(params: PencilParams) -> QuadraticBracket:
     """Same pencil from (a u^2 + b uv + c v^2)/psi_ij with u = psi_j x^i - psi_i x^j, v = x^i - x^j."""
     psi = params.psi
     n = len(psi)
-    br = QuadraticBracket(n)
+    pairs = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             dij = psi[i - 1] - psi[j - 1]
             pi, pj = psi[i - 1], psi[j - 1]
-            poly = {
+            pairs[(i, j)] = {
                 (i, i): (params.a * pj * pj + params.b * pj + params.c) / dij,
                 (j, j): (params.a * pi * pi + params.b * pi + params.c) / dij,
                 (i, j): (-2 * params.a * pi * pj - params.b * (pi + pj) - 2 * params.c) / dij,
             }
-            br.set_pair(i, j, poly)
-    return br
+    return QuadraticBracket(n, pairs)
 
 
 def _poly_times_var(poly: dict, var: int) -> dict:
@@ -191,10 +180,10 @@ def rime_fit(br: QuadraticBracket):
 def lie_derivative(br: QuadraticBracket, a_mat: Operator1) -> QuadraticBracket:
     """delta f^{ij} = A^i_k {x^k,x^j} + A^j_k {x^i,x^k} - x^l A^k_l d_k {x^i,x^j}."""
     n = br.dim
-    out = QuadraticBracket(n)
+    pairs = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            total: dict = {}
+            total = pairs[(i, j)] = {}
 
             def add(poly, scale=ONE):
                 for m, v in poly.items():
@@ -215,8 +204,7 @@ def lie_derivative(br: QuadraticBracket, a_mat: Operator1) -> QuadraticBracket:
                     w2 = a_mat._get(bb - 1, l - 1)
                     if w2:
                         add({(aa, l): -v * w2})
-            out.set_pair(i, j, total)
-    return out
+    return QuadraticBracket(n, pairs)
 
 
 def xi_values(psi) -> list[Fraction]:
@@ -274,17 +262,16 @@ def delta1_variation(params: PencilParams, nu) -> QuadraticBracket:
     psi = params.psi
     n = len(psi)
     nu = ratvec(nu)
-    br = QuadraticBracket(n)
+    pairs = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             dij = psi[i - 1] - psi[j - 1]
             ri, rj = params.rho(psi[i - 1]), params.rho(psi[j - 1])
             lead = ri * rj * (nu[i - 1] - nu[j - 1]) / (dij * dij)
-            poly = {(i, i): lead + params.a * nu[j - 1] * rj,
-                    (j, j): lead - params.a * nu[i - 1] * ri,
-                    (i, j): -2 * lead}
-            br.set_pair(i, j, poly)
-    return br
+            pairs[(i, j)] = {(i, i): lead + params.a * nu[j - 1] * rj,
+                             (j, j): lead - params.a * nu[i - 1] * ri,
+                             (i, j): -2 * lead}
+    return QuadraticBracket(n, pairs)
 
 
 def psi_variation(params: PencilParams, dpsi) -> QuadraticBracket:
@@ -292,17 +279,16 @@ def psi_variation(params: PencilParams, dpsi) -> QuadraticBracket:
     psi = params.psi
     n = len(psi)
     dpsi = ratvec(dpsi)
-    br = QuadraticBracket(n)
+    pairs = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             dij = psi[i - 1] - psi[j - 1]
             ri, rj = params.rho(psi[i - 1]), params.rho(psi[j - 1])
             lead = (ri * dpsi[j - 1] - rj * dpsi[i - 1]) / (dij * dij)
-            poly = {(i, i): lead - params.a * dpsi[j - 1],
-                    (j, j): lead + params.a * dpsi[i - 1],
-                    (i, j): -2 * lead}
-            br.set_pair(i, j, poly)
-    return br
+            pairs[(i, j)] = {(i, i): lead - params.a * dpsi[j - 1],
+                             (j, j): lead + params.a * dpsi[i - 1],
+                             (i, j): -2 * lead}
+    return QuadraticBracket(n, pairs)
 
 
 def psi_variation_dual(params: PencilParams, dpsi) -> QuadraticBracket:
@@ -311,18 +297,17 @@ def psi_variation_dual(params: PencilParams, dpsi) -> QuadraticBracket:
     n = len(psi)
     dpsi = ratvec(dpsi)
     rho = lambda t: params.a * t * t + params.b * t + params.c
-    br = QuadraticBracket(n)
+    pairs = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             pi = QuadExt(psi[i - 1], dpsi[i - 1], 0)
             pj = QuadExt(psi[j - 1], dpsi[j - 1], 0)
             dij = pi - pj
             ri, rj = rho(pi), rho(pj)
-            poly = {(i, i): (rj / dij).b,
-                    (j, j): (ri / dij).b,
-                    (i, j): (params.a * dij - (ri + rj) / dij).b}
-            br.set_pair(i, j, poly)
-    return br
+            pairs[(i, j)] = {(i, i): (rj / dij).b,
+                             (j, j): (ri / dij).b,
+                             (i, j): (params.a * dij - (ri + rj) / dij).b}
+    return QuadraticBracket(n, pairs)
 
 
 def compensation_check(params: PencilParams, nu) -> dict[str, QuadraticBracket]:
@@ -563,7 +548,7 @@ def bracket_from_quantum(params, beta=None) -> QuadraticBracket:
     params = ratvec(params)
     require_distinct(params)
     n = len(params)
-    br = QuadraticBracket(n)
+    pairs = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             d = params[i - 1] - params[j - 1]
@@ -573,8 +558,8 @@ def bracket_from_quantum(params, beta=None) -> QuadraticBracket:
                 bij = -rat(beta) * params[j - 1] / d
                 bji = rat(beta) * params[i - 1] / d
             # -(b_ij x^i + b_ji x^j)(x^i - x^j)
-            br.set_pair(i, j, {(i, i): -bij, (i, j): bij - bji, (j, j): bji})
-    return br
+            pairs[(i, j)] = {(i, i): -bij, (i, j): bij - bji, (j, j): bji}
+    return QuadraticBracket(n, pairs)
 
 
 # --- linear rime brackets -------------------------------------------------------

@@ -295,20 +295,14 @@ def classical_limit_bracket(n: int) -> QuadraticBracket:
     x^j x^k - x^k x^j = eps (x^k x^j - x^k x^k) + O(eps^2), so the bracket is
     {x^j, x^k} = x^k(x^j - x^k) for j < k after symmetrizing.
     """
-    br = QuadraticBracket(n)
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            br.set_pair(j, k, {(j, k): ONE, (k, k): -ONE})
-    return br
+    return QuadraticBracket(n, {(j, k): {(j, k): ONE, (k, k): -ONE}
+                                for j in range(1, n + 1) for k in range(j + 1, n + 1)})
 
 
 def classical_limit_bracket_dual(n: int) -> QuadraticBracket:
     """The same bracket extracted with dual-number coefficients f = 1 + eps."""
     f = QuadExt(ONE, ONE, 0)
     g = 1 - f
-    br = QuadraticBracket(n)
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            # defect x^j x^k - x^k x^j = (f-1) x^k x^j + g x^k x^k, eps part
-            br.set_pair(j, k, {(k, j): (f - 1).b, (k, k): g.b})
-    return br
+    # defect x^j x^k - x^k x^j = (f-1) x^k x^j + g x^k x^k, eps part
+    return QuadraticBracket(n, {(j, k): {(k, j): (f - 1).b, (k, k): g.b}
+                                for j in range(1, n + 1) for k in range(j + 1, n + 1)})

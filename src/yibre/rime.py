@@ -18,10 +18,10 @@ from fractions import Fraction
 from math import comb
 
 from .kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared,
-                     elem_syms_omitting, products_omitting, rat, ratvec, require_distinct)
+                     products_omitting, rat, ratvec, require_distinct)
 from .rational import Q
-from .tensor import (Operator1, Operator2, _add_row_product, hecke_residual, permutation_P,
-                     reshuffled_matrix, row_space)
+from .tensor import (Operator1, Operator2, _row_product_into, hecke_residual, permutation_P,
+                     reshuffled_matrix)
 
 
 @dataclass(frozen=True)
@@ -279,8 +279,8 @@ def quantum_trace_residuals(r: Operator2, q: Operator1,
     wt = {l * n + j: v for j, row in trows.items() for l, v in row.items()}
     # (M x)[a] is x times M's transpose, (M^T w)[a] is w times M
     mk = mden or 1
-    if (_is_unit_sum(_add_row_product({}, vq, m.transpose()._ints()[1]), n, mk * (qden or 1))
-            and _is_unit_sum(_add_row_product({}, wt, mrows), n, mk * (tden or 1))):
+    if (_is_unit_sum(_row_product_into({}, vq, m.transpose()._ints()[1]), n, mk * (qden or 1))
+            and _is_unit_sum(_row_product_into({}, wt, mrows), n, mk * (tden or 1))):
         return q.zero(n), qt.zero(n)
     qs, qts = quantum_traces(r)
     return q - qs, qt - qts
@@ -289,14 +289,6 @@ def quantum_trace_residuals(r: Operator2, q: Operator1,
 def _is_unit_sum(vec: dict, n: int, k) -> bool:
     """Whether vec, its zeros dropped, is k u with u = sum_a e_(a,a)."""
     return {c: v for c, v in vec.items() if v} == {a * n + a: k for a in range(n)}
-
-
-def eigenvector_w(params, a: int) -> tuple[Fraction, ...]:
-    """w_a with components (w_a)^j = e_a^jhat of the parameter vector (zero unless 0 <= a < n)."""
-    params = ratvec(params)
-    if not 0 <= a < len(params):
-        return tuple(ZERO for _ in params)
-    return tuple(row[a] for row in elem_syms_omitting(params))
 
 
 def jordan_action_coefficients(n: int, i: int) -> tuple[Fraction, ...]:
@@ -539,11 +531,6 @@ def quantum_space_rows(r: Operator2, eigenvalue, side: str) -> list[dict]:
     return list(shifted._ints()[1].values())
 
 
-def quantum_space_relations(r: Operator2, eigenvalue, side: str) -> Operator2:
-    """Degree-2 relation space of a quantum (super)plane: the span of ``quantum_space_rows``."""
-    return row_space(r.dim, quantum_space_rows(r, eigenvalue, side))
-
-
 def rime_plane_rows(data: RimeData) -> list[dict]:
     """The relations [x^i,x^j] + (beta_ij x^i + beta_ji x^j)(x^i - x^j) = 0."""
     n = data.dim
@@ -554,29 +541,14 @@ def rime_plane_rows(data: RimeData) -> list[dict]:
             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def rime_plane_relations(data: RimeData) -> Operator2:
-    """The row space of ``rime_plane_rows``."""
-    return row_space(data.dim, rime_plane_rows(data))
-
-
 def classical_commutator_rows(n: int) -> list[dict]:
     """Commutators [x^i, x^j] = 0: the rows of identity - P."""
     return list((Operator2.identity(n) - permutation_P(n))._ints()[1].values())
 
 
-def classical_commutator_relations(n: int) -> Operator2:
-    """The row space of ``classical_commutator_rows``."""
-    return row_space(n, classical_commutator_rows(n))
-
-
 def odd_classical_rows(n: int) -> list[dict]:
     """Anticommutators [xi^i, xi^j]_+ = 0 including the squares: the rows of identity + P."""
     return list((Operator2.identity(n) + permutation_P(n))._ints()[1].values())
-
-
-def odd_classical_relations(n: int) -> Operator2:
-    """The row space of ``odd_classical_rows``."""
-    return row_space(n, odd_classical_rows(n))
 
 
 def left_odd_rime_rows(data: RimeData, beta) -> list[dict]:
@@ -599,8 +571,3 @@ def left_odd_rime_rows(data: RimeData, beta) -> list[dict]:
     rows += [{pos(i, j): ONE - data.b(i, j), pos(j, i): ONE - data.b(j, i)}
              for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     return rows
-
-
-def left_odd_rime_relations(data: RimeData, beta) -> Operator2:
-    """The row space of ``left_odd_rime_rows``."""
-    return row_space(data.dim, left_odd_rime_rows(data, beta))

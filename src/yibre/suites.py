@@ -248,14 +248,13 @@ def _first_failure(obj) -> tuple[bool, dict | None]:
 
 
 def _mutate(obj):
-    """Bump one entry of a residual-like object (fault injection)."""
+    """A copy of a residual-like object with one entry bumped (fault injection); ``obj``
+    itself, which may be an object its block shares, is left as it is."""
     if isinstance(obj, QuadraticBracket) and obj.dim >= 2:
         # a bracket's first slot is {x^1, x^2}, not the operator's entry 1,1|1,1
         return obj + QuadraticBracket(obj.dim, {(1, 2): {(1, 1): ONE}})
     if isinstance(obj, (Operator1, Operator2, Operator3)):
-        out = obj + obj.zero(obj.dim)
-        out._add(0, 0, ONE)
-        return out
+        return obj + type(obj)._of(obj.dim, 1, {0: {0: 1}})
     if isinstance(obj, Fraction):
         return obj + 1
     if isinstance(obj, bool):

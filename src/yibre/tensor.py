@@ -212,12 +212,11 @@ class _SparseSquare:
     entries' reduced denominators.  ``data`` is the read-only view of the
     entries as Fractions, built from the rows on first read.  A builder hands
     over its entries whole (``_entries``), which are cleared once, or relabels
-    another operator's integer rows (``_of``).  ``_set``/``_add`` mutate the
-    Fraction form one entry at a time and drop the integer form, which the
-    next arithmetic clears again.  An entry with no integer form (a QuadExt)
-    makes ``_den`` None; ``_rows`` then holds the entries themselves.  ``+``,
-    ``-``, ``scale``, ``scalar_shift`` and ``@`` are each one ``signed_products``
-    sum, which refuses operands of another type or dim.
+    another operator's integer rows (``_of``), and nothing writes an operator
+    after that: every result is a new operator.  An entry with no integer form
+    (a QuadExt) makes ``_den`` None; ``_rows`` then holds the entries
+    themselves.  ``+``, ``-``, ``scale``, ``scalar_shift`` and ``@`` are each
+    one ``signed_products`` sum, which refuses operands of another type or dim.
     """
 
     __slots__ = ("dim", "size", "_data", "_den", "_rows")
@@ -276,9 +275,7 @@ class _SparseSquare:
         return self._data
 
     def _ints(self) -> tuple[int | None, dict[int, dict]]:
-        """(den, rows) of the integer form, clearing the Fraction form the first time."""
-        if self._rows is None:
-            self._den, self._rows = _cleared_rows(self._data)
+        """(den, rows): the integer rows over den, or (None, the entries) with a QuadExt."""
         return self._den, self._rows
 
     def _operands(self, other):
@@ -292,35 +289,6 @@ class _SparseSquare:
     # -- raw flat-index access ------------------------------------------------
     def _get(self, r: int, c: int) -> Fraction:
         return self.data.get(r, {}).get(c, ZERO)
-
-    def _writable(self) -> dict[int, dict[int, Fraction]]:
-        data = self.data
-        self._den = self._rows = None
-        return data
-
-    def _add(self, r: int, c: int, v: Fraction) -> None:
-        if not v:
-            return
-        data = self._writable()
-        row = data.setdefault(r, {})
-        nv = row.get(c, ZERO) + v
-        if nv:
-            row[c] = nv
-        else:
-            del row[c]
-            if not row:
-                del data[r]
-
-    def _set(self, r: int, c: int, v: Fraction) -> None:
-        data = self._writable()
-        if v:
-            data.setdefault(r, {})[c] = v
-        else:
-            row = data.get(r)
-            if row and c in row:
-                del row[c]
-                if not row:
-                    del data[r]
 
     # -- algebra: each operation is one signed sum, so its operands are checked there
     def __add__(self, other):
@@ -340,20 +308,15 @@ class _SparseSquare:
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.dim == other.dim
-                and self._clean() == other._clean())
+                and self.data == other.data)
 
     def __hash__(self):
         return hash((type(self).__name__, self.dim,
-                     tuple(sorted((r, c, v) for r, row in self._clean().items()
+                     tuple(sorted((r, c, v) for r, row in self.data.items()
                                   for c, v in row.items()))))
 
-    def _clean(self) -> dict[int, dict[int, Fraction]]:
-        return {r: row for r, row in self.data.items() if row}
-
     def is_zero(self) -> bool:
-        if self._rows is not None:
-            return not self._rows
-        return all(not v for row in self._data.values() for v in row.values())
+        return not self._rows
 
     def transpose(self):
         den, rows = self._ints()
@@ -482,12 +445,6 @@ class Operator2(_SparseSquare):
 
     def get(self, i: int, j: int, k: int, l: int) -> Fraction:
         return self._get(self._flat(i, j), self._flat(k, l))
-
-    def set(self, i: int, j: int, k: int, l: int, v) -> None:
-        self._set(self._flat(i, j), self._flat(k, l), rat(v))
-
-    def add_to(self, i: int, j: int, k: int, l: int, v) -> None:
-        self._add(self._flat(i, j), self._flat(k, l), rat(v))
 
     @classmethod
     def from_dense(cls, n: int, grid: Sequence[Sequence]) -> "Operator2":
@@ -637,14 +594,11 @@ def span_difference(n: int, rows: Iterable[dict], canonical: Iterable[dict],
     return row_space(n, rows) - row_space(n, canonical)
 
 
-def lift(op: Operator2, legs: int, n: int | None = None) -> Operator3:
+def lift(op: Operator2, legs: int) -> Operator3:
     """Embed a two-leg operator into V^3 on leg pair 12, 13 or 23."""
-    if n is None:
-        n = op.dim
-    if op.dim != n:
-        raise InvalidInputError("operator dimension does not match n")
     if legs not in (12, 13, 23):
         raise InvalidInputError(f"unknown leg pair {legs}")
+    n = op.dim
     den, rows = op._ints()
     nn = n * n
     out = {}
@@ -687,9 +641,6 @@ def _plan(terms, cls=None):
         for f in fs:
             if type(f) is not cls or f.dim != dim:
                 raise InvalidInputError("factors must be operators of one type and dim")
-            # the integer form read in place: this loop runs once per factor of every sum
-            if f._rows is None:
-                f._ints()
             rows.append(f._rows)
             if (fd := f._den) != 1:
                 d = None if fd is None or d is None else d * fd
@@ -737,8 +688,8 @@ def signed_products(terms):
                     acc[c] = acc.get(c, 0) + m * x
                 continue
             for f in middle:
-                row = _add_row_product({}, row, f)
-            _add_row_product(acc, row, last, m)
+                row = _row_product_into({}, row, f)
+            _row_product_into(acc, row, last, m)
         if not all(acc.values()):
             # entries that cancel, or dual-number products that vanish, are dropped
             acc = {c: x for c, x in acc.items() if x}
@@ -747,7 +698,7 @@ def signed_products(terms):
     return cls._reduced(dim, den, out)
 
 
-def _add_row_product(acc: dict, row: dict, rows: dict, m=1) -> dict:
+def _row_product_into(acc: dict, row: dict, rows: dict, m=1) -> dict:
     """Add m times one sparse row times the operator with the given rows into ``acc``;
     return it.  m scales each entry of the row as it is read."""
     for k, v in row.items():
@@ -799,7 +750,7 @@ def yb_residual(r: Operator2) -> Operator3:
         for p in dict.fromkeys(chain(rows, nk)):
             acc = {}
             if (row := rows.get(p)) is not None:
-                _add_row_product(acc, row, nk)
+                _row_product_into(acc, row, nk)
             if (row := nk.get(p)) is not None:
                 for y, v in row.items():
                     q, s = divmod(y, nn)
@@ -840,7 +791,7 @@ def cybe_residual(r: Operator2) -> Operator3:
     """
     r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
     f12, f13, f23 = r12, r13, r23
-    if _in_span_of_P_and_1(r.reversed_legs() + r):
+    if p_and_1_coefficients(r.reversed_legs() + r) is not None:
         f12, f13, f23 = (_sorted_rows(f) for f in (r12, r13, r23))
     return signed_products([(1, f12, r13), (-1, f13, r12),
                             (1, f12, r23), (-1, f23, r12),
@@ -880,11 +831,12 @@ def _is_shift(r: Operator2, a: Operator2, xi: Operator1) -> bool:
     return signed_products([(1, r), (-1, a), (-1, shift)]).is_zero()
 
 
-def _in_span_of_P_and_1(s: Operator2) -> bool:
-    """Whether s = c P + d 1 for scalars c and d, read off at (1,2|2,1) and (1,2|1,2)."""
+def p_and_1_coefficients(s: Operator2) -> tuple | None:
+    """(c, d) with s = c P + d 1, read off at (1,2|2,1) and (1,2|1,2); None if s is not
+    of that form.  At n = 1, where P = 1, it is (0, s^11_11)."""
     n = s.dim
     if n == 1:
-        return True
+        return ZERO, s._get(0, 0)
     rows = s._ints()[1]
     c, d = rows.get(1, {}).get(n, 0), rows.get(1, {}).get(1, 0)
     want = {}
@@ -894,7 +846,7 @@ def _in_span_of_P_and_1(s: Operator2) -> bool:
             row = {y: c, x: d} if x != y else {x: c + d}
             if row := {k: v for k, v in row.items() if v}:
                 want[x] = row
-    return rows == want
+    return (s._get(1, n), s._get(1, 1)) if rows == want else None
 
 
 def _sorted_rows(op: Operator3) -> Operator3:

@@ -9,14 +9,98 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from yibre import bezout, blocks, classical, rime
+from yibre import bezout, blocks, cg, classical, rime
 from yibre.bezout import B, B0, RS, RotaBaxterMap, _sweep_units
 from yibre.kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, elem_syms,
-                          rat, ratvec, require_distinct, theta)
+                          elem_syms_omitting, rat, ratvec, require_distinct, theta)
 from yibre.rational import Q
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, _clear, conjugate2, kron11,
                           lift, op1_on_leg2, reshuffled_matrix, row_space, signed_products,
                           wedge)
+
+
+def add_entry(entries: dict, r: int, c: int, v) -> None:
+    """Add v to entry (r, c) of a plain ``{row: {col: value}}`` dict of flat indices."""
+    row = entries.setdefault(r, {})
+    row[c] = row.get(c, 0) + v
+
+
+def bumped(op, *entry):
+    """A copy of ``op`` with v added at one entry: ``bumped(op, r, c, v)`` at a flat (row,
+    col), or ``bumped(r2, i, j, k, l, v)`` at R^{ij}_{kl} of a two-leg operator (1-based)."""
+    *index, v = entry
+    if len(index) == 4:
+        n = op.dim
+        i, j, k, l = index
+        index = [(i - 1) * n + j - 1, (k - 1) * n + l - 1]
+    r, c = index
+    return op + type(op)._entries(op.dim, {r: {c: rat(v)}})
+
+
+# --- relation spaces, eigenvectors and products that only the tests form ------------
+
+def quantum_space_relations(r: Operator2, eigenvalue, side: str) -> Operator2:
+    """Degree-2 relation space of a quantum (super)plane: the span of ``quantum_space_rows``."""
+    return row_space(r.dim, rime.quantum_space_rows(r, eigenvalue, side))
+
+
+def rime_plane_relations(data) -> Operator2:
+    """The row space of ``rime_plane_rows``."""
+    return row_space(data.dim, rime.rime_plane_rows(data))
+
+
+def classical_commutator_relations(n: int) -> Operator2:
+    """The row space of ``classical_commutator_rows``."""
+    return row_space(n, rime.classical_commutator_rows(n))
+
+
+def odd_classical_relations(n: int) -> Operator2:
+    """The row space of ``odd_classical_rows``."""
+    return row_space(n, rime.odd_classical_rows(n))
+
+
+def left_odd_rime_relations(data, beta) -> Operator2:
+    """The row space of ``left_odd_rime_rows``."""
+    return row_space(data.dim, rime.left_odd_rime_rows(data, beta))
+
+
+def cg_plane_relations(n: int, qsq_inv) -> Operator2:
+    """The row space of ``cg_plane_rows``."""
+    return row_space(n, cg.cg_plane_rows(n, qsq_inv))
+
+
+def eigenvector_w(params, a: int) -> tuple[Fraction, ...]:
+    """w_a with components (w_a)^j = e_a^jhat of the parameter vector (zero unless 0 <= a < n)."""
+    params = ratvec(params)
+    if not 0 <= a < len(params):
+        return tuple(ZERO for _ in params)
+    return tuple(row[a] for row in elem_syms_omitting(params))
+
+
+def star_tilde_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, rb_prime: RotaBaxterMap,
+                       c) -> Operator1:
+    """A *~ B = r(A)B - A r'(B) + c A Tr(B)."""
+    c = rat(c)
+    return signed_products([(1, rb.apply(a), b), (-1, a, rb_prime.apply(b)),
+                            (c * b.trace(), a)])
+
+
+def conjugation_residual(pair: str, params) -> Operator2:
+    """``classical.conjugation_residual_of`` with every object built afresh from ``params``."""
+    params = ratvec(params)
+    n = len(params)
+    if pair not in classical.CONJUGATION_PAIRS:
+        raise InvalidInputError(f"unknown conjugation pair {pair!r}")
+    builders = {classical.RIME_NONSKEW: lambda: classical.rime_nonskew_r(params),
+                classical.RIME_SKEW: lambda: classical.rime_skew_r(params),
+                classical.RIME_SKEW_SL: lambda: classical.rime_skew_sl_r(params),
+                classical.R_CG: lambda: classical.rcg_r(n),
+                classical.B_SKEW: lambda: classical.b_skew_r(n),
+                classical.B_CG: lambda: classical.b_cg_r(n),
+                classical.RIME_SKEW_SL + ":xi": lambda: classical.rime_skew_sl_xi(params),
+                classical.B_CG + ":xi": lambda: -classical.b_cg_eta(n)}
+    return classical.conjugation_residual_of(pair, lambda name: builders[name](),
+                                             cg.x_change_of_basis(params))
 
 
 def dense_grid(op) -> list[list]:
@@ -52,13 +136,13 @@ def dense_signed_sum(terms) -> list[list]:
 def partial_trace(op: Operator2, leg: int) -> Operator1:
     """Trace out one leg: (Tr_2 op)^i_k = op^{ia}_{ka}, (Tr_1 op)^j_l = op^{aj}_{al}."""
     n = op.dim
-    out = Operator1.zero(n)
+    out = {}
     for i, j, k, l, v in op.four_index_items():
         if leg == 2 and j == l:
-            out._add(i - 1, k - 1, v)
+            add_entry(out, i - 1, k - 1, v)
         elif leg == 1 and i == k:
-            out._add(j - 1, l - 1, v)
-    return out
+            add_entry(out, j - 1, l - 1, v)
+    return Operator1._entries(n, out)
 
 
 def skew_inverse(r: Operator2) -> Operator2:
@@ -70,19 +154,17 @@ def skew_inverse(r: Operator2) -> Operator2:
     """
     n = r.dim
     # P_13 entry at row (a,d), col (c,f): delta(a,f) delta(c,d)
-    rhs = Operator1.zero(n * n)
-    for a in range(n):
-        for d in range(n):
-            rhs._set(a * n + d, d * n + a, ONE)
+    rhs = Operator1._entries(n * n, {a * n + d: {d * n + a: ONE}
+                                     for a in range(n) for d in range(n)})
     try:
         minv = reshuffled_matrix(r).inverse()
     except InvalidInputError as exc:
         raise NotSkewInvertibleError("reshuffled matrix is singular") from exc
-    psi = Operator2(n)
+    psi = {}
     for row, col, v in (minv @ rhs).nonzero_entries():
         (g, b), (c, f) = divmod(row, n), divmod(col, n)
-        psi._set(g * n + c, b * n + f, v)
-    return psi
+        psi.setdefault(g * n + c, {})[b * n + f] = v
+    return Operator2._entries(n, psi)
 
 
 def elem_sym(values: Sequence[Fraction], k: int) -> Fraction:
@@ -100,14 +182,12 @@ def elem_sym_omit(values: Sequence[Fraction], k: int, omit: int) -> Fraction:
 
 def map_from_function(n: int, fn) -> RotaBaxterMap:
     """Tabulate a linear ``fn`` on Mat(V) from its images of the n^2 unit matrices."""
-    images = Operator1.zero(n * n)
+    images = {}
     for d in range(n):
         for k in range(n):
-            basis = Operator1.zero(n)
-            basis._set(d, k, ONE)
-            for i, j, v in fn(basis).nonzero_entries():
-                images._set(d * n + k, i * n + j, v)
-    return RotaBaxterMap(n, images)
+            basis = Operator1._entries(n, {d: {k: ONE}})
+            images[d * n + k] = {i * n + j: v for i, j, v in fn(basis).nonzero_entries()}
+    return RotaBaxterMap(n, Operator1._entries(n * n, images))
 
 
 def rb_unit_weight_residuals(rb: RotaBaxterMap, alpha) -> list[Operator1]:
@@ -167,7 +247,7 @@ def star_associativity_per_triple(rb: RotaBaxterMap, rb_prime: RotaBaxterMap, al
     for a, x in enumerate(units):
         for b, y in enumerate(units):
             ab = a * m + b
-            out.append(bezout.star_tilde_product(x, y, rb, rb_prime, c) - stars[ab])
+            out.append(star_tilde_product(x, y, rb, rb_prime, c) - stars[ab])
             out += associators[ab * m:(ab + 1) * m]
     return out
 
@@ -270,7 +350,7 @@ def rb_closed_form_per_cell(kind: str, n: int, phi=None) -> RotaBaxterMap:
     """The closed Rota-Baxter formulas as functions on Mat(V), tabulated unit by unit."""
     if kind == B0:
         def fn(a: Operator1) -> Operator1:
-            out = Operator1.zero(n)
+            out = {}
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     tot = ZERO
@@ -284,11 +364,11 @@ def rb_closed_form_per_cell(kind: str, n: int, phi=None) -> RotaBaxterMap:
                         while i + s + 1 <= n and j + s <= n:
                             tot -= a._get(i + s, j + s - 1)
                             s += 1
-                    out._set(i - 1, j - 1, tot)
-            return out
+                    out.setdefault(i - 1, {})[j - 1] = tot
+            return Operator1._entries(n, out)
     elif kind == B:
         def fn(a: Operator1) -> Operator1:
-            out = Operator1.zero(n)
+            out = {}
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     tot = ZERO
@@ -302,38 +382,39 @@ def rb_closed_form_per_cell(kind: str, n: int, phi=None) -> RotaBaxterMap:
                         while i + s <= n and j + s <= n:
                             tot -= a._get(i + s - 1, j + s - 1)
                             s += 1
-                    out._set(i - 1, j - 1, tot)
-            return out
+                    out.setdefault(i - 1, {})[j - 1] = tot
+            return Operator1._entries(n, out)
     elif kind == RS:
         def fn(a: Operator1) -> Operator1:
-            out = Operator1.zero(n)
+            out = {}
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i == j:
-                        out._set(i - 1, i - 1, sum((a._get(s - 1, s - 1)
-                                                    for s in range(1, i)), ZERO))
+                        out.setdefault(i - 1, {})[i - 1] = sum(
+                            (a._get(s - 1, s - 1) for s in range(1, i)), ZERO)
                     elif i > j:
-                        out._set(i - 1, j - 1, -a._get(i - 1, j - 1))
-            return out
+                        out.setdefault(i - 1, {})[j - 1] = -a._get(i - 1, j - 1)
+            return Operator1._entries(n, out)
     elif kind == "rime-phi":
         phi = ratvec(phi)
         require_distinct(phi, "phi")
 
         def fn(a: Operator1) -> Operator1:
-            out = Operator1.zero(n)
+            out = {}
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i != j:
-                        out._set(i - 1, j - 1, phi[j - 1] / (phi[j - 1] - phi[i - 1])
-                                 * (a._get(i - 1, j - 1) - a._get(j - 1, j - 1)))
+                        out.setdefault(i - 1, {})[j - 1] = (
+                            phi[j - 1] / (phi[j - 1] - phi[i - 1])
+                            * (a._get(i - 1, j - 1) - a._get(j - 1, j - 1)))
                     else:
                         tot = ZERO
                         for s in range(1, n + 1):
                             if s != i:
                                 tot += (phi[i - 1] / (phi[i - 1] - phi[s - 1])
                                         * (a._get(i - 1, s - 1) - a._get(s - 1, s - 1)))
-                        out._set(i - 1, i - 1, tot)
-            return out
+                        out.setdefault(i - 1, {})[i - 1] = tot
+            return Operator1._entries(n, out)
     else:
         raise ValueError(f"no closed form for kind {kind!r}")
     return map_from_function(n, fn)
@@ -379,10 +460,10 @@ def carrier_algebra_per_pair(mu) -> dict[str, object]:
             coboundary.append(carrier_lambda(zpt, mu) - omega or ZERO)
     idx = {p: a for a, p in enumerate(pairs)}
     m = len(pairs)
-    rcoef, omega = Operator1.zero(m), Operator1.zero(m)
-    for (i, j) in pairs:
-        rcoef._set(idx[(i, j)], idx[(j, i)], 1 / (mu[i - 1] - mu[j - 1]))
-        omega._set(idx[(i, j)], idx[(j, i)], -(mu[i - 1] - mu[j - 1]))
+    rcoef = Operator1._entries(m, {idx[(i, j)]: {idx[(j, i)]: 1 / (mu[i - 1] - mu[j - 1])}
+                                   for (i, j) in pairs})
+    omega = Operator1._entries(m, {idx[(i, j)]: {idx[(j, i)]: -(mu[i - 1] - mu[j - 1])}
+                                   for (i, j) in pairs})
     shift = Operator1.identity(n).scale(Fraction(1, n))
     zt = {p: z[p] + shift for p in pairs}
     ones = tuple([ONE] * n)
@@ -420,14 +501,14 @@ def lambda_bcg_gram_brackets(n):
     shift = Operator1.identity(n).scale(Fraction(1, n))
     zt = [classical.carrier_Z(n, i, j) + shift for (i, j) in pairs]
     m = len(pairs)
-    g = Operator1.zero(m)
+    g = {}
     for a in range(m):
         for b in range(a + 1, m):
             bracket = signed_products([(1, zt[a], zt[b]), (-1, zt[b], zt[a])])
             v = sum((bracket._get(i, i + 1) for i in range(n - 1)), ZERO)
-            g._set(a, b, v)
-            g._set(b, a, -v)
-    return g
+            g.setdefault(a, {})[b] = v
+            g.setdefault(b, {})[a] = -v
+    return Operator1._entries(m, g)
 
 
 # --- the one-pass constructors as their repeated-+ sums -------------------------
@@ -519,7 +600,7 @@ def summed_representation_change_residual(n, c, kind):
 
 def summed_tilde_difference_residual(mu):
     n = len(mu)
-    x, _ = classical.x_change_of_basis(mu)
+    x, _ = cg.x_change_of_basis(mu)
     lhs_factor = Operator1.zero(n)
     for j in range(1, n):
         lhs_factor = lhs_factor + Operator1.unit(n, j + 1, j).scale(1 - Fraction(j, n))
@@ -577,41 +658,41 @@ def summed_gl2_homomorphism(kind: str) -> list[Operator1]:
 def invariance_Y_loops(phi, u, v):
     """``invariance_Y`` with every entry as its own product over l."""
     n = len(phi)
-    y = Operator1.zero(n)
+    y = {}
     for j in range(1, n + 1):
         diag = ONE
         for l in range(1, n + 1):
             if l != j:
                 diag *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
-        y._set(j - 1, j - 1, diag)
+        y.setdefault(j - 1, {})[j - 1] = diag
         for i in range(1, n + 1):
             if i != j:
                 val = (u - v) * phi[j - 1] / (phi[j - 1] - phi[i - 1])
                 for l in range(1, n + 1):
                     if l != i and l != j:
                         val *= (u * phi[j - 1] - v * phi[l - 1]) / (phi[j - 1] - phi[l - 1])
-                y._set(i - 1, j - 1, val)
-    return y
+                y.setdefault(i - 1, {})[j - 1] = val
+    return Operator1._entries(n, y)
 
 
 def invariance_Y0_loops(mu, a):
     """``invariance_Y0`` with every entry as its own product over l."""
     n = len(mu)
-    y = Operator1.zero(n)
+    y = {}
     for j in range(1, n + 1):
         diag = ONE
         for l in range(1, n + 1):
             if l != j:
                 diag *= ONE + a / (mu[j - 1] - mu[l - 1])
-        y._set(j - 1, j - 1, diag)
+        y.setdefault(j - 1, {})[j - 1] = diag
         for i in range(1, n + 1):
             if i != j:
                 val = a / (mu[j - 1] - mu[i - 1])
                 for l in range(1, n + 1):
                     if l != i and l != j:
                         val *= ONE + a / (mu[j - 1] - mu[l - 1])
-                y._set(i - 1, j - 1, val)
-    return y
+                y.setdefault(i - 1, {})[j - 1] = val
+    return Operator1._entries(n, y)
 
 
 def x_inverse_per_entry(phi) -> Operator1:
@@ -655,8 +736,7 @@ def phi_transition_per_entry(phi, phi_prime) -> Operator1:
 def quantum_trace_closed_forms_per_entry(data) -> tuple[Operator1, Operator1]:
     """The closed-form quantum traces, every entry as its own product over l."""
     n = data.dim
-    q = Operator1.zero(n)
-    qt = Operator1.zero(n)
+    q, qt = {}, {}
     for j in range(1, n + 1):
         for k in range(1, n + 1):
             if k == j:
@@ -672,28 +752,29 @@ def quantum_trace_closed_forms_per_entry(data) -> tuple[Operator1, Operator1]:
                     if l != k:
                         pq *= ONE - data.b(j, l)
                         pqt *= ONE - data.b(l, j)
-            q._set(k - 1, j - 1, pq)
-            qt._set(k - 1, j - 1, pqt)
-    return q, qt
+            q.setdefault(k - 1, {})[j - 1] = pq
+            qt.setdefault(k - 1, {})[j - 1] = pqt
+    return Operator1._entries(n, q), Operator1._entries(n, qt)
 
 
 def cg_matrix_per_entry(params) -> Operator2:
     """R_CG with every power of q^-2 and p taken afresh for its entry."""
     n, qi, p = params.dim, params.qsq_inv, params.p
-    r = Operator2(n)
+    r = {}
     one_minus = ONE - qi
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            r.add_to(i, j, j, i, (qi ** theta(i, j)) * p ** (i - j))
+            row = (i - 1) * n + j - 1
+            add_entry(r, row, (j - 1) * n + i - 1, (qi ** theta(i, j)) * p ** (i - j))
             for s in range(i, j):
                 l = i + j - s
                 if 1 <= l <= n:
-                    r.add_to(i, j, s, l, one_minus * p ** (i - s))
+                    add_entry(r, row, (s - 1) * n + l - 1, one_minus * p ** (i - s))
             for s in range(j + 1, i):
                 l = i + j - s
                 if 1 <= l <= n:
-                    r.add_to(i, j, s, l, -one_minus * p ** (i - s))
-    return r
+                    add_entry(r, row, (s - 1) * n + l - 1, -one_minus * p ** (i - s))
+    return Operator2._entries(n, r)
 
 
 def eigenvector_residuals_per_call(phi, beta, q: Operator1) -> dict[str, list]:
@@ -701,7 +782,7 @@ def eigenvector_residuals_per_call(phi, beta, q: Operator1) -> dict[str, list]:
     n = len(phi)
     out = {}
     for a in range(n):
-        w = rime.eigenvector_w(phi, a)
+        w = eigenvector_w(phi, a)
         lam = (ONE - beta) ** (n - 1 - a)
         out[f"w{a}"] = [x - lam * y for x, y in zip(q.apply(w), w)]
     return out
@@ -711,7 +792,7 @@ def jordan_action_residuals_per_call(mu, q: Operator1) -> dict[str, list]:
     """Q w_i - sum_s binom(n-1-s, i-s) w_s, each w_s from its own ``eigenvector_w`` call."""
     n = len(mu)
     out = {}
-    ws = [rime.eigenvector_w(mu, s) for s in range(n)]
+    ws = [eigenvector_w(mu, s) for s in range(n)]
     for i in range(n):
         coeffs = rime.jordan_action_coefficients(n, i)
         rhs = [sum((coeffs[s] * ws[s][j] for s in range(n)), ZERO) for j in range(n)]
@@ -833,103 +914,103 @@ def jacobi_residual_per_call(br) -> dict:
 
 # --- builders written entry by entry ---------------------------------------------
 # yibre's builders hand their entries to the operator whole, or relabel another
-# operator's integer rows; these write the same operators one ``_set``/``add_to``
-# at a time.
+# operator's integer rows; these write the same entries into a plain
+# ``{row: {col: value}}`` dict one at a time, and hand it to ``_entries``.
 
 def from_dense_per_entry(n: int, grid) -> Operator2:
-    """``Operator2.from_dense``: every nonzero grid entry set on its own."""
-    out = Operator2(n)
+    """``Operator2.from_dense``: every nonzero grid entry written on its own."""
+    out = {}
     for r in range(n * n):
         for c in range(n * n):
             v = rat(grid[r][c])
             if v:
-                out._set(r, c, v)
-    return out
+                out.setdefault(r, {})[c] = v
+    return Operator2._entries(n, out)
 
 
 def permutation_P_per_entry(n: int) -> Operator2:
-    out = Operator2(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out.set(i, j, j, i, ONE)
-    return out
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            out.setdefault(i * n + j, {})[j * n + i] = ONE
+    return Operator2._entries(n, out)
 
 
 def reshuffled_matrix_per_entry(r: Operator2) -> Operator1:
     """M[(a,d),(g,b)] = R^{ab}_{dg}, read off R's four-index entries."""
     n = r.dim
-    m = Operator1.zero(n * n)
+    m = {}
     for a, b, d, g, v in r.four_index_items():
-        m._set((a - 1) * n + d - 1, (g - 1) * n + b - 1, v)
-    return m
+        m.setdefault((a - 1) * n + d - 1, {})[(g - 1) * n + b - 1] = v
+    return Operator1._entries(n * n, m)
 
 
 def assemble_rime_per_entry(data) -> Operator2:
     n = data.dim
-    r = Operator2(n)
+    r = {}
     for i in range(1, n + 1):
-        r.set(i, i, i, i, data.alpha[i - 1])
+        ii = (i - 1) * (n + 1)
+        add_entry(r, ii, ii, data.alpha[i - 1])
         for j in range(1, n + 1):
             if i == j:
                 continue
-            r.add_to(i, j, j, i, data.a(i, j))
-            r.add_to(i, j, i, j, data.b(i, j))
-            r.add_to(i, j, i, i, data.g(i, j))
-            r.add_to(i, j, j, j, data.gp(i, j))
-    return r
+            ij, ji, jj = (i - 1) * n + j - 1, (j - 1) * n + i - 1, (j - 1) * (n + 1)
+            add_entry(r, ij, ji, data.a(i, j))
+            add_entry(r, ij, ij, data.b(i, j))
+            add_entry(r, ij, ii, data.g(i, j))
+            add_entry(r, ij, jj, data.gp(i, j))
+    return Operator2._entries(n, r)
 
 
 def invariance_generator_per_entry(kind: str, params) -> Operator1:
     """``rime.invariance_generator`` with each diagonal entry summed in its own loop."""
     params = ratvec(params)
     n = len(params)
-    eta = Operator1.zero(n)
+    eta = {}
     if kind == "nonunitary":
         for j in range(1, n + 1):
             diag = -Q(n - 1, 2)
             for l in range(1, n + 1):
                 if l != j:
                     diag += params[j - 1] / (params[j - 1] - params[l - 1])
-            eta._set(j - 1, j - 1, diag)
+            eta.setdefault(j - 1, {})[j - 1] = diag
             for i in range(1, n + 1):
                 if i != j:
-                    eta._set(i - 1, j - 1, params[j - 1] / (params[j - 1] - params[i - 1]))
+                    eta.setdefault(i - 1, {})[j - 1] = (params[j - 1]
+                                                        / (params[j - 1] - params[i - 1]))
     else:
         for j in range(1, n + 1):
-            eta._set(j - 1, j - 1, sum((ONE / (params[j - 1] - params[l - 1])
-                                        for l in range(1, n + 1) if l != j), ZERO))
+            eta.setdefault(j - 1, {})[j - 1] = sum((ONE / (params[j - 1] - params[l - 1])
+                                                    for l in range(1, n + 1) if l != j), ZERO)
             for i in range(1, n + 1):
                 if i != j:
-                    eta._set(i - 1, j - 1, ONE / (params[j - 1] - params[i - 1]))
-    return eta
+                    eta.setdefault(i - 1, {})[j - 1] = ONE / (params[j - 1] - params[i - 1])
+    return Operator1._entries(n, eta)
 
 
 def varpi_per_entry(y: Operator1) -> Operator1:
-    out = Operator1.zero(y.dim)
-    for r, row in y.data.items():
-        for c, v in row.items():
-            out._set(r, c, -v if c == r else v)
-    return out
+    return Operator1._entries(y.dim, {r: {c: -v if c == r else v for c, v in row.items()}
+                                      for r, row in y.data.items()})
 
 
 def bezout_matrix_per_entry(action, n: int) -> Operator2:
     """The matrix of a polynomial action, column (a, b) the image of x^a y^b."""
-    out = Operator2(n)
+    out = {}
     for a in range(n):
         for b in range(n):
             for (k, l), v in action(a, b).items():
                 if k < n and l < n:
-                    out.set(k + 1, l + 1, a + 1, b + 1, v)
-    return out
+                    out.setdefault(k * n + l, {})[a * n + b] = rat(v)
+    return Operator2._entries(n, out)
 
 
 def bd_fork_R_per_entry(q, p, r, s) -> Operator2:
-    """The 16x16 fork solution, one ``set`` per exchange-relation coefficient."""
+    """The 16x16 fork solution, one entry per exchange-relation coefficient."""
     q, p, r, s = rat(q), rat(p), rat(r), rat(s)
-    m = Operator2(4)
+    m = {}
     lam = ONE - 1 / q ** 2
-    for i in range(1, 5):
-        m.set(i, i, i, i, ONE)
+    for i in range(4):
+        m[i * 5] = {i * 5: ONE}
     for (i, j, k, l), v in {
             (1, 2, 2, 1): p / q, (1, 3, 3, 1): r / q ** 2,
             (1, 4, 4, 1): p * r / q, (1, 4, 3, 2): -r * s / q,
@@ -939,5 +1020,5 @@ def bd_fork_R_per_entry(q, p, r, s) -> Operator2:
             (4, 1, 1, 4): 1 / (p * q * r), (4, 1, 4, 1): lam, (4, 1, 2, 3): 1 / q,
             (4, 2, 2, 4): 1 / s, (4, 2, 4, 2): lam,
             (4, 3, 3, 4): s / (p * q * r), (4, 3, 4, 3): lam}.items():
-        m.set(i, j, k, l, v)
-    return m
+        m.setdefault((i - 1) * 4 + j - 1, {})[(k - 1) * 4 + l - 1] = v
+    return Operator2._entries(4, m)

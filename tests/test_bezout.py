@@ -14,16 +14,17 @@ from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
                           rb_weight_residual, RotaBaxterMap, rota_baxter, rs_action,
                           shift_generator_commutator, shifted_solution_residual,
                           sr_decomposition, star_associativity_residuals, star_product,
-                          star_tables, star_tilde_product)
+                          star_tables)
 from yibre.classical import b_skew_r, rcg_r, rime_nonskew_r
 from yibre.kernel import InvalidInputError, QuadExt, RationalDraw
 from yibre.suites import _is_zero, run_suite
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift,
                           nhacybe_residual, op1_on_leg2, permutation_P, reshuffled_matrix)
 
-from reference import (map_from_function, partial_trace, rb_closed_form_per_cell,
-                       rb_unit_weight_residuals, star_associativity_per_triple,
-                       star_associators, coassociativity_residual_per_unit)
+from reference import (add_entry, bumped, map_from_function, partial_trace,
+                       rb_closed_form_per_cell, rb_unit_weight_residuals,
+                       star_associativity_per_triple, star_associators, star_tilde_product,
+                       coassociativity_residual_per_unit)
 
 
 def rand_mat(rd, n):
@@ -249,10 +250,11 @@ def test_rb_rs_diagonal_action():
 
 def rand_op2(rd, n, entries=12):
     """A seeded Operator2 with random entries at random positions, no Bezout structure."""
-    r = Operator2(n)
+    out = {}
     for _ in range(entries):
-        r.add_to(*(rd.int_in(1, n) for _ in range(4)), rd.rational())
-    return r
+        i, j, k, l = (rd.int_in(1, n) for _ in range(4))
+        add_entry(out, (i - 1) * n + j - 1, (k - 1) * n + l - 1, rd.rational())
+    return Operator2._entries(n, out)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -283,11 +285,10 @@ def test_left_map_is_the_reshuffled_matrix(n):
 
 
 def test_rota_baxter_equality_is_exact():
-    bumped = bezout_operator(B, 3)
-    bumped.add_to(2, 1, 3, 3, 1)
+    faulty = bumped(bezout_operator(B, 3), 2, 1, 3, 3, 1)
     closed = rb_closed_form(B, 3)
-    assert rota_baxter(bumped) != closed
-    assert not (rota_baxter(bumped).matrix() - closed.matrix()).is_zero()
+    assert rota_baxter(faulty) != closed
+    assert not (rota_baxter(faulty).matrix() - closed.matrix()).is_zero()
     assert rota_baxter(bezout_operator(B, 3)) == closed
     # the dense partial trace returns explicit zeros; the table must drop them
     rd = RationalDraw(12)
@@ -304,8 +305,7 @@ def test_rb_matrix_layout():
     grid = rb.matrix()
     for d in range(3):
         for k in range(3):
-            unit = Operator1.zero(3)
-            unit._set(d, k, F(1))
+            unit = Operator1._entries(3, {d: {k: F(1)}})
             img = rb.apply(unit)
             assert [grid._get(i * 3 + j, d * 3 + k) for i in range(3) for j in range(3)] \
                 == [img._get(i, j) for i in range(3) for j in range(3)]
@@ -346,10 +346,9 @@ def rb_maps(n):
 
 def bump_one_column(rb):
     """The same map with one stored coefficient of ``images`` raised by 1."""
-    images = rb.images.scale(1)
+    images = rb.images
     cell = sorted(images.data)[len(images.data) // 2]
-    images._add(cell, min(images.data[cell]), F(1))
-    return RotaBaxterMap(rb.n, images)
+    return RotaBaxterMap(rb.n, bumped(images, cell, min(images.data[cell]), F(1)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -385,8 +384,7 @@ def test_weight_operator_matches_the_unit_sweep(n):
         assert weight_entries_by_pair(x, n) == swept
         assert x.is_zero() == (r is not random_r)
     # an r one entry off a weight-(-1) map: both forms see the same nonzero entries
-    r = bezout_operator(B, n)
-    r.add_to(2, 1, 1, 2, 1)
+    r = bumped(bezout_operator(B, n), 2, 1, 1, 2, 1)
     x = rb_weight_operator(r, -1)
     swept = rb_unit_weight_residuals(rota_baxter(r), -1)
     assert not x.is_zero()
@@ -420,8 +418,7 @@ def test_unit_image_is_the_applied_unit():
         n = rb.n
         for d in range(n):
             for k in range(n):
-                unit = Operator1.zero(n)
-                unit._set(d, k, F(1))
+                unit = Operator1._entries(n, {d: {k: F(1)}})
                 assert rb.unit_image(d, k) == rb.apply(unit)
     # RS sends every strictly upper-triangular unit to zero, so its table stores no such row
     rs = rota_baxter(bezout_operator(RS, 3))

@@ -4,20 +4,20 @@ from types import SimpleNamespace
 import pytest
 
 from yibre import cg, kernel, rime, suites
-from yibre.cg import (CGParams, cg_equivalence_residual, cg_matrix,
-                      cg_plane_relations, cg_symmetry_residual,
+from yibre.cg import (CGParams, cg_equivalence_residual, cg_matrix, cg_symmetry_residual,
                       d_twist_conjugate, d_twist_matrix,
                       generating_function_residual, phi_transition,
                       sectype_identity_residual, standard_rc_matrix,
                       standard_riming, summation_matrix, x_change_of_basis)
 from yibre.kernel import InvalidInputError, RationalDraw, elem_syms_omitting, ratvec
-from yibre.rime import RimeClass, classify, quantum_space_relations, strict_rime_R
+from yibre.rime import RimeClass, classify, strict_rime_R
 from yibre.suites import run_suite
 from yibre.tensor import (Operator1, Operator2, conjugate2, hecke_residual,
                           kron11, row_space, yb_residual)
 
-from reference import (cg_matrix_per_entry, generating_function_per_entry, phi_transition_per_entry,
-                       x_inverse_per_entry, xty_mapped_all_rows)
+from reference import (bumped, cg_matrix_per_entry, cg_plane_relations,
+                       generating_function_per_entry, phi_transition_per_entry,
+                       quantum_space_relations, x_inverse_per_entry, xty_mapped_all_rows)
 
 Q = F(1, 4)
 
@@ -208,13 +208,7 @@ def test_plane_checks_fault_name_their_entry(monkeypatch):
     # both checks return differences of row spaces, so a bumped (R_CG)^{12}_{12}
     # fails at the relation led by y^1 y^2, in its coefficient of y^2 y^1
     matrix = cg.cg_matrix
-
-    def bumped(params):
-        r = matrix(params)
-        r.add_to(1, 2, 1, 2, 1)
-        return r
-
-    monkeypatch.setattr(cg, "cg_matrix", bumped)
+    monkeypatch.setattr(cg, "cg_matrix", lambda params: bumped(matrix(params), 1, 2, 1, 2, 1))
     got = {c.name: c for c in run_suite("cg", 2, 0, 1).checks}
     assert got["cg-quantum-plane"].status == got["xty-ideal-map"].status == "fail"
     assert got["cg-quantum-plane"].residual_witness == {"index": "1,2|2,1", "value": "4"}

@@ -3,12 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from yibre import bezout, classical
+from yibre import bezout, cg, classical
 from yibre.classical import (B_CG, B_SKEW, R_CG, R_CG_PRIME, bd_fork_R,
                              bd_symmetry_check, b_cg_r, b_skew_r,
                              build_classical, carrier_algebra_check, carrier_Z,
-                             classical_limit_residual, conjugation_residual,
-                             conjugation_residual_of,
+                             classical_limit_residual, conjugation_residual_of,
                              invariance_eta0_b, invariance_eta_cg,
                              invariance_shift_residual, lambda_bcg_gram,
                              rcg_prime_r, rcg_r, representation_change_residual,
@@ -20,8 +19,8 @@ from yibre.suites import _is_zero
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum,
                           cybe_residual, hecke_residual, permutation_P, wedge, yb_residual)
 
-from reference import (carrier_algebra_per_pair, conjugated_difference,
-                       lambda_bcg_gram_brackets, summed_b_cg_r,
+from reference import (bumped, carrier_algebra_per_pair, conjugated_difference,
+                       conjugation_residual, lambda_bcg_gram_brackets, summed_b_cg_r,
                        summed_b_skew_r, summed_closed_form_operator, summed_gl2_homomorphism,
                        summed_invariance_eta0_b, summed_rcg_prime_r, summed_rcg_r,
                        summed_representation_change_residual, summed_rime_nonskew_r,
@@ -89,8 +88,7 @@ def test_conjugation_faults_give_the_whole_difference(n, monkeypatch):
     for pair, name, lhs in (("nonskew-to-rcg", "rcg_r", rime_nonskew_r(mu)),
                             ("skew-to-b", "b_skew_r", rime_skew_r(mu)),
                             ("skew-sl-to-bcg", "b_cg_r", rime_skew_sl_r(mu))):
-        rhs = getattr(classical, name)(n)
-        rhs.add_to(1, 2, 2, 1, 1)
+        rhs = bumped(getattr(classical, name)(n), 1, 2, 2, 1, 1)
         monkeypatch.setattr(classical, name, lambda n, rhs=rhs: rhs)
         got, want = conjugation_residual(pair, mu), conjugated_difference(lhs, rhs, x)
         assert not got.is_zero()
@@ -113,10 +111,10 @@ def test_conjugations_from_built_objects(n):
         x = x_change_of_basis(params)
         got = conjugation_residual_of(pair, built.__getitem__, x)
         assert got.is_zero() and got == conjugation_residual(pair, params)
-        bumped = {**built, lhs: built[lhs] + bump}
-        got = conjugation_residual_of(pair, bumped.__getitem__, x)
+        faulty = {**built, lhs: built[lhs] + bump}
+        got = conjugation_residual_of(pair, faulty.__getitem__, x)
         rhs = built[classical.CONJUGATION_PAIRS[pair][1]]
-        assert not got.is_zero() and got == conjugated_difference(bumped[lhs], rhs, x[0])
+        assert not got.is_zero() and got == conjugated_difference(faulty[lhs], rhs, x[0])
     with pytest.raises(InvalidInputError):
         conjugation_residual("skew-to-rcg", mu)
 
@@ -230,12 +228,7 @@ def test_carrier_algebra_keeps_no_zero_residuals():
 
 
 def test_bd_symmetry_fault_names_its_identity(monkeypatch):
-    def bumped(n):
-        r = rcg_r(n)
-        r.add_to(1, 2, 1, 2, 1)
-        return r
-
-    monkeypatch.setattr(classical, "rcg_r", bumped)
+    monkeypatch.setattr(classical, "rcg_r", lambda n: bumped(rcg_r(n), 1, 2, 1, 2, 1))
     ok, witness = _is_zero(bd_symmetry_check(R_CG, 3))
     assert not ok and witness == {"index": "cartan:1|2", "value": "1"}
 
@@ -317,7 +310,7 @@ def test_lambda_bcg_gram_matches_the_bracket_form(n):
 
 def _tilde_difference(mu):
     """``tilde_difference_residual`` on the objects the classical suite's block holds."""
-    return tilde_difference_residual(classical.x_change_of_basis(mu)[0],
+    return tilde_difference_residual(cg.x_change_of_basis(mu)[0],
                                      classical.rime_skew_sl_xi(mu),
                                      -classical.b_cg_eta(len(mu)))
 
@@ -370,7 +363,7 @@ def test_one_pass_constructors_equal_their_old_sums(name, n, monkeypatch):
         # bumped X make them nonzero, so the comparison covers nonzero entries too
         monkeypatch.setattr(classical, "_shifted",
                             lambda u, c: u + Operator1.identity(u.dim).scale(c))
-        monkeypatch.setattr(classical, "x_change_of_basis", _skewed_x)
+        monkeypatch.setattr(cg, "x_change_of_basis", _skewed_x)
         got = new(n, v, c)
         assert not got.is_zero() and got == old(n, v, c)
 

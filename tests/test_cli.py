@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 import yibre
 from yibre.cli import main
 from yibre import bezout, rime
-from yibre.kernel import DRAW_POOL_NONZERO, QuadExt
+from yibre.kernel import DRAW_POOL_NONZERO, QuadExt, RationalDraw
+from yibre.poisson import QuadraticBracket
 from yibre.rational import Q
 from yibre.suites import (SUITE_BUILDERS, SUITE_NAMES, Block, Check, _first_failure, _is_zero,
-                          run_all, run_suite)
+                          _mutate, run_all, run_suite)
 from yibre.tensor import Operator1, Operator2, Operator3
 
 
@@ -280,6 +281,30 @@ def test_mutated_all_run_flips_exactly_one_check():
     assert len(failures) == 1
 
 
+@pytest.mark.parametrize("make,bump", [
+    (lambda: Operator1.unit(3, 1, 2), lambda: Operator1.unit(3, 1, 1)),
+    (lambda: Operator2.identity(2), lambda: Operator2._entries(2, {0: {0: 1}})),
+    (lambda: Operator3.zero(2), lambda: Operator3._entries(2, {0: {0: 1}})),
+    (lambda: Operator1._entries(2, {0: {0: QuadExt(1, 2, -1)}, 1: {0: Q(1, 3)}}),
+     lambda: Operator1.unit(2, 1, 1)),
+    (lambda: QuadraticBracket(3, {(1, 2): {(1, 2): Q(2)}, (2, 3): {(3, 3): Q(-1)}}),
+     lambda: QuadraticBracket(3, {(1, 2): {(1, 1): 1}})),
+])
+def test_mutate_returns_a_bumped_copy_and_leaves_the_shared_object(make, bump):
+    # a check whose residual is its block's shared object hands that very object to _mutate
+    block = Block(RationalDraw(1), shared=lambda params: make())
+    check, other = block.declare(Check("bumped", "-", build=lambda params: params.shared),
+                                 Check("after", "-", build=lambda params: params.shared))
+    shared = check.fn()
+    assert shared is block.get("shared")
+    got = _mutate(shared)
+    assert got is not shared and type(got) is type(shared)
+    assert got - shared == bump() and got != shared
+    # the object the block keeps, and so the next check's, is what it was
+    assert block.get("shared") is shared and shared == make()
+    assert other.fn() is shared
+
+
 def test_raising_check_is_recorded_and_the_run_continues(runner, monkeypatch, tmp_path):
     clean = {(r.suite, c.name): c.status for r in run_all(2, 3, 1) for c in r.checks}
     builder = SUITE_BUILDERS["bezout"]
@@ -388,8 +413,7 @@ def _outcome(fn, obj):
 
 def test_is_zero_matches_the_search_in_order():
     i = QuadExt(0, 1, d=-1)
-    bumped = Operator1.zero(2)
-    bumped._add(1, 0, Q(-2, 3))
+    bumped = Operator1._entries(2, {1: {0: Q(-2, 3)}})
     cases = [
         {"b": [Q(0), 0, True], "a": {"x": Operator1.zero(2), "y": (Operator3.zero(2),)}},
         {"b": False, "a": [0, Q(1, 3)]},

@@ -55,21 +55,44 @@ def test_pencil_jacobi_and_forms(n):
 
 def test_jacobi_detects_violation():
     # {x^i, x^j} = a_ij x^i x^i - a_ji x^j x^j + 2 nu_ij x^i x^j
-    bad = QuadraticBracket(3)
-    bad.set_pair(1, 2, {(1, 1): F(1), (2, 2): F(-3), (1, 2): F(2)})
-    bad.set_pair(1, 3, {(1, 1): F(2), (3, 3): F(-5), (1, 3): F(-4)})
-    bad.set_pair(2, 3, {(2, 2): F(4), (3, 3): F(-6), (2, 3): F(6)})
+    bad = QuadraticBracket(3, {(1, 2): {(1, 1): F(1), (2, 2): F(-3), (1, 2): F(2)},
+                               (1, 3): {(1, 1): F(2), (3, 3): F(-5), (1, 3): F(-4)},
+                               (2, 3): {(2, 2): F(4), (3, 3): F(-6), (2, 3): F(6)}})
     assert jacobi_residual(bad)
-    ok2 = QuadraticBracket(2)
-    ok2.set_pair(1, 2, {(1, 1): F(5), (2, 2): F(-7), (1, 2): F(4)})
+    ok2 = QuadraticBracket(2, {(1, 2): {(1, 1): F(5), (2, 2): F(-7), (1, 2): F(4)}})
     assert not jacobi_residual(ok2)   # vacuous at n = 2
 
 
 def test_rime_fit_rejects_foreign_monomials():
-    br = QuadraticBracket(3)
-    br.set_pair(1, 2, {(3, 3): F(1)})
+    br = QuadraticBracket(3, {(1, 2): {(3, 3): F(1)}})
     assert rime_fit(br) is None
     assert rime_fit(QuadraticBracket(3)) is not None
+
+
+def test_bracket_from_pairs_merges_the_two_orders_of_a_monomial():
+    br = QuadraticBracket(3, {(1, 2): {(1, 2): F(2), (2, 1): F(3), (3, 1): F(1, 2)},
+                              (2, 3): {(3, 3): F(-1)}})
+    assert br.pair(1, 2) == {(1, 2): F(5), (1, 3): F(1, 2)}
+    assert br.pair(2, 1) == {(1, 2): F(-5), (1, 3): F(-1, 2)}
+    assert br.pairs == {(1, 2): {(1, 2): F(5), (1, 3): F(1, 2)}, (2, 3): {(3, 3): F(-1)}}
+    assert br == QuadraticBracket(3, {(2, 3): {(3, 3): F(-1)},
+                                      (1, 2): {(1, 3): F(1, 2), (2, 1): F(5)}})
+
+
+def test_bracket_from_pairs_drops_coefficients_that_cancel():
+    br = QuadraticBracket(3, {(1, 2): {(1, 2): F(2), (2, 1): F(-2), (1, 1): F(1)},
+                              (1, 3): {(1, 3): F(1, 3), (3, 1): F(-1, 3)},
+                              (2, 3): {(2, 2): 0}})
+    assert br.pairs == {(1, 2): {(1, 1): F(1)}}
+    assert br.data == {1: {0: F(1)}}
+    cancelled = QuadraticBracket(2, {(1, 2): {(1, 2): F(7), (2, 1): F(-7)}})
+    assert cancelled.is_zero() and cancelled == QuadraticBracket(2)
+
+
+@pytest.mark.parametrize("pair", [(2, 1), (1, 1), (0, 2), (1, 4)])
+def test_bracket_from_pairs_refuses_a_pair_not_stored(pair):
+    with pytest.raises(InvalidInputError):
+        QuadraticBracket(3, {pair: {(1, 1): F(1)}})
 
 
 def test_lie_derivative_scale_covariance():
@@ -345,11 +368,9 @@ def test_jacobi_residual_matches_the_per_call_pair_form(n):
                 bracket_from_quantum(psi, rd.rational()), bracket_from_quantum(psi),
                 qalg.classical_limit_bracket(n)]
     # the rime form with free coefficients fails Jacobi, so nonzero sums are compared too
-    free = QuadraticBracket(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            free.set_pair(i, j, {(i, i): rd.rational(), (j, j): rd.rational(),
-                                 (i, j): rd.rational(), (1, n): rd.rational()})
+    free = QuadraticBracket(n, {(i, j): {(i, i): rd.rational(), (j, j): rd.rational(),
+                                         (i, j): rd.rational(), (1, n): rd.rational()}
+                                for i in range(1, n + 1) for j in range(i + 1, n + 1)})
     for br in [*brackets, free]:
         assert jacobi_residual(br) == jacobi_residual_per_call(br)
     assert all(not jacobi_residual(br) for br in brackets)

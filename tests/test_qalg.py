@@ -16,7 +16,7 @@ from yibre.qalg import (CASE_I, CASE_II, NON_STRICT, NOT_CONFLUENT_STRICT,
                         overlap_residuals_semantic, poincare_series)
 from yibre.suites import run_suite
 
-from reference import poincare_series_full_space
+from reference import bumped, poincare_series_full_space, quantum_space_relations
 
 nonzero_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5).filter(bool)
 
@@ -185,7 +185,6 @@ def test_gl11_window():
 def test_gl11_relations_from_matrix():
     """The hand-coded relation rows agree with the rows of (R - q) for the block."""
     from yibre.blocks import RBL4, block_matrix
-    from yibre.rime import quantum_space_relations
     from yibre.tensor import row_space
     q = F(2)
     for om in (F(1, 4), F(1), F(4)):
@@ -204,7 +203,6 @@ def test_classical_limit_bracket():
 
 def test_case_ii_is_rstcl_quantum_space():
     from yibre.cg import standard_riming
-    from yibre.rime import quantum_space_relations
     from yibre.tensor import conjugate2, row_space
     qi = F(1, 4)
     for m in (2, 3):
@@ -230,13 +228,7 @@ def test_case_ii_plane_fault_names_its_entry(monkeypatch):
     # (the riming residual fails too, and "plane" sorts first).  The conjugated matrix
     # is the one ``cg.standard_riming`` forms, so the bump goes there
     conjugate = tensor.conjugate2
-
-    def bumped(r, t):
-        out = conjugate(r, t)
-        out.add_to(1, 2, 1, 2, 1)
-        return out
-
-    monkeypatch.setattr(cg, "conjugate2", bumped)
+    monkeypatch.setattr(cg, "conjugate2", lambda r, t: bumped(conjugate(r, t), 1, 2, 1, 2, 1))
     [got] = [c for c in run_suite("qalg", 3, 0, 1).checks
              if c.name == "case-ii-is-rstcl-plane"]
     assert got.status == "fail"

@@ -9,24 +9,24 @@ from yibre import rime, suites
 from yibre.kernel import (ONE, DegenerateParametersError, NotSkewInvertibleError, QuadExt,
                           RationalDraw, ratvec)
 from yibre.rational import Q
-from yibre.rime import (RimeClass, RimeData, appendix_A_residuals, assemble_rime,
-                        classical_commutator_relations, classify,
-                        eigen_multiplicities, eigenvector_w, extract_rime_data,
+from yibre.rime import (RimeClass, RimeData, appendix_A_residuals, assemble_rime, classify,
+                        eigen_multiplicities, extract_rime_data,
                         invariance_generator, invariance_Y, invariance_Y0,
-                        jordan_action_coefficients, left_odd_rime_relations,
-                        odd_classical_relations, quantum_space_relations,
+                        jordan_action_coefficients,
                         quantum_trace_closed_forms, quantum_trace_residuals, quantum_traces,
-                        rime_plane_relations, strict_rime_R, strict_rime_data,
+                        strict_rime_R, strict_rime_data,
                         unitary_rime_R, unitary_rime_data)
 from yibre.suites import run_suite
 from yibre.tensor import (Operator1, Operator2, commutator_with_sum, first_nonzero_witness,
                           hecke_residual, kron11, yb_residual)
 
 from reference import (PAIR_EQUATIONS_BY_ACCESSOR, TRIPLE_EQUATIONS_BY_ACCESSOR,
-                       appendix_A_per_accessor, eigenvector_residuals_per_call,
-                       invariance_Y0_loops, invariance_Y_loops,
-                       jordan_action_residuals_per_call, quantum_trace_closed_forms_per_entry,
-                       quantum_trace_differences)
+                       appendix_A_per_accessor, bumped, classical_commutator_relations,
+                       eigenvector_residuals_per_call, eigenvector_w, invariance_Y0_loops,
+                       invariance_Y_loops, jordan_action_residuals_per_call,
+                       left_odd_rime_relations, odd_classical_relations,
+                       quantum_space_relations, quantum_trace_closed_forms_per_entry,
+                       quantum_trace_differences, rime_plane_relations)
 
 
 def rows_of(r, i, j):
@@ -354,13 +354,7 @@ def test_quantum_spaces_fault_names_its_entry(monkeypatch):
     # the check returns differences of row spaces, so a bumped R^{12}_{12} fails at
     # the left even relation led by x^1 x^2, in its coefficient of x^2 x^1
     assemble = rime.assemble_rime
-
-    def bumped(data):
-        r = assemble(data)
-        r.add_to(1, 2, 1, 2, 1)
-        return r
-
-    monkeypatch.setattr(rime, "assemble_rime", bumped)
+    monkeypatch.setattr(rime, "assemble_rime", lambda data: bumped(assemble(data), 1, 2, 1, 2, 1))
     [got] = [c for c in run_suite("rime", 2, 0, 1).checks if c.name == "quantum-spaces[0]"]
     assert got.status == "fail"
     assert got.residual_witness == {"index": "left-even-classical:1,2|2,1", "value": "1"}
@@ -455,13 +449,8 @@ def test_reversed_leg_conjugation_fault_names_its_entry(monkeypatch):
     # a bumped R(1/phi, beta)^{21}_{12} is only in the conjugated side, so the
     # nonzero defect is multiplied out to the whole residual's entry there
     strict = rime.strict_rime_R
-
-    def bumped(phi, beta):
-        r = strict(phi, beta)
-        r.add_to(2, 1, 1, 2, 1)
-        return r
-
-    monkeypatch.setattr(rime, "strict_rime_R", bumped)
+    monkeypatch.setattr(rime, "strict_rime_R",
+                        lambda phi, beta: bumped(strict(phi, beta), 2, 1, 1, 2, 1))
     [got] = [c for c in run_suite("rime", 3, 1, 1).checks
              if c.name == "reversed-leg-conjugation[0]"]
     assert got.status == "fail"

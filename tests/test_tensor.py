@@ -20,9 +20,10 @@ from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, commutator_w
                           shifted_conjugate2_residual, shifted_cybe_residual, signed_products,
                           span_difference, span_rank, wedge, yb_residual)
 
-from reference import (braid_yb_residual, conjugate2_dense, conjugated_difference, dense_grid,
-                       dense_matmul, dense_signed_sum, equivalence_dense, full_cybe_residual,
-                       partial_trace, row_space_difference, skew_inverse)
+from reference import (add_entry, braid_yb_residual, bumped, conjugate2_dense,
+                       conjugated_difference, dense_grid, dense_matmul, dense_signed_sum,
+                       equivalence_dense, full_cybe_residual, partial_trace, row_space_difference,
+                       skew_inverse)
 
 
 def test_permutation():
@@ -43,7 +44,7 @@ def test_braid_for_p():
 def dense_kron_placement(r: Operator2, legs: int) -> Operator3:
     """Independent oracle: place entries by explicit index loops."""
     n = r.dim
-    out = Operator3(n)
+    out = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
@@ -54,23 +55,19 @@ def dense_kron_placement(r: Operator2, legs: int) -> Operator3:
                     for m in range(n):
                         a, b, c, d = i - 1, j - 1, k - 1, l - 1
                         if legs == 12:
-                            out._set((a * n + b) * n + m, (c * n + d) * n + m, v)
+                            add_entry(out, (a * n + b) * n + m, (c * n + d) * n + m, v)
                         elif legs == 13:
-                            out._set((a * n + m) * n + b, (c * n + m) * n + d, v)
+                            add_entry(out, (a * n + m) * n + b, (c * n + m) * n + d, v)
                         else:
-                            out._set((m * n + a) * n + b, (m * n + c) * n + d, v)
-    return out
+                            add_entry(out, (m * n + a) * n + b, (m * n + c) * n + d, v)
+    return Operator3._entries(n, out)
 
 
 def test_lift_matches_kron_oracle():
     rd = RationalDraw(3)
     n = 2
-    r = Operator2(n)
-    for i in range(1, 3):
-        for j in range(1, 3):
-            for k in range(1, 3):
-                for l in range(1, 3):
-                    r.set(i, j, k, l, rd.rational(nonzero=False))
+    r = Operator2._entries(n, {x: {y: rd.rational(nonzero=False) for y in range(n * n)}
+                               for x in range(n * n)})
     for legs in (12, 13, 23):
         assert lift(r, legs) == dense_kron_placement(r, legs)
     assert lift(Operator2.identity(2), 13) == Operator3.identity(2)
@@ -114,14 +111,14 @@ def test_skew_inverse_defining_relation():
     n = 3
     prod = lift(r, 12) @ lift(psi, 23)
     # trace out leg 2 of an Operator3
-    traced = Operator2(n)
+    traced = {}
     for row, cols in prod.data.items():
         a, b, c = row // (n * n), (row // n) % n, row % n
         for col, v in cols.items():
             d, e, f = col // (n * n), (col // n) % n, col % n
             if b == e:
-                traced.add_to(a + 1, c + 1, d + 1, f + 1, v)
-    assert traced == permutation_P(n)
+                add_entry(traced, a * n + c, d * n + f, v)
+    assert Operator2._entries(n, traced) == permutation_P(n)
 
 
 def test_unitary_skew_inverse_closed_form():
@@ -286,19 +283,15 @@ def test_yb_iff_reversed():
                      (blocks.JORDANIAN, (1, 2))):
         r = blocks.block_matrix(kind, *ps)
         assert yb_residual(r).is_zero() == yb_residual(r.reversed_legs()).is_zero()
-    bad = Operator2.identity(2)
-    bad.set(1, 2, 2, 2, F(5))
-    bad.set(1, 1, 2, 1, F(3))
+    bad = Operator2._entries(2, {0: {0: 1, 2: F(3)}, 1: {1: 1, 3: F(5)}, 2: {2: 1}, 3: {3: 1}})
     assert yb_residual(bad).is_zero() == yb_residual(bad.reversed_legs()).is_zero()
 
 
 def test_witness_reporting():
-    r = Operator2(2)
-    r.set(1, 2, 2, 1, F(7))
+    r = Operator2._entries(2, {1: {2: F(7)}})
     key, val = first_nonzero_witness(r)
     assert key == "1,2|2,1" and val == 7
-    m = Operator1.zero(2)
-    m._set(1, 0, F(-1, 3))
+    m = Operator1._entries(2, {1: {0: F(-1, 3)}})
     assert first_nonzero_witness(m) == ("2|1", F(-1, 3))
     assert first_nonzero_witness(Operator2(2)) is None
 
@@ -312,14 +305,8 @@ small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 def _random_op2(entries):
-    r = Operator2(2)
     it = iter(entries)
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                for l in (1, 2):
-                    r.set(i, j, k, l, next(it))
-    return r
+    return Operator2._entries(2, {r: {c: next(it) for c in range(4)} for r in range(4)})
 
 
 @given(st.lists(small_rationals, min_size=32, max_size=32))
@@ -351,8 +338,7 @@ def test_reversal_is_involutive_and_transpose_commutes(entries):
 
 
 def test_scalar_shift():
-    r = Operator2(2)
-    r.set(1, 2, 2, 1, F(3))
+    r = Operator2._entries(2, {1: {2: F(3)}})
     shifted = r.scalar_shift(F(1, 2))
     assert shifted.get(1, 1, 1, 1) == F(1, 2)
     assert shifted.get(1, 2, 2, 1) == 3
@@ -374,15 +360,16 @@ LARGE_DENS = (1, 12, 10 ** 9 + 7, 2 ** 61 - 1, 3 ** 40, 2 ** 20 * 5 ** 9)
 def _random_sparse(cls, n, seed, dens, quad=None):
     """Seeded operator with about a third of its cells set; QuadExt(a, b, quad) in half."""
     rng = random.Random(seed)
-    out = cls.zero(n)
-    for r in range(out.size):
-        for c in range(out.size):
+    size = n ** cls.legs
+    out = {}
+    for r in range(size):
+        for c in range(size):
             if rng.random() < 0.35:
                 v = F(rng.randint(-9, 9) or 1, rng.choice(dens))
                 if quad is not None and rng.random() < 0.5:
                     v = QuadExt(v, F(rng.randint(-4, 4), rng.choice(dens)), quad)
-                out._set(r, c, v)
-    return out
+                out.setdefault(r, {})[c] = v
+    return cls._entries(n, out)
 
 
 def _stored(op) -> dict:
@@ -459,9 +446,7 @@ def test_sparse_kernel_reference_catches_a_bumped_entry(how):
     key = min(ref)
     ref[key] += F(1, 10 ** 9 + 7)
     assert got != ref
-    bumped = _random_sparse(Operator2, 3, 8, LARGE_DENS)
-    bumped._add(*key, F(1, 3))
-    assert _stored(_apply(a, bumped, how)) != _stored(_apply(a, b, how))
+    assert _stored(_apply(a, bumped(b, *key, F(1, 3)), how)) != _stored(_apply(a, b, how))
 
 
 @pytest.mark.parametrize("cls,n,dens,quad", [
@@ -533,14 +518,14 @@ kernel_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=30)
 
 @st.composite
 def sparse_operands(draw, cls, dims=(1, 2, 3), scalars=kernel_rationals):
-    """An operator built entry by entry with ``_set``; often empty, never dense."""
+    """An operator built from a drawn dict of entries; often empty, never dense."""
     n = draw(st.sampled_from(dims))
     size = n ** cls.legs
     cell = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
-    out = cls.zero(n)
+    out = {}
     for (r, c), v in draw(st.dictionaries(cell, scalars, max_size=size * size // 2)).items():
-        out._set(r, c, v)
-    return out
+        out.setdefault(r, {})[c] = v
+    return cls._entries(n, out)
 
 
 def _dense_lift(x, n: int, legs: int) -> list[list]:
@@ -726,35 +711,19 @@ def test_trace_matches_the_diagonal(d, data):
     assert a.trace() == want and type(a.trace()) is type(want)
 
 
-def test_unit_is_stored_as_integer_rows_and_stays_writable():
+def test_unit_is_stored_as_integer_rows():
     u = Operator1.unit(3, 1, 2)
     _assert_canonical(u)
     assert u._den == 1 and u.data == {1: {0: 1}} and u.trace() == 0
-    u._set(0, 0, F(5, 3))
-    u._set(1, 0, 0)
-    assert u.data == {0: {0: F(5, 3)}} and u._rows is None
-    assert u.trace() == F(5, 3)
-    again = u + Operator1.unit(3, 2, 1)
+    # a stored zero is dropped when the entries are cleared
+    v = Operator1._entries(3, {0: {0: F(5, 3)}, 1: {0: 0}})
+    _assert_canonical(v)
+    assert v.data == {0: {0: F(5, 3)}} and v.trace() == F(5, 3)
+    again = v + Operator1.unit(3, 2, 1)
     _assert_canonical(again)
     assert dense_grid(again) == [[F(5, 3), 1, 0], [0, 0, 0], [0, 0, 0]]
-    # each unit is its own operator: the write reached no other unit
-    assert Operator1.unit(3, 1, 2).data == {1: {0: 1}}
-
-
-@given(sparse_operands(Operator2), sparse_operands(Operator2), kernel_rationals)
-@DENSE_SETTINGS
-def test_set_after_a_product_reaches_the_next_product(a, b, v):
-    a, b = _same_dim(a, b)
-    prod = a @ b
-    prod._set(0, 0, prod._get(0, 0) + v)
-    assert prod._rows is None
-    ref = dense_matmul(dense_grid(a), dense_grid(b))
-    ref[0][0] += v
-    assert dense_grid(prod) == ref
-    again = prod @ b
-    _assert_canonical(again)
-    assert dense_grid(again) == dense_matmul(ref, dense_grid(b))
-    assert prod.is_zero() == (not any(any(row) for row in ref))
+    # each unit is its own operator, and a sum leaves its operands as they were
+    assert u.data == {1: {0: 1}} and v.data == {0: {0: F(5, 3)}}
 
 
 @given(sparse_operands(Operator2), sparse_operands(Operator2))
@@ -762,14 +731,12 @@ def test_set_after_a_product_reaches_the_next_product(a, b, v):
 def test_eq_and_hash_agree_between_built_and_computed(a, b):
     a, b = _same_dim(a, b)
     got = a @ b - b
-    built = Operator2(a.dim)
-    for r, row in enumerate(dense_matmul(dense_grid(a), dense_grid(b))):
-        for c, v in enumerate(row):
-            built._set(r, c, v - dense_grid(b)[r][c])
+    grid_b = dense_grid(b)
+    built = Operator2._entries(a.dim, {
+        r: {c: v - grid_b[r][c] for c, v in enumerate(row)}
+        for r, row in enumerate(dense_matmul(dense_grid(a), grid_b))})
     assert got == built and built == got and hash(got) == hash(built)
-    bumped = Operator2(a.dim, {r: dict(row) for r, row in built.data.items()})
-    bumped._add(0, 0, F(1, 29))
-    assert got != bumped
+    assert got != bumped(built, 0, 0, F(1, 29))
 
 
 def _quad_scalars(d: int):
@@ -981,8 +948,7 @@ def test_nonskew_cybe_gets_every_row():
         assert residual == full_cybe_residual(r)
         assert any(not _sorted_triple(x, n) for x in residual.data)
     # one entry off skew is enough to take the whole path
-    r = rime_skew_sl_r([1, 2, 4])
-    r.add_to(1, 2, 2, 1, 1)
+    r = bumped(rime_skew_sl_r([1, 2, 4]), 1, 2, 2, 1, 1)
     assert cybe_residual(r) == full_cybe_residual(r)
 
 
