@@ -17,9 +17,9 @@ from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec, require
                      sparse_minus)
 from .rational import Q
 from .tensor import (Echelon, Operator1, Operator2, Operator3, _row_product_into,
-                     commutator_with_sum, cybe_residual, kron11, kron_sum, lift, op1_on_leg2,
-                     p_and_1_coefficients, permutation_P, reshuffled_matrix, signed_products,
-                     ybe_numbered_residual, yb_residual)
+                     commutator_with_sum, cybe_residual, kron11, kron_sum,
+                     p_and_1_coefficients, permutation_P, place, reshuffled_matrix,
+                     signed_products, ybe_numbered_residual, yb_residual)
 
 B0 = "b0"
 B = "b"
@@ -206,51 +206,44 @@ def nhacybe_shift_residual(r: Operator2, c, a, b) -> Operator3:
     if dec is None:
         raise InvalidInputError("r + r21 is not of the alpha P + beta I form")
     alpha, beta = dec
-    rt = r + Operator2.identity(n).scale(a) + permutation_P(n).scale(b)
-    rt12, rt13, rt23 = lift(rt, 12), lift(rt, 13), lift(rt, 23)
-    circ = rt12 @ rt13 + rt13 @ rt23 - rt23 @ rt12
-    p13 = lift(permutation_P(n), 13)
-    p23 = lift(permutation_P(n), 23)
-    p12 = lift(permutation_P(n), 12)
-    expected = (rt13.scale(c + 2 * a)
-                - Operator3.identity(n).scale(a * (c + a))
-                + p13.scale(b * (beta - c))
-                + (p23 @ p12).scale(b * (alpha + b)))
-    return circ - expected
+    p = permutation_P(n)
+    rt = signed_products([(1, r), (a, Operator2.identity(n)), (b, p)])
+    rt12, rt13, rt23 = place(rt, (1, 2), 3), place(rt, (1, 3), 3), place(rt, (2, 3), 3)
+    return signed_products([(1, rt12, rt13), (1, rt13, rt23), (-1, rt23, rt12),
+                            (-(c + 2 * a), rt13), (a * (c + a), Operator3.identity(n)),
+                            (-b * (beta - c), place(p, (1, 3), 3)),
+                            (-b * (alpha + b), place(p, (2, 3), 3), place(p, (1, 2), 3))])
 
 
 def bez9_residual(r: Operator2, c) -> tuple[Operator3, Operator3]:
     """r13 (Sr)23 - (Sr)23 r12 - c(r13 - r12) and its mirror."""
     c = rat(c)
     s = r + r.reversed_legs()
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
-    s23, s12 = lift(s, 23), lift(s, 12)
-    first = r13 @ s23 - s23 @ r12 - (r13 - r12).scale(c)
-    second = s12 @ r13 - r23 @ s12 - (r13 - r23).scale(c)
+    r12, r13, r23 = place(r, (1, 2), 3), place(r, (1, 3), 3), place(r, (2, 3), 3)
+    s23, s12 = place(s, (2, 3), 3), place(s, (1, 2), 3)
+    first = signed_products([(1, r13, s23), (-1, s23, r12), (-c, r13), (c, r12)])
+    second = signed_products([(1, s12, r13), (-1, r23, s12), (-c, r13), (c, r23)])
     return first, second
 
 
 def bez23_residual(r: Operator2, c) -> Operator3:
     """[r13, r23] - (r12 - cI) r13 P23, valid when rP = -r."""
     c = rat(c)
-    n = r.dim
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
-    p23 = lift(permutation_P(n), 23)
-    lhs = r13 @ r23 - r23 @ r13
-    rhs = (r12 - Operator3.identity(n).scale(c)) @ r13 @ p23
-    return lhs - rhs
+    r12, r13, r23 = place(r, (1, 2), 3), place(r, (1, 3), 3), place(r, (2, 3), 3)
+    p23 = place(permutation_P(r.dim), (2, 3), 3)
+    return signed_products([(1, r13, r23), (-1, r23, r13), (-1, r12, r13, p23), (c, r13, p23)])
 
 
 def hecke_overlap_residuals(r: Operator2, beta, v) -> dict[str, Operator3]:
     """The three-generator algebra relations satisfied by r12, r13, r23."""
     beta, v = rat(beta), rat(v)
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
-    ident = Operator3.identity(r.dim)
+    r12, r13, r23 = place(r, (1, 2), 3), place(r, (1, 3), 3), place(r, (2, 3), 3)
     return {
-        "mixed-1": r13 @ r23 - (r23 @ r12 - r12 @ r13 + r13.scale(beta)),
-        "mixed-2": r13 @ r12 - (r12 @ r23 - r23 @ r13 + r13.scale(beta)),
-        "braid-12-23": r23 @ r12 @ r23 - r12 @ r23 @ r12,
-        "square-12": r12 @ r12 - r12.scale(beta) - ident.scale(v),
+        "mixed-1": signed_products([(1, r13, r23), (-1, r23, r12), (1, r12, r13), (-beta, r13)]),
+        "mixed-2": signed_products([(1, r13, r12), (-1, r12, r23), (1, r23, r13), (-beta, r13)]),
+        "braid-12-23": signed_products([(1, r23, r12, r23), (-1, r12, r23, r12)]),
+        "square-12": signed_products([(1, r12, r12), (-beta, r12),
+                                      (-v, Operator3.identity(r.dim))]),
     }
 
 
@@ -289,7 +282,7 @@ def shifted_solution_residual(kind: str, base: Operator2, c) -> Operator3:
     ("bshift", base b)."""
     c = rat(c)
     gen = _shift_generator(kind, base.dim)
-    shifted = base + (op1_on_leg2(gen, 1) - op1_on_leg2(gen, 2)).scale(c)
+    shifted = signed_products([(1, base), (c, place(gen, (1,), 2)), (-c, place(gen, (2,), 2))])
     return cybe_residual(shifted)
 
 
@@ -354,8 +347,7 @@ def m_recursion_check(n: int) -> dict[str, dict]:
 def coproduct(u: Operator1, r: Operator2, c, variant: str = "plain") -> Operator2:
     """delta0(u) = u1 r - r u2, with the -c u1 / +c u2 modifications."""
     c = rat(c)
-    u1 = op1_on_leg2(u, 1)
-    u2 = op1_on_leg2(u, 2)
+    u1, u2 = place(u, (1,), 2), place(u, (2,), 2)
     return signed_products([(1, u1, r), (-1, r, u2), *_variant_terms(variant, c, u1, u2)])
 
 
@@ -372,13 +364,13 @@ def _variant_terms(variant: str, c, minus, plus) -> list:
 
 def coassociativity_residuals(r: Operator2, c, variant: str, us) -> list[Operator3]:
     """(delta (x) id) delta(u) - (id (x) delta) delta(u) on V^3 for each u of ``us``,
-    with r_12 and r_23 lifted once."""
+    with r_12 and r_23 placed once."""
     c = rat(c)
-    r12, r23 = lift(r, 12), lift(r, 23)
+    r12, r23 = place(r, (1, 2), 3), place(r, (2, 3), 3)
     out = []
     for u in us:
         big = coproduct(u, r, c, variant)
-        u13, u23, u12 = lift(big, 13), lift(big, 23), lift(big, 12)
+        u12, u13, u23 = place(big, (1, 2), 3), place(big, (1, 3), 3), place(big, (2, 3), 3)
         # (delta (x) id) delta(u) = u13 r12 - r12 u23 + variant terms on (u13, u23), minus
         # (id (x) delta) delta(u) = u12 r23 - r23 u13 + variant terms on (u12, u13)
         out.append(signed_products([(1, u13, r12), (-1, r12, u23),
@@ -393,8 +385,8 @@ def derivation_residual(u: Operator1, v: Operator1, r: Operator2, c,
     c = rat(c)
     uv = kron11(u, v)
     return signed_products([(1, coproduct(u @ v, r, c, variant)),
-                            (-1, op1_on_leg2(u, 1), coproduct(v, r, c, variant)),
-                            (-1, coproduct(u, r, c, variant), op1_on_leg2(v, 2)),
+                            (-1, place(u, (1,), 2), coproduct(v, r, c, variant)),
+                            (-1, coproduct(u, r, c, variant), place(v, (2,), 2)),
                             *_variant_terms(variant, c, uv, uv)])
 
 
@@ -535,10 +527,9 @@ def rb_weight_operator(r: Operator2, alpha) -> Operator3:
     (d, p, s), all 0-based, so the unit pairs read every entry once:
     X(r) = 0 iff the map has weight alpha.
     """
-    n = r.dim
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
-    return signed_products([(1, r12, r13), (-1, r13, lift(r.reversed_legs(), 23)),
-                            (-1, r23, r12), (rat(alpha), r13, lift(permutation_P(n), 23))])
+    r12, r13, r23 = place(r, (1, 2), 3), place(r, (1, 3), 3), place(r, (2, 3), 3)
+    return signed_products([(1, r12, r13), (-1, r13, place(r, (3, 2), 3)), (-1, r23, r12),
+                            (rat(alpha), r13, place(permutation_P(r.dim), (2, 3), 3))])
 
 
 def star_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, alpha) -> Operator1:
@@ -553,7 +544,7 @@ def _left_multiplication(x: Operator1) -> Operator2:
     Row (k, j) of L_X holds column k of X on the pairs (i, j), so L_X = X^T (x) 1,
     relabelled from X's integer rows.
     """
-    return op1_on_leg2(x.transpose(), 1)
+    return place(x.transpose(), (1,), 2)
 
 
 def star_tables(rb: RotaBaxterMap, rb_prime: RotaBaxterMap, alpha,

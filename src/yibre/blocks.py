@@ -14,7 +14,7 @@ from fractions import Fraction
 from .kernel import ONE, ZERO, InvalidInputError, QuadExt, perfect_square_root, rat
 from .rime import classify, extract_rime_data
 from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, hecke_residual,
-                     op1_on_leg2, reshuffled_matrix, signed_products, yb_residual)
+                     place, reshuffled_matrix, signed_products, yb_residual)
 
 RBL1 = "rbl1"
 RBL2 = "rbl2"
@@ -289,9 +289,9 @@ def nonrime_entries(t: Operator1, h1, h2) -> tuple[Fraction, Fraction, Fraction,
             h1 * t21 * t21 * minus, -h1 * t21 * t21 * plus)
     adj = Operator1._entries(2, {0: {0: t22, 1: -t12}, 1: {0: -t21, 1: t11}})
     rows_11_22 = Operator2._of(2, 1, {0: {0: 1}, 3: {3: 1}})
-    a = signed_products([(1, rows_11_22, op1_on_leg2(t, 1), op1_on_leg2(t, 2),
-                          block_matrix(JORDANIAN, h1, h2), op1_on_leg2(adj, 1),
-                          op1_on_leg2(adj, 2))])
+    a = signed_products([(1, rows_11_22, place(t, (1,), 2), place(t, (2,), 2),
+                          block_matrix(JORDANIAN, h1, h2), place(adj, (1,), 2),
+                          place(adj, (2,), 2))])
     direct = (a.get(1, 1, 1, 2), a.get(1, 1, 2, 1), a.get(2, 2, 1, 2), a.get(2, 2, 2, 1))
     if nums != direct:
         raise InvalidInputError("closed-form non-rime entries disagree with conjugation")

@@ -14,7 +14,7 @@ from .kernel import (ONE, ZERO, InvalidInputError, elem_syms, elem_syms_omitting
                      products_omitting, rat, ratvec, require_distinct, theta)
 from .rime import RimeClass, classify, strict_rime_R
 from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, kron11,
-                     op1_on_leg2, permutation_P)
+                     permutation_P, place)
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ def d_twist_conjugate(r: Operator2, p) -> Operator2:
     dd = kron11(d, d)
     if not (r @ dd - dd @ r).is_zero():
         raise InvalidInputError("D(p) x D(p) does not commute with the matrix")
-    d1 = op1_on_leg2(d, 1)
-    return d1 @ r @ op1_on_leg2(d.inverse(), 1)
+    d1 = place(d, (1,), 2)
+    return d1 @ r @ place(d.inverse(), (1,), 2)
 
 
 def x_change_of_basis(phi) -> tuple[Operator1, Operator1]:

@@ -11,7 +11,7 @@ from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec,
 from .rational import Q
 from .rime import strict_rime_R
 from .tensor import (Operator1, Operator2, Operator3, commutator_with_sum, conjugate2_residual,
-                     cybe_residual, kron_sum, lift, op1_on_leg2, permutation_P,
+                     cybe_residual, kron_sum, permutation_P, place,
                      shifted_conjugate2_residual, signed_products)
 
 RIME_NONSKEW = "rime-nonskew"
@@ -277,7 +277,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     # (a) associative product rule Z^j_i Z^k_l = (d^j_l - d^i_l)(Z^k_i - Z^l_i): the
     # coefficient is nonzero only for l = j or l = i
     m = len(pairs)
-    z12, z13 = lift(gen, 12), lift(gen, 13)
+    z12, z13 = place(gen, (1, 2), 3), place(gen, (1, 3), 3)
     product = signed_products([(1, z12, z13)])
     want = expected(((j, i), (k, l), [(1 if l == j else -1, (k, i)), (-1 if l == j else 1, (l, i))])
                     for (j, i) in pairs for l in (i, j) for k in range(1, n + 1) if k != l)
@@ -373,7 +373,7 @@ def invariance_shift_residual(r: Operator2, eta: Operator1, c) -> Operator3:
     if not commutator_with_sum(r, eta).is_zero():
         raise InvalidInputError("[r, eta_1 + eta_2] != 0")
     c = rat(c)
-    shifted = r + (op1_on_leg2(eta, 1) - op1_on_leg2(eta, 2)).scale(c)
+    shifted = signed_products([(1, r), (c, place(eta, (1,), 2)), (-c, place(eta, (2,), 2))])
     return cybe_residual(shifted)
 
 

@@ -18,7 +18,7 @@ from .kernel import (ONE, ZERO, InvalidInputError, QuadExt, RationalDraw,
                      perfect_square_root, rat, ratvec, require_distinct,
                      sparse_minus)
 from .rational import Q
-from .tensor import Operator1, Operator2
+from .tensor import Operator1, Operator2, commutator_with_sum
 
 
 @dataclass(frozen=True)
@@ -178,33 +178,28 @@ def rime_fit(br: QuadraticBracket):
 
 
 def lie_derivative(br: QuadraticBracket, a_mat: Operator1) -> QuadraticBracket:
-    """delta f^{ij} = A^i_k {x^k,x^j} + A^j_k {x^i,x^k} - x^l A^k_l d_k {x^i,x^j}."""
+    """delta f^{ij} = A^i_k {x^k,x^j} + A^j_k {x^i,x^k} - x^l A^k_l d_k {x^i,x^j}.
+
+    That is -[T, A_1 + A_2] on the bracket's full tensor T, whose row (i, j) holds
+    {x^i, x^j} for every i != j, each x^k x^l term with k < l split in halves over
+    the columns (k, l) and (l, k); it is read back from the rows i < j.
+    """
     n = br.dim
-    pairs = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            total = pairs[(i, j)] = {}
-
-            def add(poly, scale=ONE):
-                for m, v in poly.items():
-                    key = (min(m), max(m))
-                    total[key] = total.get(key, ZERO) + scale * v
-
-            for k in range(1, n + 1):
-                if a_mat._get(i - 1, k - 1):
-                    add(br.pair(k, j), a_mat._get(i - 1, k - 1))
-                if a_mat._get(j - 1, k - 1):
-                    add(br.pair(i, k), a_mat._get(j - 1, k - 1))
-            # transport term: - x^l A^k_l d_k (c_{ab} x^a x^b)
-            for (aa, bb), v in br.pair(i, j).items():
-                for l in range(1, n + 1):
-                    w = a_mat._get(aa - 1, l - 1)
-                    if w:
-                        add({(l, bb): -v * w})
-                    w2 = a_mat._get(bb - 1, l - 1)
-                    if w2:
-                        add({(aa, l): -v * w2})
-    return QuadraticBracket(n, pairs)
+    full = {}
+    for r, row in br.data.items():
+        i, j = divmod(r, n)
+        out = full[r] = {}
+        for c, v in row.items():
+            k, l = divmod(c, n)
+            if k == l:
+                out[c] = v
+            else:
+                out[c] = out[l * n + k] = v / 2
+        full[j * n + i] = {c: -v for c, v in out.items()}
+    delta = commutator_with_sum(Operator2._entries(n, full), a_mat)
+    return QuadraticBracket(n, {(r // n + 1, r % n + 1): {(c // n + 1, c % n + 1): -v
+                                                          for c, v in row.items()}
+                                for r, row in delta.data.items() if r // n < r % n})
 
 
 def xi_values(psi) -> list[Fraction]:

@@ -577,8 +577,8 @@ def cg_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         rr = rime.strict_rime_R(p.phis, 1 - qi)
         x, _ = cg.x_change_of_basis(p.phis)
         plane = tensor.row_space(n, rr.scalar_shift(-1)._ints()[1].values())
-        mapped = tensor.signed_products([(1, plane, tensor.op1_on_leg2(x, 1),
-                                          tensor.op1_on_leg2(x, 2))])
+        mapped = tensor.signed_products([(1, plane, tensor.place(x, (1,), 2),
+                                          tensor.place(x, (2,), 2))])
         return tensor.span_difference(n, mapped._ints()[1].values(),
                                       p.rcg.scalar_shift(-1)._ints()[1].values(),
                                       rank=len(plane._ints()[1]))
@@ -715,12 +715,10 @@ def bezout_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         for kind in (bezout.B0, bezout.B, bezout.RS)))
 
     def btilde(bt):
-        r12 = tensor.lift(bt, 12)
-        r13 = tensor.lift(bt, 13)
-        r23 = tensor.lift(bt, 23)
+        r12, r13, r23 = (tensor.place(bt, legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
         return {
-            "circ": (r12 @ r13 + r13 @ r23 - r23 @ r12)
-                    - Operator3.identity(three_leg).scale(Q(1, 4)),
+            "circ": tensor.signed_products([(1, r12, r13), (1, r13, r23), (-1, r23, r12),
+                                            (Q(-1, 4), Operator3.identity(three_leg))]),
             "sum": (bt + bt.reversed_legs()) + tensor.permutation_P(three_leg),
             "square": (bt @ bt) - Operator2.identity(three_leg).scale(Q(1, 4)),
         }

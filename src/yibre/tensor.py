@@ -452,12 +452,8 @@ class Operator2(_SparseSquare):
         return cls._entries(n, {r: {c: rat(grid[r][c]) for c in size} for r in size})
 
     def reversed_legs(self) -> "Operator2":
-        """R_21 = P R P, read off the rows: R_21[(j,i),(l,k)] = R[(i,j),(k,l)]."""
-        n = self.dim
-        den, rows = self._ints()
-        swap = lambda x: (x % n) * n + x // n
-        return self._of(n, den, {swap(r): {swap(c): x for c, x in row.items()}
-                                 for r, row in rows.items()})
+        """R_21 = P R P: R_21[(j,i),(l,k)] = R[(i,j),(k,l)]."""
+        return place(self, (2, 1), 2)
 
     def four_index_items(self):
         n = self.dim
@@ -470,7 +466,7 @@ class Operator2(_SparseSquare):
 
 
 class Operator3(_SparseSquare):
-    """Endomorphism of V(x)V(x)V; produced by lifts and their products."""
+    """Endomorphism of V(x)V(x)V; produced by leg placements and their products."""
 
     __slots__ = ()
     legs = 3
@@ -526,21 +522,40 @@ def wedge(a: Operator1, b: Operator1) -> Operator2:
     return kron_sum([(1, a, b), (-1, b, a)])
 
 
-def op1_on_leg2(a: Operator1, leg: int) -> Operator2:
-    """Lift a one-leg operator to V(x)V on the named leg (1 or 2), relabelling its rows.
+def place(op, legs: Sequence[int], width: int):
+    """``op`` on the 1-based legs ``legs`` of V^width, in op's own leg order, and the
+    identity on the other legs: an ``Operator2`` for width 2, an ``Operator3`` for 3.
 
-    a_1 = a (x) 1 has row (i, k) = row i of a on the pairs (j, k), and
-    a_2 = 1 (x) a has row (k, i) = row i of a on the pairs (k, j).
+    So place(a, (1,), 2) = a (x) 1, place(r, (1, 3), 3) = r_13 and
+    place(r, (3, 2), 3) = r_32.  Op's integer rows are relabelled through two
+    index tables: ``spread`` moves each digit of op's index to its leg, and
+    ``offsets`` lists every assignment of digits to the free legs.  Refused
+    unless ``legs`` names op's leg count of distinct legs in 1..width.
     """
-    n = a.dim
-    den, rows = a._ints()
-    if leg == 1:
-        out = {i * n + k: {j * n + k: x for j, x in row.items()}
-               for i, row in rows.items() for k in range(n)}
-    else:
-        out = {k * n + i: {k * n + j: x for j, x in row.items()}
-               for k in range(n) for i, row in rows.items()}
-    return Operator2._of(n, den, out)
+    if width not in (2, 3):
+        raise InvalidInputError(f"legs are placed in width 2 or 3, not {width}")
+    if (len(legs) != op.legs or len(set(legs)) != len(legs)
+            or min(legs) < 1 or max(legs) > width):
+        raise InvalidInputError(f"cannot place a {op.legs}-leg operator on legs {legs} "
+                                f"of width {width}")
+    n = op.dim
+    spread, offsets = [0], [0]
+    for leg in legs:
+        step = n ** (width - leg)
+        spread = [s + d * step for s in spread for d in range(n)]
+    for leg in range(1, width + 1):
+        if leg not in legs:
+            step = n ** (width - leg)
+            offsets = [o + d * step for o in offsets for d in range(n)]
+    shifts = offsets[1:]  # offset 0 holds the relabelled row itself
+    den, rows = op._ints()
+    out = {}
+    for r, row in rows.items():
+        base = spread[r]
+        moved = out[base] = {spread[c]: x for c, x in row.items()}
+        for o in shifts:
+            out[base + o] = {c + o: x for c, x in moved.items()}
+    return (Operator2 if width == 2 else Operator3)._of(n, den, out)
 
 
 def permutation_P(n: int) -> Operator2:
@@ -592,28 +607,6 @@ def span_difference(n: int, rows: Iterable[dict], canonical: Iterable[dict],
     if span_rank(rows, canonical, rank) is not None:
         return Operator2.zero(n)
     return row_space(n, rows) - row_space(n, canonical)
-
-
-def lift(op: Operator2, legs: int) -> Operator3:
-    """Embed a two-leg operator into V^3 on leg pair 12, 13 or 23."""
-    if legs not in (12, 13, 23):
-        raise InvalidInputError(f"unknown leg pair {legs}")
-    n = op.dim
-    den, rows = op._ints()
-    nn = n * n
-    out = {}
-    for r, row in rows.items():
-        a, b = divmod(r, n)
-        for m in range(n):
-            if legs == 12:
-                out[r * n + m] = {c * n + m: x for c, x in row.items()}
-            elif legs == 23:
-                out[m * nn + r] = {m * nn + c: x for c, x in row.items()}
-            else:
-                # the pair (a, b) on legs 1 and 3 sits at a*n^2 + m*n + b
-                out[a * nn + m * n + b] = {(c // n) * nn + m * n + c % n: x
-                                           for c, x in row.items()}
-    return Operator3._of(n, den, out)
 
 
 def _plan(terms, cls=None):
@@ -718,7 +711,7 @@ def yb_residual(r: Operator2) -> Operator3:
     is aba - bab = a N - N b, so N is formed once.  a leaves leg 3 alone, so
     the rows (., ., k) of a N and of N b read only the rows (., ., k) of N:
     the residual is built one k at a time, holding n^2 rows of N, not n^3.
-    Neither lift is stored; each is read off R's rows.  Row (i, j, k) of N is
+    Neither placement is stored; each is read off R's rows.  Row (i, j, k) of N is
     the sum of R^{jk}_{j'k'} times a's row (i, j', k'), which is R's row (i, j')
     with leg 3 = k'.  a's row (i, j, k) is R's row (i, j) against the slice,
     whose rows are keyed by their pair (i, j).  b's row (q, j, k) is R's row
@@ -768,7 +761,7 @@ def yb_residual(r: Operator2) -> Operator3:
 
 def ybe_numbered_residual(r: Operator2) -> Operator3:
     """Numbered-leg YBE residual R12 R13 R23 - R23 R13 R12."""
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
+    r12, r13, r23 = place(r, (1, 2), 3), place(r, (1, 3), 3), place(r, (2, 3), 3)
     return signed_products([(1, r12, r13, r23), (-1, r23, r13, r12)])
 
 
@@ -789,7 +782,7 @@ def cybe_residual(r: Operator2) -> Operator3:
     so the first nonzero entry is the same as the whole residual's.  Any other
     r gets every row.
     """
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
+    r12, r13, r23 = place(r, (1, 2), 3), place(r, (1, 3), 3), place(r, (2, 3), 3)
     f12, f13, f23 = r12, r13, r23
     if p_and_1_coefficients(r.reversed_legs() + r) is not None:
         f12, f13, f23 = (_sorted_rows(f) for f in (r12, r13, r23))
@@ -859,7 +852,7 @@ def _sorted_rows(op: Operator3) -> Operator3:
 
 def nhacybe_residual(r: Operator2, c, primed: bool = False) -> Operator3:
     """r o r - c*r13 where r o r = r12 r13 + r13 r23 - r23 r12 (primed picks r o' r)."""
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
+    r12, r13, r23 = place(r, (1, 2), 3), place(r, (1, 3), 3), place(r, (2, 3), 3)
     if primed:
         circ = [(1, r13, r12), (1, r23, r13), (-1, r12, r23)]
     else:
@@ -891,8 +884,8 @@ def reshuffled_matrix(r: Operator2) -> Operator1:
 def conjugate2(r: Operator2, t: Operator1) -> Operator2:
     """(T (x) T) r (T (x) T)^-1, with T (x) T as T_1 T_2: n entries a row, not n^2."""
     tinv = t.inverse()
-    return signed_products([(1, op1_on_leg2(t, 1), op1_on_leg2(t, 2), r,
-                             op1_on_leg2(tinv, 1), op1_on_leg2(tinv, 2))])
+    return signed_products([(1, place(t, (1,), 2), place(t, (2,), 2), r,
+                             place(tinv, (1,), 2), place(tinv, (2,), 2))])
 
 
 def conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
@@ -904,11 +897,11 @@ def conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
     nonzero defect is multiplied by tinv_1 tinv_2, which gives the residual
     exactly when tinv is T^-1; the caller vouches for that.
     """
-    t1, t2 = op1_on_leg2(t, 1), op1_on_leg2(t, 2)
+    t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
     defect = signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
     if defect.is_zero():
         return defect
-    return signed_products([(1, defect, op1_on_leg2(tinv, 1), op1_on_leg2(tinv, 2))])
+    return signed_products([(1, defect, place(tinv, (1,), 2), place(tinv, (2,), 2))])
 
 
 def shifted_conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
@@ -926,7 +919,7 @@ def shifted_conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
     (a, xi), (b, zeta) = lhs_parts, rhs_parts
     if (_is_shift(lhs, a, xi) and _is_shift(rhs, b, zeta)
             and signed_products([(1, xi, t), (-1, t, zeta)]).is_zero()):
-        t1, t2 = op1_on_leg2(t, 1), op1_on_leg2(t, 2)
+        t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
         if signed_products([(1, a, t1, t2), (-1, t1, t2, b)]).is_zero():
             return Operator2.zero(lhs.dim)
     return conjugate2_residual(lhs, rhs, t, tinv)
@@ -936,13 +929,13 @@ def equivalence_residual(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operat
     """lhs (T x T) - (T x T) rhs, with T x T as T_1 T_2; refused for a singular T."""
     if t.det() == 0:
         raise InvalidInputError("T must be invertible")
-    t1, t2 = op1_on_leg2(t, 1), op1_on_leg2(t, 2)
+    t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
     return signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
 
 
 def commutator_with_sum(r: Operator2, a: Operator1) -> Operator2:
     """[r, a_1 + a_2]."""
-    a1, a2 = op1_on_leg2(a, 1), op1_on_leg2(a, 2)
+    a1, a2 = place(a, (1,), 2), place(a, (2,), 2)
     return signed_products([(1, r, a1), (1, r, a2), (-1, a1, r), (-1, a2, r)])
 
 

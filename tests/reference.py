@@ -14,9 +14,9 @@ from yibre.bezout import B, B0, RS, RotaBaxterMap, _sweep_units
 from yibre.kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, elem_syms,
                           elem_syms_omitting, rat, ratvec, require_distinct, theta)
 from yibre.rational import Q
+from yibre.poisson import QuadraticBracket
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, _clear, conjugate2, kron11,
-                          lift, op1_on_leg2, reshuffled_matrix, row_space, signed_products,
-                          wedge)
+                          place, reshuffled_matrix, row_space, signed_products, wedge)
 
 
 def add_entry(entries: dict, r: int, c: int, v) -> None:
@@ -253,11 +253,11 @@ def star_associativity_per_triple(rb: RotaBaxterMap, rb_prime: RotaBaxterMap, al
 
 
 def coassociativity_residual_per_unit(r: Operator2, c, variant: str, u: Operator1) -> Operator3:
-    """(delta (x) id) delta(u) - (id (x) delta) delta(u) for one u, lifting r for it alone."""
+    """(delta (x) id) delta(u) - (id (x) delta) delta(u) for one u, placing r for it alone."""
     c = rat(c)
     big = bezout.coproduct(u, r, c, variant)
-    u13, u23, u12 = lift(big, 13), lift(big, 23), lift(big, 12)
-    r12, r23 = lift(r, 12), lift(r, 23)
+    u13, u23, u12 = place(big, (1, 3), 3), place(big, (2, 3), 3), place(big, (1, 2), 3)
+    r12, r23 = place(r, (1, 2), 3), place(r, (2, 3), 3)
     return signed_products([(1, u13, r12), (-1, r12, u23),
                             *bezout._variant_terms(variant, c, u13, u23),
                             (-1, u12, r23), (1, r23, u13),
@@ -266,7 +266,7 @@ def coassociativity_residual_per_unit(r: Operator2, c, variant: str, u: Operator
 
 def full_cybe_residual(r: Operator2) -> Operator3:
     """[r12,r13] + [r12,r23] + [r13,r23] on every row, whatever the symmetry of r."""
-    r12, r13, r23 = lift(r, 12), lift(r, 13), lift(r, 23)
+    r12, r13, r23 = place(r, (1, 2), 3), place(r, (1, 3), 3), place(r, (2, 3), 3)
     return signed_products([(1, r12, r13), (-1, r13, r12),
                             (1, r12, r23), (-1, r23, r12),
                             (1, r13, r23), (-1, r23, r13)])
@@ -274,8 +274,8 @@ def full_cybe_residual(r: Operator2) -> Operator3:
 
 def braid_yb_residual(r: Operator2) -> Operator3:
     """(R(x)1)(1(x)R)(R(x)1) - (1(x)R)(R(x)1)(1(x)R) as the two-term signed sum aba - bab
-    of the stored lifts, so each term forms its own middle product."""
-    a, b = lift(r, 12), lift(r, 23)
+    of the stored placements, so each term forms its own middle product."""
+    a, b = place(r, (1, 2), 3), place(r, (2, 3), 3)
     return signed_products([(1, a, b, a), (-1, b, a, b)])
 
 
@@ -330,8 +330,8 @@ def nonrime_entries_by_conjugation(t: Operator1, h1, h2) -> tuple:
 def conjugated_difference(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:
     """lhs - (T (x) T) rhs (T (x) T)^-1, with T inverted by elimination."""
     tinv = t.inverse()
-    return lhs - signed_products([(1, op1_on_leg2(t, 1), op1_on_leg2(t, 2), rhs,
-                                   op1_on_leg2(tinv, 1), op1_on_leg2(tinv, 2))])
+    return lhs - signed_products([(1, place(t, (1,), 2), place(t, (2,), 2), rhs,
+                                   place(tinv, (1,), 2), place(tinv, (2,), 2))])
 
 
 def quantum_trace_differences(r: Operator2, q: Operator1,
@@ -880,7 +880,7 @@ def appendix_A_per_accessor(data) -> dict[str, Fraction]:
 def xty_mapped_all_rows(r: Operator2, x: Operator1) -> Operator2:
     """The row space of (R - 1)(X (x) X), every one of its n^2 rows eliminated."""
     n = r.dim
-    shifted = signed_products([(1, r.scalar_shift(-1), op1_on_leg2(x, 1), op1_on_leg2(x, 2))])
+    shifted = signed_products([(1, r.scalar_shift(-1), place(x, (1,), 2), place(x, (2,), 2))])
     return row_space(n, shifted.data.values())
 
 
@@ -910,6 +910,37 @@ def jacobi_residual_per_call(br) -> dict:
                 if total:
                     res[(i, j, k)] = total
     return res
+
+
+def lie_derivative_leibniz(br: QuadraticBracket, a_mat: Operator1) -> QuadraticBracket:
+    """``poisson.lie_derivative`` by the Leibniz rule, pair by pair:
+    delta f^{ij} = A^i_k {x^k,x^j} + A^j_k {x^i,x^k} - x^l A^k_l d_k {x^i,x^j}."""
+    n = br.dim
+    pairs = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            total = pairs[(i, j)] = {}
+
+            def add(poly, scale=ONE):
+                for m, v in poly.items():
+                    key = (min(m), max(m))
+                    total[key] = total.get(key, ZERO) + scale * v
+
+            for k in range(1, n + 1):
+                if a_mat._get(i - 1, k - 1):
+                    add(br.pair(k, j), a_mat._get(i - 1, k - 1))
+                if a_mat._get(j - 1, k - 1):
+                    add(br.pair(i, k), a_mat._get(j - 1, k - 1))
+            # transport term: - x^l A^k_l d_k (c_{ab} x^a x^b)
+            for (aa, bb), v in br.pair(i, j).items():
+                for l in range(1, n + 1):
+                    w = a_mat._get(aa - 1, l - 1)
+                    if w:
+                        add({(l, bb): -v * w})
+                    w2 = a_mat._get(bb - 1, l - 1)
+                    if w2:
+                        add({(aa, l): -v * w2})
+    return QuadraticBracket(n, pairs)
 
 
 # --- builders written entry by entry ---------------------------------------------

@@ -210,7 +210,7 @@ def test_criterion_08_bezout_nhacybe():
             ok = ok and res["numbered"].is_zero() and res["braid"].is_zero()
     for n in (2, 3):
         bt = bezout.bezout_operator(bezout.BTILDE, n)
-        r12, r13, r23 = (tensor.lift(bt, legs) for legs in (12, 13, 23))
+        r12, r13, r23 = (tensor.place(bt, legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
         ok = ok and (r12 @ r13 + r13 @ r23 - r23 @ r12) \
             == Operator3.identity(n).scale(F(1, 4))
         ok = ok and (bt + bt.reversed_legs()) == tensor.permutation_P(n).scale(-1)

@@ -18,8 +18,8 @@ from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
 from yibre.classical import b_skew_r, rcg_r, rime_nonskew_r
 from yibre.kernel import InvalidInputError, QuadExt, RationalDraw
 from yibre.suites import _is_zero, run_suite
-from yibre.tensor import (Operator1, Operator2, Operator3, kron11, lift,
-                          nhacybe_residual, op1_on_leg2, permutation_P, reshuffled_matrix)
+from yibre.tensor import (Operator1, Operator2, Operator3, kron11, nhacybe_residual,
+                          permutation_P, place, reshuffled_matrix)
 
 from reference import (add_entry, bumped, map_from_function, partial_trace,
                        rb_closed_form_per_cell, rb_unit_weight_residuals,
@@ -92,7 +92,7 @@ def test_nhacybe_wrong_constant_fails():
 def test_btilde_relations(n):
     bt = bezout_operator(BTILDE, n)
     assert bt == bezout_operator(B, n) - Operator2.identity(n).scale(F(1, 2))
-    r12, r13, r23 = lift(bt, 12), lift(bt, 13), lift(bt, 23)
+    r12, r13, r23 = place(bt, (1, 2), 3), place(bt, (1, 3), 3), place(bt, (2, 3), 3)
     assert (r12 @ r13 + r13 @ r23 - r23 @ r12) == Operator3.identity(n).scale(F(1, 4))
     assert (bt + bt.reversed_legs()) == permutation_P(n).scale(-1)
     assert (bt @ bt) == Operator2.identity(n).scale(F(1, 4))
@@ -112,6 +112,48 @@ def test_bez9_and_bez23():
             f1, f2 = bez9_residual(bezout_operator(kind, n), 1)
             assert f1.is_zero() and f2.is_zero()
         assert bez23_residual(bezout_operator(B, n), 1).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_three_leg_identities_are_their_chained_forms(n):
+    """Each Bezout three-leg residual is one signed sum over placed factors; on an r that
+    satisfies none of the identities it equals the identity chained with @, + and -."""
+    rd = RationalDraw(60 + n)
+    dense = Operator2.from_dense(n, [[rd.rational() for _ in range(n * n)]
+                                     for _ in range(n * n)])
+    p, one2, one3 = permutation_P(n), Operator2.identity(n), Operator3.identity(n)
+    # r + r_21 = 3 P - (2/3) 1, so the shift law applies with alpha = 3, beta = -2/3
+    r = dense - dense.reversed_legs() + p.scale(F(3, 2)) + one2.scale(F(-1, 3))
+    alpha, beta = F(3), F(-2, 3)
+    assert sr_decomposition(r) == (alpha, beta)
+    c, a, b, w, v = F(2, 3), F(2, 7), F(-3, 5), F(2, 5), F(-1, 7)
+
+    def triple(x):
+        return tuple(place(x, legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
+
+    r12, r13, r23 = triple(r)
+    p12, p13, p23 = triple(p)
+    s = r + r.reversed_legs()
+    s12, s23 = place(s, (1, 2), 3), place(s, (2, 3), 3)
+    rt12, rt13, rt23 = triple(r + one2.scale(a) + p.scale(b))
+    chained = {
+        "bez9": (r13 @ s23 - s23 @ r12 - (r13 - r12).scale(c),
+                 s12 @ r13 - r23 @ s12 - (r13 - r23).scale(c)),
+        "bez23": (r13 @ r23 - r23 @ r13) - (r12 - one3.scale(c)) @ r13 @ p23,
+        "hecke": {"mixed-1": r13 @ r23 - (r23 @ r12 - r12 @ r13 + r13.scale(w)),
+                  "mixed-2": r13 @ r12 - (r12 @ r23 - r23 @ r13 + r13.scale(w)),
+                  "braid-12-23": r23 @ r12 @ r23 - r12 @ r23 @ r12,
+                  "square-12": r12 @ r12 - r12.scale(w) - one3.scale(v)},
+        "shift": (rt12 @ rt13 + rt13 @ rt23 - rt23 @ rt12)
+                 - (rt13.scale(c + 2 * a) - one3.scale(a * (c + a)) + p13.scale(b * (beta - c))
+                    + (p23 @ p12).scale(b * (alpha + b))),
+    }
+    got = {"bez9": bez9_residual(r, c), "bez23": bez23_residual(r, c),
+           "hecke": hecke_overlap_residuals(r, w, v),
+           "shift": nhacybe_shift_residual(r, c, a, b)}
+    assert got == chained
+    assert not any(x.is_zero() for x in (*got["bez9"], got["bez23"], *got["hecke"].values(),
+                                         got["shift"]))
 
 
 def test_quadratic_data_and_sum_rule():
@@ -266,8 +308,8 @@ def test_rota_baxter_matches_partial_trace(n):
         left, right = rota_baxter(r), rota_baxter(r, "right")
         for _ in range(3):
             a = rand_mat(rd, n)
-            assert left.apply(a) == partial_trace(r @ op1_on_leg2(a, 2), 2)
-            assert right.apply(a) == partial_trace(r @ op1_on_leg2(a, 1), 1)
+            assert left.apply(a) == partial_trace(r @ place(a, (2,), 2), 2)
+            assert right.apply(a) == partial_trace(r @ place(a, (1,), 2), 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -294,7 +336,7 @@ def test_rota_baxter_equality_is_exact():
     rd = RationalDraw(12)
     for n in (2, 3):
         r = rand_op2(rd, n)
-        dense = map_from_function(n, lambda a: partial_trace(r @ op1_on_leg2(a, 2), 2))
+        dense = map_from_function(n, lambda a: partial_trace(r @ place(a, (2,), 2), 2))
         assert dense == rota_baxter(r)
         assert all(row and all(row.values()) for row in dense.images.data.values())
 

@@ -19,7 +19,7 @@ from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
 from yibre.suites import _is_zero, run_suite
 from yibre.tensor import Operator1, Operator2
 
-from reference import jacobi_residual_per_call
+from reference import jacobi_residual_per_call, lie_derivative_leibniz
 
 
 def test_dual_numbers():
@@ -99,6 +99,28 @@ def test_lie_derivative_scale_covariance():
     params = PencilParams((0, 1, 3), 1, 2, 3)
     br = pencil_bracket(params)
     assert lie_derivative(br, Operator1.identity(3)).is_zero()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_lie_derivative_matches_the_leibniz_rule(n):
+    """-[T, A_1 + A_2] on the full tensor, folded back, is the pair-by-pair Leibniz form, on
+    pencil brackets and a bumped one, against the invariance generator, a rime-preserving
+    matrix and a random dense A."""
+    rd = RationalDraw(40 + n)
+    params = PencilParams(rd.vector(n, distinct=True), rd.rational(), rd.rational(),
+                          rd.rational())
+    pencil = pencil_bracket(params)
+    bumped = pencil + QuadraticBracket(n, {(1, 2): {(1, 3): F(1)}, (2, n): {(2, 2): F(3, 7)}})
+    dense = Operator1([[rd.rational() for _ in range(n)] for _ in range(n)])
+    mats = [dense, invariance_generator(params),
+            rime_preserving_matrix(params, rd.vector(n, distinct=False))]
+    for br in (pencil, pencil_bracket_uv_form(params), bumped):
+        for a in mats:
+            got = lie_derivative(br, a)
+            assert type(got) is QuadraticBracket
+            assert got == lie_derivative_leibniz(br, a)
+    assert not lie_derivative(bumped, mats[1]).is_zero()
+    assert not lie_derivative(pencil, dense).is_zero()
 
 
 def test_invariance_generator():

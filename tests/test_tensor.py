@@ -15,8 +15,8 @@ from yibre.rational import Q
 from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, commutator_with_sum,
                           conjugate2, conjugate2_residual, cybe_residual, equivalence_residual,
-                          first_nonzero_witness, hecke_residual, kron11, kron_sum, lift,
-                          op1_on_leg2, permutation_P, reshuffled_matrix, row_space,
+                          first_nonzero_witness, hecke_residual, kron11, kron_sum,
+                          permutation_P, place, reshuffled_matrix, row_space,
                           shifted_conjugate2_residual, shifted_cybe_residual, signed_products,
                           span_difference, span_rank, wedge, yb_residual)
 
@@ -37,11 +37,11 @@ def test_permutation():
 
 def test_braid_for_p():
     p = permutation_P(3)
-    l12, l23 = lift(p, 12), lift(p, 23)
+    l12, l23 = place(p, (1, 2), 3), place(p, (2, 3), 3)
     assert (l12 @ l23 @ l12) == (l23 @ l12 @ l23)
 
 
-def dense_kron_placement(r: Operator2, legs: int) -> Operator3:
+def dense_kron_placement(r: Operator2, legs: tuple) -> Operator3:
     """Independent oracle: place entries by explicit index loops."""
     n = r.dim
     out = {}
@@ -54,9 +54,9 @@ def dense_kron_placement(r: Operator2, legs: int) -> Operator3:
                         continue
                     for m in range(n):
                         a, b, c, d = i - 1, j - 1, k - 1, l - 1
-                        if legs == 12:
+                        if legs == (1, 2):
                             add_entry(out, (a * n + b) * n + m, (c * n + d) * n + m, v)
-                        elif legs == 13:
+                        elif legs == (1, 3):
                             add_entry(out, (a * n + m) * n + b, (c * n + m) * n + d, v)
                         else:
                             add_entry(out, (m * n + a) * n + b, (m * n + c) * n + d, v)
@@ -64,13 +64,14 @@ def dense_kron_placement(r: Operator2, legs: int) -> Operator3:
 
 
 def test_lift_matches_kron_oracle():
+    """``place`` lifts a two-leg operator to legs 12, 13 and 23 as the index-loop oracle does."""
     rd = RationalDraw(3)
     n = 2
     r = Operator2._entries(n, {x: {y: rd.rational(nonzero=False) for y in range(n * n)}
                                for x in range(n * n)})
-    for legs in (12, 13, 23):
-        assert lift(r, legs) == dense_kron_placement(r, legs)
-    assert lift(Operator2.identity(2), 13) == Operator3.identity(2)
+    for legs in ((1, 2), (1, 3), (2, 3)):
+        assert place(r, legs, 3) == dense_kron_placement(r, legs)
+    assert place(Operator2.identity(2), (1, 3), 3) == Operator3.identity(2)
 
 
 def test_yb_trivial_solutions():
@@ -109,7 +110,7 @@ def test_skew_inverse_defining_relation():
     r = unitary_rime_R(mu)
     psi = skew_inverse(r)
     n = 3
-    prod = lift(r, 12) @ lift(psi, 23)
+    prod = place(r, (1, 2), 3) @ place(psi, (2, 3), 3)
     # trace out leg 2 of an Operator3
     traced = {}
     for row, cols in prod.data.items():
@@ -143,13 +144,15 @@ def test_reshuffled_matrix_matches_dense_formula(n, seed, quad):
 
 
 def test_op1_lifts_commute():
+    """Operators placed on different legs commute."""
     a = Operator1([[1, 2], [3, 4]])
     b = Operator1([[0, 1], [1, 1]])
-    assert (op1_on_leg2(a, 1) @ op1_on_leg2(b, 2)) == (op1_on_leg2(b, 2) @ op1_on_leg2(a, 1))
+    a1, b2 = place(a, (1,), 2), place(b, (2,), 2)
+    assert (a1 @ b2) == (b2 @ a1)
     ident = Operator1.identity(2)
-    a1, b3 = lift(kron11(a, ident), 12), lift(kron11(ident, b), 23)
+    a1, b3 = place(kron11(a, ident), (1, 2), 3), place(kron11(ident, b), (2, 3), 3)
     assert (a1 @ b3) == (b3 @ a1)
-    assert op1_on_leg2(a, 1) == kron11(a, Operator1.identity(2))
+    assert place(a, (1,), 2) == kron11(a, Operator1.identity(2))
 
 
 def test_wedge_antisymmetry():
@@ -312,10 +315,11 @@ def _random_op2(entries):
 @given(st.lists(small_rationals, min_size=32, max_size=32))
 @settings(max_examples=40, deadline=None)
 def test_lift_is_multiplicative(entries):
+    """Placing a two-leg operator on a leg pair of V^3 is multiplicative."""
     a = _random_op2(entries[:16])
     b = _random_op2(entries[16:])
-    for legs in (12, 13, 23):
-        assert lift(a @ b, legs) == lift(a, legs) @ lift(b, legs)
+    for legs in ((1, 2), (1, 3), (2, 3)):
+        assert place(a @ b, legs, 3) == place(a, legs, 3) @ place(b, legs, 3)
 
 
 @given(st.lists(small_rationals, min_size=48, max_size=48))
@@ -528,7 +532,7 @@ def sparse_operands(draw, cls, dims=(1, 2, 3), scalars=kernel_rationals):
     return cls._entries(n, out)
 
 
-def _dense_lift(x, n: int, legs: int) -> list[list]:
+def _dense_placement(x, n: int, legs: tuple) -> list[list]:
     """R on the named leg pair of V^3, written out index by index."""
     def flat(i, j, k):
         return (i * n + j) * n + k
@@ -536,9 +540,9 @@ def _dense_lift(x, n: int, legs: int) -> list[list]:
     out = [[F(0)] * n ** 3 for _ in range(n ** 3)]
     for a, b, c, d, m in product(range(n), repeat=5):
         v = x[a * n + b][c * n + d]
-        if legs == 12:
+        if legs == (1, 2):
             out[flat(a, b, m)][flat(c, d, m)] = v
-        elif legs == 23:
+        elif legs == (2, 3):
             out[flat(m, a, b)][flat(m, c, d)] = v
         else:
             out[flat(a, m, b)][flat(c, m, d)] = v
@@ -590,13 +594,14 @@ def test_kernel_arithmetic_matches_dense_reference(ops):
     assert (a - a).is_zero() and (a + (-a)).data == {}
 
 
-@given(sparse_operands(Operator2), st.sampled_from([12, 13, 23]))
+@given(sparse_operands(Operator2), st.sampled_from([(1, 2), (1, 3), (2, 3)]))
 @DENSE_SETTINGS
 def test_lift_matches_dense_reference(r, legs):
-    got = lift(r, legs)
+    """``place`` on a leg pair of V^3 keeps the operand's den and is the dense placement."""
+    got = place(r, legs, 3)
     _assert_canonical(got)
     assert got._den == r._ints()[0]
-    assert dense_grid(got) == _dense_lift(dense_grid(r), r.dim, legs)
+    assert dense_grid(got) == _dense_placement(dense_grid(r), r.dim, legs)
 
 
 @st.composite
@@ -894,13 +899,14 @@ def test_yb_residual_matches_the_braid_products(n):
 
 def test_yb_residual_holds_one_slice_of_the_middle_product():
     # the braid residual holds one leg-3 slice of n^2 rows of the middle product N = b a
-    # and neither lift: at n = 8 it peaks at about 0.08 MB of tracemalloc, the two-term
+    # and neither placement: at n = 8 it peaks at about 0.08 MB of tracemalloc, the two-term
     # form at 0.36 MB, and forming N whole at 0.79 MB
     from yibre.rime import strict_rime_R
     r = strict_rime_R(RationalDraw(1).vector(8), F(2, 7))
     r._ints()
     peaks = []
-    for fn in (yb_residual, lambda r: signed_products([(1, lift(r, 23), lift(r, 12))])):
+    for fn in (yb_residual,
+               lambda r: signed_products([(1, place(r, (2, 3), 3), place(r, (1, 2), 3))])):
         tracemalloc.start()
         try:
             fn(r)
@@ -927,7 +933,7 @@ def test_skew_cybe_reads_its_sorted_rows(n):
         full, reduced = full_cybe_residual(r), cybe_residual(r)
         assert not full.is_zero()
         # the residual is antisymmetric under swaps of legs 1, 2 and of legs 2, 3
-        p12, p23 = lift(permutation_P(n), 12), lift(permutation_P(n), 23)
+        p12, p23 = place(permutation_P(n), (1, 2), 3), place(permutation_P(n), (2, 3), 3)
         assert p12 @ full @ p12 == -full and p23 @ full @ p23 == -full
         # only sorted rows are formed, each equal to the whole residual's row
         assert all(_sorted_triple(x, n) for x in reduced.data)
@@ -973,7 +979,7 @@ def test_cybe_with_symmetric_part_in_span_of_P_and_1_reads_its_sorted_rows(n):
         full, reduced = full_cybe_residual(r), cybe_residual(r)
         assert _snapshot(r) == before
         assert not full.is_zero()
-        p12, p23 = lift(p, 12), lift(p, 23)
+        p12, p23 = place(p, (1, 2), 3), place(p, (2, 3), 3)
         assert p12 @ full @ p12 == -full and p23 @ full @ p23 == -full
         assert all(_sorted_triple(x, n) for x in reduced.data)
         assert reduced.data == {x: row for x, row in full.data.items() if _sorted_triple(x, n)}
@@ -1019,7 +1025,8 @@ def test_cybe_of_an_identity_shift(n):
         c = commutator_with_sum(a, xi)
         got = full_cybe_residual(a + wedge(xi, Operator1.identity(n)))
         assert not c.is_zero() and not got.is_zero()
-        assert got == full_cybe_residual(a) + lift(c, 12) - lift(c, 13) + lift(c, 23)
+        assert got == (full_cybe_residual(a) + place(c, (1, 2), 3) - place(c, (1, 3), 3)
+                       + place(c, (2, 3), 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -1064,7 +1071,7 @@ def test_shifted_cybe_residual_reads_the_given_base_residual(n):
     whole form, which is zero here, and a zero one lets r pass at once."""
     mu = RationalDraw(150 + n).vector(n, distinct=True)
     r, a, xi = rime_skew_sl_r(mu), rime_skew_r(mu), rime_skew_sl_xi(mu)
-    bump = lift(kron11(Operator1.unit(n, 1, 2), Operator1.unit(n, 1, 2)), 12)
+    bump = place(kron11(Operator1.unit(n, 1, 2), Operator1.unit(n, 1, 2)), (1, 2), 3)
     assert shifted_cybe_residual(r, a, xi, bump) == cybe_residual(r)
     assert shifted_cybe_residual(r, a, xi, Operator3.zero(n)).is_zero()
 
@@ -1077,7 +1084,7 @@ def test_conjugation_defect_of_identity_shifts(n):
     ident = Operator1.identity(n)
     a, b = _dense_random_op2(rd, n), _dense_random_op2(rd, n)
     xi, zeta, t = _random_op1(rd, n), _random_op1(rd, n), _random_op1(rd, n)
-    t1, t2 = op1_on_leg2(t, 1), op1_on_leg2(t, 2)
+    t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
     lhs, rhs = a + wedge(xi, ident), b + wedge(zeta, ident)
     d = xi @ t - t @ zeta
     assert not d.is_zero()
@@ -1403,16 +1410,89 @@ def _leg_operands(n: int):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_leg_lifts_are_the_kronecker_products(n):
+    """``place`` of a one-leg operator on leg 1 or 2 of V (x) V is a (x) 1 or 1 (x) a."""
     ident = Operator1.identity(n)
     for a in _leg_operands(n):
-        lifted = op1_on_leg2(a, 1), op1_on_leg2(a, 2)
+        lifted = place(a, (1,), 2), place(a, (2,), 2)
         assert lifted == (kron11(a, ident), kron11(ident, a))
         if a._den is not None:
             for op in lifted:
                 _assert_canonical(op)
         # a bumped operand lifts to another operator
         bumped = a + Operator1.unit(n, 1, n)
-        assert op1_on_leg2(bumped, 1) != lifted[0] and op1_on_leg2(bumped, 2) != lifted[1]
+        assert place(bumped, (1,), 2) != lifted[0] and place(bumped, (2,), 2) != lifted[1]
+
+
+# every legs tuple of a one-leg operator in widths 2 and 3, of a two-leg one in widths
+# 2 and 3 and of a three-leg one in width 3, each in op's own leg order
+PLACEMENTS = [(Operator1, (1,), 2), (Operator1, (2,), 2),
+              (Operator1, (1,), 3), (Operator1, (2,), 3), (Operator1, (3,), 3),
+              (Operator2, (1, 2), 2), (Operator2, (2, 1), 2),
+              *((Operator2, legs, 3) for legs in permutations((1, 2, 3), 2)),
+              *((Operator3, legs, 3) for legs in permutations((1, 2, 3)))]
+
+
+def _digit_placement(op, legs: tuple, width: int):
+    """Independent oracle: entry (row, col) of op placed on ``legs`` of V^width, read
+    from the digit tuples of row and col; op's entry at the digits on ``legs`` when
+    the free legs' digits agree, and zero otherwise."""
+    n = op.dim
+
+    def flat(digits):
+        out = 0
+        for d in digits:
+            out = out * n + d
+        return out
+
+    free = [leg for leg in range(1, width + 1) if leg not in legs]
+    out = {}
+    for row in product(range(n), repeat=width):
+        for col in product(range(n), repeat=width):
+            if all(row[leg - 1] == col[leg - 1] for leg in free):
+                v = op._get(flat(row[leg - 1] for leg in legs), flat(col[leg - 1] for leg in legs))
+                if v:
+                    out.setdefault(flat(row), {})[flat(col)] = v
+    return (Operator2 if width == 2 else Operator3)._entries(n, out)
+
+
+@pytest.mark.parametrize("cls,legs,width", PLACEMENTS)
+def test_place_matches_digit_oracle(cls, legs, width):
+    for n in (1, 2, 3):
+        seed = 800 + 10 * n + len(legs)
+        # integer, mixed-denominator, large-denominator and QuadExt operands
+        ops = [_random_sparse(cls, n, seed, (1,)), _random_sparse(cls, n, seed + 1, SMALL_DENS),
+               _random_sparse(cls, n, seed + 2, LARGE_DENS),
+               _random_sparse(cls, n, seed + 3, SMALL_DENS, quad=-1),
+               _random_sparse(cls, n, seed + 4, SMALL_DENS, quad=0), cls.identity(n)]
+        for a in ops:
+            got = place(a, legs, width)
+            assert type(got) is (Operator2 if width == 2 else Operator3) and got.dim == n
+            assert got == _digit_placement(a, legs, width)
+            if a._den is not None:
+                _assert_canonical(got)
+                assert got._den == a._den
+        # QuadExt entries with d = -1 and d = 0 do not mix, so each meets a rational operand
+        for i, j in ((0, 1), (1, 2), (3, 1), (0, 4), (4, 5)):
+            a, b = ops[i], ops[j]
+            assert place(a @ b, legs, width) == place(a, legs, width) @ place(b, legs, width)
+
+
+def test_place_refuses_bad_legs():
+    a, r = Operator1([[1, 2], [3, 4]]), permutation_P(2)
+    bad = [
+        # a leg count other than the operator's
+        (a, (1, 2), 2), (a, (1, 2), 3), (r, (2,), 2), (r, (1,), 3), (r, (1, 2, 3), 3),
+        (Operator3.identity(2), (1, 2), 3),
+        # a repeated leg
+        (r, (1, 1), 2), (r, (3, 3), 3),
+        # legs 0 and width + 1
+        (a, (0,), 2), (a, (3,), 2), (a, (0,), 3), (a, (4,), 3), (r, (0, 1), 2), (r, (1, 3), 2),
+        (r, (0, 2), 3), (r, (2, 4), 3),
+        # widths 1 and 4
+        (a, (1,), 1), (a, (1,), 4), (r, (1, 2), 4)]
+    for op, legs, width in bad:
+        with pytest.raises(InvalidInputError):
+            place(op, legs, width)
 
 
 def _same_operator(got, want):
