@@ -12,6 +12,7 @@ bridge between the two pictures.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec, require_distinct,
                      sparse_minus)
@@ -165,33 +166,25 @@ def sr_decomposition(r: Operator2):
 
 
 def quadratic_data(r: Operator2):
-    """(u, v) with r^2 = u r + v I, or None; requires r independent of I."""
-    n = r.dim
-    sq = r @ r
-    ident = Operator2.identity(n)
-    # solve the 2-unknown linear system entrywise
-    rows = []
-    for rr in range(n * n):
-        for cc in range(n * n):
-            a = r._get(rr, cc)
-            b = ONE if rr == cc else ZERO
-            e = sq._get(rr, cc)
-            rows.append((a, b, e))
-    # eliminate: find two independent (a, b) rows
-    pivot = next((row for row in rows if row[0]), None)
-    if pivot is None:
+    """(u, v) with r^2 = u r + v I, or None; requires r independent of I.
+
+    One ``Echelon`` over the rows (r, I, -r^2), one per entry stored in r, I or r^2,
+    whose null space holds (u, v, 1): unique iff the r and I columns carry the
+    pivots and the last does not, and then the reduced pivots hold -u and -v.
+    """
+    dr, rrows, ds, srows = r._operands(r @ r)
+    dr, ds = dr or 1, ds or 1  # None: scalar entries, taken as they are
+    ech = Echelon()
+    for x in range(r.size):
+        rrow, srow = rrows.get(x, {}), srows.get(x, {})
+        for c in dict.fromkeys(chain(rrow, srow, (x,))):
+            if ech.insert({0: rrow.get(c, 0) * ds, 1: dr * ds if c == x else 0,
+                           2: -srow.get(c, 0) * dr}) == 2:
+                return None
+    if ech.rank != 2:
         return None
-    a0, b0_, e0 = pivot
-    other = next((row for row in rows
-                  if row[0] * b0_ - row[1] * a0), None)
-    if other is None:
-        return None
-    a1, b1, e1 = other
-    det = a0 * b1 - a1 * b0_
-    u = (e0 * b1 - e1 * b0_) / det
-    v = (a0 * e1 - a1 * e0) / det
-    check = r.scale(u) + ident.scale(v)
-    return (u, v) if sq == check else None
+    ech.rref()
+    return tuple(-ech.pivots[c].get(2, ZERO) for c in (0, 1))
 
 
 def nhacybe_shift_residual(r: Operator2, c, a, b) -> Operator3:

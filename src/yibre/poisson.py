@@ -18,7 +18,7 @@ from .kernel import (ONE, ZERO, InvalidInputError, QuadExt, RationalDraw,
                      perfect_square_root, rat, ratvec, require_distinct,
                      sparse_minus)
 from .rational import Q
-from .tensor import Operator1, Operator2, commutator_with_sum
+from .tensor import Operator1, Operator2, Operator3, commutator_with_sum, place, signed_products
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,8 @@ class QuadraticBracket(Operator2):
                 raise InvalidInputError("pairs are stored with i < j")
             row = rows[(i - 1) * dim + j - 1] = {}
             for (k, l), v in poly.items():
+                if not (1 <= k <= dim and 1 <= l <= dim):
+                    raise InvalidInputError(f"monomial x^{k} x^{l} is outside 1..{dim}")
                 c = (min(k, l) - 1) * dim + max(k, l) - 1
                 row[c] = row.get(c, 0) + rat(v)
         super().__init__(dim, rows)
@@ -77,6 +79,27 @@ class QuadraticBracket(Operator2):
         """A copy of the stored pairs, {(i, j): pair(i, j)} over i < j with {x^i, x^j} != 0."""
         n = self.dim
         return {(r // n + 1, r % n + 1): self.pair(r // n + 1, r % n + 1) for r in self.data}
+
+    def full(self) -> Operator2:
+        """The full tensor T: row (i, j) holds {x^i, x^j} for every i != j, so T_ji = -T_ij,
+        and each x^k x^l term with k < l is split in halves over the columns (k, l) and (l, k).
+        """
+        n = self.dim
+        den, rows = self._ints()
+        # integer rows keep their halves as integers over twice the denominator
+        square, half = (2, 1) if den is not None else (1, Q(1, 2))
+        full = {}
+        for r, row in rows.items():
+            i, j = divmod(r, n)
+            out = full[r] = {}
+            for c, x in row.items():
+                k, l = divmod(c, n)
+                if k == l:
+                    out[c] = square * x
+                else:
+                    out[c] = out[l * n + k] = x * half
+            full[j * n + i] = {c: -x for c, x in out.items()}
+        return Operator2._reduced(n, None if den is None else 2 * den, full)
 
     def rescale(self, d) -> "QuadraticBracket":
         """Structure constants of the bracket in coordinates xtilde^i = d_i x^i."""
@@ -119,45 +142,34 @@ def pencil_bracket_uv_form(params: PencilParams) -> QuadraticBracket:
     return QuadraticBracket(n, pairs)
 
 
-def _poly_times_var(poly: dict, var: int) -> dict:
-    """Degree-2 monomial dict times x^var, as sorted degree-3 monomials."""
-    out = {}
-    for (k, l), v in poly.items():
-        key = tuple(sorted((k, l, var)))
-        out[key] = out.get(key, ZERO) + v
-    return out
-
-
-def _bracket_with_monomial(pairs: dict, i: int, mono: tuple[int, int]):
-    """{x^i, x^k x^l} via the Leibniz rule, degree-3 dict; ``pairs[(i, k)]`` is ``pair(i, k)``."""
-    k, l = mono
-    out = {}
-    for key, v in _poly_times_var(pairs[(i, k)], l).items():
-        out[key] = out.get(key, ZERO) + v
-    for key, v in _poly_times_var(pairs[(i, l)], k).items():
-        out[key] = out.get(key, ZERO) + v
-    return out
-
-
 def jacobi_residual(br: QuadraticBracket) -> dict[tuple[int, int, int], dict]:
     """Cyclic sum {x^i,{x^j,x^k}} per triple i<j<k, as degree-3 coefficient dicts.
 
-    Every oriented ``pair(i, j)`` is read off the rows once per call.
+    On the full tensor T, {x^a, x^b x^c} = {x^a, x^b} x^c + x^b {x^a, x^c}, so row
+    (a, b, c) of F T_12 + F T_13, F = T_23 cut to the cyclic rotations of each
+    i < j < k, holds {x^a,{x^b,x^c}}, column (p, q, s) at x^p x^q x^s.  Its columns
+    are folded to sorted monomials and the three rotations summed.
     """
     n = br.dim
-    pairs = {(i, j): br.pair(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    nn = n * n
+    rotations = {(i + 1, j + 1, k + 1): (i * nn + j * n + k, j * nn + k * n + i,
+                                         k * nn + i * n + j)
+                 for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)}
+    t = br.full()
+    den, frows = place(t, (2, 3), 3)._ints()
+    f = Operator3._reduced(n, den, {x: frows[x] for xs in rotations.values() for x in xs
+                                    if x in frows})
+    den, rows = signed_products([(1, f, place(t, (1, 2), 3)),
+                                 (1, f, place(t, (1, 3), 3))])._ints()
     out = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                total: dict = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for mono, v in pairs[(b, c)].items():
-                        for key, w in _bracket_with_monomial(pairs, a, mono).items():
-                            total[key] = total.get(key, ZERO) + v * w
-                total = {m: v for m, v in total.items() if v}
-                if total:
-                    out[(i, j, k)] = total
+    for triple, xs in rotations.items():
+        total = {}
+        for x in xs:
+            for y, v in rows.get(x, {}).items():
+                mono = tuple(sorted((y // nn + 1, y // n % n + 1, y % n + 1)))
+                total[mono] = total.get(mono, 0) + v
+        if total := {m: v if den is None else Q(v, den) for m, v in sorted(total.items()) if v}:
+            out[triple] = total
     return out
 
 
@@ -180,23 +192,11 @@ def rime_fit(br: QuadraticBracket):
 def lie_derivative(br: QuadraticBracket, a_mat: Operator1) -> QuadraticBracket:
     """delta f^{ij} = A^i_k {x^k,x^j} + A^j_k {x^i,x^k} - x^l A^k_l d_k {x^i,x^j}.
 
-    That is -[T, A_1 + A_2] on the bracket's full tensor T, whose row (i, j) holds
-    {x^i, x^j} for every i != j, each x^k x^l term with k < l split in halves over
-    the columns (k, l) and (l, k); it is read back from the rows i < j.
+    That is -[T, A_1 + A_2] on the bracket's full tensor T (``full``), read back from
+    the rows i < j.
     """
     n = br.dim
-    full = {}
-    for r, row in br.data.items():
-        i, j = divmod(r, n)
-        out = full[r] = {}
-        for c, v in row.items():
-            k, l = divmod(c, n)
-            if k == l:
-                out[c] = v
-            else:
-                out[c] = out[l * n + k] = v / 2
-        full[j * n + i] = {c: -v for c, v in out.items()}
-    delta = commutator_with_sum(Operator2._entries(n, full), a_mat)
+    delta = commutator_with_sum(br.full(), a_mat)
     return QuadraticBracket(n, {(r // n + 1, r % n + 1): {(c // n + 1, c % n + 1): -v
                                                           for c, v in row.items()}
                                 for r, row in delta.data.items() if r // n < r % n})

@@ -888,6 +888,12 @@ def conjugate2(r: Operator2, t: Operator1) -> Operator2:
                              place(tinv, (1,), 2), place(tinv, (2,), 2))])
 
 
+def _conjugation_defect(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:
+    """lhs T_1 T_2 - T_1 T_2 rhs, one signed sum with T (x) T as T_1 T_2."""
+    t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
+    return signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
+
+
 def conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
                         tinv: Operator1) -> Operator2:
     """lhs - (T (x) T) rhs (T (x) T)^-1, given T's inverse, as the defect times (T (x) T)^-1.
@@ -897,8 +903,7 @@ def conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
     nonzero defect is multiplied by tinv_1 tinv_2, which gives the residual
     exactly when tinv is T^-1; the caller vouches for that.
     """
-    t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
-    defect = signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
+    defect = _conjugation_defect(lhs, rhs, t)
     if defect.is_zero():
         return defect
     return signed_products([(1, defect, place(tinv, (1,), 2), place(tinv, (2,), 2))])
@@ -918,10 +923,9 @@ def shifted_conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
     """
     (a, xi), (b, zeta) = lhs_parts, rhs_parts
     if (_is_shift(lhs, a, xi) and _is_shift(rhs, b, zeta)
-            and signed_products([(1, xi, t), (-1, t, zeta)]).is_zero()):
-        t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
-        if signed_products([(1, a, t1, t2), (-1, t1, t2, b)]).is_zero():
-            return Operator2.zero(lhs.dim)
+            and signed_products([(1, xi, t), (-1, t, zeta)]).is_zero()
+            and _conjugation_defect(a, b, t).is_zero()):
+        return Operator2.zero(lhs.dim)
     return conjugate2_residual(lhs, rhs, t, tinv)
 
 
@@ -929,8 +933,7 @@ def equivalence_residual(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operat
     """lhs (T x T) - (T x T) rhs, with T x T as T_1 T_2; refused for a singular T."""
     if t.det() == 0:
         raise InvalidInputError("T must be invertible")
-    t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
-    return signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
+    return _conjugation_defect(lhs, rhs, t)
 
 
 def commutator_with_sum(r: Operator2, a: Operator1) -> Operator2:

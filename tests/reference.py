@@ -943,6 +943,30 @@ def lie_derivative_leibniz(br: QuadraticBracket, a_mat: Operator1) -> QuadraticB
     return QuadraticBracket(n, pairs)
 
 
+def quadratic_data_two_rows(r: Operator2):
+    """``bezout.quadratic_data`` by Cramer's rule on two independent entries of r^2 = u r + v I,
+    found by a search over all n^4 entries, then checked against the whole of r^2."""
+    n = r.dim
+    sq = r @ r
+    ident = Operator2.identity(n)
+    rows = []
+    for rr in range(n * n):
+        for cc in range(n * n):
+            rows.append((r._get(rr, cc), ONE if rr == cc else ZERO, sq._get(rr, cc)))
+    pivot = next((row for row in rows if row[0]), None)
+    if pivot is None:
+        return None
+    a0, b0_, e0 = pivot
+    other = next((row for row in rows if row[0] * b0_ - row[1] * a0), None)
+    if other is None:
+        return None
+    a1, b1, e1 = other
+    det = a0 * b1 - a1 * b0_
+    u = (e0 * b1 - e1 * b0_) / det
+    v = (a0 * e1 - a1 * e0) / det
+    return (u, v) if sq == r.scale(u) + ident.scale(v) else None
+
+
 # --- builders written entry by entry ---------------------------------------------
 # yibre's builders hand their entries to the operator whole, or relabel another
 # operator's integer rows; these write the same entries into a plain

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from yibre import bezout, tensor
-from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
+from yibre.bezout import (B, B0, BEZOUT_KINDS, BTILDE, RS, b0_action, b_action,
                           basis_flip, bez9_residual, bez23_residual,
                           bezout_identity_suite, bezout_operator,
                           closed_form_operator, coassociativity_residuals,
@@ -17,12 +17,13 @@ from yibre.bezout import (B, B0, BTILDE, RS, b0_action, b_action,
                           star_tables)
 from yibre.classical import b_skew_r, rcg_r, rime_nonskew_r
 from yibre.kernel import InvalidInputError, QuadExt, RationalDraw
+from yibre.rational import Q
 from yibre.suites import _is_zero, run_suite
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, nhacybe_residual,
                           permutation_P, place, reshuffled_matrix)
 
 from reference import (add_entry, bumped, map_from_function, partial_trace,
-                       rb_closed_form_per_cell, rb_unit_weight_residuals,
+                       quadratic_data_two_rows, rb_closed_form_per_cell, rb_unit_weight_residuals,
                        star_associativity_per_triple, star_associators, star_tilde_product,
                        coassociativity_residual_per_unit)
 
@@ -164,6 +165,19 @@ def test_quadratic_data_and_sum_rule():
         assert quadratic_data(op) == quad
         assert quad[0] == sr[1]          # u = beta
     assert sr_decomposition(permutation_P(3)) == (2, 0)
+    # one echelon of the (r, I, -r^2) rows gives Cramer's rule on two searched entries
+    for n in range(2, 6):
+        ident = Operator2.identity(n)
+        ops = [bezout_operator(kind, n) for kind in BEZOUT_KINDS]
+        for op in ops:
+            assert quadratic_data(op) == quadratic_data_two_rows(op) is not None
+        # r = 0 and r = k I leave (u, v) undetermined; a bumped entry breaks r^2 = u r + v I
+        for op in (Operator2.zero(n), ident, ident.scale(3), bumped(ops[1], 1, 2, 1, 1, 1)):
+            assert quadratic_data(op) is quadratic_data_two_rows(op) is None
+        # (b0 + I)^2 = 2 (b0 + I) - I, since b0^2 = 0
+        b0_shift = ops[0] + ident
+        assert quadratic_data(b0_shift) == quadratic_data_two_rows(b0_shift) == (2, -1)
+        assert all(type(x) is Q for x in quadratic_data(b0_shift))
 
 
 def test_hecke_overlap_relations():

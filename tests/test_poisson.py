@@ -95,6 +95,12 @@ def test_bracket_from_pairs_refuses_a_pair_not_stored(pair):
         QuadraticBracket(3, {pair: {(1, 1): F(1)}})
 
 
+@pytest.mark.parametrize("mono", [(0, 3), (2, 4), (4, 1), (-1, 2)])
+def test_bracket_from_pairs_refuses_a_monomial_outside_the_dim(mono):
+    with pytest.raises(InvalidInputError):
+        QuadraticBracket(3, {(1, 2): {mono: F(5)}})
+
+
 def test_lie_derivative_scale_covariance():
     params = PencilParams((0, 1, 3), 1, 2, 3)
     br = pencil_bracket(params)
@@ -381,22 +387,62 @@ def test_linear_rime_shares_its_empty_differences(monkeypatch):
     assert len({id(d) for d in diffs if not d}) == 1
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_jacobi_residual_matches_the_per_call_pair_form(n):
-    """One oriented pair table per call gives the per-monomial ``pair`` form's output."""
+    """F T_12 + F T_13 on the full tensor, folded to monomials, gives the per-monomial ``pair``
+    form's output."""
     rd = RationalDraw(300 + n)
     psi = rd.vector(n)
-    brackets = [pencil_bracket(PencilParams(psi, rd.rational(), rd.rational(), rd.rational())),
+    params = PencilParams(psi, rd.rational(), rd.rational(), rd.rational())
+    brackets = [pencil_bracket(params), pencil_bracket_uv_form(params),
                 bracket_from_quantum(psi, rd.rational()), bracket_from_quantum(psi),
                 qalg.classical_limit_bracket(n)]
     # the rime form with free coefficients fails Jacobi, so nonzero sums are compared too
     free = QuadraticBracket(n, {(i, j): {(i, i): rd.rational(), (j, j): rd.rational(),
                                          (i, j): rd.rational(), (1, n): rd.rational()}
                                 for i in range(1, n + 1) for j in range(i + 1, n + 1)})
-    for br in [*brackets, free]:
+    # only the pairs with i + j odd are stored, so some rows of T are empty
+    sparse = QuadraticBracket(n, {pair: poly for pair, poly in free.pairs.items()
+                                  if sum(pair) % 2})
+    dual = QuadraticBracket(n, {pair: {m: QuadExt(v, rd.rational(), 0) for m, v in poly.items()}
+                                for pair, poly in free.pairs.items()})
+    for br in [*brackets, free, sparse, dual]:
         assert jacobi_residual(br) == jacobi_residual_per_call(br)
     assert all(not jacobi_residual(br) for br in brackets)
-    assert bool(jacobi_residual(free)) == (n >= 3)
+    assert bool(jacobi_residual(free)) == bool(jacobi_residual(dual)) == (n >= 3)
+    assert bool(jacobi_residual(sparse)) == (n >= 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_full_tensor_matches_a_dense_oracle(n):
+    """T is antisymmetric in its row pair (i, j), has no row (i, i), and the halves at
+    (k, l) and (l, k) of each row i < j sum back to the stored x^k x^l coefficient."""
+    rd = RationalDraw(320 + n)
+    params = PencilParams(rd.vector(n), rd.rational(), rd.rational(), rd.rational())
+    free = QuadraticBracket(n, {(i, j): {(k, l): rd.rational() for k in range(1, n + 1)
+                                         for l in range(k, n + 1) if rd.int_in(0, 1)}
+                                for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                                if rd.int_in(0, 2)})
+    dual = QuadraticBracket(n, {pair: {m: QuadExt(v, rd.rational(), 0) for m, v in poly.items()}
+                                for pair, poly in free.pairs.items()})
+    for br in (pencil_bracket(params), free, dual, QuadraticBracket(n)):
+        t = br.full()
+        assert type(t) is Operator2
+        grid = [[t.get(i, j, k, l) for k in range(1, n + 1) for l in range(1, n + 1)]
+                for i in range(1, n + 1) for j in range(1, n + 1)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                row, flipped = grid[(i - 1) * n + j - 1], grid[(j - 1) * n + i - 1]
+                assert row == [-x for x in flipped]
+                if i >= j:
+                    continue
+                stored = br.pair(i, j)
+                for k in range(1, n + 1):
+                    for l in range(k, n + 1):
+                        halves = row[(k - 1) * n + l - 1], row[(l - 1) * n + k - 1]
+                        want = stored.get((k, l), 0)
+                        assert (halves[0] if k == l else sum(halves)) == want
+                        assert halves[0] == halves[1]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
