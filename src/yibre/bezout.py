@@ -2,11 +2,11 @@
 
 Operators here act on P_n = span{x^a y^b : 0 <= a,b < n} with the basis
 labelled by increasing powers, e_i <-> x^(i-1).  In that picture the matrix
-of the divided-difference operator is exactly the closed wedge form checked
-at import time, and the n = 2 Rota-Baxter and star-multiplication tables come
-out verbatim.  The classical module writes the same operators in the
-decreasing-power basis with input-indexed rows; ``basis_flip`` is the exact
-bridge between the two pictures.
+of the divided-difference operator is exactly the closed wedge form of
+``closed_form_operator``, and the n = 2 Rota-Baxter and star-multiplication
+tables come out verbatim.  The classical module writes the same operators in
+the decreasing-power basis with input-indexed rows; ``basis_flip`` is the
+exact bridge between the two pictures.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec, require_distinct,
-                     sparse_minus)
+from .kernel import ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct
 from .rational import Q
 from .tensor import (Echelon, Operator1, Operator2, Operator3, _row_product_into,
                      commutator_with_sum, cybe_residual, kron11, kron_sum,
@@ -127,16 +126,6 @@ def basis_flip(op: Operator2) -> Operator2:
             # flat (i, j) -> (n+1-i, n+1-j) is x -> n^2 - 1 - x
             out.setdefault(nn - 1 - c, {})[nn - 1 - r] = x
     return Operator2._of(n, den, out)
-
-
-def _assert_basis_convention() -> None:
-    for n in (2, 3):
-        for kind in (B0, B, RS):
-            if bezout_operator(kind, n) != closed_form_operator(kind, n):
-                raise AssertionError(f"basis convention broken for {kind}, n={n}")
-
-
-_assert_basis_convention()
 
 
 # --- identity suite ----------------------------------------------------------
@@ -286,53 +275,24 @@ def shift_generator_commutator(kind: str, base: Operator2) -> Operator2:
 
 # --- divided-difference recursion -------------------------------------------
 
-def _poly_mul_x(poly: dict, n: int, slot: int) -> dict:
-    out = {}
-    for (a, b), v in poly.items():
-        key = (a + 1, b) if slot == 0 else (a, b + 1)
-        if key[0] < n and key[1] < n:
-            out[key] = out.get(key, ZERO) + v
-    return out
+def m_recursion_check(b0: Operator2) -> dict[str, Operator2]:
+    """M(xf) = f + yM(f), M(yf) = -f + xM(f) and the seed M(1) = 0, as residuals of b0.
 
-
-def _recursion_image(f: tuple[int, int], mf: dict, n: int, var: str) -> dict:
-    """The recursion's value of M(x f) = f + y M(f) (var "x") or M(y f) = -f + x M(f) (var "y")."""
-    img = {f: ONE if var == "x" else -ONE}
-    for key, w in _poly_mul_x(mf, n, 1 if var == "x" else 0).items():
-        img[key] = img.get(key, ZERO) + w
-    return img
-
-
-def m_recursion_check(n: int) -> dict[str, dict]:
-    """M(xf) = f + yM(f), M(yf) = -f + xM(f) and the uniqueness rebuild, as residuals.
-
-    Each residual is keyed by the monomial x^a y^b as "a,b" and holds the
-    coefficient differences over the monomials (u, v).
+    With S the truncated shift e_a -> e_(a+1), X_1 = S (x) 1 and Y_2 = 1 (x) S
+    multiply by x and y, and Pi_x = S^T S (x) 1, Pi_y = 1 (x) S^T S keep the
+    monomials that x, y leave below n.  Each residual is one signed sum whose
+    column (a, b) is the identity at f = x^a y^b.  The recursions fix every
+    column from column (0, 0), so with the seed they determine M.
     """
-    x_rec, y_rec = {}, {}
-    for a in range(n):
-        for b in range(n):
-            mf = b0_action(a, b)
-            if a + 1 < n:
-                x_rec[f"{a},{b}"] = sparse_minus(b0_action(a + 1, b),
-                                                 _recursion_image((a, b), mf, n, "x"))
-            if b + 1 < n:
-                y_rec[f"{a},{b}"] = sparse_minus(b0_action(a, b + 1),
-                                                 _recursion_image((a, b), mf, n, "y"))
-    # uniqueness: rebuild M from the recursion and the seed M(1) = 0
-    rebuilt: dict[tuple[int, int], dict] = {(0, 0): {}}
-    for deg in range(1, 2 * n - 1):
-        for a in range(n):
-            b = deg - a
-            if not 0 <= b < n:
-                continue
-            if a >= 1:
-                rebuilt[(a, b)] = _recursion_image((a - 1, b), rebuilt[(a - 1, b)], n, "x")
-            else:
-                rebuilt[(a, b)] = _recursion_image((a, b - 1), rebuilt[(a, b - 1)], n, "y")
-    return {"x-recursion": x_rec, "y-recursion": y_rec,
-            "rebuild-matches": {f"{a},{b}": sparse_minus(rebuilt[(a, b)], b0_action(a, b))
-                                for a in range(n) for b in range(n)}}
+    n = b0.dim
+    s = Operator1._of(n, 1, {a + 1: {a: 1} for a in range(n - 1)})
+    x1, y2 = place(s, (1,), 2), place(s, (2,), 2)
+    proj = s.transpose() @ s
+    pi_x, pi_y = place(proj, (1,), 2), place(proj, (2,), 2)
+    e = Operator1.unit(n, 1, 1)
+    return {"x-recursion": signed_products([(1, b0, x1), (-1, pi_x), (-1, y2, b0, pi_x)]),
+            "y-recursion": signed_products([(1, b0, y2), (1, pi_y), (-1, x1, b0, pi_y)]),
+            "seed": signed_products([(1, b0, kron11(e, e))])}
 
 
 # --- coproducts ---------------------------------------------------------------
@@ -486,11 +446,7 @@ def rb_closed_form(kind: str, n: int, phi=None) -> RotaBaxterMap:
     else:
         raise InvalidInputError(f"no closed form for kind {kind!r}")
     # an empty image, or a c(i, j) with phi_j = 0, stores nothing
-    rows = {x: nz for x, row in rows.items() if (nz := {col: v for col, v in row.items() if v})}
-    den, ints = cleared(v for row in rows.values() for v in row.values())
-    ints = iter(ints)
-    return RotaBaxterMap(n, Operator1._reduced(
-        n * n, den, {x: {col: next(ints) for col in row} for x, row in rows.items()}))
+    return RotaBaxterMap(n, Operator1._entries(n * n, rows))
 
 
 def rb_weight_residual(rb: RotaBaxterMap, alpha, a: Operator1, b: Operator1) -> Operator1:

@@ -164,18 +164,14 @@ def block_properties(kind: str, *params) -> BlockReport:
             if beta == 0 and m_one == 4:
                 spectrum = "identity"
             elif beta == 0:
-                jordan = not (scaled - ident).is_zero() and m_one == 4
                 spectrum = {3: "gl2", 2: "gl11"}.get(m_one, "unitary")
-                if kind == JORDANIAN:
-                    spectrum = "gl2"
             else:
                 spectrum = {3: "gl2", 2: "gl11"}.get(m_one, "other")
             break
     if kind == JORDANIAN and scale is not None:
         spectrum = "gl2"
-    report = BlockReport(kind, ybe_ok, scale, beta, is_skew_invertible(r),
-                         spectrum, classify(r).value)
-    return report
+    return BlockReport(kind, ybe_ok, scale, beta, is_skew_invertible(r),
+                       spectrum, classify(r).value)
 
 
 def stated_equivalences(q, gamma) -> dict[str, Operator2]:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from .kernel import (ONE, ZERO, InvalidInputError, elem_syms, elem_syms_omitting,
                      products_omitting, rat, ratvec, require_distinct, theta)
 from .rime import RimeClass, classify, strict_rime_R
-from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, kron11,
-                     permutation_P, place)
+from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, permutation_P,
+                     place)
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def d_twist_conjugate(r: Operator2, p) -> Operator2:
     """D(p)_1 R D(p)_1^{-1}, legal only when D(p)_1 D(p)_2 commutes with R."""
     n = r.dim
     d = d_twist_matrix(n, p)
-    dd = kron11(d, d)
-    if not (r @ dd - dd @ r).is_zero():
+    if not equivalence_residual(r, r, d).is_zero():
         raise InvalidInputError("D(p) x D(p) does not commute with the matrix")
     d1 = place(d, (1,), 2)
     return d1 @ r @ place(d.inverse(), (1,), 2)

@@ -265,6 +265,3 @@ class RationalDraw:
 
     def int_in(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)
-
-    def choice(self, seq):
-        return self._rng.choice(seq)

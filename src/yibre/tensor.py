@@ -943,15 +943,18 @@ def commutator_with_sum(r: Operator2, a: Operator1) -> Operator2:
 
 
 def first_nonzero_witness(op) -> tuple[str, Fraction] | None:
-    """Locate the first nonzero entry of a residual, for failure reports."""
+    """Locate the first nonzero entry of a residual, least row and then least column, for
+    failure reports; read off the integer rows, so no other entry becomes a ``Q``."""
+    den, rows = op._ints()
+    if not rows:
+        return None
+    r = min(rows)
+    c = min(rows[r])
+    v = rows[r][c] if den is None else Q(rows[r][c], den)
     n = op.dim
-    for r, c, v in op.nonzero_entries():
-        if op.legs == 1:
-            key = f"{r + 1}|{c + 1}"
-        elif op.legs == 2:
-            key = f"{r // n + 1},{r % n + 1}|{c // n + 1},{c % n + 1}"
-        else:
-            key = (f"{r // (n * n) + 1},{(r // n) % n + 1},{r % n + 1}"
-                   f"|{c // (n * n) + 1},{(c // n) % n + 1},{c % n + 1}")
-        return key, v
-    return None
+    if op.legs == 1:
+        return f"{r + 1}|{c + 1}", v
+    if op.legs == 2:
+        return f"{r // n + 1},{r % n + 1}|{c // n + 1},{c % n + 1}", v
+    return (f"{r // (n * n) + 1},{(r // n) % n + 1},{r % n + 1}"
+            f"|{c // (n * n) + 1},{(c // n) % n + 1},{c % n + 1}"), v

@@ -12,7 +12,8 @@ from typing import Sequence
 from yibre import bezout, blocks, cg, classical, rime
 from yibre.bezout import B, B0, RS, RotaBaxterMap, _sweep_units
 from yibre.kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, elem_syms,
-                          elem_syms_omitting, rat, ratvec, require_distinct, theta)
+                          elem_syms_omitting, rat, ratvec, require_distinct, sparse_minus,
+                          theta)
 from yibre.rational import Q
 from yibre.poisson import QuadraticBracket
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, _clear, conjugate2, kron11,
@@ -965,6 +966,75 @@ def quadratic_data_two_rows(r: Operator2):
     u = (e0 * b1 - e1 * b0_) / det
     v = (a0 * e1 - a1 * e0) / det
     return (u, v) if sq == r.scale(u) + ident.scale(v) else None
+
+
+def _poly_mul_x(poly: dict, n: int, slot: int) -> dict:
+    """x (slot 0) or y (slot 1) times a polynomial dict, truncated to the powers below n."""
+    out = {}
+    for (a, b), v in poly.items():
+        key = (a + 1, b) if slot == 0 else (a, b + 1)
+        if key[0] < n and key[1] < n:
+            out[key] = out.get(key, ZERO) + v
+    return out
+
+
+def _recursion_image(f: tuple[int, int], mf: dict, n: int, var: str) -> dict:
+    """The recursion's value of M(x f) = f + y M(f) (var "x") or M(y f) = -f + x M(f) (var "y")."""
+    img = {f: ONE if var == "x" else -ONE}
+    for key, w in _poly_mul_x(mf, n, 1 if var == "x" else 0).items():
+        img[key] = img.get(key, ZERO) + w
+    return img
+
+
+def m_recursion_dicts(op: Operator2) -> dict[str, dict]:
+    """``bezout.m_recursion_check`` on polynomial dicts, with M(x^a y^b) read off column
+    (a, b) of ``op``: both recursions monomial by monomial, and M rebuilt degree by degree
+    from the recursions and the seed M(1) = 0, against every column.
+
+    Each residual is keyed by the monomial x^a y^b as "a,b" and holds the
+    coefficient differences over the monomials (u, v).
+    """
+    n = op.dim
+    columns: dict[tuple[int, int], dict] = {(a, b): {} for a in range(n) for b in range(n)}
+    for row, entries in op.data.items():
+        for col, v in entries.items():
+            columns[divmod(col, n)][divmod(row, n)] = v
+    x_rec, y_rec = {}, {}
+    for (a, b), mf in columns.items():
+        if a + 1 < n:
+            x_rec[f"{a},{b}"] = sparse_minus(columns[(a + 1, b)],
+                                             _recursion_image((a, b), mf, n, "x"))
+        if b + 1 < n:
+            y_rec[f"{a},{b}"] = sparse_minus(columns[(a, b + 1)],
+                                             _recursion_image((a, b), mf, n, "y"))
+    rebuilt: dict[tuple[int, int], dict] = {(0, 0): {}}
+    for deg in range(1, 2 * n - 1):
+        for a in range(n):
+            b = deg - a
+            if not 0 <= b < n:
+                continue
+            if a >= 1:
+                rebuilt[(a, b)] = _recursion_image((a - 1, b), rebuilt[(a - 1, b)], n, "x")
+            else:
+                rebuilt[(a, b)] = _recursion_image((a, b - 1), rebuilt[(a, b - 1)], n, "y")
+    return {"x-recursion": x_rec, "y-recursion": y_rec,
+            "rebuild-matches": {f"{a},{b}": sparse_minus(rebuilt[(a, b)], columns[(a, b)])
+                                for a in range(n) for b in range(n)}}
+
+
+def first_nonzero_witness_sorted(op) -> tuple[str, Fraction] | None:
+    """``tensor.first_nonzero_witness`` by a sorted scan of every ``Q`` entry of ``data``."""
+    n = op.dim
+    for r, c, v in op.nonzero_entries():
+        if op.legs == 1:
+            key = f"{r + 1}|{c + 1}"
+        elif op.legs == 2:
+            key = f"{r // n + 1},{r % n + 1}|{c // n + 1},{c % n + 1}"
+        else:
+            key = (f"{r // (n * n) + 1},{(r // n) % n + 1},{r % n + 1}"
+                   f"|{c // (n * n) + 1},{(c // n) % n + 1},{c % n + 1}")
+        return key, v
+    return None
 
 
 # --- builders written entry by entry ---------------------------------------------

@@ -216,7 +216,7 @@ def test_criterion_08_bezout_nhacybe():
         ok = ok and (bt + bt.reversed_legs()) == tensor.permutation_P(n).scale(-1)
         ok = ok and (bt @ bt) == Operator2.identity(n).scale(F(1, 4))
     for n in (2, 3, 4):
-        ok = ok and _is_zero(bezout.m_recursion_check(n))[0]
+        ok = ok and _is_zero(bezout.m_recursion_check(bezout.bezout_operator(bezout.B0, n)))[0]
     for n in (2, 3):
         units = [Operator1.unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         r0 = bezout.bezout_operator(bezout.B0, n)

@@ -22,7 +22,7 @@ from yibre.suites import _is_zero, run_suite
 from yibre.tensor import (Operator1, Operator2, Operator3, kron11, nhacybe_residual,
                           permutation_P, place, reshuffled_matrix)
 
-from reference import (add_entry, bumped, map_from_function, partial_trace,
+from reference import (add_entry, bumped, m_recursion_dicts, map_from_function, partial_trace,
                        quadratic_data_two_rows, rb_closed_form_per_cell, rb_unit_weight_residuals,
                        star_associativity_per_triple, star_associators, star_tilde_product,
                        coassociativity_residual_per_unit)
@@ -204,29 +204,42 @@ def test_shifted_solutions():
         shift_generator_commutator("bogus", bezout_operator(B, 3))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_m_recursion(n):
-    rep = m_recursion_check(n)
-    assert set(rep) == {"x-recursion", "y-recursion", "rebuild-matches"}
-    assert len(rep["rebuild-matches"]) == n * n
+    rep = m_recursion_check(bezout_operator(B0, n))
+    assert set(rep) == {"x-recursion", "y-recursion", "seed"}
+    assert all(isinstance(op, Operator2) and op.dim == n for op in rep.values())
     assert _is_zero(rep) == (True, None)
 
 
-def test_m_recursion_fault_names_its_identity(monkeypatch):
-    # a wrong M(xy) breaks the rebuild from M(1) = 0, at the monomial xy
-    action = bezout.b0_action
+def test_m_recursion_fault_names_its_identity():
+    # M(xy) one too large at the monomial 1 breaks M(x y) = y + y M(y): the residual's row
+    # 1,1 (the monomial 1) and column 1,2 (f = y), both 1-based
+    op = bumped(bezout_operator(B0, 3), 0, 1 * 3 + 1, 1)
+    ok, witness = _is_zero(m_recursion_check(op))
+    assert not ok and witness == {"index": "x-recursion:1,1|1,2", "value": "1"}
+    # the seed alone fails on a nonzero M(1)
+    rep = m_recursion_check(bumped(bezout_operator(B0, 3), 2, 0, F(-2, 3)))
+    assert rep["seed"] == Operator2._entries(3, {2: {0: F(-2, 3)}})
 
-    def broken(k, l):
-        out = dict(action(k, l))
-        if (k, l) == (1, 1):
-            out[(0, 0)] = out.get((0, 0), 0) + 1
-        return out
 
-    monkeypatch.setattr(bezout, "b0_action", broken)
-    ok, witness = _is_zero(m_recursion_check(3))
-    assert not ok and witness["index"].startswith("rebuild-matches:1,1:")
-    # the tuple key of the monomial reads comma-joined, not as a Python repr
-    assert witness == {"index": "rebuild-matches:1,1:0,0:-", "value": "-1"}
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_m_recursion_verdict_matches_the_dict_form(n):
+    # the recursions fix column (a, b) from (a - 1, b) and (0, b) from (0, b - 1), so once
+    # they hold the rebuild from M(1) = 0 matches iff the seed holds: the operator
+    # residuals and the dict form with its rebuild pass or fail together
+    def verdicts(op):
+        return _is_zero(m_recursion_check(op))[0], _is_zero(m_recursion_dicts(op))[0]
+
+    for kind in BEZOUT_KINDS:
+        want = kind == B0
+        assert verdicts(bezout_operator(kind, n)) == (want, want), kind
+    b0 = bezout_operator(B0, n)
+    for r in range(n * n):
+        for c in range(n * n):
+            for v in (1, -2):
+                got, want = verdicts(bumped(b0, r, c, v))
+                assert got == want, (r, c, v)
 
 
 def test_quadratic_data_fault_names_its_coefficient(monkeypatch):

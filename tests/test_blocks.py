@@ -67,6 +67,39 @@ def test_spectrum_types():
     assert block_properties(R_II, 2, 1).spectrum_type == "gl11"
 
 
+# (ybe_ok, hecke_scale, hecke_beta, skew_invertible, spectrum_type, rime_class) of each
+# member of MEMBERS, in order, as block_properties reported them before its spectrum
+# branches were merged
+RECORDED_PROPERTIES = [
+    (True, 2, F(3, 4), True, "gl2", "rime-non-strict"),
+    (True, 2, F(3, 4), True, "gl11", "rime-non-strict"),
+    (True, 2, F(3, 4), True, "gl2", "rime-non-strict"),
+    (True, 3, F(8, 9), True, "gl11", "rime-non-strict"),
+    (True, 3, F(8, 9), True, "gl11", "rime-non-strict"),
+    (True, 3, F(8, 9), True, "gl11", "rime-non-strict"),
+    (True, 2, F(3, 4), True, "gl2", "ice"),
+    (True, 2, F(3, 4), True, "gl11", "ice"),
+    (True, 2, F(3, 4), True, "gl11", "not-rime"),
+    (True, 2, F(3, 4), True, "gl11", "not-rime"),
+    (True, 2, F(3, 4), True, "gl11", "not-rime"),
+    (True, 1, 0, True, "gl2", "not-rime"),
+    (True, 1, 0, True, "gl2", "rime-non-strict"),
+    (True, None, None, True, "none", "ice"),
+    (True, None, None, True, "none", "not-rime"),
+    (True, None, None, True, "none", "not-rime"),
+    (True, None, None, True, "none", "not-rime"),
+]
+
+
+@pytest.mark.parametrize("member,want", zip(MEMBERS, RECORDED_PROPERTIES))
+def test_block_properties_match_the_recorded_reports(member, want):
+    kind, params = member
+    rep = block_properties(kind, *params)
+    assert rep.kind == kind
+    assert (rep.ybe_ok, rep.hecke_scale, rep.hecke_beta, rep.skew_invertible,
+            rep.spectrum_type, rep.rime_class) == want
+
+
 def test_hecke_normalizations():
     rep = block_properties(RBL1, 2, 1)
     assert (rep.hecke_scale, rep.hecke_beta) == (2, F(3, 4))

@@ -22,8 +22,8 @@ from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, commutator_w
 
 from reference import (add_entry, braid_yb_residual, bumped, conjugate2_dense,
                        conjugated_difference, dense_grid, dense_matmul, dense_signed_sum,
-                       equivalence_dense, full_cybe_residual, partial_trace, row_space_difference,
-                       skew_inverse)
+                       equivalence_dense, first_nonzero_witness_sorted, full_cybe_residual,
+                       partial_trace, row_space_difference, skew_inverse)
 
 
 def test_permutation():
@@ -374,6 +374,24 @@ def _random_sparse(cls, n, seed, dens, quad=None):
                     v = QuadExt(v, F(rng.randint(-4, 4), rng.choice(dens)), quad)
                 out.setdefault(r, {})[c] = v
     return cls._entries(n, out)
+
+
+def test_witness_matches_the_sorted_scan():
+    # the least row and its least column, read off the integer rows, give the sorted
+    # scan's (key, value) exactly: integer, mixed-denominator and QuadExt entries
+    quad = F(2)
+    for cls in (Operator1, Operator2, Operator3):
+        n = 3 if cls is Operator3 else 4
+        cases = [_random_sparse(cls, n, seed, dens, q)
+                 for seed in range(4) for dens, q in (((1,), None), (SMALL_DENS, None),
+                                                     (LARGE_DENS, None), (SMALL_DENS, quad))]
+        cases.append(cls._entries(n, {2: {3: F(1, 3), 1: QuadExt(0, 1, quad)}, 3: {0: 1}}))
+        for op in cases:
+            got = first_nonzero_witness(op)
+            assert got == first_nonzero_witness_sorted(op) and got is not None
+            assert type(got[1]) is type(first_nonzero_witness_sorted(op)[1])
+        assert first_nonzero_witness(cls.zero(n)) is None
+        assert first_nonzero_witness(cases[0] - cases[0]) is None
 
 
 def _stored(op) -> dict:
