@@ -17,7 +17,7 @@ from itertools import chain
 from .kernel import ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct
 from .rational import Q
 from .tensor import (Echelon, Operator1, Operator2, Operator3, _row_product_into,
-                     commutator_with_sum, cybe_residual, kron11, kron_sum,
+                     commutator_with_sum, cybe_residual, kron11, kron_sum, nhacybe_residual,
                      p_and_1_coefficients, permutation_P, place, reshuffled_matrix,
                      signed_products, ybe_numbered_residual, yb_residual)
 
@@ -316,20 +316,21 @@ def _variant_terms(variant: str, c, minus, plus) -> list:
 
 
 def coassociativity_residuals(r: Operator2, c, variant: str, us) -> list[Operator3]:
-    """(delta (x) id) delta(u) - (id (x) delta) delta(u) on V^3 for each u of ``us``,
-    with r_12 and r_23 placed once."""
-    c = rat(c)
-    r12, r23 = place(r, (1, 2), 3), place(r, (2, 3), 3)
-    out = []
-    for u in us:
-        big = coproduct(u, r, c, variant)
-        u12, u13, u23 = place(big, (1, 2), 3), place(big, (1, 3), 3), place(big, (2, 3), 3)
-        # (delta (x) id) delta(u) = u13 r12 - r12 u23 + variant terms on (u13, u23), minus
-        # (id (x) delta) delta(u) = u12 r23 - r23 u13 + variant terms on (u12, u13)
-        out.append(signed_products([(1, u13, r12), (-1, r12, u23),
-                                    *_variant_terms(variant, c, u13, u23), (-1, u12, r23),
-                                    (1, r23, u13), *_variant_terms(variant, -c, u12, u13)]))
-    return out
+    """(delta (x) id) delta(u) - (id (x) delta) delta(u) on V^3 for each u of ``us``.
+
+    For every variant the difference expands to u1 N' - N' u3, where
+    N' = r13 r12 + r23 r13 - r12 r23 - c r13 is ``nhacybe_residual(r, c, primed=True)``
+    with c = 0 for 'plain' (the variant terms cancel but for -c r13; compare Aguiar,
+    "On the associative analog of Lie bialgebras", 2001).  So N' is formed once, and
+    each u is one two-term sum unless N' = 0, when every residual is zero.
+    """
+    if variant not in ("plain", "delta", "delta-tilde"):
+        raise InvalidInputError(f"unknown coproduct variant {variant!r}")
+    n_prime = nhacybe_residual(r, 0 if variant == "plain" else c, primed=True)
+    if n_prime.is_zero():
+        return [n_prime] * len(us)
+    return [signed_products([(1, place(u, (1,), 3), n_prime), (-1, n_prime, place(u, (3,), 3))])
+            for u in us]
 
 
 def derivation_residual(u: Operator1, v: Operator1, r: Operator2, c,
@@ -479,6 +480,21 @@ def rb_weight_operator(r: Operator2, alpha) -> Operator3:
     r12, r13, r23 = place(r, (1, 2), 3), place(r, (1, 3), 3), place(r, (2, 3), 3)
     return signed_products([(1, r12, r13), (-1, r13, place(r, (3, 2), 3)), (-1, r23, r12),
                             (rat(alpha), r13, place(permutation_P(r.dim), (2, 3), 3))])
+
+
+def rb_weight_residuals(r: Operator2, rb: RotaBaxterMap, alpha,
+                        pairs) -> tuple[Operator3, list[Operator1]]:
+    """X(r) and the weight residuals of ``rb`` at each (A, B) of ``pairs``.
+
+    ``rb`` is ``rota_baxter(r)``, which the caller already holds.  Each residual
+    W_r(A, B) = r(A)r(B) + alpha r(AB) - r(r(A)B + A r(B)) equals
+    Tr_23(X(r) A_2 B_3), so when X(r) = 0 every one is zero and none is formed;
+    otherwise each is formed as ``rb_weight_residual``.
+    """
+    x = rb_weight_operator(r, alpha)
+    if x.is_zero():
+        return x, [Operator1.zero(r.dim)] * len(pairs)
+    return x, [rb_weight_residual(rb, alpha, a, b) for a, b in pairs]
 
 
 def star_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, alpha) -> Operator1:

@@ -605,6 +605,25 @@ def jsla_residuals(a) -> dict[tuple[int, int, int], Fraction]:
     return out
 
 
+def differences_commute_residuals(a) -> list[dict[int, Fraction]]:
+    """{x^i - x^j, x^k - x^l} for i != j and k != l, i outer, then j, k and l, 0-based.
+
+    Every bracket that vanishes is one shared empty dict at its list position.  The
+    bracket is bilinear and x^i - x^j = d_i - d_j with d_i = x^i - x^n, so the
+    (n-1)^2 brackets {d_i, d_k} decide them all: the list is formed only when one of
+    those is nonzero.
+    """
+    n = len(a)
+    empty = {}
+    last = n - 1
+    if not any(linear_bracket(a, {i: ONE, last: -ONE}, {k: ONE, last: -ONE})
+               for i in range(last) for k in range(last)):
+        return [empty] * (n * (n - 1)) ** 2
+    return [linear_bracket(a, {i: ONE, j: -ONE}, {k: ONE, l: -ONE}) or empty
+            for i in range(n) for j in range(n) if i != j
+            for k in range(n) for l in range(n) if k != l]
+
+
 def linear_rime_suite(n: int, draw: RationalDraw) -> dict[str, object]:
     """Jacobi <-> jsla on samples, the n >= 4 algebra and the n = 3 sl(2) case, as residuals."""
     out = {}
@@ -626,12 +645,7 @@ def linear_rime_suite(n: int, draw: RationalDraw) -> dict[str, object]:
     out["almost-trivial"] = [
         sparse_minus(linear_bracket(ones, {i: ONE}, {k: ONE, l: -ONE}), {k: -ONE, l: ONE})
         for i in range(n) for k in range(n) for l in range(n) if k != l]
-    # every residual that vanishes is this one shared empty dict at its list position
-    empty = {}
-    out["differences-commute"] = [
-        linear_bracket(ones, {i: ONE, j: -ONE}, {k: ONE, l: -ONE}) or empty
-        for i in range(n) for j in range(n) if i != j
-        for k in range(n) for l in range(n) if k != l]
+    out["differences-commute"] = differences_commute_residuals(ones)
     if n == 3:
         a3 = [[ZERO, ONE, ONE], [ONE, ZERO, -ONE], [-ONE, -ONE, ZERO]]
         out["n3-jacobi"] = linear_jacobi_residual(a3)

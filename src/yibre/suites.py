@@ -399,8 +399,8 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
             return (tensor.span_difference(n, right, right_shown) if dim is None
                     else Operator2.zero(n), tensor.span_difference(n, left, left_shown, dim))
 
-        even = sides(1, rime.rime_plane_rows(p.data), rime.classical_commutator_rows(n))
-        odd = sides(p.beta - 1, rime.odd_classical_rows(n),
+        even = sides(1, rime.rime_plane_rows(p.data), shown.get("commutators"))
+        odd = sides(p.beta - 1, shown.get("anticommutators"),
                     rime.left_odd_rime_rows(p.data, p.beta))
         return {"right-even-rime-plane": even[0], "left-even-classical": even[1],
                 "right-odd-classical": odd[0], "left-odd-display": odd[1]}
@@ -411,6 +411,9 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
                   for e in (Q(1, 10), Q(1, 100)))
         return d1 - d2
 
+    # the classical relation rows depend on n alone, so every draw reads them from one block
+    shown = Block(draw, commutators=lambda p: rime.classical_commutator_rows(n),
+                  anticommutators=lambda p: rime.odd_classical_rows(n))
     checks: list[Check] = []
     for d in range(draws):
         checks += Block(
@@ -832,13 +835,10 @@ def rota_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         out = {}
         rand_pairs = [(p[f"x{k}"], p[f"y{k}"]) for k in range(10)]
         for kind, w in ((bezout.B0, 0), (bezout.B, -1), (bezout.RS, -1)):
-            rb = p[f"rb:{kind}:{n}"]
-            out[f"{kind}-units"] = bezout.rb_weight_operator(p[f"{kind}:{n}"], w)
-            out[f"{kind}-random"] = [bezout.rb_weight_residual(rb, w, x, y)
-                                     for x, y in rand_pairs]
-        out["rime-units"] = bezout.rb_weight_operator(p.rime, 1)
-        out["rime-random"] = [bezout.rb_weight_residual(p["rb:rime"], 1, x, y)
-                              for x, y in rand_pairs]
+            out[f"{kind}-units"], out[f"{kind}-random"] = bezout.rb_weight_residuals(
+                p[f"{kind}:{n}"], p[f"rb:{kind}:{n}"], w, rand_pairs)
+        out["rime-units"], out["rime-random"] = bezout.rb_weight_residuals(
+            p.rime, p["rb:rime"], 1, rand_pairs)
         return out
 
     def sum_rule(p):

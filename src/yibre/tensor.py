@@ -20,6 +20,7 @@ of n^4 or n^6 slots.  ``data[row][col]`` reads the entries as Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -527,18 +528,37 @@ def place(op, legs: Sequence[int], width: int):
     identity on the other legs: an ``Operator2`` for width 2, an ``Operator3`` for 3.
 
     So place(a, (1,), 2) = a (x) 1, place(r, (1, 3), 3) = r_13 and
-    place(r, (3, 2), 3) = r_32.  Op's integer rows are relabelled through two
-    index tables: ``spread`` moves each digit of op's index to its leg, and
-    ``offsets`` lists every assignment of digits to the free legs.  Refused
-    unless ``legs`` names op's leg count of distinct legs in 1..width.
+    place(r, (3, 2), 3) = r_32.  Op's integer rows are relabelled through the
+    index tables of ``_placement_tables``.  Refused unless ``legs`` names op's
+    leg count of distinct legs in 1..width.
+    """
+    spread, shifts = _placement_tables(op.legs, tuple(legs), width, op.dim)
+    den, rows = op._ints()
+    out = {}
+    for r, row in rows.items():
+        base = spread[r]
+        moved = out[base] = {spread[c]: x for c, x in row.items()}
+        for o in shifts:
+            out[base + o] = {c + o: x for c, x in moved.items()}
+    return (Operator2 if width == 2 else Operator3)._of(op.dim, den, out)
+
+
+@lru_cache(maxsize=64)
+def _placement_tables(count: int, legs: tuple, width: int,
+                      n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(spread, shifts) for a ``count``-leg operator of dim n placed on ``legs`` of V^width.
+
+    ``spread`` moves each digit of op's index to its leg, and ``shifts`` lists every
+    nonzero assignment of digits to the free legs (offset 0 holds the relabelled
+    row itself).  Cached, as few (legs, width, n) recur; an invalid placement
+    raises on every call, since the cache keeps no exception.
     """
     if width not in (2, 3):
         raise InvalidInputError(f"legs are placed in width 2 or 3, not {width}")
-    if (len(legs) != op.legs or len(set(legs)) != len(legs)
+    if (len(legs) != count or len(set(legs)) != len(legs)
             or min(legs) < 1 or max(legs) > width):
-        raise InvalidInputError(f"cannot place a {op.legs}-leg operator on legs {legs} "
+        raise InvalidInputError(f"cannot place a {count}-leg operator on legs {legs} "
                                 f"of width {width}")
-    n = op.dim
     spread, offsets = [0], [0]
     for leg in legs:
         step = n ** (width - leg)
@@ -547,15 +567,7 @@ def place(op, legs: Sequence[int], width: int):
         if leg not in legs:
             step = n ** (width - leg)
             offsets = [o + d * step for o in offsets for d in range(n)]
-    shifts = offsets[1:]  # offset 0 holds the relabelled row itself
-    den, rows = op._ints()
-    out = {}
-    for r, row in rows.items():
-        base = spread[r]
-        moved = out[base] = {spread[c]: x for c, x in row.items()}
-        for o in shifts:
-            out[base + o] = {c + o: x for c, x in moved.items()}
-    return (Operator2 if width == 2 else Operator3)._of(n, den, out)
+    return tuple(spread), tuple(offsets[1:])
 
 
 def permutation_P(n: int) -> Operator2:

@@ -15,7 +15,7 @@ from yibre.kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, 
                           elem_syms_omitting, rat, ratvec, require_distinct, sparse_minus,
                           theta)
 from yibre.rational import Q
-from yibre.poisson import QuadraticBracket
+from yibre.poisson import QuadraticBracket, linear_bracket
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, _clear, conjugate2, kron11,
                           place, reshuffled_matrix, row_space, signed_products, wedge)
 
@@ -1147,3 +1147,11 @@ def bd_fork_R_per_entry(q, p, r, s) -> Operator2:
             (4, 3, 3, 4): s / (p * q * r), (4, 3, 4, 3): lam}.items():
         m.setdefault((i - 1) * 4 + j - 1, {})[(k - 1) * 4 + l - 1] = v
     return Operator2._entries(4, m)
+
+
+def differences_commute_full(a) -> list[dict]:
+    """{x^i - x^j, x^k - x^l} for every i != j and k != l, each bracket formed."""
+    n = len(a)
+    return [linear_bracket(a, {i: ONE, j: -ONE}, {k: ONE, l: -ONE})
+            for i in range(n) for j in range(n) if i != j
+            for k in range(n) for l in range(n) if k != l]

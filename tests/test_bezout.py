@@ -11,7 +11,8 @@ from yibre.bezout import (B, B0, BEZOUT_KINDS, BTILDE, RS, b0_action, b_action,
                           hecke_overlap_residuals, linear_quantization_residuals,
                           m_recursion_check, nhacybe_shift_residual,
                           quadratic_data, rb_closed_form, rb_weight_operator,
-                          rb_weight_residual, RotaBaxterMap, rota_baxter, rs_action,
+                          rb_weight_residual, rb_weight_residuals, RotaBaxterMap,
+                          rota_baxter, rs_action,
                           shift_generator_commutator, shifted_solution_residual,
                           sr_decomposition, star_associativity_residuals, star_product,
                           star_tables)
@@ -269,18 +270,36 @@ def test_coassociativity_needs_right_constant():
     assert not coassociativity_residuals(rb, 0, "delta", [u])[0].is_zero()
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coassociativity_residuals_match_per_unit(n):
-    """r_12 and r_23 lifted once for every unit give each unit its own residual."""
-    bumped = kron11(Operator1.unit(n, 1, 2), Operator1.unit(n, 2, 1))
+    """u1 N' - N' u3 on one N' = nhacybe_residual(r, c, primed=True) gives each unit the
+    residual of its own coproduct, on the Bezout operators, a bumped one and a dense r."""
+    ops = [bezout_operator(B0, n), bezout_operator(B, n), bezout_operator(RS, n)]
+    ops.append(ops[1] + (kron11(Operator1.unit(n, 1, 2), Operator1.unit(n, 2, 1)) if n > 1
+                         else Operator2.identity(1)))
+    rd = RationalDraw(70 + n)
+    dense = Operator2._entries(n, {a: {b: rd.rational() for b in range(n * n)}
+                                   for a in range(n * n)})
+    assert not nhacybe_residual(dense, F(2, 3), primed=True).is_zero()
     units = sweep_units(n)
     nonzero = 0
-    for r in (bezout_operator(B0, n), bezout_operator(B, n), bezout_operator(B, n) + bumped):
-        for c, variant in ((0, "plain"), (1, "delta"), (1, "delta-tilde"), (0, "delta")):
-            got = coassociativity_residuals(r, c, variant, units)
-            assert got == [coassociativity_residual_per_unit(r, c, variant, u) for u in units]
-            nonzero += not all(x.is_zero() for x in got)
-    assert nonzero
+    for r in (*ops, dense):
+        for c in (0, 1, F(2, 3)):
+            for variant in ("plain", "delta", "delta-tilde"):
+                got = coassociativity_residuals(r, c, variant, units)
+                assert got == [coassociativity_residual_per_unit(r, c, variant, u)
+                               for u in units]
+                nonzero += not all(x.is_zero() for x in got)
+    # at n = 1 every operator is a scalar, so u1 N' = N' u3
+    assert bool(nonzero) == (n > 1)
+
+
+def test_coassociativity_refuses_an_unknown_variant():
+    r = bezout_operator(B, 2)
+    with pytest.raises(InvalidInputError):
+        coassociativity_residuals(r, 1, "delta-hat", sweep_units(2))
+    with pytest.raises(InvalidInputError):
+        coassociativity_residuals(r, 1, "delta-hat", [])
 
 
 def test_derivation_laws():
@@ -394,7 +413,7 @@ def test_rb_weights():
             assert rb_weight_residual(rbp, 1, rand_mat(rd, n), rand_mat(rd, n)).is_zero()
 
 
-RB_PHI = {2: [1, 2], 3: [1, 2, 4], 4: [2, 5, -1, 3]}
+RB_PHI = {2: [1, 2], 3: [1, 2, 4], 4: [2, 5, -1, 3], 5: [2, 5, -1, 3, 7]}
 
 
 def sweep_units(n):
@@ -461,6 +480,35 @@ def test_weight_operator_matches_the_unit_sweep(n):
     # the sweep reads every entry of X(r) once
     assert sum(len(row) for row in x.data.values()) == sum(
         len(row) for m in swept for row in m.data.values())
+
+
+def random_pairs(n, seed, count=4):
+    rd = RationalDraw(seed)
+    return [(rand_mat(rd, n), rand_mat(rd, n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_weight_decision_forms_every_pair_when_x_is_nonzero(n):
+    """An r one entry off a weight-(-1) map: X(r) and the per-pair residuals as formed."""
+    pairs = random_pairs(n, 80 + n)
+    r = bumped(bezout_operator(B, n), 2, 1, 1, 2, 1)
+    rb = rota_baxter(r)
+    x, got = rb_weight_residuals(r, rb, -1, pairs)
+    assert x == rb_weight_operator(r, -1) and not x.is_zero()
+    assert got == [rb_weight_residual(rb, -1, a, b) for a, b in pairs]
+    assert not all(res.is_zero() for res in got)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_weight_pairs_vanish_where_x_does(n):
+    """Where X(r) = 0, the per-pair residuals the decision leaves unformed are zero."""
+    pairs = random_pairs(n, 90 + n)
+    for r, w in rb_operators(n):
+        rb = rota_baxter(r)
+        x, got = rb_weight_residuals(r, rb, w, pairs)
+        assert x.is_zero()
+        assert got == [Operator1.zero(n)] * len(pairs)
+        assert all(rb_weight_residual(rb, w, a, b).is_zero() for a, b in pairs)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

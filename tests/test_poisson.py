@@ -6,7 +6,7 @@ from yibre import poisson, qalg
 from yibre.kernel import InvalidInputError, QuadExt, RationalDraw, ratvec
 from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
                            PencilParams, QuadraticBracket, bracket_from_quantum,
-                           compensation_check, delta1_variation,
+                           compensation_check, delta1_variation, differences_commute_residuals,
                            discriminant_action, invariance_generator,
                            jacobi_residual, jsla_residuals, lagrange_basis_matrix,
                            lie_derivative, linear_bracket, linear_jacobi_residual,
@@ -19,7 +19,8 @@ from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
 from yibre.suites import _is_zero, run_suite
 from yibre.tensor import Operator1, Operator2
 
-from reference import jacobi_residual_per_call, lie_derivative_leibniz
+from reference import (differences_commute_full, jacobi_residual_per_call,
+                       lie_derivative_leibniz)
 
 
 def test_dual_numbers():
@@ -385,6 +386,24 @@ def test_linear_rime_shares_its_empty_differences(monkeypatch):
                      for k in range(4) for l in range(4) if k != l]
     assert any(diffs) and not all(diffs)
     assert len({id(d) for d in diffs if not d}) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_differences_commute_decided_on_basis_differences(n):
+    """The (n-1)^2 brackets {x^i - x^n, x^k - x^n} decide the whole list: on the strict
+    algebra every entry is the shared empty dict, and with a_12 bumped the list is formed
+    whole, equal to every bracket taken."""
+    ones = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    bad = [row[:] for row in ones]
+    bad[0][1] = 5
+    for a in (ones, bad):
+        got = differences_commute_residuals(a)
+        assert got == differences_commute_full(a) and len(got) == (n * (n - 1)) ** 2
+        assert len({id(d) for d in got if not d}) <= 1
+    assert not any(differences_commute_residuals(ones))
+    # at n = 2 every difference is +-(x^1 - x^2), and a bracket of one element with itself
+    # vanishes, so only from n = 3 on does the bump show
+    assert any(differences_commute_residuals(bad)) == (n > 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

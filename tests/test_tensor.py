@@ -1508,7 +1508,8 @@ def test_place_refuses_bad_legs():
         (r, (0, 2), 3), (r, (2, 4), 3),
         # widths 1 and 4
         (a, (1,), 1), (a, (1,), 4), (r, (1, 2), 4)]
-    for op, legs, width in bad:
+    # the placement tables are cached, so each refusal is asked for twice
+    for op, legs, width in bad + bad:
         with pytest.raises(InvalidInputError):
             place(op, legs, width)
 
