@@ -224,7 +224,9 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     pairs it names.  Each family is read off a table against an expected table
     written straight into integer rows, and its per-pair list (the ordered
     pairs of pairs, a zero residual as the one shared ``zero``) is cut out of
-    its residual table only when that table is nonzero.
+    its residual table only when that table is nonzero.  The Ztilde families read
+    Ztc = Zc + (I/n) (x) sum_p e_p (one ``kron_sum``) and, since I/n is central,
+    the same bracket table.
     """
     mu = ratvec(mu)
     require_distinct(mu, "mu")
@@ -234,7 +236,8 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     z = {(i, j): carrier_Z(n, i, j) for (i, j) in pairs}
     # Z^i_i, and every residual that vanishes: the n^4 lists share this one object
     zero = Operator1.zero(n)
-    gen = _kron_sum(n, [(1, z[(i, j)], Operator1.unit(n, j, i)) for (i, j) in pairs])
+    terms = [(1, z[(i, j)], Operator1.unit(n, j, i)) for (i, j) in pairs]
+    gen = _kron_sum(n, terms)
     den, rows = gen._ints()
     # the entries (a, c, v) of each Z_p as ints over the generating element's denominator,
     # read back off it, with a and c already placed on leg 1 of a table
@@ -298,16 +301,17 @@ def carrier_algebra_check(mu) -> dict[str, object]:
                 disjoint.setdefault(x, {})[y] = v
 
     # (b) the three displayed bracket families; the vanishing of the others is in (d)
-    shown_blocks = []
+    shown_blocks, sl_at = [], []
     for (i, j) in pairs:
+        sl_at.append(len(shown_blocks))
         shown_blocks.append(((i, j), (j, i), [(1, (j, i)), (-1, (i, j))]))
         for k in range(1, n + 1):
             if k not in (i, j):
                 shown_blocks += [((j, i), (k, i), [(1, (j, i)), (-1, (k, i))]),
                                  ((i, j), (j, k), [(1, (j, k)), (-1, (i, k))])]
-    brackets = family(Operator3._of(n, bden, shown) - expected(shown_blocks), len(shown_blocks),
-                      ((p, t) for p, t, _ in shown_blocks))
-    other_brackets = family(Operator3._of(n, bden, disjoint), m * (n - 2) * (n - 3),
+    brackets = family(Operator3._reduced(n, bden, shown) - expected(shown_blocks),
+                      len(shown_blocks), ((p, t) for p, t, _ in shown_blocks))
+    other_brackets = family(Operator3._reduced(n, bden, disjoint), m * (n - 2) * (n - 3),
                             ((p, t) for p in pairs for t in pairs if not set(p) & set(t)))
 
     # (c) omega(Z^i_j, Z^k_l) = -(mu_i - mu_j) d^l_i d^j_k inverts the r-coefficients
@@ -327,16 +331,24 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     else:
         coboundary = [defect._get(*block(p, t)) for p in pairs for t in pairs]
 
-    # (e) Ztilde obeys the same brackets and fixes the all-ones vector up to 1/n
-    shift = Operator1.identity(n).scale(Q(1, n))
-    zt = {p: z[p] + shift for p in pairs}
-    ones = tuple([ONE] * n)
-    sl_ones, sl_brackets = [], []
-    for (i, j) in pairs:
-        sl_ones.append([x - ONE / n for x in zt[(i, j)].apply(ones)])
-        sl = signed_products([(1, zt[(i, j)], zt[(j, i)]), (-1, zt[(j, i)], zt[(i, j)]),
-                              (-1, zt[(j, i)]), (1, zt[(i, j)])])
-        sl_brackets.append(zero if sl.is_zero() else sl)
+    # (e) Ztilde = Z + I/n, on Ztc = Zc + (I/n) (x) sum_p e_p (one kron_sum), which holds
+    # Ztilde_p where Zc holds Z_p.  Ztilde_p fixes the all-ones vector up to 1/n iff each
+    # integer row of its block sums to tden/n.  I/n is central, so the bracket table of Ztc
+    # is that of Zc above, and [Zt_ij, Zt_ji] - Zt_ji + Zt_ij = [Z_ij, Z_ji] - Z_ji + Z_ij
+    # is (b)'s residual block ((i, j), (j, i))
+    ident = Operator1.identity(n)
+    tden, trows = _kron_sum(n, [*terms, *((Q(1, n), ident, e) for _, _, e in terms)])._ints()
+    sums = {}
+    for x, row in trows.items():
+        a, rk = divmod(x, n)
+        for y, v in row.items():
+            sums.setdefault((rk, y % n), [0] * n)[a] += v
+    fixes = [[s * n - tden for s in sums.get((i - 1, j - 1), [0] * n)] for (i, j) in pairs]
+    if any(map(any, fixes)):
+        sl_ones = [[Q(f, tden * n) for f in fs] for fs in fixes]
+    else:
+        sl_ones = [[ZERO] * n] * m
+    sl_brackets = [brackets[k] for k in sl_at]
     return {"product-rule": product_rule, "brackets": brackets,
             "other-brackets": other_brackets, "omega-is-inverse": rcoef.inverse() - omega,
             "omega-is-coboundary": coboundary, "sl-fixes-ones": sl_ones,

@@ -52,8 +52,8 @@ def rat(value, den=None) -> Fraction:
 
 
 def format_rat(x: Fraction) -> str:
-    """Serialize as 'p/q', or 'p' when the denominator is one."""
-    return str(Q(x))
+    """Serialize as 'p/q', or 'p' when the denominator is one; a ``Q`` prints as it is."""
+    return str(x) if type(x) is Q else str(Q(x))
 
 
 class QuadExt:

@@ -289,7 +289,11 @@ class _SparseSquare:
 
     # -- raw flat-index access ------------------------------------------------
     def _get(self, r: int, c: int) -> Fraction:
-        return self.data.get(r, {}).get(c, ZERO)
+        """One entry; read off the integer rows until the Fraction view is built."""
+        if self._data is None:
+            x = self._rows.get(r, {}).get(c)
+            return ZERO if x is None else Q(x, self._den)
+        return self._data.get(r, {}).get(c, ZERO)
 
     # -- algebra: each operation is one signed sum, so its operands are checked there
     def __add__(self, other):
@@ -308,8 +312,13 @@ class _SparseSquare:
         return signed_products([(1, self, other)])
 
     def __eq__(self, other):
-        return (type(self) is type(other) and self.dim == other.dim
-                and self.data == other.data)
+        """Equal entries.  Integer rows are canonical, so two operators on them are equal iff
+        their (den, rows) are; an operator with a QuadExt entry compares its entries."""
+        if type(self) is not type(other) or self.dim != other.dim:
+            return False
+        if self._den is None or other._den is None:
+            return self.data == other.data
+        return self._den == other._den and self._rows == other._rows
 
     def __hash__(self):
         return hash((type(self).__name__, self.dim,
@@ -674,8 +683,16 @@ def signed_products(terms):
     term carries its row of F1 through the middle factors, folds its integer
     multiplier into the loop over the last factor, and adds straight into that
     output row, so only the nonzero rows of the sum are ever held.  A coefficient or
-    factor with no integer form (a QuadExt) runs the same loop on scalars.
+    factor with no integer form (a QuadExt) runs the same loop on scalars.  A
+    difference k F - k G of two operators with equal integer rows over one
+    denominator is the zero operator after one comparison, before any planning.
     """
+    if len(terms) == 2 and len(terms[0]) == 2 and len(terms[1]) == 2:
+        (k, f), (j, g) = terms
+        if (type(f) is type(g) and f._den is not None and f._den == g._den and f.dim == g.dim
+                and type(k) in (int, Q) and type(j) in (int, Q) and j == -k
+                and f._rows == g._rows):
+            return type(f)._of(f.dim, 1, {})
     cls, dim, den, plan = _plan(terms)
     plan = [(m, rows[0], rows[1:-1], rows[-1] if len(rows) > 1 else None) for m, rows in plan]
     out = {}
@@ -901,9 +918,15 @@ def conjugate2(r: Operator2, t: Operator1) -> Operator2:
 
 
 def _conjugation_defect(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:
-    """lhs T_1 T_2 - T_1 T_2 rhs, one signed sum with T (x) T as T_1 T_2."""
+    """lhs T_1 T_2 - T_1 (T_2 rhs), with T (x) T as T_1 T_2.
+
+    The tail T_2 rhs is formed once, as its own signed sum: a row-by-row chain
+    T_1 T_2 rhs would form each row of it again for every entry of T_1 that
+    reads it, n times over for a dense T.
+    """
     t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
-    return signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
+    tail = signed_products([(1, t2, rhs)])
+    return signed_products([(1, lhs, t1, t2), (-1, t1, tail)])
 
 
 def conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,

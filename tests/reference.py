@@ -335,6 +335,13 @@ def conjugated_difference(lhs: Operator2, rhs: Operator2, t: Operator1) -> Opera
                                    place(tinv, (1,), 2), place(tinv, (2,), 2))])
 
 
+def two_chain_conjugation_defect(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:
+    """lhs T_1 T_2 - T_1 T_2 rhs as one signed sum of two chains, so each row of T_2 rhs is
+    formed again for every entry of T_1 that reads it."""
+    t1, t2 = place(t, (1,), 2), place(t, (2,), 2)
+    return signed_products([(1, lhs, t1, t2), (-1, t1, t2, rhs)])
+
+
 def quantum_trace_differences(r: Operator2, q: Operator1,
                               qt: Operator1) -> tuple[Operator1, Operator1]:
     """(q - Q, qt - Qtilde) from both solves of ``rime.quantum_traces``."""

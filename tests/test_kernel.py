@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from yibre.kernel import (DRAW_POOL, DRAW_POOL_NONZERO, WHOLE_VECTOR_DRAWS,
                           InvalidInputError, QuadExt, RationalDraw, elem_syms_omitting,
                           format_rat, products_omitting, rat, ratvec, theta)
+from yibre.rational import Q
 from yibre.tensor import Operator1
 
 from reference import elem_sym, elem_sym_omit
@@ -67,6 +68,16 @@ def test_rational_serialization():
     assert rat("3/4") == F(3, 4)
     assert rat("-5") == F(-5)
     assert rat(2, 6) == F(1, 3)
+
+
+def test_format_rat_prints_every_rational_type_alike():
+    # a Q prints as it is, with no Q(Q) round trip; a Fraction or an int as its Q does
+    for num, den in ((3, 4), (-7, 2), (5, 1), (-5, 1), (0, 1), (-1, 10 ** 12 + 39)):
+        want = f"{num}" if den == 1 else f"{num}/{den}"
+        assert format_rat(Q(num, den)) == format_rat(F(num, den)) == want
+        if den == 1:
+            assert format_rat(num) == want
+    assert type(format_rat(Q(1, 3))) is str
 
 
 def test_theta():

@@ -7,23 +7,26 @@ from math import gcd, lcm
 
 import pytest
 
-from yibre.classical import (b_cg_eta, b_cg_r, b_skew_r, rcg_r, rime_skew_r, rime_skew_sl_r,
-                             rime_skew_sl_xi)
-from yibre.cg import x_change_of_basis
+import yibre.tensor as tensor_module
+from yibre.classical import (CONJUGATION_PAIRS, b_cg_eta, b_cg_r, b_skew_r, build_classical, rcg_r,
+                             rime_skew_r, rime_skew_sl_r, rime_skew_sl_xi)
+from yibre.cg import CGParams, cg_matrix, d_twist_matrix, x_change_of_basis
 from yibre.kernel import InvalidInputError, NotSkewInvertibleError, QuadExt, RationalDraw, ratvec
 from yibre.rational import Q
-from yibre.rime import quantum_trace_closed_forms, unitary_rime_R, unitary_rime_data
-from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, commutator_with_sum,
-                          conjugate2, conjugate2_residual, cybe_residual, equivalence_residual,
-                          first_nonzero_witness, hecke_residual, kron11, kron_sum,
-                          permutation_P, place, reshuffled_matrix, row_space,
+from yibre.rime import (invariance_Y, invariance_Y0, quantum_trace_closed_forms, strict_rime_R,
+                        unitary_rime_R, unitary_rime_data)
+from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, _conjugation_defect,
+                          commutator_with_sum, conjugate2, conjugate2_residual, cybe_residual,
+                          equivalence_residual, first_nonzero_witness, hecke_residual, kron11,
+                          kron_sum, permutation_P, place, reshuffled_matrix, row_space,
                           shifted_conjugate2_residual, shifted_cybe_residual, signed_products,
                           span_difference, span_rank, wedge, yb_residual)
 
 from reference import (add_entry, braid_yb_residual, bumped, conjugate2_dense,
                        conjugated_difference, dense_grid, dense_matmul, dense_signed_sum,
                        equivalence_dense, first_nonzero_witness_sorted, full_cybe_residual,
-                       partial_trace, row_space_difference, skew_inverse)
+                       partial_trace, row_space_difference, skew_inverse,
+                       two_chain_conjugation_defect)
 
 
 def test_permutation():
@@ -1393,6 +1396,125 @@ def test_leg_wise_conjugation_refuses_a_singular_t():
         conjugate2(r, t)
     with pytest.raises(InvalidInputError):
         equivalence_residual(r, r, t)
+
+
+def _dense_op1(n, seed, quad):
+    """Seeded n x n operator with every entry nonzero; QuadExt(a, b, quad) in half."""
+    rng = random.Random(seed)
+    out = {}
+    for r in range(n):
+        for c in range(n):
+            v = F(rng.randint(-9, 9) or 1, rng.choice(SMALL_DENS))
+            if quad is not None and rng.random() < 0.5:
+                v = QuadExt(v, F(rng.randint(1, 4), rng.choice(SMALL_DENS)), quad)
+            out.setdefault(r, {})[c] = v
+    return Operator1._entries(n, out)
+
+
+@pytest.mark.parametrize("quad", [None, -1])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_conjugation_defect_matches_the_two_chain_form(n, quad):
+    # random sides that are not conjugate and a dense T: the tail T_2 B formed once gives
+    # the two-chain sum, witness and all
+    t = _dense_op1(n, 300 + n, quad)
+    lhs = _random_sparse(Operator2, n, 310 + n, SMALL_DENS, quad)
+    rhs = _random_sparse(Operator2, n, 320 + n, SMALL_DENS, quad)
+    assert len(t._rows) == n and all(len(row) == n for row in t._rows.values())
+    assert (t._den is None) == (quad is not None)
+    got, want = _conjugation_defect(lhs, rhs, t), two_chain_conjugation_defect(lhs, rhs, t)
+    assert not got.is_zero()
+    assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
+
+
+def _suite_defect_inputs(n: int) -> list[tuple]:
+    """(name, lhs, rhs, T) of the conjugation defects the suites decide, at passing inputs."""
+    rd = RationalDraw(400 + n)
+    phi, mu, beta = rd.vector(n, distinct=True), rd.vector(n, distinct=True), F(2, 7)
+    r, u = strict_rime_R(phi, beta), unitary_rime_R(mu)
+    rcg = cg_matrix(CGParams(n, F(1, 4), 1))
+    xmu = x_change_of_basis(mu)[0]
+    return [("invariance-Y", r, r, invariance_Y(phi, F(1, 3), F(2, 5))),
+            ("invariance-Y0", u, u, invariance_Y0(mu, F(1, 2))),
+            ("cg-equivalence", r, cg_matrix(CGParams(n, 1 - beta, 1)), x_change_of_basis(phi)[0]),
+            ("d-twist-commutes", rcg, rcg, d_twist_matrix(n, 2)),
+            *((f"conjugation:{pair}", build_classical(lk, n, mu), build_classical(rk, n), xmu)
+              for pair, (lk, rk) in CONJUGATION_PAIRS.items())]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_suite_conjugation_defects_match_the_two_chain_form(n):
+    # each suite's real defect passes, and one bumped entry on either side gives the
+    # two-chain residual and witness
+    for name, lhs, rhs, t in _suite_defect_inputs(n):
+        assert equivalence_residual(lhs, rhs, t).is_zero(), name
+        for left, right in ((bumped(lhs, 1, 2, 2, 1, 1), rhs),
+                            (lhs, bumped(rhs, n, 1, 1, n, F(1, 3)))):
+            got = equivalence_residual(left, right, t)
+            want = two_chain_conjugation_defect(left, right, t)
+            assert not got.is_zero(), name
+            assert got == want, name
+            assert first_nonzero_witness(got) == first_nonzero_witness(want), name
+
+
+def test_equal_operand_difference_is_one_comparison(monkeypatch):
+    rd = RationalDraw(17)
+    a = _dense_random_op2(rd, 3)
+    twin = Operator2._entries(3, a.data)
+    half = a.scale(F(1, 2))
+    assert twin is not a and twin._rows == a._rows and twin._den == a._den
+    # equal rows over another denominator: a/2 - a is -a/2, not zero
+    assert half._rows == a._rows and half._den != a._den
+    assert half - a == a.scale(F(-1, 2)) and not (half - a).is_zero()
+    # the planner never runs for k F - k G with equal integer rows and denominators
+    plan = tensor_module._plan
+    monkeypatch.setattr(tensor_module, "_plan", None)
+    for zero in (a - twin, signed_products([(Q(2, 3), twin), (Q(-2, 3), a)])):
+        assert zero._ints() == (1, {}) and zero == Operator2.zero(3)
+    monkeypatch.setattr(tensor_module, "_plan", plan)
+    # equal QuadExt operands take the general path, which keeps their scalar form
+    quad = _random_sparse(Operator2, 3, 5, SMALL_DENS, -1)
+    assert quad._den is None
+    assert (quad - Operator2._entries(3, quad.data))._ints() == (None, {})
+    # a refused operand is still refused
+    with pytest.raises(InvalidInputError):
+        a - Operator3._entries(3, a.data)
+
+
+def _builder_routes(n: int, seed: int) -> list:
+    """Operators of one dim from every builder route, with equal ones among them."""
+    rd = RationalDraw(seed)
+    t = Operator1([[rd.rational() for _ in range(n)] for _ in range(n)])
+    den, rows = t._ints()
+    ops1 = [t, Operator1._entries(n, t.data), t.transpose(), t.transpose().transpose(),
+            Operator1._reduced(n, 6 * den, {r: {c: 6 * x for c, x in row.items()}
+                                           for r, row in rows.items()}),
+            t.inverse(), t.inverse().inverse(), t.scale(F(1, 2)), Operator1.zero(n),
+            Operator1.identity(n), t @ t.inverse()]
+    ops2 = [place(t, (1,), 2), kron11(t, Operator1.identity(n)), place(t, (2,), 2),
+            place(t.inverse(), (1,), 2).inverse(), Operator2._entries(n, place(t, (2,), 2).data)]
+    return [ops1, ops2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integer_row_equality_agrees_with_the_fraction_view(n):
+    for ops in _builder_routes(n, 500 + n):
+        fresh = [Operator1._of(op.dim, *op._ints()) if op.legs == 1 else
+                 Operator2._of(op.dim, *op._ints()) for op in ops]
+        for a, fa in zip(ops, fresh):
+            # a single read leaves the Fraction view unbuilt and agrees with it
+            assert fa._data is None
+            assert [fa._get(r, c) for r in range(fa.size) for c in range(fa.size)] == [
+                a.data.get(r, {}).get(c, 0) for r in range(a.size) for c in range(a.size)]
+            assert fa._data is None
+            for b, fb in zip(ops, fresh):
+                assert (fa == fb) == (a.data == b.data)
+                assert fa._data is None and fb._data is None
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert any(a is not b and a == b for a in ops for b in ops)
+    # a QuadExt operand compares its entries, with the rational operator of the same values too
+    q = Operator1._entries(n, {0: {0: QuadExt(F(1, 2), 0, -1)}})
+    assert q._den is None and q == Operator1._entries(n, {0: {0: F(1, 2)}})
 
 
 @pytest.mark.parametrize("quad", [None, -1])
