@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .kernel import ONE, ZERO, InvalidInputError, rat, ratvec, require_distinct
+from .kernel import ONE, ZERO, Deferred, InvalidInputError, rat, ratvec, require_distinct
 from .rational import Q
 from .tensor import (Echelon, Operator1, Operator2, Operator3, _row_product_into,
                      commutator_with_sum, cybe_residual, kron11, kron_sum, nhacybe_residual,
@@ -315,22 +315,21 @@ def _variant_terms(variant: str, c, minus, plus) -> list:
     raise InvalidInputError(f"unknown coproduct variant {variant!r}")
 
 
-def coassociativity_residuals(r: Operator2, c, variant: str, us) -> list[Operator3]:
-    """(delta (x) id) delta(u) - (id (x) delta) delta(u) on V^3 for each u of ``us``.
+def coassociativity_residuals(r: Operator2, c, variant: str, us) -> Deferred:
+    """(delta (x) id) delta(u) - (id (x) delta) delta(u) on V^3 for each u of ``us``, as a list.
 
     For every variant the difference expands to u1 N' - N' u3, where
     N' = r13 r12 + r23 r13 - r12 r23 - c r13 is ``nhacybe_residual(r, c, primed=True)``
     with c = 0 for 'plain' (the variant terms cancel but for -c r13; compare Aguiar,
-    "On the associative analog of Lie bialgebras", 2001).  So N' is formed once, and
-    each u is one two-term sum unless N' = 0, when every residual is zero.
+    "On the associative analog of Lie bialgebras", 2001).  So N' is formed once and
+    decides every residual, and the form makes each u one two-term sum.
     """
     if variant not in ("plain", "delta", "delta-tilde"):
         raise InvalidInputError(f"unknown coproduct variant {variant!r}")
     n_prime = nhacybe_residual(r, 0 if variant == "plain" else c, primed=True)
-    if n_prime.is_zero():
-        return [n_prime] * len(us)
-    return [signed_products([(1, place(u, (1,), 3), n_prime), (-1, n_prime, place(u, (3,), 3))])
-            for u in us]
+    return Deferred(n_prime.is_zero(), lambda: [
+        signed_products([(1, place(u, (1,), 3), n_prime), (-1, n_prime, place(u, (3,), 3))])
+        for u in us])
 
 
 def derivation_residual(u: Operator1, v: Operator1, r: Operator2, c,
@@ -483,18 +482,17 @@ def rb_weight_operator(r: Operator2, alpha) -> Operator3:
 
 
 def rb_weight_residuals(r: Operator2, rb: RotaBaxterMap, alpha,
-                        pairs) -> tuple[Operator3, list[Operator1]]:
-    """X(r) and the weight residuals of ``rb`` at each (A, B) of ``pairs``.
+                        pairs) -> tuple[Operator3, Deferred]:
+    """X(r), and the weight residuals of ``rb`` at each (A, B) of ``pairs`` as a list.
 
     ``rb`` is ``rota_baxter(r)``, which the caller already holds.  Each residual
     W_r(A, B) = r(A)r(B) + alpha r(AB) - r(r(A)B + A r(B)) equals
-    Tr_23(X(r) A_2 B_3), so when X(r) = 0 every one is zero and none is formed;
-    otherwise each is formed as ``rb_weight_residual``.
+    Tr_23(X(r) A_2 B_3), so X(r) = 0 decides them all; the form makes each one
+    ``rb_weight_residual``.
     """
     x = rb_weight_operator(r, alpha)
-    if x.is_zero():
-        return x, [Operator1.zero(r.dim)] * len(pairs)
-    return x, [rb_weight_residual(rb, alpha, a, b) for a, b in pairs]
+    return x, Deferred(x.is_zero(), lambda: [rb_weight_residual(rb, alpha, a, b)
+                                             for a, b in pairs])
 
 
 def star_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, alpha) -> Operator1:
@@ -561,33 +559,27 @@ def star_tables(rb: RotaBaxterMap, rb_prime: RotaBaxterMap, alpha,
 
 
 def star_associativity_residuals(rb: RotaBaxterMap, rb_prime: RotaBaxterMap, alpha,
-                                 c) -> list[Operator1]:
+                                 c) -> Deferred:
     """For each unit pair (a, b) in turn, x_a *~ x_b - x_a * x_b and then the associators
-    (x_a * x_b) * x_c - x_a * (x_b * x_c) over c, with the units of ``_sweep_units``.
+    (x_a * x_b) * x_c - x_a * (x_b * x_c) over c, with the units of ``_sweep_units``, as
+    one list.
 
-    Each family is decided on its table (``star_tables``).  A zero table puts one
-    shared zero at each of its positions; a nonzero table's entries are read off
-    its rows, row (cell of y) for the entry at y.
+    Each family is decided on its table (``star_tables``), and the list is zero
+    when every table is.  The form reads each table's entries off its rows, row
+    (cell of y) for the entry at y.
     """
     n = rb.n
     _, associators, tilde = star_tables(rb, rb_prime, alpha, c)
     cells = [d * n + k for (d, k), _ in _sweep_units(n)]
     m = len(cells)
-    zero = Operator1.zero(n)
 
     def entries(table: Operator2) -> list[Operator1]:
-        if table.is_zero():
-            return [zero] * m
         den, rows = table._ints()
         return [rb._cells(den, rows.get(x, {})) for x in cells]
 
-    out = []
-    for a, table in enumerate(tilde):
-        differences = entries(table)
-        for b in range(m):
-            out.append(differences[b])
-            out += entries(associators[a * m + b])
-    return out
+    return Deferred(all(table.is_zero() for table in chain(tilde, associators)), lambda: [
+        x for a, table in enumerate(tilde) for b, difference in enumerate(entries(table))
+        for x in (difference, *entries(associators[a * m + b]))])
 
 
 _GL3_SHAPE_B0 = ((1, 1, 1), (0, 0, 1), (0, 0, 0))

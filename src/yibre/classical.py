@@ -6,7 +6,7 @@ e^i_j : e_i -> e_j (Operator1.unit), which pins every sign in this module.
 
 from __future__ import annotations
 
-from .kernel import (ONE, ZERO, InvalidInputError, cleared, rat, ratvec,
+from .kernel import (ONE, ZERO, Deferred, InvalidInputError, cleared, rat, ratvec,
                      require_distinct)
 from .rational import Q
 from .rime import strict_rime_R
@@ -193,7 +193,7 @@ CONJUGATION_PAIRS = {"nonskew-to-rcg": (RIME_NONSKEW, R_CG),
 SHIFT_BASES = {RIME_SKEW_SL: RIME_SKEW, B_CG: B_SKEW}
 
 
-def conjugation_residual_of(pair: str, get, x: tuple) -> Operator2:
+def conjugation_residual_of(pair: str, get, x: tuple) -> Deferred:
     """lhs - (X x X) rhs (X^-1 x X^-1) for one of the three stated equivalences, from objects
     already built: ``get(name)`` reads the r of a classical kind, or the xi of an identity
     shift by kind + ":xi", and x is (X, X^-1).
@@ -222,11 +222,10 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     and the bracket table [Zc_12, Zc_13] are one ``signed_products`` call each,
     and each block of legs 2 and 3 holds the product or bracket of the pair of
     pairs it names.  Each family is read off a table against an expected table
-    written straight into integer rows, and its per-pair list (the ordered
-    pairs of pairs, a zero residual as the one shared ``zero``) is cut out of
-    its residual table only when that table is nonzero.  The Ztilde families read
-    Ztc = Zc + (I/n) (x) sum_p e_p (one ``kron_sum``) and, since I/n is central,
-    the same bracket table.
+    written straight into integer rows, and is decided on its residual table;
+    the form cuts its per-pair list (the ordered pairs of pairs) out of that
+    table.  The Ztilde families read Ztc = Zc + (I/n) (x) sum_p e_p (one
+    ``kron_sum``) and, since I/n is central, the same bracket table.
     """
     mu = ratvec(mu)
     require_distinct(mu, "mu")
@@ -234,7 +233,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     nn = n * n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     z = {(i, j): carrier_Z(n, i, j) for (i, j) in pairs}
-    # Z^i_i, and every residual that vanishes: the n^4 lists share this one object
+    # Z^i_i, and every block a residual table leaves empty
     zero = Operator1.zero(n)
     terms = [(1, z[(i, j)], Operator1.unit(n, j, i)) for (i, j) in pairs]
     gen = _kron_sum(n, terms)
@@ -261,21 +260,19 @@ def carrier_algebra_check(mu) -> dict[str, object]:
         return Operator3._reduced(n, den, {x: nz for x, row in out.items()
                                            if (nz := {y: v for y, v in row.items() if v})})
 
-    def cut(table: Operator3, positions) -> list[Operator1]:
-        """The blocks of a nonzero residual table at the positions, in order."""
-        tden, trows = table._ints()
-        blocks = {}
-        for x, row in trows.items():
-            a, rk = divmod(x, nn)
-            for y, v in row.items():
-                c, ck = divmod(y, nn)
-                blocks.setdefault((rk, ck), {}).setdefault(a, {})[c] = v
-        return [Operator1._reduced(n, tden, b) if (b := blocks.get(block(p, t))) else zero
-                for p, t in positions]
-
-    def family(residual: Operator3, count: int, positions) -> list[Operator1]:
-        """The residual table as its per-pair list; the positions are read only if it is nonzero."""
-        return [zero] * count if residual.is_zero() else cut(residual, positions)
+    def cut(table: Operator3, positions) -> Deferred:
+        """The blocks of a residual table at ``positions()``, in order, decided on the table."""
+        def form() -> list[Operator1]:
+            tden, trows = table._ints()
+            blocks = {}
+            for x, row in trows.items():
+                a, rk = divmod(x, nn)
+                for y, v in row.items():
+                    c, ck = divmod(y, nn)
+                    blocks.setdefault((rk, ck), {}).setdefault(a, {})[c] = v
+            return [Operator1._reduced(n, tden, b) if (b := blocks.get(block(p, t))) else zero
+                    for p, t in positions()]
+        return Deferred(table.is_zero(), form)
 
     # (a) associative product rule Z^j_i Z^k_l = (d^j_l - d^i_l)(Z^k_i - Z^l_i): the
     # coefficient is nonzero only for l = j or l = i
@@ -284,7 +281,7 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     product = signed_products([(1, z12, z13)])
     want = expected(((j, i), (k, l), [(1 if l == j else -1, (k, i)), (-1 if l == j else 1, (l, i))])
                     for (j, i) in pairs for l in (i, j) for k in range(1, n + 1) if k != l)
-    product_rule = family(product - want, m * m, ((p, t) for p in pairs for t in pairs))
+    product_rule = cut(product - want, lambda: ((p, t) for p in pairs for t in pairs))
 
     # the bracket table, split into (b)'s displayed brackets, the brackets of disjoint
     # pairs, which vanish, and lambda on every bracket, one contraction of leg 1
@@ -301,18 +298,18 @@ def carrier_algebra_check(mu) -> dict[str, object]:
                 disjoint.setdefault(x, {})[y] = v
 
     # (b) the three displayed bracket families; the vanishing of the others is in (d)
-    shown_blocks, sl_at = [], []
-    for (i, j) in pairs:
-        sl_at.append(len(shown_blocks))
-        shown_blocks.append(((i, j), (j, i), [(1, (j, i)), (-1, (i, j))]))
-        for k in range(1, n + 1):
-            if k not in (i, j):
-                shown_blocks += [((j, i), (k, i), [(1, (j, i)), (-1, (k, i))]),
-                                 ((i, j), (j, k), [(1, (j, k)), (-1, (i, k))])]
-    brackets = family(Operator3._reduced(n, bden, shown) - expected(shown_blocks),
-                      len(shown_blocks), ((p, t) for p, t, _ in shown_blocks))
-    other_brackets = family(Operator3._reduced(n, bden, disjoint), m * (n - 2) * (n - 3),
-                            ((p, t) for p in pairs for t in pairs if not set(p) & set(t)))
+    def shown_blocks():
+        for (i, j) in pairs:
+            yield (i, j), (j, i), [(1, (j, i)), (-1, (i, j))]
+            for k in range(1, n + 1):
+                if k not in (i, j):
+                    yield (j, i), (k, i), [(1, (j, i)), (-1, (k, i))]
+                    yield (i, j), (j, k), [(1, (j, k)), (-1, (i, k))]
+
+    shown_residual = Operator3._reduced(n, bden, shown) - expected(shown_blocks())
+    brackets = cut(shown_residual, lambda: ((p, t) for p, t, _ in shown_blocks()))
+    other_brackets = cut(Operator3._reduced(n, bden, disjoint),
+                         lambda: ((p, t) for p in pairs for t in pairs if not set(p) & set(t)))
 
     # (c) omega(Z^i_j, Z^k_l) = -(mu_i - mu_j) d^l_i d^j_k inverts the r-coefficients
     idx = {p: a for a, p in enumerate(pairs)}
@@ -326,10 +323,8 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     defect = _lambda_on_carrier(bracket, mu) - Operator2._entries(
         n, {(i - 1) * n + j - 1: {(j - 1) * n + i - 1: -(mu[i - 1] - mu[j - 1])}
             for (i, j) in pairs})
-    if defect.is_zero():
-        coboundary = [ZERO] * (m * m)
-    else:
-        coboundary = [defect._get(*block(p, t)) for p in pairs for t in pairs]
+    coboundary = Deferred(defect.is_zero(),
+                          lambda: [defect._get(*block(p, t)) for p in pairs for t in pairs])
 
     # (e) Ztilde = Z + I/n, on Ztc = Zc + (I/n) (x) sum_p e_p (one kron_sum), which holds
     # Ztilde_p where Zc holds Z_p.  Ztilde_p fixes the all-ones vector up to 1/n iff each
@@ -344,11 +339,9 @@ def carrier_algebra_check(mu) -> dict[str, object]:
         for y, v in row.items():
             sums.setdefault((rk, y % n), [0] * n)[a] += v
     fixes = [[s * n - tden for s in sums.get((i - 1, j - 1), [0] * n)] for (i, j) in pairs]
-    if any(map(any, fixes)):
-        sl_ones = [[Q(f, tden * n) for f in fs] for fs in fixes]
-    else:
-        sl_ones = [[ZERO] * n] * m
-    sl_brackets = [brackets[k] for k in sl_at]
+    sl_ones = Deferred(not any(map(any, fixes)),
+                       lambda: [[Q(f, tden * n) for f in fs] for fs in fixes])
+    sl_brackets = cut(shown_residual, lambda: (((i, j), (j, i)) for (i, j) in pairs))
     return {"product-rule": product_rule, "brackets": brackets,
             "other-brackets": other_brackets, "omega-is-inverse": rcoef.inverse() - omega,
             "omega-is-coboundary": coboundary, "sl-fixes-ones": sl_ones,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .rational import Q
 
@@ -125,6 +125,21 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
+
+
+class Deferred:
+    """A residual decided before it is formed: ``zero`` True says a decision proved it
+    exactly zero, and ``form()`` builds the whole residual-like value, zero or not, on
+    every call.  ``zero`` False proves nothing, so a reader forms it and looks."""
+
+    __slots__ = ("zero", "form")
+
+    def __init__(self, zero: bool, form: Callable[[], object]):
+        self.zero, self.form = zero, form
+
+    def __add__(self, other: "Deferred") -> "Deferred":
+        """The concatenation of two deferred lists."""
+        return Deferred(self.zero and other.zero, lambda: self.form() + other.form())
 
 
 def perfect_square_root(x: Fraction) -> Fraction | None:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .kernel import (ONE, ZERO, InvalidInputError, QuadExt, RationalDraw,
+from .kernel import (ONE, ZERO, Deferred, InvalidInputError, QuadExt, RationalDraw,
                      perfect_square_root, rat, ratvec, require_distinct,
                      sparse_minus)
 from .rational import Q
@@ -572,22 +573,12 @@ def linear_bracket(a, f: dict, g: dict) -> dict[int, Fraction]:
 
 
 def linear_jacobi_residual(a) -> dict[tuple[int, int, int], dict[int, Fraction]]:
-    """Cyclic Jacobi sums of {x^i,x^j} = a_ij x^i - a_ji x^j, per triple."""
-    n = len(a)
+    """Cyclic Jacobi sums of {x^i,x^j} = a_ij x^i - a_ji x^j, per triple: for each cyclic
+    rotation (u, v, w) of i < j < k, the coefficient of x^u is a_uv a_vw - a_uw a_wv."""
     a = [[rat(x) for x in row] for row in a]
-    res = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                tot: dict[int, Fraction] = {}
-                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = linear_bracket(a, {y: ONE}, {z: ONE})
-                    for var, v in linear_bracket(a, {x: ONE}, inner).items():
-                        tot[var] = tot.get(var, ZERO) + v
-                tot = {m: v for m, v in tot.items() if v}
-                if tot:
-                    res[(i + 1, j + 1, k + 1)] = tot
-    return res
+    return {(i + 1, j + 1, k + 1): tot for i, j, k in combinations(range(len(a)), 3)
+            if (tot := {u: c for u, v, w in ((i, j, k), (j, k, i), (k, i, j))
+                        if (c := a[u][v] * a[v][w] - a[u][w] * a[w][v])})}
 
 
 def jsla_residuals(a) -> dict[tuple[int, int, int], Fraction]:
@@ -605,23 +596,22 @@ def jsla_residuals(a) -> dict[tuple[int, int, int], Fraction]:
     return out
 
 
-def differences_commute_residuals(a) -> list[dict[int, Fraction]]:
-    """{x^i - x^j, x^k - x^l} for i != j and k != l, i outer, then j, k and l, 0-based.
+def differences_commute_residuals(a) -> Deferred:
+    """{x^i - x^j, x^k - x^l} for i != j and k != l, i outer, then j, k and l, 0-based,
+    as one list.
 
-    Every bracket that vanishes is one shared empty dict at its list position.  The
-    bracket is bilinear and x^i - x^j = d_i - d_j with d_i = x^i - x^n, so the
-    (n-1)^2 brackets {d_i, d_k} decide them all: the list is formed only when one of
-    those is nonzero.
+    The bracket is bilinear and x^i - x^j = d_i - d_j with d_i = x^i - x^n, so the
+    (n-1)^2 brackets {d_i, d_k} decide them all.  In the form, every bracket that
+    vanishes is one shared empty dict.
     """
     n = len(a)
-    empty = {}
     last = n - 1
-    if not any(linear_bracket(a, {i: ONE, last: -ONE}, {k: ONE, last: -ONE})
-               for i in range(last) for k in range(last)):
-        return [empty] * (n * (n - 1)) ** 2
-    return [linear_bracket(a, {i: ONE, j: -ONE}, {k: ONE, l: -ONE}) or empty
-            for i in range(n) for j in range(n) if i != j
-            for k in range(n) for l in range(n) if k != l]
+    empty = {}
+    return Deferred(not any(linear_bracket(a, {i: ONE, last: -ONE}, {k: ONE, last: -ONE})
+                            for i in range(last) for k in range(last)),
+                    lambda: [linear_bracket(a, {i: ONE, j: -ONE}, {k: ONE, l: -ONE}) or empty
+                             for i in range(n) for j in range(n) if i != j
+                             for k in range(n) for l in range(n) if k != l])
 
 
 def linear_rime_suite(n: int, draw: RationalDraw) -> dict[str, object]:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
-from .kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, cleared,
+from .kernel import (ONE, ZERO, Deferred, InvalidInputError, NotSkewInvertibleError, cleared,
                      products_omitting, rat, ratvec, require_distinct)
 from .rational import Q
 from .tensor import (Operator1, Operator2, _row_product_into, hecke_residual, permutation_P,
@@ -258,14 +259,14 @@ def quantum_traces(r: Operator2) -> tuple[Operator1, Operator1]:
 
 
 def quantum_trace_residuals(r: Operator2, q: Operator1,
-                            qt: Operator1) -> tuple[Operator1, Operator1]:
-    """(q - Q, qt - Qtilde) for (Q, Qtilde) = ``quantum_traces(r)``, solved for only when nonzero.
+                            qt: Operator1) -> tuple[Deferred, Deferred]:
+    """(q - Q, qt - Qtilde) for (Q, Qtilde) = ``quantum_traces(r)``, each decided with no solve.
 
     One forward elimination shows the reshuffled matrix M nonsingular (a
     singular M raises NotSkewInvertibleError, as there).  Then M x = u has one
     solution, so q = Q iff M vec(q) = u with vec(q)[(i,k)] = q^i_k, and
     qt = Qtilde iff M^T w = u with w[(l,j)] = qt^j_l: each trace is decided by
-    one product, its defect, on integers.
+    one product, its defect, on integers.  The two forms share one solve.
     """
     n = r.dim
     m = reshuffled_matrix(r)
@@ -279,11 +280,11 @@ def quantum_trace_residuals(r: Operator2, q: Operator1,
     wt = {l * n + j: v for j, row in trows.items() for l, v in row.items()}
     # (M x)[a] is x times M's transpose, (M^T w)[a] is w times M
     mk = mden or 1
-    if (_is_unit_sum(_row_product_into({}, vq, m.transpose()._ints()[1]), n, mk * (qden or 1))
-            and _is_unit_sum(_row_product_into({}, wt, mrows), n, mk * (tden or 1))):
-        return q.zero(n), qt.zero(n)
-    qs, qts = quantum_traces(r)
-    return q - qs, qt - qts
+    traces = cache(lambda: quantum_traces(r))
+    return (Deferred(_is_unit_sum(_row_product_into({}, vq, m.transpose()._ints()[1]), n,
+                                  mk * (qden or 1)), lambda: q - traces()[0]),
+            Deferred(_is_unit_sum(_row_product_into({}, wt, mrows), n, mk * (tden or 1)),
+                     lambda: qt - traces()[1]))
 
 
 def _is_unit_sum(vec: dict, n: int, k) -> bool:

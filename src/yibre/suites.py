@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Callable
 
 from . import bezout, blocks, cg, classical, poisson, qalg, rime, tensor
-from .kernel import ONE, ZERO, RationalDraw, elem_syms_omitting, format_rat, rat
+from .kernel import ONE, ZERO, Deferred, RationalDraw, elem_syms_omitting, format_rat, rat
 from .poisson import PencilParams, QuadraticBracket
 from .rational import Q
 from .tensor import Operator1, Operator2, Operator3, first_nonzero_witness
@@ -198,11 +198,14 @@ def _is_zero(obj) -> tuple[bool, dict | None]:
 
 def _all_zero(obj) -> bool:
     """Whether every leaf of nested dicts, lists and tuples is an exact zero: 0 as an int
-    or ``Q``, True, or an operator whose ``is_zero()`` holds.  Any other leaf answers
-    no, so that ``_first_failure`` decides it."""
+    or ``Q``, True, an operator whose ``is_zero()`` holds, or a ``Deferred`` whose
+    decision proved it zero.  Any other leaf answers no, so that ``_first_failure``
+    decides it."""
     t = type(obj)
     if t is bool:
         return obj
+    if t is Deferred:
+        return obj.zero
     if t is int or t is Q:
         return not obj
     if isinstance(obj, (Operator1, Operator2, Operator3)):
@@ -215,7 +218,10 @@ def _all_zero(obj) -> bool:
 
 
 def _first_failure(obj) -> tuple[bool, dict | None]:
-    """``_is_zero`` by a search in order: the first offending entry's witness, if any."""
+    """``_is_zero`` by a search in order: the first offending entry's witness, if any.  A
+    ``Deferred`` that its decision did not prove zero is formed, and searched in its place."""
+    if isinstance(obj, Deferred):
+        return (True, None) if obj.zero else _first_failure(obj.form())
     if isinstance(obj, bool):
         return obj, None if obj else {"index": "-", "value": "false"}
     if type(obj) is Q or isinstance(obj, (int, Fraction)):
@@ -248,8 +254,11 @@ def _first_failure(obj) -> tuple[bool, dict | None]:
 
 
 def _mutate(obj):
-    """A copy of a residual-like object with one entry bumped (fault injection); ``obj``
-    itself, which may be an object its block shares, is left as it is."""
+    """A copy of a residual-like object with one entry bumped (fault injection), a
+    ``Deferred`` in its form; ``obj`` itself, which may be an object its block shares, is
+    left as it is."""
+    if isinstance(obj, Deferred):
+        return _mutate(obj.form())
     if isinstance(obj, QuadraticBracket) and obj.dim >= 2:
         # a bracket's first slot is {x^1, x^2}, not the operator's entry 1,1|1,1
         return obj + QuadraticBracket(obj.dim, {(1, 2): {(1, 1): ONE}})
@@ -396,8 +405,9 @@ def rime_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
             right = rime.quantum_space_rows(p.r, eigenvalue, "right")
             dim = tensor.span_rank(right, right_shown)
             left = rime.quantum_space_rows(p.r, eigenvalue, "left")
-            return (tensor.span_difference(n, right, right_shown) if dim is None
-                    else Operator2.zero(n), tensor.span_difference(n, left, left_shown, dim))
+            return (Deferred(dim is not None, lambda: tensor.row_space(n, right)
+                             - tensor.row_space(n, right_shown)),
+                    tensor.span_difference(n, left, left_shown, dim))
 
         even = sides(1, rime.rime_plane_rows(p.data), shown.get("commutators"))
         odd = sides(p.beta - 1, shown.get("anticommutators"),
@@ -870,11 +880,10 @@ def rota_suite(n: int, draw: RationalDraw, draws: int) -> list[Check]:
         }
 
     def associativity(p):
-        out = []
-        for kind, w, c in ((bezout.B0, 0, 0), (bezout.B, -1, 1)):
-            out += bezout.star_associativity_residuals(p[f"rb:{kind}:{m}"],
-                                                       p[f"rb-right:{kind}:{m}"], w, c)
-        return out
+        b0, b = (bezout.star_associativity_residuals(p[f"rb:{kind}:{m}"],
+                                                     p[f"rb-right:{kind}:{m}"], w, c)
+                 for kind, w, c in ((bezout.B0, 0, 0), (bezout.B, -1, 1)))
+        return b0 + b
 
     return checks + base.declare(
         Check("closed-form-rb:rime-phi", "bez30",

@@ -25,7 +25,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .kernel import ONE, ZERO, InvalidInputError, cleared, rat
+from .kernel import ONE, ZERO, Deferred, InvalidInputError, cleared, rat
 from .rational import Q
 
 
@@ -621,13 +621,12 @@ def span_rank(rows: Sequence[dict], canonical: Iterable[dict],
 
 
 def span_difference(n: int, rows: Iterable[dict], canonical: Iterable[dict],
-                    rank: int | None = None) -> Operator2:
-    """row_space(n, rows) - row_space(n, canonical), formed only when ``span_rank`` finds
-    that the spans differ."""
+                    rank: int | None = None) -> Deferred:
+    """row_space(n, rows) - row_space(n, canonical), decided by ``span_rank``: zero when it
+    finds the spans equal."""
     rows, canonical = list(rows), list(canonical)
-    if span_rank(rows, canonical, rank) is not None:
-        return Operator2.zero(n)
-    return row_space(n, rows) - row_space(n, canonical)
+    return Deferred(span_rank(rows, canonical, rank) is not None,
+                    lambda: row_space(n, rows) - row_space(n, canonical))
 
 
 def _plan(terms, cls=None):
@@ -821,7 +820,7 @@ def cybe_residual(r: Operator2) -> Operator3:
 
 
 def shifted_cybe_residual(r: Operator2, a: Operator2, xi: Operator1,
-                          cyb_a: Operator3) -> Operator3:
+                          cyb_a: Operator3) -> Deferred:
     """``cybe_residual(r)`` for an r that should equal a + xi ^ 1, decided through a, xi
     and ``cyb_a``, which is ``cybe_residual(a)`` as the caller already holds it.
 
@@ -838,13 +837,10 @@ def shifted_cybe_residual(r: Operator2, a: Operator2, xi: Operator1,
         CYB(a + xi ^ 1) = CYB(a) + C_12 - C_13 + C_23.
 
     When r = a + xi ^ 1 exactly and CYB(a) and C both vanish, the residual is
-    zero; in every other case it is formed whole, so a nonzero residual and its
-    first entry are ``cybe_residual(r)``'s.
+    zero; its form is ``cybe_residual(r)``.
     """
-    if (_is_shift(r, a, xi) and cyb_a.is_zero()
-            and commutator_with_sum(a, xi).is_zero()):
-        return Operator3.zero(r.dim)
-    return cybe_residual(r)
+    return Deferred(_is_shift(r, a, xi) and cyb_a.is_zero()
+                    and commutator_with_sum(a, xi).is_zero(), lambda: cybe_residual(r))
 
 
 def _is_shift(r: Operator2, a: Operator2, xi: Operator1) -> bool:
@@ -930,22 +926,25 @@ def _conjugation_defect(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operato
 
 
 def conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
-                        tinv: Operator1) -> Operator2:
+                        tinv: Operator1) -> Deferred:
     """lhs - (T (x) T) rhs (T (x) T)^-1, given T's inverse, as the defect times (T (x) T)^-1.
 
     The defect lhs T_1 T_2 - T_1 T_2 rhs is one signed sum with no inverse in
-    it, and the residual is zero iff it is, since T is invertible.  Only a
-    nonzero defect is multiplied by tinv_1 tinv_2, which gives the residual
-    exactly when tinv is T^-1; the caller vouches for that.
+    it, and the residual is zero iff it is, since T is invertible.  The form
+    multiplies the defect by tinv_1 tinv_2, which gives the residual exactly
+    when tinv is T^-1; the caller vouches for that.
     """
     defect = _conjugation_defect(lhs, rhs, t)
-    if defect.is_zero():
-        return defect
+    return Deferred(defect.is_zero(), lambda: _times_inverse(defect, tinv))
+
+
+def _times_inverse(defect: Operator2, tinv: Operator1) -> Operator2:
+    """defect tinv_1 tinv_2: the conjugation residual of the defect, tinv being T^-1."""
     return signed_products([(1, defect, place(tinv, (1,), 2), place(tinv, (2,), 2))])
 
 
 def shifted_conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
-                                tinv: Operator1, lhs_parts: tuple, rhs_parts: tuple) -> Operator2:
+                                tinv: Operator1, lhs_parts: tuple, rhs_parts: tuple) -> Deferred:
     """``conjugate2_residual`` for lhs = a + xi ^ 1 and rhs = b + zeta ^ 1, decided through
     the parts (a, xi) and (b, zeta).
 
@@ -954,14 +953,13 @@ def shifted_conjugate2_residual(lhs: Operator2, rhs: Operator2, t: Operator1,
     so the defect lhs T_1 T_2 - T_1 T_2 rhs is the parts' defect
     a T_1 T_2 - T_1 T_2 b plus D (x) T - T (x) D, with the n x n D = xi T - T zeta.
     When both sides equal their parts exactly and both the parts' defect and D
-    vanish, the residual is zero; in every other case it is formed whole.
+    vanish, the residual is zero; its form is the whole defect times tinv_1 tinv_2.
     """
     (a, xi), (b, zeta) = lhs_parts, rhs_parts
-    if (_is_shift(lhs, a, xi) and _is_shift(rhs, b, zeta)
-            and signed_products([(1, xi, t), (-1, t, zeta)]).is_zero()
-            and _conjugation_defect(a, b, t).is_zero()):
-        return Operator2.zero(lhs.dim)
-    return conjugate2_residual(lhs, rhs, t, tinv)
+    return Deferred(_is_shift(lhs, a, xi) and _is_shift(rhs, b, zeta)
+                    and signed_products([(1, xi, t), (-1, t, zeta)]).is_zero()
+                    and _conjugation_defect(a, b, t).is_zero(),
+                    lambda: _times_inverse(_conjugation_defect(lhs, rhs, t), tinv))
 
 
 def equivalence_residual(lhs: Operator2, rhs: Operator2, t: Operator1) -> Operator2:

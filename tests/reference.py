@@ -11,9 +11,9 @@ from typing import Sequence
 
 from yibre import bezout, blocks, cg, classical, rime
 from yibre.bezout import B, B0, RS, RotaBaxterMap, _sweep_units
-from yibre.kernel import (ONE, ZERO, InvalidInputError, NotSkewInvertibleError, elem_syms,
-                          elem_syms_omitting, rat, ratvec, require_distinct, sparse_minus,
-                          theta)
+from yibre.kernel import (ONE, ZERO, Deferred, InvalidInputError, NotSkewInvertibleError,
+                          elem_syms, elem_syms_omitting, rat, ratvec, require_distinct,
+                          sparse_minus, theta)
 from yibre.rational import Q
 from yibre.poisson import QuadraticBracket, linear_bracket
 from yibre.tensor import (Echelon, Operator1, Operator2, Operator3, _clear, conjugate2, kron11,
@@ -24,6 +24,18 @@ def add_entry(entries: dict, r: int, c: int, v) -> None:
     """Add v to entry (r, c) of a plain ``{row: {col: value}}`` dict of flat indices."""
     row = entries.setdefault(r, {})
     row[c] = row.get(c, 0) + v
+
+
+def formed(obj):
+    """``obj`` with every ``Deferred`` in it replaced by its form, at any depth of dicts,
+    lists and tuples, so that it compares with a reference's whole residual."""
+    if isinstance(obj, Deferred):
+        return formed(obj.form())
+    if isinstance(obj, dict):
+        return {k: formed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(formed, obj))
+    return obj
 
 
 def bumped(op, *entry):
@@ -86,7 +98,7 @@ def star_tilde_product(a: Operator1, b: Operator1, rb: RotaBaxterMap, rb_prime: 
                             (c * b.trace(), a)])
 
 
-def conjugation_residual(pair: str, params) -> Operator2:
+def conjugation_residual(pair: str, params) -> Deferred:
     """``classical.conjugation_residual_of`` with every object built afresh from ``params``."""
     params = ratvec(params)
     n = len(params)
@@ -1162,3 +1174,23 @@ def differences_commute_full(a) -> list[dict]:
     return [linear_bracket(a, {i: ONE, j: -ONE}, {k: ONE, l: -ONE})
             for i in range(n) for j in range(n) if i != j
             for k in range(n) for l in range(n) if k != l]
+
+
+def linear_jacobi_nested(a) -> dict[tuple[int, int, int], dict[int, Fraction]]:
+    """``poisson.linear_jacobi_residual`` by nested brackets: per triple i < j < k, the sum of
+    {x^u, {x^v, x^w}} over its cyclic rotations, each bracket by ``linear_bracket``."""
+    n = len(a)
+    a = [[rat(x) for x in row] for row in a]
+    res = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                tot: dict[int, Fraction] = {}
+                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = linear_bracket(a, {y: ONE}, {z: ONE})
+                    for var, v in linear_bracket(a, {x: ONE}, inner).items():
+                        tot[var] = tot.get(var, ZERO) + v
+                tot = {m: v for m, v in tot.items() if v}
+                if tot:
+                    res[(i + 1, j + 1, k + 1)] = tot
+    return res

@@ -172,7 +172,7 @@ def test_criterion_07_classical_suite():
             ok = ok and tensor.cybe_residual(op).is_zero()
         ok = ok and classical.classical_limit_residual(phi, rd.rational()).is_zero()
         for pair in ("nonskew-to-rcg", "skew-to-b", "skew-sl-to-bcg"):
-            ok = ok and conjugation_residual(pair, rd.vector(n, distinct=True)).is_zero()
+            ok = ok and _is_zero(conjugation_residual(pair, rd.vector(n, distinct=True)))[0]
         ok = ok and _is_zero(classical.carrier_algebra_check(mu))[0]
         ok = ok and classical.invariance_shift_residual(
             kinds["rcg"], classical.invariance_eta_cg(n), rd.rational()).is_zero()
@@ -222,8 +222,7 @@ def test_criterion_08_bezout_nhacybe():
         r0 = bezout.bezout_operator(bezout.B0, n)
         rb = bezout.bezout_operator(bezout.B, n)
         for r, c, variant in ((r0, 0, "plain"), (rb, 1, "delta"), (rb, 1, "delta-tilde")):
-            ok = ok and all(x.is_zero()
-                            for x in bezout.coassociativity_residuals(r, c, variant, units))
+            ok = ok and _is_zero(bezout.coassociativity_residuals(r, c, variant, units))[0]
     report(8, "bezout-nhacybe", ok)
 
 

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 import yibre
 from yibre.cli import main
 from yibre import bezout, rime
-from yibre.kernel import DRAW_POOL_NONZERO, QuadExt, RationalDraw
+from yibre.kernel import DRAW_POOL_NONZERO, Deferred, QuadExt, RationalDraw
 from yibre.poisson import QuadraticBracket
 from yibre.rational import Q
-from yibre.suites import (SUITE_BUILDERS, SUITE_NAMES, Block, Check, _first_failure, _is_zero,
-                          _mutate, run_all, run_suite)
+from yibre.suites import (SUITE_BUILDERS, SUITE_NAMES, Block, Check, _all_zero, _first_failure,
+                          _is_zero, _mutate, run_all, run_suite)
 from yibre.tensor import Operator1, Operator2, Operator3
 
 
@@ -437,6 +437,39 @@ def test_is_zero_matches_the_search_in_order():
     assert _outcome(_is_zero, cases[2])[0] == "TypeError"
     assert _is_zero(cases[3]) == (False, {"index": "a:1:-", "value": "false"})
     assert _is_zero(cases[9]) == (False, {"index": "5:2|1", "value": "-2/3"})
+
+
+def _never_formed():
+    raise AssertionError("a Deferred decided zero was formed")
+
+
+def test_deferred_is_formed_only_when_its_decision_fails():
+    # decided zero: it passes wherever it stands, and is never formed
+    zero = Deferred(True, _never_formed)
+    for obj in (zero, [zero], (Q(0), zero), {"a": {"b": [zero, (zero,)]}, "c": 0}):
+        assert _all_zero(obj)
+        assert _is_zero(obj) == _first_failure(obj) == (True, None)
+    # not decided, but zero when formed: it passes
+    for form in (lambda: Operator2.zero(2), lambda: [Q(0), {"k": Operator1.zero(2)}], dict):
+        assert not _all_zero(Deferred(False, form))
+        assert _is_zero({"x": Deferred(False, form)}) == (True, None)
+    # not decided and nonzero: the witness of its form put in its place, at the same depth
+    bumped = Operator1._entries(2, {1: {0: Q(-2, 3)}})
+    for form in (lambda: bumped, lambda: [Operator1.zero(2), bumped], lambda: {"q": Q(1, 3)}):
+        for place in (lambda x: x, lambda x: [Q(0), x], lambda x: {"a": (zero, x)}):
+            got = _is_zero(place(Deferred(False, form)))
+            assert not got[0] and got == _is_zero(place(form()))
+    # fault injection bumps the form, decided zero or not
+    for d in (Deferred(True, lambda: [Operator1.zero(2)] * 3),
+              Deferred(False, lambda: [Operator1.zero(2), bumped]),
+              Deferred(True, lambda: {"b": Operator2.zero(2), "a": Q(0)})):
+        for place in (lambda x: x, lambda x: {"first": x, "second": [bumped]}):
+            got = _is_zero(_mutate(place(d)))
+            assert not got[0] and got == _is_zero(_mutate(place(d.form())))
+    # two deferred lists concatenate as one, decided zero only when both are
+    halves = Deferred(True, lambda: [Q(0)]), Deferred(False, lambda: [Q(0), Q(5)])
+    assert (halves[0] + halves[0]).zero and not (halves[0] + halves[1]).zero
+    assert _is_zero(halves[0] + halves[1]) == (False, {"index": "2:-", "value": "5"})
 
 
 CATALOG_OUTPUT = """\

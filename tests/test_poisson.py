@@ -20,7 +20,7 @@ from yibre.suites import _is_zero, run_suite
 from yibre.tensor import Operator1, Operator2
 
 from reference import (differences_commute_full, jacobi_residual_per_call,
-                       lie_derivative_leibniz)
+                       lie_derivative_leibniz, linear_jacobi_nested)
 
 
 def test_dual_numbers():
@@ -367,6 +367,8 @@ def test_linear_rime_fault_names_its_identity(monkeypatch):
 
 def test_linear_rime_shares_its_empty_differences(monkeypatch):
     diffs = linear_rime_suite(4, RationalDraw(0))["differences-commute"]
+    assert diffs.zero
+    diffs = diffs.form()
     assert len(diffs) == 12 * 12 and not any(diffs)
     assert len({id(d) for d in diffs}) == 1
     # a bracket that drops the -a_ji x^j term keeps every nonzero residual at its position
@@ -380,6 +382,8 @@ def test_linear_rime_shares_its_empty_differences(monkeypatch):
 
     monkeypatch.setattr(poisson, "linear_bracket", half_bracket)
     diffs = linear_rime_suite(4, RationalDraw(0))["differences-commute"]
+    assert not diffs.zero
+    diffs = diffs.form()
     ones = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
     assert diffs == [half_bracket(ones, {i: 1, j: -1}, {k: 1, l: -1})
                      for i in range(4) for j in range(4) if i != j
@@ -388,22 +392,42 @@ def test_linear_rime_shares_its_empty_differences(monkeypatch):
     assert len({id(d) for d in diffs if not d}) == 1
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_linear_jacobi_closed_form_matches_the_nested_brackets(n):
+    """a_uv a_vw - a_uw a_wv per rotation equals the nested brackets' cyclic sum, on random
+    a, on the strict algebra's ones and with a_12 bumped there."""
+    rd = RationalDraw(400 + n)
+    ones = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    bad = [row[:] for row in ones]
+    bad[0][1] = 5
+    # the diagonal is drawn too: neither form reads it
+    randoms = [[[rd.rational(nonzero=False) for _ in range(n)] for _ in range(n)]
+               for _ in range(20)]
+    for a in (*randoms, ones, bad):
+        assert linear_jacobi_residual(a) == linear_jacobi_nested(a)
+    assert not linear_jacobi_residual(ones) and linear_jacobi_residual(bad)
+    assert all(linear_jacobi_residual(a) for a in randoms)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_differences_commute_decided_on_basis_differences(n):
-    """The (n-1)^2 brackets {x^i - x^n, x^k - x^n} decide the whole list: on the strict
-    algebra every entry is the shared empty dict, and with a_12 bumped the list is formed
-    whole, equal to every bracket taken."""
+    """The (n-1)^2 brackets {x^i - x^n, x^k - x^n} decide the whole list, and its form
+    equals every bracket taken, a zero one as the shared empty dict, on the strict algebra
+    and with a_12 bumped."""
     ones = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
     bad = [row[:] for row in ones]
     bad[0][1] = 5
     for a in (ones, bad):
-        got = differences_commute_residuals(a)
+        deferred = differences_commute_residuals(a)
+        got = deferred.form()
         assert got == differences_commute_full(a) and len(got) == (n * (n - 1)) ** 2
         assert len({id(d) for d in got if not d}) <= 1
-    assert not any(differences_commute_residuals(ones))
+        assert deferred.zero == (not any(got))
+    assert differences_commute_residuals(ones).zero
     # at n = 2 every difference is +-(x^1 - x^2), and a bracket of one element with itself
     # vanishes, so only from n = 3 on does the bump show
-    assert any(differences_commute_residuals(bad)) == (n > 2)
+    assert any(differences_commute_residuals(bad).form()) == (n > 2)
+    assert differences_commute_residuals(bad).zero == (n == 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

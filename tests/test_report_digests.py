@@ -14,6 +14,12 @@ recorded before quadratic brackets became two-leg operators; they hold the
 reports byte-identical at the largest n in the tier-1 run, in about 3 s.
 ``wall_time_ms`` is the only field left out.  Re-record them only with a
 change that is meant to move the reports, and say so where it is recorded.
+
+``--mutate`` perturbs only the one check per suite that the seed picks, so
+``MUTATED_WITNESSES`` pins every mutable check's mutated witness at once: one
+digest over (suite, n, name, index, value) for every suite at n = 2, 3 and 4,
+seed 0, draws 1.  It was recorded before residuals could be deferred
+(decided first and formed on demand), and every one of its checks fails.
 """
 
 import hashlib
@@ -22,7 +28,7 @@ import json
 import pytest
 
 from yibre.kernel import RationalDraw
-from yibre.suites import SUITE_BUILDERS, run_suite
+from yibre.suites import SUITE_BUILDERS, _first_failure, _mutate, run_suite
 
 DIGESTS = {
     ("bezout", 0, None): "8da83cf361424e4f0e68040330f09367b09e7feff5d68e3a95dc51e2ba50cda0",
@@ -125,6 +131,9 @@ DIGESTS_N8 = {
     ('rota', 'one-entry'): "395b8d261b01db4f50ac4e044cb14bbfe06afe6b711a7e4b231d6a8e2947c2d2",
 }
 
+# (number of mutable checks, digest of their mutated witnesses) at n = 2, 3, 4, seed 0, draws 1
+MUTATED_WITNESSES = (285, "52e9f0e9ab9114a4672bcab02db033fd620feca6730e0d416be6da41d54ba598")
+
 
 def _digest(report) -> str:
     d = report.to_dict()
@@ -150,6 +159,19 @@ def test_report_digest_at_n6(suite, mutate):
 @pytest.mark.parametrize("suite,mutate", sorted(DIGESTS_N8, key=str))
 def test_report_digest_at_n8(suite, mutate):
     assert _digest(run_suite(suite, 8, 0, 1, mutate)) == DIGESTS_N8[suite, mutate]
+
+
+def test_every_mutable_check_fails_with_its_pinned_witness():
+    rows = []
+    for suite in sorted(SUITE_BUILDERS):
+        for n in (2, 3, 4):
+            for check in SUITE_BUILDERS[suite](n, RationalDraw(0), 1):
+                if check.mutable:
+                    ok, witness = _first_failure(_mutate(check.fn()))
+                    assert not ok, (suite, n, check.name)
+                    rows.append([suite, n, check.name, witness["index"], witness["value"]])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (len(rows), digest) == MUTATED_WITNESSES
 
 
 def test_digests_cover_every_suite():

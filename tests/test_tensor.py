@@ -1021,13 +1021,16 @@ def test_conjugate2_residual_is_the_whole_difference(n):
     lhs = conjugate2(rhs, t)
     ops = (lhs, rhs, t, tinv)
     before = [_snapshot(op) for op in ops]
-    assert conjugate2_residual(*ops).is_zero()
+    got = conjugate2_residual(*ops)
+    assert got.zero and got.form().is_zero()
     # a bumped side is not conjugate: the residual is the whole difference, witness and all
     unit = Operator1.unit(n, 1, 1)
     for bumped, other in ((lhs + kron11(unit, unit), rhs), (lhs, rhs.scale(2)),
                           (lhs, conjugate2(lhs, t))):
         got = conjugate2_residual(bumped, other, t, tinv)
         want = conjugated_difference(bumped, other, t)
+        assert not got.zero
+        got = got.form()
         assert not got.is_zero()
         assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
     assert [_snapshot(op) for op in ops] == before
@@ -1058,7 +1061,8 @@ def test_shifted_cybe_residual_is_the_whole_form(n):
     a, xi = rime_skew_r(mu), rime_skew_sl_xi(mu)
     solutions = [(rime_skew_sl_r(mu), a, xi), (b_cg_r(n), b_skew_r(n), -b_cg_eta(n))]
     for r, *parts in solutions:
-        assert shifted_cybe_residual(r, *parts, cybe_residual(parts[0])).is_zero()
+        got = shifted_cybe_residual(r, *parts, cybe_residual(parts[0]))
+        assert got.zero and got.form().is_zero()
         assert full_cybe_residual(r).is_zero()
     # a bumped r, which is no longer a + xi ^ 1; a xi with [a, xi_1 + xi_2] != 0; and
     # a random non-skew a with a random xi
@@ -1071,6 +1075,8 @@ def test_shifted_cybe_residual_is_the_whole_form(n):
         cases.append((dense + wedge(other, ident), dense, other))
     for r, *parts in cases:
         got, want = shifted_cybe_residual(r, *parts, cybe_residual(parts[0])), cybe_residual(r)
+        assert not got.zero
+        got = got.form()
         assert not got.is_zero()
         assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
     assert not commutator_with_sum(a, other).is_zero()
@@ -1081,7 +1087,8 @@ def test_shifted_cybe_residual_is_the_whole_form(n):
         bumped = a_ + wedge(unit, unit2)
         for rr in (r, bumped + wedge(xi_, ident)):
             got = shifted_cybe_residual(rr, bumped, xi_, cybe_residual(bumped))
-            want = cybe_residual(rr)
+            assert not got.zero
+            got, want = got.form(), cybe_residual(rr)
             assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
         assert not cybe_residual(bumped + wedge(xi_, ident)).is_zero()
 
@@ -1093,8 +1100,10 @@ def test_shifted_cybe_residual_reads_the_given_base_residual(n):
     mu = RationalDraw(150 + n).vector(n, distinct=True)
     r, a, xi = rime_skew_sl_r(mu), rime_skew_r(mu), rime_skew_sl_xi(mu)
     bump = place(kron11(Operator1.unit(n, 1, 2), Operator1.unit(n, 1, 2)), (1, 2), 3)
-    assert shifted_cybe_residual(r, a, xi, bump) == cybe_residual(r)
-    assert shifted_cybe_residual(r, a, xi, Operator3.zero(n)).is_zero()
+    got = shifted_cybe_residual(r, a, xi, bump)
+    assert not got.zero and got.form() == cybe_residual(r)
+    got = shifted_cybe_residual(r, a, xi, Operator3.zero(n))
+    assert got.zero and got.form().is_zero()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1121,7 +1130,8 @@ def test_shifted_conjugate2_residual_is_the_whole_form(n):
     x, xinv = x_change_of_basis(mu)
     a, xi, b, zeta = rime_skew_r(mu), rime_skew_sl_xi(mu), b_skew_r(n), -b_cg_eta(n)
     lhs, rhs = rime_skew_sl_r(mu), b_cg_r(n)
-    assert shifted_conjugate2_residual(lhs, rhs, x, xinv, (a, xi), (b, zeta)).is_zero()
+    got = shifted_conjugate2_residual(lhs, rhs, x, xinv, (a, xi), (b, zeta))
+    assert got.zero and got.form().is_zero()
     assert conjugated_difference(lhs, rhs, x).is_zero()
     # a bumped lhs or rhs, no longer its parts; xi + e^1_2 on both lhs and its parts, with
     # D = xi X + X eta != 0; and random dense sides with random shifts
@@ -1135,6 +1145,8 @@ def test_shifted_conjugate2_residual_is_the_whole_form(n):
     for left, right, lparts, rparts in cases:
         got = shifted_conjugate2_residual(left, right, x, xinv, lparts, rparts)
         want = conjugated_difference(left, right, x)
+        assert not got.zero
+        got = got.form()
         assert not got.is_zero()
         assert got == want and first_nonzero_witness(got) == first_nonzero_witness(want)
     assert not (moved @ x - x @ zeta).is_zero()
@@ -1171,6 +1183,8 @@ def test_span_difference_decides_before_it_forms(n):
         for rank in (None, Echelon(rows).rank):
             got = span_difference(n, rows, canonical, rank)
             want = row_space_difference(n, rows, canonical)
+            assert got.zero != differ
+            got = got.form()
             assert got == want and got.is_zero() != differ
             # the common dimension, handed on by a decision that found the spans equal
             assert span_rank(rows, canonical, rank) == (None if differ else Echelon(rows).rank)
