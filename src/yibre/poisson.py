@@ -19,7 +19,7 @@ from .kernel import (ONE, ZERO, Deferred, InvalidInputError, QuadExt, RationalDr
                      perfect_square_root, rat, ratvec, require_distinct,
                      sparse_minus)
 from .rational import Q
-from .tensor import Operator1, Operator2, Operator3, commutator_with_sum, place, signed_products
+from .tensor import Operator1, Operator2, commutator_with_sum
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,8 @@ class QuadraticBracket(Operator2):
     def pair(self, i: int, j: int) -> dict[tuple[int, int], Fraction]:
         """Monomial dictionary of {x^i, x^j} for any i != j."""
         n = self.dim
-        if i < j:
-            return {(c // n + 1, c % n + 1): v
-                    for c, v in self.data.get((i - 1) * n + j - 1, {}).items()}
-        return {(c // n + 1, c % n + 1): -v
-                for c, v in self.data.get((j - 1) * n + i - 1, {}).items()}
+        row = self.data.get((min(i, j) - 1) * n + max(i, j) - 1, {})
+        return {(c // n + 1, c % n + 1): v if i < j else -v for c, v in row.items()}
 
     @property
     def pairs(self) -> dict[tuple[int, int], dict[tuple[int, int], Fraction]]:
@@ -146,31 +143,28 @@ def pencil_bracket_uv_form(params: PencilParams) -> QuadraticBracket:
 def jacobi_residual(br: QuadraticBracket) -> dict[tuple[int, int, int], dict]:
     """Cyclic sum {x^i,{x^j,x^k}} per triple i<j<k, as degree-3 coefficient dicts.
 
-    On the full tensor T, {x^a, x^b x^c} = {x^a, x^b} x^c + x^b {x^a, x^c}, so row
-    (a, b, c) of F T_12 + F T_13, F = T_23 cut to the cyclic rotations of each
-    i < j < k, holds {x^a,{x^b,x^c}}, column (p, q, s) at x^p x^q x^s.  Its columns
-    are folded to sorted monomials and the three rotations summed.
+    The Leibniz rule {x^a, x^p x^q} = {x^a, x^p} x^q + x^p {x^a, x^q}, per cyclic rotation
+    (a, b, c) and term x^p x^q of {x^b, x^c}, reads each bracket off a stored integer row.
     """
     n = br.dim
-    nn = n * n
-    rotations = {(i + 1, j + 1, k + 1): (i * nn + j * n + k, j * nn + k * n + i,
-                                         k * nn + i * n + j)
-                 for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)}
-    t = br.full()
-    den, frows = place(t, (2, 3), 3)._ints()
-    f = Operator3._reduced(n, den, {x: frows[x] for xs in rotations.values() for x in xs
-                                    if x in frows})
-    den, rows = signed_products([(1, f, place(t, (1, 2), 3)),
-                                 (1, f, place(t, (1, 3), 3))])._ints()
+    den, rows = br._ints()
+    # {x^a, x^b}, 0-based, as (sign, stored row); only rows a < b are stored, so {x^a, x^a} = 0
+    bracket = lambda a, b: (1, rows.get(a * n + b, {})) if a < b else (-1, rows.get(b * n + a, {}))
     out = {}
-    for triple, xs in rotations.items():
+    for i, j, k in combinations(range(n), 3):
         total = {}
-        for x in xs:
-            for y, v in rows.get(x, {}).items():
-                mono = tuple(sorted((y // nn + 1, y // n % n + 1, y % n + 1)))
-                total[mono] = total.get(mono, 0) + v
-        if total := {m: v if den is None else Q(v, den) for m, v in sorted(total.items()) if v}:
-            out[triple] = total
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            s, inner = bracket(b, c)
+            for pq, v in inner.items():
+                p, q = divmod(pq, n)
+                for y, z in ((p, q), (q, p)):
+                    t, outer = bracket(a, y)
+                    for st, w in outer.items():
+                        mono = tuple(sorted((st // n + 1, st % n + 1, z + 1)))
+                        total[mono] = total.get(mono, 0) + s * t * v * w
+        if total := {m: v if den is None else Q(v, den * den)
+                     for m, v in sorted(total.items()) if v}:
+            out[(i + 1, j + 1, k + 1)] = total
     return out
 
 
@@ -292,14 +286,13 @@ def psi_variation_dual(params: PencilParams, dpsi) -> QuadraticBracket:
     psi = params.psi
     n = len(psi)
     dpsi = ratvec(dpsi)
-    rho = lambda t: params.a * t * t + params.b * t + params.c
     pairs = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             pi = QuadExt(psi[i - 1], dpsi[i - 1], 0)
             pj = QuadExt(psi[j - 1], dpsi[j - 1], 0)
             dij = pi - pj
-            ri, rj = rho(pi), rho(pj)
+            ri, rj = params.rho(pi), params.rho(pj)
             pairs[(i, j)] = {(i, i): (rj / dij).b,
                              (j, j): (ri / dij).b,
                              (i, j): (params.a * dij - (ri + rj) / dij).b}
@@ -582,17 +575,13 @@ def linear_jacobi_residual(a) -> dict[tuple[int, int, int], dict[int, Fraction]]
 
 
 def jsla_residuals(a) -> dict[tuple[int, int, int], Fraction]:
-    """a_ik a_kj - a_ij a_jk over distinct triples."""
-    n = len(a)
+    """a_ik a_kj - a_ij a_jk over distinct triples, once per i and j < k: it is odd in (j, k)."""
     a = [[rat(x) for x in row] for row in a]
     out = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) == 3:
-                    v = a[i][k] * a[k][j] - a[i][j] * a[j][k]
-                    if v:
-                        out[(i + 1, j + 1, k + 1)] = v
+    for i, row in enumerate(a):
+        for j, k in combinations(range(len(a)), 2):
+            if i != j and i != k and (v := row[k] * a[k][j] - row[j] * a[j][k]):
+                out[(i + 1, j + 1, k + 1)], out[(i + 1, k + 1, j + 1)] = v, -v
     return out
 
 
@@ -614,6 +603,19 @@ def differences_commute_residuals(a) -> Deferred:
                              for k in range(n) for l in range(n) if k != l])
 
 
+def almost_trivial_residuals(a) -> Deferred:
+    """{x^i, x^k - x^l} + x^k - x^l for every i and k != l, i outer, 0-based, as one list
+    whose entries keep their x^k and x^l terms when zero.  Each is g(i, k) - g(i, l) with
+    g(i, k) = {x^i, x^k} + x^k, by bilinearity, so the n(n-1) entries with l = n decide all."""
+    n = len(a)
+    entry = lambda i, k, l: sparse_minus(linear_bracket(a, {i: ONE}, {k: ONE, l: -ONE}),
+                                         {k: -ONE, l: ONE})
+    return Deferred(not any(v for i in range(n) for k in range(n - 1)
+                            for v in entry(i, k, n - 1).values()),
+                    lambda: [entry(i, k, l) for i in range(n) for k in range(n)
+                             for l in range(n) if k != l])
+
+
 def linear_rime_suite(n: int, draw: RationalDraw) -> dict[str, object]:
     """Jacobi <-> jsla on samples, the n >= 4 algebra and the n = 3 sl(2) case, as residuals."""
     out = {}
@@ -632,9 +634,7 @@ def linear_rime_suite(n: int, draw: RationalDraw) -> dict[str, object]:
     # the unique strict algebra {x^i,x^j} = x^i - x^j
     ones = [[ZERO if i == j else ONE for j in range(n)] for i in range(n)]
     out["unique-algebra-jacobi"] = linear_jacobi_residual(ones)
-    out["almost-trivial"] = [
-        sparse_minus(linear_bracket(ones, {i: ONE}, {k: ONE, l: -ONE}), {k: -ONE, l: ONE})
-        for i in range(n) for k in range(n) for l in range(n) if k != l]
+    out["almost-trivial"] = almost_trivial_residuals(ones)
     out["differences-commute"] = differences_commute_residuals(ones)
     if n == 3:
         a3 = [[ZERO, ONE, ONE], [ONE, ZERO, -ONE], [-ONE, -ONE, ZERO]]

@@ -1194,3 +1194,25 @@ def linear_jacobi_nested(a) -> dict[tuple[int, int, int], dict[int, Fraction]]:
                 if tot:
                     res[(i + 1, j + 1, k + 1)] = tot
     return res
+
+
+def almost_trivial_full(a) -> list[dict]:
+    """{x^i, x^k - x^l} + x^k - x^l for every i and k != l, each bracket formed."""
+    n = len(a)
+    return [sparse_minus(linear_bracket(a, {i: ONE}, {k: ONE, l: -ONE}), {k: -ONE, l: ONE})
+            for i in range(n) for k in range(n) for l in range(n) if k != l]
+
+
+def jsla_ordered_triples(a) -> dict[tuple[int, int, int], Fraction]:
+    """``poisson.jsla_residuals`` evaluated at every ordered triple of distinct indices."""
+    n = len(a)
+    a = [[rat(x) for x in row] for row in a]
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if len({i, j, k}) == 3:
+                    v = a[i][k] * a[k][j] - a[i][j] * a[j][k]
+                    if v:
+                        out[(i + 1, j + 1, k + 1)] = v
+    return out

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,8 @@ from yibre import poisson, qalg
 from yibre.kernel import InvalidInputError, QuadExt, RationalDraw, ratvec
 from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
                            PencilParams, QuadraticBracket, bracket_from_quantum,
-                           compensation_check, delta1_variation, differences_commute_residuals,
+                           almost_trivial_residuals, compensation_check, delta1_variation,
+                           differences_commute_residuals,
                            discriminant_action, invariance_generator,
                            jacobi_residual, jsla_residuals, lagrange_basis_matrix,
                            lie_derivative, linear_bracket, linear_jacobi_residual,
@@ -19,8 +21,8 @@ from yibre.poisson import (LIGHTLIKE, MASSIVE, ZERO_POLY,
 from yibre.suites import _is_zero, run_suite
 from yibre.tensor import Operator1, Operator2
 
-from reference import (differences_commute_full, jacobi_residual_per_call,
-                       lie_derivative_leibniz, linear_jacobi_nested)
+from reference import (almost_trivial_full, differences_commute_full, jacobi_residual_per_call,
+                       jsla_ordered_triples, lie_derivative_leibniz, linear_jacobi_nested)
 
 
 def test_dual_numbers():
@@ -432,8 +434,8 @@ def test_differences_commute_decided_on_basis_differences(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_jacobi_residual_matches_the_per_call_pair_form(n):
-    """F T_12 + F T_13 on the full tensor, folded to monomials, gives the per-monomial ``pair``
-    form's output."""
+    """The Leibniz rule on the stored integer rows gives the per-monomial ``pair`` form's
+    output, on brackets with up to four monomials per pair and on a dense one."""
     rd = RationalDraw(300 + n)
     psi = rd.vector(n)
     params = PencilParams(psi, rd.rational(), rd.rational(), rd.rational())
@@ -449,11 +451,61 @@ def test_jacobi_residual_matches_the_per_call_pair_form(n):
                                   if sum(pair) % 2})
     dual = QuadraticBracket(n, {pair: {m: QuadExt(v, rd.rational(), 0) for m, v in poly.items()}
                                 for pair, poly in free.pairs.items()})
-    for br in [*brackets, free, sparse, dual]:
+    # each monomial x^k x^l, k <= l, squares included, is held with probability 1/2
+    dense = QuadraticBracket(n, {(i, j): {(k, l): rd.rational() for k in range(1, n + 1)
+                                          for l in range(k, n + 1) if rd.int_in(0, 1)}
+                                 for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+    for br in [*brackets, free, sparse, dual, dense]:
         assert jacobi_residual(br) == jacobi_residual_per_call(br)
     assert all(not jacobi_residual(br) for br in brackets)
     assert bool(jacobi_residual(free)) == bool(jacobi_residual(dual)) == (n >= 3)
-    assert bool(jacobi_residual(sparse)) == (n >= 3)
+    assert bool(jacobi_residual(sparse)) == bool(jacobi_residual(dense)) == (n >= 3)
+
+
+def test_jacobi_residual_forms_no_tensor():
+    # the Leibniz rule reads the stored rows: at n = 16 a pencil bracket's Jacobiator peaks
+    # at about 0.002 MB of tracemalloc, against 12.4 MB with the full tensor placed three times
+    rd = RationalDraw(16)
+    br = pencil_bracket(PencilParams(rd.vector(16), 1, F(2, 7), 3))
+    br._ints()
+    tracemalloc.start()
+    try:
+        residual = jacobi_residual(br)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not residual
+    assert peak < 1e6, f"jacobi_residual peaked at {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_almost_trivial_decided_on_one_column(n):
+    """The n(n-1) entries with l = n decide the whole list, and its form equals every entry
+    taken, zero terms kept, on the strict algebra and with a_12 or a_1,n-1 bumped."""
+    ones = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    bads = [[row[:] for row in ones] for _ in range(2)]
+    bads[0][0][1] = bads[1][0][n - 2] = 5
+    for a in (ones, *bads):
+        deferred = almost_trivial_residuals(a)
+        got = deferred.form()
+        assert got == almost_trivial_full(a) and len(got) == n * n * (n - 1)
+        assert deferred.zero == (not any(v for entry in got for v in entry.values()))
+    assert almost_trivial_residuals(ones).zero
+    assert not any(almost_trivial_residuals(a).zero for a in bads)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_jsla_once_per_unordered_pair_matches_every_ordered_triple(n):
+    """jsla evaluated once per i and j < k, negated at (i, k, j), equals the formula at every
+    ordered triple, on random a (diagonal drawn too) and on a bumped strict algebra."""
+    rd = RationalDraw(500 + n)
+    bad = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    bad[0][1] = 5
+    randoms = [[[rd.rational(nonzero=False) for _ in range(n)] for _ in range(n)]
+               for _ in range(20)]
+    for a in (*randoms, bad):
+        assert jsla_residuals(a) == jsla_ordered_triples(a)
+    assert jsla_residuals(bad) and all(jsla_residuals(a) for a in randoms)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
