@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .kernel import (ONE, ZERO, InvalidInputError, elem_syms, elem_syms_omitting,
                      products_omitting, rat, ratvec, require_distinct, theta)
-from .rime import RimeClass, classify, strict_rime_R
+from .rime import RimeClass, assemble_rime, classify, rime_data, strict_rime_R
 from .tensor import (Operator1, Operator2, conjugate2, equivalence_residual, permutation_P,
                      place)
 
@@ -204,29 +204,15 @@ def generating_function_residual(phi) -> list[list[Fraction]]:
 def standard_rc_matrix(n: int, qsq_inv) -> Operator2:
     """Exchange matrix of the multiparameter standard solution that admits riming."""
     qi = rat(qsq_inv)
-    rows = {}
-    for i in range(n):
-        rows[i * n + i] = {i * n + i: ONE}
-        for j in range(n):
-            if i < j:
-                rows[i * n + j] = {j * n + i: ONE, i * n + j: ONE - qi}
-            elif i > j:
-                rows[i * n + j] = {j * n + i: qi}
-    return Operator2._entries(n, rows)
+    upper, lower = (ONE, ONE - qi, ZERO, ZERO), (qi, ZERO, ZERO, ZERO)
+    return assemble_rime(rime_data(n, lambda i, j: upper if i < j else lower))
 
 
 def riming_target_matrix(n: int, qsq_inv) -> Operator2:
     """Rime form read off the transformed exchange relations."""
     qi = rat(qsq_inv)
-    rows = {}
-    for i in range(n):
-        rows[i * n + i] = {i * n + i: ONE}
-        for j in range(n):
-            if i < j:
-                rows[i * n + j] = {j * n + i: ONE, i * n + j: ONE - qi, i * n + i: -(ONE - qi)}
-            elif i > j:
-                rows[i * n + j] = {j * n + i: qi, j * n + j: ONE - qi}
-    return Operator2._entries(n, rows)
+    upper, lower = (ONE, ONE - qi, qi - ONE, ZERO), (qi, ZERO, ZERO, ONE - qi)
+    return assemble_rime(rime_data(n, lambda i, j: upper if i < j else lower))
 
 
 def summation_matrix(n: int) -> Operator1:

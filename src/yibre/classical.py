@@ -224,8 +224,8 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     pairs it names.  Each family is read off a table against an expected table
     written straight into integer rows, and is decided on its residual table;
     the form cuts its per-pair list (the ordered pairs of pairs) out of that
-    table.  The Ztilde families read Ztc = Zc + (I/n) (x) sum_p e_p (one
-    ``kron_sum``) and, since I/n is central, the same bracket table.
+    table.  The Ztilde = Z + I/n families read Zc itself: Ztilde_p 1 - 1/n is
+    Z_p 1, and I/n is central, so the bracket table is the same.
     """
     mu = ratvec(mu)
     require_distinct(mu, "mu")
@@ -241,11 +241,14 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     # the entries (a, c, v) of each Z_p as ints over the generating element's denominator,
     # read back off it, with a and c already placed on leg 1 of a table
     zents = {p: [] for p in pairs}
+    # the integer row sums of each Z_p over the same denominator, Z_p times the ones vector
+    ones = {p: [0] * n for p in pairs}
     for x, row in rows.items():
         a, i = divmod(x, n)
         for y, v in row.items():
             c, j = divmod(y, n)
             zents[(i + 1, j + 1)].append((a * nn, c * nn, v))
+            ones[(i + 1, j + 1)][a] += v
     block = lambda p, t: ((p[0] - 1) * n + t[0] - 1, (p[1] - 1) * n + t[1] - 1)
 
     def expected(blocks) -> Operator3:
@@ -326,21 +329,12 @@ def carrier_algebra_check(mu) -> dict[str, object]:
     coboundary = Deferred(defect.is_zero(),
                           lambda: [defect._get(*block(p, t)) for p in pairs for t in pairs])
 
-    # (e) Ztilde = Z + I/n, on Ztc = Zc + (I/n) (x) sum_p e_p (one kron_sum), which holds
-    # Ztilde_p where Zc holds Z_p.  Ztilde_p fixes the all-ones vector up to 1/n iff each
-    # integer row of its block sums to tden/n.  I/n is central, so the bracket table of Ztc
-    # is that of Zc above, and [Zt_ij, Zt_ji] - Zt_ji + Zt_ij = [Z_ij, Z_ji] - Z_ji + Z_ij
+    # (e) Ztilde = Z + I/n, so Ztilde_p 1 - 1/n = Z_p 1: Ztilde_p fixes the all-ones vector
+    # up to 1/n iff Z_p sends it to zero.  I/n is central, so the bracket table of the
+    # Ztilde is that of Zc above, and [Zt_ij, Zt_ji] - Zt_ji + Zt_ij = [Z_ij, Z_ji] - Z_ji + Z_ij
     # is (b)'s residual block ((i, j), (j, i))
-    ident = Operator1.identity(n)
-    tden, trows = _kron_sum(n, [*terms, *((Q(1, n), ident, e) for _, _, e in terms)])._ints()
-    sums = {}
-    for x, row in trows.items():
-        a, rk = divmod(x, n)
-        for y, v in row.items():
-            sums.setdefault((rk, y % n), [0] * n)[a] += v
-    fixes = [[s * n - tden for s in sums.get((i - 1, j - 1), [0] * n)] for (i, j) in pairs]
-    sl_ones = Deferred(not any(map(any, fixes)),
-                       lambda: [[Q(f, tden * n) for f in fs] for fs in fixes])
+    sl_ones = Deferred(not any(map(any, ones.values())),
+                       lambda: [[Q(s, den) for s in ones[p]] for p in pairs])
     sl_brackets = cut(shown_residual, lambda: (((i, j), (j, i)) for (i, j) in pairs))
     return {"product-rule": product_rule, "brackets": brackets,
             "other-brackets": other_brackets, "omega-is-inverse": rcoef.inverse() - omega,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .kernel import (ONE, ZERO, Deferred, InvalidInputError, QuadExt, RationalDraw,
-                     perfect_square_root, rat, ratvec, require_distinct,
+                     elem_syms_omitting, perfect_square_root, rat, ratvec, require_distinct,
                      sparse_minus)
 from .rational import Q
 from .tensor import Operator1, Operator2, commutator_with_sum
@@ -108,36 +108,38 @@ class QuadraticBracket(Operator2):
             for (i, j), poly in self.pairs.items()})
 
 
+def rime_bracket(n: int, pair) -> QuadraticBracket:
+    """{x^i, x^j} = c_ii (x^i)^2 + c_jj (x^j)^2 + c_ij x^i x^j with (c_ii, c_jj, c_ij) =
+    ``pair(i, j)`` at each 0-based i < j: the shape ``rime_fit`` reads back."""
+    rows = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            cii, cjj, cij = pair(i, j)
+            rows[i * n + j] = {i * n + i: cii, j * n + j: cjj, i * n + j: cij}
+    return QuadraticBracket._entries(n, rows)
+
+
 def pencil_bracket(params: PencilParams) -> QuadraticBracket:
     """{x^i,x^j} = (rho_j (x^i)^2 + rho_i (x^j)^2)/psi_ij + (a psi_ij - (rho_i+rho_j)/psi_ij) x^i x^j."""
     psi = params.psi
-    n = len(psi)
-    pairs = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            dij = psi[i - 1] - psi[j - 1]
-            ri, rj = params.rho(psi[i - 1]), params.rho(psi[j - 1])
-            pairs[(i, j)] = {(i, i): rj / dij,
-                             (j, j): ri / dij,
-                             (i, j): params.a * dij - (ri + rj) / dij}
-    return QuadraticBracket(n, pairs)
+    rho = [params.rho(p) for p in psi]
+
+    def pair(i, j):
+        d = psi[i] - psi[j]
+        return rho[j] / d, rho[i] / d, params.a * d - (rho[i] + rho[j]) / d
+    return rime_bracket(len(psi), pair)
 
 
 def pencil_bracket_uv_form(params: PencilParams) -> QuadraticBracket:
     """Same pencil from (a u^2 + b uv + c v^2)/psi_ij with u = psi_j x^i - psi_i x^j, v = x^i - x^j."""
-    psi = params.psi
-    n = len(psi)
-    pairs = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            dij = psi[i - 1] - psi[j - 1]
-            pi, pj = psi[i - 1], psi[j - 1]
-            pairs[(i, j)] = {
-                (i, i): (params.a * pj * pj + params.b * pj + params.c) / dij,
-                (j, j): (params.a * pi * pi + params.b * pi + params.c) / dij,
-                (i, j): (-2 * params.a * pi * pj - params.b * (pi + pj) - 2 * params.c) / dij,
-            }
-    return QuadraticBracket(n, pairs)
+    psi, a, b, c = params.psi, params.a, params.b, params.c
+
+    def pair(i, j):
+        pi, pj = psi[i], psi[j]
+        d = pi - pj
+        return ((a * pj * pj + b * pj + c) / d, (a * pi * pi + b * pi + c) / d,
+                (-2 * a * pi * pj - b * (pi + pj) - 2 * c) / d)
+    return rime_bracket(len(psi), pair)
 
 
 def jacobi_residual(br: QuadraticBracket) -> dict[tuple[int, int, int], dict]:
@@ -250,53 +252,39 @@ def compensating_diagonal(params: PencilParams, nu) -> list[Fraction]:
 def delta1_variation(params: PencilParams, nu) -> QuadraticBracket:
     """Closed form of the residual rime variation delta^(1)."""
     psi = params.psi
-    n = len(psi)
+    rho = [params.rho(p) for p in psi]
     nu = ratvec(nu)
-    pairs = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            dij = psi[i - 1] - psi[j - 1]
-            ri, rj = params.rho(psi[i - 1]), params.rho(psi[j - 1])
-            lead = ri * rj * (nu[i - 1] - nu[j - 1]) / (dij * dij)
-            pairs[(i, j)] = {(i, i): lead + params.a * nu[j - 1] * rj,
-                             (j, j): lead - params.a * nu[i - 1] * ri,
-                             (i, j): -2 * lead}
-    return QuadraticBracket(n, pairs)
+
+    def pair(i, j):
+        d = psi[i] - psi[j]
+        lead = rho[i] * rho[j] * (nu[i] - nu[j]) / (d * d)
+        return lead + params.a * nu[j] * rho[j], lead - params.a * nu[i] * rho[i], -2 * lead
+    return rime_bracket(len(psi), pair)
 
 
 def psi_variation(params: PencilParams, dpsi) -> QuadraticBracket:
     """Closed form of the first-order change of the pencil under psi -> psi + eps dpsi."""
     psi = params.psi
-    n = len(psi)
+    rho = [params.rho(p) for p in psi]
     dpsi = ratvec(dpsi)
-    pairs = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            dij = psi[i - 1] - psi[j - 1]
-            ri, rj = params.rho(psi[i - 1]), params.rho(psi[j - 1])
-            lead = (ri * dpsi[j - 1] - rj * dpsi[i - 1]) / (dij * dij)
-            pairs[(i, j)] = {(i, i): lead - params.a * dpsi[j - 1],
-                             (j, j): lead + params.a * dpsi[i - 1],
-                             (i, j): -2 * lead}
-    return QuadraticBracket(n, pairs)
+
+    def pair(i, j):
+        d = psi[i] - psi[j]
+        lead = (rho[i] * dpsi[j] - rho[j] * dpsi[i]) / (d * d)
+        return lead - params.a * dpsi[j], lead + params.a * dpsi[i], -2 * lead
+    return rime_bracket(len(psi), pair)
 
 
 def psi_variation_dual(params: PencilParams, dpsi) -> QuadraticBracket:
     """Same variation computed with dual numbers: eps-part of pencil(psi + eps dpsi)."""
-    psi = params.psi
-    n = len(psi)
     dpsi = ratvec(dpsi)
-    pairs = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pi = QuadExt(psi[i - 1], dpsi[i - 1], 0)
-            pj = QuadExt(psi[j - 1], dpsi[j - 1], 0)
-            dij = pi - pj
-            ri, rj = params.rho(pi), params.rho(pj)
-            pairs[(i, j)] = {(i, i): (rj / dij).b,
-                             (j, j): (ri / dij).b,
-                             (i, j): (params.a * dij - (ri + rj) / dij).b}
-    return QuadraticBracket(n, pairs)
+    psi = [QuadExt(p, dpsi[i], 0) for i, p in enumerate(params.psi)]
+    rho = [params.rho(p) for p in psi]
+
+    def pair(i, j):
+        d = psi[i] - psi[j]
+        return (rho[j] / d).b, (rho[i] / d).b, (params.a * d - (rho[i] + rho[j]) / d).b
+    return rime_bracket(len(psi), pair)
 
 
 def compensation_check(params: PencilParams, nu) -> dict[str, QuadraticBracket]:
@@ -353,23 +341,14 @@ def trid_residuals(y1: Operator1, y2: Operator1) -> tuple[Operator1, Operator1, 
 
 
 def lagrange_basis_matrix(psi) -> Operator1:
-    """Columns are the coefficient vectors of l_i(t) = prod_{s != i} (t - psi_s)."""
+    """Columns are the coefficient vectors of l_i(t) = prod_{s != i} (t - psi_s): the
+    coefficient of t^d is (-1)^(n-1-d) e_(n-1-d) of psi without psi_i, from one
+    ``elem_syms_omitting`` table in O(n^2)."""
     psi = ratvec(psi)
     n = len(psi)
-    cols = []
-    for i in range(n):
-        coeffs = [ONE]
-        for s in range(n):
-            if s == i:
-                continue
-            # multiply by (t - psi_s)
-            nxt = [ZERO] * (len(coeffs) + 1)
-            for d, cv in enumerate(coeffs):
-                nxt[d] -= cv * psi[s]
-                nxt[d + 1] += cv
-            coeffs = nxt
-        cols.append(coeffs)
-    return Operator1([[cols[j][d] for j in range(n)] for d in range(n)])
+    omitting = elem_syms_omitting(psi)
+    return Operator1([[-e[n - 1 - d] if (n - 1 - d) % 2 else e[n - 1 - d] for e in omitting]
+                      for d in range(n)])
 
 
 def projective_action_monomial(n: int, a, b, c) -> Operator1:
@@ -536,19 +515,18 @@ def bracket_from_quantum(params, beta=None) -> QuadraticBracket:
     """
     params = ratvec(params)
     require_distinct(params)
-    n = len(params)
-    pairs = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            d = params[i - 1] - params[j - 1]
-            if beta is None:
-                bij, bji = ONE / d, -ONE / d
-            else:
-                bij = -rat(beta) * params[j - 1] / d
-                bji = rat(beta) * params[i - 1] / d
-            # -(b_ij x^i + b_ji x^j)(x^i - x^j)
-            pairs[(i, j)] = {(i, i): -bij, (i, j): bij - bji, (j, j): bji}
-    return QuadraticBracket(n, pairs)
+    if beta is not None:
+        beta = rat(beta)
+
+    def pair(i, j):
+        d = params[i] - params[j]
+        if beta is None:
+            bij, bji = ONE / d, -ONE / d
+        else:
+            bij, bji = -beta * params[j] / d, beta * params[i] / d
+        # -(b_ij x^i + b_ji x^j)(x^i - x^j)
+        return -bij, bji, bij - bji
+    return rime_bracket(len(params), pair)
 
 
 # --- linear rime brackets -------------------------------------------------------

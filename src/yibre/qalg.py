@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .kernel import ONE, ZERO, InvalidInputError, QuadExt, rat
-from .poisson import QuadraticBracket
+from .poisson import QuadraticBracket, rime_bracket
 from .tensor import Echelon, _clear
 
 
@@ -295,8 +295,7 @@ def classical_limit_bracket(n: int) -> QuadraticBracket:
     x^j x^k - x^k x^j = eps (x^k x^j - x^k x^k) + O(eps^2), so the bracket is
     {x^j, x^k} = x^k(x^j - x^k) for j < k after symmetrizing.
     """
-    return QuadraticBracket(n, {(j, k): {(j, k): ONE, (k, k): -ONE}
-                                for j in range(1, n + 1) for k in range(j + 1, n + 1)})
+    return rime_bracket(n, lambda j, k: (ZERO, -ONE, ONE))
 
 
 def classical_limit_bracket_dual(n: int) -> QuadraticBracket:
@@ -304,5 +303,4 @@ def classical_limit_bracket_dual(n: int) -> QuadraticBracket:
     f = QuadExt(ONE, ONE, 0)
     g = 1 - f
     # defect x^j x^k - x^k x^j = (f-1) x^k x^j + g x^k x^k, eps part
-    return QuadraticBracket(n, {(j, k): {(k, j): (f - 1).b, (k, k): g.b}
-                                for j in range(1, n + 1) for k in range(j + 1, n + 1)})
+    return rime_bracket(n, lambda j, k: (ZERO, g.b, (f - 1).b))

@@ -91,17 +91,17 @@ def assemble_rime(data: RimeData) -> Operator2:
 
     Row (i, j), i != j, holds alpha_ij at (j, i), beta_ij at (i, j), gamma_ij at
     (i, i) and gamma'_ij at (j, j): four distinct columns, so no entry is summed.
+    The coefficients are handed over as they are and cleared to integer rows once.
     """
     n = data.dim
     rows = {}
-    for i in range(n):
-        rows[i * n + i] = {i * n + i: rat(data.alpha[i])}
-        for j in range(n):
+    for i, grid_rows in enumerate(zip(data.alpha_ij, data.beta_ij, data.gamma_ij,
+                                      data.gamma_prime_ij)):
+        ii = i * n + i
+        rows[ii] = {ii: data.alpha[i]}
+        for j, (a, b, g, gp) in enumerate(zip(*grid_rows)):
             if i != j:
-                rows[i * n + j] = {j * n + i: rat(data.alpha_ij[i][j]),
-                                   i * n + j: rat(data.beta_ij[i][j]),
-                                   i * n + i: rat(data.gamma_ij[i][j]),
-                                   j * n + j: rat(data.gamma_prime_ij[i][j])}
+                rows[i * n + j] = {j * n + i: a, i * n + j: b, ii: g, j * n + j: gp}
     return Operator2._entries(n, rows)
 
 
@@ -144,47 +144,37 @@ def classify(r: Operator2) -> RimeClass:
     return RimeClass.RIME_STRICT if strict else RimeClass.RIME_NON_STRICT
 
 
+def rime_data(n: int, pair) -> RimeData:
+    """The data with alpha_i = 1 and (alpha_ij, beta_ij, gamma_ij, gamma'_ij) = ``pair(i, j)``
+    at each 0-based i != j: every rime family is its pair formula and this one call."""
+    grids = [[[ZERO] * n for _ in range(n)] for _ in range(4)]
+    a, b, g, gp = grids
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                a[i][j], b[i][j], g[i][j], gp[i][j] = pair(i, j)
+    return RimeData(n, (ONE,) * n, *(tuple(map(tuple, grid)) for grid in grids))
+
+
 def strict_rime_data(phi, beta) -> RimeData:
     """Coefficients of the non-unitary family: beta_ij = beta*phi_i/(phi_i-phi_j)."""
     phi = ratvec(phi)
     beta = rat(beta)
     require_distinct(phi, "phi")
-    n = len(phi)
-    b = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                b[i][j] = beta * phi[i] / (phi[i] - phi[j])
-    return _data_from_beta(n, b)
+    return _data_from_beta([[beta * p / (p - q) if p != q else ZERO for q in phi] for p in phi])
 
 
 def unitary_rime_data(mu) -> RimeData:
     """Coefficients of the unitary family: beta_ij = 1/(mu_i - mu_j)."""
     mu = ratvec(mu)
     require_distinct(mu, "mu")
-    n = len(mu)
-    b = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                b[i][j] = ONE / (mu[i] - mu[j])
-    return _data_from_beta(n, b)
+    return _data_from_beta([[ONE / (m - w) if m != w else ZERO for w in mu] for m in mu])
 
 
-def _data_from_beta(n: int, b) -> RimeData:
-    # gauge-fixed solution shape: alpha_ij = 1 - beta_ji, gamma_ij = -beta_ij,
-    # gamma'_ij = beta_ji, alpha_i = 1
-    alpha_ij = [[ZERO] * n for _ in range(n)]
-    gamma = [[ZERO] * n for _ in range(n)]
-    gammap = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                alpha_ij[i][j] = ONE - b[j][i]
-                gamma[i][j] = -b[i][j]
-                gammap[i][j] = b[j][i]
-    t = lambda g: tuple(tuple(row) for row in g)
-    return RimeData(n, (ONE,) * n, t(alpha_ij), t(b), t(gamma), t(gammap))
+def _data_from_beta(b) -> RimeData:
+    """The gauge-fixed solution shape over the grid b of beta_ij: alpha_ij = 1 - beta_ji,
+    gamma_ij = -beta_ij and gamma'_ij = beta_ji."""
+    return rime_data(len(b), lambda i, j: (ONE - b[j][i], b[i][j], -b[i][j], b[j][i]))
 
 
 def strict_rime_R(phi, beta) -> Operator2:

@@ -1216,3 +1216,24 @@ def jsla_ordered_triples(a) -> dict[tuple[int, int, int], Fraction]:
                     if v:
                         out[(i + 1, j + 1, k + 1)] = v
     return out
+
+
+def lagrange_basis_by_products(psi) -> Operator1:
+    """``poisson.lagrange_basis_matrix`` with each l_i(t) = prod_{s != i} (t - psi_s) multiplied
+    out one linear factor at a time."""
+    psi = ratvec(psi)
+    n = len(psi)
+    cols = []
+    for i in range(n):
+        coeffs = [ONE]
+        for s in range(n):
+            if s == i:
+                continue
+            # multiply by (t - psi_s)
+            nxt = [ZERO] * (len(coeffs) + 1)
+            for d, cv in enumerate(coeffs):
+                nxt[d] -= cv * psi[s]
+                nxt[d + 1] += cv
+            coeffs = nxt
+        cols.append(coeffs)
+    return Operator1([[cols[j][d] for j in range(n)] for d in range(n)])
